@@ -23,27 +23,32 @@ Run:  python examples/shared_cluster.py
 """
 
 from repro.workloads.multi_job import (
-    SharedClusterParams,
-    build_shared_cluster_engine,
+    ALPHA_WEIGHT,
+    BETA_WEIGHT,
     collect_shared_cluster_result,
 )
+from repro.workloads.scenario import ScenarioSpec, build
 
 
 def main() -> None:
-    params = SharedClusterParams(duration=240.0)
-    engine, jobs = build_shared_cluster_engine(params)
+    # the canonical scenario: `repro run --shared-cluster` builds this spec
+    spec = ScenarioSpec(
+        seed=11, rate=1400.0, bound=0.060, workload="multi_job", duration=240.0
+    )
+    engine, jobs, _recorder = build(spec)
     alpha, beta = jobs
 
+    knobs = spec.resolved()
     print(
-        f"shared pool: {params.workers} workers x {params.slots_per_worker} "
-        f"slots, admission={params.admission} "
-        f"(weights alpha={params.alpha_weight:g}, beta={params.beta_weight:g})"
+        f"shared pool: {knobs['worker_pool']} workers x {knobs['slots_per_worker']} "
+        f"slots, admission={knobs['admission']} "
+        f"(weights alpha={ALPHA_WEIGHT:g}, beta={BETA_WEIGHT:g})"
     )
     print(f"{'time':>5}  {'p(alpha)':>8}  {'p(beta)':>7}  "
           f"{'denials':>7}  {'preempted':>9}  {'slots free':>10}")
     resources = engine.resources
     for _ in range(16):
-        engine.run(params.duration / 16.0)
+        engine.run(spec.duration / 16.0)
         print(
             f"{engine.now:5.0f}  {alpha.parallelism('worker'):8d}  "
             f"{beta.parallelism('worker'):7d}  "
@@ -52,7 +57,7 @@ def main() -> None:
             f"{resources.free_slots_available():10d}"
         )
 
-    result = collect_shared_cluster_result(engine, jobs, params)
+    result = collect_shared_cluster_result(engine, jobs)
     print()
     for job in result["jobs"]:
         account = job["account"]

@@ -26,7 +26,6 @@ the declared constraints, ready for
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.actuation.config import ActuationConfig
@@ -78,22 +77,6 @@ class BuiltPipeline:
         #: shared-cluster slot account ``(quota, priority, weight)`` from
         #: ``.share(...)`` (None = unconstrained defaults)
         self.share = share
-
-    def submit_to(self, engine):
-        """Deprecated delegate for ``engine.submit(self)``.
-
-        .. deprecated::
-            Use ``engine.submit(pipeline)`` — the one submission API.
-
-        Returns the :class:`~repro.engine.engine.DeployedJob` handle.
-        """
-        warnings.warn(
-            "BuiltPipeline.submit_to(engine) is deprecated; "
-            "use engine.submit(pipeline) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return engine.submit(self)
 
     def __repr__(self) -> str:
         faults = len(self.fault_plan.events) if self.fault_plan else 0

@@ -6,8 +6,11 @@ Commands
     Run a paper-reproduction experiment and print its report
     (``--quick`` for the reduced variant, ``--csv DIR`` to export series).
 ``run``
-    Run a fault-free elastic pipeline with observability on and export
-    ``manifest.json`` / ``metrics.jsonl`` / ``trace.jsonl``.
+    Run a registered scenario (``--scenario``, default the fault-free
+    ``steady`` pipeline) with observability on and export
+    ``manifest.json`` / ``metrics.jsonl`` / ``trace.jsonl``. Like
+    ``chaos``, sweep shards and partition slices it only translates its
+    flags into a :class:`~repro.workloads.scenario.ScenarioSpec`.
 ``chaos``
     Run a deterministic fault-injection scenario against an elastic
     pipeline (task crash, worker loss, measurement dropout, service
@@ -90,6 +93,8 @@ def _add_policy_flag(parser: argparse.ArgumentParser, repeatable: bool = False) 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.workloads.scenario import SINGLE_JOB_WORKLOADS, WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Elastic Stream Processing with Latency Guarantees' (ICDCS 2015)",
@@ -139,10 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --partitions: number of independent slice "
                           "jobs the scenario is split into (fixed per plan, "
                           "so merged output is byte-identical for any N)")
-    run.add_argument("--scenario", choices=("steady", "spike", "dropout",
-                                            "stateful", "twitter"),
-                     default="steady",
-                     help="with --partitions: which shard scenario to slice")
+    run.add_argument("--scenario", choices=SINGLE_JOB_WORKLOADS, default="steady",
+                     help="which registered workload to run (and, with "
+                          "--partitions, to slice)")
     run.add_argument("--retries", type=int, default=2,
                      help="with --partitions: per-slice retries after a "
                           "worker crash")
@@ -212,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated latency bounds (s)")
     sweep.add_argument("--workloads", metavar="CSV", default=None,
                        help="comma-separated workload variants "
-                            "(steady, spike, dropout, twitter)")
+                            f"({', '.join(WORKLOADS)})")
     sweep.add_argument("--actuation", choices=("off", "on", "both"), default=None,
                        help="supervised-actuation axis (default: grid/off)")
     sweep.add_argument("--duration", type=float, default=None,
@@ -371,30 +375,97 @@ def _print_last_decisions(trace, last: int) -> None:
         print("  " + _format_decision(record))
 
 
-def _run_obs(args: argparse.Namespace) -> None:
-    from repro.builder import PipelineBuilder
-    from repro.engine.engine import EngineConfig, StreamProcessingEngine
-    from repro.simulation.randomness import Gamma
-    from repro.workloads.rates import ConstantRate
+#: ``repro run`` defaults, keyed by ``--shared-cluster``
+_RUN_DEFAULTS = {
+    False: {"duration": 120.0, "rate": 400.0, "bound": 0.030, "seed": 7},
+    True: {"duration": 240.0, "rate": 1400.0, "bound": 0.060, "seed": 11},
+}
 
-    builder = (
-        PipelineBuilder("obs-run")
-        .source(lambda now, rng: rng.random(), rate=ConstantRate(args.rate))
-        .map("worker", lambda x: x, service=Gamma(0.004, 0.7), parallelism=(4, 1, 32))
-        .sink()
-        .constrain(bound=args.bound, name="e2e")
-        .observe(export_dir=args.obs_dir)
+
+def run_spec(args: argparse.Namespace):
+    """The :class:`ScenarioSpec` a ``repro run`` invocation describes."""
+    from repro.core.policy import DEFAULT_POLICY
+    from repro.workloads.scenario import ScenarioSpec
+
+    axes = {
+        key: getattr(args, key) if getattr(args, key) is not None else default
+        for key, default in _RUN_DEFAULTS[args.shared_cluster].items()
+    }
+    policy = args.policy or DEFAULT_POLICY
+    if args.shared_cluster:
+        return ScenarioSpec(
+            workload="multi_job", policy=policy, **axes,
+            knobs={
+                "worker_pool": args.workers,
+                "slots_per_worker": args.slots_per_worker,
+                "admission": args.admission,
+                "placement": args.placement,
+            },
+        )
+    # slices keep their sweep-style job names; the plain run is "obs-run"
+    name = "obs-run" if args.partitions is None else None
+    return ScenarioSpec(workload=args.scenario, policy=policy, name=name, **axes)
+
+
+def chaos_spec(args: argparse.Namespace):
+    """The :class:`ScenarioSpec` a ``repro chaos`` invocation describes."""
+    from repro.core.policy import DEFAULT_POLICY
+    from repro.simulation.faults import (
+        ActuationFailure,
+        MeasurementDropout,
+        MigrationFailure,
+        ServiceSpike,
+        TaskCrash,
+        WorkerLoss,
     )
-    if args.policy is not None:
-        builder.scale(args.policy)
-    pipeline = builder.build()
-    engine = StreamProcessingEngine(EngineConfig(elastic=True, seed=args.seed))
-    job = engine.submit(pipeline)
-    engine.run(args.duration)
+    from repro.workloads.scenario import ScenarioSpec
+
+    stateful = args.stateful or args.migration_fail_at >= 0
+    # one row per fault flag: (start time, spec class, its other fields);
+    # a negative start time switches the fault off
+    flags = [
+        (args.crash_at, TaskCrash,
+         {"vertex": "worker", "restart_delay": args.restart_delay}),
+        (args.dropout_at, MeasurementDropout, {"duration": args.dropout_duration}),
+        (args.spike_at, ServiceSpike,
+         {"vertex": "worker", "factor": args.spike_factor,
+          "duration": args.spike_duration}),
+        (args.worker_loss_at, WorkerLoss, {"restart_delay": args.restart_delay}),
+        (args.actuation_fail_at if args.actuation else -1.0, ActuationFailure,
+         {"duration": args.actuation_fail_duration, "vertex": "worker"}),
+        (args.migration_fail_at, MigrationFailure,
+         {"duration": args.migration_fail_duration, "vertex": "worker"}),
+    ]
+    return ScenarioSpec(
+        seed=args.seed,
+        rate=args.rate,
+        bound=args.bound,
+        # Stateful runs need the reconciler: the migration protocol is
+        # its supervised-actuation path.
+        actuation=args.actuation or stateful,
+        duration=args.duration,
+        policy=args.policy or DEFAULT_POLICY,
+        name="chaos",
+        faults=tuple(cls(at=at, **fields) for at, cls, fields in flags if at >= 0),
+        fault_seed=args.fault_seed,
+        knobs={
+            "constraint_name": None,
+            "stateful": stateful,
+            "checkpoint_interval": args.checkpoint_interval,
+        },
+    )
+
+
+def _run_plain(args: argparse.Namespace) -> int:
+    from repro.workloads.scenario import build
+
+    spec = run_spec(args)
+    engine, (job,), _ = build(spec, export_dir=args.obs_dir, pin_wall_time=False)
+    engine.run(spec.duration)
 
     policy_note = f", policy={args.policy}" if args.policy is not None else ""
-    print(f"run: {args.duration:.0f}s, rate={args.rate:.0f}/s, "
-          f"bound={args.bound * 1000:.0f}ms, seed={args.seed}{policy_note}")
+    print(f"run: {spec.duration:.0f}s, rate={spec.rate:.0f}/s, "
+          f"bound={spec.bound * 1000:.0f}ms, seed={spec.seed}{policy_note}")
     print(f"final parallelism: "
           f"{ {name: rv.parallelism for name, rv in job.runtime.vertices.items()} }")
     scaler = job.scaler
@@ -408,31 +479,27 @@ def _run_obs(args: argparse.Namespace) -> None:
     print("exported:")
     for kind, path in sorted(paths.items()):
         print(f"  {kind:<9s} {path}")
+    return 0
 
 
-def _run_shared_cluster(args: argparse.Namespace) -> int:
+def _run_shared(args: argparse.Namespace) -> int:
     """Two jobs on one under-provisioned pool: the admission scenario."""
-    from repro.workloads.multi_job import SharedClusterParams, run_shared_cluster
+    from repro.workloads.multi_job import collect_shared_cluster_result
+    from repro.workloads.scenario import build
 
-    defaults = SharedClusterParams()
-    params = SharedClusterParams(
-        rate=args.rate if args.rate is not None else defaults.rate,
-        bound=args.bound if args.bound is not None else defaults.bound,
-        duration=args.duration if args.duration is not None else defaults.duration,
-        seed=args.seed if args.seed is not None else defaults.seed,
-        workers=args.workers,
-        slots_per_worker=args.slots_per_worker,
-        admission=args.admission,
-        placement=args.placement,
-    )
-    if args.policy is not None:
-        params.policy = args.policy
-    result = run_shared_cluster(params)
+    spec = run_spec(args)
+    engine, jobs, _ = build(spec)
+    engine.run(spec.duration)
+    # collect before stop(): teardown scales every vertex to zero, which
+    # would wipe the final_parallelism snapshot out of the result
+    result = collect_shared_cluster_result(engine, jobs)
+    engine.stop()
 
-    p = result["params"]
-    print(f"shared cluster: {p['workers']} workers x {p['slots_per_worker']} "
-          f"slots, admission={p['admission']}, placement={p['placement']}, "
-          f"{result['virtual_time_s']:.0f}s virtual, seed={p['seed']}")
+    knobs = spec.resolved()
+    print(f"shared cluster: {knobs['worker_pool']} workers x "
+          f"{knobs['slots_per_worker']} slots, admission={knobs['admission']}, "
+          f"placement={knobs['placement']}, {engine.now:.0f}s virtual, "
+          f"seed={spec.seed}")
     for job in result["jobs"]:
         account = job["account"]
         fulfillment = job["fulfillment"]
@@ -461,15 +528,7 @@ def _run_partitioned(args: argparse.Namespace) -> int:
     )
 
     try:
-        plan = PartitionPlan(
-            scenario=args.scenario,
-            seed=args.seed,
-            rate=args.rate,
-            bound=args.bound,
-            duration=args.duration,
-            policy=args.policy if args.policy is not None else "scale-reactively",
-            slices=args.slices,
-        )
+        plan = PartitionPlan(run_spec(args), slices=args.slices)
         merged = run_partitioned(
             plan,
             out=args.obs_dir,
@@ -481,8 +540,8 @@ def _run_partitioned(args: argparse.Namespace) -> int:
         print(f"partitioned run failed: {exc}")
         return 1
     totals = merged["totals"]
-    print(f"partitioned run: scenario={plan.scenario}, {plan.slices} slices "
-          f"x {plan.duration:.0f}s across {args.partitions} workers")
+    print(f"partitioned run: scenario={plan.spec.workload}, {plan.slices} slices "
+          f"x {plan.spec.duration:.0f}s across {args.partitions} workers")
     print(f"fired events (all slices): {totals['fired_events']}")
     for name, bucket in sorted(totals["constraints"].items()):
         print(f"constraint {name}: fulfillment "
@@ -848,84 +907,13 @@ def _run_runs(args: argparse.Namespace) -> int:
 
 
 def _run_chaos(args: argparse.Namespace) -> None:
-    from repro.builder import PipelineBuilder
-    from repro.engine.engine import EngineConfig, StreamProcessingEngine
-    from repro.experiments.recording import SeriesRecorder
-    from repro.simulation.faults import (
-        ActuationFailure,
-        MeasurementDropout,
-        MigrationFailure,
-        ServiceSpike,
-        TaskCrash,
-        WorkerLoss,
-    )
-    from repro.simulation.randomness import Gamma
-    from repro.workloads.rates import ConstantRate
+    from repro.workloads.scenario import build
 
-    stateful = args.stateful or args.migration_fail_at >= 0
-    builder = (
-        PipelineBuilder("chaos")
-        .source(lambda now, rng: rng.random(), rate=ConstantRate(args.rate))
-        .map("worker", lambda x: x, service=Gamma(0.004, 0.7), parallelism=(4, 1, 32))
-        .sink()
-        .constrain(bound=args.bound)
+    spec = chaos_spec(args)
+    engine, (job,), recorder = build(
+        spec, export_dir=args.obs_dir, pin_wall_time=args.pin_wall_time
     )
-    if stateful:
-        builder.stateful("worker")
-    if args.policy is not None:
-        builder.scale(args.policy)
-    if args.crash_at >= 0:
-        builder.inject(
-            TaskCrash(at=args.crash_at, vertex="worker", restart_delay=args.restart_delay)
-        )
-    if args.dropout_at >= 0:
-        builder.inject(
-            MeasurementDropout(at=args.dropout_at, duration=args.dropout_duration)
-        )
-    if args.spike_at >= 0:
-        builder.inject(
-            ServiceSpike(
-                at=args.spike_at,
-                vertex="worker",
-                factor=args.spike_factor,
-                duration=args.spike_duration,
-            )
-        )
-    if args.worker_loss_at >= 0:
-        builder.inject(WorkerLoss(at=args.worker_loss_at, restart_delay=args.restart_delay))
-    if args.actuation or stateful:
-        # Stateful runs need the reconciler: the migration protocol is
-        # its supervised-actuation path.
-        builder.actuate()
-        if args.actuation and args.actuation_fail_at >= 0:
-            builder.inject(
-                ActuationFailure(
-                    at=args.actuation_fail_at,
-                    duration=args.actuation_fail_duration,
-                    vertex="worker",
-                )
-            )
-    if args.migration_fail_at >= 0:
-        builder.inject(
-            MigrationFailure(
-                at=args.migration_fail_at,
-                duration=args.migration_fail_duration,
-                vertex="worker",
-            )
-        )
-    builder.inject(seed=args.fault_seed)
-    if args.obs_dir is not None:
-        builder.observe(export_dir=args.obs_dir, pin_wall_time=args.pin_wall_time)
-    pipeline = builder.build()
-
-    engine = StreamProcessingEngine(EngineConfig(
-        elastic=True, seed=args.seed,
-        checkpoint_interval=args.checkpoint_interval,
-    ))
-    recorder = SeriesRecorder(engine, interval=5.0, source_vertex="source",
-                              source_profile=ConstantRate(args.rate))
-    job = engine.submit(pipeline)
-    engine.run(args.duration)
+    engine.run(spec.duration)
 
     print(f"chaos run: {args.duration:.0f}s, rate={args.rate:.0f}/s, "
           f"bound={args.bound * 1000:.0f}ms, seed={args.seed}, "
@@ -941,14 +929,14 @@ def _run_chaos(args: argparse.Namespace) -> None:
     print("worker parallelism (5 s samples):")
     series = recorder.parallelism_series("worker")
     print("  " + " ".join(f"{p}" for _, p in series))
-    scaler = engine.scaler
+    scaler = job.scaler
     if scaler is not None:
         print()
         print(f"scaler: {len(scaler.events)} activations, "
               f"{scaler.skipped_stale} stale constraints skipped, "
               f"{scaler.suppressed_scale_downs} scale-downs suppressed by "
               "recovery cooldown")
-    reconciler = engine.reconciler
+    reconciler = job.reconciler
     if reconciler is not None:
         print()
         print(f"actuation: {reconciler.requests} requests, "
@@ -958,7 +946,7 @@ def _run_chaos(args: argparse.Namespace) -> None:
         print(f"  in flight: {len(reconciler.in_flight)}, "
               f"convergence lag: {reconciler.convergence_lag()}, "
               f"abandoned: {reconciler.abandoned}")
-    state_manager = engine.state_manager
+    state_manager = job.state_manager
     if state_manager is not None:
         s = state_manager.summary()
         m = s["migrations"]
@@ -973,13 +961,13 @@ def _run_chaos(args: argparse.Namespace) -> None:
               f"({s['checkpoints']} checkpoints @ {s['checkpoint_interval']:.0f}s)")
         print(f"  crash recoveries: {s['crash_recoveries']}, "
               f"replay charged: {s['recovery_time_s']:.3f}s")
-    for tracker in engine.trackers:
+    for tracker in job.trackers:
         print(f"constraint {tracker.constraint.name}: "
               f"{tracker.fulfillment_ratio * 100:.1f}% fulfilled "
               f"({tracker.violations} violations / {len(tracker.history)} intervals)")
     crashes = {
         name: rv.crashes
-        for name, rv in engine.runtime.vertices.items()
+        for name, rv in job.runtime.vertices.items()
         if rv.crashes
     }
     if crashes:
@@ -1011,19 +999,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "run":
         if args.shared_cluster:
-            return _run_shared_cluster(args)
-        if args.duration is None:
-            args.duration = 120.0
-        if args.rate is None:
-            args.rate = 400.0
-        if args.bound is None:
-            args.bound = 0.030
-        if args.seed is None:
-            args.seed = 7
+            return _run_shared(args)
         if args.partitions is not None:
             return _run_partitioned(args)
-        _run_obs(args)
-        return 0
+        return _run_plain(args)
     if args.command == "bench":
         from repro.bench.core import main as bench_main
 

@@ -669,7 +669,7 @@ class StreamProcessingEngine:
         (with explicit ``constraints``/``fault_plan``) or a
         :class:`~repro.builder.BuiltPipeline`, which carries its own
         constraints, fault plan and observability settings — the builder
-        path; ``BuiltPipeline.submit_to(engine)`` delegates here.
+        path.
 
         ``fault_plan`` arms a deterministic chaos scenario against the
         job (see :mod:`repro.simulation.faults`); the armed injector is

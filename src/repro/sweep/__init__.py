@@ -5,8 +5,10 @@ seeds, workloads and policy knobs. This package turns such a study into
 one orchestrated *sweep*:
 
 * a declarative :class:`~repro.sweep.grid.SweepGrid` (seeds × rates ×
-  bounds × workloads × actuation) expands into deterministic, ordered
-  :class:`~repro.sweep.shard.ShardSpec` shards;
+  bounds × workloads × actuation × policies) expands into deterministic,
+  ordered :class:`~repro.workloads.scenario.ScenarioSpec` shards — the
+  same scenario description the ``run``/``chaos`` CLI builds, so every
+  shard goes through the one :func:`repro.workloads.scenario.build`;
 * :func:`~repro.sweep.orchestrator.run_sweep` executes the shards across
   a pool of worker *processes* with per-shard crash isolation — a worker
   exception or kill marks only that shard failed and it is retried up to
@@ -22,10 +24,10 @@ one orchestrated *sweep*:
   :class:`repro.experiments.dashboard.SweepDashboard`.
 
 The same crash-isolated worker pool (:mod:`repro.sweep.pool`) also
-powers *partitioned single-scenario* runs: :mod:`repro.sweep.partition`
-splits one scenario into a fixed set of independent slices, runs them
-across workers and merges the artifacts byte-identically for any worker
-count.
+powers *partitioned single-scenario* runs: a
+:class:`~repro.sweep.partition.PartitionPlan` is one ``ScenarioSpec``
+plus a fixed number of slices, which :mod:`repro.sweep.partition` runs
+across workers and merges byte-identically for any worker count.
 
 CLI: ``python -m repro sweep [--grid FILE | flags] --workers N
 [--resume] --out DIR`` and ``python -m repro run --partitions N``.
@@ -36,12 +38,13 @@ from repro.sweep.orchestrator import SweepError, SweepStats, run_sweep
 from repro.sweep.partition import PartitionError, PartitionPlan, run_partitioned
 from repro.sweep.pool import PoolError, PoolJob, PoolStats, run_pool
 from repro.sweep.report import merge_shard_results, read_aggregate
-from repro.sweep.shard import ShardSpec, run_shard
+from repro.sweep.shard import run_shard
+from repro.workloads.scenario import ScenarioSpec
 
 __all__ = [
     "SweepGrid",
     "WORKLOADS",
-    "ShardSpec",
+    "ScenarioSpec",
     "SweepError",
     "SweepStats",
     "run_sweep",

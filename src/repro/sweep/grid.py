@@ -4,9 +4,11 @@ A :class:`SweepGrid` names the axes of a parameter study — engine seeds,
 source rates, latency bounds, workload variants and whether actuation
 supervision is on — plus the per-run duration. :meth:`SweepGrid.expand`
 turns the cartesian product into an ordered list of
-:class:`~repro.sweep.shard.ShardSpec` shards whose keys are stable
-across processes and platforms, which is what makes checkpoint/resume
-and the byte-identical merge possible.
+:class:`~repro.workloads.scenario.ScenarioSpec` shards whose keys are
+stable across processes and platforms, which is what makes
+checkpoint/resume and the byte-identical merge possible. The workloads
+axis draws from the one scenario registry
+(:data:`repro.workloads.scenario.WORKLOADS`).
 """
 
 from __future__ import annotations
@@ -15,20 +17,7 @@ import json
 import math
 from typing import Dict, List, Sequence
 
-from repro.sweep.shard import ShardSpec, shard_key
-
-#: workload variants a shard can run (see shard.build_shard_pipeline):
-#: ``steady`` is the plain constant-rate pipeline, ``spike`` adds a
-#: deterministic service-time spike on the worker vertex, ``dropout``
-#: adds a QoS measurement dropout window, ``twitter`` runs the paper's
-#: six-vertex TwitterSentiment job (diurnal rate + burst) scaled to the
-#: shard's rate/bound/duration, ``stateful`` is the spike pipeline
-#: with a stateful worker (key-partitioned state, migration-priced
-#: rescales, checkpoint-restore crash recovery), and ``multi_job`` is
-#: the shared-cluster benchmark: two elastic jobs with anti-phased +
-#: coincident load peaks on a pool too small for both, under weighted
-#: fair-share admission (per-job fulfillment + fairness in the result).
-WORKLOADS = ("steady", "spike", "dropout", "twitter", "stateful", "multi_job")
+from repro.workloads.scenario import WORKLOADS, ScenarioSpec
 
 #: bump when the grid layout changes incompatibly
 GRID_SCHEMA_VERSION = 1
@@ -262,10 +251,10 @@ class SweepGrid:
             * len(self.workloads) * len(self.actuation) * len(self.policies)
         )
 
-    def expand(self) -> List[ShardSpec]:
+    def expand(self) -> List[ScenarioSpec]:
         """All shards, ordered by shard key (the merge order)."""
         shards = [
-            ShardSpec(
+            ScenarioSpec(
                 seed=seed,
                 rate=rate,
                 bound=bound,
@@ -291,4 +280,4 @@ class SweepGrid:
         return f"SweepGrid({self.name!r}, {len(self)} shards)"
 
 
-__all__ = ["SweepGrid", "WORKLOADS", "GRID_SCHEMA_VERSION", "shard_key"]
+__all__ = ["SweepGrid", "WORKLOADS", "GRID_SCHEMA_VERSION"]

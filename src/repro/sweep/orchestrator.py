@@ -24,7 +24,8 @@ from repro.sweep.report import (
     merge_shard_results,
     write_aggregate,
 )
-from repro.sweep.shard import ShardSpec, load_shard_result, shard_process_entry
+from repro.sweep.shard import load_shard_result, shard_process_entry
+from repro.workloads.scenario import ScenarioSpec
 
 #: subdirectory of the sweep output dir holding per-shard checkpoints
 SHARDS_DIR = "shards"
@@ -165,7 +166,7 @@ def run_sweep(
     results: List[Dict[str, object]] = []
 
     # resume: collect finished shards, queue the rest in key order
-    spec_by_key: Dict[str, ShardSpec] = {}
+    spec_by_key: Dict[str, ScenarioSpec] = {}
     jobs: List[PoolJob] = []
     for spec in specs:
         shard_dir = os.path.join(shards_root, spec.key)

@@ -1,11 +1,12 @@
 """Partitioned single-scenario simulation across worker processes.
 
-A :class:`PartitionPlan` splits one scenario into a *fixed* set of
-``slices`` independent slice jobs — slice ``i`` runs the scenario's
-pipeline with seed ``base_seed + i`` and ``rate / slices`` of the source
-load — and :func:`run_partitioned` executes them on the crash-isolated
-worker pool (:mod:`repro.sweep.pool`), then merges the slice artifacts
-strictly by slice index:
+A :class:`PartitionPlan` is a
+:class:`~repro.workloads.scenario.ScenarioSpec` plus a *fixed* number of
+``slices`` — slice ``i`` is the same spec with seed ``seed + i`` and
+``rate / slices`` of the source load — and :func:`run_partitioned`
+executes the slices on the crash-isolated worker pool
+(:mod:`repro.sweep.pool`), then merges the slice artifacts strictly by
+slice index:
 
 * ``partitions.json`` — ordered slice results plus deterministic totals
   (summed events, per-constraint fulfillment), like a sweep's
@@ -28,10 +29,12 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from repro.sweep.pool import PoolError, PoolJob, run_pool
-from repro.sweep.shard import ShardSpec, load_shard_result, shard_process_entry
+from repro.sweep.shard import load_shard_result, shard_process_entry
+from repro.workloads.scenario import SINGLE_JOB_WORKLOADS, ScenarioSpec
 
 #: partitions.json layout version; bump on incompatible change
 PARTITION_SCHEMA_VERSION = 1
@@ -44,9 +47,6 @@ PARTITION_STATS_FILE = "partition_stats.json"
 
 #: subdirectory of the output dir holding per-slice checkpoints
 SLICES_DIR = "slices"
-
-#: scenarios a plan may name (the sweep shard workloads)
-SCENARIOS = ("steady", "spike", "dropout", "stateful", "twitter")
 
 
 class PartitionError(RuntimeError):
@@ -66,56 +66,40 @@ class PartitionPlan:
     Slice ``i`` gets seed ``seed + i`` and ``rate / slices`` of the load.
     """
 
-    __slots__ = ("scenario", "seed", "rate", "bound", "duration", "policy", "slices")
+    __slots__ = ("spec", "slices")
 
-    def __init__(
-        self,
-        scenario: str = "steady",
-        seed: int = 7,
-        rate: float = 400.0,
-        bound: float = 0.030,
-        duration: float = 60.0,
-        policy: str = "scale-reactively",
-        slices: int = 4,
-    ) -> None:
-        if scenario not in SCENARIOS:
+    def __init__(self, spec: ScenarioSpec, slices: int = 4) -> None:
+        if spec.workload not in SINGLE_JOB_WORKLOADS:
             raise PartitionError(
-                f"unknown scenario {scenario!r} (choose from {', '.join(SCENARIOS)})"
+                f"cannot slice workload {spec.workload!r} "
+                f"(choose from {', '.join(SINGLE_JOB_WORKLOADS)})"
             )
         if not isinstance(slices, int) or isinstance(slices, bool) or slices < 1:
             raise PartitionError(f"slices must be a positive int, got {slices!r}")
-        if rate <= 0:
-            raise PartitionError(f"rate must be positive, got {rate!r}")
-        self.scenario = scenario
-        self.seed = int(seed)
-        self.rate = float(rate)
-        self.bound = float(bound)
-        self.duration = float(duration)
-        self.policy = policy
+        if spec.rate <= 0:
+            raise PartitionError(f"rate must be positive, got {spec.rate!r}")
+        self.spec = spec
         self.slices = slices
 
     def describe(self) -> Dict[str, object]:
         """The deterministic plan identity recorded in merged artifacts."""
         return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "rate": self.rate,
-            "bound": self.bound,
-            "duration": self.duration,
-            "policy": self.policy,
+            "scenario": self.spec.workload,
+            "seed": self.spec.seed,
+            "rate": self.spec.rate,
+            "bound": self.spec.bound,
+            "duration": self.spec.duration,
+            "policy": self.spec.policy,
             "slices": self.slices,
         }
 
-    def specs(self) -> List[ShardSpec]:
+    def specs(self) -> List[ScenarioSpec]:
         """The fixed slice jobs, in slice-index order."""
         return [
-            ShardSpec(
-                seed=self.seed + index,
-                rate=self.rate / self.slices,
-                bound=self.bound,
-                workload=self.scenario,
-                duration=self.duration,
-                policy=self.policy,
+            replace(
+                self.spec,
+                seed=self.spec.seed + index,
+                rate=self.spec.rate / self.slices,
             )
             for index in range(self.slices)
         ]
@@ -172,7 +156,7 @@ def run_partitioned(
     is merged in that case, so ``out`` never holds a partial bundle.
     ``fail_once_marker`` is the crash-isolation test hook: slice 0's
     first attempt creates the marker file and dies (see
-    :attr:`repro.sweep.shard.ShardSpec.fail_once_marker`).
+    :attr:`repro.workloads.scenario.ScenarioSpec.fail_once_marker`).
     """
     from repro.experiments.report import write_json
     from repro.obs.manifest import MANIFEST_FILE, METRICS_FILE, TRACE_FILE
@@ -183,12 +167,12 @@ def run_partitioned(
     os.makedirs(slices_root, exist_ok=True)
 
     slice_dirs = [os.path.join(slices_root, slice_name(i)) for i in range(plan.slices)]
-    spec_by_name: Dict[str, ShardSpec] = {}
+    spec_by_name: Dict[str, ScenarioSpec] = {}
     dir_by_name: Dict[str, str] = {}
     jobs: List[PoolJob] = []
     for index, spec in enumerate(specs):
         if index == 0 and fail_once_marker is not None:
-            spec.fail_once_marker = fail_once_marker
+            spec = replace(spec, fail_once_marker=fail_once_marker)
         name = slice_name(index)
         spec_by_name[name] = spec
         dir_by_name[name] = slice_dirs[index]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.workloads.scenario import group_key
+
 #: bump when the aggregate layout changes incompatibly
 AGGREGATE_SCHEMA_VERSION = 1
 
@@ -21,25 +23,6 @@ AGGREGATE_SCHEMA_VERSION = 1
 AGGREGATE_FILE = "aggregate.json"
 STATS_FILE = "sweep_stats.json"
 GRID_FILE = "grid.json"
-
-
-def group_key(params: Dict[str, object]) -> str:
-    """The across-seeds grouping identity of one shard's parameters.
-
-    Mirrors the shard key minus the seed, so one group holds exactly the
-    seeds of one grid point — including the policy token, which is what
-    lets the evaluation layer score policies head-to-head.
-    """
-    from repro.core.policy import parse_policy_spec
-
-    token = parse_policy_spec(
-        params.get("policy", "scale-reactively")
-    ).key_token
-    return (
-        f"{params['workload']}-r{params['rate']:g}-"
-        f"b{params['bound'] * 1000:g}ms-"
-        f"{'act' if params['actuation'] else 'sync'}-{token}"
-    )
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:

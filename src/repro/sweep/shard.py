@@ -1,15 +1,16 @@
-"""One sweep shard: a single deterministic whole-job run.
+"""One sweep shard: a single deterministic whole-scenario run.
 
-A :class:`ShardSpec` pins everything a worker process needs to execute
-one grid point — seed, source rate, latency bound, workload variant,
-actuation supervision and duration. :func:`run_shard` builds the
-pipeline, runs it, and distills a *deterministic* result dict (no wall
-clock, no object ids), :func:`execute_shard` additionally persists the
-checkpoint: ``result.json`` (written atomically) next to the shard's
-observability bundle exported through
-:func:`repro.obs.manifest.export_run` with sweep provenance merged into
-the manifest. :func:`shard_process_entry` is the picklable subprocess
-entry point the orchestrator spawns.
+A shard *is* a :class:`~repro.workloads.scenario.ScenarioSpec` — seed,
+source rate, latency bound, workload, actuation supervision, duration
+and policy pin everything a worker process needs to execute one grid
+point. :func:`run_shard` builds the scenario through the one
+:func:`~repro.workloads.scenario.build`, runs it, and distills the
+*deterministic* result dict (no wall clock, no object ids);
+:func:`execute_shard` additionally persists the checkpoint:
+``result.json`` (written atomically) next to the shard's observability
+bundle exported through :func:`repro.obs.manifest.export_run` with sweep
+provenance merged into the manifest. :func:`shard_process_entry` is the
+picklable subprocess entry point the orchestrator spawns.
 """
 
 from __future__ import annotations
@@ -19,8 +20,12 @@ import os
 import sys
 from typing import Dict, Optional
 
-#: result.json layout version; bump on incompatible change
-SHARD_SCHEMA_VERSION = 1
+from repro.workloads.scenario import (
+    SHARD_SCHEMA_VERSION,
+    ScenarioSpec,
+    build,
+    summarize,
+)
 
 #: checkpoint file written when a shard completed successfully
 RESULT_FILE = "result.json"
@@ -29,395 +34,21 @@ RESULT_FILE = "result.json"
 FAIL_ONCE_EXIT_CODE = 23
 
 
-def shard_key(
-    workload: str,
-    rate: float,
-    bound: float,
-    actuation: bool,
-    seed: int,
-    policy: str = "scale-reactively",
-) -> str:
-    """Stable, filesystem-safe shard identity (also the merge order).
-
-    ``policy`` is a policy spec string; knobbed specs contribute a short
-    hash token so two axis entries differing only in knobs never collide
-    (see :attr:`repro.core.policy.PolicySpec.key_token`).
-    """
-    from repro.core.policy import parse_policy_spec
-
-    token = parse_policy_spec(policy).key_token
-    return (
-        f"{workload}-r{rate:g}-b{bound * 1000:g}ms-"
-        f"{'act' if actuation else 'sync'}-{token}-s{seed:04d}"
-    )
-
-
-class ShardSpec:
-    """Picklable description of one shard run."""
-
-    __slots__ = ("seed", "rate", "bound", "workload", "actuation",
-                 "duration", "policy", "fail_once_marker")
-
-    def __init__(
-        self,
-        seed: int,
-        rate: float,
-        bound: float,
-        workload: str = "steady",
-        actuation: bool = False,
-        duration: float = 60.0,
-        policy: str = "scale-reactively",
-        fail_once_marker: Optional[str] = None,
-    ) -> None:
-        from repro.core.policy import parse_policy_spec
-
-        self.seed = int(seed)
-        self.rate = float(rate)
-        self.bound = float(bound)
-        self.workload = workload
-        self.actuation = bool(actuation)
-        self.duration = float(duration)
-        #: canonical policy spec string (validated against the registry)
-        self.policy = parse_policy_spec(policy).canonical()
-        #: crash-isolation test hook: when set and the marker file does
-        #: not exist yet, the worker process creates it and dies with
-        #: FAIL_ONCE_EXIT_CODE — the retry then runs normally. Never
-        #: part of params()/results, so checkpoints stay byte-identical.
-        self.fail_once_marker = fail_once_marker
-
-    @property
-    def key(self) -> str:
-        return shard_key(self.workload, self.rate, self.bound,
-                         self.actuation, self.seed, self.policy)
-
-    def params(self) -> Dict[str, object]:
-        """The deterministic parameters recorded in checkpoints."""
-        return {
-            "seed": self.seed,
-            "rate": self.rate,
-            "bound": self.bound,
-            "workload": self.workload,
-            "actuation": self.actuation,
-            "duration": self.duration,
-            "policy": self.policy,
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Full spawn payload (params plus test hooks)."""
-        data = self.params()
-        if self.fail_once_marker is not None:
-            data["fail_once_marker"] = self.fail_once_marker
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ShardSpec":
-        return cls(**data)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ShardSpec({self.key})"
-
-
-#: per-workload (source vertex, sink vertex) names for recording feeds
-WORKLOAD_VERTICES = {"twitter": ("TweetSource", "Sink")}
-
-#: the default (linear chaos-style pipeline) source/sink vertex names
-DEFAULT_VERTICES = ("source", "sink")
-
-
-def _twitter_pipeline(spec: ShardSpec, export_dir: Optional[str]):
-    """The paper's TwitterSentiment job scaled to one shard's knobs.
-
-    Two synthetic "days" fit the shard duration; the load and topic
-    bursts sit at fixed fractions of the run (like the spike/dropout
-    variants) so every duration stays self-similar. ``spec.rate`` is the
-    *total* tweet rate across the two sources and ``spec.bound`` maps
-    onto the paper's sentiment constraint (constraint 1 keeps its
-    215 ms bound, dominated by the 200 ms HotTopics window).
-    """
-    from repro.actuation.config import ActuationConfig
-    from repro.builder import BuiltPipeline
-    from repro.obs.config import ObservabilityConfig
-    from repro.workloads.twitter_job import (
-        TwitterSentimentParams,
-        build_twitter_sentiment_job,
-    )
-
-    params = TwitterSentimentParams(
-        base_rate=spec.rate / 2.0,
-        period=spec.duration / 2.0,
-        bursts=((spec.duration * 0.5, spec.duration * 0.15, 2.5),),
-        topic_bursts=((spec.duration * 0.5, spec.duration * 0.65, 0, 0.8),),
-        sentiment_bound=spec.bound,
-    )
-    graph, constraints = build_twitter_sentiment_job(params)
-    observability = None
-    if export_dir is not None:
-        observability = ObservabilityConfig(export_dir=export_dir, pin_wall_time=True)
-    return BuiltPipeline(
-        graph,
-        constraints,
-        observability=observability,
-        actuation=ActuationConfig() if spec.actuation else None,
-    )
-
-
-def build_shard_pipeline(spec: ShardSpec, export_dir: Optional[str] = None):
-    """The shard's elastic pipeline (mirrors the ``chaos`` CLI scenario)."""
-    from repro.builder import PipelineBuilder
-    from repro.simulation.faults import MeasurementDropout, ServiceSpike
-    from repro.simulation.randomness import Gamma
-    from repro.workloads.rates import ConstantRate
-
-    if spec.workload == "twitter":
-        return _twitter_pipeline(spec, export_dir)
-    if spec.workload == "multi_job":
-        raise ValueError(
-            "multi_job shards build two pipelines on one engine — "
-            "run them through run_shard, not build_shard_pipeline"
-        )
-    builder = (
-        PipelineBuilder(f"sweep-{spec.key}")
-        .source(lambda now, rng: rng.random(), rate=ConstantRate(spec.rate))
-        .map("worker", lambda x: x, service=Gamma(0.004, 0.7), parallelism=(4, 1, 32))
-        .sink()
-        .constrain(bound=spec.bound, name="e2e")
-    )
-    # Workload variants perturb the steady pipeline at fixed fractions of
-    # the run so every duration stays self-similar.
-    if spec.workload == "spike":
-        builder.inject(
-            ServiceSpike(
-                at=spec.duration * 0.25,
-                vertex="worker",
-                factor=3.0,
-                duration=spec.duration * 0.15,
-            ),
-            seed=spec.seed,
-        )
-    elif spec.workload == "dropout":
-        builder.inject(
-            MeasurementDropout(
-                at=spec.duration * 0.25, duration=spec.duration * 0.15
-            ),
-            seed=spec.seed,
-        )
-    elif spec.workload == "stateful":
-        # The spike scenario on a stateful worker: rescales now pay a
-        # key-migration pause, so migration-aware policies separate from
-        # the blind ones on the same deterministic violation.
-        builder.stateful("worker")
-        builder.inject(
-            ServiceSpike(
-                at=spec.duration * 0.25,
-                vertex="worker",
-                factor=3.0,
-                duration=spec.duration * 0.15,
-            ),
-            seed=spec.seed,
-        )
-    if spec.actuation:
-        builder.actuate()
-    if export_dir is not None:
-        # pin_wall_time keeps every checkpoint artifact byte-identical
-        # across worker counts, interruption and resume
-        builder.observe(export_dir=export_dir, pin_wall_time=True)
-    return builder.build()
-
-
-def reaction_time_s(trackers, events) -> Optional[float]:
-    """Mean scaler reaction time to constraint-violation onsets.
-
-    An *onset* is a tracker-history transition into violation; the
-    reaction is the delay until the first scaler activation at or after
-    the onset. Returns the mean over all onsets with a matching
-    activation, or None when the run had no onsets (nothing to react to)
-    or no activation ever followed one.
-    """
-    onsets = []
-    for tracker in trackers:
-        previous = False
-        for entry in tracker.history:
-            now, violated = entry[0], bool(entry[-1])
-            if violated and not previous:
-                onsets.append(now)
-            previous = violated
-    if not onsets:
-        return None
-    event_times = sorted(event.time for event in events)
-    reactions = []
-    for onset in onsets:
-        for event_time in event_times:
-            if event_time >= onset:
-                reactions.append(event_time - onset)
-                break
-    if not reactions:
-        return None
-    return sum(reactions) / len(reactions)
-
-
-def _run_multi_job_shard(spec: ShardSpec) -> Dict[str, object]:
-    """The shared-cluster shard: two jobs contending for one pool.
-
-    Wraps :func:`repro.workloads.multi_job.run_shared_cluster` in the
-    standard shard-result envelope. Vertex names in
-    ``final_parallelism`` are job-qualified (both jobs reuse
-    source/worker/sink), ``series`` carries the *cluster-wide* task
-    seconds, and the multi-job extras (per-job summaries, Jain's
-    fairness, admission/preemption counters) ride along under ``jobs``/
-    ``fairness``/``cluster``. No per-run observability bundle is
-    exported — two jobs cannot share one bundle directory, and the
-    sweep's checkpoint/merge path only ever reads ``result.json``.
-    """
-    from repro.obs.manifest import graph_hash
-    from repro.workloads.multi_job import (
-        SharedClusterParams,
-        build_shared_cluster_engine,
-        collect_shared_cluster_result,
-    )
-
-    params = SharedClusterParams(
-        rate=spec.rate,
-        bound=spec.bound,
-        duration=spec.duration,
-        seed=spec.seed,
-        actuation=spec.actuation,
-        policy=spec.policy,
-    )
-    engine, jobs = build_shared_cluster_engine(params)
-    engine.run(spec.duration)
-    shared = collect_shared_cluster_result(engine, jobs, params)
-
-    constraints = [
-        {
-            "name": tracker.constraint.name,
-            "bound": tracker.constraint.bound,
-            "fulfillment_ratio": tracker.fulfillment_ratio,
-            "violations": tracker.violations,
-            "intervals": tracker.intervals_observed,
-        }
-        for job in jobs
-        for tracker in job.trackers
-    ]
-    scalers = [job.scaler for job in jobs if job.scaler is not None]
-    scaling: Optional[Dict[str, object]] = None
-    if scalers:
-        reactions = [
-            reaction_time_s(job.trackers, job.scaler.events)
-            for job in jobs
-            if job.scaler is not None
-        ]
-        reactions = [r for r in reactions if r is not None]
-        scaling = {
-            "policy": scalers[0].policy_name,
-            "rounds": sum(s.rounds for s in scalers),
-            "activations": sum(len(s.events) for s in scalers),
-            "skipped_stale": sum(s.skipped_stale for s in scalers),
-            "suppressed_scale_downs": sum(s.suppressed_scale_downs for s in scalers),
-            "reaction_time_s": (
-                sum(reactions) / len(reactions) if reactions else None
-            ),
-        }
-    return {
-        "shard_schema": SHARD_SCHEMA_VERSION,
-        "key": spec.key,
-        "params": spec.params(),
-        "graph_hash": "+".join(graph_hash(job.job_graph) for job in jobs),
-        "virtual_time_s": engine.now,
-        "fired_events": engine.sim.fired_events,
-        "final_parallelism": {
-            f"{job.job_graph.name}.{name}": rv.parallelism
-            for job in jobs
-            for name, rv in job.runtime.vertices.items()
-        },
-        "constraints": constraints,
-        "scaling": scaling,
-        "actuation": (
-            [job.reconciler.summary() for job in jobs]
-            if spec.actuation
-            else None
-        ),
-        "state": None,
-        "series": {
-            "mean_cpu_utilization": None,
-            "task_seconds": engine.resources.task_seconds(),
-        },
-        "jobs": shared["jobs"],
-        "fairness": shared["fairness"],
-        "cluster": shared["cluster"],
-    }
-
-
-def run_shard(spec: ShardSpec, export_dir: Optional[str] = None) -> Dict[str, object]:
+def run_shard(spec: ScenarioSpec, export_dir: Optional[str] = None) -> Dict[str, object]:
     """Run one shard to completion; returns its deterministic result.
 
     When ``export_dir`` is given, the run's observability bundle
     (manifest/metrics/trace, wall time pinned) is exported there with the
     shard's provenance merged into the manifest. ``multi_job`` shards
-    take a dedicated path (two jobs, one pool) — see
-    :func:`_run_multi_job_shard`.
+    export no bundle — two jobs cannot share one bundle directory, and
+    the sweep's checkpoint/merge path only ever reads ``result.json``.
     """
-    from repro.engine.engine import EngineConfig, StreamProcessingEngine
-    from repro.experiments.recording import SeriesRecorder
-    from repro.obs.manifest import export_run, git_provenance, graph_hash
+    from repro.obs.manifest import export_run, git_provenance
 
-    if spec.workload == "multi_job":
-        return _run_multi_job_shard(spec)
-
-    pipeline = build_shard_pipeline(spec, export_dir=export_dir)
-    source_vertex, sink_vertex = WORKLOAD_VERTICES.get(spec.workload, DEFAULT_VERTICES)
-    engine = StreamProcessingEngine(
-        EngineConfig(elastic=True, seed=spec.seed, policy=spec.policy)
-    )
-    recorder = SeriesRecorder(
-        engine, interval=5.0, source_vertex=source_vertex,
-        source_profile=pipeline.graph.vertex(source_vertex).rate_profile,
-    )
-    recorder.add_sink_feed("e2e", sink_vertex)
-    job = engine.submit(pipeline)
+    engine, jobs, recorder = build(spec, export_dir=export_dir)
     engine.run(spec.duration)
-
-    constraints = [
-        {
-            "name": tracker.constraint.name,
-            "bound": tracker.constraint.bound,
-            "fulfillment_ratio": tracker.fulfillment_ratio,
-            "violations": tracker.violations,
-            "intervals": tracker.intervals_observed,
-        }
-        for tracker in job.trackers
-    ]
-    scaler = job.scaler
-    scaling: Optional[Dict[str, object]] = None
-    if scaler is not None:
-        scaling = {
-            "policy": scaler.policy_name,
-            "rounds": scaler.rounds,
-            "activations": len(scaler.events),
-            "skipped_stale": scaler.skipped_stale,
-            "suppressed_scale_downs": scaler.suppressed_scale_downs,
-            "reaction_time_s": reaction_time_s(job.trackers, scaler.events),
-        }
-    result: Dict[str, object] = {
-        "shard_schema": SHARD_SCHEMA_VERSION,
-        "key": spec.key,
-        "params": spec.params(),
-        "graph_hash": graph_hash(job.job_graph),
-        "virtual_time_s": engine.now,
-        "fired_events": engine.sim.fired_events,
-        "final_parallelism": {
-            name: rv.parallelism for name, rv in job.runtime.vertices.items()
-        },
-        "constraints": constraints,
-        "scaling": scaling,
-        "actuation": job.reconciler.summary() if job.reconciler is not None else None,
-        "state": (
-            job.state_manager.summary()
-            if getattr(job, "state_manager", None) is not None
-            else None
-        ),
-        "series": recorder.summary(),
-    }
-    if export_dir is not None:
+    result = summarize(spec, engine, jobs, recorder)
+    if engine.observability is not None:
         extra: Dict[str, object] = {
             "sweep": {"shard": spec.key, "params": spec.params()},
         }
@@ -427,11 +58,11 @@ def run_shard(spec: ShardSpec, export_dir: Optional[str] = None) -> Dict[str, ob
         provenance = git_provenance()
         if provenance is not None:
             extra["git"] = provenance
-        export_run(job, export_dir, extra=extra)
+        export_run(jobs[0], export_dir, extra=extra)
     return result
 
 
-def execute_shard(spec: ShardSpec, shard_dir: str) -> Dict[str, object]:
+def execute_shard(spec: ScenarioSpec, shard_dir: str) -> Dict[str, object]:
     """Run the shard and persist its checkpoint into ``shard_dir``.
 
     ``result.json`` is written last and atomically (tmp + rename), so its
@@ -447,7 +78,7 @@ def execute_shard(spec: ShardSpec, shard_dir: str) -> Dict[str, object]:
 
 
 def load_shard_result(
-    shard_dir: str, spec: Optional[ShardSpec] = None
+    shard_dir: str, spec: Optional[ScenarioSpec] = None
 ) -> Optional[Dict[str, object]]:
     """A shard's checkpointed result, or None when absent/invalid.
 
@@ -473,7 +104,7 @@ def load_shard_result(
 
 def shard_process_entry(spec_dict: Dict[str, object], shard_dir: str) -> None:
     """Worker-process entry point (crash-isolated by the orchestrator)."""
-    spec = ShardSpec.from_dict(spec_dict)
+    spec = ScenarioSpec.from_dict(spec_dict)
     if spec.fail_once_marker is not None and not os.path.exists(spec.fail_once_marker):
         with open(spec.fail_once_marker, "w", encoding="utf-8") as handle:
             handle.write(spec.key + "\n")

@@ -8,74 +8,57 @@ with *anti-phased* load peaks plus one *coincident* peak run against a
 pool deliberately too small for both peak demands at once
 (3 workers x 4 slots = 12 slots vs ~20 slots of combined peak demand).
 
-Under weighted fair-share arbitration (``alpha`` weight 2, ``beta``
+Under weighted fair-share arbitration (``alpha`` weight 3, ``beta``
 weight 1) the run exercises every admission outcome:
 
-* ``beta`` peaks first and grows past its fair share (4 slots of 12);
+* ``beta`` peaks first and grows past its fair share (3 slots of 12);
 * when ``alpha`` ramps towards its own peak while still under *its*
-  share (8 slots), arbitration preempts ``beta``'s reducible tasks;
+  share (9 slots), arbitration preempts ``beta``'s reducible tasks;
 * requests the pool cannot cover even after preemption are denied and
   retried on later scaler rounds (``admission-denied`` trace branch).
 
-:func:`run_shared_cluster` distills the run into a deterministic result
-dict with per-job constraint fulfillment, Jain's fairness index over
-those fulfillments, and the cluster's admission/preemption counters —
-the shape the ``multi_job`` sweep workload and the
-``repro run --shared-cluster`` CLI report.
+:func:`collect_shared_cluster_result` distills a finished run into a
+deterministic result dict with per-job constraint fulfillment, Jain's
+fairness index over those fulfillments, and the cluster's
+admission/preemption counters — the shape the ``multi_job`` sweep
+workload and the ``repro run --shared-cluster`` CLI report. The scenario
+is registered as the ``multi_job`` workload of
+:mod:`repro.workloads.scenario`; its rate / bound / duration / seed /
+actuation / policy come from the :class:`ScenarioSpec`, the pool and its
+arbitration from the knobs below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.builder import PipelineBuilder
 from repro.engine.admission import jain_fairness
+from repro.simulation.randomness import Gamma
+from repro.workloads.rates import PiecewiseRate
 
-#: result layout version for shared-cluster runs
-SHARED_CLUSTER_SCHEMA_VERSION = 1
+#: knobs of the ``multi_job`` workload and their canonical values — all
+#: four configure the engine (``spec.rate`` is the per-job *peak* source
+#: rate; off-peak is ``rate / 8``)
+SHARED_CLUSTER_KNOBS: Dict[str, object] = {
+    # pool size — deliberately too small for both peaks at once
+    "worker_pool": 3,
+    "slots_per_worker": 4,
+    # arbitration policy (fair-share is the canonical scenario)
+    "admission": "fair-share",
+    # task placement strategy
+    "placement": "pack",
+}
 
-
-@dataclass
-class SharedClusterParams:
-    """Knobs of the canonical shared-cluster scenario."""
-
-    #: per-job peak source rate (items/s); off-peak is ``rate / 8``
-    rate: float = 1400.0
-    #: end-to-end latency bound per job (seconds)
-    bound: float = 0.06
-    #: virtual run length (seconds); peaks sit at fixed fractions of it
-    duration: float = 240.0
-    #: root RNG seed
-    seed: int = 11
-    #: pool size — deliberately too small for both peaks at once
-    workers: int = 3
-    slots_per_worker: int = 4
-    #: arbitration policy (fair-share is the canonical scenario)
-    admission: str = "fair-share"
-    #: task placement strategy
-    placement: str = "pack"
-    #: extra per-transfer latency on cross-worker channels (0 = off)
-    cross_worker_penalty: float = 0.0
-    #: supervised (failure-prone) actuation instead of synchronous calls
-    actuation: bool = False
-    #: scaling policy spec for both jobs
-    policy: str = "scale-reactively"
-    #: fair-share weights (alpha gets the larger share; the 3:1 split
-    #: puts beta over its 3-slot share whenever it exceeds its minimum
-    #: footprint, so alpha's contended ramp-up demonstrably preempts)
-    alpha_weight: float = 3.0
-    beta_weight: float = 1.0
-    #: optional per-job quota ceilings (None = uncapped)
-    alpha_quota: Optional[int] = None
-    beta_quota: Optional[int] = None
+#: fair-share weights (alpha gets the larger share; the 3:1 split puts
+#: beta over its 3-slot share whenever it exceeds its minimum footprint,
+#: so alpha's contended ramp-up demonstrably preempts)
+ALPHA_WEIGHT = 3.0
+BETA_WEIGHT = 1.0
 
 
 def _job_pipeline(
-    name: str,
-    segments: List[Tuple[float, float]],
-    params: SharedClusterParams,
-    weight: float,
-    quota: Optional[int],
+    name: str, segments: List[Tuple[float, float]], bound: float, weight: float
 ):
     """One linear elastic pipeline with a piecewise load profile.
 
@@ -83,68 +66,40 @@ def _job_pipeline(
     "worker", "sink") — exercising the engine's job-qualified metric
     keys instead of silently mixing rows.
     """
-    from repro.builder import PipelineBuilder
-    from repro.simulation.randomness import Gamma
-    from repro.workloads.rates import PiecewiseRate
-
-    builder = (
+    return (
         PipelineBuilder(name)
         .source(lambda now, rng: rng.random(), rate=PiecewiseRate(segments))
         .map("worker", lambda x: x, service=Gamma(0.004, 0.7), parallelism=(2, 1, 8))
         .sink()
-        .constrain(bound=params.bound, name=f"{name}-e2e")
-        .share(quota=quota, weight=weight)
+        .constrain(bound=bound, name=f"{name}-e2e")
+        .share(weight=weight)
+        .build()
     )
-    if params.actuation:
-        builder.actuate()
-    return builder.build()
 
 
-def shared_cluster_pipelines(params: SharedClusterParams):
-    """The two pipelines of the canonical scenario (alpha, beta).
+def shared_cluster_pipelines(spec):
+    """The two pipelines of the canonical scenario, ``[alpha, beta]``.
 
     ``beta`` peaks early (and overshoots its fair share), ``alpha``
     peaks late; both share a coincident peak window around 55-70 % of
     the run where combined demand exceeds the pool.
     """
-    d = params.duration
-    high = params.rate
-    low = params.rate / 8.0
+    d = spec.duration
+    high = spec.rate
+    low = spec.rate / 8.0
     alpha = _job_pipeline(
         "alpha",
         [(0.0, low), (0.50 * d, high), (0.85 * d, low)],
-        params,
-        weight=params.alpha_weight,
-        quota=params.alpha_quota,
+        spec.bound,
+        ALPHA_WEIGHT,
     )
     beta = _job_pipeline(
         "beta",
         [(0.0, low), (0.10 * d, high), (0.45 * d, low), (0.55 * d, high), (0.70 * d, low)],
-        params,
-        weight=params.beta_weight,
-        quota=params.beta_quota,
+        spec.bound,
+        BETA_WEIGHT,
     )
-    return alpha, beta
-
-
-def build_shared_cluster_engine(params: SharedClusterParams):
-    """The configured engine with both jobs submitted (not yet run)."""
-    from repro.engine.engine import EngineConfig, StreamProcessingEngine
-
-    config = EngineConfig(
-        elastic=True,
-        seed=params.seed,
-        policy=params.policy,
-        worker_pool=params.workers,
-        slots_per_worker=params.slots_per_worker,
-        admission=params.admission,
-        placement=params.placement,
-        cross_worker_penalty=params.cross_worker_penalty,
-    )
-    engine = StreamProcessingEngine(config)
-    alpha, beta = shared_cluster_pipelines(params)
-    jobs = [engine.submit(alpha), engine.submit(beta)]
-    return engine, jobs
+    return [alpha, beta]
 
 
 def _job_result(job, account) -> Dict[str, object]:
@@ -174,12 +129,11 @@ def _job_result(job, account) -> Dict[str, object]:
     }
 
 
-def collect_shared_cluster_result(engine, jobs, params: SharedClusterParams) -> Dict[str, object]:
-    """Distill a finished shared-cluster run into its result dict.
+def collect_shared_cluster_result(engine, jobs) -> Dict[str, object]:
+    """Distill a finished shared-cluster run: per-job results, fairness, cluster.
 
-    Split out of :func:`run_shared_cluster` so the ``multi_job`` sweep
-    shard (which wraps the same run in the shard-result envelope) shares
-    one result shape with the CLI path.
+    Call it before ``engine.stop()``: teardown scales every vertex to
+    zero, which would wipe the ``final_parallelism`` snapshot.
     """
     resources = engine.resources
     # advance the usage integrals to `now` so per-account task_seconds
@@ -190,21 +144,6 @@ def collect_shared_cluster_result(engine, jobs, params: SharedClusterParams) -> 
     ]
     fulfillments = [j["fulfillment"] for j in per_job]
     return {
-        "schema": SHARED_CLUSTER_SCHEMA_VERSION,
-        "params": {
-            "rate": params.rate,
-            "bound": params.bound,
-            "duration": params.duration,
-            "seed": params.seed,
-            "workers": params.workers,
-            "slots_per_worker": params.slots_per_worker,
-            "admission": params.admission,
-            "placement": params.placement,
-            "actuation": params.actuation,
-            "policy": params.policy,
-        },
-        "virtual_time_s": engine.now,
-        "fired_events": engine.sim.fired_events,
         "jobs": per_job,
         "fairness": jain_fairness([f for f in fulfillments if f is not None]),
         "cluster": {
@@ -217,23 +156,10 @@ def collect_shared_cluster_result(engine, jobs, params: SharedClusterParams) -> 
     }
 
 
-def run_shared_cluster(params: Optional[SharedClusterParams] = None) -> Dict[str, object]:
-    """Run the canonical scenario; returns its deterministic result dict."""
-    params = params or SharedClusterParams()
-    engine, jobs = build_shared_cluster_engine(params)
-    engine.run(params.duration)
-    # collect before stop(): teardown scales every vertex to zero, which
-    # would wipe the final_parallelism snapshot out of the result
-    result = collect_shared_cluster_result(engine, jobs, params)
-    engine.stop()
-    return result
-
-
 __all__ = [
-    "SHARED_CLUSTER_SCHEMA_VERSION",
-    "SharedClusterParams",
+    "ALPHA_WEIGHT",
+    "BETA_WEIGHT",
+    "SHARED_CLUSTER_KNOBS",
     "shared_cluster_pipelines",
-    "build_shared_cluster_engine",
     "collect_shared_cluster_result",
-    "run_shared_cluster",
 ]

@@ -433,13 +433,6 @@ class TestUnifiedSubmit:
         with pytest.raises(TypeError):
             engine.submit(pipeline, pipeline.constraints)
 
-    def test_submit_to_delegates_with_deprecation_warning(self):
-        pipeline = build_pipeline()
-        engine = StreamProcessingEngine(EngineConfig(elastic=True))
-        with pytest.warns(DeprecationWarning, match="engine.submit"):
-            job = pipeline.submit_to(engine)
-        assert engine.jobs == [job]
-
 
 # ----------------------------------------------------------------------
 # end-to-end acceptance

@@ -18,7 +18,7 @@ import pytest
 
 from repro import cli
 from repro.obs.manifest import MANIFEST_FILE, METRICS_FILE, TRACE_FILE
-from repro.sweep import PartitionError, PartitionPlan, run_partitioned
+from repro.sweep import PartitionError, PartitionPlan, ScenarioSpec, run_partitioned
 from repro.sweep.partition import (
     PARTITION_STATS_FILE,
     PARTITIONS_FILE,
@@ -32,10 +32,11 @@ MERGED_FILES = (PARTITIONS_FILE, METRICS_FILE, TRACE_FILE, MANIFEST_FILE)
 
 def tiny_plan(**overrides):
     """A 2-slice steady plan small enough for unit tests."""
-    kwargs = dict(scenario="steady", seed=11, rate=250.0, bound=0.030,
+    kwargs = dict(workload="steady", seed=11, rate=250.0, bound=0.030,
                   duration=4.0, slices=2)
     kwargs.update(overrides)
-    return PartitionPlan(**kwargs)
+    slices = kwargs.pop("slices")
+    return PartitionPlan(ScenarioSpec(**kwargs), slices=slices)
 
 
 def read_bytes(path):
@@ -66,7 +67,7 @@ class TestPartitionPlan:
         assert tiny_plan().describe()["slices"] == 2
 
     @pytest.mark.parametrize("kwargs", [
-        dict(scenario="nope"),
+        dict(workload="multi_job"),
         dict(slices=0),
         dict(slices=-1),
         dict(slices=2.0),
@@ -77,6 +78,10 @@ class TestPartitionPlan:
     def test_invalid_plan_rejected(self, kwargs):
         with pytest.raises(PartitionError):
             tiny_plan(**kwargs)
+
+    def test_unknown_scenario_rejected_by_the_registry(self):
+        with pytest.raises(ValueError, match="unknown workload 'nope'"):
+            tiny_plan(workload="nope")
 
     def test_slice_name_orders_lexically(self):
         names = [slice_name(index) for index in range(12)]

@@ -504,15 +504,6 @@ class TestEngineIntegration:
 
 
 class TestSubmitToDeprecation:
-    def test_submit_to_warns_but_still_works(self):
-        from repro.engine.engine import EngineConfig, StreamProcessingEngine
-
-        pipeline = build_pipeline()
-        engine = StreamProcessingEngine(EngineConfig(elastic=True, seed=1))
-        with pytest.warns(DeprecationWarning, match="engine.submit"):
-            job = pipeline.submit_to(engine)
-        assert job in engine.jobs
-
     def test_engine_submit_does_not_warn(self):
         from repro.engine.engine import EngineConfig, StreamProcessingEngine
 
@@ -644,7 +635,7 @@ class TestScoreboard:
 class TestReactionTime:
     def test_reaction_time_pairs_onsets_with_activations(self):
         from repro.core.elastic_scaler import ScalingEvent
-        from repro.sweep.shard import reaction_time_s
+        from repro.workloads.scenario import reaction_time_s
 
         class FakeTracker:
             def __init__(self, history):
@@ -663,7 +654,7 @@ class TestReactionTime:
         assert reaction_time_s(trackers, events) == pytest.approx(1.5)
 
     def test_reaction_time_none_without_onsets(self):
-        from repro.sweep.shard import reaction_time_s
+        from repro.workloads.scenario import reaction_time_s
 
         class FakeTracker:
             history = [(0.0, 0.01, False)]

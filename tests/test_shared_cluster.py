@@ -17,22 +17,30 @@ from repro.obs.config import ObservabilityConfig
 from repro.obs.trace import BRANCH_ADMISSION_DENIED, BRANCH_PREEMPTED
 from repro.simulation.randomness import Gamma
 from repro.workloads.multi_job import (
-    SharedClusterParams,
-    build_shared_cluster_engine,
-    run_shared_cluster,
+    collect_shared_cluster_result,
     shared_cluster_pipelines,
 )
 from repro.workloads.rates import ConstantRate
+from repro.workloads.scenario import ScenarioSpec, build
 
 
-def _short_params(**overrides):
-    overrides.setdefault("duration", 60.0)
-    return SharedClusterParams(**overrides)
+def _short_spec(**overrides):
+    """The canonical shared-cluster scenario, shortened to 60 s."""
+    kwargs = dict(seed=11, rate=1400.0, bound=0.06, workload="multi_job",
+                  duration=60.0)
+    kwargs.update(overrides)
+    return ScenarioSpec(**kwargs)
+
+
+def _run(spec):
+    engine, jobs, _recorder = build(spec)
+    engine.run(spec.duration)
+    return collect_shared_cluster_result(engine, jobs)
 
 
 @pytest.fixture(scope="module")
 def canonical_result():
-    return run_shared_cluster(_short_params())
+    return _run(_short_spec())
 
 
 class TestCanonicalScenario:
@@ -65,7 +73,7 @@ class TestCanonicalScenario:
         assert per_job == pytest.approx(total, rel=1e-6)
 
     def test_run_is_deterministic(self, canonical_result):
-        assert run_shared_cluster(_short_params()) == canonical_result
+        assert _run(_short_spec()) == canonical_result
 
 
 class TestAdmissionHonesty:
@@ -136,13 +144,14 @@ class TestQualifiedMetricKeys:
     """Satellite 3: duplicate vertex names across jobs stay separated."""
 
     def _observed_engine(self):
-        params = _short_params()
+        params = _short_spec()
+        knobs = params.resolved()
         engine = StreamProcessingEngine(
             EngineConfig(
                 elastic=True, seed=params.seed, policy=params.policy,
-                worker_pool=params.workers,
-                slots_per_worker=params.slots_per_worker,
-                admission=params.admission,
+                worker_pool=knobs["worker_pool"],
+                slots_per_worker=knobs["slots_per_worker"],
+                admission=knobs["admission"],
             ),
             observability=ObservabilityConfig(),
         )
@@ -183,13 +192,14 @@ class TestTraceBranches:
 
     @pytest.fixture(scope="class")
     def traced_jobs(self):
-        params = _short_params()
+        params = _short_spec()
+        knobs = params.resolved()
         engine = StreamProcessingEngine(
             EngineConfig(
                 elastic=True, seed=params.seed, policy=params.policy,
-                worker_pool=params.workers,
-                slots_per_worker=params.slots_per_worker,
-                admission=params.admission,
+                worker_pool=knobs["worker_pool"],
+                slots_per_worker=knobs["slots_per_worker"],
+                admission=knobs["admission"],
             ),
             observability=ObservabilityConfig(metrics=False),
         )
@@ -226,9 +236,9 @@ class TestTraceBranches:
 
 class TestMultiJobSweepShard:
     def test_shard_result_envelope(self):
-        from repro.sweep.shard import ShardSpec, run_shard
+        from repro.sweep.shard import run_shard
 
-        spec = ShardSpec(seed=1, rate=1400.0, bound=0.06,
+        spec = ScenarioSpec(seed=1, rate=1400.0, bound=0.06,
                          workload="multi_job", duration=30.0)
         result = run_shard(spec)
         assert result["shard_schema"] == 1
@@ -254,9 +264,10 @@ class TestMultiJobSweepShard:
         assert len(shards) == 2
         assert all(s.workload == "multi_job" for s in shards)
 
-    def test_build_shard_pipeline_refuses_multi_job(self):
-        from repro.sweep.shard import ShardSpec, build_shard_pipeline
-
-        spec = ShardSpec(seed=1, rate=100.0, bound=0.05, workload="multi_job")
-        with pytest.raises(ValueError):
-            build_shard_pipeline(spec)
+    def test_build_submits_both_jobs_to_one_engine(self):
+        # the one build() has no single-pipeline special case to refuse
+        spec = ScenarioSpec(seed=1, rate=100.0, bound=0.05, workload="multi_job")
+        engine, jobs, recorder = build(spec)
+        assert [job.job_graph.name for job in jobs] == ["alpha", "beta"]
+        assert engine.jobs == jobs
+        assert recorder is None

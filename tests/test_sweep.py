@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.experiments.dashboard import SweepDashboard
 from repro.experiments.report import write_json
 from repro.obs.manifest import MANIFEST_FILE, RunManifest
 from repro.sweep import (
-    ShardSpec,
+    ScenarioSpec,
     SweepError,
     SweepGrid,
     merge_shard_results,
@@ -32,7 +33,6 @@ from repro.sweep.shard import (
     RESULT_FILE,
     execute_shard,
     load_shard_result,
-    shard_key,
 )
 
 
@@ -123,28 +123,28 @@ class TestSweepGrid:
 
 class TestShard:
     def test_key_is_stable_and_filesystem_safe(self):
-        key = shard_key("steady", 250.0, 0.030, False, 7)
+        key = ScenarioSpec(7, 250.0, 0.030, "steady", False).key
         assert key == "steady-r250-b30ms-sync-scale-reactively-s0007"
         assert "/" not in key and " " not in key
-        assert ShardSpec(7, 250.0, 0.030).key == key
+        assert ScenarioSpec(7, 250.0, 0.030).key == key
 
     def test_key_carries_the_policy_token(self):
-        key = shard_key("steady", 250.0, 0.030, False, 7, policy="drs")
+        key = ScenarioSpec(7, 250.0, 0.030, policy="drs").key
         assert key == "steady-r250-b30ms-sync-drs-s0007"
         # knobbed specs hash their knobs into the token (filesystem-safe)
-        knobbed = shard_key(
-            "steady", 250.0, 0.030, False, 7, policy="drs:target_fraction=0.9"
-        )
+        knobbed = ScenarioSpec(
+            7, 250.0, 0.030, policy="drs:target_fraction=0.9"
+        ).key
         assert knobbed.startswith("steady-r250-b30ms-sync-drs+")
         assert knobbed != key
         assert "/" not in knobbed and "=" not in knobbed
 
     def test_run_shard_is_deterministic(self):
-        spec = ShardSpec(seed=3, rate=250.0, bound=0.030, duration=4.0)
+        spec = ScenarioSpec(seed=3, rate=250.0, bound=0.030, duration=4.0)
         assert run_shard(spec) == run_shard(spec)
 
     def test_result_contains_the_merge_fields(self):
-        spec = ShardSpec(seed=3, rate=250.0, bound=0.030, duration=4.0)
+        spec = ScenarioSpec(seed=3, rate=250.0, bound=0.030, duration=4.0)
         result = run_shard(spec)
         assert result["key"] == spec.key
         assert result["params"] == spec.params()
@@ -154,14 +154,14 @@ class TestShard:
         json.dumps(result)  # checkpoint-serializable
 
     def test_actuation_shard_records_reconciler_summary(self):
-        spec = ShardSpec(seed=3, rate=250.0, bound=0.030, duration=4.0,
+        spec = ScenarioSpec(seed=3, rate=250.0, bound=0.030, duration=4.0,
                          actuation=True)
         result = run_shard(spec)
         assert result["actuation"] is not None
         assert "requests" in result["actuation"]
 
     def test_execute_shard_checkpoints_result_and_manifest(self, tmp_path):
-        spec = ShardSpec(seed=2, rate=250.0, bound=0.030, duration=4.0)
+        spec = ScenarioSpec(seed=2, rate=250.0, bound=0.030, duration=4.0)
         shard_dir = str(tmp_path / spec.key)
         result = execute_shard(spec, shard_dir)
         assert load_shard_result(shard_dir, spec) == result
@@ -170,10 +170,10 @@ class TestShard:
         assert manifest["wall_time_s"] == 0.0  # pinned for byte-identity
 
     def test_load_rejects_checkpoint_of_different_params(self, tmp_path):
-        spec = ShardSpec(seed=2, rate=250.0, bound=0.030, duration=4.0)
+        spec = ScenarioSpec(seed=2, rate=250.0, bound=0.030, duration=4.0)
         shard_dir = str(tmp_path / spec.key)
         execute_shard(spec, shard_dir)
-        changed = ShardSpec(seed=2, rate=250.0, bound=0.030, duration=6.0)
+        changed = ScenarioSpec(seed=2, rate=250.0, bound=0.030, duration=6.0)
         assert load_shard_result(shard_dir, changed) is None
         assert load_shard_result(shard_dir, spec) is not None
 
@@ -186,11 +186,11 @@ class TestShard:
         assert load_shard_result(shard_dir) is None
 
     def test_fail_once_marker_not_recorded_in_params(self):
-        spec = ShardSpec(seed=1, rate=250.0, bound=0.030,
+        spec = ScenarioSpec(seed=1, rate=250.0, bound=0.030,
                          fail_once_marker="/tmp/marker")
         assert "fail_once_marker" not in spec.params()
         assert spec.to_dict()["fail_once_marker"] == "/tmp/marker"
-        assert ShardSpec.from_dict(spec.to_dict()).fail_once_marker == "/tmp/marker"
+        assert ScenarioSpec.from_dict(spec.to_dict()).fail_once_marker == "/tmp/marker"
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +238,7 @@ class TestOrchestrator:
         grid = tiny_grid()
         clean = run_sweep(grid, str(tmp_path / "clean"), workers=2)
         specs = grid.expand()
-        specs[0].fail_once_marker = str(tmp_path / "crash-once")
+        specs[0] = replace(specs[0], fail_once_marker=str(tmp_path / "crash-once"))
         crashy = tiny_grid()
         crashy.expand = lambda: specs  # inject the fail-once shard
         crashed = run_sweep(crashy, str(tmp_path / "crashy"), workers=2)
@@ -251,7 +251,9 @@ class TestOrchestrator:
         grid = tiny_grid()
         specs = grid.expand()
         # a marker path that can never be created -> crashes every attempt
-        specs[0].fail_once_marker = str(tmp_path / "missing-dir" / "marker")
+        specs[0] = replace(
+            specs[0], fail_once_marker=str(tmp_path / "missing-dir" / "marker")
+        )
         grid.expand = lambda: specs
         result = run_sweep(grid, str(tmp_path / "out"), workers=2, max_retries=1)
         assert result.stats.failed == 1
