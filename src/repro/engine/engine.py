@@ -42,6 +42,7 @@ from repro.engine.runtime import RuntimeGraph
 from repro.engine.scheduler import Scheduler
 from repro.engine.state import MigrationAdvisor, StateManager, StatefulVertexSpec
 from repro.engine.task import RuntimeTask
+from repro.engine.udf import READ_READY
 from repro.graphs.job_graph import JobGraph
 from repro.obs.config import ObservabilityConfig
 from repro.obs.metrics import MetricsRegistry
@@ -379,7 +380,9 @@ class DeployedJob:
     # ------------------------------------------------------------------
 
     def _on_task_created(self, task: RuntimeTask) -> None:
-        reporter = TaskReporter(task.vertex_name, task.task_id)
+        reporter = TaskReporter(
+            task.vertex_name, task.task_id, read_ready=task.udf.latency_mode == READ_READY
+        )
         task.reporter = reporter
         self._pick_manager().attach_task(task, reporter)
         if self.engine.metrics is not None:

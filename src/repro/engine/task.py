@@ -10,8 +10,8 @@ A :class:`RuntimeTask` is one data-parallel instance of a job vertex
 3. run the UDF, route the outputs through the output gates' partitioners
    and emit them into channels — blocking if a channel is at capacity
    (backpressure), which stretches the *measured* service time;
-4. report read-ready latency (= service time, Table I) to its QoS
-   reporter, then loop.
+4. report the service time (which is also the read-ready task latency,
+   Table I) to its QoS reporter, then loop.
 
 Source tasks instead generate items at the rate dictated by a
 :class:`~repro.workloads.rates.RateProfile` and are throttled to the
@@ -38,6 +38,7 @@ from repro.engine.items import DataItem
 from repro.engine.queues import BoundedQueue
 from repro.engine.udf import Emit, SourceUDF, UDF, WindowedAggregateUDF
 from repro.graphs.partitioning import Partitioner, make_partitioner
+from repro.qos.stats import mean_in_order
 from repro.simulation.events import Event
 from repro.simulation.kernel import PeriodicProcess, SimulationError, Simulator
 
@@ -261,7 +262,7 @@ class RuntimeTask:
     __slots__ = (
         "uid", "sim", "vertex_name", "subtask_index", "task_id", "udf", "rng",
         "item_size", "vectorized", "_service_fn", "_generate",
-        "_is_windowed", "_rr_mode",
+        "_is_windowed",
         "input_queue", "in_channels", "out_gates", "reporter", "state",
         "start_time", "stop_time", "on_stopped", "failed", "speed_factor",
         "service_multiplier", "_busy", "_paused_until", "_pop_time",
@@ -299,7 +300,6 @@ class RuntimeTask:
         self._service_fn: Optional[Callable[[object], float]] = None
         self._generate: Optional[Callable] = None  # bound SourceUDF.generate
         self._is_windowed = False
-        self._rr_mode = True
         self.input_queue = BoundedQueue(queue_capacity)
         self.in_channels: List[RuntimeChannel] = []
         self.out_gates: List[OutputGate] = []
@@ -365,7 +365,6 @@ class RuntimeTask:
         self.start_time = self.sim.now
         self.udf.open(self)
         self._is_windowed = isinstance(self.udf, WindowedAggregateUDF)
-        self._rr_mode = self.udf.latency_mode == "RR"
         if self.is_source:
             self._generate = self.udf.generate
         elif self.vectorized:
@@ -580,8 +579,6 @@ class RuntimeTask:
             reporter = self.reporter
             if reporter is not None:
                 reporter.record_service_time(elapsed)
-                if self._rr_mode:
-                    reporter.record_task_latency(elapsed)
             if self.service_histogram is not None:
                 self.service_histogram.observe(elapsed)
         if self.state in (RUNNING, DRAINING):
@@ -600,8 +597,6 @@ class RuntimeTask:
             reporter = self.reporter
             if reporter is not None:
                 reporter.record_service_time(elapsed)
-                if self._rr_mode:
-                    reporter.record_task_latency(elapsed)
             if self.service_histogram is not None:
                 self.service_histogram.observe(elapsed)
         if self.state in (RUNNING, DRAINING):
@@ -705,12 +700,16 @@ class RuntimeTask:
         now = self.sim.now
         outputs = udf.flush()
         consume_times = udf.consume_times_and_clear()
-        if self.reporter is not None:
+        reporter = self.reporter
+        # One predicate picks the latency stream: the reporter's, set from
+        # the UDF's latency_mode. A read-ready reporter's latency is its
+        # service time.
+        if reporter is not None and not reporter.read_ready:
             for t in consume_times:
-                self.reporter.record_task_latency(now - t)
+                reporter.record_task_latency(now - t)
         if outputs:
             if self._window_created:
-                created = sum(self._window_created) / len(self._window_created)
+                created = mean_in_order(self._window_created)
             else:
                 created = now
             self._route_outputs(outputs, created)

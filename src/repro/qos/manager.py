@@ -17,7 +17,7 @@ from repro.qos.reporter import ChannelReporter, TaskReporter
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.engine.channel import RuntimeChannel
     from repro.engine.task import RuntimeTask
-from repro.qos.stats import WindowedStats
+from repro.qos.stats import WindowedStats, mean_in_order
 from repro.qos.summary import EdgeSummary, PartialSummary, VertexSummary
 
 
@@ -124,12 +124,12 @@ class QoSManager:
             if task.state == "stopped":
                 dead_tasks.append(uid)
                 continue
-            measurement = reporter.flush(now)
+            task_latency, service, interarrival = reporter.drain()
             if suppressed:
                 continue
-            windows.task_latency.push(measurement.task_latency)
-            windows.service.push(measurement.service_time)
-            windows.interarrival.push(measurement.interarrival)
+            windows.task_latency.push(task_latency)
+            windows.service.push(service)
+            windows.interarrival.push(interarrival)
         for uid in dead_tasks:
             del self._tasks[uid]
         dead_channels = []
@@ -137,11 +137,11 @@ class QoSManager:
             if channel.closed:
                 dead_channels.append(cid)
                 continue
-            measurement = reporter.flush(now)
+            latency, obl = reporter.drain()
             if suppressed:
                 continue
-            windows.latency.push(measurement.channel_latency)
-            windows.obl.push(measurement.output_batch_latency)
+            windows.latency.push(latency)
+            windows.obl.push(obl)
         for cid in dead_channels:
             del self._channels[cid]
 
@@ -169,11 +169,11 @@ class QoSManager:
             n = max(len(with_service), len(with_arrivals), len(with_latency))
             summary.vertices[vertex_name] = VertexSummary(
                 vertex_name,
-                task_latency=_mean_of(w.task_latency.mean for w in with_latency),
-                service_mean=_mean_of(w.service.mean for w in with_service),
-                service_cv=_mean_of(w.service.cv for w in with_service),
-                interarrival_mean=_mean_of(w.interarrival.mean for w in with_arrivals),
-                interarrival_cv=_mean_of(w.interarrival.cv for w in with_arrivals),
+                task_latency=mean_in_order(w.task_latency.mean for w in with_latency),
+                service_mean=mean_in_order(w.service.mean for w in with_service),
+                service_cv=mean_in_order(w.service.cv for w in with_service),
+                interarrival_mean=mean_in_order(w.interarrival.mean for w in with_arrivals),
+                interarrival_cv=mean_in_order(w.interarrival.cv for w in with_arrivals),
                 n_tasks=n,
                 staleness=staleness,
             )
@@ -188,8 +188,8 @@ class QoSManager:
                 continue
             summary.edges[edge_name] = EdgeSummary(
                 edge_name,
-                channel_latency=_mean_of(w.latency.mean for w in with_latency),
-                output_batch_latency=_mean_of(
+                channel_latency=mean_in_order(w.latency.mean for w in with_latency),
+                output_batch_latency=mean_in_order(
                     w.obl.mean for w in with_latency if w.obl.has_data
                 ),
                 n_channels=len(with_latency),
@@ -215,10 +215,3 @@ class QoSManager:
             f"QoSManager(#{self.manager_id}, tasks={self.task_count}, "
             f"channels={self.channel_count})"
         )
-
-
-def _mean_of(values) -> float:
-    items = list(values)
-    if not items:
-        return 0.0
-    return sum(items) / len(items)

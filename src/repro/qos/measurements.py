@@ -1,8 +1,10 @@
 """Per-interval measurement records (paper Table I).
 
-Once per measurement interval each QoS reporter freezes its accumulators
-into one of these records and ships it to its QoS manager. The records
-carry counts so that downstream aggregation can weight correctly.
+A reporter's ``flush(now)`` freezes one measurement interval into one of
+these records: the interval's snapshots plus who measured them and when.
+(The QoS manager takes the bare snapshots from ``drain()`` instead.)
+Snapshots carry counts so that downstream aggregation can weight
+correctly.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ class TaskMeasurement:
     Attributes
     ----------
     task_latency:
-        Snapshot of task latency ``l_v`` samples — read-ready or
-        read-write depending on the task's UDF.
+        Snapshot of task latency ``l_v`` samples — read-ready (then the
+        very ``service_time`` snapshot) or read-write, depending on the
+        task's UDF.
     service_time:
         Snapshot of service time ``S_v`` samples (mean and variance feed
         Kingman's formula via ``c_S``).

@@ -4,63 +4,72 @@ A :class:`TaskReporter` is attached to every latency-constrained runtime
 task and a :class:`ChannelReporter` to every constrained channel. The
 hosting component feeds raw samples (the engine calls ``record_*`` from
 the hot path); once per measurement interval the QoS manager drains the
-accumulators into :mod:`~repro.qos.measurements` records (paper: reporters
-"report to QoS managers once per measurement interval").
+buffers into per-stream snapshots (paper: reporters "report to QoS
+managers once per measurement interval").
 
-Hot-path layout: ``record_*`` is bound to a plain ``list.append`` so the
-per-sample cost is one C call with no Python frame. The Welford
-accumulation runs once per interval in :meth:`flush`, walking the buffered
-samples in arrival order with the same :class:`OnlineStats` arithmetic the
-reporters used to apply per sample — snapshots are bit-identical to the
-former incremental scheme.
+Cost layout: ``record_*`` is bound to a plain ``list.append``, so a sample
+costs one C call with no Python frame. :meth:`drain` then runs one
+in-frame Welford pass per buffered sample
+(:func:`~repro.qos.stats.snapshot_and_clear`); a reporter whose buffers
+are all empty returns a shared tuple of the shared empty snapshot and
+allocates nothing.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.qos.measurements import ChannelMeasurement, TaskMeasurement
-from repro.qos.stats import OnlineStats, StatsSnapshot
+from repro.qos.stats import EMPTY_SNAPSHOT, StatsSnapshot, snapshot_and_clear
 
-
-def _snapshot(samples: List[float]) -> StatsSnapshot:
-    """Sequential-Welford snapshot of one interval's buffered samples."""
-    stats = OnlineStats()
-    add = stats.add
-    for value in samples:
-        add(value)
-    return stats.snapshot_and_reset()
+_IDLE_TASK = (EMPTY_SNAPSHOT, EMPTY_SNAPSHOT, EMPTY_SNAPSHOT)
+_IDLE_CHANNEL = (EMPTY_SNAPSHOT, EMPTY_SNAPSHOT)
 
 
 class TaskReporter:
-    """Accumulates one task's Table-I samples for the current interval."""
+    """Accumulates one task's Table-I samples for the current interval.
 
-    def __init__(self, vertex_name: str, task_id: str) -> None:
+    ``read_ready`` selects the task-latency definition (paper Sec.
+    II-A3). A read-ready task's latency *is* its service time, so its
+    host records service times only and :meth:`drain` hands out the one
+    service snapshot for both; such a reporter has no
+    ``record_task_latency``. A read-write (windowed) task's host records
+    its consume-to-flush latencies separately.
+    """
+
+    def __init__(self, vertex_name: str, task_id: str, read_ready: bool = False) -> None:
         self.vertex_name = vertex_name
         self.task_id = task_id
+        self.read_ready = read_ready
         self._task_latency: List[float] = []
         self._service: List[float] = []
         self._interarrival: List[float] = []
         # Hot-path aliases: one sample = one list.append, no Python frame.
-        self.record_task_latency = self._task_latency.append
+        if not read_ready:
+            self.record_task_latency = self._task_latency.append
         self.record_service_time = self._service.append
         self.record_interarrival = self._interarrival.append
 
-    def flush(self, now: float) -> TaskMeasurement:
-        """Freeze and reset the interval accumulators."""
-        measurement = TaskMeasurement(
-            self.vertex_name,
-            self.task_id,
-            now,
-            _snapshot(self._task_latency),
-            _snapshot(self._service),
-            _snapshot(self._interarrival),
+    def drain(self) -> Tuple[StatsSnapshot, StatsSnapshot, StatsSnapshot]:
+        """Snapshot and empty the interval buffers.
+
+        Returns ``(task_latency, service_time, interarrival)``.
+        """
+        latency = self._task_latency
+        service = self._service
+        interarrival = self._interarrival
+        if not (service or interarrival or latency):
+            return _IDLE_TASK
+        service_snap = snapshot_and_clear(service)
+        return (
+            service_snap if self.read_ready else snapshot_and_clear(latency),
+            service_snap,
+            snapshot_and_clear(interarrival),
         )
-        # Clear in place: record_* stays bound to the same list objects.
-        del self._task_latency[:]
-        del self._service[:]
-        del self._interarrival[:]
-        return measurement
+
+    def flush(self, now: float) -> TaskMeasurement:
+        """:meth:`drain`, wrapped into a timestamped measurement record."""
+        return TaskMeasurement(self.vertex_name, self.task_id, now, *self.drain())
 
 
 class ChannelReporter:
@@ -75,15 +84,17 @@ class ChannelReporter:
         self.record_channel_latency = self._latency.append
         self.record_output_batch_latency = self._obl.append
 
+    def drain(self) -> Tuple[StatsSnapshot, StatsSnapshot]:
+        """Snapshot and empty the interval buffers.
+
+        Returns ``(channel_latency, output_batch_latency)``.
+        """
+        latency = self._latency
+        obl = self._obl
+        if not (latency or obl):
+            return _IDLE_CHANNEL
+        return snapshot_and_clear(latency), snapshot_and_clear(obl)
+
     def flush(self, now: float) -> ChannelMeasurement:
-        """Freeze and reset the interval accumulators."""
-        measurement = ChannelMeasurement(
-            self.edge_name,
-            self.channel_id,
-            now,
-            _snapshot(self._latency),
-            _snapshot(self._obl),
-        )
-        del self._latency[:]
-        del self._obl[:]
-        return measurement
+        """:meth:`drain`, wrapped into a timestamped measurement record."""
+        return ChannelMeasurement(self.edge_name, self.channel_id, now, *self.drain())

@@ -1,17 +1,22 @@
 """Streaming statistics primitives.
 
 :class:`OnlineStats` is a numerically stable (Welford) accumulator for
-mean/variance, used by the QoS reporters to summarize the samples of one
-measurement interval. :class:`WindowedStats` keeps the last *m* interval
-aggregates, matching the paper's Eq. (2) averaging over the past *m*
-measurements.
+mean/variance; :func:`snapshot_and_clear` is the same recurrence run over
+one measurement interval's buffered samples in a single frame, which is
+what the QoS reporters use. :class:`WindowedStats` keeps the last *m*
+interval aggregates, matching the paper's Eq. (2) averaging over the past
+*m* measurements.
+
+Float sums here are plain left-to-right loops, never ``sum()``: the
+builtin is Neumaier-compensated from CPython 3.12 on and plain before,
+and results must not depend on the interpreter version.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, Iterable, List, Optional, Sequence
 
 
 class OnlineStats:
@@ -86,7 +91,12 @@ class OnlineStats:
 
 
 class StatsSnapshot:
-    """An immutable (count, mean, variance) triple for one interval."""
+    """A (count, mean, variance) triple for one interval.
+
+    Treat instances as immutable: every empty interval is the one shared
+    :data:`EMPTY_SNAPSHOT`, and a read-ready task's service snapshot is
+    pushed into two windows.
+    """
 
     __slots__ = ("count", "mean", "variance")
 
@@ -109,6 +119,43 @@ class StatsSnapshot:
 
     def __repr__(self) -> str:
         return f"StatsSnapshot(n={self.count}, mean={self.mean:.6g})"
+
+
+#: the snapshot of an interval without samples (shared, never mutated)
+EMPTY_SNAPSHOT = StatsSnapshot(0, 0.0, 0.0)
+
+
+def snapshot_and_clear(samples: List[float]) -> StatsSnapshot:
+    """Snapshot one interval's buffered samples and empty the buffer.
+
+    Runs the :meth:`OnlineStats.add` recurrence over ``samples`` in
+    arrival order — the same operations in the same order, so count, mean
+    and variance equal ``add`` per sample then ``snapshot_and_reset`` bit
+    for bit — without a call or an accumulator object per sample. The
+    list is cleared in place (callers keep ``append`` bound to it).
+    """
+    if not samples:
+        return EMPTY_SNAPSHOT
+    count = 0
+    mean = 0.0
+    m2 = 0.0
+    for value in samples:
+        count += 1
+        delta = value - mean
+        mean += delta / count
+        m2 += delta * (value - mean)
+    del samples[:]
+    return StatsSnapshot(count, mean, m2 / (count - 1) if count > 1 else 0.0)
+
+
+def mean_in_order(values: Iterable[float]) -> float:
+    """Arithmetic mean by plain left-to-right addition (0.0 when empty)."""
+    total = 0.0
+    n = 0
+    for value in values:
+        total += value
+        n += 1
+    return total / n if n else 0.0
 
 
 class WindowAggregates:
@@ -146,12 +193,10 @@ class WindowedStats:
     a now-idle task or channel (they would otherwise freeze the latency
     model's view of it).
 
-    Aggregates are computed *once per window mutation* and memoized (the
-    QoS summary builders read ``mean``/``cv``/``count`` several times per
-    interval; pre-fast-path each read re-scanned the snapshot window).
-    The single recomputation walks the snapshots in the same order and
-    with the same arithmetic as the former per-property scans, so results
-    are bit-identical.
+    Aggregates are computed at most once per window *change* and
+    memoized: the QoS summary builders read ``mean``/``cv``/``count``
+    several times per interval, and an idle task or channel pushes the
+    empty snapshot every interval without changing any aggregate.
     """
 
     def __init__(self, window: int = 5) -> None:
@@ -163,11 +208,12 @@ class WindowedStats:
 
     def push(self, snap: StatsSnapshot) -> None:
         """Append one interval snapshot (empty ones age the window)."""
-        self._snaps.append(snap)
-        self._cache = None
-
-    def _filled(self) -> List[StatsSnapshot]:
-        return [s for s in self._snaps if s.count > 0]
+        snaps = self._snaps
+        # An empty snapshot that evicts nothing, or another empty one,
+        # leaves every aggregate as it was: keep the memo.
+        if snap.count or (len(snaps) == self.window and snaps[0].count):
+            self._cache = None
+        snaps.append(snap)
 
     def _aggregates(self) -> WindowAggregates:
         cache = self._cache
@@ -177,29 +223,38 @@ class WindowedStats:
 
     def _compute(self) -> WindowAggregates:
         snaps = self._snaps
-        filled = [s for s in snaps if s.count > 0]
-        total = sum(s.count for s in snaps)
-        if filled:
-            mean = sum(s.mean for s in filled) / len(filled)
-        else:
-            mean = 0.0
-        if total == 0:
-            weighted_mean = 0.0
-        else:
-            weighted_mean = sum(s.mean * s.count for s in snaps) / total
+        filled = 0
+        total = 0
+        mean_sum = 0.0
+        weighted_sum = 0.0
+        for s in snaps:
+            count = s.count
+            if count > 0:
+                filled += 1
+                total += count
+                mean_sum += s.mean
+                weighted_sum += s.mean * count
+        if not filled:
+            return _NO_DATA
+        mean = mean_sum / filled
+        weighted_mean = weighted_sum / total
         if total < 2:
             variance = 0.0
         else:
+            # Within- plus between-interval sums of squares; needs the
+            # weighted mean, hence the second walk.
             ssq = 0.0
-            for s in filled:
-                ssq += s.variance * max(0, s.count - 1)
-                ssq += s.count * (s.mean - weighted_mean) ** 2
+            for s in snaps:
+                count = s.count
+                if count > 0:
+                    ssq += s.variance * (count - 1)
+                    ssq += count * (s.mean - weighted_mean) ** 2
             variance = ssq / (total - 1)
         if weighted_mean == 0.0:
             cv = 0.0
         else:
             cv = math.sqrt(variance) / weighted_mean
-        return WindowAggregates(bool(filled), total, mean, weighted_mean, variance, cv)
+        return WindowAggregates(True, total, mean, weighted_mean, variance, cv)
 
     @property
     def has_data(self) -> bool:
@@ -235,6 +290,10 @@ class WindowedStats:
         """Drop all snapshots."""
         self._snaps.clear()
         self._cache = None
+
+
+#: aggregates of a window holding no samples (shared, never mutated)
+_NO_DATA = WindowAggregates(False, 0, 0.0, 0.0, 0.0, 0.0)
 
 
 class ReservoirSampler:

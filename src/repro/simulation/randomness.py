@@ -23,6 +23,8 @@ _NUMPY_MIN_BLOCK = 32
 
 #: default number of variates a :class:`BlockSampler` pre-draws per refill
 DEFAULT_BLOCK_SIZE = 256
+#: a BlockSampler's first block; later blocks double up to its block size
+FIRST_BLOCK_SIZE = 32
 
 
 def block_uniforms(rng: random.Random, n: int) -> List[float]:
@@ -258,9 +260,14 @@ class BlockSampler:
     blocks only reorder *when* draws happen, never their order. The engine
     uses one per task to collapse the per-item service-time call chain
     into a buffer pop.
+
+    Blocks grow geometrically from :data:`FIRST_BLOCK_SIZE` up to
+    ``block_size``, so a task that serves a handful of items (a slow
+    stage, a replica scaled up just before a scale-down) does not pay for
+    a full block of variates it never pops.
     """
 
-    __slots__ = ("dist", "rng", "block_size", "_buf", "_pos")
+    __slots__ = ("dist", "rng", "block_size", "_next_block", "_buf", "_pos")
 
     def __init__(
         self,
@@ -273,6 +280,7 @@ class BlockSampler:
         self.dist = dist
         self.rng = rng
         self.block_size = block_size
+        self._next_block = min(FIRST_BLOCK_SIZE, block_size)
         self._buf: List[float] = []
         self._pos = 0
 
@@ -281,7 +289,9 @@ class BlockSampler:
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):
-            buf = self._buf = self.dist.sample_block(self.rng, self.block_size)
+            n = self._next_block
+            buf = self._buf = self.dist.sample_block(self.rng, n)
+            self._next_block = min(2 * n, self.block_size)
             pos = 0
         self._pos = pos + 1
         return buf[pos]

@@ -19,6 +19,7 @@ from repro.engine.items import RECORD_FIELDS, DataItem
 from repro.engine.udf import UDF
 from repro.simulation.randomness import (
     DEFAULT_BLOCK_SIZE,
+    FIRST_BLOCK_SIZE,
     BlockSampler,
     Deterministic,
     Distribution,
@@ -113,7 +114,13 @@ class TestSampleBlock:
         assert block_rng.getstate() == scalar_rng.getstate()
 
     @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=repr)
-    @given(seed=_seeds, block_size=st.integers(1, 70), n=st.integers(1, 150))
+    @given(
+        seed=_seeds,
+        # below, at and above the first block: fixed-size refills, and
+        # the mixed 32 -> 64 -> ... -> block_size sequence of a growing one
+        block_size=st.one_of(st.integers(1, 70), st.sampled_from([128, 200, 256])),
+        n=st.integers(1, 600),
+    )
     @settings(max_examples=30)
     def test_block_sampler_pops_the_scalar_sequence(self, dist, seed, block_size, n):
         """Popping n variates == n scalar draws, for any block size."""
@@ -121,6 +128,30 @@ class TestSampleBlock:
         expected = [dist.sample(scalar_rng) for _ in range(n)]
         sampler = BlockSampler(dist, random.Random(seed), block_size)
         assert [sampler.next() for _ in range(n)] == expected
+
+    @pytest.mark.parametrize(
+        "block_size, blocks",
+        [
+            (DEFAULT_BLOCK_SIZE, [32, 64, 128, 256, 256]),
+            (200, [32, 64, 128, 200, 200]),
+            (FIRST_BLOCK_SIZE, [32, 32, 32]),
+            (8, [8, 8, 8]),
+        ],
+    )
+    def test_blocks_grow_geometrically_up_to_the_block_size(self, block_size, blocks):
+        """A short-lived task pre-draws 32 variates, not a full block."""
+        drawn = []
+
+        class Counting(Deterministic):
+            def sample_block(self, rng, n):
+                drawn.append(n)
+                return super().sample_block(rng, n)
+
+        sampler = BlockSampler(Counting(0.004), random.Random(1), block_size)
+        for _ in range(sum(blocks) - 1):
+            sampler.next()
+        assert drawn == blocks
+        assert sampler.pending() == 1
 
     @given(seed=_seeds)
     def test_pending_counts_predrawn_variates(self, seed):
