@@ -53,13 +53,13 @@ def run_variant(**config_overrides):
         **config_overrides,
     )
     engine = StreamProcessingEngine(config)
-    engine.submit(graph, [constraint])
+    job = engine.submit(graph, [constraint])
     engine.run(profile.end_time + WORKLOAD.step_duration)
-    tracker = engine.trackers[0]
+    tracker = job.trackers[0]
     return {
         "fulfillment": tracker.fulfillment_ratio,
         "task_seconds": engine.resources.task_seconds(),
-        "scaling_events": len(engine.scaler.events),
+        "scaling_events": len(job.scaler.events),
     }
 
 

@@ -67,8 +67,8 @@ def main():
     print("worker parallelism (5 s samples):")
     print("  " + " ".join(str(p) for _, p in recorder.parallelism_series("worker")))
 
-    scaler = engine.scaler
-    tracker = engine.trackers[0]
+    scaler = job.scaler
+    tracker = job.trackers[0]
     print()
     print(f"scaler activations:        {len(scaler.events)}")
     print(f"stale constraints skipped: {scaler.skipped_stale}")

@@ -112,14 +112,14 @@ def custom_policy_demo() -> None:
     graph, profile = build_primetester_job(params)
     constraint = primetester_constraint(graph, 0.025)
     engine = StreamProcessingEngine(EngineConfig.nephele_adaptive(elastic=True))
-    engine.submit(graph, [constraint], policy="headroom:headroom=1")
+    job = engine.submit(graph, [constraint], policy="headroom:headroom=1")
     engine.run(profile.end_time + params.step_duration)
-    tracker = engine.trackers[0]
+    tracker = job.trackers[0]
     print("custom HeadroomPolicy on PrimeTester:")
     print(
         f"  fulfilled {tracker.fulfillment_ratio * 100:.1f}% of "
         f"{tracker.intervals_observed} intervals, final p = "
-        f"{engine.parallelism('PrimeTester')}, "
+        f"{job.parallelism('PrimeTester')}, "
         f"task-seconds = {engine.resources.task_seconds():.0f}"
     )
 

@@ -37,7 +37,7 @@ def main(fast: bool = False) -> None:
             seed=11,
         )
     )
-    engine.submit(graph, [constraint])
+    job = engine.submit(graph, [constraint])
 
     phases = phase_boundaries(params)
     print("phase plan:", ", ".join(f"{name}@{t:.0f}s" for name, t in phases))
@@ -48,21 +48,21 @@ def main(fast: bool = False) -> None:
     step = 10.0
     while engine.now < duration:
         engine.run(step)
-        tracker = engine.trackers[0]
+        tracker = job.trackers[0]
         latest = tracker.history[-1] if tracker.history else None
         latency = f"{latest[1] * 1000:7.1f} ms" if latest else "-"
         violated = "yes" if latest and latest[2] else ""
         print(
             f"{engine.now:6.0f}  {profile.rate(engine.now):8.0f}  "
-            f"{engine.parallelism('PrimeTester'):5d}  {latency:>10}  {violated:>8}"
+            f"{job.parallelism('PrimeTester'):5d}  {latency:>10}  {violated:>8}"
         )
 
-    tracker = engine.trackers[0]
+    tracker = job.trackers[0]
     print()
     print(f"constraint (20 ms) fulfilled: {tracker.fulfillment_ratio * 100:.1f}% "
           f"of {tracker.intervals_observed} adjustment intervals  (paper: ~91%)")
     print(f"task-seconds: {engine.resources.task_seconds():.0f}")
-    print(f"scaling actions: {len(engine.scaler.events)}")
+    print(f"scaling actions: {len(job.scaler.events)}")
 
 
 if __name__ == "__main__":

@@ -56,25 +56,25 @@ def main():
     constraint = LatencyConstraint(sequence, bound=0.030)
 
     engine = StreamProcessingEngine(EngineConfig.nephele_adaptive(elastic=True))
-    engine.submit(graph, [constraint])
+    job = engine.submit(graph, [constraint])
 
     print(f"{'time':>6}  {'rate/s':>7}  {'p(Analyzer)':>11}  {'mean latency':>12}")
     profile = graph.vertex("Source").rate_profile
     for _ in range(16):
         engine.run(10.0)
-        tracker = engine.trackers[0]
+        tracker = job.trackers[0]
         latest = tracker.history[-1] if tracker.history else None
         latency = f"{latest[1] * 1000:9.1f} ms" if latest else "warming up"
         print(
             f"{engine.now:6.0f}  {profile.rate(engine.now):7.0f}  "
-            f"{engine.parallelism('Analyzer'):11d}  {latency:>12}"
+            f"{job.parallelism('Analyzer'):11d}  {latency:>12}"
         )
 
-    tracker = engine.trackers[0]
+    tracker = job.trackers[0]
     print()
     print(f"constraint fulfilled in {tracker.fulfillment_ratio * 100:.1f}% "
           f"of {tracker.intervals_observed} adjustment intervals")
-    print(f"scaling actions taken: {len(engine.scaler.events)}")
+    print(f"scaling actions taken: {len(job.scaler.events)}")
     print(f"task-seconds consumed: {engine.resources.task_seconds():.0f}")
 
 

@@ -58,7 +58,7 @@ def main(fast: bool = False) -> None:
     graph, constraints = build_twitter_sentiment_job(params)
     graph.vertex("TweetSource").rate_profile = profile
     engine = StreamProcessingEngine(EngineConfig.nephele_adaptive(elastic=True, seed=3))
-    engine.submit(graph, constraints)
+    job = engine.submit(graph, constraints)
 
     print(f"{'time':>6}  {'tweets/s':>8}  {'p(HT)':>5}  {'p(F)':>5}  {'p(S)':>5}")
     step = replay_seconds / 12
@@ -66,13 +66,13 @@ def main(fast: bool = False) -> None:
         engine.run(step)
         print(
             f"{engine.now:6.0f}  {profile.rate(engine.now) * params.n_sources:8.0f}  "
-            f"{engine.parallelism('HotTopics'):5d}  "
-            f"{engine.parallelism('Filter'):5d}  "
-            f"{engine.parallelism('Sentiment'):5d}"
+            f"{job.parallelism('HotTopics'):5d}  "
+            f"{job.parallelism('Filter'):5d}  "
+            f"{job.parallelism('Sentiment'):5d}"
         )
 
     print()
-    for tracker in engine.trackers:
+    for tracker in job.trackers:
         print(
             f"{tracker.constraint.name}: fulfilled "
             f"{tracker.fulfillment_ratio * 100:.1f}% of {tracker.intervals_observed} intervals"

@@ -30,7 +30,7 @@ def main(fast: bool = False) -> None:
 
     graph, constraints = build_twitter_sentiment_job(params)
     engine = StreamProcessingEngine(EngineConfig.nephele_adaptive(elastic=True, seed=23))
-    engine.submit(graph, constraints)
+    job = engine.submit(graph, constraints)
 
     profile = graph.vertex("TweetSource").rate_profile
     print(f"{'time':>6}  {'tweets/s':>8}  {'p(HT)':>5}  {'p(F)':>5}  {'p(S)':>5}")
@@ -38,13 +38,13 @@ def main(fast: bool = False) -> None:
         engine.run(20.0)
         print(
             f"{engine.now:6.0f}  {profile.rate(engine.now) * params.n_sources:8.0f}  "
-            f"{engine.parallelism('HotTopics'):5d}  "
-            f"{engine.parallelism('Filter'):5d}  "
-            f"{engine.parallelism('Sentiment'):5d}"
+            f"{job.parallelism('HotTopics'):5d}  "
+            f"{job.parallelism('Filter'):5d}  "
+            f"{job.parallelism('Sentiment'):5d}"
         )
 
     print()
-    for tracker in engine.trackers:
+    for tracker in job.trackers:
         print(
             f"{tracker.constraint.name}: fulfilled "
             f"{tracker.fulfillment_ratio * 100:.1f}% of {tracker.intervals_observed} intervals"
@@ -52,7 +52,7 @@ def main(fast: bool = False) -> None:
 
     # Aggregate sentiment across all sink tasks.
     counts = {}
-    for task in engine.runtime.vertex("Sink").tasks:
+    for task in job.runtime.vertex("Sink").tasks:
         for (topic, label), n in task.udf.sentiment_counts.items():
             counts.setdefault(topic, {}).setdefault(label, 0)
             counts[topic][label] += n

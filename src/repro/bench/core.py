@@ -166,12 +166,12 @@ def _bench_macro_twitter(quick: bool) -> Dict[str, object]:
     graph, constraints = build_twitter_sentiment_job(params.workload)
     config = EngineConfig.nephele_adaptive(elastic=True, seed=params.seed)
     engine = StreamProcessingEngine(config)
-    engine.submit(graph, constraints)
+    job = engine.submit(graph, constraints)
     start = time.perf_counter()
     engine.run(duration)
     wall = time.perf_counter() - start
     final_parallelism = {
-        name: rv.parallelism for name, rv in engine.runtime.vertices.items()
+        name: rv.parallelism for name, rv in job.runtime.vertices.items()
     }
     engine.stop()
     fired = engine.sim.fired_events
@@ -352,17 +352,34 @@ def profile_macro(path: str, quick: bool = True) -> str:
     return path
 
 
+def add_arguments(parser) -> None:
+    """Declare the ``bench`` options on ``parser`` (the one declaration)."""
+    parser.add_argument("--quick", action="store_true",
+                        help="reduced event counts and macro duration (CI smoke)")
+    parser.add_argument("--out", metavar="PATH", default=BENCH_FILE,
+                        help=f"results file to write (default: {BENCH_FILE})")
+    parser.add_argument("--check", metavar="BASELINE", default=None,
+                        help="compare micro speedups and the macro's "
+                             "kernel-relative throughput against a committed "
+                             "results file; exit 1 on >30%% regression")
+    parser.add_argument("--no-macro", action="store_true",
+                        help="skip the elastic TwitterSentiment macro benchmark")
+    parser.add_argument("--profile", metavar="PATH", default=None,
+                        help="additionally run the macro workload under cProfile "
+                             "and dump pstats data to PATH")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro bench``-style invocation."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="repro bench")
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--out", default=BENCH_FILE)
-    parser.add_argument("--check", metavar="BASELINE", default=None)
-    parser.add_argument("--no-macro", action="store_true")
-    parser.add_argument("--profile", metavar="PATH", default=None)
-    args = parser.parse_args(argv)
+    add_arguments(parser)
+    return run_from_args(parser.parse_args(argv))
+
+
+def run_from_args(args) -> int:
+    """Run the suite as the parsed ``bench`` options say; the exit code."""
     results = run_benchmarks(quick=args.quick, macro=not args.no_macro)
     path = write_results(results, args.out)
     print(format_results(results))

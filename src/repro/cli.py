@@ -93,6 +93,7 @@ def _add_policy_flag(parser: argparse.ArgumentParser, repeatable: bool = False) 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.bench.core import add_arguments as add_bench_arguments
     from repro.workloads.scenario import SINGLE_JOB_WORKLOADS, WORKLOADS
 
     parser = argparse.ArgumentParser(
@@ -263,19 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of most recent decision records to print")
 
     bench = sub.add_parser("bench", help="run the benchmark suite, write BENCH_core.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced event counts and macro duration (CI smoke)")
-    bench.add_argument("--out", metavar="PATH", default="BENCH_core.json",
-                       help="results file to write (default: BENCH_core.json)")
-    bench.add_argument("--check", metavar="BASELINE", default=None,
-                       help="compare micro speedups and the macro's "
-                            "kernel-relative throughput against a committed "
-                            "results file; exit 1 on >30%% regression")
-    bench.add_argument("--no-macro", action="store_true",
-                       help="skip the elastic TwitterSentiment macro benchmark")
-    bench.add_argument("--profile", metavar="PATH", default=None,
-                       help="additionally run the macro workload under cProfile "
-                            "and dump pstats data to PATH")
+    add_bench_arguments(bench)
 
     comp = sub.add_parser(
         "compare", help="evaluate runs against a committed baseline"
@@ -1004,18 +993,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_partitioned(args)
         return _run_plain(args)
     if args.command == "bench":
-        from repro.bench.core import main as bench_main
+        from repro.bench.core import run_from_args as run_bench
 
-        bench_argv = ["--out", args.out]
-        if args.quick:
-            bench_argv.append("--quick")
-        if args.no_macro:
-            bench_argv.append("--no-macro")
-        if args.check is not None:
-            bench_argv.extend(["--check", args.check])
-        if args.profile is not None:
-            bench_argv.extend(["--profile", args.profile])
-        return bench_main(bench_argv)
+        return run_bench(args)
     if args.command == "chaos":
         _run_chaos(args)
         return 0

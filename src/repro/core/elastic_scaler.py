@@ -118,6 +118,19 @@ class ElasticScaler:
             self.trace_sink.extend(records)
             self.trace_sink.rounds = self.rounds
 
+    def _vertex_record(
+        self, branch: str, vertex: str, current: Dict[str, int], target: int, detail: str
+    ) -> TraceRecord:
+        """The trace row of a per-vertex target this round did not apply."""
+        return TraceRecord(
+            self.sim.now, "*", branch,
+            vertex=vertex,
+            job=self._job_name(), round=self.rounds,
+            p_before=current.get(vertex),
+            p_target=target,
+            detail=detail,
+        )
+
     def _job_name(self) -> str:
         graph = getattr(self.runtime, "job_graph", None)
         return getattr(graph, "name", "") if graph is not None else ""
@@ -182,6 +195,7 @@ class ElasticScaler:
             self._emit(decision.trace)
             self._observe(summary, decision, {})
             return decision
+        # lazy: repro.engine's package import pulls this module back in
         from repro.engine.resources import InsufficientResourcesError
 
         extra_records = []
@@ -197,26 +211,18 @@ class ElasticScaler:
             if cooldown and target < current.get(vertex_name, target):
                 self.suppressed_scale_downs += 1
                 extra_records.append(
-                    TraceRecord(
-                        self.sim.now, "*", BRANCH_COOLDOWN,
-                        vertex=vertex_name,
-                        job=self._job_name(), round=self.rounds,
-                        p_before=current.get(vertex_name),
-                        p_target=target,
-                        detail="scale-down suppressed by recovery cooldown",
+                    self._vertex_record(
+                        BRANCH_COOLDOWN, vertex_name, current, target,
+                        "scale-down suppressed by recovery cooldown",
                     )
                 )
                 continue
             if vertex_name in in_flight:
                 self.suppressed_in_flight += 1
                 extra_records.append(
-                    TraceRecord(
-                        self.sim.now, "*", BRANCH_ACTUATION_PENDING,
-                        vertex=vertex_name,
-                        job=self._job_name(), round=self.rounds,
-                        p_before=current.get(vertex_name),
-                        p_target=target,
-                        detail="decision deferred: actuation in flight",
+                    self._vertex_record(
+                        BRANCH_ACTUATION_PENDING, vertex_name, current, target,
+                        "decision deferred: actuation in flight",
                     )
                 )
                 continue
@@ -230,13 +236,9 @@ class ElasticScaler:
                 except InsufficientResourcesError:
                     self.unresolvable_log.append((self.sim.now, vertex_name))
                     extra_records.append(
-                        TraceRecord(
-                            self.sim.now, "*", BRANCH_UNRESOLVABLE,
-                            vertex=vertex_name,
-                            job=self._job_name(), round=self.rounds,
-                            p_before=current.get(vertex_name),
-                            p_target=target,
-                            detail="insufficient cluster resources",
+                        self._vertex_record(
+                            BRANCH_UNRESOLVABLE, vertex_name, current, target,
+                            "insufficient cluster resources",
                         )
                     )
                     continue
@@ -246,28 +248,18 @@ class ElasticScaler:
                     # be met right now; record it instead of failing silently.
                     self.unresolvable_log.append((self.sim.now, vertex_name))
                     extra_records.append(
-                        TraceRecord(
-                            self.sim.now, "*", BRANCH_ADMISSION_DENIED,
-                            vertex=vertex_name,
-                            job=self._job_name(), round=self.rounds,
-                            p_before=current.get(vertex_name),
-                            p_target=target,
-                            detail=result.reason,
+                        self._vertex_record(
+                            BRANCH_ADMISSION_DENIED, vertex_name, current, target,
+                            result.reason,
                         )
                     )
                     continue
                 if result.requested < 0 and result.applied == 0:
                     extra_records.append(
-                        TraceRecord(
-                            self.sim.now, "*", BRANCH_SCALE_DOWN_CLAMPED,
-                            vertex=vertex_name,
-                            job=self._job_name(), round=self.rounds,
-                            p_before=current.get(vertex_name),
-                            p_target=target,
-                            detail=(
-                                "reduction suppressed: no drainable tasks "
-                                "(min parallelism / pending additions)"
-                            ),
+                        self._vertex_record(
+                            BRANCH_SCALE_DOWN_CLAMPED, vertex_name, current, target,
+                            "reduction suppressed: no drainable tasks "
+                            "(min parallelism / pending additions)",
                         )
                     )
                 delta = result.applied

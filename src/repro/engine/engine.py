@@ -135,10 +135,6 @@ class EngineConfig:
     worker_speed_factors: Optional[Tuple[float, ...]] = None
     #: root RNG seed for reproducibility
     seed: int = 7
-    #: block pre-draw of per-task service times (numpy-vectorized where
-    #: the distribution allows; bit-identical to scalar draws, so this
-    #: only changes speed — the toggle exists for the determinism tests)
-    vectorized_sampling: bool = True
 
     # ------------------------------------------------------------------
     # presets mirroring the paper's configurations (Sec. III-B)
@@ -262,7 +258,6 @@ class DeployedJob:
             channel_capacity=config.channel_capacity,
             item_size=config.item_size,
             startup_delay=config.startup_delay,
-            vectorized=config.vectorized_sampling,
             on_task_created=self._on_task_created,
             on_channel_created=self._on_channel_created,
             metrics=engine.metrics,
@@ -532,13 +527,13 @@ class DeployedJob:
 
 
 class StreamProcessingEngine:
-    """Facade: deploy jobs, run the master control loop, expose results.
+    """The simulated cluster: master, worker pool, clock and submitted jobs.
 
     Multiple jobs may be submitted to one engine; they share the worker
-    pool (and the simulated cluster). For convenience, the single-job
-    accessors (``runtime``, ``scheduler``, ``trackers``, ...) delegate to
-    the *first* submitted job; use the :class:`DeployedJob` handle
-    returned by :meth:`submit` to address later jobs explicitly.
+    pool. The engine holds only what is cluster-wide (``sim``,
+    ``resources``, ``metrics``, ``jobs``); everything per-job — runtime
+    graph, scheduler, scaler, trackers, summaries — lives on the
+    :class:`DeployedJob` handle that :meth:`submit` returns.
     """
 
     def __init__(
@@ -626,8 +621,9 @@ class StreamProcessingEngine:
         """Write manifest.json (+ metrics/trace JSONL) for a job's run.
 
         ``directory`` defaults to the observability config's export dir;
-        ``job`` defaults to the first submitted job. Returns the written
-        paths keyed by kind.
+        ``job`` defaults to the engine's only job (an engine hosting
+        several must be told which). Returns the written paths keyed by
+        kind.
         """
         from repro.obs.manifest import export_run as _export_run
 
@@ -728,82 +724,22 @@ class StreamProcessingEngine:
         self.jobs.append(job)
         return job
 
-    # ------------------------------------------------------------------
-    # single-job conveniences (delegate to the first job)
-    # ------------------------------------------------------------------
-
     def _primary(self) -> DeployedJob:
+        """The engine's only job — for observers built before ``submit``.
+
+        ``export_run()``, ``SeriesRecorder`` and ``Dashboard`` may be
+        created before the job exists, so they resolve it lazily here;
+        on a shared cluster they must be given the job explicitly.
+        """
         if not self.jobs:
             raise RuntimeError("no job submitted to this engine yet")
+        if len(self.jobs) > 1:
+            names = ", ".join(repr(job.job_graph.name) for job in self.jobs)
+            raise ValueError(
+                f"this engine hosts {len(self.jobs)} jobs ({names}); "
+                "pass the DeployedJob explicitly"
+            )
         return self.jobs[0]
-
-    @property
-    def runtime(self) -> Optional[RuntimeGraph]:
-        """Runtime graph of the first job (None before submit)."""
-        return self.jobs[0].runtime if self.jobs else None
-
-    @property
-    def scheduler(self) -> Optional[Scheduler]:
-        """Scheduler of the first job (None before submit)."""
-        return self.jobs[0].scheduler if self.jobs else None
-
-    @property
-    def scaler(self) -> Optional[ElasticScaler]:
-        """Elastic scaler of the first job (None if unelastic)."""
-        return self.jobs[0].scaler if self.jobs else None
-
-    @property
-    def fault_injector(self) -> Optional[FaultInjector]:
-        """Fault injector of the first job (None if fault-free)."""
-        return self.jobs[0].fault_injector if self.jobs else None
-
-    @property
-    def reconciler(self) -> Optional[ReconciliationController]:
-        """Reconciliation controller of the first job (None if unsupervised)."""
-        return self.jobs[0].reconciler if self.jobs else None
-
-    @property
-    def state_manager(self) -> Optional[StateManager]:
-        """Keyed-state manager of the first job (None if stateless)."""
-        return self.jobs[0].state_manager if self.jobs else None
-
-    @property
-    def constraints(self) -> List[LatencyConstraint]:
-        """Constraints of the first job."""
-        return self.jobs[0].constraints if self.jobs else []
-
-    @property
-    def trackers(self) -> List[ConstraintTracker]:
-        """Constraint trackers of the first job."""
-        return self.jobs[0].trackers if self.jobs else []
-
-    @property
-    def last_summary(self) -> Optional[GlobalSummary]:
-        """Latest global summary of the first job."""
-        return self.jobs[0].last_summary if self.jobs else None
-
-    @property
-    def summary_history(self) -> List[Tuple[float, GlobalSummary]]:
-        """Summary history of the first job."""
-        return self.jobs[0].summary_history if self.jobs else []
-
-    @property
-    def _managers(self) -> List[QoSManager]:
-        return self.jobs[0]._managers if self.jobs else []
-
-    def parallelism(self, vertex_name: str) -> int:
-        """Effective parallelism of a vertex of the first job."""
-        return self._primary().parallelism(vertex_name)
-
-    def drain_sink_samples(self, vertex_name: str) -> List[Tuple[float, float]]:
-        """Take the first job's (time, e2e latency) sink samples."""
-        if not self.jobs:
-            return []
-        return self.jobs[0].drain_sink_samples(vertex_name)
-
-    def check_assumptions(self, **checker_kwargs) -> list:
-        """Check the Sec. IV-A runtime assumptions for the first job."""
-        return self._primary().check_assumptions(**checker_kwargs)
 
     def tracker_for(self, constraint: LatencyConstraint) -> ConstraintTracker:
         """The fulfillment tracker of a submitted constraint (any job)."""

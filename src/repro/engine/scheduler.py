@@ -81,7 +81,6 @@ class Scheduler:
         channel_capacity: int = 256,
         item_size: int = 256,
         startup_delay: float = 1.5,
-        vectorized: bool = True,
         on_task_created: Optional[Callable[[RuntimeTask], None]] = None,
         on_channel_created: Optional[Callable[[RuntimeChannel], None]] = None,
         metrics=None,
@@ -97,7 +96,6 @@ class Scheduler:
         self.channel_capacity = channel_capacity
         self.item_size = item_size
         self.startup_delay = startup_delay
-        self.vectorized = vectorized
         self.on_task_created = on_task_created
         self.on_channel_created = on_channel_created
         #: optional MetricsRegistry; scaling/failure actions are counted
@@ -155,7 +153,6 @@ class Scheduler:
             rng,
             queue_capacity=self.queue_capacity,
             item_size=self.item_size,
-            vectorized=self.vectorized,
         )
         profile = getattr(job_vertex, "rate_profile", None)
         if profile is not None:
@@ -358,16 +355,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # preemption (cluster arbitration)
     # ------------------------------------------------------------------
-
-    def reducible_slots(self) -> int:
-        """Slots arbitration could reclaim without violating bounds."""
-        total = 0
-        for rv in self.runtime.vertices.values():
-            total += max(
-                0,
-                min(rv.parallelism - rv.job_vertex.min_parallelism, rv.parallelism - 1),
-            )
-        return total
 
     def preempt_slots(self, count: int, requester: str = "") -> int:
         """Force-stop up to ``count`` reducible tasks for another job.

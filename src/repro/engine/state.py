@@ -341,9 +341,6 @@ class StateManager:
     def vertices(self) -> Tuple[str, ...]:
         return tuple(self._vertices)
 
-    def keyed_state(self, vertex: str) -> KeyedState:
-        return self._vertices[vertex].state
-
     def spec(self, vertex: str) -> StatefulVertexSpec:
         return self._vertices[vertex].spec
 

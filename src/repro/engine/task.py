@@ -261,7 +261,7 @@ class RuntimeTask:
 
     __slots__ = (
         "uid", "sim", "vertex_name", "subtask_index", "task_id", "udf", "rng",
-        "item_size", "vectorized", "_service_fn", "_generate",
+        "item_size", "_service_fn", "_generate",
         "_is_windowed",
         "input_queue", "in_channels", "out_gates", "reporter", "state",
         "start_time", "stop_time", "on_stopped", "failed", "speed_factor",
@@ -283,7 +283,6 @@ class RuntimeTask:
         rng: random.Random,
         queue_capacity: int = 256,
         item_size: int = 256,
-        vectorized: bool = True,
     ) -> None:
         RuntimeTask._ids += 1
         self.uid = RuntimeTask._ids
@@ -294,9 +293,6 @@ class RuntimeTask:
         self.udf = udf
         self.rng = rng
         self.item_size = item_size
-        #: block pre-draw of service times (bit-identical to scalar draws;
-        #: engine-wide toggle via EngineConfig.vectorized_sampling)
-        self.vectorized = vectorized
         self._service_fn: Optional[Callable[[object], float]] = None
         self._generate: Optional[Callable] = None  # bound SourceUDF.generate
         self._is_windowed = False
@@ -367,7 +363,7 @@ class RuntimeTask:
         self._is_windowed = isinstance(self.udf, WindowedAggregateUDF)
         if self.is_source:
             self._generate = self.udf.generate
-        elif self.vectorized:
+        else:
             # Sources never draw service times, and their stream interleaves
             # interval and payload draws — never pre-draw on it.
             self._service_fn = self.udf.make_service_sampler(self.rng)
@@ -753,12 +749,6 @@ class RuntimeTask:
         payload = self._generate(now, self.rng)
         self.items_processed += 1
         self._route_outputs((payload,), created_at=now, direct=True)
-
-    # ------------------------------------------------------------------
-
-    def current_utilization_window(self) -> float:
-        """Lifetime busy time (recorders diff this per wall interval)."""
-        return self.busy_time
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RuntimeTask({self.task_id}, state={self.state})"

@@ -21,11 +21,7 @@ import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.evaluate.baseline import Baseline
-from repro.evaluate.metrics import (
-    MetricSeries,
-    extract_metrics,
-    metrics_from_stats,
-)
+from repro.evaluate.metrics import extract_metrics, metrics_from_stats
 from repro.evaluate.tolerance import (
     BOUNDABLE_STATS,
     ToleranceSpec,
@@ -49,11 +45,6 @@ class Candidate:
     def from_aggregate(cls, name: str, aggregate: Mapping[str, object]) -> "Candidate":
         """Build a candidate from a sweep's merged aggregate dict."""
         series = extract_metrics(aggregate)
-        return cls(name, {m: series[m].describe() for m in sorted(series)})
-
-    @classmethod
-    def from_series(cls, name: str, series: Mapping[str, MetricSeries]) -> "Candidate":
-        """Build a candidate from already-extracted metric series."""
         return cls(name, {m: series[m].describe() for m in sorted(series)})
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -42,7 +42,7 @@ class Dashboard:
     def _job(self) -> Optional[DeployedJob]:
         if self.job is not None:
             return self.job
-        return self.engine.jobs[0] if self.engine.jobs else None
+        return self.engine._primary() if self.engine.jobs else None
 
     # ------------------------------------------------------------------
     # sections

@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro.engine.engine import DeployedJob, EngineConfig, StreamProcessingEngine
 from repro.experiments.ascii import series_panel
 from repro.experiments.recording import SeriesRecorder
 from repro.experiments.report import format_table, ms, write_csv
@@ -92,16 +92,16 @@ class RunResult:
         self,
         name: str,
         recorder: SeriesRecorder,
-        engine: StreamProcessingEngine,
+        job: DeployedJob,
     ) -> None:
         self.name = name
         self.rows = recorder.rows
-        self.task_seconds = engine.resources.task_seconds()
-        tracker = engine.trackers[0] if engine.trackers else None
+        self.task_seconds = job.engine.resources.task_seconds()
+        tracker = job.trackers[0] if job.trackers else None
         self.fulfillment = tracker.fulfillment_ratio if tracker else None
         self.intervals = tracker.intervals_observed if tracker else 0
         self.violation_series = tracker.latency_series() if tracker else []
-        self.scaling_events = len(engine.scaler.events) if engine.scaler else 0
+        self.scaling_events = len(job.scaler.events) if job.scaler else 0
         means = [r.latency_mean.get("e2e") for r in self.rows]
         means = [m for m in means if m is not None]
         p95s = [r.latency_p95.get("e2e") for r in self.rows]
@@ -259,7 +259,7 @@ def run_elastic(
         seed=params.seed,
     )
     engine = StreamProcessingEngine(config)
-    engine.submit(graph, [constraint])
+    job = engine.submit(graph, [constraint])
     recorder = SeriesRecorder(
         engine,
         interval=params.recording_interval,
@@ -269,7 +269,7 @@ def run_elastic(
     recorder.add_sink_feed("e2e", "Sink")
     engine.run(profile.end_time + params.workload.step_duration)
     engine.stop()
-    return RunResult(name, recorder, engine)
+    return RunResult(name, recorder, job)
 
 
 def run_baseline(params: Fig6Params) -> RunResult:
@@ -290,7 +290,7 @@ def run_baseline(params: Fig6Params) -> RunResult:
         seed=params.seed,
     )
     engine = StreamProcessingEngine(config)
-    engine.submit(graph)
+    job = engine.submit(graph)
     recorder = SeriesRecorder(
         engine,
         interval=params.recording_interval,
@@ -300,7 +300,7 @@ def run_baseline(params: Fig6Params) -> RunResult:
     recorder.add_sink_feed("e2e", "Sink")
     engine.run(profile.end_time + workload.step_duration)
     engine.stop()
-    return RunResult("baseline-16KiB", recorder, engine)
+    return RunResult("baseline-16KiB", recorder, job)
 
 
 def run(params: Optional[Fig6Params] = None, sweep: bool = True) -> Fig6Result:

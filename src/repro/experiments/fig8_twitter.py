@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro.engine.engine import DeployedJob, EngineConfig, StreamProcessingEngine
 from repro.experiments.ascii import series_panel
 from repro.experiments.recording import SeriesRecorder
 from repro.experiments.report import format_table, ms, write_csv
@@ -63,19 +63,19 @@ class Fig8Result:
         self,
         params: Fig8Params,
         recorder: SeriesRecorder,
-        engine: StreamProcessingEngine,
+        job: DeployedJob,
     ) -> None:
         self.params = params
         self.rows = recorder.rows
         self.fulfillment: Dict[str, float] = {}
         self.intervals: Dict[str, int] = {}
-        for tracker in engine.trackers:
+        for tracker in job.trackers:
             self.fulfillment[tracker.constraint.name] = tracker.fulfillment_ratio
             self.intervals[tracker.constraint.name] = tracker.intervals_observed
         self.mean_cpu_utilization = recorder.mean_cpu_utilization()
         self.peak_tweet_rate = recorder.peak_effective_rate()
-        self.task_seconds = engine.resources.task_seconds()
-        self.scaling_events = len(engine.scaler.events) if engine.scaler else 0
+        self.task_seconds = job.engine.resources.task_seconds()
+        self.scaling_events = len(job.scaler.events) if job.scaler else 0
         self.parallelism_ranges: Dict[str, Tuple[int, int]] = {}
         for vertex in ELASTIC_VERTICES:
             series = [p for _, p in recorder.parallelism_series(vertex)]
@@ -198,10 +198,10 @@ def run(params: Optional[Fig8Params] = None) -> Fig8Result:
             hot_probe(latency, payload)
 
     engine.add_vertex_probe("Filter", filter_probe)
-    engine.submit(graph, constraints)
+    job = engine.submit(graph, constraints)
     engine.run(params.duration)
     engine.stop()
-    return Fig8Result(params, recorder, engine)
+    return Fig8Result(params, recorder, job)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.engine.engine import StreamProcessingEngine
-from repro.obs.sampling import SamplingClock, utilization_samples
+from repro.engine.engine import DeployedJob, StreamProcessingEngine
+from repro.obs.sampling import utilization_samples
 from repro.qos.stats import percentile
 from repro.workloads.rates import RateProfile
 
@@ -65,7 +65,8 @@ class SeriesRecorder:
     May be created before or after :meth:`StreamProcessingEngine.submit`
     (ticks are skipped until a job is deployed) — creating it before
     submit allows combining probe feeds with
-    :meth:`StreamProcessingEngine.add_vertex_probe`.
+    :meth:`StreamProcessingEngine.add_vertex_probe`. It records the
+    engine's only job; on an engine hosting several, assign ``job``.
     """
 
     def __init__(
@@ -76,6 +77,8 @@ class SeriesRecorder:
         source_profile: Optional[RateProfile] = None,
     ) -> None:
         self.engine = engine
+        #: the recorded job (None = the engine's only job, once submitted)
+        self.job: Optional[DeployedJob] = None
         self.interval = interval
         self.source_vertex = source_vertex
         self.source_profile = source_profile
@@ -88,10 +91,7 @@ class SeriesRecorder:
         # interval, same sampling instants as the metrics layer). The
         # clock's default first tick equals the old standalone schedule
         # (interval + epsilon), so recordings are unchanged.
-        if hasattr(engine, "sampling_clock"):
-            self._clock = engine.sampling_clock(interval)
-        else:  # bare simulator hosts (tests)
-            self._clock = SamplingClock(engine.sim, interval)
+        self._clock = engine.sampling_clock(interval)
         self._clock.subscribe(self._tick)
 
     # ------------------------------------------------------------------
@@ -100,7 +100,7 @@ class SeriesRecorder:
 
     def add_sink_feed(self, name: str, sink_vertex: str) -> None:
         """Record e2e latency stats of a sink vertex's samples."""
-        self._feeds[name] = lambda: self.engine.drain_sink_samples(sink_vertex)
+        self._feeds[name] = lambda: self.job.drain_sink_samples(sink_vertex)
 
     def add_probe_feed(self, name: str) -> Callable[[float, object], None]:
         """Create a custom feed; returns the probe to install on a vertex.
@@ -128,9 +128,12 @@ class SeriesRecorder:
 
     def _tick(self, now: Optional[float] = None) -> None:
         engine = self.engine
-        runtime = engine.runtime
-        if runtime is None:
-            return
+        if self.job is None:
+            if not engine.jobs:
+                return
+            self.job = engine._primary()
+        job = self.job
+        runtime = job.runtime
         row = SeriesRow(engine.sim.now)
         for name, rv in runtime.vertices.items():
             row.parallelism[name] = rv.parallelism
@@ -154,13 +157,13 @@ class SeriesRecorder:
                 row.latency_mean[name] = None
                 row.latency_p95[name] = None
         # constraint view (summary-based, as the trackers see it)
-        if engine.last_summary is not None:
-            for constraint in engine.constraints:
+        if job.last_summary is not None:
+            for constraint in job.constraints:
                 row.constraint_latency[constraint.name] = constraint.measured_latency(
-                    engine.last_summary
+                    job.last_summary
                 )
         # faults injected since the previous tick
-        injector = engine.fault_injector
+        injector = job.fault_injector
         if injector is not None:
             fresh = injector.log[self._fault_cursor:]
             self._fault_cursor += len(fresh)

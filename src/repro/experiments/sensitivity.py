@@ -132,16 +132,16 @@ def run_point(params: SensitivityParams, **config_overrides) -> SweepPoint:
         **config_overrides,
     )
     engine = StreamProcessingEngine(config)
-    engine.submit(graph, [constraint])
+    job = engine.submit(graph, [constraint])
     engine.run(profile.end_time + params.workload.step_duration)
-    tracker = engine.trackers[0]
+    tracker = job.trackers[0]
     (parameter, value), = config_overrides.items() if config_overrides else (("baseline", None),)
     return SweepPoint(
         parameter,
         value,
         tracker.fulfillment_ratio,
         engine.resources.task_seconds(),
-        len(engine.scaler.events),
+        len(job.scaler.events),
     )
 
 

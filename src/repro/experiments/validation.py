@@ -135,9 +135,9 @@ def run(params: Optional[ValidationParams] = None) -> ValidationResult:
             seed=params.seed,
         )
         engine = StreamProcessingEngine(config)
-        engine.submit(_build_job(params, rate))
+        job = engine.submit(_build_job(params, rate))
         engine.run(params.duration)
-        samples = [latency for _, latency in engine.drain_sink_samples("Snk")]
+        samples = [latency for _, latency in job.drain_sink_samples("Snk")]
         measured = sum(samples) / len(samples) if samples else float("inf")
         stages = [
             PipelineStage("A", s1_mean, s1_cv, s1_p),

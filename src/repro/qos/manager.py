@@ -93,11 +93,6 @@ class QoSManager:
         """
         self._suppressed_until = max(self._suppressed_until, until)
 
-    @property
-    def suppressed_until(self) -> float:
-        """Virtual time until which measurement collection is suppressed."""
-        return self._suppressed_until
-
     def staleness(self, now: float) -> float:
         """Seconds since the last collect that kept its samples."""
         if self._last_fresh is None:

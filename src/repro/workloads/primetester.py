@@ -87,10 +87,6 @@ class PrimeTesterParams:
     #: bit length of the random numbers tested for primality
     number_bits: int = 48
 
-    def total_attempted_rate(self, rate_per_source: float) -> float:
-        """Aggregate attempted rate across all sources."""
-        return rate_per_source * self.n_sources
-
 
 def _tester_service(params: PrimeTesterParams) -> Distribution:
     if params.tester_service_cv <= 0:

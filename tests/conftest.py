@@ -64,9 +64,8 @@ def run_linear(
     duration: float = 10.0,
     **job_kwargs,
 ):
-    """Build + run a linear job; returns the engine."""
+    """Build + run a linear job; returns its ``DeployedJob`` handle."""
     engine = StreamProcessingEngine(config or EngineConfig())
-    graph = make_linear_job(**job_kwargs)
-    engine.submit(graph)
+    job = engine.submit(make_linear_job(**job_kwargs))
     engine.run(duration)
-    return engine
+    return job

@@ -11,7 +11,8 @@ ordering or RNG stream consumption shows up as a diff.
 
 ``tests/test_macro_determinism.py`` replays the scenario on every run,
 diffs the export byte-for-byte against the golden copies, and replays it
-again with ``vectorized_sampling=False`` to prove the vectorized path is
+again with every UDF's block sampler switched off (per-item
+``service_time`` calls) to prove block-drawn service times are
 bit-identical to scalar draws end to end.
 
 Regenerating the goldens (only when a PR *intentionally* changes
@@ -36,13 +37,12 @@ SCENARIO_DURATION = 40.0
 SCENARIO_RATE = 200.0
 
 
-def run_scenario(export_dir: str, vectorized: bool = True):
+def run_scenario(export_dir: str):
     """Run the pinned macro scenario and export into ``export_dir``.
 
     A 40 s elastic TwitterSentiment run (two sources at 100 tweets/s
     base each, two synthetic days, one load burst and one topic burst at
-    mid-run) with both paper constraints active. ``vectorized=False``
-    replays it with block sampling off — the export must not change.
+    mid-run) with both paper constraints active.
     """
     from repro.actuation.config import ActuationConfig  # noqa: F401 (import parity)
     from repro.builder import BuiltPipeline
@@ -66,9 +66,7 @@ def run_scenario(export_dir: str, vectorized: bool = True):
         observability=ObservabilityConfig(export_dir=export_dir, pin_wall_time=True),
     )
     engine = StreamProcessingEngine(
-        EngineConfig.nephele_adaptive(
-            elastic=True, seed=SCENARIO_SEED, vectorized_sampling=vectorized
-        )
+        EngineConfig.nephele_adaptive(elastic=True, seed=SCENARIO_SEED)
     )
     engine.submit(pipeline)
     engine.run(SCENARIO_DURATION)

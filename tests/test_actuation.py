@@ -46,18 +46,17 @@ def deploy(worker_min=1, worker_max=32, n_workers=2, config=None):
     graph = make_linear_job(
         n_workers=n_workers, worker_min=worker_min, worker_max=worker_max
     )
-    engine.submit(graph)
-    return engine
+    return engine.submit(graph)
 
 
-def make_reconciler(engine, trace=False, seed=11, **cfg_kwargs):
-    """A reconciler wired to a deployed engine, deterministic by default."""
+def make_reconciler(job, trace=False, seed=11, **cfg_kwargs):
+    """A reconciler wired to a deployed job, deterministic by default."""
     cfg_kwargs.setdefault("provisioning_delay", Deterministic(0.5))
     cfg_kwargs.setdefault("backoff_jitter", 0.0)
     config = ActuationConfig(**cfg_kwargs)
     sink = DecisionTrace() if trace else None
     rec = ReconciliationController(
-        engine.sim, engine.scheduler, engine.runtime, config,
+        job.engine.sim, job.scheduler, job.runtime, config,
         RandomStreams(seed), trace_sink=sink, job_name="linear",
     )
     return rec, sink
@@ -199,26 +198,26 @@ class TestRecoveryCooldownValidation:
 
 class TestScalingResult:
     def test_scale_up_reports_full_application(self):
-        engine = deploy()
-        engine.run(1.0)
-        result = engine.scheduler.set_parallelism("Worker", 5)
+        job = deploy()
+        job.engine.run(1.0)
+        result = job.scheduler.set_parallelism("Worker", 5)
         assert result == ScalingResult(3, 3)
         assert not result.clamped
 
     def test_noop_is_zero_zero(self):
-        engine = deploy()
-        assert engine.scheduler.set_parallelism("Worker", 2) == ScalingResult(0, 0)
+        job = deploy()
+        assert job.scheduler.set_parallelism("Worker", 2) == ScalingResult(0, 0)
 
     def test_scale_down_at_min_with_pending_additions(self):
         """Satellite: reducible == 0 → no task stopped, applied == 0."""
-        engine = deploy(worker_min=2, n_workers=2)
-        engine.run(0.5)
+        job = deploy(worker_min=2, n_workers=2)
+        job.engine.run(0.5)
         # raise the target; the new tasks are still pending (startup delay)
-        engine.scheduler.set_parallelism("Worker", 5)
-        rv = engine.runtime.vertex("Worker")
+        job.scheduler.set_parallelism("Worker", 5)
+        rv = job.runtime.vertex("Worker")
         assert rv.pending_additions == 3
         tasks_before = list(rv.tasks)
-        result = engine.scheduler.set_parallelism("Worker", 2)
+        result = job.scheduler.set_parallelism("Worker", 2)
         # live parallelism (2) is at min_parallelism: nothing is drainable
         assert result == ScalingResult(-3, 0)
         assert result.clamped
@@ -227,19 +226,19 @@ class TestScalingResult:
 
     def test_scaler_traces_suppressed_reduction(self):
         """The sync scaler path records a scale-down-clamped branch."""
-        engine = deploy(worker_min=2, n_workers=2)
-        engine.run(0.5)
-        engine.scheduler.set_parallelism("Worker", 5)
+        job = deploy(worker_min=2, n_workers=2)
+        job.engine.run(0.5)
+        job.scheduler.set_parallelism("Worker", 5)
         policy = FakePolicy([decision_with({"Worker": 2})])
         scaler = ElasticScaler(
-            engine.sim, engine.scheduler, engine.runtime, policy,
+            job.engine.sim, job.scheduler, job.runtime, policy,
             recovery_cooldown=0.0,
         )
         scaler.trace_sink = DecisionTrace()
         scaler.on_global_summary(None)
         branches = [r.branch for r in scaler.trace_sink.records]
         assert BRANCH_SCALE_DOWN_CLAMPED in branches
-        assert all(t.state == "running" for t in engine.runtime.vertex("Worker").tasks)
+        assert all(t.state == "running" for t in job.runtime.vertex("Worker").tasks)
 
 
 # ----------------------------------------------------------------------
@@ -249,28 +248,28 @@ class TestScalingResult:
 
 class TestReconciler:
     def test_scale_up_applies_after_provisioning_delay(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine)
+        job = deploy()
+        rec, _ = make_reconciler(job)
         delta = rec.request("Worker", 4)
         assert delta == 2
         assert rec.in_flight_vertices() == ["Worker"]
-        assert engine.runtime.vertex("Worker").target_parallelism == 2  # not yet
-        engine.run(0.6)  # Deterministic(0.5) provisioning
-        assert engine.runtime.vertex("Worker").target_parallelism == 4
+        assert job.runtime.vertex("Worker").target_parallelism == 2  # not yet
+        job.engine.run(0.6)  # Deterministic(0.5) provisioning
+        assert job.runtime.vertex("Worker").target_parallelism == 4
         assert rec.in_flight == {}
         assert rec.applied == 1
         kinds = [kind for _, kind, _, _, _ in rec.trace()]
         assert kinds == ["request", "applied"]
 
     def test_noop_target_not_issued(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine)
+        job = deploy()
+        rec, _ = make_reconciler(job)
         assert rec.request("Worker", 2) == 0
         assert rec.in_flight == {} and rec.desired == {}
 
     def test_hysteresis_dead_band_suppresses(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine, hysteresis=1)
+        job = deploy()
+        rec, _ = make_reconciler(job, hysteresis=1)
         assert rec.request("Worker", 3) == 0
         assert rec.suppressed_hysteresis == 1
         assert rec.in_flight == {}
@@ -278,36 +277,36 @@ class TestReconciler:
         assert rec.request("Worker", 4) == 2
 
     def test_max_step_clamps_request(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine, max_step=2)
+        job = deploy()
+        rec, _ = make_reconciler(job, max_step=2)
         assert rec.request("Worker", 10) == 2
         assert rec.desired == {"Worker": 4}
         assert rec.clamped_steps == 1
         assert any(kind == "clamped" for _, kind, _, _, _ in rec.trace())
 
     def test_fault_window_fails_then_retry_converges(self):
-        engine = deploy()
-        rec, sink = make_reconciler(engine, trace=True, backoff_base=1.0)
+        job = deploy()
+        rec, sink = make_reconciler(job, trace=True, backoff_base=1.0)
         rec.fail_actuations("Worker", until=2.0)
         rec.request("Worker", 4)
         # attempt 1 completes at t=0.5 inside the window and fails;
         # retry backs off 1.0 s, attempt 2 completes at t=2.0 — window over.
-        engine.run(2.5)
+        job.engine.run(2.5)
         assert rec.failures == 1 and rec.retries == 1 and rec.applied == 1
-        assert engine.runtime.vertex("Worker").target_parallelism == 4
+        assert job.runtime.vertex("Worker").target_parallelism == 4
         branches = [r.branch for r in sink.records]
         assert BRANCH_ACTUATION_PENDING in branches
         assert BRANCH_ACTUATION_FAILED in branches
         assert BRANCH_RETRY_BACKOFF in branches
 
     def test_backoff_grows_exponentially(self):
-        engine = deploy()
+        job = deploy()
         rec, _ = make_reconciler(
-            engine, backoff_base=1.0, backoff_factor=2.0, max_retries=3
+            job, backoff_base=1.0, backoff_factor=2.0, max_retries=3
         )
         rec.fail_actuations(None, until=1e9)  # "*": everything fails
         rec.request("Worker", 4)
-        engine.run(30.0)
+        job.engine.run(30.0)
         backoffs = [
             float(detail.split("=")[1])
             for _, kind, _, _, detail in rec.trace() if kind == "retry"
@@ -315,22 +314,22 @@ class TestReconciler:
         assert backoffs == [1.0, 2.0, 4.0]
 
     def test_give_up_after_max_retries(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine, max_retries=0)
+        job = deploy()
+        rec, _ = make_reconciler(job, max_retries=0)
         rec.fail_actuations("Worker", until=1e9)
         rec.request("Worker", 4)
-        engine.run(1.0)
+        job.engine.run(1.0)
         assert rec.give_ups == 1
         assert rec.in_flight == {}
         assert any(kind == "give-up" for _, kind, _, _, _ in rec.trace())
-        assert engine.runtime.vertex("Worker").target_parallelism == 2
+        assert job.runtime.vertex("Worker").target_parallelism == 2
 
     def test_give_up_counts_as_abandoned(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine, max_retries=0)
+        job = deploy()
+        rec, _ = make_reconciler(job, max_retries=0)
         rec.fail_actuations("Worker", until=1e9)
         rec.request("Worker", 4)
-        engine.run(1.0)
+        job.engine.run(1.0)
         assert rec.abandoned == 1
         summary = rec.summary()
         assert summary["abandoned"] == 1
@@ -338,46 +337,46 @@ class TestReconciler:
         assert "migrations" not in summary
 
     def test_timeout_counts_as_failure(self):
-        engine = deploy()
+        job = deploy()
         rec, _ = make_reconciler(
-            engine, provisioning_delay=Deterministic(5.0), timeout=1.0,
+            job, provisioning_delay=Deterministic(5.0), timeout=1.0,
             max_retries=0,
         )
         rec.request("Worker", 4)
-        engine.run(1.5)
+        job.engine.run(1.5)
         failed = [d for _, kind, _, _, d in rec.trace() if kind == "failed"]
         assert failed and "timeout" in failed[0]
 
     def test_delay_window_stretches_provisioning(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine)  # Deterministic(0.5)
+        job = deploy()
+        rec, _ = make_reconciler(job)  # Deterministic(0.5)
         rec.delay_actuations("Worker", factor=4.0, until=10.0)
         rec.request("Worker", 4)
-        engine.run(1.9)  # 0.5 * 4 = 2.0 s provisioning
-        assert engine.runtime.vertex("Worker").target_parallelism == 2
-        engine.run(0.2)
-        assert engine.runtime.vertex("Worker").target_parallelism == 4
+        job.engine.run(1.9)  # 0.5 * 4 = 2.0 s provisioning
+        assert job.runtime.vertex("Worker").target_parallelism == 2
+        job.engine.run(0.2)
+        assert job.runtime.vertex("Worker").target_parallelism == 4
 
     def test_sampled_failures_are_seeded(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine, failure_rate=0.99, max_retries=5)
+        job = deploy()
+        rec, _ = make_reconciler(job, failure_rate=0.99, max_retries=5)
         rec.request("Worker", 4)
-        engine.run(60.0)
+        job.engine.run(60.0)
         assert rec.failures >= 1  # seeded draws; same seed → same outcome
         first = rec.trace()
-        engine2 = deploy()
-        rec2, _ = make_reconciler(engine2, failure_rate=0.99, max_retries=5)
+        job2 = deploy()
+        rec2, _ = make_reconciler(job2, failure_rate=0.99, max_retries=5)
         rec2.request("Worker", 4)
-        engine2.run(60.0)
+        job2.engine.run(60.0)
         assert rec2.trace() == first
 
     def test_watchdog_escalates_to_doubling(self):
-        engine = deploy()
-        rec, sink = make_reconciler(engine, trace=True, watchdog_intervals=2,
+        job = deploy()
+        rec, sink = make_reconciler(job, trace=True, watchdog_intervals=2,
                                     max_retries=10, backoff_base=0.5)
         rec.fail_actuations("Worker", until=1e9)
         rec.request("Worker", 3)
-        engine.run(1.0)
+        job.engine.run(1.0)
         stuck = rec.in_flight["Worker"]
         rec.on_adjustment_tick(violated=True)
         assert rec.escalations == 0  # below the threshold
@@ -393,22 +392,22 @@ class TestReconciler:
         )
 
     def test_watchdog_resets_on_satisfied_interval(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine, watchdog_intervals=2, max_retries=10)
+        job = deploy()
+        rec, _ = make_reconciler(job, watchdog_intervals=2, max_retries=10)
         rec.fail_actuations("Worker", until=1e9)
         rec.request("Worker", 4)
-        engine.run(1.0)
+        job.engine.run(1.0)
         rec.on_adjustment_tick(violated=True)
         rec.on_adjustment_tick(violated=False)  # resets the streak
         rec.on_adjustment_tick(violated=True)
         assert rec.escalations == 0
 
     def test_convergence_lag_and_summary(self):
-        engine = deploy()
-        rec, _ = make_reconciler(engine)
+        job = deploy()
+        rec, _ = make_reconciler(job)
         rec.request("Worker", 5)
         assert rec.convergence_lag() == 3
-        engine.run(1.0)
+        job.engine.run(1.0)
         assert rec.convergence_lag() == 0
         summary = rec.summary()
         assert summary["requests"] == 1 and summary["applied"] == 1
@@ -417,12 +416,12 @@ class TestReconciler:
         json.dumps(summary)  # manifest-serializable
 
     def test_trace_records_are_valid_schema_v2(self):
-        engine = deploy()
-        rec, sink = make_reconciler(engine, trace=True, max_retries=1,
+        job = deploy()
+        rec, sink = make_reconciler(job, trace=True, max_retries=1,
                                     backoff_base=0.5)
         rec.fail_actuations("Worker", until=0.7)
         rec.request("Worker", 4)
-        engine.run(3.0)
+        job.engine.run(3.0)
         from repro.obs.trace import TraceRecord, validate_record_dict
         for record in sink.records:
             data = record.to_dict()
@@ -447,15 +446,15 @@ class TestReconcilerConvergenceRegressions:
         still on the heap with a long backoff — later applied the
         outdated target (4) over the newer one (6).
         """
-        engine = deploy()
-        rec, _ = make_reconciler(engine, backoff_base=5.0, max_retries=3)
+        job = deploy()
+        rec, _ = make_reconciler(job, backoff_base=5.0, max_retries=3)
         rec.fail_actuations("Worker", until=1.0)
         rec.request("Worker", 4)   # attempt fails at t=0.5; retry waits to t=5.5
-        engine.run(1.2)
+        job.engine.run(1.2)
         assert rec.in_flight["Worker"].target == 4
         rec.request("Worker", 6)   # newer order while the old retry is pending
-        engine.run(10.0)           # the stale retry fires at t=5.5
-        assert engine.runtime.vertex("Worker").target_parallelism == 6
+        job.engine.run(10.0)           # the stale retry fires at t=5.5
+        assert job.runtime.vertex("Worker").target_parallelism == 6
         assert rec.applied == 1    # exactly one application — no double-apply
         assert rec.superseded_requests == 1
         assert rec.in_flight == {} and rec.desired == {}
@@ -471,12 +470,12 @@ class TestReconcilerConvergenceRegressions:
         popped ``desired`` anyway and ``convergence_lag()`` under-reported
         0 forever after.
         """
-        engine = deploy(worker_min=2, n_workers=2)
-        engine.run(0.5)
-        engine.scheduler.set_parallelism("Worker", 5)  # 3 additions pending
-        rec, _ = make_reconciler(engine)
+        job = deploy(worker_min=2, n_workers=2)
+        job.engine.run(0.5)
+        job.scheduler.set_parallelism("Worker", 5)  # 3 additions pending
+        rec, _ = make_reconciler(job)
         rec.request("Worker", 2)
-        engine.run(0.6)  # request completes: live p == min, nothing drainable
+        job.engine.run(0.6)  # request completes: live p == min, nothing drainable
         assert rec.partials == 1
         assert rec.desired == {"Worker": 2}
         assert rec.convergence_lag() == 3
@@ -484,16 +483,16 @@ class TestReconcilerConvergenceRegressions:
 
     def test_partial_application_eventually_converges(self):
         """The kept remainder is re-issued and converges once drainable."""
-        engine = deploy(worker_min=2, n_workers=2)
-        engine.run(0.5)
-        engine.scheduler.set_parallelism("Worker", 5)
-        rec, _ = make_reconciler(engine)
+        job = deploy(worker_min=2, n_workers=2)
+        job.engine.run(0.5)
+        job.scheduler.set_parallelism("Worker", 5)
+        rec, _ = make_reconciler(job)
         rec.request("Worker", 2)
-        engine.run(2.0)  # partial applied; the pending additions became live
+        job.engine.run(2.0)  # partial applied; the pending additions became live
         assert rec.convergence_lag() > 0
         rec.on_adjustment_tick(violated=False)  # re-issues the remainder
-        engine.run(1.0)
-        assert engine.runtime.vertex("Worker").target_parallelism == 2
+        job.engine.run(1.0)
+        assert job.runtime.vertex("Worker").target_parallelism == 2
         assert rec.convergence_lag() == 0
         assert rec.desired == {} and rec.in_flight == {}
         kinds = [kind for _, kind, _, _, _ in rec.trace()]
@@ -501,10 +500,10 @@ class TestReconcilerConvergenceRegressions:
 
     def test_full_application_still_clears_state(self):
         """The partial path must not leak state on ordinary successes."""
-        engine = deploy()
-        rec, _ = make_reconciler(engine)
+        job = deploy()
+        rec, _ = make_reconciler(job)
         rec.request("Worker", 4)
-        engine.run(1.0)
+        job.engine.run(1.0)
         assert rec.partials == 0
         assert rec.desired == {} and rec.in_flight == {}
         assert rec._partial_pending == set()
@@ -519,17 +518,17 @@ class TestReconcilerConvergenceRegressions:
 
 class TestScalerIntegration:
     def test_in_flight_vertex_not_redecided(self):
-        engine = deploy(n_workers=4)
-        engine.run(3.0)
+        job = deploy(n_workers=4)
+        job.engine.run(3.0)
         rec, _ = make_reconciler(
-            engine, provisioning_delay=Deterministic(100.0), timeout=200.0
+            job, provisioning_delay=Deterministic(100.0), timeout=200.0
         )
         policy = FakePolicy([
             decision_with({"Worker": 2}),  # scale-down: no inactivity phase
             decision_with({"Worker": 3}),
         ])
         scaler = ElasticScaler(
-            engine.sim, engine.scheduler, engine.runtime, policy,
+            job.engine.sim, job.scheduler, job.runtime, policy,
             recovery_cooldown=0.0,
         )
         scaler.trace_sink = DecisionTrace()
@@ -557,22 +556,21 @@ class TestScalerIntegration:
         config = EngineConfig(elastic=True, actuation=ActuationConfig())
         engine = StreamProcessingEngine(config)
         job = engine.submit(pipeline)
-        assert engine.reconciler is not None
+        assert job.reconciler is not None
         assert job.scaler is not None
-        assert job.scaler.reconciler is engine.reconciler
+        assert job.scaler.reconciler is job.reconciler
 
     def test_disabled_config_leaves_job_unsupervised(self):
         config = EngineConfig(
             elastic=True, actuation=ActuationConfig(enabled=False)
         )
         engine = StreamProcessingEngine(config)
-        engine.submit(make_linear_job())
-        assert engine.reconciler is None
+        job = engine.submit(make_linear_job())
+        assert job.reconciler is None
 
     def test_default_is_unsupervised(self):
-        engine = deploy()
-        assert engine.reconciler is None
-        assert engine.jobs[0].reconciler is None
+        job = deploy()
+        assert job.reconciler is None
 
     def test_builder_actuate_threads_config(self):
         pipeline = (
@@ -686,7 +684,7 @@ class TestActuationChaosAcceptance:
         manifest = build_manifest(job)
         assert manifest.data["actuation"]["requests"] > 0
         # unsupervised jobs keep the pre-actuation manifest layout
-        plain_engine = deploy()
-        plain_engine.run(1.0)
-        plain = build_manifest(plain_engine.jobs[0])
+        plain_job = deploy()
+        plain_job.engine.run(1.0)
+        plain = build_manifest(plain_job)
         assert "actuation" not in plain.data

@@ -233,9 +233,9 @@ class TestEngineMatchesTheory:
         graph.vertex("Sink").udf_factory = lambda: __import__(
             "repro.engine.udf", fromlist=["SinkUDF"]
         ).SinkUDF()
-        engine.submit(graph)
+        job = engine.submit(graph)
         engine.run(duration)
-        samples = [latency for _, latency in engine.drain_sink_samples("Sink")]
+        samples = [latency for _, latency in job.drain_sink_samples("Sink")]
         assert len(samples) > 1000
         return sum(samples) / len(samples) - service_mean
 

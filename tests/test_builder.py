@@ -128,9 +128,9 @@ class TestBuilderEndToEnd:
     def test_built_pipeline_runs_elastically(self):
         built = simple_pipeline(bound=0.030)
         engine = StreamProcessingEngine(EngineConfig.nephele_adaptive(elastic=True))
-        engine.submit(built)
+        job = engine.submit(built)
         engine.run(30.0)
-        tracker = engine.trackers[0]
+        tracker = job.trackers[0]
         assert tracker.intervals_observed > 0
         assert tracker.fulfillment_ratio > 0.5
 

@@ -64,18 +64,18 @@ class TestAssumptionChecker:
 
 class TestEngineDiagnostics:
     def test_homogeneous_cluster_clean(self):
-        engine = run_linear(duration=15.0, source_rate=200.0, n_workers=4,
+        job = run_linear(duration=15.0, source_rate=200.0, n_workers=4,
                             service_mean=0.004, service_cv=0.3)
-        assert engine.check_assumptions() == []
+        assert job.check_assumptions() == []
 
     def test_slow_worker_flagged(self):
         config = EngineConfig(
             worker_speed_factors=(1.0, 0.2, 1.0, 1.0, 1.0, 1.0),
             slots_per_worker=1,
         )
-        engine = run_linear(config, duration=15.0, source_rate=200.0,
+        job = run_linear(config, duration=15.0, source_rate=200.0,
                             n_workers=4, service_mean=0.004, service_cv=0.3)
-        findings = engine.check_assumptions()
+        findings = job.check_assumptions()
         assert any(f.kind == HOT_SPOT for f in findings)
 
 

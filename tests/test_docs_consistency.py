@@ -2,7 +2,8 @@
 
 Checks that the commands, modules and files the documentation references
 actually exist, that the public API advertised by ``repro.__all__``
-imports, and that every example script at least parses.
+imports, that every example script at least parses, and that the
+README quickstart and the tutorial's first pipeline actually run.
 """
 
 import ast
@@ -99,6 +100,27 @@ class TestReadme:
         readme = read("README.md")
         for module in re.findall(r"python -m (repro[.\w]+)", readme):
             importlib.import_module(module)
+
+
+def _python_block_after(text, heading):
+    """The first ```python fence below ``heading``."""
+    section = text[text.index(heading):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+class TestDocSnippetsRun:
+    """A removed attribute cannot survive in the docs: the snippets execute."""
+
+    @pytest.mark.parametrize(
+        "path, heading, expected",
+        [
+            ("README.md", "## Quickstart", "p(Analyzer) = "),
+            ("docs/TUTORIAL.md", "## 1. A pipeline in five lines", "ConstraintTracker"),
+        ],
+    )
+    def test_snippet_executes(self, path, heading, expected, capsys):
+        exec(compile(_python_block_after(read(path), heading), path, "exec"), {})
+        assert expected in capsys.readouterr().out
 
 
 class TestDesignAndExperiments:

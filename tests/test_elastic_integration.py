@@ -27,29 +27,28 @@ def elastic_job(profile, service_mean=0.004, p_init=4, p_min=1, p_max=32):
     return graph, js
 
 
-def elastic_engine(graph, constraint, seed=5):
+def deploy_elastic(graph, constraint, seed=5):
     config = EngineConfig.nephele_adaptive(elastic=True, seed=seed)
     engine = StreamProcessingEngine(config)
-    engine.submit(graph, [constraint])
-    return engine
+    return engine.submit(graph, [constraint])
 
 
 class TestReactiveScaling:
     def test_scales_down_under_light_load(self):
         graph, js = elastic_job(ConstantRate(50.0), p_init=8)
-        engine = elastic_engine(graph, LatencyConstraint(js, 0.030))
-        engine.run(60.0)
+        job = deploy_elastic(graph, LatencyConstraint(js, 0.030))
+        job.engine.run(60.0)
         # 50 items/s need ~0.2 servers; Rebalance should shrink far below 8.
-        assert engine.parallelism("Worker") <= 3
+        assert job.parallelism("Worker") <= 3
 
     def test_scales_up_when_load_rises(self):
         profile = PiecewiseRate([(0.0, 50.0), (30.0, 1200.0)])
         graph, js = elastic_job(profile, p_init=2)
-        engine = elastic_engine(graph, LatencyConstraint(js, 0.030))
-        engine.run(28.0)
-        low_p = engine.parallelism("Worker")
-        engine.run(60.0)
-        high_p = engine.parallelism("Worker")
+        job = deploy_elastic(graph, LatencyConstraint(js, 0.030))
+        job.engine.run(28.0)
+        low_p = job.parallelism("Worker")
+        job.engine.run(60.0)
+        high_p = job.parallelism("Worker")
         # 1200/s x 4 ms = 4.8 busy servers minimum
         assert high_p >= 5
         assert high_p > low_p
@@ -57,43 +56,43 @@ class TestReactiveScaling:
     def test_bottleneck_resolution_doubles(self):
         profile = PiecewiseRate([(0.0, 1500.0)])
         graph, js = elastic_job(profile, p_init=2)
-        engine = elastic_engine(graph, LatencyConstraint(js, 0.050))
-        engine.run(40.0)
+        job = deploy_elastic(graph, LatencyConstraint(js, 0.050))
+        job.engine.run(40.0)
         # p=2 gives capacity 500/s against 1500/s offered: deep bottleneck;
         # ResolveBottlenecks must have fired and scaled out repeatedly.
-        assert engine.parallelism("Worker") >= 6
-        assert engine.scaler is not None
-        assert any(e.reason == "bottleneck" for e in engine.scaler.events)
+        assert job.parallelism("Worker") >= 6
+        assert job.scaler is not None
+        assert any(e.reason == "bottleneck" for e in job.scaler.events)
 
     def test_constraint_mostly_fulfilled_steady_state(self):
         graph, js = elastic_job(ConstantRate(400.0), p_init=4)
         constraint = LatencyConstraint(js, 0.030)
-        engine = elastic_engine(graph, constraint)
-        engine.run(120.0)
-        tracker = engine.tracker_for(constraint)
+        job = deploy_elastic(graph, constraint)
+        job.engine.run(120.0)
+        tracker = job.engine.tracker_for(constraint)
         assert tracker.fulfillment_ratio >= 0.8
 
     def test_inactivity_window_after_scale_up(self):
         profile = PiecewiseRate([(0.0, 50.0), (20.0, 1200.0)])
         graph, js = elastic_job(profile, p_init=2)
-        engine = elastic_engine(graph, LatencyConstraint(js, 0.030))
-        engine.run(90.0)
-        scaler = engine.scaler
+        job = deploy_elastic(graph, LatencyConstraint(js, 0.030))
+        job.engine.run(90.0)
+        scaler = job.scaler
         assert scaler.skipped_inactive > 0
 
     def test_unresolvable_bottleneck_logged(self):
         profile = PiecewiseRate([(0.0, 1500.0)])
         graph, js = elastic_job(profile, p_init=2, p_max=3)
-        engine = elastic_engine(graph, LatencyConstraint(js, 0.030))
-        engine.run(40.0)
-        assert engine.scaler.unresolvable_log
+        job = deploy_elastic(graph, LatencyConstraint(js, 0.030))
+        job.engine.run(40.0)
+        assert job.scaler.unresolvable_log
 
     def test_scaling_events_have_applied_deltas(self):
         profile = PiecewiseRate([(0.0, 50.0), (20.0, 900.0)])
         graph, js = elastic_job(profile, p_init=2)
-        engine = elastic_engine(graph, LatencyConstraint(js, 0.030))
-        engine.run(60.0)
-        events = engine.scaler.events
+        job = deploy_elastic(graph, LatencyConstraint(js, 0.030))
+        job.engine.run(60.0)
+        events = job.scaler.events
         assert events
         assert any(
             any(delta > 0 for delta in event.applied.values()) for event in events
@@ -103,10 +102,10 @@ class TestReactiveScaling:
         graph, js = elastic_job(ConstantRate(50.0), p_init=8)
         config = EngineConfig.nephele_adaptive(elastic=False)
         engine = StreamProcessingEngine(config)
-        engine.submit(graph, [LatencyConstraint(js, 0.030)])
+        job = engine.submit(graph, [LatencyConstraint(js, 0.030)])
         engine.run(60.0)
-        assert engine.parallelism("Worker") == 8
-        assert engine.scaler is None
+        assert job.parallelism("Worker") == 8
+        assert job.scaler is None
 
 
 class TestDeterminism:
@@ -115,9 +114,9 @@ class TestDeterminism:
     def _run_fingerprint(self, seed=5, duration=70.0):
         profile = PiecewiseRate([(0.0, 100.0), (25.0, 900.0), (50.0, 200.0)])
         graph, js = elastic_job(profile, p_init=2)
-        engine = elastic_engine(graph, LatencyConstraint(js, 0.030), seed=seed)
+        job = deploy_elastic(graph, LatencyConstraint(js, 0.030), seed=seed)
         decisions = []
-        scaler = engine.scaler
+        scaler = job.scaler
         original = scaler.on_global_summary
 
         def recording(summary):
@@ -127,14 +126,14 @@ class TestDeterminism:
             return decision
 
         scaler.on_global_summary = recording
-        engine.run(duration)
+        job.engine.run(duration)
         return {
             "decisions": decisions,
-            "scaling_log": list(engine.scheduler.scaling_log),
+            "scaling_log": list(job.scheduler.scaling_log),
             "events": [repr(e) for e in scaler.events],
             "parallelism": {
                 name: rv.parallelism
-                for name, rv in engine.runtime.vertices.items()
+                for name, rv in job.runtime.vertices.items()
             },
         }
 

@@ -8,23 +8,23 @@ from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from conftest import make_linear_job, run_linear
 
 
-def sink_udfs(engine):
-    return [t.udf for t in engine.runtime.vertex("Sink").tasks]
+def sink_udfs(job):
+    return [t.udf for t in job.runtime.vertex("Sink").tasks]
 
 
-def total_consumed(engine):
-    return sum(u.consumed for u in sink_udfs(engine))
+def total_consumed(job):
+    return sum(u.consumed for u in sink_udfs(job))
 
 
 class TestThroughputConservation:
     def test_all_items_reach_sink(self):
-        engine = run_linear(duration=10.0, source_rate=200.0)
+        job = run_linear(duration=10.0, source_rate=200.0)
         emitted = sum(
-            t.items_processed for t in engine.runtime.vertex("Source").tasks
+            t.items_processed for t in job.runtime.vertex("Source").tasks
         )
-        sinks = sink_udfs(engine)  # capture before teardown removes tasks
-        engine.stop()  # flush remaining buffers
-        engine.run(1.0)
+        sinks = sink_udfs(job)  # capture before teardown removes tasks
+        job.engine.stop()  # flush remaining buffers
+        job.engine.run(1.0)
         consumed = sum(u.consumed for u in sinks)
         # stop() tears tasks down; anything still queued or in flight when
         # the run ends is lost, but the bulk must have arrived.
@@ -32,13 +32,13 @@ class TestThroughputConservation:
         assert consumed >= emitted - 50
 
     def test_effective_rate_matches_attempted_when_underloaded(self):
-        engine = run_linear(duration=10.0, source_rate=100.0, service_mean=0.001)
-        emitted = sum(t.items_processed for t in engine.runtime.vertex("Source").tasks)
+        job = run_linear(duration=10.0, source_rate=100.0, service_mean=0.001)
+        emitted = sum(t.items_processed for t in job.runtime.vertex("Source").tasks)
         assert emitted == pytest.approx(1000, rel=0.03)
 
     def test_workers_share_round_robin_load(self):
-        engine = run_linear(duration=10.0, source_rate=100.0, n_workers=4)
-        counts = [t.items_processed for t in engine.runtime.vertex("Worker").tasks]
+        job = run_linear(duration=10.0, source_rate=100.0, n_workers=4)
+        counts = [t.items_processed for t in job.runtime.vertex("Worker").tasks]
         assert max(counts) - min(counts) <= 2
 
 
@@ -50,8 +50,8 @@ class TestLatency:
             per_batch_overhead=0.0,
             per_item_overhead=0.0,
         )
-        engine = run_linear(config, duration=10.0, source_rate=50.0, service_mean=0.002)
-        samples = [latency for _, latency in engine.drain_sink_samples("Sink")]
+        job = run_linear(config, duration=10.0, source_rate=50.0, service_mean=0.002)
+        samples = [latency for _, latency in job.drain_sink_samples("Sink")]
         assert samples
         mean = sum(samples) / len(samples)
         # two hops of 0.5 ms network + 2 ms service (+ transfer + sink pickup)
@@ -72,8 +72,8 @@ class TestLatency:
 
     def test_adaptive_deadline_bounds_batch_wait(self):
         config = EngineConfig(batching=AdaptiveDeadlineBatching(initial_deadline=0.015))
-        engine = run_linear(config, duration=15.0, source_rate=50.0, service_mean=0.001)
-        samples = [latency for _, latency in engine.drain_sink_samples("Sink")]
+        job = run_linear(config, duration=15.0, source_rate=50.0, service_mean=0.001)
+        samples = [latency for _, latency in job.drain_sink_samples("Sink")]
         mean = sum(samples) / len(samples)
         # Two gates, each holding items at most 15 ms.
         assert mean < 2 * 0.015 + 0.005
@@ -87,14 +87,14 @@ class TestLatency:
         assert _mean_latency(high) > _mean_latency(low)
 
 
-def _mean_latency(engine):
-    samples = [latency for _, latency in engine.drain_sink_samples("Sink")]
+def _mean_latency(job):
+    samples = [latency for _, latency in job.drain_sink_samples("Sink")]
     assert samples, "no sink samples collected"
     return sum(samples) / len(samples)
 
 
 class TestBackpressure:
-    def overloaded_engine(self, duration=20.0):
+    def overloaded_job(self, duration=20.0):
         config = EngineConfig(queue_capacity=32, channel_capacity=8)
         return run_linear(
             config,
@@ -105,29 +105,29 @@ class TestBackpressure:
         )
 
     def test_source_throttled_to_service_capacity(self):
-        engine = self.overloaded_engine()
-        emitted = sum(t.items_processed for t in engine.runtime.vertex("Source").tasks)
+        job = self.overloaded_job()
+        emitted = sum(t.items_processed for t in job.runtime.vertex("Source").tasks)
         # capacity = 100 items/s on one worker; attempted was 500/s
         assert emitted < 0.35 * 500 * 20
 
     def test_queues_and_credits_bounded(self):
-        engine = self.overloaded_engine()
-        worker = engine.runtime.vertex("Worker").tasks[0]
+        job = self.overloaded_job()
+        worker = job.runtime.vertex("Worker").tasks[0]
         assert len(worker.input_queue) <= 32
         for channel in worker.in_channels:
             assert channel.outstanding <= 8
 
     def test_measured_utilization_saturates(self):
-        engine = self.overloaded_engine()
-        vs = engine.last_summary.vertex("Worker")
+        job = self.overloaded_job()
+        vs = job.last_summary.vertex("Worker")
         assert vs is not None
         assert vs.utilization > 0.9
 
     def test_no_items_lost_under_backpressure(self):
-        engine = self.overloaded_engine()
-        emitted = sum(t.items_emitted for t in engine.runtime.vertex("Source").tasks)
-        worker = engine.runtime.vertex("Worker").tasks[0]
-        in_buffers = sum(g.buffered_items for t in engine.runtime.vertex("Source").tasks for g in t.out_gates)
+        job = self.overloaded_job()
+        emitted = sum(t.items_emitted for t in job.runtime.vertex("Source").tasks)
+        worker = job.runtime.vertex("Worker").tasks[0]
+        in_buffers = sum(g.buffered_items for t in job.runtime.vertex("Source").tasks for g in t.out_gates)
         in_flight = sum(c.outstanding for c in worker.in_channels)
         queued = len(worker.input_queue)
         processed = worker.items_processed
@@ -138,41 +138,41 @@ class TestBackpressure:
 
 class TestMeasurementPipeline:
     def test_service_time_measured_accurately(self):
-        engine = run_linear(duration=15.0, source_rate=100.0, service_mean=0.004)
-        vs = engine.last_summary.vertex("Worker")
+        job = run_linear(duration=15.0, source_rate=100.0, service_mean=0.004)
+        vs = job.last_summary.vertex("Worker")
         assert vs.service_mean == pytest.approx(0.004, rel=0.15)
 
     def test_arrival_rate_measured_per_task(self):
-        engine = run_linear(duration=15.0, source_rate=100.0, n_workers=2)
-        vs = engine.last_summary.vertex("Worker")
+        job = run_linear(duration=15.0, source_rate=100.0, n_workers=2)
+        vs = job.last_summary.vertex("Worker")
         assert vs.arrival_rate == pytest.approx(50.0, rel=0.15)
 
     def test_utilization_is_lambda_times_service(self):
-        engine = run_linear(duration=15.0, source_rate=100.0, service_mean=0.004, n_workers=2)
-        vs = engine.last_summary.vertex("Worker")
+        job = run_linear(duration=15.0, source_rate=100.0, service_mean=0.004, n_workers=2)
+        vs = job.last_summary.vertex("Worker")
         assert vs.utilization == pytest.approx(50 * 0.004, rel=0.2)
 
     def test_channel_latency_at_least_obl(self):
         config = EngineConfig(batching=AdaptiveDeadlineBatching(initial_deadline=0.01))
-        engine = run_linear(config, duration=15.0, source_rate=100.0)
-        es = engine.last_summary.edge("Source->Worker")
+        job = run_linear(config, duration=15.0, source_rate=100.0)
+        es = job.last_summary.edge("Source->Worker")
         assert es.channel_latency >= es.output_batch_latency
 
     def test_edge_summaries_cover_all_edges(self):
-        engine = run_linear(duration=12.0)
-        assert set(engine.last_summary.edges) == {"Source->Worker", "Worker->Sink"}
+        job = run_linear(duration=12.0)
+        assert set(job.last_summary.edges) == {"Source->Worker", "Worker->Sink"}
 
     def test_summary_history_grows_per_adjustment_interval(self):
-        engine = run_linear(duration=21.0)
+        job = run_linear(duration=21.0)
         # adjustment interval 5 s -> summaries at 5, 10, 15, 20
-        assert len(engine.summary_history) == 4
+        assert len(job.summary_history) == 4
 
 
 class TestDeterminism:
     def test_same_seed_same_event_count(self):
         a = run_linear(EngineConfig(seed=3), duration=10.0, service_cv=0.5, jitter="exponential")
         b = run_linear(EngineConfig(seed=3), duration=10.0, service_cv=0.5, jitter="exponential")
-        assert a.sim.fired_events == b.sim.fired_events
+        assert a.engine.sim.fired_events == b.engine.sim.fired_events
         assert total_consumed(a) == total_consumed(b)
 
     def test_different_seed_differs(self):
@@ -197,8 +197,7 @@ class TestEngineLifecycle:
         for job in (job_a, job_b):
             sinks = [t.udf for t in job.runtime.vertex("Sink").tasks]
             assert sum(u.consumed for u in sinks) > 0
-        # convenience accessors address the first job
-        assert engine.runtime is job_a.runtime
+        assert engine.jobs == [job_a, job_b]
         # both jobs' tasks occupy slots in the shared pool
         assert engine.resources.active_tasks == 8
 
@@ -224,20 +223,20 @@ class TestEngineLifecycle:
         assert engine.resources.active_tasks == 4  # only job_b's tasks
 
     def test_stop_releases_all_slots(self):
-        engine = run_linear(duration=5.0)
-        engine.stop()
-        assert engine.resources.active_tasks == 0
+        job = run_linear(duration=5.0)
+        job.engine.stop()
+        assert job.engine.resources.active_tasks == 0
 
     def test_parallelism_accessor(self):
-        engine = run_linear(duration=2.0, n_workers=3)
-        assert engine.parallelism("Worker") == 3
+        job = run_linear(duration=2.0, n_workers=3)
+        assert job.parallelism("Worker") == 3
 
     def test_tracker_for_unknown_constraint_raises(self):
-        engine = run_linear(duration=2.0)
+        job = run_linear(duration=2.0)
         from repro.core.constraints import LatencyConstraint
         from repro.graphs.sequences import JobSequence
 
         other = make_linear_job()
         js = JobSequence.from_names(other, ["Worker"])
         with pytest.raises(KeyError):
-            engine.tracker_for(LatencyConstraint(js, 0.1))
+            job.engine.tracker_for(LatencyConstraint(js, 0.1))

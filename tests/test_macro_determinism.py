@@ -9,8 +9,10 @@ any change to the source→channel→task event ordering, block-sampled RNG
 stream consumption or deferred reporter statistics shows up as a diff.
 
 On top of the golden replay and the double-run check, the scenario is
-replayed with ``vectorized_sampling=False`` — the scalar engine must
-export the same bytes, proving vectorization only changes speed.
+replayed with ``make_service_sampler`` patched to return ``None`` (the
+opt-out a UDF overriding ``service_time`` takes), so every task draws
+per item through the scalar ``service_time`` call — the reference the
+block-drawn path must match byte for byte.
 
 Intentional behavior changes must regenerate the goldens via
 ``PYTHONPATH=src python tests/golden_macro_scenario.py --write`` and say
@@ -25,6 +27,9 @@ import os
 import pytest
 
 from golden_macro_scenario import GOLDEN_DIR, GOLDEN_FILES, run_scenario
+
+from repro.engine.udf import UDF
+from repro.workloads.twitter_job import TopicFilterUDF
 
 
 def _read_bytes(path: str) -> bytes:
@@ -86,16 +91,32 @@ class TestMacroGoldenByteIdentity:
         assert len(manifest["constraints"]) == 2
 
 
+@pytest.fixture(scope="module")
+def scalar_export(tmp_path_factory):
+    """One replay with every block sampler off (scalar reference path)."""
+    export_dir = str(tmp_path_factory.mktemp("macro_scalar_replay"))
+    opted_out = []
+
+    def no_sampler(self, rng, block_size=None):
+        opted_out.append(type(self).__name__)
+        return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(UDF, "make_service_sampler", no_sampler)
+        patch.setattr(TopicFilterUDF, "make_service_sampler", no_sampler)
+        run_scenario(export_dir)
+    assert "TopicFilterUDF" in opted_out and len(set(opted_out)) > 1
+    return export_dir
+
+
 class TestMacroVectorizationIdentity:
     @pytest.mark.parametrize("name", GOLDEN_FILES)
-    def test_scalar_engine_exports_the_same_bytes(self, fresh_export, tmp_path, name):
-        """vectorized_sampling=False replays to identical artifacts."""
-        scalar = str(tmp_path / "scalar")
-        run_scenario(scalar, vectorized=False)
+    def test_scalar_engine_exports_the_same_bytes(self, fresh_export, scalar_export, name):
+        """Per-item ``service_time`` draws replay to identical artifacts."""
         a = _read_bytes(os.path.join(fresh_export, name))
-        b = _read_bytes(os.path.join(scalar, name))
+        b = _read_bytes(os.path.join(scalar_export, name))
         assert a == b, (
-            f"{name} differs between vectorized and scalar engines "
+            f"{name} differs between block-drawn and scalar service times "
             f"({_first_diff_line(a, b)})"
         )
 

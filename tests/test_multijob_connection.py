@@ -75,22 +75,60 @@ class TestMultiJob:
         assert job_hot.parallelism("Worker") >= 4  # 800/s x 4 ms = 3.2 busy
         assert job_cold.parallelism("Worker") <= 2  # shrunk to near-minimum
 
-    def test_accessors_before_submit(self):
+    def _two_jobs(self):
+        engine = StreamProcessingEngine(EngineConfig(seed=2))
+        graphs = [make_linear_job(source_rate=100.0), make_linear_job(source_rate=40.0)]
+        graphs[0].name, graphs[1].name = "alpha", "beta"
+        return engine, [engine.submit(graph) for graph in graphs]
+
+    def test_observers_refuse_to_guess_a_job_on_a_shared_engine(self, tmp_path):
+        """``export_run``/``Dashboard``/``SeriesRecorder`` name the jobs
+        instead of silently answering with the first one."""
+        from repro.experiments.dashboard import Dashboard
+        from repro.experiments.recording import SeriesRecorder
+
+        engine, _ = self._two_jobs()
+        with pytest.raises(ValueError, match="'alpha', 'beta'"):
+            engine.export_run(str(tmp_path))
+        with pytest.raises(ValueError, match="'alpha', 'beta'"):
+            Dashboard(engine).render()
+        SeriesRecorder(engine, interval=5.0)
+        with pytest.raises(ValueError, match="'alpha', 'beta'"):
+            engine.run(6.0)  # the recorder's first sample
+
+    def test_observers_work_once_given_the_job(self, tmp_path):
+        from repro.experiments.dashboard import Dashboard
+        from repro.experiments.recording import SeriesRecorder
+        from repro.obs.manifest import MANIFEST_FILE
+
+        engine, (_, beta) = self._two_jobs()
+        recorder = SeriesRecorder(engine, interval=5.0, source_vertex="Source")
+        recorder.add_sink_feed("e2e", "Sink")
+        recorder.job = beta
+        engine.run(11.0)
+        # beta's source runs at 40/s, alpha's at 100/s
+        assert [row.effective_rate for row in recorder.rows] == pytest.approx(
+            [40.0, 40.0], rel=0.1
+        )
+        assert all(row.latency_mean["e2e"] is not None for row in recorder.rows)
+        assert "Worker" in Dashboard(engine, recorder, job=beta).render()
+        paths = engine.export_run(str(tmp_path), job=beta)
+        assert paths["manifest"].endswith(MANIFEST_FILE)
+
+    def test_accessors_before_submit(self, tmp_path):
         engine = StreamProcessingEngine(EngineConfig())
-        assert engine.runtime is None
-        assert engine.trackers == []
-        assert engine.drain_sink_samples("Sink") == []
-        with pytest.raises(RuntimeError):
-            engine.parallelism("Worker")
+        assert engine.jobs == []
+        with pytest.raises(RuntimeError, match="no job submitted"):
+            engine.export_run(str(tmp_path))
 
 
 class TestConnectionSetup:
     def test_first_transfer_pays_setup(self):
         config = EngineConfig(connection_setup=0.050, base_latency=0.0005)
         engine = StreamProcessingEngine(config)
-        engine.submit(make_linear_job(source_rate=50.0, service_mean=0.0))
+        job = engine.submit(make_linear_job(source_rate=50.0, service_mean=0.0))
         engine.run(10.0)
-        samples = sorted(engine.drain_sink_samples("Sink"))
+        samples = sorted(job.drain_sink_samples("Sink"))
         assert samples
         # The very first items ride first transfers: >= 50 ms e2e; later
         # items use established connections and are far faster.

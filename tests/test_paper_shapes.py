@@ -35,9 +35,9 @@ def saturating_job(rate, n_workers=4, service_mean=0.0025):
 
 def effective_rate(config, rate, duration=25.0):
     engine = StreamProcessingEngine(config)
-    engine.submit(saturating_job(rate))
+    job = engine.submit(saturating_job(rate))
     engine.run(duration)
-    emitted = sum(t.items_processed for t in engine.runtime.vertex("Src").tasks)
+    emitted = sum(t.items_processed for t in job.runtime.vertex("Src").tasks)
     return emitted / duration
 
 
@@ -72,7 +72,7 @@ class TestSection3Motivation:
         assert batched == pytest.approx(light, rel=0.1)
 
 
-def elastic_engine_with(profile, bound, seed=7, p_max=32):
+def elastic_job_with(profile, bound, seed=7, p_max=32):
     graph = JobGraph("shape-elastic")
     src = graph.add_vertex("Src", lambda: SourceUDF(lambda now, rng: 0))
     worker = graph.add_vertex(
@@ -88,8 +88,7 @@ def elastic_engine_with(profile, bound, seed=7, p_max=32):
     engine = StreamProcessingEngine(
         EngineConfig.nephele_adaptive(elastic=True, seed=seed, **OVERHEADS)
     )
-    engine.submit(graph, [constraint])
-    return engine, constraint
+    return engine.submit(graph, [constraint]), constraint
 
 
 class TestSection5Dynamics:
@@ -97,9 +96,9 @@ class TestSection5Dynamics:
 
     def test_rate_jump_causes_transient_violation_then_recovery(self):
         profile = PiecewiseRate([(0.0, 100.0), (60.0, 1500.0)])
-        engine, constraint = elastic_engine_with(profile, bound=0.030)
-        engine.run(180.0)
-        history = engine.tracker_for(constraint).history
+        job, constraint = elastic_job_with(profile, bound=0.030)
+        job.engine.run(180.0)
+        history = job.tracker_for(constraint).history
         jump_window = [v for t, _, v in history if 60.0 <= t <= 85.0]
         tail_window = [v for t, _, v in history if t >= 140.0]
         assert any(jump_window), "the reactive policy cannot avoid the jump violation"
@@ -110,23 +109,23 @@ class TestSection5Dynamics:
         """During light load the scaler shrinks parallelism — the paper's
         explanation for why the first increment hits so hard."""
         profile = PiecewiseRate([(0.0, 80.0)])
-        engine, _ = elastic_engine_with(profile, bound=0.030)
-        engine.run(60.0)
-        assert engine.parallelism("W") <= 2
+        job, _ = elastic_job_with(profile, bound=0.030)
+        job.engine.run(60.0)
+        assert job.parallelism("W") <= 2
 
     def test_higher_bound_costs_fewer_elastic_task_seconds(self):
         """The task-hour table's direction (paper: 46.4 .. 37.6)."""
         profile_segments = [(0.0, 200.0), (30.0, 1000.0), (60.0, 200.0)]
 
         def elastic_task_seconds(bound):
-            engine, _ = elastic_engine_with(
+            job, _ = elastic_job_with(
                 PiecewiseRate(list(profile_segments)), bound=bound
             )
             total = 0.0
             last = 0.0
             for _ in range(18):
-                engine.run(5.0)
-                total += engine.parallelism("W") * 5.0
+                job.engine.run(5.0)
+                total += job.parallelism("W") * 5.0
             return total
 
         tight = elastic_task_seconds(0.020)
@@ -136,11 +135,11 @@ class TestSection5Dynamics:
     def test_overprovisioning_after_burst_corrected(self):
         """Paper: over-scaling is corrected by subsequent scale-downs."""
         profile = PiecewiseRate([(0.0, 200.0), (30.0, 1500.0), (60.0, 200.0)])
-        engine, _ = elastic_engine_with(profile, bound=0.030)
-        engine.run(55.0)
-        peak_p = engine.parallelism("W")
-        engine.run(80.0)
-        settled_p = engine.parallelism("W")
+        job, _ = elastic_job_with(profile, bound=0.030)
+        job.engine.run(55.0)
+        peak_p = job.parallelism("W")
+        job.engine.run(80.0)
+        settled_p = job.parallelism("W")
         assert peak_p >= 5
         assert settled_p < peak_p
 
@@ -173,10 +172,10 @@ class TestOverlappingConstraints:
         engine = StreamProcessingEngine(
             EngineConfig.nephele_adaptive(elastic=True, seed=9, **OVERHEADS)
         )
-        engine.submit(graph, [loose, tight])
+        job = engine.submit(graph, [loose, tight])
         engine.run(90.0)
         # The tight constraint needs Shared well above the loose one's
         # choice; the merged decision must satisfy both trackers mostly.
         assert engine.tracker_for(tight).fulfillment_ratio > 0.6
         assert engine.tracker_for(loose).fulfillment_ratio > 0.8
-        assert engine.parallelism("Shared") >= 3  # 600/s x 4 ms = 2.4 busy
+        assert job.parallelism("Shared") >= 3  # 600/s x 4 ms = 2.4 busy

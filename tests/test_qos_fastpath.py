@@ -161,8 +161,8 @@ class TestInOrderSums:
 
     def test_window_output_creation_time_adds_in_order(self, monkeypatch):
         engine = StreamProcessingEngine(EngineConfig(seed=2))
-        engine.submit(_two_mode_job())
-        (task,) = engine.runtime.vertex("Win").tasks
+        job = engine.submit(_two_mode_job())
+        (task,) = job.runtime.vertex("Win").tasks
         routed = []
         monkeypatch.setattr(
             RuntimeTask,
@@ -372,10 +372,10 @@ def _two_mode_job(window_udf=WindowedAggregateUDF):
 class TestLatencyModes:
     def test_read_ready_reuses_the_service_snapshot_read_write_does_not(self):
         engine = StreamProcessingEngine(EngineConfig(seed=2))
-        engine.submit(_two_mode_job())
+        job = engine.submit(_two_mode_job())
         engine.run(0.95)  # just short of the first measurement tick
-        (map_task,) = engine.runtime.vertex("Map").tasks
-        (win_task,) = engine.runtime.vertex("Win").tasks
+        (map_task,) = job.runtime.vertex("Map").tasks
+        (win_task,) = job.runtime.vertex("Win").tasks
 
         assert map_task.reporter.read_ready
         measurement = map_task.reporter.flush(0.95)
@@ -393,9 +393,9 @@ class TestLatencyModes:
 
     def test_latency_mode_alone_picks_the_stream_even_on_a_windowed_udf(self):
         engine = StreamProcessingEngine(EngineConfig(seed=2))
-        engine.submit(_two_mode_job(_ReadReadyWindow))
+        job = engine.submit(_two_mode_job(_ReadReadyWindow))
         engine.run(0.95)  # four window flushes in, none may touch the reporter
-        (win_task,) = engine.runtime.vertex("Win").tasks
+        (win_task,) = job.runtime.vertex("Win").tasks
         assert win_task.reporter.read_ready
         measurement = win_task.reporter.flush(0.95)
         assert measurement.service_time.count == win_task.items_processed > 0

@@ -41,8 +41,8 @@ class TestEngineConfigPresets:
     def test_overrides_reach_engine(self):
         config = EngineConfig.nephele_adaptive(queue_capacity=42)
         engine = StreamProcessingEngine(config)
-        engine.submit(make_linear_job())
-        worker = engine.runtime.vertex("Worker").tasks[0]
+        job = engine.submit(make_linear_job())
+        worker = job.runtime.vertex("Worker").tasks[0]
         assert worker.input_queue.capacity == 42
 
     def test_paper_defaults(self):
@@ -81,8 +81,8 @@ class TestRuntimeGraph:
         assert [rv.next_subtask_index() for _ in range(3)] == [0, 1, 2]
 
     def test_live_engine_registry_consistent(self):
-        engine = run_linear(duration=3.0, n_workers=3)
-        runtime = engine.runtime
+        job = run_linear(duration=3.0, n_workers=3)
+        runtime = job.runtime
         assert runtime.total_parallelism() == 5
         assert len(runtime.all_tasks()) == 5
         assert len(runtime.channels_of_edge("Source->Worker")) == 3

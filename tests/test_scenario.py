@@ -380,3 +380,37 @@ class TestOneBuilder:
 
     def test_cli_and_sweep_assemble_no_pipelines(self):
         assert _containing(_sources("cli.py", "sweep/*.py"), "PipelineBuilder(") == []
+
+
+#: what StreamProcessingEngine used to answer on behalf of its first job
+REMOVED_ENGINE_NAMES = (
+    "runtime", "scheduler", "scaler", "fault_injector", "reconciler",
+    "state_manager", "constraints", "trackers", "last_summary",
+    "summary_history", "_managers", "parallelism", "drain_sink_samples",
+    "check_assumptions",
+)
+
+
+class TestJobIsTheHandle:
+    """Per-job state is reached through ``DeployedJob`` and nowhere else."""
+
+    def test_engine_exposes_no_per_job_name(self):
+        engine, (job,), _ = build(ScenarioSpec(seed=1, rate=100.0, bound=0.03))
+        for name in REMOVED_ENGINE_NAMES:
+            assert not hasattr(engine, name), name
+            assert hasattr(job, name), name
+
+    def test_block_drawn_service_times_have_no_switch(self):
+        import dataclasses
+        import inspect
+
+        from repro.engine.engine import EngineConfig
+        from repro.engine.scheduler import Scheduler
+        from repro.engine.task import RuntimeTask
+
+        fields = [f.name for f in dataclasses.fields(EngineConfig)]
+        assert "vectorized_sampling" not in fields
+        assert len(fields) == 33
+        for cls in (Scheduler, RuntimeTask):
+            assert "vectorized" not in inspect.signature(cls.__init__).parameters
+            assert not hasattr(cls, "vectorized")

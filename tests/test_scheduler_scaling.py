@@ -18,156 +18,155 @@ def deploy(worker_min=1, worker_max=16, n_workers=2, source_rate=100.0, config=N
         worker_min=worker_min,
         worker_max=worker_max,
     )
-    engine.submit(graph)
-    return engine
+    return engine.submit(graph)
 
 
 class TestDeployment:
     def test_initial_parallelism(self):
-        engine = deploy(n_workers=3)
-        assert engine.parallelism("Worker") == 3
-        assert engine.parallelism("Source") == 1
+        job = deploy(n_workers=3)
+        assert job.parallelism("Worker") == 3
+        assert job.parallelism("Source") == 1
 
     def test_full_mesh_channels(self):
-        engine = deploy(n_workers=3)
-        channels = engine.runtime.channels_of_edge("Source->Worker")
+        job = deploy(n_workers=3)
+        channels = job.runtime.channels_of_edge("Source->Worker")
         assert len(channels) == 3  # 1 source x 3 workers
-        channels = engine.runtime.channels_of_edge("Worker->Sink")
+        channels = job.runtime.channels_of_edge("Worker->Sink")
         assert len(channels) == 3  # 3 workers x 1 sink
 
     def test_gates_wired_per_out_edge(self):
-        engine = deploy(n_workers=2)
-        source_task = engine.runtime.vertex("Source").tasks[0]
+        job = deploy(n_workers=2)
+        source_task = job.runtime.vertex("Source").tasks[0]
         assert len(source_task.out_gates) == 1
         assert len(source_task.out_gates[0].channels) == 2
 
     def test_reporters_attached(self):
-        engine = deploy()
-        for task in engine.runtime.all_tasks():
+        job = deploy()
+        for task in job.runtime.all_tasks():
             assert task.reporter is not None
-        for channel in engine.runtime.channels_of_edge("Source->Worker"):
+        for channel in job.runtime.channels_of_edge("Source->Worker"):
             assert channel.reporter is not None
 
     def test_tasks_occupy_slots(self):
-        engine = deploy(n_workers=3)
-        assert engine.resources.active_tasks == 5  # 1 + 3 + 1
+        job = deploy(n_workers=3)
+        assert job.engine.resources.active_tasks == 5  # 1 + 3 + 1
 
 
 class TestScaleUp:
     def test_scale_up_after_startup_delay(self):
-        engine = deploy()
-        engine.run(2.0)
-        engine.scheduler.scale_up("Worker", 2)
-        assert engine.parallelism("Worker") == 2  # not yet materialized
-        assert engine.runtime.vertex("Worker").pending_additions == 2
-        engine.run(engine.config.startup_delay + 0.1)
-        assert engine.parallelism("Worker") == 4
-        assert engine.runtime.vertex("Worker").pending_additions == 0
+        job = deploy()
+        job.engine.run(2.0)
+        job.scheduler.scale_up("Worker", 2)
+        assert job.parallelism("Worker") == 2  # not yet materialized
+        assert job.runtime.vertex("Worker").pending_additions == 2
+        job.engine.run(job.engine.config.startup_delay + 0.1)
+        assert job.parallelism("Worker") == 4
+        assert job.runtime.vertex("Worker").pending_additions == 0
 
     def test_new_tasks_receive_items(self):
-        engine = deploy(source_rate=200.0)
-        engine.run(2.0)
-        engine.scheduler.scale_up("Worker", 2)
-        engine.run(10.0)
-        new_tasks = engine.runtime.vertex("Worker").tasks[-2:]
+        job = deploy(source_rate=200.0)
+        job.engine.run(2.0)
+        job.scheduler.scale_up("Worker", 2)
+        job.engine.run(10.0)
+        new_tasks = job.runtime.vertex("Worker").tasks[-2:]
         assert all(t.items_processed > 0 for t in new_tasks)
 
     def test_upstream_partitioners_resized(self):
-        engine = deploy()
-        engine.run(1.0)
-        engine.scheduler.scale_up("Worker", 3)
-        engine.run(2.0)
-        source_task = engine.runtime.vertex("Source").tasks[0]
+        job = deploy()
+        job.engine.run(1.0)
+        job.scheduler.scale_up("Worker", 3)
+        job.engine.run(2.0)
+        source_task = job.runtime.vertex("Source").tasks[0]
         gate = source_task.out_gates[0]
         assert len(gate.channels) == 5
         assert gate.partitioner.fanout == 5
 
     def test_new_tasks_wired_downstream(self):
-        engine = deploy()
-        engine.run(1.0)
-        engine.scheduler.scale_up("Worker", 1)
-        engine.run(2.0)
-        new_task = engine.runtime.vertex("Worker").tasks[-1]
+        job = deploy()
+        job.engine.run(1.0)
+        job.scheduler.scale_up("Worker", 1)
+        job.engine.run(2.0)
+        new_task = job.runtime.vertex("Worker").tasks[-1]
         assert len(new_task.out_gates[0].channels) == 1  # to the sink
 
     def test_set_parallelism_idempotent_with_pending(self):
-        engine = deploy()
-        engine.run(1.0)
-        result = engine.scheduler.set_parallelism("Worker", 5)
+        job = deploy()
+        job.engine.run(1.0)
+        result = job.scheduler.set_parallelism("Worker", 5)
         assert (result.requested, result.applied) == (3, 3)
         # pending additions count towards target: no double scale-up
-        assert engine.scheduler.set_parallelism("Worker", 5)[:2] == (0, 0)
+        assert job.scheduler.set_parallelism("Worker", 5)[:2] == (0, 0)
 
     def test_scale_up_clamped_to_max(self):
-        engine = deploy(worker_max=4)
-        engine.run(1.0)
-        engine.scheduler.set_parallelism("Worker", 99)
-        engine.run(2.0)
-        assert engine.parallelism("Worker") == 4
+        job = deploy(worker_max=4)
+        job.engine.run(1.0)
+        job.scheduler.set_parallelism("Worker", 99)
+        job.engine.run(2.0)
+        assert job.parallelism("Worker") == 4
 
     def test_scaling_log_records(self):
-        engine = deploy()
-        engine.run(1.0)
-        engine.scheduler.scale_up("Worker", 1)
-        engine.run(2.0)
-        assert any(entry[1] == "Worker" for entry in engine.scheduler.scaling_log)
+        job = deploy()
+        job.engine.run(1.0)
+        job.scheduler.scale_up("Worker", 1)
+        job.engine.run(2.0)
+        assert any(entry[1] == "Worker" for entry in job.scheduler.scaling_log)
 
 
 class TestScaleDown:
     def test_scale_down_drains_and_removes(self):
-        engine = deploy(n_workers=4, source_rate=100.0)
-        engine.run(3.0)
-        engine.scheduler.scale_down("Worker", 2)
-        engine.run(3.0)
-        assert engine.parallelism("Worker") == 2
-        assert len(engine.runtime.vertex("Worker").tasks) == 2
+        job = deploy(n_workers=4, source_rate=100.0)
+        job.engine.run(3.0)
+        job.scheduler.scale_down("Worker", 2)
+        job.engine.run(3.0)
+        assert job.parallelism("Worker") == 2
+        assert len(job.runtime.vertex("Worker").tasks) == 2
 
     def test_victims_release_slots(self):
-        engine = deploy(n_workers=4)
-        engine.run(2.0)
-        before = engine.resources.active_tasks
-        engine.scheduler.scale_down("Worker", 2)
-        engine.run(3.0)
-        assert engine.resources.active_tasks == before - 2
+        job = deploy(n_workers=4)
+        job.engine.run(2.0)
+        before = job.engine.resources.active_tasks
+        job.scheduler.scale_down("Worker", 2)
+        job.engine.run(3.0)
+        assert job.engine.resources.active_tasks == before - 2
 
     def test_no_items_lost_on_scale_down(self):
-        engine = deploy(n_workers=4, source_rate=200.0)
-        engine.run(5.0)
-        engine.scheduler.scale_down("Worker", 3)
-        engine.run(10.0)
-        emitted = sum(t.items_processed for t in engine.runtime.vertex("Source").tasks)
-        consumed = sum(u.consumed for u in (t.udf for t in engine.runtime.vertex("Sink").tasks))
+        job = deploy(n_workers=4, source_rate=200.0)
+        job.engine.run(5.0)
+        job.scheduler.scale_down("Worker", 3)
+        job.engine.run(10.0)
+        emitted = sum(t.items_processed for t in job.runtime.vertex("Source").tasks)
+        consumed = sum(u.consumed for u in (t.udf for t in job.runtime.vertex("Sink").tasks))
         # everything emitted long before the end must get through
         assert consumed >= emitted - 60
 
     def test_never_drains_last_task(self):
-        engine = deploy(n_workers=2, worker_min=1)
-        engine.run(1.0)
-        engine.scheduler.scale_down("Worker", 99)
-        engine.run(2.0)
-        assert engine.parallelism("Worker") == 1
+        job = deploy(n_workers=2, worker_min=1)
+        job.engine.run(1.0)
+        job.scheduler.scale_down("Worker", 99)
+        job.engine.run(2.0)
+        assert job.parallelism("Worker") == 1
 
     def test_set_parallelism_respects_min(self):
-        engine = deploy(n_workers=4, worker_min=2)
-        engine.run(1.0)
-        engine.scheduler.set_parallelism("Worker", 1)
-        engine.run(2.0)
-        assert engine.parallelism("Worker") == 2
+        job = deploy(n_workers=4, worker_min=2)
+        job.engine.run(1.0)
+        job.scheduler.set_parallelism("Worker", 1)
+        job.engine.run(2.0)
+        assert job.parallelism("Worker") == 2
 
     def test_draining_task_excluded_from_parallelism(self):
         config = EngineConfig(queue_capacity=64)
-        engine = deploy(n_workers=4, source_rate=400.0, config=config)
-        engine.run(3.0)
-        engine.scheduler.scale_down("Worker", 2)
+        job = deploy(n_workers=4, source_rate=400.0, config=config)
+        job.engine.run(3.0)
+        job.scheduler.scale_down("Worker", 2)
         # immediately after, victims may still be draining
-        assert engine.parallelism("Worker") == 2
+        assert job.parallelism("Worker") == 2
 
     def test_victim_channels_closed_after_drain(self):
-        engine = deploy(n_workers=3)
-        engine.run(2.0)
-        victim = engine.runtime.vertex("Worker").tasks[-1]
-        engine.scheduler.scale_down("Worker", 1)
-        engine.run(3.0)
+        job = deploy(n_workers=3)
+        job.engine.run(2.0)
+        victim = job.runtime.vertex("Worker").tasks[-1]
+        job.scheduler.scale_down("Worker", 1)
+        job.engine.run(3.0)
         assert victim.state == "stopped"
         assert all(c.closed for c in victim.in_channels)
 

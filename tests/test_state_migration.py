@@ -263,7 +263,7 @@ class TestCheckpointRestore:
     def test_stateless_runs_never_touch_the_state_machinery(self):
         engine, job = run_stateful(stateful=False)
         assert job.state_manager is None
-        assert engine.reconciler.state_manager is None
+        assert job.reconciler.state_manager is None
 
 
 class TestMigrationLifecycle:
@@ -276,7 +276,7 @@ class TestMigrationLifecycle:
         assert manager.migrations_completed >= 1
         assert manager.state_migrated_bytes > 0
         assert manager.migration_pause_s > 0
-        assert engine.reconciler.migrations_applied >= 1
+        assert job.reconciler.migrations_applied >= 1
 
     def test_fault_window_rolls_back_without_state_loss(self):
         engine, job = run_stateful(
@@ -288,7 +288,7 @@ class TestMigrationLifecycle:
         )
         manager = job.state_manager
         assert manager.migrations_rolled_back >= 1
-        assert engine.reconciler.migrations_rolled_back >= 1
+        assert job.reconciler.migrations_rolled_back >= 1
         # rollback is lossless: only crashes lose bytes, and none ran
         assert manager.state_lost_bytes == 0
         assert manager.crash_recoveries == 0

@@ -21,15 +21,15 @@ from repro.workloads.rates import ConstantRate
 from conftest import make_linear_job
 
 
-def accounted_items(engine, source_vertex="Source"):
+def accounted_items(job, source_vertex="Source"):
     """(emitted, accounted-for) item counts across the whole graph."""
-    emitted = sum(t.items_emitted for t in engine.runtime.vertex(source_vertex).tasks)
+    emitted = sum(t.items_emitted for t in job.runtime.vertex(source_vertex).tasks)
     consumed = 0
     queued = 0
     in_flight = 0
     buffered = 0
     busy = 0
-    for task in engine.runtime.all_tasks():
+    for task in job.runtime.all_tasks():
         if not task.out_gates:  # sink
             consumed += task.items_processed
         queued += len(task.input_queue)
@@ -48,22 +48,22 @@ class TestScalingStorm:
             source_rate=300.0, service_mean=0.004, n_workers=4,
             worker_min=1, worker_max=24,
         )
-        engine.submit(graph)
+        job = engine.submit(graph)
         rng = random.Random(seed)
         for _ in range(steps):
             engine.run(1.0)
             target = rng.randint(1, 24)
-            engine.scheduler.set_parallelism("Worker", target)
+            job.scheduler.set_parallelism("Worker", target)
         engine.run(10.0)  # let everything settle and drain
-        return engine
+        return job
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_storm_conserves_items_and_terminates(self, seed):
-        engine = self.run_storm(seed)
-        sinks = [t.udf for t in engine.runtime.vertex("Sink").tasks]
+        job = self.run_storm(seed)
+        sinks = [t.udf for t in job.runtime.vertex("Sink").tasks]
         consumed = sum(u.consumed for u in sinks)
         emitted = sum(
-            t.items_processed for t in engine.runtime.vertex("Source").tasks
+            t.items_processed for t in job.runtime.vertex("Source").tasks
         )
         # Residual items may sit in queues/buffers; nothing may vanish
         # beyond that, and throughput must not collapse.
@@ -72,16 +72,16 @@ class TestScalingStorm:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_storm_leaves_consistent_slot_accounting(self, seed):
-        engine = self.run_storm(seed)
-        live = [t for t in engine.runtime.all_tasks() if t.state != "stopped"]
-        assert engine.resources.active_tasks == len(live)
-        engine.stop()
-        assert engine.resources.active_tasks == 0
+        job = self.run_storm(seed)
+        live = [t for t in job.runtime.all_tasks() if t.state != "stopped"]
+        assert job.engine.resources.active_tasks == len(live)
+        job.engine.stop()
+        assert job.engine.resources.active_tasks == 0
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_storm_respects_bounds(self, seed):
-        engine = self.run_storm(seed)
-        assert 1 <= engine.parallelism("Worker") <= 24
+        job = self.run_storm(seed)
+        assert 1 <= job.parallelism("Worker") <= 24
 
 
 class TestDeepOverloadRecovery:
@@ -99,23 +99,23 @@ class TestDeepOverloadRecovery:
         src.rate_profile = PiecewiseRate([(0.0, 2000.0), (30.0, 10.0)])
         config = EngineConfig(queue_capacity=16, channel_capacity=4, seed=9)
         engine = StreamProcessingEngine(config)
-        engine.submit(graph)
+        job = engine.submit(graph)
         engine.run(60.0)
         # After the overload the pipeline keeps flowing at the light rate.
-        vs = engine.last_summary.vertex("W")
+        vs = job.last_summary.vertex("W")
         assert vs is not None
         assert vs.utilization < 0.8
-        emitted = sum(t.items_processed for t in engine.runtime.vertex("Src").tasks)
-        sink_task = engine.runtime.vertex("Snk").tasks[0]
+        emitted = sum(t.items_processed for t in job.runtime.vertex("Src").tasks)
+        sink_task = job.runtime.vertex("Snk").tasks[0]
         assert sink_task.udf.consumed >= emitted - 100
 
     def test_tiny_buffers_never_deadlock(self):
         config = EngineConfig(queue_capacity=1, channel_capacity=1, seed=4)
         engine = StreamProcessingEngine(config)
         graph = make_linear_job(source_rate=200.0, service_mean=0.002, n_workers=2)
-        engine.submit(graph)
+        job = engine.submit(graph)
         engine.run(20.0)
-        sinks = [t.udf for t in engine.runtime.vertex("Sink").tasks]
+        sinks = [t.udf for t in job.runtime.vertex("Sink").tasks]
         assert sum(u.consumed for u in sinks) > 1000
 
 
@@ -151,9 +151,9 @@ class TestRandomTopologies:
             graph.connect(vertex, sink)
         src.rate_profile = ConstantRate(100.0, jitter="deterministic")
         engine = StreamProcessingEngine(EngineConfig(seed=seed))
-        engine.submit(graph)
+        job = engine.submit(graph)
         engine.run(5.0)
-        sink_tasks = engine.runtime.vertex("Snk").tasks
+        sink_tasks = job.runtime.vertex("Snk").tasks
         assert sum(t.items_processed for t in sink_tasks) > 0
 
 
@@ -162,11 +162,11 @@ class TestConservationInvariant:
     def test_every_emitted_item_is_somewhere(self, rate, workers):
         engine = StreamProcessingEngine(EngineConfig(seed=8))
         graph = make_linear_job(source_rate=rate, service_mean=0.004, n_workers=workers)
-        engine.submit(graph)
+        job = engine.submit(graph)
         engine.run(12.0)
-        emitted, consumed, queued, in_flight, buffered, busy = accounted_items(engine)
+        emitted, consumed, queued, in_flight, buffered, busy = accounted_items(job)
         worker_processed = sum(
-            t.items_processed for t in engine.runtime.vertex("Worker").tasks
+            t.items_processed for t in job.runtime.vertex("Worker").tasks
         )
         # Source-emitted items are either at the worker stage (queued,
         # in flight, being served) or already processed by it.

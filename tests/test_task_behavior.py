@@ -36,23 +36,23 @@ class TestWindowedTasks:
     def run_windowed(self, window=0.2, rate=100.0, duration=20.0):
         engine = StreamProcessingEngine(EngineConfig(seed=2))
         graph = windowed_job(window, rate)
-        engine.submit(graph)
+        job = engine.submit(graph)
         engine.run(duration)
-        return engine
+        return job
 
     def test_window_emits_counts(self):
-        engine = self.run_windowed()
-        sink = engine.runtime.vertex("Snk").tasks[0].udf
+        job = self.run_windowed()
+        sink = job.runtime.vertex("Snk").tasks[0].udf
         assert sink.consumed > 0
 
     def test_aggregate_counts_conserve_items(self):
-        engine = self.run_windowed(duration=20.0)
-        win_task = engine.runtime.vertex("Win").tasks[0]
+        job = self.run_windowed(duration=20.0)
+        win_task = job.runtime.vertex("Win").tasks[0]
         consumed_inputs = win_task.items_processed
         # Sum of the emitted window counts equals the inputs folded into
         # closed windows (the still-open window may hold a remainder).
         sink_payload_total = 0
-        for t in engine.runtime.vertex("Snk").tasks:
+        for t in job.runtime.vertex("Snk").tasks:
             pass
         # inspect sink via probe: recompute from emitted items
         emitted_counts = win_task.items_emitted
@@ -60,8 +60,8 @@ class TestWindowedTasks:
         assert consumed_inputs >= emitted_counts  # many-to-one aggregation
 
     def test_rw_latency_mean_about_half_window(self):
-        engine = self.run_windowed(window=0.2, rate=200.0, duration=30.0)
-        vs = engine.last_summary.vertex("Win")
+        job = self.run_windowed(window=0.2, rate=200.0, duration=30.0)
+        vs = job.last_summary.vertex("Win")
         # items arrive uniformly; flush at window end -> mean wait ~ w/2
         assert 0.05 <= vs.task_latency <= 0.15
 
@@ -88,15 +88,15 @@ class TestWindowedTasks:
 
 class TestSourceThrottling:
     def test_attempted_rate_reached_when_unloaded(self):
-        engine = run_linear(duration=10.0, source_rate=300.0, service_mean=0.001)
-        emitted = sum(t.items_processed for t in engine.runtime.vertex("Source").tasks)
+        job = run_linear(duration=10.0, source_rate=300.0, service_mean=0.001)
+        emitted = sum(t.items_processed for t in job.runtime.vertex("Source").tasks)
         assert emitted == pytest.approx(3000, rel=0.05)
 
     def test_effective_rate_capped_by_shipping_overhead(self):
         config = EngineConfig(per_batch_overhead=0.005, per_item_overhead=0.0)
         # instant flush: 5 ms CPU per emitted item -> max 200/s
-        engine = run_linear(config, duration=10.0, source_rate=1000.0, service_mean=0.0)
-        emitted = sum(t.items_processed for t in engine.runtime.vertex("Source").tasks)
+        job = run_linear(config, duration=10.0, source_rate=1000.0, service_mean=0.0)
+        emitted = sum(t.items_processed for t in job.runtime.vertex("Source").tasks)
         assert emitted == pytest.approx(2000, rel=0.15)
 
     def test_source_survives_and_recovers_from_backpressure(self):
@@ -117,11 +117,11 @@ class TestSourceThrottling:
         src.rate_profile = PiecewiseRate([(0.0, 500.0), (20.0, 20.0)])
         config = EngineConfig(queue_capacity=32, channel_capacity=8, seed=5)
         engine = StreamProcessingEngine(config)
-        engine.submit(graph)
+        job = engine.submit(graph)
         engine.run(20.0)
-        during_overload = sum(t.items_processed for t in engine.runtime.vertex("Src").tasks)
+        during_overload = sum(t.items_processed for t in job.runtime.vertex("Src").tasks)
         engine.run(40.0)
-        after = sum(t.items_processed for t in engine.runtime.vertex("Src").tasks)
+        after = sum(t.items_processed for t in job.runtime.vertex("Src").tasks)
         # the source kept emitting after the overload ended (~20/s x 40 s)
         assert after - during_overload == pytest.approx(800, rel=0.25)
 
@@ -129,8 +129,8 @@ class TestSourceThrottling:
 class TestHeterogeneousWorkers:
     def test_speed_factor_scales_service(self):
         config = EngineConfig(worker_speed_factors=(0.5,), slots_per_worker=16)
-        engine = run_linear(config, duration=15.0, source_rate=50.0, service_mean=0.004)
-        vs = engine.last_summary.vertex("Worker")
+        job = run_linear(config, duration=15.0, source_rate=50.0, service_mean=0.004)
+        vs = job.last_summary.vertex("Worker")
         # all workers at half speed -> measured service ~ 8 ms
         assert vs.service_mean == pytest.approx(0.008, rel=0.2)
 
@@ -142,10 +142,10 @@ class TestHeterogeneousWorkers:
             slots_per_worker=1,
             queue_capacity=64,
         )
-        engine = run_linear(
+        job = run_linear(
             config, duration=30.0, source_rate=400.0, service_mean=0.008, n_workers=4
         )
-        tasks = engine.runtime.vertex("Worker").tasks
+        tasks = job.runtime.vertex("Worker").tasks
         counts = sorted(t.items_processed for t in tasks)
         # The slow task lags (capacity-limited)...
         assert counts[0] < 0.8 * counts[-1]
@@ -155,22 +155,22 @@ class TestHeterogeneousWorkers:
         assert counts[-1] < 0.6 * 100.0 * 30.0
 
     def test_homogeneous_default(self):
-        engine = run_linear(duration=5.0)
-        for task in engine.runtime.all_tasks():
+        job = run_linear(duration=5.0)
+        for task in job.runtime.all_tasks():
             assert task.speed_factor == 1.0
 
 
 class TestOverheadAccounting:
     def test_busy_time_includes_service_and_overhead(self):
         config = EngineConfig(per_batch_overhead=0.001, per_item_overhead=0.0)
-        engine = run_linear(config, duration=10.0, source_rate=100.0, service_mean=0.002)
-        worker = engine.runtime.vertex("Worker").tasks[0]
+        job = run_linear(config, duration=10.0, source_rate=100.0, service_mean=0.002)
+        worker = job.runtime.vertex("Worker").tasks[0]
         # ~500 items/task: 2 ms service + 1 ms ship each ~ 1.5 s busy
         expected = worker.items_processed * 0.003
         assert worker.busy_time == pytest.approx(expected, rel=0.2)
 
     def test_zero_overhead_config(self):
         config = EngineConfig(per_batch_overhead=0.0, per_item_overhead=0.0)
-        engine = run_linear(config, duration=10.0, source_rate=100.0, service_mean=0.002)
-        worker = engine.runtime.vertex("Worker").tasks[0]
+        job = run_linear(config, duration=10.0, source_rate=100.0, service_mean=0.002)
+        worker = job.runtime.vertex("Worker").tasks[0]
         assert worker.busy_time == pytest.approx(worker.items_processed * 0.002, rel=0.1)

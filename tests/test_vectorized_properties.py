@@ -209,6 +209,39 @@ class TestServiceSamplerFastPath:
         udf = _CustomService(service_dist=Exponential(0.01))
         assert udf.make_service_sampler(random.Random(1)) is None
 
+    def test_engine_always_asks_the_udf_for_its_sampler(self):
+        """No switch: a plain UDF runs block-drawn, an overriding one scalar."""
+        from repro.engine.engine import StreamProcessingEngine
+        from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
+        from repro.graphs.job_graph import JobGraph
+        from repro.workloads.rates import ConstantRate
+
+        scalar_calls = []
+
+        class Counting(_CustomService):
+            def service_time(self, payload, rng):
+                scalar_calls.append(payload)
+                return 0.001
+
+        graph = JobGraph("paths")
+        src = graph.add_vertex("Src", lambda: SourceUDF(lambda now, rng: 0))
+        plain = graph.add_vertex(
+            "Plain", lambda: MapUDF(lambda x: x, service_dist=Exponential(0.001))
+        )
+        custom = graph.add_vertex("Custom", Counting)
+        sink = graph.add_vertex("Snk", SinkUDF)
+        for a, b in ((src, plain), (plain, custom), (custom, sink)):
+            graph.connect(a, b)
+        src.rate_profile = ConstantRate(100.0)
+        engine = StreamProcessingEngine()
+        job = engine.submit(graph)
+        engine.run(2.0)
+        (plain_task,) = job.runtime.vertex("Plain").tasks
+        (custom_task,) = job.runtime.vertex("Custom").tasks
+        assert plain_task._service_fn is not None
+        assert custom_task._service_fn is None
+        assert len(scalar_calls) >= custom_task.items_processed > 0
+
     def test_deterministic_sampler_consumes_no_draws(self):
         udf = _PlainUDF(service_dist=Deterministic(0.002))
         rng = random.Random(9)
