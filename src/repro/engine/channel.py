@@ -196,23 +196,23 @@ class RuntimeChannel:
     # consumer side
     # ------------------------------------------------------------------
 
-    def _arrive(self, items: List[DataItem]) -> None:
-        if self.closed:
-            return
-        self._pending.extend(items)
-        self._deliver_pending()
+    def _arrive(self, items: Sequence[DataItem] = ()) -> None:
+        """Enqueue ``items`` (behind anything parked) at the consumer.
 
-    def _deliver_pending(self) -> None:
+        The one delivery loop: fired by the kernel with a shipped batch,
+        re-entered with no items when the full queue frees a slot.
+        """
         if self.closed:
-            self._pending.clear()
             return
         pending = self._pending
-        queue = self.consumer.input_queue
+        pending.extend(items)
+        consumer = self.consumer
+        queue = consumer.input_queue
         entries = queue._items
         capacity = queue.capacity
-        sim = self.sim
-        on_item_enqueued = self.consumer.on_item_enqueued
-        # on_item_enqueued may synchronously consume (freeing space and
+        now = self.sim.now
+        live = consumer._LIVE
+        # Starting the consumer may synchronously consume (freeing space and
         # re-entering delivery), so every bound below is re-checked per
         # iteration against the shared deque objects.
         while pending:
@@ -224,9 +224,9 @@ class RuntimeChannel:
             item = pending.popleft()
             entries.append((item, self))
             queue.total_enqueued += 1
-            item.enqueued_at = sim.now
+            item.enqueued_at = now
             self.items_delivered += 1
-            # _release_one, inlined (one credit back per delivered item).
+            # one credit back per delivered item
             outstanding = self._outstanding
             if outstanding > 0:
                 self._outstanding = outstanding = outstanding - 1
@@ -234,19 +234,18 @@ class RuntimeChannel:
                 waiters, self._unblock_waiters = self._unblock_waiters, []
                 for waiter in waiters:
                     waiter()
-            on_item_enqueued(self)
+            reporter = consumer.reporter
+            if reporter is not None:
+                last = consumer._last_enqueue
+                if last is not None:
+                    reporter.record_interarrival(now - last)
+                consumer._last_enqueue = now
+            if not consumer._busy and consumer._blocked_on is None and consumer.state in live:
+                consumer._start_next()
 
     def _on_queue_space(self) -> None:
         self._pending_listener_armed = False
-        self._deliver_pending()
-
-    def _release_one(self) -> None:
-        if self._outstanding > 0:
-            self._outstanding -= 1
-        if self._unblock_waiters and self._outstanding < self.capacity:
-            waiters, self._unblock_waiters = self._unblock_waiters, []
-            for waiter in waiters:
-                waiter()
+        self._arrive()
 
     # ------------------------------------------------------------------
     # teardown

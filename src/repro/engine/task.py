@@ -274,6 +274,10 @@ class RuntimeTask:
 
     _ids = 0
 
+    #: states in which an idle task starts on a newly enqueued item
+    #: (read by RuntimeChannel._arrive, which cannot import this module)
+    _LIVE = (RUNNING, DRAINING)
+
     def __init__(
         self,
         sim: Simulator,
@@ -463,18 +467,6 @@ class RuntimeTask:
     # consumer side
     # ------------------------------------------------------------------
 
-    def on_item_enqueued(self, channel: RuntimeChannel) -> None:
-        """Called by an inbound channel after it enqueued one item."""
-        now = self.sim.now
-        reporter = self.reporter
-        if reporter is not None:
-            last = self._last_enqueue
-            if last is not None:
-                reporter.record_interarrival(now - last)
-            self._last_enqueue = now
-        if not self._busy and self._blocked_on is None and self.state in (RUNNING, DRAINING):
-            self._start_next()
-
     def pause(self, duration: float) -> None:
         """Suspend item consumption for ``duration`` seconds.
 
@@ -515,7 +507,7 @@ class RuntimeTask:
                 self._check_drained()
             return
         # Guard before popping: freeing queue space can deliver a parked
-        # batch and re-enter on_item_enqueued synchronously.
+        # batch and re-enter RuntimeChannel._arrive synchronously.
         self._busy = True
         item, channel = entries.popleft()
         if queue._space_listeners:

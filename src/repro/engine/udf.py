@@ -90,9 +90,7 @@ class UDF:
         if isinstance(dist, Deterministic):
             value = dist.value
             return lambda payload: value
-        sampler = BlockSampler(dist, rng, block_size)
-        next_sample = sampler.next
-        return lambda payload: next_sample()
+        return BlockSampler(dist, rng, block_size).next
 
     def process(self, payload: object) -> Iterable[object]:
         """Consume one payload and return output payloads (or :class:`Emit`)."""

@@ -13,45 +13,18 @@ import random
 import zlib
 from typing import Dict, List
 
-try:  # numpy accelerates block draws; everything degrades gracefully
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is in the base image
-    _np = None
-
-#: below this block size the MT19937 state transplant costs more than it saves
-_NUMPY_MIN_BLOCK = 32
-
 #: default number of variates a :class:`BlockSampler` pre-draws per refill
 DEFAULT_BLOCK_SIZE = 256
 #: a BlockSampler's first block; later blocks double up to its block size
 FIRST_BLOCK_SIZE = 32
 
-
-def block_uniforms(rng: random.Random, n: int) -> List[float]:
-    """Draw ``n`` uniforms bit-identical to ``n`` calls of ``rng.random()``.
-
-    For large blocks the Mersenne-Twister state is transplanted into a
-    ``numpy.random.RandomState`` (same MT19937 core, same two-word
-    ``genrand_res53`` double construction), the block is drawn vectorized,
-    and the advanced state is transplanted back — so interleaving block
-    and scalar draws on the same stream yields exactly the scalar-only
-    sequence, for any split of the stream into blocks.
-    """
-    if n <= 0:
-        return []
-    if _np is not None and n >= _NUMPY_MIN_BLOCK:
-        version, internal, gauss = rng.getstate()
-        # CPython's MT state is (624 key words, pos); anything else means a
-        # non-standard Random subclass — fall through to scalar draws.
-        if version == 3 and len(internal) == 625:
-            state = _np.random.RandomState()
-            state.set_state(("MT19937", _np.asarray(internal[:624], dtype=_np.uint32), internal[624]))
-            out = state.random_sample(n)
-            _, keys, pos, _, _ = state.get_state()
-            rng.setstate((version, tuple(keys.tolist()) + (pos,), gauss))
-            return out.tolist()
-    rand = rng.random
-    return [rand() for _ in range(n)]
+# The constants of CPython's ``random`` module that ``gammavariate`` and
+# ``normalvariate`` use; the in-frame block samplers below repeat those
+# algorithms operation for operation, so the tests pin these to the
+# running interpreter's values.
+_LOG4 = math.log(4.0)
+_SG_MAGICCONST = 1.0 + math.log(4.5)
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
 class RandomStreams:
@@ -106,9 +79,9 @@ class Distribution:
     def sample_block(self, rng: random.Random, n: int) -> List[float]:
         """Draw ``n`` variates, bit-identical to ``n`` :meth:`sample` calls.
 
-        Subclasses whose transform is a pure function of one uniform
-        override this with a vectorized path over :func:`block_uniforms`;
-        the default falls back to ``n`` scalar draws (trivially identical).
+        Every distribution in this module overrides this with the scalar
+        algorithm run for the whole block in one frame; the default, for
+        subclasses defined elsewhere, is ``n`` scalar draws.
         """
         sample = self.sample
         return [sample(rng) for _ in range(n)]
@@ -154,12 +127,11 @@ class Exponential(Distribution):
         return rng.expovariate(1.0 / self.mean)
 
     def sample_block(self, rng: random.Random, n: int) -> List[float]:
-        # Same transform CPython's expovariate applies to each uniform:
-        # -log(1 - u) / lambd. math.log is kept (numpy's log is not
-        # bit-identical to libm's on all platforms).
+        # The transform CPython's expovariate applies to each uniform.
         lambd = 1.0 / self.mean
         log = math.log
-        return [-log(1.0 - u) / lambd for u in block_uniforms(rng, n)]
+        rand = rng.random
+        return [-log(1.0 - rand()) / lambd for _ in range(n)]
 
     def scaled(self, factor: float) -> "Exponential":
         return Exponential(self.mean * factor)
@@ -190,6 +162,57 @@ class Gamma(Distribution):
     def sample(self, rng: random.Random) -> float:
         return rng.gammavariate(self._shape, self._scale)
 
+    def sample_block(self, rng: random.Random, n: int) -> List[float]:
+        # CPython's gammavariate, run for the whole block in one frame: the
+        # same float operations in the same order on the same uniforms, so
+        # the variates and the stream position match n sample() calls.
+        alpha = self._shape
+        beta = self._scale
+        rand = rng.random
+        log = math.log
+        exp = math.exp
+        if alpha == 1.0:
+            return [-log(1.0 - rand()) * beta for _ in range(n)]
+        out: List[float] = []
+        append = out.append
+        if alpha > 1.0:
+            # R.C.H. Cheng (1977), "The generation of Gamma variables with
+            # non-integral shape parameters"
+            ainv = math.sqrt(2.0 * alpha - 1.0)
+            bbb = alpha - _LOG4
+            ccc = alpha + ainv
+            for _ in range(n):
+                while True:
+                    u1 = rand()
+                    if not 1e-7 < u1 < 0.9999999:
+                        continue
+                    u2 = 1.0 - rand()
+                    v = log(u1 / (1.0 - u1)) / ainv
+                    x = alpha * exp(v)
+                    z = u1 * u1 * u2
+                    r = bbb + ccc * v - x
+                    if r + _SG_MAGICCONST - 4.5 * z >= 0.0 or r >= log(z):
+                        break
+                append(x * beta)
+            return out
+        # 0 < alpha < 1: Ahrens-Dieter algorithm GS (Kennedy & Gentle)
+        b = (math.e + alpha) / math.e
+        for _ in range(n):
+            while True:
+                p = b * rand()
+                if p <= 1.0:
+                    x = p ** (1.0 / alpha)
+                else:
+                    x = -log((b - p) / alpha)
+                u1 = rand()
+                if p > 1.0:
+                    if u1 <= x ** (alpha - 1.0):
+                        break
+                elif u1 <= exp(-x):
+                    break
+            append(x * beta)
+        return out
+
     def scaled(self, factor: float) -> "Gamma":
         return Gamma(self.mean * factor, self.cv)
 
@@ -213,6 +236,27 @@ class LogNormal(Distribution):
 
     def sample(self, rng: random.Random) -> float:
         return rng.lognormvariate(self._mu, self._sigma)
+
+    def sample_block(self, rng: random.Random, n: int) -> List[float]:
+        # CPython's lognormvariate (Kinderman-Monahan normal, then exp) in
+        # one frame; bit-identical to n sample() calls like Gamma's.
+        mu = self._mu
+        sigma = self._sigma
+        rand = rng.random
+        log = math.log
+        exp = math.exp
+        out: List[float] = []
+        append = out.append
+        for _ in range(n):
+            while True:
+                u1 = rand()
+                u2 = 1.0 - rand()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                zz = z * z / 4.0
+                if zz <= -log(u2):
+                    break
+            append(exp(mu + z * sigma))
+        return out
 
     def scaled(self, factor: float) -> "LogNormal":
         return LogNormal(self.mean * factor, self.cv)
@@ -241,7 +285,8 @@ class Uniform(Distribution):
         # IEEE-exact, so the comprehension reproduces it bit-for-bit.
         low = self.low
         span = self.high - low
-        return [low + span * u for u in block_uniforms(rng, n)]
+        rand = rng.random
+        return [low + span * rand() for _ in range(n)]
 
     def scaled(self, factor: float) -> "Uniform":
         return Uniform(self.low * factor, self.high * factor)
@@ -284,8 +329,12 @@ class BlockSampler:
         self._buf: List[float] = []
         self._pos = 0
 
-    def next(self) -> float:
-        """Pop the next variate, refilling the block buffer when empty."""
+    def next(self, payload: object = None) -> float:
+        """Pop the next variate, refilling the block buffer when empty.
+
+        ``payload`` is ignored: it lets the bound method be a task's
+        ``payload -> seconds`` service function with no wrapper around it.
+        """
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):

@@ -159,7 +159,7 @@ def run_partitioned(
     :attr:`repro.workloads.scenario.ScenarioSpec.fail_once_marker`).
     """
     from repro.experiments.report import write_json
-    from repro.obs.manifest import MANIFEST_FILE, METRICS_FILE, TRACE_FILE
+    from repro.obs.manifest import MANIFEST_FILE, METRICS_FILE, TRACE_FILE, git_provenance
 
     say = progress if progress is not None else (lambda message: None)
     specs = plan.specs()
@@ -167,6 +167,7 @@ def run_partitioned(
     os.makedirs(slices_root, exist_ok=True)
 
     slice_dirs = [os.path.join(slices_root, slice_name(i)) for i in range(plan.slices)]
+    git = git_provenance() or {}  # read once for all slices (see run_sweep)
     spec_by_name: Dict[str, ScenarioSpec] = {}
     dir_by_name: Dict[str, str] = {}
     jobs: List[PoolJob] = []
@@ -176,7 +177,7 @@ def run_partitioned(
         name = slice_name(index)
         spec_by_name[name] = spec
         dir_by_name[name] = slice_dirs[index]
-        jobs.append(PoolJob(name, shard_process_entry, (spec.to_dict(), slice_dirs[index])))
+        jobs.append(PoolJob(name, shard_process_entry, (spec.to_dict(), slice_dirs[index], git)))
 
     def _verify(job: PoolJob) -> bool:
         return load_shard_result(dir_by_name[job.key], spec_by_name[job.key]) is not None

@@ -24,9 +24,10 @@ import multiprocessing
 import os
 import time
 from collections import deque
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-#: poll interval while waiting for worker processes (seconds)
+#: longest wait for a worker-process exit before the pool polls again (seconds)
 POLL_INTERVAL = 0.02
 
 
@@ -161,7 +162,10 @@ def run_pool(
                 process.start()
                 active[job.key] = (process, job, time.monotonic())
                 say(f"run  {job.key} (attempt {attempts[job.key]})")
-            time.sleep(POLL_INTERVAL)
+            # Wake as soon as any worker exits; the timeout only bounds the
+            # wait, the scan below judges every process by is_alive().
+            sentinels = [process.sentinel for process, _job, _t0 in active.values()]
+            wait(sentinels, timeout=POLL_INTERVAL)
             for key in list(active):
                 process, job, job_started = active[key]
                 if process.is_alive():

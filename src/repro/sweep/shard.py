@@ -34,7 +34,11 @@ RESULT_FILE = "result.json"
 FAIL_ONCE_EXIT_CODE = 23
 
 
-def run_shard(spec: ScenarioSpec, export_dir: Optional[str] = None) -> Dict[str, object]:
+def run_shard(
+    spec: ScenarioSpec,
+    export_dir: Optional[str] = None,
+    git: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
     """Run one shard to completion; returns its deterministic result.
 
     When ``export_dir`` is given, the run's observability bundle
@@ -42,6 +46,10 @@ def run_shard(spec: ScenarioSpec, export_dir: Optional[str] = None) -> Dict[str,
     shard's provenance merged into the manifest. ``multi_job`` shards
     export no bundle — two jobs cannot share one bundle directory, and
     the sweep's checkpoint/merge path only ever reads ``result.json``.
+
+    ``git`` is the manifest's provenance block as the sweep's parent
+    process read it — once per sweep, so all shards agree; ``{}`` when
+    there is none. ``None`` asks git here.
     """
     from repro.obs.manifest import export_run, git_provenance
 
@@ -55,14 +63,16 @@ def run_shard(spec: ScenarioSpec, export_dir: Optional[str] = None) -> Dict[str,
         # Git provenance lands only in the exported manifest (where the
         # run-history index reads it), never in result.json — checkpoints
         # must stay byte-identical across commits for the resume diff.
-        provenance = git_provenance()
-        if provenance is not None:
+        provenance = git_provenance() if git is None else git
+        if provenance:
             extra["git"] = provenance
         export_run(jobs[0], export_dir, extra=extra)
     return result
 
 
-def execute_shard(spec: ScenarioSpec, shard_dir: str) -> Dict[str, object]:
+def execute_shard(
+    spec: ScenarioSpec, shard_dir: str, git: Optional[Dict[str, object]] = None
+) -> Dict[str, object]:
     """Run the shard and persist its checkpoint into ``shard_dir``.
 
     ``result.json`` is written last and atomically (tmp + rename), so its
@@ -72,7 +82,7 @@ def execute_shard(spec: ScenarioSpec, shard_dir: str) -> Dict[str, object]:
     from repro.experiments.report import write_json
 
     os.makedirs(shard_dir, exist_ok=True)
-    result = run_shard(spec, export_dir=shard_dir)
+    result = run_shard(spec, export_dir=shard_dir, git=git)
     write_json(os.path.join(shard_dir, RESULT_FILE), result)
     return result
 
@@ -102,7 +112,9 @@ def load_shard_result(
     return result
 
 
-def shard_process_entry(spec_dict: Dict[str, object], shard_dir: str) -> None:
+def shard_process_entry(
+    spec_dict: Dict[str, object], shard_dir: str, git: Optional[Dict[str, object]] = None
+) -> None:
     """Worker-process entry point (crash-isolated by the orchestrator)."""
     spec = ScenarioSpec.from_dict(spec_dict)
     if spec.fail_once_marker is not None and not os.path.exists(spec.fail_once_marker):
@@ -110,7 +122,7 @@ def shard_process_entry(spec_dict: Dict[str, object], shard_dir: str) -> None:
             handle.write(spec.key + "\n")
         os._exit(FAIL_ONCE_EXIT_CODE)
     try:
-        execute_shard(spec, shard_dir)
+        execute_shard(spec, shard_dir, git)
     except Exception:  # noqa: BLE001 - the exit code is the signal
         import traceback
 

@@ -13,6 +13,7 @@ every existing draw sequence byte-identical.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List
 
 
@@ -41,15 +42,9 @@ class ZipfKeySampler:
 
     def sample_index(self, rng: random.Random) -> int:
         """Draw one key rank (0-based; 0 = most popular)."""
-        u = rng.random()
-        lo, hi = 0, len(self._cdf) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        cdf = self._cdf
+        # hi = last rank: a draw above the rounded-down final knot maps to it
+        return bisect_left(cdf, rng.random(), 0, len(cdf) - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ZipfKeySampler(n_keys={self.n_keys}, s={self.s})"

@@ -9,6 +9,7 @@ from repro.engine.channel import NetworkModel, RuntimeChannel
 from repro.engine.items import DataItem
 from repro.engine.task import OutputGate, RuntimeTask
 from repro.engine.udf import SinkUDF
+from repro.qos.reporter import TaskReporter
 from repro.simulation.kernel import Simulator
 
 
@@ -88,15 +89,47 @@ class TestChannelDelivery:
 
     def test_unblock_waiter_fires_on_release(self, setup):
         sim, _, consumer, channel = setup
-        for _ in range(8):
-            channel.accept(item())
+        items = [item() for _ in range(8)]
+        for it in items:
+            channel.accept(it)
         fired = []
         channel.add_unblock_waiter(lambda: fired.append(sim.now))
-        channel.ship([item("y", 0.0)], 256)  # not accepted items; simulate release path
-        # Release happens when enqueued; ship the accepted ones instead:
-        assert not fired
-        channel._release_one()
-        assert fired
+        channel.ship(items[:1], 256)
+        assert not fired  # in flight: the credit is still held
+        sim.run()
+        # Enqueueing at the consumer returns the credit and wakes the waiter.
+        assert len(fired) == 1
+        assert channel.outstanding == 7
+
+    def test_batch_into_nearly_full_queue_parks_then_delivers_in_order(self, setup):
+        sim, _, consumer, channel = setup
+        consumer.reporter = TaskReporter("C", consumer.task_id, read_ready=True)
+        consumer._busy = True  # an item is in service: arrivals only queue up
+        queue = consumer.input_queue
+        for _ in range(3):
+            queue.try_put(item("old"), None)  # one free slot left
+        batch = [item(i) for i in range(3)]
+        for it in batch:
+            channel.accept(it)
+        channel.ship(batch, 3 * 256)
+        sim.schedule(0.5, queue.get)
+        sim.schedule(0.75, queue.get)
+
+        sim.run(until=0.25)
+        assert channel.items_delivered == 1
+        assert channel.outstanding == 2  # the parked items hold their credits
+        assert len(queue._space_listeners) == 1
+        arrival = batch[0].enqueued_at
+        assert arrival == pytest.approx(0.001, abs=1e-4)
+        assert [it.enqueued_at for it in batch[1:]] == [None, None]
+
+        sim.run()  # each pop frees one slot: one parked item moves in
+        assert [it.enqueued_at for it in batch] == [arrival, 0.5, 0.75]
+        assert [entry[0].payload for entry in queue._items] == ["old", 0, 1, 2]
+        assert channel.items_delivered == 3
+        assert channel.outstanding == 0
+        assert not queue._space_listeners
+        assert consumer.reporter._interarrival == [0.5 - arrival, 0.25]
 
     def test_close_releases_blocked_producer(self, setup):
         sim, _, _, channel = setup

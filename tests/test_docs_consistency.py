@@ -10,6 +10,8 @@ import ast
 import importlib
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -179,41 +181,13 @@ class TestPackaging:
         assert "= src" in cfg
 
     def test_no_runtime_third_party_imports(self):
-        """The library must run stdlib-only: no hard third-party imports.
-
-        numpy is the one sanctioned *optional* accelerator (the vectorized
-        sampling hot path): its import must sit inside a try/except so the
-        library degrades gracefully when the package is absent. Everything
-        else on the banned list stays out entirely.
-        """
+        """The library runs stdlib-only: no third-party import, guarded or not."""
         banned = ("numpy", "scipy", "networkx", "pandas", "matplotlib")
-        optional = {"numpy"}
         for dirpath, _dirnames, filenames in os.walk(os.path.join(ROOT, "src")):
             for filename in filenames:
                 if not filename.endswith(".py"):
                     continue
-                source = read(os.path.join(dirpath, filename))
-                tree = ast.parse(source)
-                guarded = set()
-                for node in ast.walk(tree):
-                    if not isinstance(node, ast.Try):
-                        continue
-                    catches_import_error = any(
-                        handler.type is None
-                        or any(
-                            getattr(name, "id", None) in ("ImportError", "Exception")
-                            for name in (
-                                handler.type.elts
-                                if isinstance(handler.type, ast.Tuple)
-                                else [handler.type]
-                            )
-                        )
-                        for handler in node.handlers
-                    )
-                    if catches_import_error:
-                        for child in node.body:
-                            for sub in ast.walk(child):
-                                guarded.add(id(sub))
+                tree = ast.parse(read(os.path.join(dirpath, filename)))
                 for node in ast.walk(tree):
                     if isinstance(node, ast.Import):
                         names = [alias.name for alias in node.names]
@@ -222,12 +196,26 @@ class TestPackaging:
                     else:
                         continue
                     for name in names:
-                        root = name.split(".")[0]
-                        if root not in banned:
-                            continue
-                        assert root in optional and id(node) in guarded, (
-                            filename,
-                            name,
-                            "third-party import must be optional "
-                            "(guarded by try/except ImportError)",
-                        )
+                        assert name.split(".")[0] not in banned, (filename, name)
+
+    def test_import_and_a_run_leave_numpy_unloaded(self):
+        """Checked in a fresh interpreter: this one may have numpy loaded."""
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "assert 'numpy' not in sys.modules, 'import repro loaded numpy'\n"
+            "pipeline = (repro.PipelineBuilder('hygiene')\n"
+            "    .source(lambda now, rng: 0, rate=repro.ConstantRate(200.0))\n"
+            "    .map('work', lambda x: x, service=repro.Gamma(0.002, 0.7))\n"
+            "    .sink().build())\n"
+            "engine = repro.StreamProcessingEngine()\n"
+            "job = engine.submit(pipeline)\n"
+            "engine.run(2.0)\n"
+            "assert job.runtime.vertex('work').tasks[0].items_processed > 100\n"
+            "assert 'numpy' not in sys.modules, 'engine.run loaded numpy'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr

@@ -24,7 +24,7 @@ from repro.sweep.partition import (
     PARTITIONS_FILE,
     slice_name,
 )
-from repro.sweep.pool import PoolError, PoolJob, PoolStats, run_pool
+from repro.sweep.pool import POLL_INTERVAL, PoolError, PoolJob, PoolStats, run_pool
 
 #: every merged artifact that must be byte-identical across worker counts
 MERGED_FILES = (PARTITIONS_FILE, METRICS_FILE, TRACE_FILE, MANIFEST_FILE)
@@ -175,6 +175,10 @@ def _pool_write_entry(path, payload):
         handle.write(payload)
 
 
+def _pool_noop_entry():
+    pass
+
+
 class TestPool:
     def test_runs_every_job(self, tmp_path):
         jobs = [
@@ -215,6 +219,16 @@ class TestPool:
     def test_invalid_pool_args_rejected(self, kwargs):
         with pytest.raises(PoolError):
             run_pool([], **kwargs)
+
+    def test_pool_wakes_on_worker_exit_not_on_a_timer(self):
+        """One worker, 20 no-op jobs: a sleep per poll alone would take longer."""
+        jobs = [PoolJob(f"job-{index}", _pool_noop_entry, ()) for index in range(20)]
+        walls = []
+        for _attempt in range(3):  # best of three: the box may be busy
+            stats, _outcomes = run_pool(jobs, workers=1)
+            assert stats.done == 20
+            walls.append(stats.wall_s)
+        assert min(walls) < 20 * POLL_INTERVAL
 
     def test_speedup_defaults_to_one(self):
         stats = PoolStats()

@@ -263,6 +263,26 @@ class TestOrchestrator:
         merged_keys = [shard["key"] for shard in result.aggregate["shards"]]
         assert specs[0].key not in merged_keys
 
+    def test_git_provenance_is_read_once_by_the_parent(self, tmp_path, monkeypatch):
+        """Every shard manifest carries the block the parent process read."""
+        calls = []
+
+        def fake_provenance(cwd=None):
+            calls.append(os.getpid())
+            return {"commit": f"read-{len(calls)}", "branch": "b", "dirty": False,
+                    "pid": os.getpid()}
+
+        monkeypatch.setattr("repro.obs.manifest.git_provenance", fake_provenance)
+        out = str(tmp_path / "sweep")
+        result = run_sweep(tiny_grid(), out, workers=2)
+        assert calls == [os.getpid()]
+        blocks = [
+            RunManifest.read(os.path.join(out, "shards", shard["key"], MANIFEST_FILE))["git"]
+            for shard in result.aggregate["shards"]
+        ]
+        parent_read = {"commit": "read-1", "branch": "b", "dirty": False, "pid": os.getpid()}
+        assert blocks == [parent_read] * len(tiny_grid())
+
     def test_invalid_workers_rejected(self, tmp_path):
         with pytest.raises(SweepError):
             run_sweep(tiny_grid(), str(tmp_path / "x"), workers=0)

@@ -28,72 +28,25 @@ from repro.simulation.randomness import (
     LogNormal,
     RandomStreams,
     Uniform,
-    block_uniforms,
+    _LOG4,
+    _NV_MAGICCONST,
+    _SG_MAGICCONST,
 )
 
-#: the distributions with a vectorized sample_block override, plus two
-#: that exercise the scalar fallback — all must satisfy the same contract
+#: every distribution's sample_block runs its scalar algorithm in one frame;
+#: Gamma has one algorithm per shape regime (cv < 1, = 1, > 1)
 DISTRIBUTIONS = [
     Deterministic(0.004),
     Exponential(0.01),
     Uniform(0.001, 0.009),
     Gamma(0.004, 0.7),
+    Gamma(0.004, 1.0),
+    Gamma(0.004, 1.5),
     LogNormal(0.004, 1.2),
 ]
 
 _seeds = st.integers(0, 2**32 - 1)
-# chunk sequences cross the numpy cutover (>=32) and stay scalar (<32)
 _splits = st.lists(st.integers(1, 80), min_size=1, max_size=8)
-
-
-def _scalar_reference(seed, n):
-    rng = random.Random(seed)
-    return [rng.random() for _ in range(n)]
-
-
-# ----------------------------------------------------------------------
-# block_uniforms: the one primitive everything vectorized rests on
-# ----------------------------------------------------------------------
-
-
-class TestBlockUniforms:
-    @given(seed=_seeds, splits=_splits)
-    def test_any_split_matches_the_scalar_sequence(self, seed, splits):
-        """Blocks of any sizes concatenate to the scalar-only sequence."""
-        rng = random.Random(seed)
-        drawn = []
-        for size in splits:
-            drawn.extend(block_uniforms(rng, size))
-        assert drawn == _scalar_reference(seed, sum(splits))
-
-    @given(seed=_seeds, head=st.integers(1, 64), tail=st.integers(1, 64))
-    def test_interleaved_block_and_scalar_draws(self, seed, head, tail):
-        """A block draw leaves the stream exactly where scalars would."""
-        rng = random.Random(seed)
-        drawn = block_uniforms(rng, head)
-        drawn.append(rng.random())  # scalar draw in between
-        drawn.extend(block_uniforms(rng, tail))
-        assert drawn == _scalar_reference(seed, head + 1 + tail)
-
-    @given(seed=_seeds)
-    def test_zero_and_negative_counts_consume_nothing(self, seed):
-        rng = random.Random(seed)
-        assert block_uniforms(rng, 0) == []
-        assert block_uniforms(rng, -3) == []
-        assert rng.random() == random.Random(seed).random()
-
-    def test_non_mt_random_falls_back_to_scalar(self):
-        class Counting(random.Random):
-            calls = 0
-
-            def random(self):
-                type(self).calls += 1
-                return super().random()
-
-        rng = Counting(5)
-        reference = _scalar_reference(5, 40)
-        # SystemRandom-style subclasses keep working via the scalar loop
-        assert block_uniforms(rng, 40) == pytest.approx(reference)
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +65,45 @@ class TestSampleBlock:
         assert dist.sample_block(block_rng, n) == expected
         # both consumers leave the stream at the same point
         assert block_rng.getstate() == scalar_rng.getstate()
+
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=repr)
+    @given(seed=_seeds, splits=_splits)
+    @settings(max_examples=30)
+    def test_any_split_matches_the_scalar_sequence(self, dist, seed, splits):
+        """Blocks of any sizes concatenate to the scalar-only sequence."""
+        scalar_rng = random.Random(seed)
+        block_rng = random.Random(seed)
+        drawn = []
+        for size in splits:
+            drawn.extend(dist.sample_block(block_rng, size))
+        assert drawn == [dist.sample(scalar_rng) for _ in range(sum(splits))]
+        assert block_rng.getstate() == scalar_rng.getstate()
+
+    @pytest.mark.parametrize("cv", [0.7, 1.0, 1.5], ids=["cheng", "exponential", "ahrens-dieter"])
+    def test_gamma_block_is_the_running_interpreters_gammavariate(self, cv):
+        """Against ``random`` itself, not ``sample``: a stdlib change fails here."""
+        dist = Gamma(0.004, cv)
+        shape = dist._shape
+        # gammavariate picks its algorithm by shape > 1, == 1, < 1
+        assert (shape > 1.0, shape == 1.0) == (cv < 1.0, cv == 1.0)
+        stdlib_rng = random.Random(2015)
+        block_rng = random.Random(2015)
+        expected = [stdlib_rng.gammavariate(shape, dist._scale) for _ in range(500)]
+        assert dist.sample_block(block_rng, 500) == expected
+        assert block_rng.getstate() == stdlib_rng.getstate()
+
+    def test_lognormal_block_is_the_running_interpreters_lognormvariate(self):
+        dist = LogNormal(0.004, 1.2)
+        stdlib_rng = random.Random(2015)
+        block_rng = random.Random(2015)
+        expected = [stdlib_rng.lognormvariate(dist._mu, dist._sigma) for _ in range(500)]
+        assert dist.sample_block(block_rng, 500) == expected
+        assert block_rng.getstate() == stdlib_rng.getstate()
+
+    def test_magic_constants_are_the_stdlibs(self):
+        assert _LOG4 == random.LOG4
+        assert _SG_MAGICCONST == random.SG_MAGICCONST
+        assert _NV_MAGICCONST == random.NV_MAGICCONST
 
     @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=repr)
     @given(
@@ -170,7 +162,7 @@ class TestSampleBlock:
         first = RandomStreams(seed)
         first.get("other")  # creation order must not matter
         second = RandomStreams(seed)
-        a = block_uniforms(first.get("service:x"), 50)
+        a = [first.get("service:x").random() for _ in range(50)]
         b = [second.get("service:x").random() for _ in range(50)]
         assert a == b
 
@@ -238,9 +230,24 @@ class TestServiceSamplerFastPath:
         engine.run(2.0)
         (plain_task,) = job.runtime.vertex("Plain").tasks
         (custom_task,) = job.runtime.vertex("Custom").tasks
-        assert plain_task._service_fn is not None
+        # the sampler's own bound pop: no wrapper frame per service start
+        service_fn = plain_task._service_fn
+        assert isinstance(service_fn.__self__, BlockSampler)
+        assert service_fn.__func__ is BlockSampler.next
         assert custom_task._service_fn is None
         assert len(scalar_calls) >= custom_task.items_processed > 0
+
+    def test_topic_filter_keeps_its_payload_dispatch(self):
+        """Hot-topic lists cost a constant and no draw; tweets pop the block."""
+        from repro.workloads.tweets import Tweet
+        from repro.workloads.twitter_job import MergedTopics, TopicFilterUDF
+
+        udf = TopicFilterUDF(Gamma(0.004, 0.7), Deterministic(0.0001))
+        scalar_rng = random.Random(3)
+        sampler = udf.make_service_sampler(random.Random(3), block_size=4)
+        tweet, topics = Tweet("t", ("#a",), "u"), MergedTopics(("#a",))
+        payloads = [tweet, topics, tweet, tweet, topics, tweet, tweet, tweet]
+        assert [sampler(p) for p in payloads] == [udf.service_time(p, scalar_rng) for p in payloads]
 
     def test_deterministic_sampler_consumes_no_draws(self):
         udf = _PlainUDF(service_dist=Deterministic(0.002))

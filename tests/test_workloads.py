@@ -24,6 +24,7 @@ from repro.workloads.sentiment import (
     POSITIVE,
     SentimentAnalyzer,
 )
+from repro.workloads.keys import ZipfKeySampler
 from repro.workloads.tweets import Tweet, TweetTraceGenerator, TweetTraceParams
 
 
@@ -237,6 +238,25 @@ class TestTweets:
     def test_invalid_topic_count_rejected(self):
         with pytest.raises(ValueError):
             TweetTraceGenerator(TweetTraceParams(n_topics=0))
+
+    @pytest.mark.parametrize("n_keys", [1, 2, 3, 200])
+    def test_zipf_rank_is_the_first_cdf_knot_at_or_above_the_draw(self, n_keys):
+        """Inverse-CDF semantics at every knot, both ends, and in between."""
+        sampler = ZipfKeySampler(n_keys, 1.1)
+        cdf = sampler._cdf
+
+        class Fixed(random.Random):
+            def random(self):
+                return self.value
+
+        fixed = Fixed()
+        draws = [0.0, 0.5, 1.0]
+        for knot in cdf:
+            draws += [knot, math.nextafter(knot, 0.0), math.nextafter(knot, 2.0)]
+        for u in draws:
+            fixed.value = u
+            expected = next((i for i, knot in enumerate(cdf) if knot >= u), n_keys - 1)
+            assert sampler.sample_index(fixed) == expected
 
 
 class TestSentiment:
