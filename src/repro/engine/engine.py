@@ -37,6 +37,7 @@ from repro.engine.batching import (
     InstantFlush,
 )
 from repro.engine.channel import NetworkModel, RuntimeChannel
+from repro.engine.items import SampleView, SinkSamples
 from repro.engine.resources import ResourceManager
 from repro.engine.runtime import RuntimeGraph
 from repro.engine.scheduler import Scheduler
@@ -230,7 +231,12 @@ class DeployedJob:
         ]
         self._next_manager = 0
         self._vertex_probes = dict(vertex_probes)
-        self._sink_samples: Dict[str, List[Tuple[float, float]]] = {}
+        #: sink vertex name -> its e2e sample buffer (shared by its tasks)
+        self._sink_samples: Dict[str, SinkSamples] = {
+            name: SinkSamples(engine.sim)
+            for name, vertex in job_graph.vertices.items()
+            if not vertex.outputs
+        }
         #: latest merged global summary (refreshed every adjustment interval)
         self.last_summary: Optional[GlobalSummary] = None
         #: full history of (timestamp, GlobalSummary)
@@ -385,12 +391,9 @@ class DeployedJob:
             task.service_histogram = self.engine.metrics.histogram(
                 f"service_time.{key}"
             )
-        job_vertex = self.job_graph.vertices[task.vertex_name]
-        if not job_vertex.outputs:
-            samples = self._sink_samples.setdefault(task.vertex_name, [])
-            task.process_probe = lambda latency, payload, s=samples: s.append(
-                (self.engine.sim.now, latency)
-            )
+        samples = self._sink_samples.get(task.vertex_name)
+        if samples is not None:
+            task.process_probe = samples.record
         extra = self._vertex_probes.get(task.vertex_name)
         if extra is not None:
             previous = task.process_probe
@@ -486,18 +489,21 @@ class DeployedJob:
         """Effective parallelism of a job vertex."""
         return self.runtime.parallelism(vertex_name)
 
-    def drain_sink_samples(self, vertex_name: str) -> List[Tuple[float, float]]:
+    def drain_sink_samples(self, vertex_name: str) -> SampleView:
         """Take the (time, e2e latency) samples of a sink vertex.
 
-        The backing list is cleared in place — sink-task probes hold a
-        reference to it, so it must never be replaced.
+        Returns a read-only sequence of float pairs in delivery order
+        (empty for a sink that delivered nothing since the last drain);
+        ``.latencies()`` is the latency column alone. Raises
+        ``ValueError`` for a vertex that is not a sink of this job.
         """
         samples = self._sink_samples.get(vertex_name)
         if samples is None:
-            return []
-        drained = list(samples)
-        samples.clear()
-        return drained
+            raise ValueError(
+                f"{vertex_name!r} is not a sink of job {self.job_graph.name!r} "
+                f"(sinks: {sorted(self._sink_samples)})"
+            )
+        return samples.drain()
 
     def tracker_for(self, constraint: LatencyConstraint) -> ConstraintTracker:
         """The fulfillment tracker of one of this job's constraints."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.engine import DeployedJob, StreamProcessingEngine
+from repro.engine.items import SampleView, SinkSamples
 from repro.obs.sampling import utilization_samples
 from repro.qos.stats import percentile
 from repro.workloads.rates import RateProfile
@@ -83,7 +84,7 @@ class SeriesRecorder:
         self.source_vertex = source_vertex
         self.source_profile = source_profile
         self.rows: List[SeriesRow] = []
-        self._feeds: Dict[str, Callable[[], List[Tuple[float, float]]]] = {}
+        self._feeds: Dict[str, Callable[[], SampleView]] = {}
         self._last_busy: Dict[int, float] = {}
         self._last_emitted = 0
         self._fault_cursor = 0
@@ -109,18 +110,9 @@ class SeriesRecorder:
         :meth:`StreamProcessingEngine.add_vertex_probe` (before submit) or
         call it manually with ``(latency_seconds, payload)``.
         """
-        samples: List[Tuple[float, float]] = []
-
-        def probe(latency: float, payload: object) -> None:
-            samples.append((self.engine.sim.now, latency))
-
-        def drain() -> List[Tuple[float, float]]:
-            out = list(samples)
-            samples.clear()
-            return out
-
-        self._feeds[name] = drain
-        return probe
+        samples = SinkSamples(self.engine.sim)
+        self._feeds[name] = samples.drain
+        return samples.record
 
     # ------------------------------------------------------------------
     # sampling
@@ -149,7 +141,7 @@ class SeriesRecorder:
             self._last_emitted = emitted
         # latency feeds
         for name, drain in self._feeds.items():
-            samples = [latency for _, latency in drain()]
+            samples = drain().latencies()
             if samples:
                 row.latency_mean[name] = sum(samples) / len(samples)
                 row.latency_p95[name] = percentile(samples, 95.0)

@@ -137,7 +137,7 @@ def run(params: Optional[ValidationParams] = None) -> ValidationResult:
         engine = StreamProcessingEngine(config)
         job = engine.submit(_build_job(params, rate))
         engine.run(params.duration)
-        samples = [latency for _, latency in job.drain_sink_samples("Snk")]
+        samples = job.drain_sink_samples("Snk").latencies()
         measured = sum(samples) / len(samples) if samples else float("inf")
         stages = [
             PipelineStage("A", s1_mean, s1_cv, s1_p),

@@ -15,6 +15,7 @@ run so concurrent engines and tests never share state.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 #: default histogram bucket upper bounds (seconds) — tuned for the
@@ -93,11 +94,12 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # The first bound with value <= bound, else the overflow bucket.
+        # NaN is below no bound, so it overflows (bisect would say 0).
+        if value != value:
+            self.bucket_counts[-1] += 1
+        else:
+            self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

@@ -9,6 +9,7 @@ from repro.experiments.fig5_surface import Fig5Params, build_models
 from repro.experiments.fig5_surface import run as run_fig5
 from repro.experiments.recording import SeriesRecorder
 from repro.experiments.report import format_table, ms, write_csv
+from repro.qos.stats import percentile
 from repro.workloads.rates import ConstantRate
 
 from conftest import make_linear_job
@@ -72,6 +73,34 @@ class TestSeriesRecorder:
         engine.submit(graph)
         engine.run(10.0)
         assert recorder.rows[-1].latency_mean["custom"] is not None
+
+    def test_feeds_equal_a_reference_list_of_tuples_probe(self):
+        engine = StreamProcessingEngine(EngineConfig())
+        recorder = SeriesRecorder(engine, interval=5.0)
+        recorder.add_sink_feed("sink", "Sink")
+        feed_probe = recorder.add_probe_feed("probe")
+        pending, per_tick = [], []
+
+        def beside(latency, payload):
+            feed_probe(latency, payload)
+            pending.append((engine.sim.now, latency))
+
+        def reference_tick(now=None):
+            per_tick.append(list(pending))
+            pending.clear()
+
+        engine.add_vertex_probe("Sink", beside)
+        # same clock, subscribed after the recorder: same drain instants
+        engine.sampling_clock(5.0).subscribe(reference_tick)
+        engine.submit(make_linear_job(source_rate=200.0, service_cv=0.7, n_sinks=2))
+        engine.run(16.0)
+        assert len(recorder.rows) == len(per_tick) == 3
+        for row, reference in zip(recorder.rows, per_tick):
+            latencies = [latency for _, latency in reference]
+            assert len(latencies) > 500
+            for feed in ("sink", "probe"):
+                assert row.latency_mean[feed] == sum(latencies) / len(latencies)
+                assert row.latency_p95[feed] == percentile(latencies, 95.0)
 
     def test_peak_effective_rate(self):
         _, recorder = self.run_recorded()

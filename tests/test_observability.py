@@ -12,6 +12,7 @@ enabled.
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.obs import (
     BRANCH_INFEASIBLE,
     BRANCH_REBALANCE,
     BRANCH_STALE_SKIP,
+    DEFAULT_BUCKETS,
     TRACE_FIELDS,
     TRACE_SCHEMA_VERSION,
     Counter,
@@ -100,6 +102,34 @@ class TestMetricsPrimitives:
         snap = h.snapshot()
         # cumulative counts: le_0.1 -> 1, le_1 -> 2, le_inf -> 3
         assert snap["buckets"] == {"le_0.1": 1, "le_1": 2, "le_inf": 3}
+
+    @pytest.mark.parametrize("bounds", [DEFAULT_BUCKETS, (0.0, 0.5), (-2.0, -1.0, 3.0), (1.0,)])
+    def test_histogram_bucket_search_equals_the_linear_scan(self, bounds):
+        def linear_bucket(value):
+            for index, bound in enumerate(bounds):
+                if value <= bound:
+                    return index
+            return len(bounds)
+
+        inf = float("inf")
+        values = [0.0, -0.0, -1e-9, -inf, inf, bounds[0] - 1.0, bounds[-1] + 1.0]
+        for bound in bounds:
+            values += [bound, math.nextafter(bound, -inf), math.nextafter(bound, inf)]
+        rng = random.Random(7)
+        values += [rng.gammavariate(2.0, 0.01) for _ in range(10_000)]
+        h = Histogram("x", bounds=bounds)
+        expected = [0] * (len(bounds) + 1)
+        for value in values:
+            h.observe(value)
+            expected[linear_bucket(value)] += 1
+        assert h.bucket_counts == expected
+        assert sum(expected[:-1]) > 0 and h.count == len(values)
+
+    def test_histogram_nan_lands_in_the_overflow_bucket(self):
+        h = Histogram("x", bounds=(0.1, 1.0))
+        h.observe(float("nan"))
+        assert h.bucket_counts == [0, 0, 1]
+        assert h.count == 1
 
     def test_histogram_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):
