@@ -13,11 +13,11 @@ without one (the default), rescaling stays synchronous and byte-identical
 to unsupervised behavior.
 """
 
-from repro.actuation.config import ActuationConfig
-from repro.actuation.reconciler import ActuationRequest, ReconciliationController
+from repro import _lazy_exports
 
-__all__ = [
-    "ActuationConfig",
-    "ActuationRequest",
-    "ReconciliationController",
-]
+_EXPORTS = {
+    "ActuationConfig": "repro.actuation.config",
+    "ActuationRequest": "repro.actuation.reconciler",
+    "ReconciliationController": "repro.actuation.reconciler",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,28 +9,19 @@ as ground truth against the discrete-event engine, which is what makes
 the substrate trustworthy for reproducing the paper's queueing effects.
 """
 
-from repro.analysis.queueing import (
-    mm1_waiting_time,
-    mm1_queue_length,
-    md1_waiting_time,
-    mg1_waiting_time,
-    allen_cunneen_waiting_time,
-    erlang_c,
-    mmc_waiting_time,
-    required_servers,
-)
-from repro.analysis.pipeline import PipelineStage, predict_pipeline_latency, saturation_rate
+from repro import _lazy_exports
 
-__all__ = [
-    "mm1_waiting_time",
-    "mm1_queue_length",
-    "md1_waiting_time",
-    "mg1_waiting_time",
-    "allen_cunneen_waiting_time",
-    "erlang_c",
-    "mmc_waiting_time",
-    "required_servers",
-    "PipelineStage",
-    "predict_pipeline_latency",
-    "saturation_rate",
-]
+_EXPORTS = {
+    "mm1_waiting_time": "repro.analysis.queueing",
+    "mm1_queue_length": "repro.analysis.queueing",
+    "md1_waiting_time": "repro.analysis.queueing",
+    "mg1_waiting_time": "repro.analysis.queueing",
+    "allen_cunneen_waiting_time": "repro.analysis.queueing",
+    "erlang_c": "repro.analysis.queueing",
+    "mmc_waiting_time": "repro.analysis.queueing",
+    "required_servers": "repro.analysis.queueing",
+    "PipelineStage": "repro.analysis.pipeline",
+    "predict_pipeline_latency": "repro.analysis.pipeline",
+    "saturation_rate": "repro.analysis.pipeline",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

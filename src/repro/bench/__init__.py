@@ -4,22 +4,15 @@ See :mod:`repro.bench.core` for the benchmark inventory and
 :mod:`repro.bench.legacy` for the frozen pre-fast-path kernel baseline.
 """
 
-from repro.bench.core import (
-    BENCH_FILE,
-    BENCH_SCHEMA_VERSION,
-    check_regression,
-    format_results,
-    load_results,
-    run_benchmarks,
-    write_results,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BENCH_FILE",
-    "BENCH_SCHEMA_VERSION",
-    "check_regression",
-    "format_results",
-    "load_results",
-    "run_benchmarks",
-    "write_results",
-]
+_EXPORTS = {
+    "BENCH_FILE": "repro.bench.core",
+    "BENCH_SCHEMA_VERSION": "repro.bench.core",
+    "check_regression": "repro.bench.core",
+    "format_results": "repro.bench.core",
+    "load_results": "repro.bench.core",
+    "run_benchmarks": "repro.bench.core",
+    "write_results": "repro.bench.core",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -26,19 +26,23 @@ the declared constraints, ready for
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.actuation.config import ActuationConfig
 from repro.core.constraints import LatencyConstraint
-from repro.core.policy import PolicySpec, parse_policy_spec
-from repro.engine.state import StatefulVertexSpec
 from repro.engine.udf import FilterUDF, FlatMapUDF, MapUDF, SinkUDF, SourceUDF, UDF
 from repro.obs.config import ObservabilityConfig
 from repro.graphs.job_graph import JobGraph, JobVertex
 from repro.graphs.sequences import JobSequence
-from repro.simulation.faults import FaultPlan, FaultSpec
 from repro.simulation.randomness import Distribution
 from repro.workloads.rates import RateProfile
+
+# Imported by the method that builds them (actuate / stateful / scale /
+# build), so a plain pipeline compiles none of these subsystems.
+if TYPE_CHECKING:
+    from repro.actuation.config import ActuationConfig
+    from repro.core.policy import PolicySpec
+    from repro.engine.state import StatefulVertexSpec
+    from repro.simulation.faults import FaultPlan, FaultSpec
 
 #: parallelism spec: a fixed int, or (initial, min, max)
 ParallelismSpec = Union[int, Tuple[int, int, int]]
@@ -318,6 +322,8 @@ class PipelineBuilder:
         retried :class:`~repro.actuation.ActuationRequest` orders; see
         :mod:`repro.actuation`.
         """
+        from repro.actuation.config import ActuationConfig
+
         if config is not None and kwargs:
             raise TypeError("pass either an ActuationConfig or keyword arguments, not both")
         self._actuation = config if config is not None else ActuationConfig(**kwargs)
@@ -348,6 +354,8 @@ class PipelineBuilder:
         scaling policies gain the migration-aware gate. See
         :mod:`repro.engine.state`.
         """
+        from repro.engine.state import StatefulVertexSpec
+
         if spec is not None and kwargs:
             raise TypeError(
                 "pass either a StatefulVertexSpec or keyword arguments, not both"
@@ -381,6 +389,8 @@ class PipelineBuilder:
         Unknown policy names raise ``ValueError`` immediately; unknown
         knobs fail at submit, when the policy is constructed.
         """
+        from repro.core.policy import PolicySpec, parse_policy_spec
+
         spec = parse_policy_spec(policy)
         merged = dict(spec.knobs)
         merged.update(knobs)
@@ -427,6 +437,8 @@ class PipelineBuilder:
                         f"fault {spec!r} targets unknown vertex {vertex!r} "
                         f"(have: {sorted(known)})"
                     )
+            from repro.simulation.faults import FaultPlan
+
             plan = FaultPlan(
                 tuple(self._fault_events), seed=self._fault_seed, name=self.graph.name
             )

@@ -17,32 +17,22 @@
   (the 80 % slack share, carried over from the authors' prior work [16]).
 """
 
-from repro.core.constraints import LatencyConstraint, ConstraintTracker
-from repro.core.latency_model import (
-    kingman_waiting_time,
-    VertexModel,
-    SequenceLatencyModel,
-    build_sequence_model,
-)
-from repro.core.rebalance import RebalanceResult, rebalance
-from repro.core.bottlenecks import find_bottlenecks, resolve_bottlenecks
-from repro.core.scale_reactively import ScaleReactivelyPolicy, ScalingDecision
-from repro.core.elastic_scaler import ElasticScaler
-from repro.core.batching_policy import AdaptiveBatchingPolicy
+from repro import _lazy_exports
 
-__all__ = [
-    "LatencyConstraint",
-    "ConstraintTracker",
-    "kingman_waiting_time",
-    "VertexModel",
-    "SequenceLatencyModel",
-    "build_sequence_model",
-    "RebalanceResult",
-    "rebalance",
-    "find_bottlenecks",
-    "resolve_bottlenecks",
-    "ScaleReactivelyPolicy",
-    "ScalingDecision",
-    "ElasticScaler",
-    "AdaptiveBatchingPolicy",
-]
+_EXPORTS = {
+    "LatencyConstraint": "repro.core.constraints",
+    "ConstraintTracker": "repro.core.constraints",
+    "kingman_waiting_time": "repro.core.latency_model",
+    "VertexModel": "repro.core.latency_model",
+    "SequenceLatencyModel": "repro.core.latency_model",
+    "build_sequence_model": "repro.core.latency_model",
+    "RebalanceResult": "repro.core.rebalance",
+    "rebalance": "repro.core.rebalance",
+    "find_bottlenecks": "repro.core.bottlenecks",
+    "resolve_bottlenecks": "repro.core.bottlenecks",
+    "ScaleReactivelyPolicy": "repro.core.scale_reactively",
+    "ScalingDecision": "repro.core.scale_reactively",
+    "ElasticScaler": "repro.core.elastic_scaler",
+    "AdaptiveBatchingPolicy": "repro.core.batching_policy",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -12,72 +12,40 @@ motivation configurations (Storm, Nephele-IF, Nephele-16KiB,
 Nephele-<deadline>).
 """
 
-from repro.engine.items import DataItem
-from repro.engine.udf import (
-    UDF,
-    SourceUDF,
-    MapUDF,
-    FilterUDF,
-    FlatMapUDF,
-    WindowedAggregateUDF,
-    SinkUDF,
-)
-from repro.engine.operators import (
-    KeyedAggregateUDF,
-    RateEstimatorUDF,
-    SampleUDF,
-    UnionTagUDF,
-    tumbling_count,
-    tumbling_mean,
-    tumbling_sum,
-    tumbling_top_k,
-)
-from repro.engine.queues import BoundedQueue
-from repro.engine.batching import (
-    BatchingStrategy,
-    InstantFlush,
-    FixedSizeBatching,
-    AdaptiveDeadlineBatching,
-)
-from repro.engine.channel import RuntimeChannel, NetworkModel
-from repro.engine.task import RuntimeTask
-from repro.engine.worker import WorkerNode
-from repro.engine.resources import ResourceManager, InsufficientResourcesError
-from repro.engine.runtime import RuntimeGraph, RuntimeVertex
-from repro.engine.scheduler import Scheduler
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro import _lazy_exports
 
-__all__ = [
-    "DataItem",
-    "UDF",
-    "SourceUDF",
-    "MapUDF",
-    "FilterUDF",
-    "FlatMapUDF",
-    "WindowedAggregateUDF",
-    "SinkUDF",
-    "BoundedQueue",
-    "KeyedAggregateUDF",
-    "RateEstimatorUDF",
-    "SampleUDF",
-    "UnionTagUDF",
-    "tumbling_count",
-    "tumbling_mean",
-    "tumbling_sum",
-    "tumbling_top_k",
-    "BatchingStrategy",
-    "InstantFlush",
-    "FixedSizeBatching",
-    "AdaptiveDeadlineBatching",
-    "RuntimeChannel",
-    "NetworkModel",
-    "RuntimeTask",
-    "WorkerNode",
-    "ResourceManager",
-    "InsufficientResourcesError",
-    "RuntimeGraph",
-    "RuntimeVertex",
-    "Scheduler",
-    "EngineConfig",
-    "StreamProcessingEngine",
-]
+_EXPORTS = {
+    "DataItem": "repro.engine.items",
+    "UDF": "repro.engine.udf",
+    "SourceUDF": "repro.engine.udf",
+    "MapUDF": "repro.engine.udf",
+    "FilterUDF": "repro.engine.udf",
+    "FlatMapUDF": "repro.engine.udf",
+    "WindowedAggregateUDF": "repro.engine.udf",
+    "SinkUDF": "repro.engine.udf",
+    "BoundedQueue": "repro.engine.queues",
+    "KeyedAggregateUDF": "repro.engine.operators",
+    "RateEstimatorUDF": "repro.engine.operators",
+    "SampleUDF": "repro.engine.operators",
+    "UnionTagUDF": "repro.engine.operators",
+    "tumbling_count": "repro.engine.operators",
+    "tumbling_mean": "repro.engine.operators",
+    "tumbling_sum": "repro.engine.operators",
+    "tumbling_top_k": "repro.engine.operators",
+    "BatchingStrategy": "repro.engine.batching",
+    "InstantFlush": "repro.engine.batching",
+    "FixedSizeBatching": "repro.engine.batching",
+    "AdaptiveDeadlineBatching": "repro.engine.batching",
+    "RuntimeChannel": "repro.engine.channel",
+    "NetworkModel": "repro.engine.channel",
+    "RuntimeTask": "repro.engine.task",
+    "WorkerNode": "repro.engine.worker",
+    "ResourceManager": "repro.engine.resources",
+    "InsufficientResourcesError": "repro.engine.resources",
+    "RuntimeGraph": "repro.engine.runtime",
+    "RuntimeVertex": "repro.engine.runtime",
+    "Scheduler": "repro.engine.scheduler",
+    "EngineConfig": "repro.engine.engine",
+    "StreamProcessingEngine": "repro.engine.engine",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

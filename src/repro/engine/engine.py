@@ -17,19 +17,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.actuation.config import ActuationConfig
-from repro.actuation.reconciler import ReconciliationController
-from repro.core.batching_policy import AdaptiveBatchingPolicy
 from repro.core.constraints import ConstraintTracker, LatencyConstraint
-from repro.core.elastic_scaler import ElasticScaler
-from repro.core.policy import (
-    DEFAULT_POLICY,
-    PolicyContext,
-    PolicySpec,
-    parse_policy_spec,
-)
 from repro.engine.batching import (
     AdaptiveDeadlineBatching,
     BatchingStrategy,
@@ -41,20 +31,30 @@ from repro.engine.items import SampleView, SinkSamples
 from repro.engine.resources import ResourceManager
 from repro.engine.runtime import RuntimeGraph
 from repro.engine.scheduler import Scheduler
-from repro.engine.state import MigrationAdvisor, StateManager, StatefulVertexSpec
 from repro.engine.task import RuntimeTask
 from repro.engine.udf import READ_READY
 from repro.graphs.job_graph import JobGraph
-from repro.obs.config import ObservabilityConfig
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampling import MetricsSampler, SamplingClock
-from repro.obs.trace import DecisionTrace
 from repro.qos.manager import QoSManager
 from repro.qos.reporter import ChannelReporter, TaskReporter
 from repro.qos.summary import GlobalSummary, merge_partial_summaries
-from repro.simulation.faults import FaultInjector, FaultPlan
 from repro.simulation.kernel import Simulator
 from repro.simulation.randomness import RandomStreams
+
+# Every optional subsystem is imported by the branch of ``submit`` /
+# ``DeployedJob.__init__`` that constructs it (never inside ``run``), so a
+# process compiles only what its jobs use; these names are annotations.
+if TYPE_CHECKING:
+    from repro.actuation.config import ActuationConfig
+    from repro.actuation.reconciler import ReconciliationController
+    from repro.core.batching_policy import AdaptiveBatchingPolicy
+    from repro.core.elastic_scaler import ElasticScaler
+    from repro.core.policy import PolicySpec
+    from repro.engine.state import StateManager, StatefulVertexSpec
+    from repro.obs.config import ObservabilityConfig
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.sampling import MetricsSampler, SamplingClock
+    from repro.obs.trace import DecisionTrace
+    from repro.simulation.faults import FaultInjector, FaultPlan
 
 
 @dataclass
@@ -243,6 +243,8 @@ class DeployedJob:
         self.summary_history: List[Tuple[float, GlobalSummary]] = []
         self._batching_policy: Optional[AdaptiveBatchingPolicy] = None
         if self.constraints and isinstance(config.batching, AdaptiveDeadlineBatching):
+            from repro.core.batching_policy import AdaptiveBatchingPolicy
+
             self._batching_policy = AdaptiveBatchingPolicy(
                 self.constraints,
                 batch_fraction=config.batch_fraction,
@@ -274,6 +276,8 @@ class DeployedJob:
         #: structured scaler decision log (None when tracing is off)
         self.trace: Optional[DecisionTrace] = None
         if obs is not None and obs.trace:
+            from repro.obs.trace import DecisionTrace
+
             self.trace = DecisionTrace()
         # Per-job policy (from the pipeline builder / submit) wins over
         # the engine-wide EngineConfig.policy; both are registry specs.
@@ -287,6 +291,9 @@ class DeployedJob:
             self.constraints or effective_policy is not None
         )
         if wants_scaler:
+            from repro.core.elastic_scaler import ElasticScaler
+            from repro.core.policy import DEFAULT_POLICY, PolicyContext, parse_policy_spec
+
             spec = parse_policy_spec(
                 effective_policy if effective_policy is not None else DEFAULT_POLICY
             )
@@ -308,6 +315,8 @@ class DeployedJob:
         self.reconciler: Optional[ReconciliationController] = None
         effective_actuation = actuation if actuation is not None else config.actuation
         if effective_actuation is not None and effective_actuation.enabled:
+            from repro.actuation.reconciler import ReconciliationController
+
             self.reconciler = ReconciliationController(
                 engine.sim,
                 self.scheduler,
@@ -325,6 +334,8 @@ class DeployedJob:
         #: scale-ups.
         self.state_manager: Optional[StateManager] = None
         if stateful:
+            from repro.engine.state import MigrationAdvisor, StateManager
+
             manager = StateManager(
                 engine.sim,
                 self.runtime,
@@ -362,6 +373,8 @@ class DeployedJob:
         #: armed fault injector (None for fault-free runs)
         self.fault_injector: Optional[FaultInjector] = None
         if fault_plan is not None and fault_plan:
+            from repro.simulation.faults import FaultInjector
+
             self.fault_injector = FaultInjector(fault_plan, self).arm()
         # Measurement ticks strictly precede the adjustment tick sharing
         # the same instant (epsilon offset keeps the ordering stable
@@ -601,6 +614,8 @@ class StreamProcessingEngine:
         """
         clock = self._sampling_clocks.get(interval)
         if clock is None:
+            from repro.obs.sampling import SamplingClock
+
             clock = SamplingClock(self.sim, interval)
             self._sampling_clocks[interval] = clock
         return clock
@@ -608,6 +623,9 @@ class StreamProcessingEngine:
     def _enable_metrics(self) -> None:
         if self.metrics is not None:
             return
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.sampling import MetricsSampler
+
         self.metrics = MetricsRegistry()
         interval = (
             self.observability.sample_interval
@@ -674,7 +692,8 @@ class StreamProcessingEngine:
         (with explicit ``constraints``/``fault_plan``) or a
         :class:`~repro.builder.BuiltPipeline`, which carries its own
         constraints, fault plan and observability settings — the builder
-        path.
+        path. Anything else (a ``PipelineBuilder`` whose ``.build()`` was
+        forgotten, ``None``) raises ``TypeError``.
 
         ``fault_plan`` arms a deterministic chaos scenario against the
         job (see :mod:`repro.simulation.faults`); the armed injector is
@@ -692,9 +711,18 @@ class StreamProcessingEngine:
         :mod:`repro.engine.admission`); the defaults leave the job
         unconstrained under first-come arbitration.
         """
-        from repro.builder import BuiltPipeline
+        if not isinstance(job_graph, JobGraph):
+            from repro.builder import BuiltPipeline, PipelineBuilder
 
-        if isinstance(job_graph, BuiltPipeline):
+            if not isinstance(job_graph, BuiltPipeline):
+                hint = (
+                    " (call .build() on the PipelineBuilder first)"
+                    if isinstance(job_graph, PipelineBuilder) else ""
+                )
+                raise TypeError(
+                    "submit() takes a JobGraph or a BuiltPipeline, not "
+                    f"{type(job_graph).__name__}{hint}"
+                )
             pipeline = job_graph
             if (
                 constraints or fault_plan is not None or actuation is not None

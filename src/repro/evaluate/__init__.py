@@ -30,49 +30,29 @@ CLI: ``python -m repro compare RUN [RUN ...] [--baseline B]
 [--tolerance T] [--suggest]`` and ``python -m repro runs --root DIR``.
 """
 
-from repro.evaluate.baseline import Baseline, DEFAULT_TOLERANCE
-from repro.evaluate.compare import (
-    Candidate,
-    Comparison,
-    StatCheck,
-    compare_runs,
-    suggest_from_runs,
-)
-from repro.evaluate.history import RunEntry, RunIndex
-from repro.evaluate.metrics import MetricSeries, extract_metrics, metric_direction
-from repro.evaluate.render import (
-    render_comparison,
-    render_comparison_html,
-    write_comparison_html,
-)
-from repro.evaluate.scoreboard import build_scoreboard, render_scoreboard
-from repro.evaluate.tolerance import (
-    ToleranceSpec,
-    limit_value,
-    suggest_tolerance,
-    within_tolerance,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Baseline",
-    "Candidate",
-    "Comparison",
-    "DEFAULT_TOLERANCE",
-    "MetricSeries",
-    "RunEntry",
-    "RunIndex",
-    "StatCheck",
-    "ToleranceSpec",
-    "build_scoreboard",
-    "compare_runs",
-    "extract_metrics",
-    "limit_value",
-    "metric_direction",
-    "render_comparison",
-    "render_comparison_html",
-    "render_scoreboard",
-    "suggest_from_runs",
-    "suggest_tolerance",
-    "within_tolerance",
-    "write_comparison_html",
-]
+_EXPORTS = {
+    "Baseline": "repro.evaluate.baseline",
+    "Candidate": "repro.evaluate.compare",
+    "Comparison": "repro.evaluate.compare",
+    "DEFAULT_TOLERANCE": "repro.evaluate.baseline",
+    "MetricSeries": "repro.evaluate.metrics",
+    "RunEntry": "repro.evaluate.history",
+    "RunIndex": "repro.evaluate.history",
+    "StatCheck": "repro.evaluate.compare",
+    "ToleranceSpec": "repro.evaluate.tolerance",
+    "build_scoreboard": "repro.evaluate.scoreboard",
+    "compare_runs": "repro.evaluate.compare",
+    "extract_metrics": "repro.evaluate.metrics",
+    "limit_value": "repro.evaluate.tolerance",
+    "metric_direction": "repro.evaluate.metrics",
+    "render_comparison": "repro.evaluate.render",
+    "render_comparison_html": "repro.evaluate.render",
+    "render_scoreboard": "repro.evaluate.scoreboard",
+    "suggest_from_runs": "repro.evaluate.compare",
+    "suggest_tolerance": "repro.evaluate.tolerance",
+    "within_tolerance": "repro.evaluate.tolerance",
+    "write_comparison_html": "repro.evaluate.render",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

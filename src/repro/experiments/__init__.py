@@ -16,18 +16,16 @@ with the same rows/series the paper reports, plus a ``main()`` CLI entry
 point (``python -m repro.experiments.fig6_primetester``).
 """
 
-from repro.experiments.recording import SeriesRecorder, SeriesRow
-from repro.experiments.report import format_table, write_csv
-from repro.experiments.ascii import line_chart, series_panel, sparkline
-from repro.experiments.dashboard import Dashboard
+from repro import _lazy_exports
 
-__all__ = [
-    "SeriesRecorder",
-    "SeriesRow",
-    "format_table",
-    "write_csv",
-    "sparkline",
-    "line_chart",
-    "series_panel",
-    "Dashboard",
-]
+_EXPORTS = {
+    "SeriesRecorder": "repro.experiments.recording",
+    "SeriesRow": "repro.experiments.recording",
+    "format_table": "repro.experiments.report",
+    "write_csv": "repro.experiments.report",
+    "sparkline": "repro.experiments.ascii",
+    "line_chart": "repro.experiments.ascii",
+    "series_panel": "repro.experiments.ascii",
+    "Dashboard": "repro.experiments.dashboard",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

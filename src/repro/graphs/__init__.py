@@ -10,24 +10,17 @@ A :class:`JobSequence` is an alternating tuple of connected vertices and
 edges over which latency constraints are declared.
 """
 
-from repro.graphs.job_graph import JobGraph, JobVertex, JobEdge
-from repro.graphs.sequences import JobSequence
-from repro.graphs.partitioning import (
-    Partitioner,
-    RoundRobinPartitioner,
-    KeyPartitioner,
-    BroadcastPartitioner,
-    make_partitioner,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "JobGraph",
-    "JobVertex",
-    "JobEdge",
-    "JobSequence",
-    "Partitioner",
-    "RoundRobinPartitioner",
-    "KeyPartitioner",
-    "BroadcastPartitioner",
-    "make_partitioner",
-]
+_EXPORTS = {
+    "JobGraph": "repro.graphs.job_graph",
+    "JobVertex": "repro.graphs.job_graph",
+    "JobEdge": "repro.graphs.job_graph",
+    "JobSequence": "repro.graphs.sequences",
+    "Partitioner": "repro.graphs.partitioning",
+    "RoundRobinPartitioner": "repro.graphs.partitioning",
+    "KeyPartitioner": "repro.graphs.partitioning",
+    "BroadcastPartitioner": "repro.graphs.partitioning",
+    "make_partitioner": "repro.graphs.partitioning",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -6,85 +6,41 @@ code can import ``repro.obs`` without cycles and observability stays a
 strict add-on: disabling it leaves runs byte-identical.
 """
 
-from repro.obs.config import ObservabilityConfig
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    global_registry,
-)
-from repro.obs.sampling import (
-    SAMPLE_EPSILON,
-    MetricsSampler,
-    SamplingClock,
-    utilization_samples,
-)
-from repro.obs.trace import (
-    BRANCH_BOTTLENECK,
-    BRANCH_COOLDOWN,
-    BRANCH_INACTIVE,
-    BRANCH_INFEASIBLE,
-    BRANCH_NO_MODEL_SKIP,
-    BRANCH_REBALANCE,
-    BRANCH_STALE_SKIP,
-    BRANCH_UNRESOLVABLE,
-    BRANCHES,
-    TRACE_FIELDS,
-    TRACE_SCHEMA_VERSION,
-    DecisionTrace,
-    TraceRecord,
-    finite_or_none,
-    validate_record_dict,
-    validate_trace_file,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    RunManifest,
-    build_manifest,
-    export_run,
-    git_provenance,
-    graph_hash,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    # config
-    "ObservabilityConfig",
-    # metrics
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "global_registry",
-    # sampling
-    "SAMPLE_EPSILON",
-    "MetricsSampler",
-    "SamplingClock",
-    "utilization_samples",
-    # trace
-    "BRANCH_BOTTLENECK",
-    "BRANCH_COOLDOWN",
-    "BRANCH_INACTIVE",
-    "BRANCH_INFEASIBLE",
-    "BRANCH_NO_MODEL_SKIP",
-    "BRANCH_REBALANCE",
-    "BRANCH_STALE_SKIP",
-    "BRANCH_UNRESOLVABLE",
-    "BRANCHES",
-    "TRACE_FIELDS",
-    "TRACE_SCHEMA_VERSION",
-    "DecisionTrace",
-    "TraceRecord",
-    "finite_or_none",
-    "validate_record_dict",
-    "validate_trace_file",
-    # manifest
-    "MANIFEST_SCHEMA_VERSION",
-    "RunManifest",
-    "build_manifest",
-    "export_run",
-    "git_provenance",
-    "graph_hash",
-]
+_EXPORTS = {
+    "ObservabilityConfig": "repro.obs.config",
+    "DEFAULT_BUCKETS": "repro.obs.metrics",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "global_registry": "repro.obs.metrics",
+    "SAMPLE_EPSILON": "repro.obs.sampling",
+    "MetricsSampler": "repro.obs.sampling",
+    "SamplingClock": "repro.obs.sampling",
+    "utilization_samples": "repro.obs.sampling",
+    "BRANCH_BOTTLENECK": "repro.obs.trace",
+    "BRANCH_COOLDOWN": "repro.obs.trace",
+    "BRANCH_INACTIVE": "repro.obs.trace",
+    "BRANCH_INFEASIBLE": "repro.obs.trace",
+    "BRANCH_NO_MODEL_SKIP": "repro.obs.trace",
+    "BRANCH_REBALANCE": "repro.obs.trace",
+    "BRANCH_STALE_SKIP": "repro.obs.trace",
+    "BRANCH_UNRESOLVABLE": "repro.obs.trace",
+    "BRANCHES": "repro.obs.trace",
+    "TRACE_FIELDS": "repro.obs.trace",
+    "TRACE_SCHEMA_VERSION": "repro.obs.trace",
+    "DecisionTrace": "repro.obs.trace",
+    "TraceRecord": "repro.obs.trace",
+    "finite_or_none": "repro.obs.trace",
+    "validate_record_dict": "repro.obs.trace",
+    "validate_trace_file": "repro.obs.trace",
+    "MANIFEST_SCHEMA_VERSION": "repro.obs.manifest",
+    "RunManifest": "repro.obs.manifest",
+    "build_manifest": "repro.obs.manifest",
+    "export_run": "repro.obs.manifest",
+    "git_provenance": "repro.obs.manifest",
+    "graph_hash": "repro.obs.manifest",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,23 +9,20 @@ the latency model, and distributes adaptive-output-batching deadlines
 back to the channels.
 """
 
-from repro.qos.stats import OnlineStats, WindowedStats, percentile
-from repro.qos.measurements import TaskMeasurement, ChannelMeasurement
-from repro.qos.summary import VertexSummary, EdgeSummary, GlobalSummary, merge_partial_summaries
-from repro.qos.reporter import TaskReporter, ChannelReporter
-from repro.qos.manager import QoSManager
+from repro import _lazy_exports
 
-__all__ = [
-    "OnlineStats",
-    "WindowedStats",
-    "percentile",
-    "TaskMeasurement",
-    "ChannelMeasurement",
-    "VertexSummary",
-    "EdgeSummary",
-    "GlobalSummary",
-    "merge_partial_summaries",
-    "TaskReporter",
-    "ChannelReporter",
-    "QoSManager",
-]
+_EXPORTS = {
+    "OnlineStats": "repro.qos.stats",
+    "WindowedStats": "repro.qos.stats",
+    "percentile": "repro.qos.stats",
+    "TaskMeasurement": "repro.qos.measurements",
+    "ChannelMeasurement": "repro.qos.measurements",
+    "VertexSummary": "repro.qos.summary",
+    "EdgeSummary": "repro.qos.summary",
+    "GlobalSummary": "repro.qos.summary",
+    "merge_partial_summaries": "repro.qos.summary",
+    "TaskReporter": "repro.qos.reporter",
+    "ChannelReporter": "repro.qos.reporter",
+    "QoSManager": "repro.qos.manager",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -7,42 +7,27 @@ random-variate streams for service times, interarrival times and other
 stochastic model inputs.
 """
 
-from repro.simulation.events import Event
-from repro.simulation.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultRecord,
-    MeasurementDropout,
-    ServiceSpike,
-    TaskCrash,
-    WorkerLoss,
-)
-from repro.simulation.kernel import Simulator
-from repro.simulation.randomness import (
-    Distribution,
-    Deterministic,
-    Exponential,
-    Gamma,
-    LogNormal,
-    Uniform,
-    RandomStreams,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRecord",
-    "MeasurementDropout",
-    "ServiceSpike",
-    "TaskCrash",
-    "WorkerLoss",
-    "Distribution",
-    "Deterministic",
-    "Exponential",
-    "Gamma",
-    "LogNormal",
-    "Uniform",
-    "RandomStreams",
-]
+_EXPORTS = {
+    "Event": "repro.simulation.events",
+    "Simulator": "repro.simulation.kernel",
+    "FaultInjector": "repro.simulation.faults",
+    "FaultPlan": "repro.simulation.faults",
+    "FaultRecord": "repro.simulation.faults",
+    "MeasurementDropout": "repro.simulation.faults",
+    "ServiceSpike": "repro.simulation.faults",
+    "TaskCrash": "repro.simulation.faults",
+    "WorkerLoss": "repro.simulation.faults",
+    "ActuationFailure": "repro.simulation.faults",
+    "ActuationDelay": "repro.simulation.faults",
+    "MigrationFailure": "repro.simulation.faults",
+    "Distribution": "repro.simulation.randomness",
+    "Deterministic": "repro.simulation.randomness",
+    "Exponential": "repro.simulation.randomness",
+    "Gamma": "repro.simulation.randomness",
+    "LogNormal": "repro.simulation.randomness",
+    "Uniform": "repro.simulation.randomness",
+    "RandomStreams": "repro.simulation.randomness",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -33,29 +33,24 @@ CLI: ``python -m repro sweep [--grid FILE | flags] --workers N
 [--resume] --out DIR`` and ``python -m repro run --partitions N``.
 """
 
-from repro.sweep.grid import SweepGrid, WORKLOADS
-from repro.sweep.orchestrator import SweepError, SweepStats, run_sweep
-from repro.sweep.partition import PartitionError, PartitionPlan, run_partitioned
-from repro.sweep.pool import PoolError, PoolJob, PoolStats, run_pool
-from repro.sweep.report import merge_shard_results, read_aggregate
-from repro.sweep.shard import run_shard
-from repro.workloads.scenario import ScenarioSpec
+from repro import _lazy_exports
 
-__all__ = [
-    "SweepGrid",
-    "WORKLOADS",
-    "ScenarioSpec",
-    "SweepError",
-    "SweepStats",
-    "run_sweep",
-    "run_shard",
-    "merge_shard_results",
-    "read_aggregate",
-    "PartitionError",
-    "PartitionPlan",
-    "run_partitioned",
-    "PoolError",
-    "PoolJob",
-    "PoolStats",
-    "run_pool",
-]
+_EXPORTS = {
+    "SweepGrid": "repro.sweep.grid",
+    "WORKLOADS": "repro.workloads.scenario",
+    "ScenarioSpec": "repro.workloads.scenario",
+    "SweepError": "repro.sweep.orchestrator",
+    "SweepStats": "repro.sweep.orchestrator",
+    "run_sweep": "repro.sweep.orchestrator",
+    "run_shard": "repro.sweep.shard",
+    "merge_shard_results": "repro.sweep.report",
+    "read_aggregate": "repro.sweep.report",
+    "PartitionError": "repro.sweep.partition",
+    "PartitionPlan": "repro.sweep.partition",
+    "run_partitioned": "repro.sweep.partition",
+    "PoolError": "repro.sweep.pool",
+    "PoolJob": "repro.sweep.pool",
+    "PoolStats": "repro.sweep.pool",
+    "run_pool": "repro.sweep.pool",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -32,6 +32,8 @@ import shutil
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
+from repro.experiments.report import write_json
+from repro.obs.manifest import MANIFEST_FILE, METRICS_FILE, TRACE_FILE, git_provenance
 from repro.sweep.pool import PoolError, PoolJob, run_pool
 from repro.sweep.shard import load_shard_result, shard_process_entry
 from repro.workloads.scenario import SINGLE_JOB_WORKLOADS, ScenarioSpec
@@ -158,9 +160,6 @@ def run_partitioned(
     first attempt creates the marker file and dies (see
     :attr:`repro.workloads.scenario.ScenarioSpec.fail_once_marker`).
     """
-    from repro.experiments.report import write_json
-    from repro.obs.manifest import MANIFEST_FILE, METRICS_FILE, TRACE_FILE, git_provenance
-
     say = progress if progress is not None else (lambda message: None)
     specs = plan.specs()
     slices_root = os.path.join(out, SLICES_DIR)

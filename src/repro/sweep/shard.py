@@ -20,6 +20,10 @@ import os
 import sys
 from typing import Dict, Optional
 
+# imported here, not in the functions below: a forked shard imports nothing
+# (see the note at the top of repro.workloads.scenario)
+from repro.experiments.report import write_json
+from repro.obs.manifest import export_run, git_provenance
 from repro.workloads.scenario import (
     SHARD_SCHEMA_VERSION,
     ScenarioSpec,
@@ -51,8 +55,6 @@ def run_shard(
     process read it — once per sweep, so all shards agree; ``{}`` when
     there is none. ``None`` asks git here.
     """
-    from repro.obs.manifest import export_run, git_provenance
-
     engine, jobs, recorder = build(spec, export_dir=export_dir)
     engine.run(spec.duration)
     result = summarize(spec, engine, jobs, recorder)
@@ -79,8 +81,6 @@ def execute_shard(
     presence marks a fully completed shard — a crash mid-run can never
     leave a half-written checkpoint behind.
     """
-    from repro.experiments.report import write_json
-
     os.makedirs(shard_dir, exist_ok=True)
     result = run_shard(spec, export_dir=shard_dir, git=git)
     write_json(os.path.join(shard_dir, RESULT_FILE), result)

@@ -12,36 +12,23 @@
   with the paper's two latency constraints.
 """
 
-from repro.workloads.rates import (
-    RateProfile,
-    ConstantRate,
-    PiecewiseRate,
-    DiurnalRate,
-    step_phase_segments,
-)
-from repro.workloads.primetester import (
-    PrimeTesterParams,
-    build_primetester_job,
-    is_probable_prime,
-)
-from repro.workloads.tweets import Tweet, TweetTraceGenerator, TweetTraceParams
-from repro.workloads.sentiment import SentimentAnalyzer, SENTIMENT_LEXICON
-from repro.workloads.twitter_job import TwitterSentimentParams, build_twitter_sentiment_job
+from repro import _lazy_exports
 
-__all__ = [
-    "RateProfile",
-    "ConstantRate",
-    "PiecewiseRate",
-    "DiurnalRate",
-    "step_phase_segments",
-    "PrimeTesterParams",
-    "build_primetester_job",
-    "is_probable_prime",
-    "Tweet",
-    "TweetTraceGenerator",
-    "TweetTraceParams",
-    "SentimentAnalyzer",
-    "SENTIMENT_LEXICON",
-    "TwitterSentimentParams",
-    "build_twitter_sentiment_job",
-]
+_EXPORTS = {
+    "RateProfile": "repro.workloads.rates",
+    "ConstantRate": "repro.workloads.rates",
+    "PiecewiseRate": "repro.workloads.rates",
+    "DiurnalRate": "repro.workloads.rates",
+    "step_phase_segments": "repro.workloads.rates",
+    "PrimeTesterParams": "repro.workloads.primetester",
+    "build_primetester_job": "repro.workloads.primetester",
+    "is_probable_prime": "repro.workloads.primetester",
+    "Tweet": "repro.workloads.tweets",
+    "TweetTraceGenerator": "repro.workloads.tweets",
+    "TweetTraceParams": "repro.workloads.tweets",
+    "SentimentAnalyzer": "repro.workloads.sentiment",
+    "SENTIMENT_LEXICON": "repro.workloads.sentiment",
+    "TwitterSentimentParams": "repro.workloads.twitter_job",
+    "build_twitter_sentiment_job": "repro.workloads.twitter_job",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

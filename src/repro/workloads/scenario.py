@@ -21,10 +21,23 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, get_args
 
+# A sweep or partition parent has imported this module before it forks,
+# and a forked shard must compile nothing. So what ``submit`` would import
+# on the branch that needs it -- scaler and every built-in policy,
+# reconciler, state manager, batching policy, metrics, sampling, trace --
+# is loaded here, whichever of them the first scenario built happens to use.
+import repro.actuation.reconciler  # noqa: F401
+import repro.core.batching_policy  # noqa: F401
+import repro.core.elastic_scaler  # noqa: F401
+import repro.engine.state  # noqa: F401
+import repro.obs.metrics  # noqa: F401
+import repro.obs.sampling  # noqa: F401
+import repro.obs.trace  # noqa: F401
 from repro.actuation.config import ActuationConfig
 from repro.builder import BuiltPipeline, PipelineBuilder
-from repro.core.policy import DEFAULT_POLICY, parse_policy_spec
+from repro.core.policy import DEFAULT_POLICY, ensure_builtin_policies, parse_policy_spec
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro.experiments.recording import SeriesRecorder
 from repro.obs.config import ObservabilityConfig
 from repro.obs.manifest import graph_hash
 from repro.simulation.faults import (
@@ -44,6 +57,8 @@ from repro.workloads.twitter_job import (
     TwitterSentimentParams,
     build_twitter_sentiment_job,
 )
+
+ensure_builtin_policies()
 
 #: result layout version of :func:`summarize`; bump on incompatible change
 SHARD_SCHEMA_VERSION = 1
@@ -301,8 +316,6 @@ def build(
     then writes the bundle there); ``pin_wall_time`` keeps the exported
     manifest byte-identical across same-seed runs.
     """
-    from repro.experiments.recording import SeriesRecorder
-
     workload = WORKLOADS[spec.workload]
     engine = StreamProcessingEngine(EngineConfig(
         elastic=True, seed=spec.seed, policy=spec.policy,

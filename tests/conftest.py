@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,26 @@ from repro.graphs.job_graph import JobGraph
 from repro.simulation.kernel import Simulator
 from repro.simulation.randomness import Deterministic, Gamma
 from repro.workloads.rates import ConstantRate
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter; fails the test on a non-zero exit.
+
+    For what is per process: which modules are loaded, import order.
+    ``src/`` and ``tests/`` are importable; ``args`` land in ``sys.argv[1:]``.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done
 
 
 @pytest.fixture

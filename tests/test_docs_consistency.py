@@ -9,13 +9,13 @@ README quickstart and the tutorial's first pipeline actually run.
 import ast
 import importlib
 import os
+import pkgutil
 import re
-import subprocess
-import sys
 
 import pytest
 
 import repro
+from conftest import run_fresh
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,6 +25,20 @@ def read(path):
         return handle.read()
 
 
+#: every package whose ``__init__`` is one export table (name -> defining module)
+PACKAGES = (
+    "repro", "repro.engine", "repro.core", "repro.actuation", "repro.obs",
+    "repro.simulation", "repro.qos", "repro.workloads", "repro.graphs",
+    "repro.analysis", "repro.sweep", "repro.evaluate", "repro.experiments",
+    "repro.bench",
+)
+
+
+def submodules(package):
+    """Names of the modules and subpackages directly under ``package``."""
+    return {info.name for info in pkgutil.iter_modules(package.__path__)}
+
+
 class TestPublicApi:
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -32,6 +46,80 @@ class TestPublicApi:
 
     def test_version_declared(self):
         assert re.match(r"^\d+\.\d+\.\d+$", repro.__version__)
+
+    def test_top_level_export_count(self):
+        # the 88 names of the eager __init__ plus MigrationFailure
+        assert len(repro.__all__) == 89
+        assert repro.__all__[0] == "__version__"
+        assert len(set(repro.__all__)) == 89
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_export_is_its_defining_modules_object(self, package):
+        pkg = importlib.import_module(package)
+        table = pkg._EXPORTS
+        assert [n for n in pkg.__all__ if n != "__version__"] == list(table)
+        for name, source in table.items():
+            assert getattr(pkg, name) is getattr(importlib.import_module(source), name), name
+            assert vars(pkg)[name] is getattr(pkg, name), f"{name} not cached"
+        assert set(pkg.__all__) <= set(dir(pkg))
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_unknown_attribute_names_the_package(self, package):
+        pkg = importlib.import_module(package)
+        with pytest.raises(AttributeError, match=re.escape(repr(package))):
+            pkg.no_such_export
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_star_import_binds_exactly_all(self, package):
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == set(importlib.import_module(package).__all__)
+
+    def test_subpackage_attribute_access_needs_no_import(self):
+        """``import repro; repro.obs.export_run`` worked when ``__init__`` was eager."""
+        script = (
+            "import repro\n"
+            "from repro.obs.manifest import export_run\n"
+            "assert repro.obs.export_run is export_run\n"
+            "assert repro.core.constraints.LatencyConstraint is repro.LatencyConstraint\n"
+        )
+        run_fresh(script)
+
+    @pytest.mark.parametrize(
+        "first",
+        ["from repro.core import rebalance", "import repro.core.scale_reactively"],
+    )
+    def test_exported_function_outranks_its_submodule(self, first):
+        """``repro.core.rebalance`` is a submodule and an exported function.
+
+        The import system binds the submodule on the package when anything
+        first loads it; the export must keep the name whatever came first.
+        """
+        script = (
+            f"{first}\n"
+            "import repro.core.scale_reactively\n"
+            "from repro.core import rebalance\n"
+            "import repro.core\n"
+            "from repro.core.rebalance import rebalance as function\n"
+            "assert rebalance is function and repro.core.rebalance is function\n"
+            "assert repro.rebalance is function\n"
+        )
+        run_fresh(script)
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_no_other_export_shares_a_submodule_name(self, package):
+        pkg = importlib.import_module(package)
+        shared = set(pkg._EXPORTS) & submodules(pkg)
+        assert shared == ({"rebalance"} if package == "repro.core" else set())
+
+    def test_fault_specs_are_exported(self):
+        """docs/API.md lists all seven fault specs as top-level names."""
+        from repro.simulation import faults
+
+        for name in ("MigrationFailure", "ActuationDelay", "ActuationFailure"):
+            assert getattr(repro.simulation, name) is getattr(faults, name)
+            assert getattr(repro, name) is getattr(faults, name)
 
     @pytest.mark.parametrize(
         "module",
@@ -214,8 +302,4 @@ class TestPackaging:
             "assert job.runtime.vertex('work').tasks[0].items_processed > 100\n"
             "assert 'numpy' not in sys.modules, 'engine.run loaded numpy'\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
+        run_fresh(script)

@@ -463,6 +463,17 @@ class TestUnifiedSubmit:
         with pytest.raises(TypeError):
             engine.submit(pipeline, pipeline.constraints)
 
+    def test_submit_names_what_it_accepts(self):
+        engine = StreamProcessingEngine(EngineConfig())
+        with pytest.raises(TypeError, match="JobGraph or a BuiltPipeline, not NoneType"):
+            engine.submit(None)
+        builder = PipelineBuilder("unbuilt").source(
+            lambda now, rng: 0, rate=ConstantRate(10.0)
+        )
+        with pytest.raises(TypeError, match=r"BuiltPipeline, not PipelineBuilder.*\.build\(\)"):
+            engine.submit(builder)
+        assert engine.jobs == []
+
 
 # ----------------------------------------------------------------------
 # end-to-end acceptance
