@@ -12,53 +12,27 @@ resource consumption and scaling churn:
 * **post-scale-up inactivity** (paper: 2 adjustment intervals).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.constraints import LatencyConstraint
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro.engine.engine import EngineConfig
 from repro.experiments.report import format_table
-from repro.workloads.primetester import (
-    PrimeTesterParams,
-    build_primetester_job,
-    primetester_constraint,
-)
+from repro.workloads.primetester import SCALED_CLUSTER, STEP_LOAD, run_primetester
 
 from conftest import save_report
 
-WORKLOAD = PrimeTesterParams(
-    n_sources=8,
-    n_testers=8,
-    n_sinks=2,
-    tester_min=1,
-    tester_max=64,
-    warmup_rate=30.0,
-    peak_rate=300.0,
-    increment_steps=5,
-    step_duration=8.0,
-    tester_service_mean=0.0025,
-    tester_service_cv=0.7,
-)
+WORKLOAD = replace(STEP_LOAD, peak_rate=300.0, increment_steps=5, step_duration=8.0)
 
 
 def run_variant(**config_overrides):
-    graph, profile = build_primetester_job(WORKLOAD)
-    constraint = primetester_constraint(graph, 0.020)
     config = EngineConfig.nephele_adaptive(
-        elastic=True,
-        per_batch_overhead=0.0015,
-        per_item_overhead=0.00002,
-        queue_capacity=128,
-        channel_capacity=16,
-        seed=11,
-        **config_overrides,
+        elastic=True, seed=11, **SCALED_CLUSTER, **config_overrides
     )
-    engine = StreamProcessingEngine(config)
-    job = engine.submit(graph, [constraint])
-    engine.run(profile.end_time + WORKLOAD.step_duration)
-    tracker = job.trackers[0]
+    job, _ = run_primetester(WORKLOAD, config, bound=0.020)
     return {
-        "fulfillment": tracker.fulfillment_ratio,
-        "task_seconds": engine.resources.task_seconds(),
+        "fulfillment": job.trackers[0].fulfillment_ratio,
+        "task_seconds": job.engine.resources.task_seconds(),
         "scaling_events": len(job.scaler.events),
     }
 

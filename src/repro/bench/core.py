@@ -157,16 +157,18 @@ def _best_rate(run: Callable[[str], int], flavor: str, repeats: int) -> float:
 # ----------------------------------------------------------------------
 
 def _bench_macro_twitter(quick: bool) -> Dict[str, object]:
-    from repro.engine.engine import EngineConfig, StreamProcessingEngine
-    from repro.workloads.twitter_job import build_twitter_sentiment_job
+    from repro.builder import BuiltPipeline
+    from repro.engine.engine import EngineConfig
     from repro.experiments.fig8_twitter import Fig8Params
+    from repro.experiments.recording import deploy
+    from repro.workloads.twitter_job import build_twitter_sentiment_job
 
     params = Fig8Params().quick()
     duration = 120.0 if quick else params.duration
-    graph, constraints = build_twitter_sentiment_job(params.workload)
-    config = EngineConfig.nephele_adaptive(elastic=True, seed=params.seed)
-    engine = StreamProcessingEngine(config)
-    job = engine.submit(graph, constraints)
+    engine, (job,), _ = deploy(
+        EngineConfig.nephele_adaptive(elastic=True, seed=params.seed),
+        [BuiltPipeline(*build_twitter_sentiment_job(params.workload))],
+    )
     start = time.perf_counter()
     engine.run(duration)
     wall = time.perf_counter() - start

@@ -2,9 +2,10 @@
 
 Commands
 --------
-``experiment {fig3,fig5,fig6,fig8,all}``
+``experiment {fig3,fig5,fig6,fig8,sensitivity,validation,policies,all}``
     Run a paper-reproduction experiment and print its report
-    (``--quick`` for the reduced variant, ``--csv DIR`` to export series).
+    (``--quick`` for the reduced variant, ``--csv DIR`` to write each
+    figure's committed CSV artefact into DIR).
 ``run``
     Run a registered scenario (``--scenario``, default the fault-free
     ``steady`` pipeline) with observability on and export
@@ -51,13 +52,13 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
 import repro
+from repro.experiments.report import FIGURES, QUICK_HELP, run_figure
 from repro.workloads.traces import generate_diurnal_trace, load_trace, save_trace
-
-EXPERIMENTS = ("fig3", "fig5", "fig6", "fig8", "sensitivity", "validation", "policies")
 
 
 def _policy_spec(text: str) -> str:
@@ -103,9 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     exp = sub.add_parser("experiment", help="run a paper experiment")
-    exp.add_argument("name", choices=EXPERIMENTS + ("all",))
-    exp.add_argument("--quick", action="store_true", help="reduced-scale variant")
-    exp.add_argument("--csv", metavar="DIR", help="export series CSVs into DIR")
+    exp.add_argument("name", choices=tuple(FIGURES) + ("all",))
+    exp.add_argument("--quick", action="store_true", help=QUICK_HELP)
+    exp.add_argument("--csv", metavar="DIR",
+                     help="write each figure's CSV artefact into DIR under its "
+                          "results/ name (fig3_series.csv, fig5_surface.csv, "
+                          "policies.csv, ...)")
 
     run = sub.add_parser("run", help="fault-free elastic run with observability export")
     run.add_argument("--duration", type=float, default=None,
@@ -306,39 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="version and experiment inventory")
     return parser
-
-
-def _run_experiment(name: str, quick: bool, csv_dir: Optional[str]) -> None:
-    import importlib
-
-    modules = {
-        "fig3": "repro.experiments.fig3_motivation",
-        "fig5": "repro.experiments.fig5_surface",
-        "fig6": "repro.experiments.fig6_primetester",
-        "fig8": "repro.experiments.fig8_twitter",
-        "sensitivity": "repro.experiments.sensitivity",
-        "validation": "repro.experiments.validation",
-        "policies": "repro.experiments.compare_policies",
-    }
-    params_classes = {
-        "fig3": "Fig3Params",
-        "fig6": "Fig6Params",
-        "fig8": "Fig8Params",
-        "sensitivity": "SensitivityParams",
-        "policies": "CompareParams",
-    }
-    module = importlib.import_module(modules[name])
-    if name in params_classes:
-        params = module.__dict__[params_classes[name]]()
-        if quick:
-            params = params.quick()
-        result = module.run(params)
-    else:
-        result = module.run()
-    print(result.report())
-    if csv_dir:
-        path = result.series_csv(f"{csv_dir}/{name}_series.csv")
-        print(f"series written to {path}")
 
 
 def _format_decision(record) -> str:
@@ -977,14 +948,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "info":
         print(f"repro {repro.__version__} — Elastic Stream Processing with "
               "Latency Guarantees (ICDCS 2015)")
-        print("experiments: " + ", ".join(EXPERIMENTS))
+        print("experiments: " + ", ".join(FIGURES))
         print("see DESIGN.md for the paper-to-module map and EXPERIMENTS.md "
               "for paper-vs-measured results")
         return 0
     if args.command == "experiment":
-        names = EXPERIMENTS if args.name == "all" else (args.name,)
-        for name in names:
-            _run_experiment(name, args.quick, args.csv)
+        for name in FIGURES if args.name == "all" else (args.name,):
+            run_figure(
+                name, args.quick,
+                os.path.join(args.csv, FIGURES[name].artefact) if args.csv else None,
+            )
         return 0
     if args.command == "run":
         if args.shared_cluster:

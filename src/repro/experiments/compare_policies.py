@@ -13,30 +13,40 @@ The paper's Sec. VI positions these as designed for different goals
 conversely our policy is designed to minimize the violation of
 user-defined latency constraints"); this harness measures the difference.
 
-Every contender is constructed through the policy registry
-(:mod:`repro.core.policy`) and handed to ``engine.submit(graph,
-constraints, policy=...)`` — no policy is special-cased in engine or
-scaler code paths.
+Every contender is a registry spec (:mod:`repro.core.policy`) submitted
+with the pipeline — no policy is special-cased in engine or scaler code
+paths.
 
 Run:  python -m repro.experiments.compare_policies [--quick]
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, Optional
 
 from repro.core.policy import PolicySpec
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
-from repro.experiments.report import format_table, write_csv
+from repro.engine.engine import EngineConfig
+from repro.experiments.report import format_table, main as figure_main, write_csv
 from repro.workloads.primetester import (
+    SCALED_CLUSTER,
+    STEP_LOAD,
     PrimeTesterParams,
-    build_primetester_job,
-    primetester_constraint,
+    run_primetester,
 )
 
-POLICIES = ("scale-reactively", "predictive", "cpu-threshold", "rate-based")
+#: contender -> its registry knobs: CPU thresholds (high / low / target
+#: utilization), rate-based headroom, predictive horizon in adjustment
+#: intervals
+POLICY_KNOBS = {
+    "scale-reactively": {},
+    "predictive": {"horizon": 1.0},
+    "cpu-threshold": {"high": 0.8, "low": 0.3, "target": 0.6},
+    "rate-based": {"headroom": 0.3},
+}
+
+POLICIES = tuple(POLICY_KNOBS)
 
 
 @dataclass
@@ -44,27 +54,11 @@ class CompareParams:
     """Scenario knobs for the policy comparison."""
 
     workload: PrimeTesterParams = field(
-        default_factory=lambda: PrimeTesterParams(
-            n_sources=8,
-            n_testers=8,
-            n_sinks=2,
-            tester_min=1,
-            tester_max=64,
-            warmup_rate=30.0,
-            peak_rate=350.0,
-            increment_steps=6,
-            step_duration=15.0,
-            tester_service_mean=0.0025,
-            tester_service_cv=0.7,
+        default_factory=lambda: replace(
+            STEP_LOAD, peak_rate=350.0, increment_steps=6, step_duration=15.0
         )
     )
     constraint_bound: float = 0.020
-    #: CPU-threshold policy parameters (high / low / target utilization)
-    cpu_thresholds: tuple = (0.8, 0.3, 0.6)
-    #: rate-based policy headroom
-    rate_headroom: float = 0.3
-    #: predictive horizon in adjustment intervals
-    predictive_horizon: float = 1.0
     seed: int = 11
 
     def quick(self) -> "CompareParams":
@@ -131,52 +125,27 @@ class CompareResult:
         )
 
 
-def _policy_spec(params: CompareParams, policy_name: str) -> PolicySpec:
-    """The registry spec (name + scenario knobs) for one contender."""
-    if policy_name == "cpu-threshold":
-        high, low, target = params.cpu_thresholds
-        return PolicySpec(policy_name, {"high": high, "low": low, "target": target})
-    if policy_name == "rate-based":
-        return PolicySpec(policy_name, {"headroom": params.rate_headroom})
-    if policy_name == "predictive":
-        return PolicySpec(policy_name, {"horizon": params.predictive_horizon})
-    if policy_name == "scale-reactively":
-        return PolicySpec(policy_name)
-    raise ValueError(f"unknown policy {policy_name!r}")
-
-
 def run_policy(params: CompareParams, policy_name: str) -> PolicyOutcome:
     """Run the scenario under one policy (built through the registry)."""
-    spec = _policy_spec(params, policy_name)
-    graph, profile = build_primetester_job(params.workload)
-    constraint = primetester_constraint(graph, params.constraint_bound)
-    config = EngineConfig.nephele_adaptive(
-        elastic=True,
-        per_batch_overhead=0.0015,
-        per_item_overhead=0.00002,
-        queue_capacity=128,
-        channel_capacity=16,
-        seed=params.seed,
+    if policy_name not in POLICY_KNOBS:
+        raise ValueError(f"unknown policy {policy_name!r}")
+    job, _ = run_primetester(
+        params.workload,
+        EngineConfig.nephele_adaptive(elastic=True, seed=params.seed, **SCALED_CLUSTER),
+        bound=params.constraint_bound,
+        policy=PolicySpec(policy_name, POLICY_KNOBS[policy_name]),
     )
-    engine = StreamProcessingEngine(config)
-    job = engine.submit(graph, [constraint], policy=spec)
-    tester = graph.vertex("PrimeTester")
-    max_p = [tester.parallelism]
-
-    duration = profile.end_time + params.workload.step_duration
-    remaining = duration
-    while remaining > 0:
-        step = min(5.0, remaining)
-        engine.run(step)
-        remaining -= step
-        max_p.append(job.parallelism("PrimeTester"))
-    tracker = job.trackers[0]
+    # the highest parallelism the policy ever provisioned
+    parallelism = peak = job.job_graph.vertex("PrimeTester").parallelism
+    for event in job.scaler.events:
+        parallelism += event.applied.get("PrimeTester", 0)
+        peak = max(peak, parallelism)
     return PolicyOutcome(
         policy_name,
-        tracker.fulfillment_ratio,
-        engine.resources.task_seconds(),
+        job.trackers[0].fulfillment_ratio,
+        job.engine.resources.task_seconds(),
         len(job.scaler.events),
-        max(max_p),
+        peak,
     )
 
 
@@ -189,19 +158,8 @@ def run(params: Optional[CompareParams] = None) -> CompareResult:
     return result
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.experiments.compare_policies [--quick] [--csv PATH]``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    params = CompareParams()
-    if "--quick" in argv:
-        params = params.quick()
-    result = run(params)
-    print(result.report())
-    if "--csv" in argv:
-        path = argv[argv.index("--csv") + 1]
-        print(f"outcomes written to {result.series_csv(path)}")
-    return 0
-
+#: CLI: ``python -m repro.experiments.compare_policies [--quick] [--csv PATH]``
+main = partial(figure_main, "policies")
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

@@ -1,14 +1,11 @@
-"""Textual operations dashboards: an engine, a sweep, or a comparison.
+"""Textual operations dashboards: an engine or a sweep.
 
 :class:`Dashboard` combines the series recorder, the constraint
 trackers, the scaler's event log and the assumption diagnostics into one
 renderable snapshot — what an operator of the paper's system would
 watch. :class:`SweepDashboard` renders the merged ``aggregate.json`` of
 a :mod:`repro.sweep` run (per-shard rows plus across-seeds group
-statistics). :class:`ComparisonDashboard` renders a
-:class:`repro.evaluate.Comparison` (baseline-vs-candidates verdict,
-per-metric spread bars, suggested tolerances) as text or a standalone
-HTML page. Used by the examples and handy in notebooks/REPLs:
+statistics). Used by the examples and handy in notebooks/REPLs:
 
 >>> dash = Dashboard(engine, recorder)            # doctest: +SKIP
 >>> print(dash.render())                          # doctest: +SKIP
@@ -319,33 +316,3 @@ class SweepDashboard:
             sections += ["", spark]
         return "\n".join(sections)
 
-
-class ComparisonDashboard:
-    """Renders a baseline-vs-candidates :class:`repro.evaluate.Comparison`.
-
-    Thin presentation wrapper so comparisons slot into the same
-    dashboard idiom as engines and sweeps; the actual layout lives in
-    :mod:`repro.evaluate.render`.
-    """
-
-    def __init__(self, comparison, width: int = 60) -> None:
-        self.comparison = comparison
-        self.width = width
-
-    def render(self) -> str:
-        """The full text comparison report (verdict, table, spread bars)."""
-        from repro.evaluate.render import render_comparison
-
-        return render_comparison(self.comparison, width=self.width)
-
-    def render_html(self, title: str = "Run comparison") -> str:
-        """The standalone HTML variant of the same report."""
-        from repro.evaluate.render import render_comparison_html
-
-        return render_comparison_html(self.comparison, title=title)
-
-    def write_html(self, path: str, title: str = "Run comparison") -> str:
-        """Write the HTML report atomically; returns the path."""
-        from repro.evaluate.render import write_comparison_html
-
-        return write_comparison_html(self.comparison, path, title=title)

@@ -19,17 +19,18 @@ Reported per configuration (the paper's Fig. 3 shape):
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, Optional
 
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro.engine.engine import EngineConfig
 from repro.experiments.recording import SeriesRecorder
-from repro.experiments.report import format_table, ms, write_csv
+from repro.experiments.report import format_table, main as figure_main, ms, write_csv
 from repro.workloads.primetester import (
+    SCALED_CLUSTER,
+    STEP_LOAD,
     PrimeTesterParams,
-    build_primetester_job,
-    primetester_constraint,
+    run_primetester,
 )
 
 
@@ -37,32 +38,14 @@ from repro.workloads.primetester import (
 class Fig3Params:
     """Run-scale knobs for the Fig. 3 experiment."""
 
+    #: static provisioning: the tester parallelism is pinned
     workload: PrimeTesterParams = field(
-        default_factory=lambda: PrimeTesterParams(
-            n_sources=8,
-            n_testers=8,
-            n_sinks=2,
-            tester_min=8,
-            tester_max=8,
-            warmup_rate=30.0,
-            peak_rate=460.0,
-            increment_steps=8,
-            step_duration=15.0,
-            plateau_steps=1,
-            tester_service_mean=0.0025,
-            tester_service_cv=0.7,
+        default_factory=lambda: replace(
+            STEP_LOAD, tester_min=8, tester_max=8, peak_rate=460.0, step_duration=15.0
         )
     )
     #: latency constraint of the Nephele-20ms configuration
     constraint_bound: float = 0.020
-    #: shipping overheads chosen so batching buys the paper's ~30-60 %
-    #: effective-throughput gain over instant flushing
-    per_batch_overhead: float = 0.0015
-    per_item_overhead: float = 0.00002
-    #: scaled-down buffer bounds (the paper's cluster bounds queue memory;
-    #: oversized credit pools would absorb whole overload phases here)
-    queue_capacity: int = 128
-    channel_capacity: int = 16
     recording_interval: float = 5.0
     seed: int = 7
 
@@ -92,7 +75,7 @@ class ConfigResult:
         warm = [
             r.latency_mean.get("e2e")
             for r in self.rows
-            if r.time <= _warmup_end(recorder) and r.latency_mean.get("e2e") is not None
+            if r.time <= workload.step_duration and r.latency_mean.get("e2e") is not None
         ]
         self.warmup_latency = sum(warm) / len(warm) if warm else None
         self.saturation_time = self._find_saturation()
@@ -122,13 +105,6 @@ class ConfigResult:
             else:
                 streak = 0
         return None
-
-
-def _warmup_end(recorder: SeriesRecorder) -> float:
-    profile = recorder.source_profile
-    if profile is not None and hasattr(profile, "segments"):
-        return profile.segments[1][0]
-    return 0.0
 
 
 class Fig3Result:
@@ -193,48 +169,36 @@ class Fig3Result:
         )
 
 
+#: configuration -> (engine preset, what it changes on the scaled cluster);
+#: Storm ships each batch at a tenth more than Nephele
+PRESETS = {
+    "Storm": (
+        EngineConfig.storm_like,
+        {"per_batch_overhead": SCALED_CLUSTER["per_batch_overhead"] * 1.1},
+    ),
+    "Nephele-IF": (EngineConfig.nephele_instant_flush, {}),
+    "Nephele-16KiB": (EngineConfig.nephele_fixed_buffer, {}),
+    "Nephele-20ms": (EngineConfig.nephele_adaptive, {}),
+}
+
+CONFIG_NAMES = tuple(PRESETS)
+
+
 def _engine_config(name: str, params: Fig3Params) -> EngineConfig:
-    overheads = dict(
-        per_batch_overhead=params.per_batch_overhead,
-        per_item_overhead=params.per_item_overhead,
-        queue_capacity=params.queue_capacity,
-        channel_capacity=params.channel_capacity,
-        seed=params.seed,
-    )
-    if name == "Storm":
-        return EngineConfig.storm_like(
-            **{**overheads, "per_batch_overhead": params.per_batch_overhead * 1.1}
-        )
-    if name == "Nephele-IF":
-        return EngineConfig.nephele_instant_flush(**overheads)
-    if name == "Nephele-16KiB":
-        return EngineConfig.nephele_fixed_buffer(16 * 1024, **overheads)
-    if name == "Nephele-20ms":
-        return EngineConfig.nephele_adaptive(elastic=False, **overheads)
-    raise ValueError(f"unknown configuration {name!r}")
-
-
-CONFIG_NAMES = ("Storm", "Nephele-IF", "Nephele-16KiB", "Nephele-20ms")
+    if name not in PRESETS:
+        raise ValueError(f"unknown configuration {name!r}")
+    preset, overrides = PRESETS[name]
+    return preset(**{**SCALED_CLUSTER, **overrides, "seed": params.seed})
 
 
 def run_config(name: str, params: Fig3Params) -> ConfigResult:
     """Run one Fig. 3 configuration to completion."""
-    graph, profile = build_primetester_job(params.workload)
-    constraints = []
-    if name == "Nephele-20ms":
-        constraints = [primetester_constraint(graph, params.constraint_bound)]
-    engine = StreamProcessingEngine(_engine_config(name, params))
-    engine.submit(graph, constraints)
-    recorder = SeriesRecorder(
-        engine,
-        interval=params.recording_interval,
-        source_vertex="Source",
-        source_profile=profile,
+    _, recorder = run_primetester(
+        params.workload,
+        _engine_config(name, params),
+        bound=params.constraint_bound if name == "Nephele-20ms" else None,
+        recording_interval=params.recording_interval,
     )
-    recorder.add_sink_feed("e2e", "Sink")
-    duration = profile.end_time + params.workload.step_duration
-    engine.run(duration)
-    engine.stop()
     return ConfigResult(name, recorder, params.workload)
 
 
@@ -247,19 +211,8 @@ def run(params: Optional[Fig3Params] = None, configs=CONFIG_NAMES) -> Fig3Result
     return result
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.experiments.fig3_motivation [--quick] [--csv PATH]``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    params = Fig3Params()
-    if "--quick" in argv:
-        params = params.quick()
-    result = run(params)
-    print(result.report())
-    if "--csv" in argv:
-        path = argv[argv.index("--csv") + 1]
-        print(f"series written to {result.series_csv(path)}")
-    return 0
-
+#: CLI: ``python -m repro.experiments.fig3_motivation [--quick] [--csv PATH]``
+main = partial(figure_main, "fig3")
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

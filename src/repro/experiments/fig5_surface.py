@@ -15,13 +15,14 @@ brute-force minimum of the surface.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.core.latency_model import INFINITY, SequenceLatencyModel, VertexModel
 from repro.core.rebalance import brute_force_minimum, rebalance
-from repro.experiments.report import format_table, write_csv
+from repro.experiments.report import main as figure_main
+from repro.experiments.report import write_csv
 
 
 @dataclass
@@ -137,16 +138,8 @@ def run(params: Optional[Fig5Params] = None) -> Fig5Result:
     return Fig5Result(params, surface, optima, point, result.total_parallelism, best_total)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.experiments.fig5_surface [--csv PATH]``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    result = run()
-    print(result.report())
-    if "--csv" in argv:
-        path = argv[argv.index("--csv") + 1]
-        print(f"surface written to {result.series_csv(path)}")
-    return 0
-
+#: CLI: ``python -m repro.experiments.fig5_surface [--csv PATH]``
+main = partial(figure_main, "fig5")
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

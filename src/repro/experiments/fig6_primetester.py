@@ -24,18 +24,19 @@ Reported (the paper's Fig. 6 shape):
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Optional, Tuple
 
-from repro.engine.engine import DeployedJob, EngineConfig, StreamProcessingEngine
+from repro.engine.engine import DeployedJob, EngineConfig
 from repro.experiments.ascii import series_panel
 from repro.experiments.recording import SeriesRecorder
-from repro.experiments.report import format_table, ms, write_csv
+from repro.experiments.report import format_table, main as figure_main, ms, write_csv
 from repro.workloads.primetester import (
+    SCALED_CLUSTER,
+    STEP_LOAD,
     PrimeTesterParams,
-    build_primetester_job,
-    primetester_constraint,
+    run_primetester,
 )
 
 
@@ -43,22 +44,7 @@ from repro.workloads.primetester import (
 class Fig6Params:
     """Run-scale knobs for the Fig. 6 experiment."""
 
-    workload: PrimeTesterParams = field(
-        default_factory=lambda: PrimeTesterParams(
-            n_sources=8,
-            n_testers=8,
-            n_sinks=2,
-            tester_min=1,
-            tester_max=64,
-            warmup_rate=30.0,
-            peak_rate=400.0,
-            increment_steps=8,
-            step_duration=20.0,
-            plateau_steps=1,
-            tester_service_mean=0.0025,
-            tester_service_cv=0.7,
-        )
-    )
+    workload: PrimeTesterParams = field(default_factory=lambda: replace(STEP_LOAD))
     #: the elastic configuration's latency constraint (paper: 20 ms)
     constraint_bound: float = 0.020
     #: manually tuned fixed parallelism of the unelastic baseline
@@ -66,12 +52,6 @@ class Fig6Params:
     baseline_testers: int = 10
     #: bounds for the task-hour sweep (paper: 30/40/50/100 ms)
     sweep_bounds: Tuple[float, ...] = (0.030, 0.040, 0.050, 0.100)
-    per_batch_overhead: float = 0.0015
-    per_item_overhead: float = 0.00002
-    #: scaled-down buffer bounds (the paper's cluster bounds queue memory;
-    #: oversized credit pools would absorb whole overload phases here)
-    queue_capacity: int = 128
-    channel_capacity: int = 16
     recording_interval: float = 5.0
     seed: int = 11
 
@@ -247,28 +227,12 @@ def run_elastic(
     params: Fig6Params, bound: Optional[float] = None, name: str = "elastic-20ms"
 ) -> RunResult:
     """Run the elastic configuration with the given constraint bound."""
-    bound = bound if bound is not None else params.constraint_bound
-    graph, profile = build_primetester_job(params.workload)
-    constraint = primetester_constraint(graph, bound)
-    config = EngineConfig.nephele_adaptive(
-        elastic=True,
-        per_batch_overhead=params.per_batch_overhead,
-        per_item_overhead=params.per_item_overhead,
-        queue_capacity=params.queue_capacity,
-        channel_capacity=params.channel_capacity,
-        seed=params.seed,
+    job, recorder = run_primetester(
+        params.workload,
+        EngineConfig.nephele_adaptive(elastic=True, seed=params.seed, **SCALED_CLUSTER),
+        bound=bound if bound is not None else params.constraint_bound,
+        recording_interval=params.recording_interval,
     )
-    engine = StreamProcessingEngine(config)
-    job = engine.submit(graph, [constraint])
-    recorder = SeriesRecorder(
-        engine,
-        interval=params.recording_interval,
-        source_vertex="Source",
-        source_profile=profile,
-    )
-    recorder.add_sink_feed("e2e", "Sink")
-    engine.run(profile.end_time + params.workload.step_duration)
-    engine.stop()
     return RunResult(name, recorder, job)
 
 
@@ -280,26 +244,11 @@ def run_baseline(params: Fig6Params) -> RunResult:
         tester_min=params.baseline_testers,
         tester_max=params.baseline_testers,
     )
-    graph, profile = build_primetester_job(workload)
-    config = EngineConfig.nephele_fixed_buffer(
-        16 * 1024,
-        per_batch_overhead=params.per_batch_overhead,
-        per_item_overhead=params.per_item_overhead,
-        queue_capacity=params.queue_capacity,
-        channel_capacity=params.channel_capacity,
-        seed=params.seed,
+    job, recorder = run_primetester(
+        workload,
+        EngineConfig.nephele_fixed_buffer(seed=params.seed, **SCALED_CLUSTER),
+        recording_interval=params.recording_interval,
     )
-    engine = StreamProcessingEngine(config)
-    job = engine.submit(graph)
-    recorder = SeriesRecorder(
-        engine,
-        interval=params.recording_interval,
-        source_vertex="Source",
-        source_profile=profile,
-    )
-    recorder.add_sink_feed("e2e", "Sink")
-    engine.run(profile.end_time + workload.step_duration)
-    engine.stop()
     return RunResult("baseline-16KiB", recorder, job)
 
 
@@ -320,19 +269,8 @@ def run(params: Optional[Fig6Params] = None, sweep: bool = True) -> Fig6Result:
     return result
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.experiments.fig6_primetester [--quick] [--no-sweep] [--csv PATH]``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    params = Fig6Params()
-    if "--quick" in argv:
-        params = params.quick()
-    result = run(params, sweep="--no-sweep" not in argv)
-    print(result.report())
-    if "--csv" in argv:
-        path = argv[argv.index("--csv") + 1]
-        print(f"series written to {result.series_csv(path)}")
-    return 0
-
+#: CLI: ``python -m repro.experiments.fig6_primetester [--quick] [--no-sweep] [--csv PATH]``
+main = partial(figure_main, "fig6")
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

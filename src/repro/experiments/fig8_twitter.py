@@ -17,15 +17,15 @@ burst, the slight over-provisioning (mean task CPU utilization, paper:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Optional, Tuple
 
-from repro.engine.engine import DeployedJob, EngineConfig, StreamProcessingEngine
+from repro.builder import BuiltPipeline
+from repro.engine.engine import DeployedJob, EngineConfig
 from repro.experiments.ascii import series_panel
-from repro.experiments.recording import SeriesRecorder
-from repro.experiments.report import format_table, ms, write_csv
-from repro.workloads.rates import DiurnalRate
+from repro.experiments.recording import Recording, SeriesRecorder, deploy
+from repro.experiments.report import format_table, main as figure_main, ms, write_csv
 from repro.workloads.twitter_job import (
     MergedTopics,
     TwitterSentimentParams,
@@ -179,44 +179,28 @@ class Fig8Result:
 
 
 def run(params: Optional[Fig8Params] = None) -> Fig8Result:
-    """Run the Fig. 8 experiment."""
+    """Run the Fig. 8 experiment.
+
+    The recorded feeds are the sink's end-to-end latency (constraint 2)
+    and, for constraint 1, the latency of the merged hot-topic lists as
+    they reach the Filter — a vertex the tweets pass through as well.
+    """
     params = params or Fig8Params()
-    graph, constraints = build_twitter_sentiment_job(params.workload)
-    config = EngineConfig.nephele_adaptive(elastic=True, seed=params.seed)
-    engine = StreamProcessingEngine(config)
-    recorder = SeriesRecorder(
-        engine,
-        interval=params.recording_interval,
-        source_vertex="TweetSource",
-        source_profile=graph.vertex("TweetSource").rate_profile,
+    engine, (job,), recorder = deploy(
+        EngineConfig.nephele_adaptive(elastic=True, seed=params.seed),
+        [BuiltPipeline(*build_twitter_sentiment_job(params.workload))],
+        Recording(
+            params.recording_interval, "TweetSource", {"sentiment-e2e": "Sink"},
+            {"hot-topics-e2e": ("Filter", MergedTopics)},
+        ),
     )
-    recorder.add_sink_feed("sentiment-e2e", "Sink")
-    hot_probe = recorder.add_probe_feed("hot-topics-e2e")
-
-    def filter_probe(latency: float, payload: object) -> None:
-        if isinstance(payload, MergedTopics):
-            hot_probe(latency, payload)
-
-    engine.add_vertex_probe("Filter", filter_probe)
-    job = engine.submit(graph, constraints)
     engine.run(params.duration)
     engine.stop()
     return Fig8Result(params, recorder, job)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.experiments.fig8_twitter [--quick] [--csv PATH]``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    params = Fig8Params()
-    if "--quick" in argv:
-        params = params.quick()
-    result = run(params)
-    print(result.report())
-    if "--csv" in argv:
-        path = argv[argv.index("--csv") + 1]
-        print(f"series written to {result.series_csv(path)}")
-    return 0
-
+#: CLI: ``python -m repro.experiments.fig8_twitter [--quick] [--csv PATH]``
+main = partial(figure_main, "fig8")
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

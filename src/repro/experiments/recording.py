@@ -5,13 +5,19 @@ interval: attempted vs. effective source throughput, per-vertex
 parallelism, mean / 95th-percentile latency per sample feed (e.g. a sink
 vertex's end-to-end samples), cumulative task-seconds and mean task CPU
 utilization — the quantities plotted in the paper's Figs. 3, 6 and 8.
+
+:func:`deploy` is the one way the layers above the engine — scenario
+builds, figure harnesses, the macro benchmark — get a running cluster:
+it constructs the engine, attaches what the run records and submits the
+pipelines, in that order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.engine.engine import DeployedJob, StreamProcessingEngine
+from repro.builder import BuiltPipeline
+from repro.engine.engine import DeployedJob, EngineConfig, StreamProcessingEngine
 from repro.engine.items import SampleView, SinkSamples
 from repro.obs.sampling import utilization_samples
 from repro.qos.stats import percentile
@@ -103,16 +109,28 @@ class SeriesRecorder:
         """Record e2e latency stats of a sink vertex's samples."""
         self._feeds[name] = lambda: self.job.drain_sink_samples(sink_vertex)
 
-    def add_probe_feed(self, name: str) -> Callable[[float, object], None]:
+    def add_probe_feed(
+        self, name: str, payload_type: Optional[type] = None
+    ) -> Callable[[float, object], None]:
         """Create a custom feed; returns the probe to install on a vertex.
 
         Pass the returned callable to
         :meth:`StreamProcessingEngine.add_vertex_probe` (before submit) or
-        call it manually with ``(latency_seconds, payload)``.
+        call it manually with ``(latency_seconds, payload)``. With a
+        ``payload_type`` the feed keeps only items carrying that payload
+        (a vertex fed by two streams, recorded for one of them).
         """
         samples = SinkSamples(self.engine.sim)
         self._feeds[name] = samples.drain
-        return samples.record
+        if payload_type is None:
+            return samples.record
+        record = samples.record
+
+        def probe(latency: float, payload: object) -> None:
+            if isinstance(payload, payload_type):
+                record(latency, payload)
+
+        return probe
 
     # ------------------------------------------------------------------
     # sampling
@@ -220,3 +238,46 @@ class SeriesRecorder:
             "feeds": feeds,
             "fault_events": len(self.fault_series()),
         }
+
+
+class Recording(NamedTuple):
+    """What :func:`deploy` records of a run (of its only pipeline)."""
+
+    interval: float
+    #: the vertex whose attempted / effective throughput is sampled
+    source: str
+    #: feed name -> sink vertex whose end-to-end samples it drains
+    sinks: Dict[str, str]
+    #: feed name -> (vertex, payload type): a per-item probe on a vertex
+    #: that is not a sink, kept for the items carrying that payload
+    probes: Dict[str, Tuple[str, type]] = {}
+
+
+def deploy(
+    config: EngineConfig,
+    pipelines: Sequence[BuiltPipeline],
+    recording: Optional[Recording] = None,
+) -> Tuple[StreamProcessingEngine, List[DeployedJob], Optional[SeriesRecorder]]:
+    """A cluster with ``pipelines`` submitted (not run): ``(engine, jobs, recorder)``.
+
+    The order is fixed — engine, recorder with its feeds and probes,
+    submit — so probes reach every task from the first one on.
+    ``recorder`` is None without a ``recording``: reading
+    ``ResourceManager.task_seconds()`` commits its accumulator, so a
+    recorder moves a run's final task-seconds in the last digit, and the
+    runs whose artefacts print that float in full stay recorder-less.
+    """
+    engine = StreamProcessingEngine(config)
+    recorder = None
+    if recording is not None:
+        (pipeline,) = pipelines
+        recorder = SeriesRecorder(
+            engine, recording.interval, recording.source,
+            pipeline.graph.vertex(recording.source).rate_profile,
+        )
+        for name, sink in recording.sinks.items():
+            recorder.add_sink_feed(name, sink)
+        for name, (vertex, payload_type) in recording.probes.items():
+            engine.add_vertex_probe(vertex, recorder.add_probe_feed(name, payload_type))
+    jobs = [engine.submit(pipeline) for pipeline in pipelines]
+    return engine, jobs, recorder

@@ -6,14 +6,20 @@ next to the console output when asked. :func:`write_json` is the
 canonical JSON writer shared with the sweep orchestrator — sorted keys,
 two-space indent, trailing newline, written atomically — so repeated
 runs of deterministic data diff byte-for-byte.
+
+:data:`FIGURES` is the one table of paper artefacts and :func:`main` the
+one command line: ``python -m repro.experiments.<module>`` and ``repro
+experiment`` are both :func:`run_figure` — run, print the report, write
+the CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import os
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 
 def format_table(
@@ -96,3 +102,65 @@ def write_json(path: str, data: object) -> str:
 def ms(value: Optional[float]) -> Optional[float]:
     """Seconds → milliseconds (None-preserving)."""
     return None if value is None else value * 1000.0
+
+
+class Figure(NamedTuple):
+    """One paper artefact: where it is computed and what it leaves behind."""
+
+    #: the harness module (``run(params)`` -> result with ``report()`` / ``series_csv()``)
+    module: str
+    #: its params class with a ``quick()`` variant (None = one scale only)
+    params: Optional[str]
+    #: the CSV's file name under ``results/``
+    artefact: str
+    #: what the CSV holds, for the ``<holds> written to PATH`` line
+    holds: str
+
+
+#: every figure ``repro experiment`` knows, in ``all`` order
+FIGURES = {
+    "fig3": Figure("repro.experiments.fig3_motivation", "Fig3Params", "fig3_series.csv", "series"),
+    "fig5": Figure("repro.experiments.fig5_surface", None, "fig5_surface.csv", "surface"),
+    "fig6": Figure("repro.experiments.fig6_primetester", "Fig6Params", "fig6_series.csv", "series"),
+    "fig8": Figure("repro.experiments.fig8_twitter", "Fig8Params", "fig8_series.csv", "series"),
+    "sensitivity": Figure("repro.experiments.sensitivity", "SensitivityParams", "sensitivity.csv", "sweep"),
+    "validation": Figure("repro.experiments.validation", None, "validation.csv", "sweep"),
+    "policies": Figure("repro.experiments.compare_policies", "CompareParams", "policies.csv", "outcomes"),
+}
+
+QUICK_HELP = "reduced-scale variant (fig5 and validation have one scale: the full run)"
+
+
+def run_figure(name: str, quick: bool = False, csv_path: Optional[str] = None, **run_options) -> None:
+    """Run one figure, print its report and, with ``csv_path``, write its CSV."""
+    figure = FIGURES[name]
+    module = importlib.import_module(figure.module)
+    params = None
+    if figure.params is not None:
+        params = getattr(module, figure.params)()
+        if quick:
+            params = params.quick()
+    result = module.run(params, **run_options)
+    print(result.report())
+    if csv_path is not None:
+        print(f"{figure.holds} written to {result.series_csv(csv_path)}")
+
+
+def main(name: str, argv: Optional[Sequence[str]] = None) -> int:
+    """CLI of one harness module: ``[--quick] [--csv PATH]`` (fig6: ``[--no-sweep]``).
+
+    Arguments are parsed before anything runs: a forgotten ``--csv``
+    value or a misspelt flag exits 2 instead of costing a full run.
+    """
+    import argparse  # here, not at the top: every sweep shard imports this module
+
+    parser = argparse.ArgumentParser(prog=f"python -m {FIGURES[name].module}")
+    parser.add_argument("--quick", action="store_true", help=QUICK_HELP)
+    parser.add_argument("--csv", metavar="PATH", help=f"write the {FIGURES[name].holds} CSV to PATH")
+    if name == "fig6":
+        parser.add_argument("--no-sweep", action="store_true",
+                            help="skip the task-hour sweep over higher bounds")
+    args = parser.parse_args(argv)
+    options = {"sweep": False} if getattr(args, "no_sweep", False) else {}
+    run_figure(name, args.quick, args.csv, **options)
+    return 0

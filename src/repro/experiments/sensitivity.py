@@ -12,16 +12,17 @@ Run:  python -m repro.experiments.sensitivity [--quick]
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
-from repro.experiments.report import format_table, write_csv
+from repro.engine.engine import EngineConfig
+from repro.experiments.report import format_table, main as figure_main, write_csv
 from repro.workloads.primetester import (
+    SCALED_CLUSTER,
+    STEP_LOAD,
     PrimeTesterParams,
-    build_primetester_job,
-    primetester_constraint,
+    run_primetester,
 )
 
 
@@ -30,18 +31,8 @@ class SensitivityParams:
     """Scenario and sweep grid."""
 
     workload: PrimeTesterParams = field(
-        default_factory=lambda: PrimeTesterParams(
-            n_sources=8,
-            n_testers=8,
-            n_sinks=2,
-            tester_min=1,
-            tester_max=64,
-            warmup_rate=30.0,
-            peak_rate=350.0,
-            increment_steps=6,
-            step_duration=12.0,
-            tester_service_mean=0.0025,
-            tester_service_cv=0.7,
+        default_factory=lambda: replace(
+            STEP_LOAD, peak_rate=350.0, increment_steps=6, step_duration=12.0
         )
     )
     constraint_bound: float = 0.020
@@ -120,27 +111,16 @@ class SensitivityResult:
 
 def run_point(params: SensitivityParams, **config_overrides) -> SweepPoint:
     """Run the scenario once with one overridden control parameter."""
-    graph, profile = build_primetester_job(params.workload)
-    constraint = primetester_constraint(graph, params.constraint_bound)
     config = EngineConfig.nephele_adaptive(
-        elastic=True,
-        per_batch_overhead=0.0015,
-        per_item_overhead=0.00002,
-        queue_capacity=128,
-        channel_capacity=16,
-        seed=params.seed,
-        **config_overrides,
+        elastic=True, seed=params.seed, **SCALED_CLUSTER, **config_overrides
     )
-    engine = StreamProcessingEngine(config)
-    job = engine.submit(graph, [constraint])
-    engine.run(profile.end_time + params.workload.step_duration)
-    tracker = job.trackers[0]
+    job, _ = run_primetester(params.workload, config, bound=params.constraint_bound)
     (parameter, value), = config_overrides.items() if config_overrides else (("baseline", None),)
     return SweepPoint(
         parameter,
         value,
-        tracker.fulfillment_ratio,
-        engine.resources.task_seconds(),
+        job.trackers[0].fulfillment_ratio,
+        job.engine.resources.task_seconds(),
         len(job.scaler.events),
     )
 
@@ -155,19 +135,8 @@ def run(params: Optional[SensitivityParams] = None) -> SensitivityResult:
     return result
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.experiments.sensitivity [--quick] [--csv PATH]``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    params = SensitivityParams()
-    if "--quick" in argv:
-        params = params.quick()
-    result = run(params)
-    print(result.report())
-    if "--csv" in argv:
-        path = argv[argv.index("--csv") + 1]
-        print(f"sweep written to {result.series_csv(path)}")
-    return 0
-
+#: CLI: ``python -m repro.experiments.sensitivity [--quick] [--csv PATH]``
+main = partial(figure_main, "sensitivity")
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

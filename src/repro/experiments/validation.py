@@ -12,14 +12,17 @@ Run:  python -m repro.experiments.validation
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.analysis.pipeline import PipelineStage, predict_pipeline_latency
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro.builder import BuiltPipeline
+from repro.engine.engine import EngineConfig
 from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
+from repro.experiments.recording import deploy
 from repro.experiments.report import format_table, ms, write_csv
+from repro.experiments.report import main as figure_main
 from repro.graphs.job_graph import JobGraph
 from repro.simulation.randomness import Gamma
 from repro.workloads.rates import ConstantRate
@@ -134,8 +137,7 @@ def run(params: Optional[ValidationParams] = None) -> ValidationResult:
             channel_capacity=100_000,
             seed=params.seed,
         )
-        engine = StreamProcessingEngine(config)
-        job = engine.submit(_build_job(params, rate))
+        engine, (job,), _ = deploy(config, [BuiltPipeline(_build_job(params, rate), [])])
         engine.run(params.duration)
         samples = job.drain_sink_samples("Snk").latencies()
         measured = sum(samples) / len(samples) if samples else float("inf")
@@ -149,16 +151,8 @@ def run(params: Optional[ValidationParams] = None) -> ValidationResult:
     return result
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.experiments.validation [--csv PATH]``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    result = run()
-    print(result.report())
-    if "--csv" in argv:
-        path = argv[argv.index("--csv") + 1]
-        print(f"sweep written to {result.series_csv(path)}")
-    return 0
-
+#: CLI: ``python -m repro.experiments.validation [--csv PATH]``
+main = partial(figure_main, "validation")
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

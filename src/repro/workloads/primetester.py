@@ -6,18 +6,28 @@ test them for probable primeness (a genuinely compute-intensive UDF —
 we run a real Miller–Rabin test for the payload, while the *simulated*
 service cost is drawn from a configurable distribution so experiments can
 be scaled); Sinks collect results.
+
+Fig. 3, Fig. 6, the task-hour table, the sensitivity grid and the policy
+comparison are this one job re-run under different engine
+configurations; :func:`run_primetester` is that run, and
+:data:`STEP_LOAD` / :data:`SCALED_CLUSTER` are the workload and cluster
+they all start from.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
 from repro.graphs.job_graph import JobGraph
 from repro.simulation.randomness import Deterministic, Distribution, Gamma
 from repro.workloads.rates import PiecewiseRate, step_phase_segments
+
+if TYPE_CHECKING:
+    from repro.engine.engine import DeployedJob, EngineConfig
+    from repro.experiments.recording import SeriesRecorder
 
 
 def is_probable_prime(n: int, rounds: int = 8, rng: random.Random = None) -> bool:
@@ -86,6 +96,31 @@ class PrimeTesterParams:
     sink_service_mean: float = 0.0002
     #: bit length of the random numbers tested for primality
     number_bits: int = 48
+
+
+#: the step-load job the elastic figures share (Fig. 6 as is; the other
+#: harnesses ``replace`` the fields in which they differ)
+STEP_LOAD = PrimeTesterParams(
+    n_sources=8,
+    n_testers=8,
+    tester_min=1,
+    tester_max=64,
+    warmup_rate=30.0,
+    peak_rate=400.0,
+    step_duration=20.0,
+)
+
+#: the ``EngineConfig`` overrides of every PrimeTester figure: shipping
+#: overheads chosen so batching buys the paper's ~30-60 % effective-
+#: throughput gain over instant flushing, and buffer bounds scaled with
+#: the job (the paper's cluster bounds queue memory; oversized credit
+#: pools would absorb whole overload phases here)
+SCALED_CLUSTER = dict(
+    per_batch_overhead=0.0015,
+    per_item_overhead=0.00002,
+    queue_capacity=128,
+    channel_capacity=16,
+)
 
 
 def _tester_service(params: PrimeTesterParams) -> Distribution:
@@ -160,6 +195,37 @@ def primetester_constraint(graph: JobGraph, bound: float = 0.020) -> "LatencyCon
         graph, ["PrimeTester"], leading_edge=True, trailing_edge=True
     )
     return LatencyConstraint(sequence, bound, name=f"primetester<={bound * 1000:.0f}ms")
+
+
+def run_primetester(
+    workload: PrimeTesterParams,
+    config: EngineConfig,
+    bound: Optional[float] = None,
+    policy: Optional[object] = None,
+    recording_interval: Optional[float] = None,
+) -> Tuple[DeployedJob, Optional[SeriesRecorder]]:
+    """Run the phase plan plus one trailing step: ``(job, recorder)``, stopped.
+
+    ``bound`` submits the paper's constraint (None = unconstrained, as
+    the hand-provisioned baselines run), ``policy`` a scaling-policy
+    spec in place of the config's, and ``recording_interval`` attaches a
+    series recorder with the ``e2e`` sink feed (None = no recorder).
+    """
+    from repro.builder import BuiltPipeline
+    from repro.experiments.recording import Recording, deploy
+
+    graph, profile = build_primetester_job(workload)
+    constraints = [] if bound is None else [primetester_constraint(graph, bound)]
+    recording = (
+        None if recording_interval is None
+        else Recording(recording_interval, "Source", {"e2e": "Sink"})
+    )
+    engine, (job,), recorder = deploy(
+        config, [BuiltPipeline(graph, constraints, policy=policy)], recording
+    )
+    engine.run(profile.end_time + workload.step_duration)
+    engine.stop()
+    return job, recorder
 
 
 def phase_boundaries(params: PrimeTesterParams) -> List[Tuple[str, float]]:

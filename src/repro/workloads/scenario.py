@@ -7,7 +7,9 @@ unit: a frozen, JSON-round-trippable record of *what runs* — workload
 scaling-policy spec, actuation supervision, explicit fault events with
 their victim-pick seed, and workload-specific ``knobs`` — and
 :func:`build` is the only place in the CLI, sweep and workload layers
-that turns one into a configured engine with its jobs submitted.
+that turns one into engine config, pipelines, faults, actuation and
+observability, handing over to
+:func:`repro.experiments.recording.deploy` for the engine itself.
 
 ``repro run``, ``repro chaos``, ``repro run --shared-cluster``, sweep
 shards and partition slices are all argument→spec adapters over
@@ -36,8 +38,8 @@ import repro.obs.trace  # noqa: F401
 from repro.actuation.config import ActuationConfig
 from repro.builder import BuiltPipeline, PipelineBuilder
 from repro.core.policy import DEFAULT_POLICY, ensure_builtin_policies, parse_policy_spec
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
-from repro.experiments.recording import SeriesRecorder
+from repro.engine.engine import EngineConfig
+from repro.experiments.recording import Recording, deploy
 from repro.obs.config import ObservabilityConfig
 from repro.obs.manifest import graph_hash
 from repro.simulation.faults import (
@@ -317,10 +319,10 @@ def build(
     manifest byte-identical across same-seed runs.
     """
     workload = WORKLOADS[spec.workload]
-    engine = StreamProcessingEngine(EngineConfig(
+    config = EngineConfig(
         elastic=True, seed=spec.seed, policy=spec.policy,
         **{k: v for k, v in spec.resolved().items() if k in _ENGINE_FIELDS},
-    ))
+    )
     pipelines = workload.pipelines(spec)
     faults = workload.faults(spec) + spec.faults
     targets = {getattr(event, "vertex", None) for event in faults} - {None}
@@ -339,7 +341,7 @@ def build(
                 seed=spec.seed if spec.fault_seed is None else spec.fault_seed,
                 name=pipeline.graph.name,
             )
-    recorder = None
+    recording = None
     if workload.vertices is not None:
         (pipeline,) = pipelines
         if export_dir is not None:
@@ -347,13 +349,8 @@ def build(
                 export_dir=export_dir, pin_wall_time=pin_wall_time
             )
         source, sink = workload.vertices
-        recorder = SeriesRecorder(
-            engine, interval=5.0, source_vertex=source,
-            source_profile=pipeline.graph.vertex(source).rate_profile,
-        )
-        recorder.add_sink_feed("e2e", sink)
-    jobs = [engine.submit(pipeline) for pipeline in pipelines]
-    return engine, jobs, recorder
+        recording = Recording(5.0, source, {"e2e": sink})
+    return deploy(config, pipelines, recording)
 
 
 def reaction_time_s(trackers, events) -> Optional[float]:

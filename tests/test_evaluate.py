@@ -37,7 +37,6 @@ from repro.evaluate import (
 )
 from repro.evaluate.metrics import MetricSeries, metrics_from_stats
 from repro.experiments.ascii import spread_bar
-from repro.experiments.dashboard import ComparisonDashboard
 from repro.experiments.report import write_json
 from repro.obs.manifest import git_provenance
 from repro.sweep import SweepGrid, run_sweep
@@ -360,14 +359,6 @@ class TestRendering:
         assert "latency/e2e/mean" in html_text and "FAIL" in html_text
         path = write_comparison_html(comparison, str(tmp_path / "report.html"))
         assert read_bytes(path).decode("utf-8") == html_text
-
-    def test_comparison_dashboard_wraps_the_renderers(self, tmp_path):
-        comparison = self._comparison(green=True)
-        dash = ComparisonDashboard(comparison)
-        assert dash.render() == render_comparison(comparison)
-        assert dash.render_html().startswith("<!DOCTYPE html>")
-        path = dash.write_html(str(tmp_path / "dash.html"))
-        assert os.path.exists(path)
 
 
 class TestRunHistory:

@@ -6,17 +6,39 @@ statistics, report rendering and CSV export — without asserting the
 paper's shapes (the benchmark suite does that at a meaningful scale).
 """
 
+import argparse
+import importlib
 import os
 from dataclasses import replace
 
 import pytest
 
-from repro.experiments.fig3_motivation import Fig3Params, run_config
+from repro import cli
+from repro.core.policy import PolicySpec
+from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro.experiments.compare_policies import CompareParams, run_policy
+from repro.experiments.fig3_motivation import (
+    CONFIG_NAMES,
+    Fig3Params,
+    _engine_config,
+    run_config,
+)
 from repro.experiments.fig6_primetester import Fig6Params, run_baseline, run_elastic
 from repro.experiments.fig8_twitter import Fig8Params
 from repro.experiments.fig8_twitter import run as run_fig8
-from repro.workloads.primetester import PrimeTesterParams
+from repro.experiments.recording import SeriesRecorder
+from repro.experiments.report import FIGURES
+from repro.experiments.sensitivity import SensitivityParams, run_point
+from repro.workloads.primetester import (
+    SCALED_CLUSTER,
+    PrimeTesterParams,
+    build_primetester_job,
+    primetester_constraint,
+    run_primetester,
+)
 from repro.workloads.twitter_job import TwitterSentimentParams
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def micro_primetester(**overrides):
@@ -56,8 +78,6 @@ class TestFig3Harness:
         assert result.plateau_effective_rate > 0
 
     def test_all_config_names_buildable(self):
-        from repro.experiments.fig3_motivation import CONFIG_NAMES, _engine_config
-
         params = Fig3Params()
         for name in CONFIG_NAMES:
             assert _engine_config(name, params) is not None
@@ -158,3 +178,207 @@ class TestFig8Harness:
 
     def test_cpu_utilization_sane(self, fig8_micro_result):
         assert 0.0 < fig8_micro_result.mean_cpu_utilization < 1.0
+
+
+# ----------------------------------------------------------------------
+# one deploy path, one PrimeTester runner, one figure table
+# ----------------------------------------------------------------------
+
+
+def _by_hand(workload, config, bound=None, policy=None, interval=None):
+    """The run as every harness used to spell it out (the reference)."""
+    graph, profile = build_primetester_job(workload)
+    constraints = [primetester_constraint(graph, bound)] if bound is not None else []
+    engine = StreamProcessingEngine(config)
+    job = engine.submit(graph, constraints, policy=policy)
+    recorder = None
+    if interval is not None:
+        recorder = SeriesRecorder(
+            engine, interval=interval, source_vertex="Source", source_profile=profile
+        )
+        recorder.add_sink_feed("e2e", "Sink")
+    engine.run(profile.end_time + workload.step_duration)
+    engine.stop()
+    return job, recorder
+
+
+def _outcome(job, recorder):
+    tracker = job.trackers[0] if job.trackers else None
+    return {
+        "fulfillment": tracker.fulfillment_ratio if tracker else None,
+        "task_seconds": job.engine.resources.task_seconds(),
+        "scaling": [
+            (event.time, event.applied) for event in (job.scaler.events if job.scaler else [])
+        ],
+        "parallelism": job.parallelism("PrimeTester"),
+        "fired": job.engine.sim.fired_events,
+        "rows": None if recorder is None else [
+            (r.time, r.attempted_rate, r.effective_rate, r.parallelism,
+             r.latency_mean, r.latency_p95, r.task_seconds, r.cpu_utilization)
+            for r in recorder.rows
+        ],
+    }
+
+
+def _elastic(seed=11, **overrides):
+    return EngineConfig.nephele_adaptive(
+        elastic=True, seed=seed, **SCALED_CLUSTER, **overrides
+    )
+
+
+class TestSharedRunner:
+    """run_primetester against each call shape it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_static_presets(self, name):
+        params = Fig3Params(workload=micro_primetester(tester_min=2, tester_max=2),
+                            recording_interval=2.0)
+        bound = params.constraint_bound if name == "Nephele-20ms" else None
+        reference = _outcome(*_by_hand(
+            params.workload, _engine_config(name, params), bound, interval=2.0))
+        assert _outcome(*run_primetester(
+            params.workload, _engine_config(name, params), bound,
+            recording_interval=2.0)) == reference
+        assert [r.time for r in run_config(name, params).rows] == [
+            row[0] for row in reference["rows"]
+        ]
+
+    def test_storm_ships_at_a_tenth_more_per_batch(self):
+        config = _engine_config("Storm", Fig3Params())
+        assert config.per_batch_overhead == SCALED_CLUSTER["per_batch_overhead"] * 1.1
+        assert config.queue_capacity == SCALED_CLUSTER["queue_capacity"]
+
+    def test_elastic_with_bound(self, fig6_micro_params):
+        reference = _outcome(*_by_hand(
+            fig6_micro_params.workload, _elastic(), 0.050, interval=2.0))
+        assert _outcome(*run_primetester(
+            fig6_micro_params.workload, _elastic(), 0.050,
+            recording_interval=2.0)) == reference
+        result = run_elastic(fig6_micro_params, 0.050)
+        assert result.task_seconds == reference["task_seconds"]
+        assert result.fulfillment == reference["fulfillment"]
+
+    def test_unconstrained_fixed_buffer_baseline(self, fig6_micro_params):
+        workload = micro_primetester(n_testers=2, tester_min=2, tester_max=2)
+        config = EngineConfig.nephele_fixed_buffer(seed=11, **SCALED_CLUSTER)
+        reference = _outcome(*_by_hand(workload, config, interval=2.0))
+        assert reference["fulfillment"] is None
+        assert _outcome(*run_primetester(workload, config, recording_interval=2.0)) == reference
+        assert run_baseline(fig6_micro_params).task_seconds == reference["task_seconds"]
+
+    def test_config_override_without_recorder(self):
+        params = SensitivityParams(workload=micro_primetester())
+        reference = _outcome(*_by_hand(params.workload, _elastic(rho_max=0.8), 0.020))
+        job, recorder = run_primetester(params.workload, _elastic(rho_max=0.8), 0.020)
+        assert recorder is None
+        assert _outcome(job, recorder) == reference
+        point = run_point(params, rho_max=0.8)
+        assert (point.fulfillment, point.task_seconds, point.scaling_events) == (
+            reference["fulfillment"], reference["task_seconds"], len(reference["scaling"])
+        )
+
+    def test_policy_spec(self):
+        params = CompareParams(workload=micro_primetester())
+        spec = PolicySpec("cpu-threshold", {"high": 0.8, "low": 0.3, "target": 0.6})
+        reference = _outcome(*_by_hand(params.workload, _elastic(), 0.020, policy=spec))
+        assert _outcome(*run_primetester(
+            params.workload, _elastic(), 0.020, policy=spec)) == reference
+        outcome = run_policy(params, "cpu-threshold")
+        assert outcome.task_seconds == reference["task_seconds"]
+        assert outcome.scaling_events == len(reference["scaling"])
+        assert outcome.max_parallelism >= reference["parallelism"]
+
+
+class TestObserverEffect:
+    def test_a_recorder_changes_nothing_but_the_last_digit_of_task_seconds(self):
+        """Why runs whose artefact prints task-seconds in full take no recorder.
+
+        ``ResourceManager.task_seconds()`` commits its accumulator on every
+        read, so a recorder's per-interval reads re-associate the float sum:
+        the final value may move in the last ulp (``results/policies.csv``
+        would show it). Everything the simulation decides is untouched, so
+        those are asserted equal and task-seconds only to 1e-9 relative —
+        bit-equality is the one thing a recorder does not promise.
+        """
+        workload = micro_primetester()
+        bare = _outcome(*run_primetester(workload, _elastic(), 0.020))
+        seen = _outcome(*run_primetester(workload, _elastic(), 0.020, recording_interval=2.0))
+        for key in ("fulfillment", "scaling", "parallelism"):
+            assert seen[key] == bare[key], key
+        assert seen["task_seconds"] == pytest.approx(bare["task_seconds"], rel=1e-9)
+        assert seen["fired"] > bare["fired"]  # the recorder's own ticks
+
+
+def _experiment_choices():
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    (name,) = [a for a in subparsers.choices["experiment"]._actions if a.dest == "name"]
+    return name.choices
+
+
+class TestFigureTable:
+    def test_cli_choices_and_info_come_from_the_table(self, capsys):
+        assert tuple(_experiment_choices()) == tuple(FIGURES) + ("all",)
+        assert cli.main(["info"]) == 0
+        assert "experiments: " + ", ".join(FIGURES) + "\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_every_row_names_a_harness_and_a_committed_artefact(self, name):
+        figure = FIGURES[name]
+        module = importlib.import_module(figure.module)
+        assert callable(module.run) and callable(module.main)
+        if figure.params is not None:
+            assert callable(getattr(module, figure.params)().quick)
+        assert os.path.exists(os.path.join(ROOT, "results", figure.artefact))
+
+    @pytest.mark.parametrize("name", FIGURES)
+    @pytest.mark.parametrize("argv", [["--csv"], ["--quik"], ["--quick", "stray"]])
+    def test_bad_arguments_exit_2_before_anything_runs(self, name, argv, monkeypatch, capsys):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was constructed before argument parsing")
+
+        module = importlib.import_module(FIGURES[name].module)
+        monkeypatch.setattr(StreamProcessingEngine, "__init__", no_engine)
+        monkeypatch.setattr(module, "run", no_engine)
+        with pytest.raises(SystemExit) as exit_info:
+            module.main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err
+
+    def test_only_fig6_takes_no_sweep(self, capsys):
+        from repro.experiments import fig3_motivation
+
+        with pytest.raises(SystemExit):
+            fig3_motivation.main(["--no-sweep"])
+        assert "--no-sweep" in capsys.readouterr().err
+
+    def test_csv_dir_regenerates_the_committed_artefact(self, tmp_path, capsys):
+        """``experiment --csv DIR`` used to write ``fig5_series.csv``, a stray."""
+        assert cli.main(["experiment", "fig5", "--csv", str(tmp_path)]) == 0
+        written = os.path.join(str(tmp_path), "fig5_surface.csv")
+        assert os.listdir(str(tmp_path)) == ["fig5_surface.csv"]
+        with open(written, "rb") as new, open(
+            os.path.join(ROOT, "results", "fig5_surface.csv"), "rb"
+        ) as committed:
+            assert new.read() == committed.read()
+        assert capsys.readouterr().out.endswith(f"surface written to {written}\n")
+
+    def test_quick_says_which_figures_have_one_scale(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["experiment", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "fig5 and validation have one scale" in help_text
+
+
+class TestResultsOracle:
+    """The cheap committed artefacts, regenerated in tier 1."""
+
+    @pytest.mark.parametrize("name", ["fig5", "validation"])
+    def test_report_is_byte_identical_to_results(self, name, capsys):
+        assert cli.main(["experiment", name]) == 0
+        with open(os.path.join(ROOT, "results", f"{name}_report.txt"), encoding="utf-8") as handle:
+            committed = [line for line in handle if " written to " not in line]
+        assert capsys.readouterr().out == "".join(committed)

@@ -74,6 +74,17 @@ class TestSeriesRecorder:
         engine.run(10.0)
         assert recorder.rows[-1].latency_mean["custom"] is not None
 
+    def test_typed_probe_feed_keeps_only_its_payloads(self):
+        """Fig. 8 records the merged topic lists at a vertex tweets pass too."""
+        engine = StreamProcessingEngine(EngineConfig())
+        recorder = SeriesRecorder(engine, interval=5.0)
+        probe = recorder.add_probe_feed("ints", int)
+        for latency, payload in ((0.1, 1), (0.5, "tweet"), (0.3, 2)):
+            probe(latency, payload)
+        engine.submit(make_linear_job(source_rate=50.0))
+        engine.run(6.0)
+        assert recorder.rows[0].latency_mean["ints"] == pytest.approx(0.2)
+
     def test_feeds_equal_a_reference_list_of_tuples_probe(self):
         engine = StreamProcessingEngine(EngineConfig())
         recorder = SeriesRecorder(engine, interval=5.0)

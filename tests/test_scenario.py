@@ -10,6 +10,7 @@ architecture: no second place that assembles an engine.
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import json
 import os
@@ -371,12 +372,35 @@ def _containing(paths, needle):
     return hits
 
 
+def _calling(name):
+    """Files of ``src/repro`` outside ``engine/`` whose *code* calls ``name``.
+
+    Parsed, not grepped: docstrings and doctests show the public API and
+    may construct whatever they like.
+    """
+    root = os.path.join(ROOT, "src", "repro")
+    hits = []
+    for path in sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True)):
+        relative = os.path.relpath(path, root)
+        if relative.startswith("engine" + os.sep):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name == getattr(
+                node.func, "id", getattr(node.func, "attr", None)
+            ):
+                hits.append(relative)
+                break
+    return hits
+
+
 class TestOneBuilder:
-    def test_only_scenario_py_constructs_an_engine(self):
-        paths = _sources("cli.py", "sweep/*.py", "workloads/*.py")
-        assert _containing(paths, "StreamProcessingEngine(") == [
-            os.path.join("workloads", "scenario.py")
-        ]
+    def test_only_recording_py_constructs_an_engine(self):
+        """Scenario builds, figure harnesses and the macro bench all deploy()."""
+        deploy_home = [os.path.join("experiments", "recording.py")]
+        assert _calling("StreamProcessingEngine") == deploy_home
+        assert _calling("SeriesRecorder") == deploy_home
 
     def test_cli_and_sweep_assemble_no_pipelines(self):
         assert _containing(_sources("cli.py", "sweep/*.py"), "PipelineBuilder(") == []

@@ -83,7 +83,7 @@ class TestCliNewExperiments:
     def test_validation_via_cli(self, capsys):
         # Monkeypatch-free: validation's default sweep is a few minutes;
         # just check the command is registered.
-        from repro.cli import EXPERIMENTS
+        from repro.experiments.report import FIGURES
 
-        assert "validation" in EXPERIMENTS
-        assert "sensitivity" in EXPERIMENTS
+        assert "validation" in FIGURES
+        assert "sensitivity" in FIGURES
