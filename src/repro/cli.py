@@ -10,8 +10,8 @@ Commands
     Run a registered scenario (``--scenario``, default the fault-free
     ``steady`` pipeline) with observability on and export
     ``manifest.json`` / ``metrics.jsonl`` / ``trace.jsonl``. Like
-    ``chaos``, sweep shards and partition slices it only translates its
-    flags into a :class:`~repro.workloads.scenario.ScenarioSpec`.
+    ``chaos`` and sweep shards it only translates its flags into a
+    :class:`~repro.workloads.scenario.ScenarioSpec`.
 ``chaos``
     Run a deterministic fault-injection scenario against an elastic
     pipeline (task crash, worker loss, measurement dropout, service
@@ -141,20 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --shared-cluster: task placement strategy")
     run.add_argument("--obs-dir", metavar="DIR", default="obs-run",
                      help="export directory for manifest/metrics/trace")
-    run.add_argument("--partitions", type=int, default=None, metavar="N",
-                     help="run the scenario partitioned across N worker "
-                          "processes and merge the slice artifacts "
-                          "deterministically (see repro.sweep.partition)")
-    run.add_argument("--slices", type=int, default=4, metavar="K",
-                     help="with --partitions: number of independent slice "
-                          "jobs the scenario is split into (fixed per plan, "
-                          "so merged output is byte-identical for any N)")
     run.add_argument("--scenario", choices=SINGLE_JOB_WORKLOADS, default="steady",
-                     help="which registered workload to run (and, with "
-                          "--partitions, to slice)")
-    run.add_argument("--retries", type=int, default=2,
-                     help="with --partitions: per-slice retries after a "
-                          "worker crash")
+                     help="which registered workload to run")
     _add_policy_flag(run)
 
     chaos = sub.add_parser("chaos", help="run a deterministic fault-injection scenario")
@@ -362,9 +350,7 @@ def run_spec(args: argparse.Namespace):
                 "placement": args.placement,
             },
         )
-    # slices keep their sweep-style job names; the plain run is "obs-run"
-    name = "obs-run" if args.partitions is None else None
-    return ScenarioSpec(workload=args.scenario, policy=policy, name=name, **axes)
+    return ScenarioSpec(workload=args.scenario, policy=policy, name="obs-run", **axes)
 
 
 def chaos_spec(args: argparse.Namespace):
@@ -416,10 +402,9 @@ def chaos_spec(args: argparse.Namespace):
     )
 
 
-def _run_plain(args: argparse.Namespace) -> int:
+def _run_plain(args: argparse.Namespace, spec) -> int:
     from repro.workloads.scenario import build
 
-    spec = run_spec(args)
     engine, (job,), _ = build(spec, export_dir=args.obs_dir, pin_wall_time=False)
     engine.run(spec.duration)
 
@@ -442,12 +427,11 @@ def _run_plain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_shared(args: argparse.Namespace) -> int:
+def _run_shared(spec) -> int:
     """Two jobs on one under-provisioned pool: the admission scenario."""
     from repro.workloads.multi_job import collect_shared_cluster_result
     from repro.workloads.scenario import build
 
-    spec = run_spec(args)
     engine, jobs, _ = build(spec)
     engine.run(spec.duration)
     # collect before stop(): teardown scales every vertex to zero, which
@@ -479,76 +463,15 @@ def _run_shared(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_partitioned(args: argparse.Namespace) -> int:
-    from repro.sweep.partition import (
-        PARTITION_STATS_FILE,
-        PartitionError,
-        PartitionPlan,
-        run_partitioned,
-    )
-
-    try:
-        plan = PartitionPlan(run_spec(args), slices=args.slices)
-        merged = run_partitioned(
-            plan,
-            out=args.obs_dir,
-            partitions=args.partitions,
-            max_retries=args.retries,
-            progress=lambda message: print(f"  {message}"),
-        )
-    except PartitionError as exc:
-        print(f"partitioned run failed: {exc}")
-        return 1
-    totals = merged["totals"]
-    print(f"partitioned run: scenario={plan.spec.workload}, {plan.slices} slices "
-          f"x {plan.spec.duration:.0f}s across {args.partitions} workers")
-    print(f"fired events (all slices): {totals['fired_events']}")
-    for name, bucket in sorted(totals["constraints"].items()):
-        print(f"constraint {name}: fulfillment "
-              f"{bucket['fulfillment_ratio'] * 100:.2f}% "
-              f"({bucket['violations']}/{bucket['intervals']} violated)")
-    print(f"merged artifacts in {args.obs_dir}/ "
-          f"(wall-clock stats: {PARTITION_STATS_FILE})")
-    return 0
-
-
 def _check_manifest(manifest_path: str) -> list:
-    """Validate a manifest file: a plain run's or a partitioned merge's.
-
-    A partitioned run's merged manifest wraps one plain manifest per
-    slice; every slice manifest must itself be schema-valid.
-    """
-    import json
-
-    from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, RunManifest
-    from repro.sweep.partition import PARTITION_SCHEMA_VERSION
+    """Schema errors of a run's manifest file (empty when valid)."""
+    from repro.obs.manifest import RunManifest
 
     try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        RunManifest.read(manifest_path)
     except (ValueError, OSError) as exc:
         return [f"{manifest_path}: {exc}"]
-    if "partition_schema" not in data:
-        try:
-            RunManifest.read(manifest_path)
-        except (ValueError, OSError) as exc:
-            return [f"{manifest_path}: {exc}"]
-        return []
-    errors = []
-    if data["partition_schema"] != PARTITION_SCHEMA_VERSION:
-        errors.append(
-            f"{manifest_path}: unsupported partition schema "
-            f"{data['partition_schema']!r} (expected {PARTITION_SCHEMA_VERSION})"
-        )
-    for index, entry in enumerate(data.get("slices") or []):
-        if not isinstance(entry, dict):
-            errors.append(f"{manifest_path}: slice {index} manifest is missing")
-        elif entry.get("schema") != MANIFEST_SCHEMA_VERSION:
-            errors.append(
-                f"{manifest_path}: slice {index} has unsupported manifest "
-                f"schema {entry.get('schema')!r} (expected {MANIFEST_SCHEMA_VERSION})"
-            )
-    return errors
+    return []
 
 
 def _trace_check(obs_dir: str) -> int:
@@ -866,10 +789,9 @@ def _run_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_chaos(args: argparse.Namespace) -> None:
+def _run_chaos(args: argparse.Namespace, spec) -> None:
     from repro.workloads.scenario import build
 
-    spec = chaos_spec(args)
     engine, (job,), recorder = build(
         spec, export_dir=args.obs_dir, pin_wall_time=args.pin_wall_time
     )
@@ -959,19 +881,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                 os.path.join(args.csv, FIGURES[name].artefact) if args.csv else None,
             )
         return 0
-    if args.command == "run":
+    if args.command in ("run", "chaos"):
+        try:
+            spec = run_spec(args) if args.command == "run" else chaos_spec(args)
+        except ValueError as exc:  # a rate, bound or duration no scenario can have
+            parser.error(str(exc))
+        if args.command == "chaos":
+            _run_chaos(args, spec)
+            return 0
         if args.shared_cluster:
-            return _run_shared(args)
-        if args.partitions is not None:
-            return _run_partitioned(args)
-        return _run_plain(args)
+            return _run_shared(spec)
+        return _run_plain(args, spec)
     if args.command == "bench":
         from repro.bench.core import run_from_args as run_bench
 
         return run_bench(args)
-    if args.command == "chaos":
-        _run_chaos(args)
-        return 0
     if args.command == "sweep":
         return _run_sweep(args)
     if args.command == "compare":

@@ -4,8 +4,8 @@ A :class:`DataItem` wraps a payload with the timestamps the measurement
 architecture needs: ``created_at`` (set once, at the source, for
 end-to-end ground truth) and ``emitted_at`` (set per hop when the item is
 written into a channel's output buffer, used for channel and output-batch
-latency). Items are cloned per target channel so per-hop timestamps never
-alias across broadcast copies.
+latency). ``RuntimeTask._route_outputs`` constructs one item per target
+channel, so per-hop timestamps never alias across broadcast copies.
 
 What a delivered item leaves behind lives here too: :class:`SinkSamples`
 is the one buffer of ``(time, end-to-end latency)`` ground-truth samples
@@ -18,9 +18,6 @@ from __future__ import annotations
 
 from array import array
 from typing import Iterator, Optional, Tuple
-
-#: positional layout of :meth:`DataItem.to_record` tuples
-RECORD_FIELDS = ("payload", "created_at", "size", "emitted_at", "enqueued_at", "sampled")
 
 
 class DataItem:
@@ -41,37 +38,12 @@ class DataItem:
         #: serialized size in bytes (drives buffer fill and network time)
         self.size = size
         #: virtual time the item was written into the current channel's
-        #: output buffer (per-hop, reset by :meth:`hop_copy`)
+        #: output buffer (per-hop)
         self.emitted_at: Optional[float] = None
         #: virtual time the item entered the consumer's input queue
         self.enqueued_at: Optional[float] = None
         #: whether this item participates in latency sampling
         self.sampled = sampled
-
-    def hop_copy(self) -> "DataItem":
-        """Clone for the next hop, preserving provenance fields only."""
-        return DataItem(self.payload, self.created_at, self.size, self.sampled)
-
-    def to_record(self) -> Tuple:
-        """The item's compact record form: a plain tuple (see RECORD_FIELDS).
-
-        Records are what batched hot paths pass around instead of objects
-        — no per-item ``__dict__``/slot descriptor overhead, C-speed
-        construction, and trivially picklable for partition workers.
-        :meth:`from_record` restores an equal item (all fields, including
-        per-hop timestamps — unlike :meth:`hop_copy`, which resets them).
-        """
-        return (self.payload, self.created_at, self.size,
-                self.emitted_at, self.enqueued_at, self.sampled)
-
-    @classmethod
-    def from_record(cls, record: Tuple) -> "DataItem":
-        """Rebuild a :class:`DataItem` equal to the one ``to_record`` saw."""
-        payload, created_at, size, emitted_at, enqueued_at, sampled = record
-        item = cls(payload, created_at, size, sampled)
-        item.emitted_at = emitted_at
-        item.enqueued_at = enqueued_at
-        return item
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DataItem(created_at={self.created_at:.6f}, size={self.size})"

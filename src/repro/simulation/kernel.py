@@ -207,6 +207,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if until != until:  # NaN compares false with every event time
+            raise SimulationError("run(until=nan) would never stop")
         self._running = True
         try:
             if until is None and max_events is None:

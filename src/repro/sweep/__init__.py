@@ -23,14 +23,8 @@ one orchestrated *sweep*:
   worker count, interruption or resume, and renders through
   :class:`repro.experiments.dashboard.SweepDashboard`.
 
-The same crash-isolated worker pool (:mod:`repro.sweep.pool`) also
-powers *partitioned single-scenario* runs: a
-:class:`~repro.sweep.partition.PartitionPlan` is one ``ScenarioSpec``
-plus a fixed number of slices, which :mod:`repro.sweep.partition` runs
-across workers and merges byte-identically for any worker count.
-
 CLI: ``python -m repro sweep [--grid FILE | flags] --workers N
-[--resume] --out DIR`` and ``python -m repro run --partitions N``.
+[--resume] --out DIR``.
 """
 
 from repro import _lazy_exports
@@ -45,9 +39,6 @@ _EXPORTS = {
     "run_shard": "repro.sweep.shard",
     "merge_shard_results": "repro.sweep.report",
     "read_aggregate": "repro.sweep.report",
-    "PartitionError": "repro.sweep.partition",
-    "PartitionPlan": "repro.sweep.partition",
-    "run_partitioned": "repro.sweep.partition",
     "PoolError": "repro.sweep.pool",
     "PoolJob": "repro.sweep.pool",
     "PoolStats": "repro.sweep.pool",

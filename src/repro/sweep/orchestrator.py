@@ -198,7 +198,6 @@ def run_sweep(
             max_retries=max_retries,
             verify=_verify,
             progress=say,
-            name_prefix="sweep",
         )
     except PoolError as exc:
         raise SweepError(str(exc)) from exc

@@ -1,8 +1,7 @@
 """A crash-isolated worker-process pool for deterministic job sets.
 
-Extracted from the sweep orchestrator so any fixed set of independent
-jobs — sweep shards, partition slices of a single scenario — can run
-across worker processes with the same guarantees:
+The sweep orchestrator's executor: a fixed set of independent jobs (its
+shards) runs across worker processes with these guarantees:
 
 * every job runs in its *own* process; a crash (non-zero exit, signal,
   ``os._exit``) fails only that job;
@@ -123,7 +122,6 @@ def run_pool(
     max_retries: int = 2,
     verify: Optional[Callable[[PoolJob], bool]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    name_prefix: str = "pool",
 ) -> Tuple[PoolStats, List[JobOutcome]]:
     """Run every job across ``workers`` processes; returns (stats, outcomes).
 
@@ -157,7 +155,7 @@ def run_pool(
                 process = ctx.Process(
                     target=job.target,
                     args=job.args,
-                    name=f"{name_prefix}-{job.key}",
+                    name=f"sweep-{job.key}",
                 )
                 process.start()
                 active[job.key] = (process, job, time.monotonic())

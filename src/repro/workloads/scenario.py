@@ -11,20 +11,21 @@ that turns one into engine config, pipelines, faults, actuation and
 observability, handing over to
 :func:`repro.experiments.recording.deploy` for the engine itself.
 
-``repro run``, ``repro chaos``, ``repro run --shared-cluster``, sweep
-shards and partition slices are all argument→spec adapters over
-:func:`build`; :func:`summarize` distills any finished scenario, single-
-or multi-job, into the deterministic shard-result envelope that sweeps
-checkpoint and merge.
+``repro run``, ``repro chaos``, ``repro run --shared-cluster`` and
+sweep shards are all argument→spec adapters over :func:`build`;
+:func:`summarize` distills any finished scenario, single- or multi-job,
+into the deterministic shard-result envelope that sweeps checkpoint and
+merge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, get_args
 
-# A sweep or partition parent has imported this module before it forks,
-# and a forked shard must compile nothing. So what ``submit`` would import
+# A sweep parent has imported this module before it forks, and a
+# forked shard must compile nothing. So what ``submit`` would import
 # on the branch that needs it -- scaler and every built-in policy,
 # reconciler, state manager, batching policy, metrics, sampling, trace --
 # is loaded here, whichever of them the first scenario built happens to use.
@@ -157,6 +158,11 @@ class ScenarioSpec:
             ("knobs", dict(self.knobs)),
         ):
             object.__setattr__(self, name, value)
+        # the rules SweepGrid holds every grid point to
+        for name in ("rate", "bound", "duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def key(self) -> str:
@@ -292,8 +298,8 @@ WORKLOADS: Dict[str, Workload] = {
     "multi_job": Workload(shared_cluster_pipelines, SHARED_CLUSTER_KNOBS, vertices=None),
 }
 
-#: the workloads that run one job (what ``run --scenario`` and partition
-#: plans accept; the shared cluster has its own flag and cannot be sliced)
+#: the workloads that run one job (what ``run --scenario`` accepts; the
+#: shared cluster has its own flag)
 SINGLE_JOB_WORKLOADS = tuple(
     name for name, workload in WORKLOADS.items() if workload.vertices is not None
 )

@@ -11,6 +11,7 @@ import importlib
 import os
 import pkgutil
 import re
+import shlex
 
 import pytest
 
@@ -228,6 +229,18 @@ class TestDesignAndExperiments:
         text = read("EXPERIMENTS.md")
         for module in set(re.findall(r"python -m (repro[.\w]+)", text)):
             importlib.import_module(module)
+
+    def test_experiments_md_sweep_commands_parse(self, monkeypatch):
+        """Every documented ``repro sweep`` line names flags and values that exist."""
+        from repro import cli
+
+        monkeypatch.chdir(ROOT)  # --grid paths are relative to the repo root
+        text = read("EXPERIMENTS.md").replace("\\\n", " ")
+        commands = re.findall(r"^.*python -m repro (sweep [^#\n]*)", text, re.M)
+        assert any("--seeds 7,8,9,10" in command for command in commands)
+        for command in commands:
+            args = cli.build_parser().parse_args(shlex.split(command))
+            assert len(cli._build_sweep_grid(args)) >= 1, command
 
     def test_experiments_md_bench_files_exist(self):
         text = read("EXPERIMENTS.md")

@@ -165,15 +165,3 @@ class TestAdaptiveDeadlineBatching:
             AdaptiveDeadlineBatching(0.01, min_deadline=0.5, max_deadline=0.1)
         with pytest.raises(ValueError):
             AdaptiveDeadlineBatching(0.01, buffer_bytes=0)
-
-
-class TestDataItem:
-    def test_hop_copy_preserves_provenance(self):
-        it = DataItem("p", 1.5, size=128, sampled=False)
-        it.emitted_at = 2.0
-        copy = it.hop_copy()
-        assert copy.payload == "p"
-        assert copy.created_at == 1.5
-        assert copy.size == 128
-        assert copy.sampled is False
-        assert copy.emitted_at is None

@@ -1,7 +1,7 @@
 """One ScenarioSpec, one build(): the spec, the registry, the CLI adapters.
 
 Every scenario command (``run``, ``chaos``, ``run --shared-cluster``,
-``run --partitions``, sweep shards) is an argument->spec adapter over
+sweep shards) is an argument->spec adapter over
 :func:`repro.workloads.scenario.build`. These tests pin the spec's
 identity and JSON form, drive the CLI commands in-process, and guard the
 architecture: no second place that assembles an engine.
@@ -43,6 +43,13 @@ def read_bundle(directory):
     return out
 
 
+#: (field, value) pairs SweepGrid rejects for a grid and a spec must too
+BAD_NUMBERS = [
+    ("duration", float("nan")), ("duration", float("inf")), ("duration", -3.0),
+    ("rate", -5.0), ("bound", 0.0), ("bound", float("nan")),
+]
+
+
 # ----------------------------------------------------------------------
 # the spec
 # ----------------------------------------------------------------------
@@ -73,6 +80,15 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown fault kind"):
             ScenarioSpec(seed=1, rate=400, bound=0.03,
                          faults=[{"kind": "Meteor", "at": 1.0}])
+
+    @pytest.mark.parametrize("field, value", BAD_NUMBERS)
+    def test_numbers_no_scenario_can_have_are_rejected(self, field, value):
+        # at the parent commit only SweepGrid checked these; a spec built by
+        # run/chaos or by hand ran forever (nan, inf) or for minus 3 seconds
+        axes = {"seed": 1, "rate": 400.0, "bound": 0.03, "duration": 60.0,
+                field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            ScenarioSpec(**axes)
 
     def test_fault_on_a_vertex_the_workload_lacks_fails_at_build(self):
         crash = FAULT_KINDS["TaskCrash"](at=1.0, vertex="worker")
@@ -115,10 +131,9 @@ class TestScenarioSpec:
         assert plain.params() != refined.params()
 
     def test_registry_is_the_only_workload_list(self):
-        from repro.sweep import grid, partition
+        from repro.sweep import grid
 
         assert grid.WORKLOADS is WORKLOADS
-        assert not hasattr(partition, "SCENARIOS")
         assert SINGLE_JOB_WORKLOADS == tuple(w for w in WORKLOADS if w != "multi_job")
 
 
@@ -243,7 +258,6 @@ class TestRunCommand:
         assert manifest["constraints"][0]["name"] == "e2e"
 
     def test_scenario_flag_is_honoured_without_partitions(self, tmp_path, capsys):
-        # at the parent commit --scenario was read only by --partitions
         out = str(tmp_path / "obs")
         argv = ["run", "--duration", "20", "--scenario", "spike", "--obs-dir", out]
         assert cli.run_spec(cli.build_parser().parse_args(argv)).workload == "spike"
@@ -253,11 +267,38 @@ class TestRunCommand:
             manifest = json.load(handle)
         assert [e["kind"] for e in manifest["fault_plan"]["events"]] == ["ServiceSpike"]
 
-    def test_partitioned_run_slices_the_same_spec(self):
-        argv = ["run", "--partitions", "2", "--scenario", "dropout", "--seed", "5"]
-        spec = cli.run_spec(cli.build_parser().parse_args(argv))
-        assert (spec.workload, spec.seed, spec.duration) == ("dropout", 5, 120.0)
-        assert spec.name is None  # slices keep sweep-style job names
+    def test_trace_check_accepts_a_run_bundle_and_nothing_else(self, tmp_path, capsys):
+        out = str(tmp_path / "obs")
+        assert cli.main(["run", "--duration", "15", "--obs-dir", out]) == 0
+        assert cli.main(["trace", "--check", "--obs-dir", out]) == 0
+        assert "trace check OK" in capsys.readouterr().out
+        # the merged manifest the removed `run --partitions` wrote
+        with open(os.path.join(out, MANIFEST_FILE), "w") as handle:
+            json.dump({"partition_schema": 1, "plan": {}, "slices": []}, handle)
+        assert cli.main(["trace", "--check", "--obs-dir", out]) == 1
+        report = capsys.readouterr().out.splitlines()
+        assert report[0] == "trace check FAILED (1 errors):"
+        assert "unsupported manifest schema None" in report[1] and len(report) == 2
+
+    @pytest.mark.parametrize("command", ["run", "chaos"])
+    @pytest.mark.parametrize("field, value", BAD_NUMBERS)
+    def test_bad_numbers_are_a_usage_error_that_exports_nothing(
+        self, command, field, value, tmp_path, capsys
+    ):
+        out = tmp_path / "obs"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, f"--{field}", repr(value), "--obs-dir", str(out)])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"error: {field} must be positive and finite" in error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--partitions", "2"), ("--slices", "8")])
+    def test_partition_flags_are_gone(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_shared_cluster_reports_denials_and_preemptions(self, capsys):
         assert cli.main(["run", "--shared-cluster"]) == 0
@@ -289,7 +330,8 @@ class TestSummarize:
 # the CLI surface is unchanged
 # ----------------------------------------------------------------------
 
-#: option strings (and positionals) per subcommand at the parent commit
+#: option strings (and positionals) per subcommand, as PR 12 found them
+#: minus the three partition flags ``run`` lost with ``sweep/partition.py``
 PARENT_OPTIONS = {
     "": ["--help", "-h"],
     "bench": ["--check", "--help", "--no-macro", "--out", "--profile", "--quick", "-h"],
@@ -306,9 +348,8 @@ PARENT_OPTIONS = {
     "experiment": ["--csv", "--help", "--quick", "-h", "name"],
     "info": ["--help", "-h"],
     "run": ["--admission", "--bound", "--duration", "--help", "--obs-dir",
-            "--partitions", "--placement", "--policy", "--rate", "--retries",
-            "--scenario", "--seed", "--shared-cluster", "--slices",
-            "--slots-per-worker", "--workers", "-h"],
+            "--placement", "--policy", "--rate", "--scenario", "--seed",
+            "--shared-cluster", "--slots-per-worker", "--workers", "-h"],
     "runs": ["--help", "--json", "--root", "-h"],
     "sweep": ["--actuation", "--bounds", "--duration", "--grid", "--help", "--out",
               "--policy", "--quick", "--rates", "--resume", "--retries", "--seeds",

@@ -123,6 +123,14 @@ class TestRunUntil:
         sim.run(until=42.0)
         assert sim.now == 42.0
 
+    def test_until_nan_rejected(self, sim):
+        # no event time is greater than NaN, so the run would never stop
+        sim.every(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=float("nan"))
+        sim.run(until=2.5)
+        assert sim.now == 2.5
+
     def test_max_events_limits_firing(self, sim):
         for _ in range(10):
             sim.schedule(1.0, lambda: None)

@@ -28,6 +28,7 @@ from repro.sweep import (
     run_sweep,
     run_shard,
 )
+from repro.sweep.pool import POLL_INTERVAL, PoolError, PoolJob, PoolStats, run_pool
 from repro.sweep.report import AGGREGATE_FILE, group_key
 from repro.sweep.shard import (
     RESULT_FILE,
@@ -298,6 +299,83 @@ class TestOrchestrator:
         with open(os.path.join(out, "sweep_stats.json")) as handle:
             assert json.load(handle)["done"] == 2
         assert "shards done" in result.stats.describe()
+
+    def test_the_rate_splitting_fork_is_not_exported(self):
+        import repro.sweep
+
+        gone = [name for name in dir(repro.sweep)
+                if name.startswith("Partition") or name == "run_partitioned"]
+        assert gone == [] and len(repro.sweep.__all__) == 13
+
+
+# ----------------------------------------------------------------------
+# the generic pool
+# ----------------------------------------------------------------------
+
+
+def _pool_write_entry(path, payload):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(payload)
+
+
+def _pool_noop_entry():
+    pass
+
+
+class TestPool:
+    def test_runs_every_job(self, tmp_path):
+        jobs = [
+            PoolJob(f"job-{index}", _pool_write_entry,
+                    (str(tmp_path / f"job-{index}.txt"), f"payload-{index}"))
+            for index in range(4)
+        ]
+        stats, outcomes = run_pool(jobs, workers=2)
+        assert stats.done == 4
+        assert stats.failed == 0
+        assert sorted(outcome.key for outcome in outcomes) == sorted(
+            job.key for job in jobs)
+        for index in range(4):
+            assert (tmp_path / f"job-{index}.txt").read_text() == f"payload-{index}"
+
+    def test_verify_failure_triggers_retry(self, tmp_path):
+        # job writes its file, but verify only accepts it once a side
+        # marker exists -> first attempt "fails", retry succeeds
+        target = str(tmp_path / "out.txt")
+        marker = tmp_path / "marker"
+
+        def verify(job):
+            if not marker.exists():
+                marker.write_text("seen")
+                return False
+            return True
+
+        jobs = [PoolJob("only", _pool_write_entry, (target, "data"))]
+        stats, outcomes = run_pool(jobs, workers=1, max_retries=1, verify=verify)
+        assert stats.done == 1
+        assert stats.retried == 1
+        assert outcomes[-1].attempts == 2
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(workers=0), dict(workers=-2), dict(workers=True),
+        dict(max_retries=-1), dict(max_retries=False),
+    ])
+    def test_invalid_pool_args_rejected(self, kwargs):
+        with pytest.raises(PoolError):
+            run_pool([], **kwargs)
+
+    def test_pool_wakes_on_worker_exit_not_on_a_timer(self):
+        """One worker, 20 no-op jobs: a sleep per poll alone would take longer."""
+        jobs = [PoolJob(f"job-{index}", _pool_noop_entry, ()) for index in range(20)]
+        walls = []
+        for _attempt in range(3):  # best of three: the box may be busy
+            stats, _outcomes = run_pool(jobs, workers=1)
+            assert stats.done == 20
+            walls.append(stats.wall_s)
+        assert min(walls) < 20 * POLL_INTERVAL
+
+    def test_speedup_defaults_to_one(self):
+        stats = PoolStats()
+        assert stats.speedup == 1.0
 
 
 # ----------------------------------------------------------------------

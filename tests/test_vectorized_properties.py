@@ -1,10 +1,9 @@
-"""Property-based tests for vectorized block sampling and record items.
+"""Property-based tests for vectorized block sampling.
 
 The vectorization PR's correctness contract is *bit-identity*: block
 pre-draws may change when variates are pulled from a stream, never which
 variates come out. Hypothesis drives arbitrary seeds and block-size
-splits against the scalar reference, and checks that record-struct items
-round-trip equal to the objects they replace.
+splits against the scalar reference.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.items import RECORD_FIELDS, DataItem
 from repro.engine.udf import UDF
 from repro.simulation.randomness import (
     DEFAULT_BLOCK_SIZE,
@@ -256,37 +254,3 @@ class TestServiceSamplerFastPath:
         assert [sampler(None) for _ in range(5)] == [0.002] * 5
         assert rng.getstate() == random.Random(9).getstate()
 
-
-# ----------------------------------------------------------------------
-# record-struct items
-# ----------------------------------------------------------------------
-
-_payloads = st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=8))
-_maybe_time = st.one_of(st.none(), st.floats(0, 1e6, allow_nan=False))
-
-
-class TestDataItemRecords:
-    @given(payload=_payloads, created_at=st.floats(0, 1e6, allow_nan=False),
-           size=st.integers(1, 1 << 20), emitted_at=_maybe_time,
-           enqueued_at=_maybe_time, sampled=st.booleans())
-    def test_record_round_trip_preserves_every_field(
-        self, payload, created_at, size, emitted_at, enqueued_at, sampled
-    ):
-        item = DataItem(payload, created_at, size, sampled)
-        item.emitted_at = emitted_at
-        item.enqueued_at = enqueued_at
-        clone = DataItem.from_record(item.to_record())
-        for field in RECORD_FIELDS:
-            assert getattr(clone, field) == getattr(item, field)
-
-    def test_record_layout_matches_slots(self):
-        assert RECORD_FIELDS == DataItem.__slots__
-
-    def test_hop_copy_resets_per_hop_fields_records_do_not(self):
-        item = DataItem("p", 1.0, 64)
-        item.emitted_at = 2.0
-        item.enqueued_at = 3.0
-        hop = item.hop_copy()
-        assert hop.emitted_at is None and hop.enqueued_at is None
-        rec = DataItem.from_record(item.to_record())
-        assert rec.emitted_at == 2.0 and rec.enqueued_at == 3.0
