@@ -128,7 +128,6 @@ _EXPORTS = {
     "Deterministic": "repro.simulation.randomness",
     "Exponential": "repro.simulation.randomness",
     "Gamma": "repro.simulation.randomness",
-    "LogNormal": "repro.simulation.randomness",
     "Uniform": "repro.simulation.randomness",
     "RateProfile": "repro.workloads.rates",
     "ConstantRate": "repro.workloads.rates",

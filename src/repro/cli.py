@@ -625,15 +625,23 @@ def _run_name(path: str) -> str:
 
 
 def _load_run(path: str):
-    """Load one run: ``(name, data)`` from a dir/aggregate/baseline file."""
+    """Load one run: ``(name, data)`` from a dir/aggregate/baseline file.
+
+    A sweep aggregate goes through the schema-checked reader, so an
+    aggregate of another schema version is refused, not compared.
+    """
     import json
     import os
+
+    from repro.sweep.report import read_aggregate
 
     name = _run_name(path)
     if os.path.isdir(path):
         path = os.path.join(path, "aggregate.json")
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if isinstance(data, dict) and "shards" in data:
+        data = read_aggregate(path)
     if not isinstance(data, dict) or not ("shards" in data or "metrics" in data):
         raise ValueError(
             f"{path} is neither a sweep aggregate nor a baseline-format file"

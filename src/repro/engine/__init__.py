@@ -24,14 +24,7 @@ _EXPORTS = {
     "WindowedAggregateUDF": "repro.engine.udf",
     "SinkUDF": "repro.engine.udf",
     "BoundedQueue": "repro.engine.queues",
-    "KeyedAggregateUDF": "repro.engine.operators",
-    "RateEstimatorUDF": "repro.engine.operators",
-    "SampleUDF": "repro.engine.operators",
     "UnionTagUDF": "repro.engine.operators",
-    "tumbling_count": "repro.engine.operators",
-    "tumbling_mean": "repro.engine.operators",
-    "tumbling_sum": "repro.engine.operators",
-    "tumbling_top_k": "repro.engine.operators",
     "BatchingStrategy": "repro.engine.batching",
     "InstantFlush": "repro.engine.batching",
     "FixedSizeBatching": "repro.engine.batching",

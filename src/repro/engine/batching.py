@@ -13,26 +13,18 @@ batching strategy:
   item has waited a configurable deadline, or when the buffer fills
   (Nephele-<ℓ>ms: the paper's adaptive output batching [16], whose
   deadline the QoS managers re-tune every adjustment interval).
+
+The strategies are data: :class:`~repro.engine.task.OutputGate` picks
+its emit path by the strategy's type once, at construction, and reads
+``buffer_bytes`` / ``deadline`` from it on every emit; any other
+:class:`BatchingStrategy` subclass is refused with a ``TypeError``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class BatchingStrategy:
     """Decides when a channel's output buffer is shipped."""
-
-    def should_flush_on_emit(self, buffered_items: int, buffered_bytes: int) -> bool:
-        """Whether to ship immediately after an item was buffered."""
-        raise NotImplementedError
-
-    def flush_deadline(self) -> Optional[float]:
-        """Max seconds the oldest item may wait before a timer flush.
-
-        ``None`` disables the timer (size-only flushing).
-        """
-        return None
 
     def clone(self) -> "BatchingStrategy":
         """Fresh instance for a new channel (strategies may be stateful)."""
@@ -41,9 +33,6 @@ class BatchingStrategy:
 
 class InstantFlush(BatchingStrategy):
     """Ship every data item individually, immediately."""
-
-    def should_flush_on_emit(self, buffered_items: int, buffered_bytes: int) -> bool:
-        return True
 
     def clone(self) -> "InstantFlush":
         return InstantFlush()
@@ -64,9 +53,6 @@ class FixedSizeBatching(BatchingStrategy):
             raise ValueError(f"buffer_bytes must be >= 1 (got {buffer_bytes})")
         self.buffer_bytes = buffer_bytes
 
-    def should_flush_on_emit(self, buffered_items: int, buffered_bytes: int) -> bool:
-        return buffered_bytes >= self.buffer_bytes
-
     def clone(self) -> "FixedSizeBatching":
         return FixedSizeBatching(self.buffer_bytes)
 
@@ -81,7 +67,8 @@ class AdaptiveDeadlineBatching(BatchingStrategy):
     oldest buffered item; QoS managers overwrite it every adjustment
     interval with the budget computed by
     :class:`repro.core.batching_policy.AdaptiveBatchingPolicy`. The size
-    cap keeps single batches within one network buffer.
+    cap keeps single batches within one network buffer; a deadline of 0
+    ships every item immediately.
     """
 
     def __init__(
@@ -111,16 +98,6 @@ class AdaptiveDeadlineBatching(BatchingStrategy):
     def set_deadline(self, deadline: float) -> None:
         """Re-tune the deadline (clamped into ``[min, max]``)."""
         self._deadline = self._clamp(deadline)
-
-    def should_flush_on_emit(self, buffered_items: int, buffered_bytes: int) -> bool:
-        if self._deadline <= 0.0:
-            return True
-        return buffered_bytes >= self.buffer_bytes
-
-    def flush_deadline(self) -> Optional[float]:
-        if self._deadline <= 0.0:
-            return None
-        return self._deadline
 
     def clone(self) -> "AdaptiveDeadlineBatching":
         return AdaptiveDeadlineBatching(

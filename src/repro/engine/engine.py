@@ -761,8 +761,8 @@ class StreamProcessingEngine:
     def _primary(self) -> DeployedJob:
         """The engine's only job — for observers built before ``submit``.
 
-        ``export_run()``, ``SeriesRecorder`` and ``Dashboard`` may be
-        created before the job exists, so they resolve it lazily here;
+        ``export_run()`` and ``SeriesRecorder`` may be created before
+        the job exists, so they resolve it lazily here;
         on a shared cluster they must be given the job explicitly.
         """
         if not self.jobs:

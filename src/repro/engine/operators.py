@@ -1,225 +1,19 @@
-"""A library of ready-made streaming operators on top of the UDF model.
+"""Ready-made streaming operators on top of the UDF model.
 
-The paper's jobs are built from a handful of recurring operator shapes —
-per-item transforms, filters, windowed aggregations, top-k rankings.
-This module provides them as reusable, tested UDFs so applications
-(and the examples) do not re-implement window/fold plumbing:
-
-* :func:`tumbling_count` / :func:`tumbling_sum` / :func:`tumbling_mean`
-  — time-windowed scalar aggregates;
-* :func:`tumbling_top_k` — the HotTopics pattern (windowed key counting
-  with a top-k snapshot per window);
-* :class:`KeyedAggregateUDF` — per-key fold within a time window;
-* :class:`SampleUDF` — probabilistic pass-through sampling;
-* :class:`RateEstimatorUDF` — emits the window's observed arrival rate;
 * :class:`UnionTagUDF` — tags payloads with their origin (for merged
-  streams sharing one input queue);
-* :class:`StatefulWindowedAggregateUDF` / :class:`KeyedJoinUDF` —
-  stateful operator models whose per-key state footprint feeds the
-  engine's state manager (migration and checkpoint cost accounting).
+  streams sharing one input queue).
+
+Windowed aggregates are :class:`~repro.engine.udf.WindowedAggregateUDF`
+instances; stateful operators are declared through
+:meth:`repro.builder.PipelineBuilder.stateful`.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Optional
 
-from repro.engine.udf import UDF, WindowedAggregateUDF
+from repro.engine.udf import UDF
 from repro.simulation.randomness import Distribution
-
-
-def tumbling_count(window: float, service_dist: Optional[Distribution] = None) -> WindowedAggregateUDF:
-    """Emit the number of items consumed in each ``window`` seconds."""
-    return WindowedAggregateUDF(
-        window,
-        create=lambda: 0,
-        add=lambda acc, _payload: acc + 1,
-        finalize=lambda acc: (acc,),
-        service_dist=service_dist,
-        emit_empty=True,
-    )
-
-
-def tumbling_sum(
-    window: float,
-    value_fn: Callable[[object], float] = lambda payload: payload,
-    service_dist: Optional[Distribution] = None,
-) -> WindowedAggregateUDF:
-    """Emit the sum of ``value_fn(payload)`` per window."""
-    return WindowedAggregateUDF(
-        window,
-        create=lambda: 0.0,
-        add=lambda acc, payload: acc + value_fn(payload),
-        finalize=lambda acc: (acc,),
-        service_dist=service_dist,
-    )
-
-
-def tumbling_mean(
-    window: float,
-    value_fn: Callable[[object], float] = lambda payload: payload,
-    service_dist: Optional[Distribution] = None,
-) -> WindowedAggregateUDF:
-    """Emit the mean of ``value_fn(payload)`` per non-empty window."""
-
-    def finalize(acc: Tuple[float, int]):
-        total, count = acc
-        if count == 0:
-            return ()
-        return (total / count,)
-
-    return WindowedAggregateUDF(
-        window,
-        create=lambda: (0.0, 0),
-        add=lambda acc, payload: (acc[0] + value_fn(payload), acc[1] + 1),
-        finalize=finalize,
-        service_dist=service_dist,
-    )
-
-
-def tumbling_top_k(
-    window: float,
-    k: int,
-    key_fn: Callable[[object], Iterable[object]],
-    service_dist: Optional[Distribution] = None,
-) -> WindowedAggregateUDF:
-    """Emit the window's k most frequent keys with their counts.
-
-    ``key_fn`` extracts the keys a payload counts towards (one payload
-    may contribute several, e.g. a tweet's hashtags). This is exactly
-    the paper's HotTopics operator shape.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1 (got {k})")
-
-    def add(acc: Dict[object, int], payload: object) -> Dict[object, int]:
-        for key in key_fn(payload):
-            acc[key] = acc.get(key, 0) + 1
-        return acc
-
-    def finalize(acc: Dict[object, int]):
-        top = sorted(acc.items(), key=lambda kv: (-kv[1], repr(kv[0])))[:k]
-        return (tuple(top),)
-
-    return WindowedAggregateUDF(
-        window, create=dict, add=add, finalize=finalize, service_dist=service_dist
-    )
-
-
-class KeyedAggregateUDF(WindowedAggregateUDF):
-    """Per-key fold within a tumbling window.
-
-    Each window emits one ``(key, aggregate)`` pair per key observed.
-    For correct *global* per-key results under data parallelism, wire
-    the inbound job edge with key partitioning on the same key function
-    (otherwise each task emits partial per-key aggregates, which a
-    downstream merger must combine — the HotTopics/HTM pattern).
-    """
-
-    def __init__(
-        self,
-        window: float,
-        key_fn: Callable[[object], object],
-        fold_init: Callable[[], object],
-        fold: Callable[[object, object], object],
-        service_dist: Optional[Distribution] = None,
-    ) -> None:
-        def create() -> Dict[object, object]:
-            return {}
-
-        def add(acc: Dict[object, object], payload: object) -> Dict[object, object]:
-            key = key_fn(payload)
-            acc[key] = fold(acc.get(key, fold_init()), payload)
-            return acc
-
-        def finalize(acc: Dict[object, object]):
-            return tuple(sorted(acc.items(), key=lambda kv: repr(kv[0])))
-
-        super().__init__(window, create, add, finalize, service_dist=service_dist)
-        self.key_fn = key_fn
-
-
-class SampleUDF(UDF):
-    """Forward each payload with probability ``p`` (load shedding-lite).
-
-    Note: the paper explicitly *avoids* load shedding (its elasticity is
-    the alternative); the operator exists for measurement pipelines that
-    subsample, not for shedding under overload.
-    """
-
-    def __init__(self, probability: float, service_dist: Optional[Distribution] = None) -> None:
-        super().__init__(service_dist)
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1] (got {probability})")
-        self.probability = probability
-        self._rng = random.Random(0x5A17)
-
-    def process(self, payload: object):
-        if self._rng.random() < self.probability:
-            return (payload,)
-        return ()
-
-
-class RateEstimatorUDF(WindowedAggregateUDF):
-    """Emit ``count / window`` — the stream's observed rate — per window."""
-
-    def __init__(self, window: float, service_dist: Optional[Distribution] = None) -> None:
-        super().__init__(
-            window,
-            create=lambda: 0,
-            add=lambda acc, _payload: acc + 1,
-            finalize=lambda acc: (acc / window,),
-            service_dist=service_dist,
-            emit_empty=True,
-        )
-
-
-class CountWindowUDF(UDF):
-    """Count-based tumbling window: fold every ``size`` items, then emit.
-
-    Unlike the time-based :class:`~repro.engine.udf.WindowedAggregateUDF`
-    (flushed by the hosting task's timer), a count window completes
-    inside :meth:`process`, so it needs no timer and reports *read-ready*
-    latency. A partially filled window is emitted only by an explicit
-    :meth:`flush_partial` (the engine does not call it automatically).
-    """
-
-    def __init__(
-        self,
-        size: int,
-        create: Callable[[], object],
-        add: Callable[[object, object], object],
-        finalize: Callable[[object], Iterable[object]],
-        service_dist: Optional[Distribution] = None,
-    ) -> None:
-        super().__init__(service_dist)
-        if size < 1:
-            raise ValueError(f"size must be >= 1 (got {size})")
-        self.size = size
-        self._create = create
-        self._add = add
-        self._finalize = finalize
-        self._acc = create()
-        self._count = 0
-
-    def process(self, payload: object):
-        self._acc = self._add(self._acc, payload)
-        self._count += 1
-        if self._count >= self.size:
-            outputs = tuple(self._finalize(self._acc))
-            self._acc = self._create()
-            self._count = 0
-            return outputs
-        return ()
-
-    def flush_partial(self) -> Tuple[object, ...]:
-        """Finalize a partially filled window (e.g. at shutdown)."""
-        if self._count == 0:
-            return ()
-        outputs = tuple(self._finalize(self._acc))
-        self._acc = self._create()
-        self._count = 0
-        return outputs
 
 
 class UnionTagUDF(UDF):
@@ -231,112 +25,3 @@ class UnionTagUDF(UDF):
 
     def process(self, payload: object):
         return ((self.tag, payload),)
-
-
-class StatefulWindowedAggregateUDF(KeyedAggregateUDF):
-    """Per-key windowed fold that reports its state footprint.
-
-    The stateful-operator model: identical to
-    :class:`KeyedAggregateUDF`, plus an optional ``state_probe`` hook
-    ``(key, delta_bytes)`` invoked on every fold step so the engine's
-    :class:`~repro.engine.state.StateManager` can account per-key state
-    size (and hence migration/checkpoint cost). With the default
-    ``state_probe=None`` the operator behaves exactly like its parent
-    and is usable standalone.
-    """
-
-    def __init__(
-        self,
-        window: float,
-        key_fn: Callable[[object], object],
-        fold_init: Callable[[], object],
-        fold: Callable[[object, object], object],
-        bytes_per_event: int = 64,
-        service_dist: Optional[Distribution] = None,
-        state_probe: Optional[Callable[[object, int], None]] = None,
-    ) -> None:
-        if bytes_per_event < 0:
-            raise ValueError(f"bytes_per_event must be >= 0 (got {bytes_per_event})")
-        super().__init__(window, key_fn, fold_init, fold, service_dist=service_dist)
-        self.bytes_per_event = bytes_per_event
-        self.state_probe = state_probe
-        inner_add = self._add
-
-        def probed_add(acc, payload):
-            if self.state_probe is not None:
-                self.state_probe(key_fn(payload), self.bytes_per_event)
-            return inner_add(acc, payload)
-
-        self._add = probed_add
-
-
-class KeyedJoinUDF(UDF):
-    """Symmetric hash join over two tagged input streams, keyed.
-
-    Payloads must be ``(tag, item)`` pairs (e.g. produced upstream by
-    :class:`UnionTagUDF` with tags ``"left"``/``"right"``). Each item is
-    buffered under its join key on its own side and joined against every
-    buffered item of the *other* side with the same key, emitting
-    ``(key, left_item, right_item)`` tuples. Buffers are count-bounded:
-    each side keeps at most ``max_per_key`` items per key (oldest
-    evicted first). The optional ``state_probe`` reports buffer growth
-    and eviction as byte deltas, like
-    :class:`StatefulWindowedAggregateUDF`.
-    """
-
-    LEFT = "left"
-    RIGHT = "right"
-
-    def __init__(
-        self,
-        key_fn: Callable[[object], object],
-        max_per_key: int = 16,
-        bytes_per_event: int = 64,
-        service_dist: Optional[Distribution] = None,
-        state_probe: Optional[Callable[[object, int], None]] = None,
-    ) -> None:
-        super().__init__(service_dist)
-        if max_per_key < 1:
-            raise ValueError(f"max_per_key must be >= 1 (got {max_per_key})")
-        if bytes_per_event < 0:
-            raise ValueError(f"bytes_per_event must be >= 0 (got {bytes_per_event})")
-        self.key_fn = key_fn
-        self.max_per_key = max_per_key
-        self.bytes_per_event = bytes_per_event
-        self.state_probe = state_probe
-        self._sides: Dict[str, Dict[object, List[object]]] = {
-            self.LEFT: {},
-            self.RIGHT: {},
-        }
-
-    def _probe(self, key: object, delta: int) -> None:
-        if self.state_probe is not None:
-            self.state_probe(key, delta)
-
-    def process(self, payload: object):
-        tag, item = payload
-        if tag not in self._sides:
-            raise ValueError(
-                f"KeyedJoinUDF payload tag must be {self.LEFT!r} or "
-                f"{self.RIGHT!r} (got {tag!r})"
-            )
-        key = self.key_fn(item)
-        mine = self._sides[tag].setdefault(key, [])
-        mine.append(item)
-        self._probe(key, self.bytes_per_event)
-        if len(mine) > self.max_per_key:
-            mine.pop(0)
-            self._probe(key, -self.bytes_per_event)
-        other_tag = self.RIGHT if tag == self.LEFT else self.LEFT
-        matches = self._sides[other_tag].get(key, ())
-        if tag == self.LEFT:
-            return tuple((key, item, m) for m in matches)
-        return tuple((key, m, item) for m in matches)
-
-    def buffered_items(self) -> int:
-        """Total buffered items across both sides (test/inspection aid)."""
-        return sum(
-            len(items)
-            for side in self._sides.values()
-            for items in side.values()
-        )

@@ -11,7 +11,7 @@ backpressure throttling.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Tuple
 
 from repro.engine.items import DataItem
 
@@ -41,11 +41,6 @@ class BoundedQueue:
         return len(self._items)
 
     @property
-    def free_space(self) -> int:
-        """Remaining capacity."""
-        return self.capacity - len(self._items)
-
-    @property
     def is_full(self) -> bool:
         """Whether the queue is at capacity."""
         return len(self._items) >= self.capacity
@@ -69,12 +64,6 @@ class BoundedQueue:
         if self._space_listeners:
             self._notify_space()
         return entry
-
-    def peek_time(self) -> Optional[float]:
-        """Enqueue time of the head item, or ``None`` if empty."""
-        if not self._items:
-            return None
-        return self._items[0][0].enqueued_at
 
     def add_space_listener(self, callback: Callable[[], None]) -> None:
         """Register a one-shot callback fired when space frees up."""

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.engine.channel import NetworkModel, RuntimeChannel
 from repro.engine.batching import BatchingStrategy
-from repro.engine.resources import InsufficientResourcesError, ResourceManager
+from repro.engine.resources import ResourceManager
 from repro.engine.runtime import RuntimeGraph, RuntimeVertex
 from repro.engine.task import OutputGate, RuntimeTask
 from repro.graphs.job_graph import JobEdge, JobGraph, JobVertex
@@ -263,22 +263,6 @@ class Scheduler:
     def _notify_rescaled(self, vertex_name: str) -> None:
         if self.on_rescaled is not None:
             self.on_rescaled(vertex_name)
-
-    def scale_up(self, vertex_name: str, count: int) -> None:
-        """Announce ``count`` new tasks; they start after the startup delay.
-
-        Reserves the slots synchronously; raises
-        :class:`InsufficientResourcesError` if admission denies them, so
-        callers learn about an impossible scale-up *now* rather than via
-        an exception escaping a sim-heap callback ``startup_delay`` later.
-        """
-        if count <= 0:
-            return
-        grant = self.resources.request_slots(self.job_id, count)
-        if not grant.admitted:
-            self._count("scheduler.admission_denials")
-            raise InsufficientResourcesError(grant.reason)
-        self._announce_scale_up(self.runtime.vertex(vertex_name), count)
 
     def _announce_scale_up(self, rv: RuntimeVertex, count: int) -> None:
         rv.pending_additions += count

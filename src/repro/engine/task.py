@@ -68,7 +68,7 @@ class OutputGate:
 
     __slots__ = (
         "sim", "producer", "edge_name", "pattern", "key_fn", "strategy",
-        "_mode", "_should_flush_on_emit", "_flush_deadline", "network",
+        "_mode", "network",
         "channels", "partitioner", "_start", "_buffer", "_buffered_bytes",
         "_flush_timer", "_timer_generation", "flushes",
     )
@@ -76,7 +76,7 @@ class OutputGate:
     #: emit() dispatch modes resolved from the strategy type once at
     #: construction (the strategy object is fixed for the gate's lifetime;
     #: set_deadline mutates it in place)
-    _GENERIC, _INSTANT, _ADAPTIVE, _FIXED = 0, 1, 2, 3
+    _INSTANT, _ADAPTIVE, _FIXED = 1, 2, 3
 
     def __init__(
         self,
@@ -103,9 +103,11 @@ class OutputGate:
         elif strategy_cls is FixedSizeBatching:
             self._mode = self._FIXED
         else:
-            self._mode = self._GENERIC
-        self._should_flush_on_emit = strategy.should_flush_on_emit
-        self._flush_deadline = strategy.flush_deadline
+            raise TypeError(
+                f"unsupported batching strategy {strategy_cls.__name__}: an output "
+                "gate ships by InstantFlush, FixedSizeBatching or "
+                "AdaptiveDeadlineBatching"
+            )
         self.network = network
         self.channels: List[RuntimeChannel] = []
         self.partitioner: Partitioner = make_partitioner(pattern, 1, key_fn, start)
@@ -123,20 +125,9 @@ class OutputGate:
         fanout = max(1, len(self.channels))
         self.partitioner = make_partitioner(self.pattern, fanout, self.key_fn, self._start)
 
-    def select_channels(self, payload: object) -> List[RuntimeChannel]:
-        """Channels the payload must be sent to (one, or all on broadcast)."""
-        if not self.channels:
-            return []
-        return [self.channels[i] for i in self.partitioner.select(payload)]
-
     # ------------------------------------------------------------------
     # output buffering
     # ------------------------------------------------------------------
-
-    @property
-    def buffered_items(self) -> int:
-        """Items currently waiting in the gate's output buffer."""
-        return len(self._buffer)
 
     def emit(self, channel: RuntimeChannel, item: DataItem) -> bool:
         """Buffer ``item`` for ``channel``; ``False`` when out of credits."""
@@ -180,23 +171,12 @@ class OutputGate:
             self.producer.add_overhead(self.network.shipping_overhead(1))
             channel.ship((item,), item.size)
             return True
-        buffer = self._buffer
-        buffer.append((channel, item))
+        # FixedSizeBatching: size cap only, never a timer
+        self._buffer.append((channel, item))
         buffered_bytes = self._buffered_bytes + item.size
         self._buffered_bytes = buffered_bytes
-        if mode == 3:  # FixedSizeBatching: size cap only, never a timer
-            if buffered_bytes >= self.strategy.buffer_bytes:
-                self._flush()
-            return True
-        if self._should_flush_on_emit(len(buffer), buffered_bytes):
+        if buffered_bytes >= self.strategy.buffer_bytes:
             self._flush()
-        elif self._flush_timer is None:
-            deadline = self._flush_deadline()
-            if deadline is not None:
-                sim = self.sim
-                timer = sim._schedule_pooled_at(sim.now + deadline, self._on_flush_timer)
-                self._flush_timer = timer
-                self._timer_generation = timer.generation
         return True
 
     def set_deadline(self, deadline: float) -> None:

@@ -37,8 +37,6 @@ _EXPORTS = {
     "format_table": "repro.experiments.report",
     "write_csv": "repro.experiments.report",
     "sparkline": "repro.experiments.ascii",
-    "line_chart": "repro.experiments.ascii",
     "series_panel": "repro.experiments.ascii",
-    "Dashboard": "repro.experiments.dashboard",
 }
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,13 +1,13 @@
 """ASCII chart rendering for experiment reports (no plotting deps).
 
 The harnesses print time series; these helpers render them readably in a
-terminal: one-line sparklines for compact dashboards and multi-row line
-charts for the figures' latency / throughput / parallelism series.
+terminal: one-line sparklines, labelled sparkline panels for the
+figures' latency / throughput / parallelism series, and the comparison
+report's spread bars.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
@@ -53,40 +53,6 @@ def _downsample(points: List[Optional[float]], width: int) -> List[Optional[floa
         ]
         buckets.append(sum(chunk) / len(chunk) if chunk else None)
     return buckets
-
-
-def line_chart(
-    values: Sequence[Optional[float]],
-    height: int = 8,
-    width: Optional[int] = 72,
-    label: str = "",
-    unit: str = "",
-) -> str:
-    """Render a series as a multi-row ASCII chart with a value axis."""
-    if height < 2:
-        raise ValueError("height must be >= 2")
-    points = list(values)
-    if width is not None and len(points) > width:
-        points = _downsample(points, width)
-    present = [v for v in points if v is not None]
-    if not present:
-        return f"{label}: (no data)"
-    low = min(present)
-    high = max(present)
-    span = high - low if high > low else 1.0
-    rows = []
-    grid = [[" "] * len(points) for _ in range(height)]
-    for x, value in enumerate(points):
-        if value is None:
-            continue
-        y = int((value - low) / span * (height - 1))
-        grid[height - 1 - y][x] = "*"
-    header = f"{label}  [{_fmt(low)}..{_fmt(high)}] {unit}".rstrip()
-    rows.append(header)
-    for i, row in enumerate(grid):
-        margin = _fmt(high) if i == 0 else (_fmt(low) if i == height - 1 else "")
-        rows.append(f"{margin:>10} |" + "".join(row))
-    return "\n".join(rows)
 
 
 def spread_bar(

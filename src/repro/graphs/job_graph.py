@@ -9,7 +9,7 @@ vertices are connected in the runtime graph.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 
 class GraphError(ValueError):
@@ -207,18 +207,6 @@ class JobGraph:
     def _check_acyclic(self) -> None:
         self.topological_order()
 
-    def downstream_of(self, vertex: JobVertex) -> Set[str]:
-        """Names of all vertices reachable from ``vertex``."""
-        seen: Set[str] = set()
-        frontier: List[JobVertex] = [vertex]
-        while frontier:
-            current = frontier.pop()
-            for edge in current.outputs:
-                if edge.target.name not in seen:
-                    seen.add(edge.target.name)
-                    frontier.append(edge.target)
-        return seen
-
     def validate(self) -> None:
         """Check structural sanity (acyclicity, at least one source/sink)."""
         self._check_acyclic()
@@ -230,10 +218,3 @@ class JobGraph:
     def __repr__(self) -> str:
         return f"JobGraph({self.name!r}, |JV|={len(self.vertices)}, |JE|={len(self.edges)})"
 
-
-def iter_edges_between(graph: JobGraph, names: Iterable[str]) -> List[JobEdge]:
-    """Edges of ``graph`` whose endpoints are both in ``names``."""
-    wanted = set(names)
-    return [
-        e for e in graph.edges if e.source.name in wanted and e.target.name in wanted
-    ]

@@ -10,8 +10,8 @@ can audit *why* a scaling action happened instead of reverse-engineering
 it from the parallelism series.
 
 Records use a versioned, flat JSON schema (``trace.jsonl``, one record
-per line) consumed by ``python -m repro trace show`` / ``--check`` and
-the :class:`~repro.experiments.dashboard.Dashboard` decisions panel.
+per line) consumed by ``python -m repro trace show`` / ``--check``;
+``repro run`` prints a live job's last decisions the same way.
 
 Schema history
 --------------

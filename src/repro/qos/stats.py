@@ -296,51 +296,6 @@ class WindowedStats:
 _NO_DATA = WindowAggregates(False, 0, 0.0, 0.0, 0.0, 0.0)
 
 
-class ReservoirSampler:
-    """Fixed-memory uniform sample of an unbounded stream (Algorithm R).
-
-    Used where per-item retention would be unbounded (e.g. long latency
-    feeds between recorder drains): keeps a uniform random subset of at
-    most ``capacity`` values, from which percentiles stay unbiased.
-    """
-
-    def __init__(self, capacity: int, seed: int = 0x5EED) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1 (got {capacity})")
-        self.capacity = capacity
-        self._rng = __import__("random").Random(seed)
-        self._values: List[float] = []
-        self.seen = 0
-
-    def add(self, value: float) -> None:
-        """Offer one value to the reservoir."""
-        self.seen += 1
-        if len(self._values) < self.capacity:
-            self._values.append(value)
-            return
-        index = self._rng.randrange(self.seen)
-        if index < self.capacity:
-            self._values[index] = value
-
-    def values(self) -> List[float]:
-        """The current sample (at most ``capacity`` values)."""
-        return list(self._values)
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Percentile of the sample (None while empty)."""
-        return percentile(self._values, q)
-
-    def drain(self) -> List[float]:
-        """Take the sample and reset the reservoir."""
-        values = self._values
-        self._values = []
-        self.seen = 0
-        return values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
 def percentile(samples: Sequence[float], q: float) -> Optional[float]:
     """Return the ``q``-th percentile (0..100) via linear interpolation.
 

@@ -26,7 +26,6 @@ _EXPORTS = {
     "Deterministic": "repro.simulation.randomness",
     "Exponential": "repro.simulation.randomness",
     "Gamma": "repro.simulation.randomness",
-    "LogNormal": "repro.simulation.randomness",
     "Uniform": "repro.simulation.randomness",
     "RandomStreams": "repro.simulation.randomness",
 }

@@ -146,19 +146,6 @@ class Simulator:
         if len(heap) > self._max_heap:
             self._max_heap = len(heap)
 
-    def schedule_fire_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Absolute-time variant of :meth:`schedule_fire`."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self.now})"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, callback, args))
-        if len(heap) > self._max_heap:
-            self._max_heap = len(heap)
-
     def _schedule_pooled_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Internal: cancellable scheduling with a pool-recycled event.
 
@@ -193,17 +180,12 @@ class Simulator:
     # running
     # ------------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Run the simulation.
 
-        Parameters
-        ----------
-        until:
-            If given, stop once the next event would fire strictly after
-            ``until`` and advance the clock to ``until``. If omitted, run
-            until the event heap is exhausted.
-        max_events:
-            Optional safety valve: stop after firing this many events.
+        If ``until`` is given, stop once the next event would fire strictly
+        after ``until`` and advance the clock to ``until``. If omitted, run
+        until the event heap is exhausted.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -211,12 +193,10 @@ class Simulator:
             raise SimulationError("run(until=nan) would never stop")
         self._running = True
         try:
-            if until is None and max_events is None:
+            if until is None:
                 self._run_unbounded()
-            elif max_events is None:
-                self._run_until(until)
             else:
-                self._run_bounded(until, max_events)
+                self._run_until(until)
         finally:
             self._running = False
 
@@ -245,8 +225,8 @@ class Simulator:
                 self._recycle(pool, event)
 
     def _run_until(self, until: float) -> None:
-        # Specialization of _run_bounded for the dominant run(until=...)
-        # call: no max_events bookkeeping, no per-event None checks.
+        # _run_unbounded plus the horizon check: an event strictly after
+        # ``until`` stays on the heap for the next run() call.
         heap = self._heap
         pop = heapq.heappop
         pool = self._pool
@@ -278,39 +258,6 @@ class Simulator:
         if self.now < until:
             self.now = until
 
-    def _run_bounded(self, until: Optional[float], max_events: Optional[int]) -> None:
-        heap = self._heap
-        pop = heapq.heappop
-        pool = self._pool
-        fired = 0
-        while heap:
-            entry = heap[0]
-            if len(entry) == 3:
-                event = entry[2]
-                if event.cancelled:
-                    pop(heap)
-                    if event.pooled:
-                        self._recycle(pool, event)
-                    continue
-            else:
-                event = None
-            if until is not None and entry[0] > until:
-                break
-            pop(heap)
-            self.now = entry[0]
-            self._fired_events += 1
-            fired += 1
-            if event is None:
-                entry[2](*entry[3])
-            else:
-                event.callback(*event.args)
-                if event.pooled:
-                    self._recycle(pool, event)
-            if max_events is not None and fired >= max_events:
-                break
-        if until is not None and self.now < until:
-            self.now = until
-
     @staticmethod
     def _recycle(pool: List[Event], event: Event) -> None:
         # Break reference cycles / drop payloads before pooling; the
@@ -319,33 +266,6 @@ class Simulator:
         event.callback = None
         event.args = ()
         pool.append(event)
-
-    def step(self) -> bool:
-        """Fire exactly the next pending event.
-
-        Returns ``True`` if an event fired, ``False`` if the heap is empty.
-        """
-        heap = self._heap
-        pool = self._pool
-        while heap:
-            entry = heapq.heappop(heap)
-            if len(entry) == 4:
-                self.now = entry[0]
-                self._fired_events += 1
-                entry[2](*entry[3])
-                return True
-            event = entry[2]
-            if event.cancelled:
-                if event.pooled:
-                    self._recycle(pool, event)
-                continue
-            self.now = entry[0]
-            self._fired_events += 1
-            event.callback(*event.args)
-            if event.pooled:
-                self._recycle(pool, event)
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # recurrences

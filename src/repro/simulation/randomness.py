@@ -18,13 +18,11 @@ DEFAULT_BLOCK_SIZE = 256
 #: a BlockSampler's first block; later blocks double up to its block size
 FIRST_BLOCK_SIZE = 32
 
-# The constants of CPython's ``random`` module that ``gammavariate`` and
-# ``normalvariate`` use; the in-frame block samplers below repeat those
-# algorithms operation for operation, so the tests pin these to the
-# running interpreter's values.
+# The constants of CPython's ``random`` module that ``gammavariate`` uses;
+# the in-frame block sampler below repeats that algorithm operation for
+# operation, so the tests pin these to the running interpreter's values.
 _LOG4 = math.log(4.0)
 _SG_MAGICCONST = 1.0 + math.log(4.5)
-_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
 class RandomStreams:
@@ -218,51 +216,6 @@ class Gamma(Distribution):
 
     def __repr__(self) -> str:
         return f"Gamma(mean={self.mean!r}, cv={self.cv!r})"
-
-
-class LogNormal(Distribution):
-    """Log-normal distribution parameterized by ``mean`` and ``cv``."""
-
-    def __init__(self, mean: float, cv: float) -> None:
-        if mean <= 0:
-            raise ValueError(f"lognormal mean must be > 0 (got {mean})")
-        if cv <= 0:
-            raise ValueError(f"lognormal cv must be > 0 (got {cv})")
-        self.mean = mean
-        self.cv = cv
-        sigma2 = math.log(1.0 + cv * cv)
-        self._mu = math.log(mean) - sigma2 / 2.0
-        self._sigma = math.sqrt(sigma2)
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self._mu, self._sigma)
-
-    def sample_block(self, rng: random.Random, n: int) -> List[float]:
-        # CPython's lognormvariate (Kinderman-Monahan normal, then exp) in
-        # one frame; bit-identical to n sample() calls like Gamma's.
-        mu = self._mu
-        sigma = self._sigma
-        rand = rng.random
-        log = math.log
-        exp = math.exp
-        out: List[float] = []
-        append = out.append
-        for _ in range(n):
-            while True:
-                u1 = rand()
-                u2 = 1.0 - rand()
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                zz = z * z / 4.0
-                if zz <= -log(u2):
-                    break
-            append(exp(mu + z * sigma))
-        return out
-
-    def scaled(self, factor: float) -> "LogNormal":
-        return LogNormal(self.mean * factor, self.cv)
-
-    def __repr__(self) -> str:
-        return f"LogNormal(mean={self.mean!r}, cv={self.cv!r})"
 
 
 class Uniform(Distribution):

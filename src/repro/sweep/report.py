@@ -6,15 +6,13 @@ canonical JSON (sorted keys, fixed indentation, trailing newline). Two
 sweeps over the same grid therefore produce byte-identical aggregates no
 matter the worker count, crashes, retries or a checkpointed resume in
 between. Consumed by :class:`repro.experiments.dashboard.SweepDashboard`
-and rendered with :mod:`repro.experiments.report` table helpers.
+and, through :func:`read_aggregate`, by ``repro compare``.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Dict, List, Optional, Sequence
-
-from repro.workloads.scenario import group_key
 
 #: bump when the aggregate layout changes incompatibly
 AGGREGATE_SCHEMA_VERSION = 1
@@ -39,6 +37,8 @@ def _fulfillment(result: Dict[str, object]) -> Optional[float]:
 
 def summarize_groups(results: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Across-seeds statistics per grid point (deterministic order)."""
+    from repro.workloads.scenario import group_key
+
     groups: Dict[str, List[Dict[str, object]]] = {}
     for result in results:
         groups.setdefault(group_key(result["params"]), []).append(result)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
-from repro.experiments.ascii import line_chart, series_panel, sparkline
+from repro.experiments.ascii import series_panel, sparkline
 from repro.qos.diagnostics import (
     HOT_SPOT,
     LOAD_SKEW,
@@ -102,25 +102,6 @@ class TestSparkline:
         result = sparkline(list(range(100)), width=10)
         assert len(result) == 10
         assert result[-1] == "█"
-
-
-class TestLineChart:
-    def test_renders_label_and_bounds(self):
-        chart = line_chart([1.0, 5.0, 3.0], height=4, label="latency", unit="ms")
-        assert "latency" in chart
-        assert "1.0" in chart and "5.0" in chart
-        assert chart.count("\n") == 4
-
-    def test_no_data(self):
-        assert "(no data)" in line_chart([None, None], label="x")
-
-    def test_invalid_height(self):
-        with pytest.raises(ValueError):
-            line_chart([1.0], height=1)
-
-    def test_stars_present(self):
-        chart = line_chart([0.0, 10.0, 0.0, 10.0], height=3)
-        assert chart.count("*") == 4
 
 
 class TestSeriesPanel:

@@ -127,7 +127,7 @@ class TestBackpressure:
         job = self.overloaded_job()
         emitted = sum(t.items_emitted for t in job.runtime.vertex("Source").tasks)
         worker = job.runtime.vertex("Worker").tasks[0]
-        in_buffers = sum(g.buffered_items for t in job.runtime.vertex("Source").tasks for g in t.out_gates)
+        in_buffers = sum(len(g._buffer) for t in job.runtime.vertex("Source").tasks for g in t.out_gates)
         in_flight = sum(c.outstanding for c in worker.in_channels)
         queued = len(worker.input_queue)
         processed = worker.items_processed

@@ -524,6 +524,21 @@ class TestCompareCli:
                          "--tolerance", bad_tolerance]) == 2
         capsys.readouterr()
 
+    def test_aggregate_of_another_schema_exits_2_naming_it(
+        self, tiny_sweep, tmp_path, capsys
+    ):
+        out, aggregate = tiny_sweep
+        baseline_path = str(tmp_path / "b.json")
+        assert cli.main(["compare", out, "--baseline", baseline_path,
+                         "--write-baseline", baseline_path]) == 0
+        newer = json.loads(json.dumps(aggregate))
+        newer["schema"] = 99
+        newer_path = str(tmp_path / "newer" / "aggregate.json")
+        write_json(newer_path, newer)
+        capsys.readouterr()
+        assert cli.main(["compare", newer_path, "--baseline", baseline_path]) == 2
+        assert "unsupported aggregate schema 99" in capsys.readouterr().out
+
     def test_runs_command_lists_and_writes_the_index(
         self, tiny_sweep, tmp_path, capsys
     ):

@@ -60,7 +60,6 @@ class TestBoundedQueueProperties:
                     except IndexError:
                         pass
             assert len(queue) == len(model)
-            assert queue.free_space == capacity - len(model)
             assert queue.is_full == (len(model) >= capacity)
         assert queue.total_enqueued == enqueued
 

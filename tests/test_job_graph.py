@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.udf import MapUDF
-from repro.graphs.job_graph import GraphError, JobEdge, JobGraph, JobVertex, iter_edges_between
+from repro.graphs.job_graph import GraphError, JobEdge, JobGraph, JobVertex
 
 
 def udf_factory():
@@ -142,22 +142,12 @@ class TestJobGraph:
         with pytest.raises(KeyError):
             graph.edge_between("b", "a")
 
-    def test_downstream_of(self):
-        graph = make_diamond()
-        assert graph.downstream_of(graph.vertex("a")) == {"b", "c", "d"}
-        assert graph.downstream_of(graph.vertex("d")) == set()
-
     def test_validate_requires_source_and_sink(self):
         graph = JobGraph("g")
         with pytest.raises(GraphError):
             graph.validate()
         graph.add_vertex("a", udf_factory)
         graph.validate()  # a lone vertex is both source and sink
-
-    def test_iter_edges_between(self):
-        graph = make_diamond()
-        names = {e.name for e in iter_edges_between(graph, ["a", "b", "d"])}
-        assert names == {"a->b", "b->d"}
 
     def test_inputs_outputs_wiring(self):
         graph = make_diamond()

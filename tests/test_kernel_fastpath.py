@@ -24,7 +24,7 @@ class TestSimultaneousOrdering:
         sim.schedule_fire(1.0, fired.append, "fire-1")
         sim.schedule_batch([1.0], fired.append, "batch-2")
         sim.schedule_at(1.0, fired.append, "handle-3")
-        sim.schedule_fire_at(1.0, fired.append, "fire-4")
+        sim.schedule_fire(1.0, fired.append, "fire-4")
         sim.run()
         assert fired == ["handle-0", "fire-1", "batch-2", "handle-3", "fire-4"]
 
@@ -199,27 +199,6 @@ class TestRunSemantics:
         sim.run(until=2.0)
         assert fired == ["in", "boundary"]
 
-    def test_max_events_bounds_firing(self, sim):
-        fired = []
-        for i in range(10):
-            sim.schedule_fire(float(i), fired.append, i)
-        sim.run(max_events=4)
-        assert fired == [0, 1, 2, 3]
-        sim.run()
-        assert fired == list(range(10))
-
-    def test_step_handles_both_shapes_and_skips_cancelled(self, sim):
-        fired = []
-        handle = sim.schedule(1.0, fired.append, "cancelled")
-        sim.schedule_fire(2.0, fired.append, "fire")
-        sim.schedule(3.0, fired.append, "handle")
-        handle.cancel()
-        assert sim.step() is True
-        assert fired == ["fire"]
-        assert sim.step() is True
-        assert fired == ["fire", "handle"]
-        assert sim.step() is False
-
     def test_reentrant_run_rejected(self, sim):
         def nested():
             sim.run()
@@ -234,7 +213,6 @@ class TestRunSemantics:
 
     def test_schedule_fire_returns_no_handle(self, sim):
         assert sim.schedule_fire(1.0, lambda: None) is None
-        assert sim.schedule_fire_at(2.0, lambda: None) is None
 
 
 class TestEventHandle:

@@ -82,22 +82,18 @@ class TestMultiJob:
         return engine, [engine.submit(graph) for graph in graphs]
 
     def test_observers_refuse_to_guess_a_job_on_a_shared_engine(self, tmp_path):
-        """``export_run``/``Dashboard``/``SeriesRecorder`` name the jobs
-        instead of silently answering with the first one."""
-        from repro.experiments.dashboard import Dashboard
+        """``export_run``/``SeriesRecorder`` name the jobs instead of
+        silently answering with the first one."""
         from repro.experiments.recording import SeriesRecorder
 
         engine, _ = self._two_jobs()
         with pytest.raises(ValueError, match="'alpha', 'beta'"):
             engine.export_run(str(tmp_path))
-        with pytest.raises(ValueError, match="'alpha', 'beta'"):
-            Dashboard(engine).render()
         SeriesRecorder(engine, interval=5.0)
         with pytest.raises(ValueError, match="'alpha', 'beta'"):
             engine.run(6.0)  # the recorder's first sample
 
     def test_observers_work_once_given_the_job(self, tmp_path):
-        from repro.experiments.dashboard import Dashboard
         from repro.experiments.recording import SeriesRecorder
         from repro.obs.manifest import MANIFEST_FILE
 
@@ -111,7 +107,6 @@ class TestMultiJob:
             [40.0, 40.0], rel=0.1
         )
         assert all(row.latency_mean["e2e"] is not None for row in recorder.rows)
-        assert "Worker" in Dashboard(engine, recorder, job=beta).render()
         paths = engine.export_run(str(tmp_path), job=beta)
         assert paths["manifest"].endswith(MANIFEST_FILE)
 

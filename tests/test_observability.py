@@ -587,17 +587,6 @@ class TestEndToEnd:
         )
         assert graph_hash(a.graph) != graph_hash(d.graph)  # p_max differs
 
-    def test_dashboard_decisions_section(self, tmp_path):
-        from repro.experiments.dashboard import Dashboard
-
-        engine, job = self._run_with_obs(tmp_path)
-        section = Dashboard(engine).decisions_section()
-        assert "last scaler decisions" in section
-        assert "[rebalance]" in section or "[bottleneck]" in section
-        # tracing off -> placeholder, not a crash
-        off_engine, _ = run_elastic(duration=10.0)
-        assert Dashboard(off_engine).decisions_section() == "(decision tracing off)"
-
     def test_schema_version_in_every_exported_line(self, tmp_path):
         # Writers emit the lowest schema each record needs: a stateless
         # run never uses v3 branches/fields, so every line stays v2 —

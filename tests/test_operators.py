@@ -1,254 +1,9 @@
-"""Unit and integration tests for the streaming operator library."""
+"""Unit tests for the streaming operator library."""
 
-import pytest
-
-from repro.engine.engine import EngineConfig, StreamProcessingEngine
-from repro.engine.operators import (
-    KeyedAggregateUDF,
-    RateEstimatorUDF,
-    SampleUDF,
-    UnionTagUDF,
-    tumbling_count,
-    tumbling_mean,
-    tumbling_sum,
-    tumbling_top_k,
-)
-from repro.engine.udf import SinkUDF, SourceUDF
-from repro.graphs.job_graph import JobGraph
-from repro.workloads.rates import ConstantRate
+from repro.engine.operators import UnionTagUDF
 
 
-class TestTumblingAggregates:
-    def test_count(self):
-        udf = tumbling_count(1.0)
-        for _ in range(5):
-            udf.process("x")
-        assert udf.flush() == (5,)
-
-    def test_count_emits_zero_for_empty_window(self):
-        assert tumbling_count(1.0).flush() == (0,)
-
-    def test_sum(self):
-        udf = tumbling_sum(1.0)
-        for v in (1.5, 2.5):
-            udf.process(v)
-        assert udf.flush() == (4.0,)
-
-    def test_sum_with_value_fn(self):
-        udf = tumbling_sum(1.0, value_fn=lambda d: d["v"])
-        udf.process({"v": 3})
-        udf.process({"v": 4})
-        assert udf.flush() == (7,)
-
-    def test_mean(self):
-        udf = tumbling_mean(1.0)
-        for v in (2.0, 4.0, 6.0):
-            udf.process(v)
-        assert udf.flush() == (4.0,)
-
-    def test_mean_empty_window_silent(self):
-        assert tumbling_mean(1.0).flush() == ()
-
-
-class TestTopK:
-    def test_counts_and_ranks(self):
-        udf = tumbling_top_k(1.0, k=2, key_fn=lambda payload: payload)
-        for keys in (["a"], ["a", "b"], ["b"], ["a"], ["c"]):
-            udf.process(keys)
-        ((top,),) = (udf.flush(),)
-        assert top[0] == ("a", 3)
-        assert top[1] == ("b", 2)
-        assert len(top) == 2
-
-    def test_ties_broken_deterministically(self):
-        udf = tumbling_top_k(1.0, k=2, key_fn=lambda payload: payload)
-        udf.process(["x", "y"])
-        (top,) = udf.flush()
-        assert [k for k, _ in top] == sorted(k for k, _ in top)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            tumbling_top_k(1.0, k=0, key_fn=lambda p: p)
-
-
-class TestKeyedAggregate:
-    def test_per_key_fold(self):
-        udf = KeyedAggregateUDF(
-            1.0,
-            key_fn=lambda d: d[0],
-            fold_init=lambda: 0,
-            fold=lambda acc, d: acc + d[1],
-        )
-        for payload in (("a", 1), ("b", 2), ("a", 3)):
-            udf.process(payload)
-        result = dict(udf.flush())
-        assert result == {"a": 4, "b": 2}
-
-    def test_window_resets_keys(self):
-        udf = KeyedAggregateUDF(
-            1.0, key_fn=lambda d: d, fold_init=lambda: 0, fold=lambda acc, d: acc + 1
-        )
-        udf.process("k")
-        udf.flush()
-        udf.process("k")
-        assert dict(udf.flush()) == {"k": 1}
-
-
-class TestSampleAndUnion:
-    def test_sample_all(self):
-        udf = SampleUDF(1.0)
-        assert list(udf.process("x")) == ["x"]
-
-    def test_sample_none(self):
-        udf = SampleUDF(0.0)
-        assert list(udf.process("x")) == []
-
-    def test_sample_fraction(self):
-        udf = SampleUDF(0.3)
-        passed = sum(bool(list(udf.process(i))) for i in range(5000))
-        assert passed == pytest.approx(1500, rel=0.1)
-
-    def test_sample_invalid_probability(self):
-        with pytest.raises(ValueError):
-            SampleUDF(1.5)
-
+class TestUnionTag:
     def test_union_tags(self):
         udf = UnionTagUDF("left")
         assert list(udf.process(7)) == [("left", 7)]
-
-
-class TestRateEstimator:
-    def test_reports_rate(self):
-        udf = RateEstimatorUDF(window=2.0)
-        for _ in range(10):
-            udf.process("x")
-        assert udf.flush() == (5.0,)
-
-    def test_zero_rate_emitted(self):
-        assert RateEstimatorUDF(window=1.0).flush() == (0.0,)
-
-
-class TestOperatorsInEngine:
-    def test_top_k_pipeline_end_to_end(self):
-        graph = JobGraph("topk")
-        letters = ["a", "a", "a", "b", "b", "c"]
-        src = graph.add_vertex(
-            "Src",
-            lambda: SourceUDF(lambda now, rng: [rng.choice(letters)]),
-        )
-        topk = graph.add_vertex(
-            "TopK", lambda: tumbling_top_k(0.5, k=1, key_fn=lambda payload: payload)
-        )
-        collected = []
-        sink = graph.add_vertex(
-            "Snk", lambda: SinkUDF(on_item=collected.append)
-        )
-        graph.connect(src, topk)
-        graph.connect(topk, sink)
-        src.rate_profile = ConstantRate(200.0, jitter="deterministic")
-        engine = StreamProcessingEngine(EngineConfig(seed=6))
-        engine.submit(graph)
-        engine.run(10.0)
-        assert collected
-        winners = [top[0][0] for top in collected if top]
-        # 'a' dominates the letter distribution, so it wins most windows.
-        assert winners.count("a") > len(winners) * 0.7
-
-    def test_rate_estimator_pipeline(self):
-        graph = JobGraph("rate")
-        src = graph.add_vertex("Src", lambda: SourceUDF(lambda now, rng: 1))
-        est = graph.add_vertex("Rate", lambda: RateEstimatorUDF(1.0))
-        rates = []
-        sink = graph.add_vertex("Snk", lambda: SinkUDF(on_item=rates.append))
-        graph.connect(src, est)
-        graph.connect(est, sink)
-        src.rate_profile = ConstantRate(150.0, jitter="deterministic")
-        engine = StreamProcessingEngine(EngineConfig(seed=6))
-        engine.submit(graph)
-        engine.run(10.0)
-        steady = rates[2:-1]
-        assert steady
-        assert sum(steady) / len(steady) == pytest.approx(150.0, rel=0.05)
-
-
-class TestStatefulWindowedAggregate:
-    def _udf(self, probe=None):
-        from repro.engine.operators import StatefulWindowedAggregateUDF
-
-        return StatefulWindowedAggregateUDF(
-            1.0,
-            key_fn=lambda d: d[0],
-            fold_init=lambda: 0,
-            fold=lambda acc, d: acc + d[1],
-            bytes_per_event=48,
-            state_probe=probe,
-        )
-
-    def test_behaves_like_keyed_aggregate_without_probe(self):
-        udf = self._udf()
-        for item in (("a", 1), ("b", 2), ("a", 3)):
-            udf.process(item)
-        assert dict(udf.flush()) == {"a": 4, "b": 2}
-
-    def test_probe_reports_every_fold_step(self):
-        deltas = []
-        udf = self._udf(probe=lambda key, nbytes: deltas.append((key, nbytes)))
-        for item in (("a", 1), ("b", 2), ("a", 3)):
-            udf.process(item)
-        assert deltas == [("a", 48), ("b", 48), ("a", 48)]
-
-    def test_rejects_negative_bytes_per_event(self):
-        from repro.engine.operators import StatefulWindowedAggregateUDF
-
-        with pytest.raises(ValueError, match="bytes_per_event"):
-            StatefulWindowedAggregateUDF(
-                1.0, key_fn=lambda d: d, fold_init=lambda: 0,
-                fold=lambda acc, d: acc, bytes_per_event=-1,
-            )
-
-
-class TestKeyedJoin:
-    def _udf(self, probe=None, max_per_key=16):
-        from repro.engine.operators import KeyedJoinUDF
-
-        return KeyedJoinUDF(
-            key_fn=lambda item: item["k"],
-            max_per_key=max_per_key,
-            bytes_per_event=32,
-            state_probe=probe,
-        )
-
-    def test_joins_matching_keys_across_sides(self):
-        udf = self._udf()
-        assert udf.process(("left", {"k": 1, "v": "l1"})) == ()
-        out = udf.process(("right", {"k": 1, "v": "r1"}))
-        assert out == ((1, {"k": 1, "v": "l1"}, {"k": 1, "v": "r1"}),)
-        # a later left item joins against the buffered right item too
-        out = udf.process(("left", {"k": 1, "v": "l2"}))
-        assert out == ((1, {"k": 1, "v": "l2"}, {"k": 1, "v": "r1"}),)
-
-    def test_non_matching_keys_emit_nothing(self):
-        udf = self._udf()
-        assert udf.process(("left", {"k": 1})) == ()
-        assert udf.process(("right", {"k": 2})) == ()
-        assert udf.buffered_items() == 2
-
-    def test_buffers_are_count_bounded(self):
-        deltas = []
-        udf = self._udf(probe=lambda key, nbytes: deltas.append(nbytes),
-                        max_per_key=2)
-        for i in range(4):
-            udf.process(("left", {"k": 1, "i": i}))
-        assert udf.buffered_items() == 2
-        # two evictions reported as negative deltas
-        assert deltas.count(-32) == 2
-        assert deltas.count(32) == 4
-
-    def test_rejects_unknown_tags_and_bad_params(self):
-        from repro.engine.operators import KeyedJoinUDF
-
-        udf = self._udf()
-        with pytest.raises(ValueError, match="tag"):
-            udf.process(("middle", {"k": 1}))
-        with pytest.raises(ValueError, match="max_per_key"):
-            KeyedJoinUDF(key_fn=lambda item: item, max_per_key=0)

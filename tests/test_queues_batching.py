@@ -1,18 +1,37 @@
 """Unit tests for bounded queues and batching strategies."""
 
+import random
+
 import pytest
 
 from repro.engine.batching import (
     AdaptiveDeadlineBatching,
+    BatchingStrategy,
     FixedSizeBatching,
     InstantFlush,
 )
+from repro.engine.channel import NetworkModel, RuntimeChannel
 from repro.engine.items import DataItem
 from repro.engine.queues import BoundedQueue
+from repro.engine.task import OutputGate, RuntimeTask
+from repro.engine.udf import SinkUDF
+from repro.simulation.kernel import Simulator
 
 
 def item(created=0.0, size=256):
     return DataItem("payload", created, size)
+
+
+def gate_over_one_channel(strategy):
+    """An output gate shipping over one channel; returns (gate, channel)."""
+    sim = Simulator()
+    network = NetworkModel()
+    consumer = RuntimeTask(sim, "C", 0, SinkUDF(), random.Random(1))
+    producer = RuntimeTask(sim, "P", 0, SinkUDF(), random.Random(2))
+    channel = RuntimeChannel(sim, consumer, network, "P->C", capacity=8)
+    gate = OutputGate(sim, producer, "P->C", "round_robin", strategy, network)
+    gate.set_channels([channel])
+    return gate, channel
 
 
 class TestBoundedQueue:
@@ -28,11 +47,6 @@ class TestBoundedQueue:
         assert q.try_put(item(), None)
         assert not q.try_put(item(), None)
         assert q.is_full
-
-    def test_free_space(self):
-        q = BoundedQueue(3)
-        q.try_put(item(), None)
-        assert q.free_space == 2
 
     def test_source_channel_returned(self):
         q = BoundedQueue(2)
@@ -91,22 +105,15 @@ class TestBoundedQueue:
         with pytest.raises(ValueError):
             BoundedQueue(0)
 
-    def test_peek_time(self):
-        q = BoundedQueue(2)
-        assert q.peek_time() is None
-        it = item()
-        it.enqueued_at = 3.5
-        q.try_put(it, None)
-        assert q.peek_time() == 3.5
-
 
 class TestInstantFlush:
     def test_always_flushes(self):
-        s = InstantFlush()
-        assert s.should_flush_on_emit(1, 10)
+        gate, channel = gate_over_one_channel(InstantFlush())
+        gate.emit(channel, item())
+        assert channel.batches_shipped == 1
 
     def test_no_deadline(self):
-        assert InstantFlush().flush_deadline() is None
+        assert vars(InstantFlush()) == {}  # no size cap, no deadline
 
     def test_clone_independent(self):
         s = InstantFlush()
@@ -116,11 +123,16 @@ class TestInstantFlush:
 class TestFixedSizeBatching:
     def test_flushes_at_byte_limit(self):
         s = FixedSizeBatching(1024)
-        assert not s.should_flush_on_emit(3, 768)
-        assert s.should_flush_on_emit(4, 1024)
+        assert s.buffer_bytes == 1024
+        gate, channel = gate_over_one_channel(s)
+        for _ in range(3):
+            gate.emit(channel, item())  # 768 bytes buffered
+        assert channel.batches_shipped == 0
+        gate.emit(channel, item())
+        assert channel.batches_shipped == 1
 
     def test_no_deadline(self):
-        assert FixedSizeBatching(1024).flush_deadline() is None
+        assert not hasattr(FixedSizeBatching(1024), "deadline")
 
     def test_clone_copies_size(self):
         assert FixedSizeBatching(2048).clone().buffer_bytes == 2048
@@ -133,7 +145,7 @@ class TestFixedSizeBatching:
 class TestAdaptiveDeadlineBatching:
     def test_deadline_reported(self):
         s = AdaptiveDeadlineBatching(initial_deadline=0.010)
-        assert s.flush_deadline() == pytest.approx(0.010)
+        assert s.deadline == pytest.approx(0.010)
 
     def test_set_deadline_clamped(self):
         s = AdaptiveDeadlineBatching(0.01, min_deadline=0.001, max_deadline=0.1)
@@ -144,13 +156,19 @@ class TestAdaptiveDeadlineBatching:
 
     def test_zero_deadline_means_instant(self):
         s = AdaptiveDeadlineBatching(0.0, min_deadline=0.0)
-        assert s.should_flush_on_emit(1, 10)
-        assert s.flush_deadline() is None
+        assert s.deadline == 0.0
+        gate, channel = gate_over_one_channel(s)
+        gate.emit(channel, item())
+        assert channel.batches_shipped == 1
 
     def test_size_cap_still_flushes(self):
         s = AdaptiveDeadlineBatching(0.01, buffer_bytes=512)
-        assert not s.should_flush_on_emit(1, 256)
-        assert s.should_flush_on_emit(2, 512)
+        assert s.buffer_bytes == 512
+        gate, channel = gate_over_one_channel(s)
+        gate.emit(channel, item())
+        assert channel.batches_shipped == 0  # waiting for the deadline
+        gate.emit(channel, item())
+        assert channel.batches_shipped == 1
 
     def test_clone_copies_state(self):
         s = AdaptiveDeadlineBatching(0.02, buffer_bytes=4096)
@@ -165,3 +183,13 @@ class TestAdaptiveDeadlineBatching:
             AdaptiveDeadlineBatching(0.01, min_deadline=0.5, max_deadline=0.1)
         with pytest.raises(ValueError):
             AdaptiveDeadlineBatching(0.01, buffer_bytes=0)
+
+
+def test_output_gate_refuses_other_strategy_types():
+    class EveryOtherItem(BatchingStrategy):
+        pass
+
+    with pytest.raises(
+        TypeError, match="InstantFlush, FixedSizeBatching or AdaptiveDeadlineBatching"
+    ):
+        gate_over_one_channel(EveryOtherItem())

@@ -10,7 +10,6 @@ from repro.simulation.randomness import (
     Distribution,
     Exponential,
     Gamma,
-    LogNormal,
     RandomStreams,
     Uniform,
 )
@@ -115,25 +114,6 @@ class TestGamma:
             Gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             Gamma(1.0, 0.0)
-
-
-class TestLogNormal:
-    @pytest.mark.parametrize("mean,cv", [(0.5, 0.4), (2.0, 1.0)])
-    def test_mean_and_cv_match(self, mean, cv):
-        got_mean, got_cv = sample_stats(LogNormal(mean, cv))
-        assert got_mean == pytest.approx(mean, rel=0.08)
-        assert got_cv == pytest.approx(cv, rel=0.15)
-
-    def test_scaled(self):
-        ln = LogNormal(1.0, 0.8).scaled(2.0)
-        assert ln.mean == 2.0
-        assert ln.cv == 0.8
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            LogNormal(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            LogNormal(1.0, -0.5)
 
 
 class TestUniform:

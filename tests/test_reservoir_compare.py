@@ -1,65 +1,9 @@
-"""Tests for the reservoir sampler and the compare_policies harness."""
+"""Tests for the compare_policies harness."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.experiments.compare_policies import CompareParams, run_policy
-from repro.qos.stats import ReservoirSampler
 from repro.workloads.primetester import PrimeTesterParams
-
-
-class TestReservoirSampler:
-    def test_keeps_everything_below_capacity(self):
-        r = ReservoirSampler(10)
-        for i in range(5):
-            r.add(float(i))
-        assert sorted(r.values()) == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_bounded_above_capacity(self):
-        r = ReservoirSampler(10)
-        for i in range(1000):
-            r.add(float(i))
-        assert len(r) == 10
-        assert r.seen == 1000
-
-    def test_uniformity(self):
-        # Mean of the sample should track the stream mean.
-        r = ReservoirSampler(500, seed=3)
-        for i in range(20000):
-            r.add(float(i))
-        sample_mean = sum(r.values()) / len(r)
-        assert sample_mean == pytest.approx(10000, rel=0.15)
-
-    def test_percentile(self):
-        r = ReservoirSampler(100)
-        for i in range(100):
-            r.add(float(i))
-        assert r.percentile(50) == pytest.approx(49.5)
-        assert ReservoirSampler(5).percentile(50) is None
-
-    def test_drain_resets(self):
-        r = ReservoirSampler(5)
-        r.add(1.0)
-        assert r.drain() == [1.0]
-        assert len(r) == 0
-        assert r.seen == 0
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ReservoirSampler(0)
-
-    @given(
-        n=st.integers(min_value=0, max_value=500),
-        capacity=st.integers(min_value=1, max_value=50),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_size_invariant(self, n, capacity):
-        r = ReservoirSampler(capacity)
-        for i in range(n):
-            r.add(float(i))
-        assert len(r) == min(n, capacity)
-        assert all(0 <= v < max(n, 1) for v in r.values())
 
 
 class TestComparePoliciesHarness:

@@ -1,6 +1,4 @@
-"""Unit tests: runtime-graph bookkeeping, engine presets, count windows."""
-
-import pytest
+"""Unit tests: runtime-graph bookkeeping and engine presets."""
 
 from repro.engine.batching import (
     AdaptiveDeadlineBatching,
@@ -8,9 +6,7 @@ from repro.engine.batching import (
     InstantFlush,
 )
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
-from repro.engine.operators import CountWindowUDF
 from repro.engine.runtime import RuntimeGraph
-from repro.engine.udf import MapUDF
 
 from conftest import make_linear_job, run_linear
 
@@ -89,57 +85,3 @@ class TestRuntimeGraph:
         for channel in runtime.channels_of_edge("Source->Worker"):
             assert not channel.closed
 
-
-class TestCountWindow:
-    def make(self, size=3):
-        return CountWindowUDF(
-            size,
-            create=list,
-            add=lambda acc, x: acc + [x],
-            finalize=lambda acc: [tuple(acc)],
-        )
-
-    def test_emits_every_n_items(self):
-        udf = self.make(3)
-        assert list(udf.process(1)) == []
-        assert list(udf.process(2)) == []
-        assert list(udf.process(3)) == [(1, 2, 3)]
-        assert list(udf.process(4)) == []
-
-    def test_flush_partial(self):
-        udf = self.make(3)
-        udf.process(1)
-        assert udf.flush_partial() == ((1,),)
-        assert udf.flush_partial() == ()
-
-    def test_read_ready_mode(self):
-        assert self.make().latency_mode == "RR"
-        assert not self.make().is_windowed
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            self.make(0)
-
-    def test_runs_in_engine(self):
-        from repro.engine.udf import SinkUDF, SourceUDF
-        from repro.graphs.job_graph import JobGraph
-        from repro.workloads.rates import ConstantRate
-
-        graph = JobGraph("count")
-        src = graph.add_vertex("Src", lambda: SourceUDF(lambda now, rng: 1))
-        win = graph.add_vertex(
-            "Win",
-            lambda: CountWindowUDF(
-                10, create=lambda: 0, add=lambda a, x: a + x, finalize=lambda a: [a]
-            ),
-        )
-        collected = []
-        sink = graph.add_vertex("Snk", lambda: SinkUDF(on_item=collected.append))
-        graph.connect(src, win)
-        graph.connect(win, sink)
-        src.rate_profile = ConstantRate(100.0, jitter="deterministic")
-        engine = StreamProcessingEngine(EngineConfig(seed=1))
-        engine.submit(graph)
-        engine.run(5.0)
-        assert collected
-        assert all(value == 10 for value in collected)

@@ -56,7 +56,7 @@ class TestScaleUp:
     def test_scale_up_after_startup_delay(self):
         job = deploy()
         job.engine.run(2.0)
-        job.scheduler.scale_up("Worker", 2)
+        job.scheduler.set_parallelism("Worker", 4)
         assert job.parallelism("Worker") == 2  # not yet materialized
         assert job.runtime.vertex("Worker").pending_additions == 2
         job.engine.run(job.engine.config.startup_delay + 0.1)
@@ -66,7 +66,7 @@ class TestScaleUp:
     def test_new_tasks_receive_items(self):
         job = deploy(source_rate=200.0)
         job.engine.run(2.0)
-        job.scheduler.scale_up("Worker", 2)
+        job.scheduler.set_parallelism("Worker", 4)
         job.engine.run(10.0)
         new_tasks = job.runtime.vertex("Worker").tasks[-2:]
         assert all(t.items_processed > 0 for t in new_tasks)
@@ -74,7 +74,7 @@ class TestScaleUp:
     def test_upstream_partitioners_resized(self):
         job = deploy()
         job.engine.run(1.0)
-        job.scheduler.scale_up("Worker", 3)
+        job.scheduler.set_parallelism("Worker", 5)
         job.engine.run(2.0)
         source_task = job.runtime.vertex("Source").tasks[0]
         gate = source_task.out_gates[0]
@@ -84,7 +84,7 @@ class TestScaleUp:
     def test_new_tasks_wired_downstream(self):
         job = deploy()
         job.engine.run(1.0)
-        job.scheduler.scale_up("Worker", 1)
+        job.scheduler.set_parallelism("Worker", 3)
         job.engine.run(2.0)
         new_task = job.runtime.vertex("Worker").tasks[-1]
         assert len(new_task.out_gates[0].channels) == 1  # to the sink
@@ -107,7 +107,7 @@ class TestScaleUp:
     def test_scaling_log_records(self):
         job = deploy()
         job.engine.run(1.0)
-        job.scheduler.scale_up("Worker", 1)
+        job.scheduler.set_parallelism("Worker", 3)
         job.engine.run(2.0)
         assert any(entry[1] == "Worker" for entry in job.scheduler.scaling_log)
 

@@ -131,21 +131,6 @@ class TestRunUntil:
         sim.run(until=2.5)
         assert sim.now == 2.5
 
-    def test_max_events_limits_firing(self, sim):
-        for _ in range(10):
-            sim.schedule(1.0, lambda: None)
-        sim.run(max_events=4)
-        assert sim.fired_events == 4
-
-    def test_step_fires_single_event(self, sim):
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, fired.append, 2)
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
-
     def test_reentrant_run_rejected(self, sim):
         def nested():
             sim.run()

@@ -34,7 +34,7 @@ def accounted_items(job, source_vertex="Source"):
             consumed += task.items_processed
         queued += len(task.input_queue)
         in_flight += sum(c.outstanding for c in task.in_channels)
-        buffered += sum(g.buffered_items for g in task.out_gates)
+        buffered += sum(len(g._buffer) for g in task.out_gates)
         if task._busy:
             busy += 1
     return emitted, consumed, queued, in_flight, buffered, busy

@@ -29,12 +29,13 @@ from repro.sweep import (
     run_shard,
 )
 from repro.sweep.pool import POLL_INTERVAL, PoolError, PoolJob, PoolStats, run_pool
-from repro.sweep.report import AGGREGATE_FILE, group_key
+from repro.sweep.report import AGGREGATE_FILE
 from repro.sweep.shard import (
     RESULT_FILE,
     execute_shard,
     load_shard_result,
 )
+from repro.workloads.scenario import group_key
 
 
 def tiny_grid(**overrides):
