@@ -170,8 +170,7 @@ class RuntimeChannel:
         now = self.sim.now
         if self.reporter is not None:
             for item in items:
-                if item.sampled:
-                    self.reporter.record_output_batch_latency(now - item.emitted_at)
+                self.reporter.record_output_batch_latency(now - item.emitted_at)
         transfer = self.network.transfer_time(batch_bytes)
         if self.latency_penalty:
             transfer += self.latency_penalty
@@ -224,7 +223,6 @@ class RuntimeChannel:
             item = pending.popleft()
             entries.append((item, self))
             queue.total_enqueued += 1
-            item.enqueued_at = now
             self.items_delivered += 1
             # one credit back per delivered item
             outstanding = self._outstanding

@@ -239,8 +239,6 @@ class DeployedJob:
         }
         #: latest merged global summary (refreshed every adjustment interval)
         self.last_summary: Optional[GlobalSummary] = None
-        #: full history of (timestamp, GlobalSummary)
-        self.summary_history: List[Tuple[float, GlobalSummary]] = []
         self._batching_policy: Optional[AdaptiveBatchingPolicy] = None
         if self.constraints and isinstance(config.batching, AdaptiveDeadlineBatching):
             from repro.core.batching_policy import AdaptiveBatchingPolicy
@@ -478,7 +476,6 @@ class DeployedJob:
         partials = [m.partial_summary(now) for m in self._managers]
         summary = merge_partial_summaries(now, partials)
         self.last_summary = summary
-        self.summary_history.append((now, summary))
         for tracker in self.trackers:
             tracker.observe(now, summary)
         if self._batching_policy is not None:

@@ -23,15 +23,9 @@ from typing import Iterator, Optional, Tuple
 class DataItem:
     """One data item in flight on a single channel hop."""
 
-    __slots__ = ("payload", "created_at", "size", "emitted_at", "enqueued_at", "sampled")
+    __slots__ = ("payload", "created_at", "size", "emitted_at")
 
-    def __init__(
-        self,
-        payload: object,
-        created_at: float,
-        size: int = 256,
-        sampled: bool = True,
-    ) -> None:
+    def __init__(self, payload: object, created_at: float, size: int = 256) -> None:
         self.payload = payload
         #: virtual time the item was first emitted by a source task
         self.created_at = created_at
@@ -40,10 +34,6 @@ class DataItem:
         #: virtual time the item was written into the current channel's
         #: output buffer (per-hop)
         self.emitted_at: Optional[float] = None
-        #: virtual time the item entered the consumer's input queue
-        self.enqueued_at: Optional[float] = None
-        #: whether this item participates in latency sampling
-        self.sampled = sampled
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DataItem(created_at={self.created_at:.6f}, size={self.size})"

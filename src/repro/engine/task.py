@@ -493,7 +493,7 @@ class RuntimeTask:
         if queue._space_listeners:
             queue._notify_space()
         reporter = getattr(channel, "reporter", None)
-        if reporter is not None and item.sampled and item.emitted_at is not None:
+        if reporter is not None and item.emitted_at is not None:
             reporter.record_channel_latency(now - item.emitted_at)
         self._pop_time = now
         service_fn = self._service_fn

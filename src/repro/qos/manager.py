@@ -24,6 +24,8 @@ from repro.qos.summary import EdgeSummary, PartialSummary, VertexSummary
 class _TaskWindows:
     """Sliding measurement windows for one task."""
 
+    __slots__ = ("task_latency", "service", "interarrival")
+
     def __init__(self, window: int) -> None:
         self.task_latency = WindowedStats(window)
         self.service = WindowedStats(window)
@@ -32,6 +34,8 @@ class _TaskWindows:
 
 class _ChannelWindows:
     """Sliding measurement windows for one channel."""
+
+    __slots__ = ("latency", "obl")
 
     def __init__(self, window: int) -> None:
         self.latency = WindowedStats(window)

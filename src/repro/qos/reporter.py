@@ -37,6 +37,14 @@ class TaskReporter:
     its consume-to-flush latencies separately.
     """
 
+    # A read-ready reporter leaves ``record_task_latency`` unset, so it
+    # has no such attribute.
+    __slots__ = (
+        "vertex_name", "task_id", "read_ready", "_task_latency", "_service",
+        "_interarrival", "record_task_latency", "record_service_time",
+        "record_interarrival",
+    )
+
     def __init__(self, vertex_name: str, task_id: str, read_ready: bool = False) -> None:
         self.vertex_name = vertex_name
         self.task_id = task_id
@@ -74,6 +82,11 @@ class TaskReporter:
 
 class ChannelReporter:
     """Accumulates one channel's Table-I samples for the current interval."""
+
+    __slots__ = (
+        "edge_name", "channel_id", "_latency", "_obl",
+        "record_channel_latency", "record_output_batch_latency",
+    )
 
     def __init__(self, edge_name: str, channel_id: int) -> None:
         self.edge_name = edge_name

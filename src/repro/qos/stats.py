@@ -15,8 +15,7 @@ and results must not depend on the interpreter version.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 class OnlineStats:
@@ -197,22 +196,32 @@ class WindowedStats:
     memoized: the QoS summary builders read ``mean``/``cv``/``count``
     several times per interval, and an idle task or channel pushes the
     empty snapshot every interval without changing any aggregate.
+
+    The snapshots sit in a plain list, oldest first, and the object has
+    slots: a job holds three windows per task and two per channel, so
+    every byte here is paid thousands of times (DESIGN.md, "What a run
+    retains").
     """
+
+    __slots__ = ("window", "_snaps", "_cache")
 
     def __init__(self, window: int = 5) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1 (got {window})")
         self.window = window
-        self._snaps: Deque[StatsSnapshot] = deque(maxlen=window)
+        self._snaps: List[StatsSnapshot] = []
         self._cache: Optional[WindowAggregates] = None
 
     def push(self, snap: StatsSnapshot) -> None:
         """Append one interval snapshot (empty ones age the window)."""
         snaps = self._snaps
+        full = len(snaps) == self.window
         # An empty snapshot that evicts nothing, or another empty one,
         # leaves every aggregate as it was: keep the memo.
-        if snap.count or (len(snaps) == self.window and snaps[0].count):
+        if snap.count or (full and snaps[0].count):
             self._cache = None
+        if full:
+            del snaps[0]
         snaps.append(snap)
 
     def _aggregates(self) -> WindowAggregates:

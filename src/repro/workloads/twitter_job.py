@@ -155,11 +155,16 @@ class TopicFilterUDF(UDF):
 
 
 class SentimentUDF(UDF):
-    """Classifies an on-topic tweet's sentiment (paper: S, LingPipe)."""
+    """Classifies an on-topic tweet's sentiment (paper: S, LingPipe).
 
-    def __init__(self, service_dist: Distribution) -> None:
+    ``analyzer`` is shared by every task of the vertex: classification is
+    a pure function of the text, so one memo serves the job and a
+    scale-up does not start with an empty one.
+    """
+
+    def __init__(self, service_dist: Distribution, analyzer: SentimentAnalyzer) -> None:
         super().__init__(service_dist)
-        self.analyzer = SentimentAnalyzer()
+        self.analyzer = analyzer
 
     def process(self, payload: object):
         assert isinstance(payload, Tweet)
@@ -271,8 +276,10 @@ def build_twitter_sentiment_job(
     def make_filter() -> TopicFilterUDF:
         return TopicFilterUDF(_dist(params.filter_service), _dist(params.filter_list_service))
 
+    analyzer = SentimentAnalyzer()
+
     def make_sentiment() -> SentimentUDF:
-        return SentimentUDF(_dist(params.sentiment_service))
+        return SentimentUDF(_dist(params.sentiment_service), analyzer)
 
     def make_sink() -> SinkUDF:
         counts: Dict[Tuple[str, str], int] = {}

@@ -115,16 +115,21 @@ class TestChannelDelivery:
         sim.schedule(0.5, queue.get)
         sim.schedule(0.75, queue.get)
 
+        arrival = channel.network.transfer_time(3 * 256)
+        assert arrival == pytest.approx(0.001, abs=1e-4)
         sim.run(until=0.25)
+        assert [entry[0].payload for entry in queue._items] == ["old", "old", "old", 0]
         assert channel.items_delivered == 1
         assert channel.outstanding == 2  # the parked items hold their credits
         assert len(queue._space_listeners) == 1
-        arrival = batch[0].enqueued_at
-        assert arrival == pytest.approx(0.001, abs=1e-4)
-        assert [it.enqueued_at for it in batch[1:]] == [None, None]
+        assert consumer.reporter._interarrival == []  # the first arrival
 
-        sim.run()  # each pop frees one slot: one parked item moves in
-        assert [it.enqueued_at for it in batch] == [arrival, 0.5, 0.75]
+        sim.run(until=0.6)  # the pop at 0.5 lets exactly one parked item in
+        assert [entry[0].payload for entry in queue._items] == ["old", "old", 0, 1]
+        assert channel.items_delivered == 2
+        assert consumer.reporter._interarrival == [0.5 - arrival]
+
+        sim.run()  # the pop at 0.75 lets the last one in
         assert [entry[0].payload for entry in queue._items] == ["old", 0, 1, 2]
         assert channel.items_delivered == 3
         assert channel.outstanding == 0

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.constraints import LatencyConstraint
 from repro.engine.batching import AdaptiveDeadlineBatching, FixedSizeBatching, InstantFlush
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro.graphs.sequences import JobSequence
 
 from conftest import make_linear_job, run_linear
 
@@ -163,9 +165,18 @@ class TestMeasurementPipeline:
         assert set(job.last_summary.edges) == {"Source->Worker", "Worker->Sink"}
 
     def test_summary_history_grows_per_adjustment_interval(self):
-        job = run_linear(duration=21.0)
+        """The per-interval record is the trackers' history; one summary is kept."""
+        engine = StreamProcessingEngine(EngineConfig())
+        graph = make_linear_job()
+        sequence = JobSequence.from_names(
+            graph, ["Worker"], leading_edge=True, trailing_edge=True
+        )
+        job = engine.submit(graph, [LatencyConstraint(sequence, 0.05)])
+        engine.run(21.0)
         # adjustment interval 5 s -> summaries at 5, 10, 15, 20
-        assert len(job.summary_history) == 4
+        assert len(job.trackers[0].history) == 4
+        assert job.last_summary.timestamp == pytest.approx(20.0)
+        assert not hasattr(job, "summary_history")
 
 
 class TestDeterminism:

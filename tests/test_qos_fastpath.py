@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,30 @@ def _reference_snapshot(samples):
     return acc.snapshot_and_reset()
 
 
+def _deque_window_aggregates(snaps):
+    """Eq. 2 over a ``deque(maxlen=m)`` of snapshots, one loop per sum."""
+    filled = [s for s in snaps if s.count > 0]
+    if not filled:
+        return (False, 0, 0.0, 0.0, 0.0, 0.0)
+    total = 0
+    mean_sum = 0.0
+    weighted_sum = 0.0
+    for s in filled:
+        total += s.count
+        mean_sum += s.mean
+        weighted_sum += s.mean * s.count
+    weighted_mean = weighted_sum / total
+    variance = 0.0
+    if total >= 2:
+        ssq = 0.0
+        for s in filled:
+            ssq += s.variance * (s.count - 1)
+            ssq += s.count * (s.mean - weighted_mean) ** 2
+        variance = ssq / (total - 1)
+    cv = 0.0 if weighted_mean == 0.0 else math.sqrt(variance) / weighted_mean
+    return (True, total, mean_sum / len(filled), weighted_mean, variance, cv)
+
+
 # ----------------------------------------------------------------------
 # one interval: batch snapshot == OnlineStats.add per sample
 # ----------------------------------------------------------------------
@@ -100,6 +125,18 @@ class TestWindowMemo:
                 fresh.push(past)
             # read after every push, so the memo is always warm
             assert _aggregates(live) == _aggregates(fresh)
+
+    @given(window=st.integers(1, 8), intervals=st.lists(_interval, max_size=24))
+    @settings(max_examples=80)
+    def test_list_window_equals_a_deque_reference(self, window, intervals):
+        """The list-backed window answers like ``deque(maxlen=m)`` pooled by a loop."""
+        live = WindowedStats(window)
+        reference = deque(maxlen=window)
+        for samples in intervals:
+            snap = snapshot_and_clear(list(samples))
+            live.push(snap)
+            reference.append(snap)
+            assert _aggregates(live) == _deque_window_aggregates(reference)
 
     def test_empty_push_keeps_the_memo_until_data_leaves(self, monkeypatch):
         computes = []

@@ -451,7 +451,7 @@ class TestOneBuilder:
 REMOVED_ENGINE_NAMES = (
     "runtime", "scheduler", "scaler", "fault_injector", "reconciler",
     "state_manager", "constraints", "trackers", "last_summary",
-    "summary_history", "_managers", "parallelism", "drain_sink_samples",
+    "_managers", "parallelism", "drain_sink_samples",
     "check_assumptions",
 )
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulation.randomness import Deterministic
+from repro.workloads.sentiment import SentimentAnalyzer
 from repro.workloads.tweets import Tweet
 from repro.workloads.twitter_job import (
     HotTopicsMergerUDF,
@@ -141,11 +142,29 @@ class TestTopicFilter:
 
 class TestSentimentUDF:
     def test_classifies_first_topic(self):
-        udf = SentimentUDF(Deterministic(0.001))
+        udf = SentimentUDF(Deterministic(0.001), SentimentAnalyzer())
         (result,) = udf.process(tweet("#x", text="i love {}"))
         assert isinstance(result, SentimentResult)
         assert result.topic == "#x"
         assert result.label == "positive"
+
+    def test_a_job_scores_each_text_once_across_its_tasks(self, monkeypatch):
+        graph, _ = build_twitter_sentiment_job()
+        factory = graph.vertex("Sentiment").udf_factory
+        first, scaled_up = factory(), factory()
+        assert first.analyzer is scaled_up.analyzer
+        scored = []
+        analyzer = first.analyzer
+        real_score = analyzer.score
+        monkeypatch.setattr(
+            analyzer, "score", lambda text: scored.append(text) or real_score(text)
+        )
+        for udf in (first, scaled_up):
+            (result,) = udf.process(tweet("#x", text="i love {}"))
+            assert result.label == "positive"
+        assert scored == ["i love #x"]
+        assert build_twitter_sentiment_job()[0].vertex("Sentiment").udf_factory().analyzer \
+            is not analyzer
 
 
 class TestSinkCounting:
