@@ -53,29 +53,16 @@ class NetworkModel:
         bandwidth: float = 125_000_000.0,
         per_batch_overhead: float = 0.00004,
         per_item_overhead: float = 0.000002,
-        connection_setup: float = 0.0,
-        cross_worker_penalty: float = 0.0,
     ) -> None:
-        if base_latency < 0 or bandwidth <= 0:
+        # Negated comparisons, so NaN fails them too.
+        if not (base_latency >= 0 and bandwidth > 0):
             raise ValueError("need base_latency >= 0 and bandwidth > 0")
-        if per_batch_overhead < 0 or per_item_overhead < 0:
+        if not (per_batch_overhead >= 0 and per_item_overhead >= 0):
             raise ValueError("shipping overheads must be >= 0")
-        if connection_setup < 0:
-            raise ValueError("connection_setup must be >= 0")
-        if cross_worker_penalty < 0:
-            raise ValueError("cross_worker_penalty must be >= 0")
         self.base_latency = base_latency
         self.bandwidth = bandwidth
         self.per_batch_overhead = per_batch_overhead
         self.per_item_overhead = per_item_overhead
-        #: one-off latency of a channel's first transfer (TCP handshake;
-        #: the paper: new channels "initially worsen measured channel
-        #: latency", part of why scale-ups get an inactivity phase)
-        self.connection_setup = connection_setup
-        #: extra per-transfer latency charged to channels whose endpoints
-        #: sit on different workers (the scheduler stamps it onto such
-        #: channels) — makes network-aware placement measurable end to end
-        self.cross_worker_penalty = cross_worker_penalty
 
     def transfer_time(self, batch_bytes: int) -> float:
         """In-flight time for a transfer of ``batch_bytes`` bytes."""
@@ -94,7 +81,6 @@ class RuntimeChannel:
         "capacity", "reporter", "_outstanding", "_pending",
         "_pending_listener_armed", "_unblock_waiters", "closed",
         "items_emitted", "items_delivered", "batches_shipped",
-        "latency_penalty",
     )
 
     _ids = 0
@@ -124,9 +110,6 @@ class RuntimeChannel:
         self._pending_listener_armed = False
         self._unblock_waiters: List[Callable[[], None]] = []
         self.closed = False
-        #: extra per-transfer latency for cross-worker endpoints (0.0 for
-        #: co-located tasks; set by the scheduler at wiring time)
-        self.latency_penalty = 0.0
 
         #: lifetime counters for tests and recorders
         self.items_emitted = 0
@@ -172,10 +155,6 @@ class RuntimeChannel:
             for item in items:
                 self.reporter.record_output_batch_latency(now - item.emitted_at)
         transfer = self.network.transfer_time(batch_bytes)
-        if self.latency_penalty:
-            transfer += self.latency_penalty
-        if self.batches_shipped == 0:
-            transfer += self.network.connection_setup
         self.batches_shipped += 1
         # sim.schedule_fire(transfer, self._arrive, items), inlined:
         # fire-and-forget (never cancelled; _arrive drops on closed channels).

@@ -15,6 +15,7 @@ elastic scaler).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -57,6 +58,24 @@ if TYPE_CHECKING:
     from repro.simulation.faults import FaultInjector, FaultPlan
 
 
+#: the fields a run turns into delays, intervals, sizes and counts, with
+#: the bound each must meet: (minimum, strict) -> names
+_FIELD_BOUNDS = {
+    (0, False): (
+        "base_latency", "per_batch_overhead", "per_item_overhead",
+        "startup_delay", "recovery_cooldown", "inactivity_intervals",
+    ),
+    (0, True): (
+        "bandwidth", "measurement_interval", "adjustment_interval",
+        "checkpoint_interval", "staleness_threshold",
+    ),
+    (1, False): (
+        "queue_capacity", "channel_capacity", "item_size", "summary_window",
+        "qos_managers", "worker_pool", "slots_per_worker",
+    ),
+}
+
+
 @dataclass
 class EngineConfig:
     """All tunables of the simulated engine in one place."""
@@ -68,8 +87,6 @@ class EngineConfig:
     bandwidth: float = 125_000_000.0
     per_batch_overhead: float = 0.00004
     per_item_overhead: float = 0.000002
-    #: one-off first-transfer latency per channel (TCP setup; 0 = off)
-    connection_setup: float = 0.0
     #: bounded input queue capacity per task (items)
     queue_capacity: int = 256
     #: per-channel outstanding-item capacity (credit limit)
@@ -127,15 +144,23 @@ class EngineConfig:
     #: slot arbitration when jobs compete for a full pool: "fcfs" (no
     #: preemption), "priority" or "fair-share" (see repro.engine.admission)
     admission: str = "fcfs"
-    #: extra per-transfer latency charged to channels whose endpoints sit
-    #: on different workers (0 = off; pairs with placement="network")
-    cross_worker_penalty: float = 0.0
-    #: per-worker CPU speed factors, cycled over leased workers; the
-    #: default (None) keeps the paper's homogeneity assumption — pass
-    #: e.g. (1.0, 1.0, 1.0, 0.5) to inject hot-spot workers
-    worker_speed_factors: Optional[Tuple[float, ...]] = None
     #: root RNG seed for reproducibility
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        # A NaN or infinite timing would otherwise silence the control
+        # loop or fail far from its cause, mid-run.
+        for (minimum, strict), names in _FIELD_BOUNDS.items():
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name == "staleness_threshold":
+                    continue
+                in_range = value > minimum if strict else value >= minimum
+                if not (math.isfinite(value) and in_range):
+                    raise ValueError(
+                        f"EngineConfig.{name} must be finite and "
+                        f"{'>' if strict else '>='} {minimum} (got {value!r})"
+                    )
 
     # ------------------------------------------------------------------
     # presets mirroring the paper's configurations (Sec. III-B)
@@ -573,19 +598,12 @@ class StreamProcessingEngine:
             bandwidth=self.config.bandwidth,
             per_batch_overhead=self.config.per_batch_overhead,
             per_item_overhead=self.config.per_item_overhead,
-            connection_setup=self.config.connection_setup,
-            cross_worker_penalty=self.config.cross_worker_penalty,
         )
         self.resources = ResourceManager(
             self.sim,
             self.config.worker_pool,
             self.config.slots_per_worker,
             placement=self.config.placement,
-            speed_factors=(
-                list(self.config.worker_speed_factors)
-                if self.config.worker_speed_factors
-                else None
-            ),
             admission=self.config.admission,
         )
         #: all deployed jobs, in submission order

@@ -66,12 +66,12 @@ class ResourceManager:
     * ``"network"`` — co-locate connected vertices: prefer the leased
       worker hosting the most tasks of the new task's graph neighbors
       (its job's upstream/downstream vertices), falling back to pack.
-      Combined with ``NetworkModel.cross_worker_penalty`` this charges
-      cross-worker edges a channel-latency penalty, so placement
-      actually shows up in end-to-end latency.
+      Channels cost the same within and across workers, so placement
+      changes which workers are leased, not end-to-end latency.
 
     Operator placement is orthogonal to the paper's strategy (Sec. VI);
-    all strategies satisfy its homogeneity assumption by default.
+    workers are homogeneous, so every strategy satisfies its
+    homogeneity assumption.
 
     ``admission`` names the arbitration policy consulted when a
     reservation request exceeds free capacity (see
@@ -85,7 +85,6 @@ class ResourceManager:
         pool_size: int = 130,
         slots_per_worker: int = 4,
         placement: str = PLACEMENT_PACK,
-        speed_factors: Optional[List[float]] = None,
         admission: str = "fcfs",
     ) -> None:
         if pool_size < 1 or slots_per_worker < 1:
@@ -96,18 +95,13 @@ class ResourceManager:
         self.pool_size = pool_size
         self.slots_per_worker = slots_per_worker
         self.placement = placement
-        #: per-worker CPU speed factors, keyed by the worker's *stable*
-        #: index in the pool (``worker_id % len``); default: homogeneous
-        self.speed_factors = list(speed_factors) if speed_factors else [1.0]
-        if any(f <= 0 for f in self.speed_factors):
-            raise ValueError("speed factors must be > 0")
         self._workers: List[WorkerNode] = []
         self._task_worker: Dict[int, WorkerNode] = {}
         self._next_worker_id = 0
-        #: released worker ids, reused lowest-first so a worker's id (and
-        #: hence its speed factor) is a stable pool index rather than a
-        #: function of lease history — same-seed runs agree regardless of
-        #: the order slots were released in
+        #: released worker ids, reused lowest-first so a worker's id is a
+        #: stable pool index rather than a function of lease history —
+        #: same-seed runs agree regardless of the order slots were
+        #: released in
         self._free_worker_ids: List[int] = []
         # usage integrals
         self._task_seconds = 0.0
@@ -335,8 +329,6 @@ class ResourceManager:
         if account.reserved > 0:
             account.reserved -= 1
             self._reserved_total -= 1
-        if hasattr(task, "speed_factor"):
-            task.speed_factor = worker.speed_factor
         return worker
 
     def _lease_worker(self) -> WorkerNode:
@@ -345,8 +337,7 @@ class ResourceManager:
         else:
             worker_id = self._next_worker_id
             self._next_worker_id += 1
-        speed = self.speed_factors[worker_id % len(self.speed_factors)]
-        worker = WorkerNode(worker_id, self.slots_per_worker, speed)
+        worker = WorkerNode(worker_id, self.slots_per_worker)
         self._workers.append(worker)
         return worker
 

@@ -204,14 +204,6 @@ class Scheduler:
             capacity=self.channel_capacity,
         )
         channel.producer = producer
-        # Cross-worker edges pay the configured channel-latency penalty
-        # (network-aware placement makes co-location visible end to end).
-        penalty = getattr(self.network, "cross_worker_penalty", 0.0)
-        if penalty:
-            pw = self.resources.worker_of(producer)
-            cw = self.resources.worker_of(consumer)
-            if pw is not None and cw is not None and pw is not cw:
-                channel.latency_penalty = penalty
         consumer.in_channels.append(channel)
         self.runtime.register_channel(channel)
         if self.on_channel_created is not None:

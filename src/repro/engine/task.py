@@ -244,7 +244,7 @@ class RuntimeTask:
         "item_size", "_service_fn", "_generate",
         "_is_windowed",
         "input_queue", "in_channels", "out_gates", "reporter", "state",
-        "start_time", "stop_time", "on_stopped", "failed", "speed_factor",
+        "start_time", "stop_time", "on_stopped", "failed",
         "service_multiplier", "_busy", "_paused_until", "_pop_time",
         "_backlog", "_blocked_on", "_overhead_debt", "_last_enqueue",
         "_window_process", "_window_created", "_drain_probe", "rate_profile",
@@ -291,9 +291,6 @@ class RuntimeTask:
         #: set by :meth:`fail` — distinguishes a crash from a graceful stop
         self.failed = False
 
-        #: CPU speed of the hosting worker (set at slot allocation);
-        #: service times are divided by it
-        self.speed_factor = 1.0
         #: transient service-time multiplier (fault injection: hot-spot
         #: spikes); applied to UDF service times while > 1
         self.service_multiplier = 1.0
@@ -496,15 +493,7 @@ class RuntimeTask:
         if reporter is not None and item.emitted_at is not None:
             reporter.record_channel_latency(now - item.emitted_at)
         self._pop_time = now
-        service_fn = self._service_fn
-        if service_fn is not None:
-            udf_service = service_fn(item.payload) * self.service_multiplier / self.speed_factor
-        else:
-            udf_service = (
-                self.udf.service_time(item.payload, self.rng)
-                * self.service_multiplier
-                / self.speed_factor
-            )
+        udf_service = self._service_fn(item.payload) * self.service_multiplier
         # Overhead debt was already counted into busy_time by add_overhead;
         # here it only delays the completion.
         service = udf_service + self._overhead_debt

@@ -74,18 +74,17 @@ class UDF:
 
     def make_service_sampler(
         self, rng: random.Random, block_size: int = DEFAULT_BLOCK_SIZE
-    ) -> Optional[Callable[[object], float]]:
-        """Return a ``payload -> seconds`` fast path for :meth:`service_time`.
+    ) -> Callable[[object], float]:
+        """Return the ``payload -> seconds`` function the task draws from.
 
         The returned callable must consume ``rng`` exactly as per-item
         :meth:`service_time` calls would (block pre-draws are fine: the
-        task is the stream's only consumer, so order is preserved).
-        Returning ``None`` disables the fast path — the default for
-        subclasses that override :meth:`service_time`, since the engine
-        cannot know what their draws depend on.
+        task is the stream's only consumer, so order is preserved). A
+        subclass that overrides :meth:`service_time` gets it called per
+        item, since the engine cannot know what its draws depend on.
         """
         if type(self).service_time is not UDF.service_time:
-            return None
+            return lambda payload: self.service_time(payload, rng)
         dist = self.service_dist
         if isinstance(dist, Deterministic):
             value = dist.value

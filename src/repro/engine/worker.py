@@ -15,23 +15,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class WorkerNode:
-    """A worker with ``slots`` CPU cores, each hosting at most one task.
+    """A worker with ``slots`` CPU cores, each hosting at most one task."""
 
-    ``speed_factor`` scales the CPU speed relative to the homogeneous
-    baseline (1.0): tasks placed here run their service times divided by
-    it. The paper *assumes* homogeneous workers (Sec. IV-A a); setting
-    factors below 1 deliberately violates that assumption to reproduce
-    the hot-spot effect the assumption guards against.
-    """
-
-    def __init__(self, worker_id: int, slots: int = 4, speed_factor: float = 1.0) -> None:
+    def __init__(self, worker_id: int, slots: int = 4) -> None:
         if slots < 1:
             raise ValueError(f"worker needs >= 1 slot (got {slots})")
-        if speed_factor <= 0:
-            raise ValueError(f"speed_factor must be > 0 (got {speed_factor})")
         self.worker_id = worker_id
         self.slots = slots
-        self.speed_factor = speed_factor
         self._tasks: Dict[int, "RuntimeTask"] = {}
 
     @property

@@ -132,7 +132,7 @@ class TopicFilterUDF(UDF):
         # deterministic MergedTopics cost consumes no randomness at all,
         # so the draw sequence is exactly the scalar one.
         if not isinstance(self.list_service, Deterministic):
-            return None
+            return lambda payload: self.service_time(payload, rng)
         list_value = self.list_service.value
         sampler = _BlockSampler(self.service_dist, rng, block_size)
         next_sample = sampler.next

@@ -19,7 +19,7 @@ def setup():
     sim = Simulator()
     network = NetworkModel(base_latency=0.001, per_batch_overhead=0.0, per_item_overhead=0.0)
     consumer = RuntimeTask(sim, "C", 0, SinkUDF(), random.Random(1), queue_capacity=4)
-    consumer.state = "running"
+    consumer.start()
     producer = RuntimeTask(sim, "P", 0, SinkUDF(), random.Random(2))
     channel = RuntimeChannel(sim, consumer, network, "P->C", capacity=8)
     channel.producer = producer
@@ -47,6 +47,9 @@ class TestNetworkModel:
             NetworkModel(base_latency=-1)
         with pytest.raises(ValueError):
             NetworkModel(per_item_overhead=-1)
+        for name in ("base_latency", "bandwidth", "per_batch_overhead", "per_item_overhead"):
+            with pytest.raises(ValueError):
+                NetworkModel(**{name: float("nan")})
 
 
 class TestChannelDelivery:

@@ -69,12 +69,11 @@ class TestEngineDiagnostics:
         assert job.check_assumptions() == []
 
     def test_slow_worker_flagged(self):
-        config = EngineConfig(
-            worker_speed_factors=(1.0, 0.2, 1.0, 1.0, 1.0, 1.0),
-            slots_per_worker=1,
-        )
-        job = run_linear(config, duration=15.0, source_rate=200.0,
-                            n_workers=4, service_mean=0.004, service_cv=0.3)
+        engine = StreamProcessingEngine(EngineConfig())
+        job = engine.submit(make_linear_job(source_rate=200.0, n_workers=4,
+                                            service_mean=0.004, service_cv=0.3))
+        job.runtime.vertex("Worker").tasks[0].service_multiplier = 5.0
+        engine.run(15.0)
         findings = job.check_assumptions()
         assert any(f.kind == HOT_SPOT for f in findings)
 

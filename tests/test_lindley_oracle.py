@@ -10,7 +10,9 @@ later, and it reaches the next station ``transfer_time(item_size)`` after
 that. The reference below uses no kernel, channel or task; the test feeds
 it the emission times and draws the engine actually used, recorded by
 wrapping the source generator and ``UDF.make_service_sampler``, and
-requires every sink sample to agree to 1e-12 s.
+requires every sink sample to agree to 1e-12 s. A stage whose UDF
+overrides ``service_time`` is held to the same bound: its sampler is the
+per-item call, so the recording sees exactly what the task drew.
 """
 
 from __future__ import annotations
@@ -93,7 +95,14 @@ def recorded_draws(monkeypatch):
     return draws
 
 
-def run_engine(first_parallelism, depth, dist, seed):
+class _PayloadPricedMap(MapUDF):
+    """A stage that prices items itself, by the emission time it carries."""
+
+    def service_time(self, payload, rng):
+        return self.service_dist.sample(rng) * (0.5 + (payload * 10.0) % 1.0)
+
+
+def run_engine(first_parallelism, depth, dist, seed, stage=MapUDF):
     emitted = []
     graph = JobGraph("lindley")
     previous = graph.add_vertex(
@@ -103,7 +112,7 @@ def run_engine(first_parallelism, depth, dist, seed):
     stages = []
     for index in range(depth):
         vertex = graph.add_vertex(
-            f"s{index}", lambda: MapUDF(lambda x: x, service_dist=dist),
+            f"s{index}", lambda: stage(lambda x: x, service_dist=dist),
             parallelism=first_parallelism if index == 0 else 1,
         )
         graph.connect(previous, vertex)
@@ -125,8 +134,8 @@ def run_engine(first_parallelism, depth, dist, seed):
 
 CASES = [
     (p, depth, dist)
-    for p in (1, 2)
-    for depth in (1, 2)
+    for p in (1, 2, 4)
+    for depth in (1, 2, 3)
     for dist in ("exponential", "gamma", "deterministic")
 ]
 DISTS = {
@@ -136,9 +145,8 @@ DISTS = {
 }
 
 
-@pytest.mark.parametrize("p, depth, dist", CASES, ids=[f"p{p}-depth{d}-{s}" for p, d, s in CASES])
-def test_every_sink_sample_is_lindleys(p, depth, dist, recorded_draws):
-    job, engine, emitted, first, later = run_engine(p, depth, DISTS[dist], seed=11 + p + depth)
+def _assert_lindley(run, recorded_draws):
+    job, engine, emitted, first, later = run
     engine_samples = list(job.drain_sink_samples("sink"))
     reference = lindley_sink_samples(
         emitted,
@@ -155,3 +163,14 @@ def test_every_sink_sample_is_lindleys(p, depth, dist, recorded_draws):
         for (t, lat), (rt, rlat) in zip(engine_samples, reference)
     )
     assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("p, depth, dist", CASES, ids=[f"p{p}-depth{d}-{s}" for p, d, s in CASES])
+def test_every_sink_sample_is_lindleys(p, depth, dist, recorded_draws):
+    _assert_lindley(run_engine(p, depth, DISTS[dist], seed=11 + p + depth), recorded_draws)
+
+
+def test_a_udf_pricing_its_own_items_is_lindleys(recorded_draws):
+    _assert_lindley(
+        run_engine(2, 2, DISTS["gamma"], seed=29, stage=_PayloadPricedMap), recorded_draws
+    )

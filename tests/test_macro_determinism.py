@@ -9,10 +9,10 @@ any change to the source→channel→task event ordering, block-sampled RNG
 stream consumption or deferred reporter statistics shows up as a diff.
 
 On top of the golden replay and the double-run check, the scenario is
-replayed with ``make_service_sampler`` patched to return ``None`` (the
-opt-out a UDF overriding ``service_time`` takes), so every task draws
-per item through the scalar ``service_time`` call — the reference the
-block-drawn path must match byte for byte.
+replayed with ``make_service_sampler`` patched to return the per-item
+wrapper (the sampler a UDF overriding ``service_time`` gets), so every
+task draws per item through the scalar ``service_time`` call — the
+reference the block-drawn path must match byte for byte.
 
 Intentional behavior changes must regenerate the goldens via
 ``PYTHONPATH=src python tests/golden_macro_scenario.py --write`` and say
@@ -97,13 +97,13 @@ def scalar_export(tmp_path_factory):
     export_dir = str(tmp_path_factory.mktemp("macro_scalar_replay"))
     opted_out = []
 
-    def no_sampler(self, rng, block_size=None):
+    def scalar_sampler(self, rng, block_size=None):
         opted_out.append(type(self).__name__)
-        return None
+        return lambda payload: self.service_time(payload, rng)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(UDF, "make_service_sampler", no_sampler)
-        patch.setattr(TopicFilterUDF, "make_service_sampler", no_sampler)
+        patch.setattr(UDF, "make_service_sampler", scalar_sampler)
+        patch.setattr(TopicFilterUDF, "make_service_sampler", scalar_sampler)
         run_scenario(export_dir)
     assert "TopicFilterUDF" in opted_out and len(set(opted_out)) > 1
     return export_dir

@@ -1,9 +1,8 @@
-"""Tests for multi-job deployment and the connection-setup latency model."""
+"""Tests for multi-job deployment."""
 
 import pytest
 
 from repro.core.constraints import LatencyConstraint
-from repro.engine.channel import NetworkModel
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.graphs.sequences import JobSequence
 
@@ -116,27 +115,3 @@ class TestMultiJob:
         with pytest.raises(RuntimeError, match="no job submitted"):
             engine.export_run(str(tmp_path))
 
-
-class TestConnectionSetup:
-    def test_first_transfer_pays_setup(self):
-        config = EngineConfig(connection_setup=0.050, base_latency=0.0005)
-        engine = StreamProcessingEngine(config)
-        job = engine.submit(make_linear_job(source_rate=50.0, service_mean=0.0))
-        engine.run(10.0)
-        samples = sorted(job.drain_sink_samples("Sink"))
-        assert samples
-        # The very first items ride first transfers: >= 50 ms e2e; later
-        # items use established connections and are far faster.
-        first_latency = samples[0][1]
-        steady = [latency for _, latency in samples[len(samples) // 2 :]]
-        assert first_latency > 0.050
-        assert sum(steady) / len(steady) < 0.02
-
-    def test_network_model_applies_once(self):
-        net = NetworkModel(connection_setup=0.1)
-        assert net.connection_setup == 0.1
-        with pytest.raises(ValueError):
-            NetworkModel(connection_setup=-0.1)
-
-    def test_default_off(self):
-        assert NetworkModel().connection_setup == 0.0

@@ -28,7 +28,6 @@ class _FakeTask:
         self.uid = _FakeTask._uid
         self.task_id = f"t{self.uid}"
         self.vertex_name = vertex_name
-        self.speed_factor = 1.0
 
 
 def _rm(**kwargs):
@@ -264,29 +263,22 @@ class TestPlacementStrategies:
 
 
 class TestStableWorkerSpeeds:
+    # Worker ids reach outputs, so a worker's id is a stable pool index,
+    # not a function of lease history.
     def test_speed_factor_follows_stable_worker_index(self):
-        # Regression: speed factors used to be keyed by lease order, so a
-        # release/re-lease could silently change a worker's speed.
-        rm = ResourceManager(
-            Simulator(), pool_size=3, slots_per_worker=1,
-            speed_factors=[1.0, 2.0, 4.0],
-        )
+        rm = ResourceManager(Simulator(), pool_size=3, slots_per_worker=1)
         tasks = [_FakeTask() for _ in range(3)]
         for task in tasks:
             rm.allocate_slot(task)
-        assert [t.speed_factor for t in tasks] == [1.0, 2.0, 4.0]
-        # free worker 1 (speed 2.0), then re-lease: the freed id is
-        # reused lowest-first and keeps its original speed factor
+        assert [rm.worker_of(t).worker_id for t in tasks] == [0, 1, 2]
+        # free worker 1, then re-lease: the freed id is reused lowest-first
         rm.release_slot(tasks[1])
         replacement = _FakeTask()
         rm.allocate_slot(replacement)
-        assert replacement.speed_factor == 2.0
+        assert rm.worker_of(replacement).worker_id == 1
 
     def test_release_order_does_not_permute_speeds(self):
-        rm = ResourceManager(
-            Simulator(), pool_size=2, slots_per_worker=1,
-            speed_factors=[1.0, 3.0],
-        )
+        rm = ResourceManager(Simulator(), pool_size=2, slots_per_worker=1)
         t0, t1 = _FakeTask(), _FakeTask()
         rm.allocate_slot(t0)
         rm.allocate_slot(t1)
@@ -295,7 +287,7 @@ class TestStableWorkerSpeeds:
         ta, tb = _FakeTask(), _FakeTask()
         rm.allocate_slot(ta)
         rm.allocate_slot(tb)
-        assert (ta.speed_factor, tb.speed_factor) == (1.0, 3.0)
+        assert (rm.worker_of(ta).worker_id, rm.worker_of(tb).worker_id) == (0, 1)
 
 
 class TestJainFairness:

@@ -1,4 +1,8 @@
-"""Unit tests: runtime-graph bookkeeping and engine presets."""
+"""Unit tests: runtime-graph bookkeeping, engine presets and config checks."""
+
+import math
+
+import pytest
 
 from repro.engine.batching import (
     AdaptiveDeadlineBatching,
@@ -50,6 +54,29 @@ class TestEngineConfigPresets:
         assert config.inactivity_intervals == 2
         assert config.worker_pool == 130
         assert config.slots_per_worker == 4
+
+
+class TestEngineConfigValidation:
+    # Each of these used to run: silently without scaler rounds or
+    # tracked intervals, with items stuck, or failing mid-run.
+    @pytest.mark.parametrize("name, value", [
+        ("adjustment_interval", math.nan),
+        ("adjustment_interval", math.inf),
+        ("measurement_interval", math.nan),
+        ("base_latency", math.nan),
+        ("per_item_overhead", math.nan),
+        ("qos_managers", 0),
+        ("staleness_threshold", math.nan),
+        ("checkpoint_interval", 0.0),
+        ("startup_delay", -1.0),
+    ])
+    def test_bad_timing_fails_before_the_first_event(self, name, value):
+        with pytest.raises(ValueError, match=f"EngineConfig.{name} "):
+            EngineConfig(**{name: value})
+
+    def test_optional_staleness_and_zero_inactivity_stay_valid(self):
+        config = EngineConfig(staleness_threshold=None, inactivity_intervals=0)
+        assert config.staleness_threshold is None
 
 
 class TestRuntimeGraph:

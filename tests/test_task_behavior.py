@@ -127,24 +127,12 @@ class TestSourceThrottling:
 
 
 class TestHeterogeneousWorkers:
-    def test_speed_factor_scales_service(self):
-        config = EngineConfig(worker_speed_factors=(0.5,), slots_per_worker=16)
-        job = run_linear(config, duration=15.0, source_rate=50.0, service_mean=0.004)
-        vs = job.last_summary.vertex("Worker")
-        # all workers at half speed -> measured service ~ 8 ms
-        assert vs.service_mean == pytest.approx(0.008, rel=0.2)
-
     def test_hot_spot_worker_creates_lagging_task(self):
-        # One task per worker (slots=1); worker #1 hosts the first Worker
-        # task (worker #0 gets the Source) and runs at quarter speed.
-        config = EngineConfig(
-            worker_speed_factors=(1.0, 0.25, 1.0, 1.0, 1.0, 1.0),
-            slots_per_worker=1,
-            queue_capacity=64,
-        )
-        job = run_linear(
-            config, duration=30.0, source_rate=400.0, service_mean=0.008, n_workers=4
-        )
+        # The first Worker task serves at quarter speed (4x service times).
+        engine = StreamProcessingEngine(EngineConfig(queue_capacity=64))
+        job = engine.submit(make_linear_job(source_rate=400.0, service_mean=0.008, n_workers=4))
+        job.runtime.vertex("Worker").tasks[0].service_multiplier = 4.0
+        engine.run(30.0)
         tasks = job.runtime.vertex("Worker").tasks
         counts = sorted(t.items_processed for t in tasks)
         # The slow task lags (capacity-limited)...
@@ -157,7 +145,7 @@ class TestHeterogeneousWorkers:
     def test_homogeneous_default(self):
         job = run_linear(duration=5.0)
         for task in job.runtime.all_tasks():
-            assert task.speed_factor == 1.0
+            assert task.service_multiplier == 1.0
 
 
 class TestOverheadAccounting:

@@ -184,11 +184,16 @@ class TestServiceSamplerFastPath:
         assert [sampler(None) for _ in range(n)] == expected
 
     def test_custom_service_time_disables_the_fast_path(self):
+        """An overriding UDF's sampler is its ``service_time``, per item."""
         udf = _CustomService(service_dist=Exponential(0.01))
-        assert udf.make_service_sampler(random.Random(1)) is None
+        sampler = udf.make_service_sampler(random.Random(1))
+        scalar_rng = random.Random(1)
+        assert [sampler(None) for _ in range(5)] == [
+            udf.service_time(None, scalar_rng) for _ in range(5)
+        ]
 
     def test_engine_always_asks_the_udf_for_its_sampler(self):
-        """No switch: a plain UDF runs block-drawn, an overriding one scalar."""
+        """No switch: a plain UDF runs block-drawn, an overriding one per item."""
         from repro.engine.engine import StreamProcessingEngine
         from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
         from repro.graphs.job_graph import JobGraph
@@ -220,8 +225,11 @@ class TestServiceSamplerFastPath:
         service_fn = plain_task._service_fn
         assert isinstance(service_fn.__self__, BlockSampler)
         assert service_fn.__func__ is BlockSampler.next
-        assert custom_task._service_fn is None
+        # an overriding UDF is asked per item, through its sampler
         assert len(scalar_calls) >= custom_task.items_processed > 0
+        calls = len(scalar_calls)
+        assert custom_task._service_fn("probe") == 0.001
+        assert scalar_calls[calls:] == ["probe"]
 
     def test_topic_filter_keeps_its_payload_dispatch(self):
         """Hot-topic lists cost a constant and no draw; tweets pop the block."""
