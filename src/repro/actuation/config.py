@@ -1,13 +1,15 @@
-"""Actuation supervision knobs (provisioning delay, retry, guardrails).
+"""Actuation supervision knobs (provisioning delay, retry, watchdog).
 
 The paper's ScaleReactively loop treats rescaling as instantaneous and
 infallible. Real elasticity controllers must survive slow and failed
 actuations: a scale-up order takes provisioning time, may time out, and
 may need retries before the cluster converges to the desired
 parallelism. :class:`ActuationConfig` is the frozen knob bundle for that
-supervision layer — provisioning-delay distribution, failure/timeout
-model, exponential-backoff retry policy, and the guardrails (per-round
-max step, hysteresis band, constraint-violation watchdog).
+supervision layer — provisioning-delay distribution, timeout,
+exponential-backoff retry policy, and the constraint-violation watchdog.
+Attempt failures come from a provisioning sample above the timeout, an
+``ActuationFailure``/``ActuationDelay`` fault window, or the cluster
+refusing the slots.
 
 With no :class:`ActuationConfig` attached to a job (the default), the
 scheduler applies rescaling synchronously exactly as before and runs
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.simulation.randomness import Distribution, Uniform
 
@@ -46,8 +47,7 @@ class ActuationConfig:
     Provisioning model
         ``provisioning_delay`` is sampled (deterministically, from the
         job's ``actuation`` random stream) per request; a sample above
-        ``timeout`` counts as a timed-out attempt. ``failure_rate`` adds
-        i.i.d. attempt failures on top.
+        ``timeout`` counts as a timed-out attempt.
 
     Retry policy
         attempt ``k`` (1-based) backs off
@@ -56,27 +56,20 @@ class ActuationConfig:
         ``backoff_jitter``. After ``max_retries`` failed retries the
         request is abandoned (a *give-up*).
 
-    Guardrails
-        ``max_step`` caps the per-request parallelism change;
-        ``hysteresis`` suppresses requests within that many tasks of
-        the current target; the watchdog escalates to bottleneck-style
-        doubling once the constraint has been violated while
-        reconciliation lagged for ``watchdog_intervals`` consecutive
-        adjustment intervals.
+    Watchdog
+        escalates to bottleneck-style doubling once the constraint has
+        been violated while reconciliation lagged for
+        ``watchdog_intervals`` consecutive adjustment intervals.
     """
 
-    enabled: bool = True
     provisioning_delay: Distribution = field(
         default_factory=lambda: Uniform(0.3, 1.2))
-    failure_rate: float = 0.0
     timeout: float = 10.0
     max_retries: int = 5
     backoff_base: float = 1.0
     backoff_factor: float = 2.0
     backoff_max: float = 30.0
     backoff_jitter: float = 0.1
-    max_step: Optional[int] = None
-    hysteresis: int = 0
     watchdog_intervals: int = 3
 
     def __post_init__(self) -> None:
@@ -84,11 +77,6 @@ class ActuationConfig:
             raise TypeError(
                 "provisioning_delay must be a Distribution "
                 f"(got {self.provisioning_delay!r})")
-        rate = _require_number("failure_rate", self.failure_rate)
-        if rate >= 1.0:
-            raise ValueError(
-                f"failure_rate must be in [0, 1) (got {rate!r}); a rate of 1 "
-                "would make every attempt fail and reconciliation diverge")
         _require_number("timeout", self.timeout, allow_equal=False)
         if isinstance(self.max_retries, bool) or not isinstance(self.max_retries, int):
             raise TypeError(f"max_retries must be an int (got {self.max_retries!r})")
@@ -100,15 +88,6 @@ class ActuationConfig:
         jitter = _require_number("backoff_jitter", self.backoff_jitter)
         if jitter > 1.0:
             raise ValueError(f"backoff_jitter must be in [0, 1] (got {jitter!r})")
-        if self.max_step is not None:
-            if isinstance(self.max_step, bool) or not isinstance(self.max_step, int):
-                raise TypeError(f"max_step must be an int or None (got {self.max_step!r})")
-            if self.max_step < 1:
-                raise ValueError(f"max_step must be >= 1 (got {self.max_step!r})")
-        if isinstance(self.hysteresis, bool) or not isinstance(self.hysteresis, int):
-            raise TypeError(f"hysteresis must be an int (got {self.hysteresis!r})")
-        if self.hysteresis < 0:
-            raise ValueError(f"hysteresis must be >= 0 (got {self.hysteresis!r})")
         if isinstance(self.watchdog_intervals, bool) or not isinstance(self.watchdog_intervals, int):
             raise TypeError(
                 f"watchdog_intervals must be an int (got {self.watchdog_intervals!r})")
@@ -119,17 +98,13 @@ class ActuationConfig:
     def describe(self) -> dict:
         """JSON-serializable summary for manifests."""
         return {
-            "enabled": self.enabled,
             "provisioning_delay": type(self.provisioning_delay).__name__,
             "provisioning_delay_mean": self.provisioning_delay.mean,
-            "failure_rate": self.failure_rate,
             "timeout": self.timeout,
             "max_retries": self.max_retries,
             "backoff_base": self.backoff_base,
             "backoff_factor": self.backoff_factor,
             "backoff_max": self.backoff_max,
             "backoff_jitter": self.backoff_jitter,
-            "max_step": self.max_step,
-            "hysteresis": self.hysteresis,
             "watchdog_intervals": self.watchdog_intervals,
         }

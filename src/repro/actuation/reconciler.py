@@ -9,15 +9,14 @@ longer applies its decisions directly — it hands each one to the
 * turns it into an :class:`ActuationRequest` whose provisioning delay is
   sampled (deterministically, from the job's ``actuation`` random
   stream) on the simulator heap;
-* lets the request fail (sampled ``failure_rate``, an active
-  ``ActuationFailure`` fault window, a provisioning sample above
-  ``timeout``, or insufficient cluster resources) and retries with
-  exponential backoff + jitter until ``max_retries`` is exhausted;
-* applies the guardrails: per-request ``max_step`` clamping, a
-  ``hysteresis`` dead-band around the current target, and a
-  constraint-violation watchdog that escalates to bottleneck-style
-  doubling when reconciliation has lagged a violated constraint for
-  ``watchdog_intervals`` consecutive adjustment intervals;
+* lets the request fail (an active ``ActuationFailure`` fault window,
+  a provisioning sample above ``timeout``, or insufficient cluster
+  resources) and retries with exponential backoff + jitter until
+  ``max_retries`` is exhausted;
+* runs a constraint-violation watchdog that escalates to
+  bottleneck-style doubling when reconciliation has lagged a violated
+  constraint for ``watchdog_intervals`` consecutive adjustment
+  intervals;
 * tracks desired / applied / in-flight state per vertex so the scaler
   can suppress re-deciding vertices whose actuation is still pending,
   and exposes the convergence lag (total desired-minus-actual
@@ -37,7 +36,7 @@ Request lifecycle invariants:
 
 Every lifecycle step is appended to :attr:`ReconciliationController.log`
 (plain tuples, byte-comparable across same-seed runs) and, when tracing
-is on, emitted as schema-v2 :class:`~repro.obs.trace.TraceRecord` rows
+is on, emitted as :class:`~repro.obs.trace.TraceRecord` rows
 (``actuation-pending`` / ``actuation-failed`` / ``retry-backoff`` /
 ``watchdog-escalation``).
 """
@@ -124,7 +123,7 @@ class ReconciliationController:
         #: streams (adding it does not perturb existing stream draws)
         self._rng = streams.get("actuation")
         self.metrics = metrics
-        #: optional DecisionTrace receiving schema-v2 actuation records
+        #: optional DecisionTrace receiving the actuation records
         self.trace_sink = trace_sink
         self.job_name = job_name
         #: set by the engine when the job carries stateful vertices; a
@@ -145,8 +144,6 @@ class ReconciliationController:
         self.give_ups = 0
         self.applied = 0
         self.escalations = 0
-        self.suppressed_hysteresis = 0
-        self.clamped_steps = 0
         self.superseded_requests = 0
         self.partials = 0
         #: requests permanently abandoned after retry exhaustion
@@ -282,37 +279,17 @@ class ReconciliationController:
     def request(self, vertex: str, target: int, round: int = 0) -> int:
         """Accept a rescaling order for ``vertex``; returns the accepted delta.
 
-        The target passes through the guardrails (vertex bounds clamp,
-        hysteresis dead-band, per-request ``max_step``) before an
+        The target is clamped to the vertex bounds before an
         :class:`ActuationRequest` is issued. Returns the signed change the
-        request aims for, or 0 when it was suppressed.
+        request aims for, or 0 when the clamped target is the current one.
         """
         rv = self.runtime.vertex(vertex)
         clamped = rv.job_vertex.clamp(target)
         current = rv.target_parallelism
-        step = clamped - current
-        if step == 0:
+        if clamped == current:
             self.desired.pop(vertex, None)
             self._partial_pending.discard(vertex)
             return 0
-        if self.config.hysteresis > 0 and abs(step) <= self.config.hysteresis:
-            self.suppressed_hysteresis += 1
-            self._count("suppressed_hysteresis")
-            self._record(
-                "suppressed", vertex, 0,
-                f"hysteresis: |{step}| <= {self.config.hysteresis}",
-            )
-            return 0
-        if self.config.max_step is not None and abs(step) > self.config.max_step:
-            self.clamped_steps += 1
-            self._count("clamped_steps")
-            limited = self.config.max_step if step > 0 else -self.config.max_step
-            self._record(
-                "clamped", vertex, 0,
-                f"max_step: {step:+d} -> {limited:+d}",
-            )
-            clamped = current + limited
-            step = limited
         return self._issue(vertex, clamped, current, round)
 
     def _issue(
@@ -370,8 +347,6 @@ class ReconciliationController:
             failure = f"timeout after {self.config.timeout}s"
         elif self._fault_active(req.vertex):
             failure = "actuation fault window active"
-        elif self.config.failure_rate > 0.0 and self._rng.random() < self.config.failure_rate:
-            failure = "provisioning failure (sampled)"
         if failure is None:
             if (
                 self.state_manager is not None
@@ -620,8 +595,7 @@ class ReconciliationController:
         constraint has been violated for ``watchdog_intervals``
         consecutive intervals while reconciliation lagged (desired ≠
         actual), the watchdog supersedes the stuck requests and issues
-        bottleneck-style doubling orders, bypassing hysteresis and
-        ``max_step``.
+        bottleneck-style doubling orders.
         """
         self._reissue_partials()
         lag = self.convergence_lag()
@@ -683,8 +657,6 @@ class ReconciliationController:
             "abandoned": self.abandoned,
             "applied": self.applied,
             "escalations": self.escalations,
-            "suppressed_hysteresis": self.suppressed_hysteresis,
-            "clamped_steps": self.clamped_steps,
             "superseded": self.superseded_requests,
             "partials": self.partials,
             "in_flight": len(self.in_flight),
@@ -697,10 +669,7 @@ class ReconciliationController:
                 "applied": self.migrations_applied,
                 "rolled_back": self.migrations_rolled_back,
             }
-        # Only present when admission ever refused a request, so manifests
-        # of single-job runs stay byte-identical to pre-admission output.
-        if self.admission_denials:
-            summary["admission_denials"] = self.admission_denials
+        summary["admission_denials"] = self.admission_denials
         return summary
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

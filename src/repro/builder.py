@@ -316,7 +316,7 @@ class PipelineBuilder:
         Pass a prebuilt :class:`~repro.actuation.ActuationConfig`, or
         keyword arguments forwarded to its constructor:
 
-        >>> _ = PipelineBuilder("p").actuate(failure_rate=0.2, max_retries=8)
+        >>> _ = PipelineBuilder("p").actuate(timeout=5.0, max_retries=8)
 
         With supervision on, the scaler's decisions become asynchronous
         retried :class:`~repro.actuation.ActuationRequest` orders; see

@@ -506,6 +506,14 @@ def _trace_show(directory: str, last: int) -> int:
     from repro.obs.manifest import MANIFEST_FILE, RunManifest, TRACE_FILE
     from repro.obs.trace import DecisionTrace
 
+    trace_path = os.path.join(directory, TRACE_FILE)
+    trace = None
+    if os.path.exists(trace_path):
+        try:
+            trace = DecisionTrace.read_jsonl(trace_path)
+        except ValueError as exc:
+            print(f"cannot read {trace_path}: {exc}")
+            return 2
     manifest_path = os.path.join(directory, MANIFEST_FILE)
     if os.path.exists(manifest_path):
         manifest = RunManifest.read(manifest_path)
@@ -520,11 +528,9 @@ def _trace_show(directory: str, last: int) -> int:
                   f"{scaling.get('skipped_stale', 0)} stale skips, "
                   f"{scaling.get('suppressed_scale_downs', 0)} cooldown suppressions")
         print()
-    trace_path = os.path.join(directory, TRACE_FILE)
-    if not os.path.exists(trace_path):
+    if trace is None:
         print(f"no {trace_path}")
         return 1
-    trace = DecisionTrace.read_jsonl(trace_path)
     branches = ", ".join(f"{k}={v}" for k, v in sorted(trace.branches().items()))
     print(f"{len(trace)} decision records over {trace.rounds} rounds ({branches})")
     print()

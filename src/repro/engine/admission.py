@@ -109,8 +109,13 @@ class JobAccount:
         """Slots this job holds or has reserved."""
         return self.held + self.reserved
 
-    def summary(self) -> dict:
-        """JSON-serializable account snapshot (manifests, CLI reports)."""
+    def summary(self, elapsed: float = 0.0) -> dict:
+        """JSON-serializable account snapshot (manifests, CLI reports).
+
+        ``elapsed`` is the virtual time since ``task_seconds`` was last
+        committed; the held slots are integrated over it without
+        committing, so reading a snapshot does not change the integral.
+        """
         return {
             "name": self.name,
             "quota": self.quota,
@@ -118,7 +123,7 @@ class JobAccount:
             "weight": self.weight,
             "held": self.held,
             "reserved": self.reserved,
-            "task_seconds": self.task_seconds,
+            "task_seconds": self.task_seconds + self.held * elapsed,
             "denials": self.denials,
             "preemptions_suffered": self.preemptions_suffered,
             "preemptions_inflicted": self.preemptions_inflicted,

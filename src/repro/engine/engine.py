@@ -337,7 +337,7 @@ class DeployedJob:
         #: engine-wide EngineConfig.actuation default.
         self.reconciler: Optional[ReconciliationController] = None
         effective_actuation = actuation if actuation is not None else config.actuation
-        if effective_actuation is not None and effective_actuation.enabled:
+        if effective_actuation is not None:
             from repro.actuation.reconciler import ReconciliationController
 
             self.reconciler = ReconciliationController(

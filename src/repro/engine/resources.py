@@ -163,6 +163,7 @@ class ResourceManager:
         return max(0, self.free_slots_available() - self._reserved_total)
 
     def _advance_clock(self) -> None:
+        """Commit the usage integrals up to now (a slot changes hands)."""
         now = self.sim.now
         elapsed = now - self._last_change
         if elapsed > 0:
@@ -217,11 +218,11 @@ class ResourceManager:
 
     def job_summaries(self) -> Dict[str, dict]:
         """Deterministic per-job account snapshots (registered jobs only)."""
-        self._advance_clock()
+        elapsed = self.sim.now - self._last_change
         out: Dict[str, dict] = {}
         for job_id in sorted(self._accounts, key=str):
             account = self._accounts[job_id]
-            out[account.name] = account.summary()
+            out[account.name] = account.summary(elapsed)
         return out
 
     # ------------------------------------------------------------------
@@ -401,20 +402,18 @@ class ResourceManager:
             heapq.heappush(self._free_worker_ids, worker.worker_id)
 
     # ------------------------------------------------------------------
-    # usage metrics
+    # usage metrics (pure reads: the committed integral plus the tail)
     # ------------------------------------------------------------------
 
     def task_hours(self) -> float:
         """Task-hours consumed so far (paper's resource metric, Fig. 6)."""
-        self._advance_clock()
-        return self._task_seconds / 3600.0
+        return self.task_seconds() / 3600.0
 
     def worker_hours(self) -> float:
         """Worker-hours consumed so far."""
-        self._advance_clock()
-        return self._worker_seconds / 3600.0
+        elapsed = self.sim.now - self._last_change
+        return (self._worker_seconds + len(self._workers) * elapsed) / 3600.0
 
     def task_seconds(self) -> float:
         """Task-seconds consumed so far (scale-free variant of task hours)."""
-        self._advance_clock()
-        return self._task_seconds
+        return self._task_seconds + self._active_tasks * (self.sim.now - self._last_change)

@@ -262,10 +262,7 @@ def deploy(
 
     The order is fixed — engine, recorder with its feeds and probes,
     submit — so probes reach every task from the first one on.
-    ``recorder`` is None without a ``recording``: reading
-    ``ResourceManager.task_seconds()`` commits its accumulator, so a
-    recorder moves a run's final task-seconds in the last digit, and the
-    runs whose artefacts print that float in full stay recorder-less.
+    ``recorder`` is None without a ``recording``.
     """
     engine = StreamProcessingEngine(config)
     recorder = None

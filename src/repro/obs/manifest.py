@@ -235,7 +235,6 @@ def build_manifest(
         data["shared_cluster"] = {
             "jobs": len(engine.jobs),
             "admission": resources.arbitration.name,
-            # job_summaries() advances the usage integrals to `now`
             "account": resources.job_summaries()[account.name],
             "cluster": {
                 "total_slots": resources.total_slots,

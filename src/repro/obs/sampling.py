@@ -104,11 +104,12 @@ class MetricsSampler:
     """Samples engine-wide gauges into a registry once per clock tick.
 
     Covers the instrumentation points that are cheaper to *sample* than
-    to count on the hot path: simulation-kernel stats (events fired,
-    heap size and high-water mark), cluster resource usage, per-task CPU
-    utilization and QoS-manager staleness. Each tick also appends one
-    JSONL-able snapshot row (``{"time": ..., "metrics": {...}}``) for
-    ``metrics.jsonl`` export.
+    to count on the hot path: cluster resource usage, per-task CPU
+    utilization and QoS-manager staleness — what the simulated SPE did,
+    not how the simulator computed it (the kernel's own event and heap
+    counters stay on :class:`~repro.simulation.kernel.Simulator`). Each
+    tick also appends one JSONL-able snapshot row (``{"time": ...,
+    "metrics": {...}}``) for ``metrics.jsonl`` export.
     """
 
     def __init__(self, engine, registry: MetricsRegistry, clock: SamplingClock) -> None:
@@ -117,7 +118,6 @@ class MetricsSampler:
         self.clock = clock
         #: one ``{"time", "metrics"}`` row per tick, for metrics.jsonl
         self.snapshots: List[Dict[str, object]] = []
-        self._last_fired = 0
         self._last_busy: Dict[int, float] = {}
         clock.subscribe(self.sample)
 
@@ -125,13 +125,6 @@ class MetricsSampler:
         """Take one sample (normally driven by the clock)."""
         engine = self.engine
         registry = self.registry
-        sim = engine.sim
-        # -- simulation kernel ------------------------------------------
-        fired = sim.fired_events
-        registry.counter("sim.events_fired").inc(fired - self._last_fired)
-        self._last_fired = fired
-        registry.gauge("sim.heap_size").set(sim.pending_events)
-        registry.gauge("sim.heap_high_water").set(sim.max_heap_size)
         # -- cluster resources ------------------------------------------
         resources = engine.resources
         registry.gauge("cluster.active_tasks").set(resources.active_tasks)

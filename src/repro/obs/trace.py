@@ -9,35 +9,12 @@ budget split — are captured as :class:`TraceRecord` rows so an operator
 can audit *why* a scaling action happened instead of reverse-engineering
 it from the parallelism series.
 
-Records use a versioned, flat JSON schema (``trace.jsonl``, one record
-per line) consumed by ``python -m repro trace show`` / ``--check``;
-``repro run`` prints a live job's last decisions the same way.
-
-Schema history
---------------
-* **v1** — the original eight Algorithm-2 branches.
-* **v2** — actuation supervision: new branches ``actuation-pending``,
-  ``actuation-failed``, ``retry-backoff``, ``watchdog-escalation`` and
-  ``scale-down-clamped``, plus the optional integer ``attempt`` field
-  (which actuation attempt a record belongs to). v1 files remain
-  readable (``attempt`` defaults to null); a v1 record using a v2-only
-  branch or the ``attempt`` field is a validation error.
-* **v3** — stateful migration lifecycle: new branches
-  ``migration-pending``, ``migration-failed``, ``migration-rolled-back``
-  and ``migration-deferred``, plus the optional integer ``state_bytes``
-  field (migrated/assessed state volume). v1/v2 files remain readable; a
-  pre-v3 record using a v3-only branch or ``state_bytes`` is a
-  validation error. Writers emit the lowest schema a record needs (≥2):
-  a record only stamps ``schema: 3`` when it uses a v3 branch or sets
-  ``state_bytes`` — and only then carries the ``state_bytes`` key — so
-  stateless traces stay byte-identical to pre-v3 output.
-* **v4** — shared-cluster admission: new branches ``admission-denied``
-  (a scale-up the cluster's admission controller refused — quota or
-  capacity) and ``preempted`` (a task force-stopped by arbitration in
-  favor of another job). No new fields. Lowest-schema emission applies
-  as before, so single-job traces that never hit admission stay
-  byte-identical to pre-v4 output; a pre-v4 record using a v4-only
-  branch is a validation error.
+Records use one flat JSON schema (``trace.jsonl``, one record per line)
+consumed by ``python -m repro trace show`` / ``--check``; ``repro run``
+prints a live job's last decisions the same way. Every record carries
+every :data:`TRACE_FIELDS` key (a field with no value is ``null``) and
+is stamped :data:`TRACE_SCHEMA_VERSION`; a file of any other schema is
+refused, not read.
 """
 
 from __future__ import annotations
@@ -47,17 +24,8 @@ import math
 import os
 from typing import Dict, Iterable, Iterator, List, Optional
 
-#: bump when the record schema changes incompatibly
-TRACE_SCHEMA_VERSION = 4
-
-#: the schema a record without any v3 feature is written as
-_BASE_SCHEMA_VERSION = 2
-
-#: the schema a record with v3 features but no v4 branch is written as
-_MIGRATION_SCHEMA_VERSION = 3
-
-#: schema versions this module can still read (older are strict subsets)
-SUPPORTED_TRACE_SCHEMAS = frozenset({1, 2, 3, TRACE_SCHEMA_VERSION})
+#: bump when the record schema changes; readers accept this one only
+TRACE_SCHEMA_VERSION = 5
 
 # --- branch names (which part of Algorithm 2 produced the record) -------
 BRANCH_REBALANCE = "rebalance"
@@ -69,16 +37,25 @@ BRANCH_INACTIVE = "inactive"
 BRANCH_COOLDOWN = "cooldown-suppressed"
 BRANCH_UNRESOLVABLE = "unresolvable"
 
-# --- v2 branches (actuation supervision lifecycle) ----------------------
+# --- actuation supervision lifecycle ------------------------------------
 BRANCH_ACTUATION_PENDING = "actuation-pending"
 BRANCH_ACTUATION_FAILED = "actuation-failed"
 BRANCH_RETRY_BACKOFF = "retry-backoff"
 BRANCH_WATCHDOG_ESCALATION = "watchdog-escalation"
 BRANCH_SCALE_DOWN_CLAMPED = "scale-down-clamped"
 
-V1_BRANCHES = frozenset({
-    BRANCH_REBALANCE,
-    BRANCH_BOTTLENECK,
+# --- stateful migration lifecycle ---------------------------------------
+BRANCH_MIGRATION_PENDING = "migration-pending"
+BRANCH_MIGRATION_FAILED = "migration-failed"
+BRANCH_MIGRATION_ROLLED_BACK = "migration-rolled-back"
+BRANCH_MIGRATION_DEFERRED = "migration-deferred"
+
+# --- shared-cluster admission -------------------------------------------
+BRANCH_ADMISSION_DENIED = "admission-denied"
+BRANCH_PREEMPTED = "preempted"
+
+#: records about a whole constraint (or round); they may omit the vertex
+CONSTRAINT_BRANCHES = frozenset({
     BRANCH_STALE_SKIP,
     BRANCH_NO_MODEL_SKIP,
     BRANCH_INFEASIBLE,
@@ -87,41 +64,26 @@ V1_BRANCHES = frozenset({
     BRANCH_UNRESOLVABLE,
 })
 
-V2_BRANCHES = frozenset({
+#: records about one vertex; they must name it
+VERTEX_BRANCHES = frozenset({
+    BRANCH_REBALANCE,
+    BRANCH_BOTTLENECK,
     BRANCH_ACTUATION_PENDING,
     BRANCH_ACTUATION_FAILED,
     BRANCH_RETRY_BACKOFF,
     BRANCH_WATCHDOG_ESCALATION,
     BRANCH_SCALE_DOWN_CLAMPED,
-})
-
-# --- v3 branches (stateful migration lifecycle) -------------------------
-BRANCH_MIGRATION_PENDING = "migration-pending"
-BRANCH_MIGRATION_FAILED = "migration-failed"
-BRANCH_MIGRATION_ROLLED_BACK = "migration-rolled-back"
-BRANCH_MIGRATION_DEFERRED = "migration-deferred"
-
-V3_BRANCHES = frozenset({
     BRANCH_MIGRATION_PENDING,
     BRANCH_MIGRATION_FAILED,
     BRANCH_MIGRATION_ROLLED_BACK,
     BRANCH_MIGRATION_DEFERRED,
-})
-
-# --- v4 branches (shared-cluster admission) -----------------------------
-BRANCH_ADMISSION_DENIED = "admission-denied"
-BRANCH_PREEMPTED = "preempted"
-
-V4_BRANCHES = frozenset({
     BRANCH_ADMISSION_DENIED,
     BRANCH_PREEMPTED,
 })
 
-BRANCHES = V1_BRANCHES | V2_BRANCHES | V3_BRANCHES | V4_BRANCHES
+BRANCHES = CONSTRAINT_BRANCHES | VERTEX_BRANCHES
 
-#: the frozen field order of the JSONL schema (append-only by policy;
-#: ``attempt`` was appended in v2, ``state_bytes`` in v3 — the latter is
-#: omitted from serialized records when null, see TraceRecord.to_dict)
+#: the field order of the JSONL schema; every record carries every key
 TRACE_FIELDS = (
     "schema",
     "time",
@@ -147,9 +109,7 @@ TRACE_FIELDS = (
 
 def finite_or_none(value: Optional[float]) -> Optional[float]:
     """Map inf/nan to None so records stay strict-JSON serializable."""
-    if value is None:
-        return None
-    if math.isinf(value) or math.isnan(value):
+    if value is None or not math.isfinite(value):
         return None
     return float(value)
 
@@ -162,12 +122,7 @@ class TraceRecord:
     the per-vertex model terms.
     """
 
-    __slots__ = (
-        "time", "job", "round", "constraint", "vertex", "branch", "budget",
-        "measured_wait", "predicted_wait", "e", "utilization",
-        "utilization_at_target", "p_before", "p_target", "p_applied", "detail",
-        "attempt", "state_bytes",
-    )
+    __slots__ = TRACE_FIELDS[1:]
 
     def __init__(
         self,
@@ -211,42 +166,25 @@ class TraceRecord:
         self.attempt = attempt
         self.state_bytes = state_bytes
 
-    def schema_version(self) -> int:
-        """The lowest schema this record needs (the version it is written as)."""
-        if self.branch in V4_BRANCHES:
-            return TRACE_SCHEMA_VERSION
-        if self.branch in V3_BRANCHES or self.state_bytes is not None:
-            return _MIGRATION_SCHEMA_VERSION
-        return _BASE_SCHEMA_VERSION
-
     def to_dict(self) -> Dict[str, object]:
-        """The record as a dict in the frozen schema field order.
-
-        Records are stamped with the lowest schema they need, and the
-        v3-only ``state_bytes`` key is omitted when null — so traces of
-        stateless runs stay byte-identical to pre-v3 output.
-        """
-        out: Dict[str, object] = {"schema": self.schema_version()}
-        for field in TRACE_FIELDS[1:-1]:
-            out[field] = getattr(self, field)
-        if self.state_bytes is not None:
-            out["state_bytes"] = self.state_bytes
+        """The record as a dict with every schema field, in field order."""
+        out: Dict[str, object] = {"schema": TRACE_SCHEMA_VERSION}
+        out.update((field, getattr(self, field)) for field in self.__slots__)
         return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TraceRecord":
         """Parse a dict produced by :meth:`to_dict` (schema-checked)."""
         schema = data.get("schema")
-        if schema not in SUPPORTED_TRACE_SCHEMAS:
+        if schema != TRACE_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported trace schema {schema!r} "
-                f"(supported: {sorted(SUPPORTED_TRACE_SCHEMAS)})"
+                f"(expected {TRACE_SCHEMA_VERSION})"
             )
-        kwargs = {field: data[field] for field in TRACE_FIELDS[1:] if field in data}
-        missing = [f for f in ("time", "constraint", "branch") if f not in kwargs]
+        missing = [f for f in TRACE_FIELDS if f not in data]
         if missing:
-            raise ValueError(f"trace record missing required fields: {missing}")
-        return cls(**kwargs)
+            raise ValueError(f"trace record missing fields: {missing}")
+        return cls(**{field: data[field] for field in cls.__slots__})
 
     def to_json(self) -> str:
         """One strict-JSON line (``allow_nan=False`` guards the schema)."""
@@ -338,55 +276,57 @@ _NUMERIC_OPTIONAL = (
 _INT_OPTIONAL = ("p_before", "p_target", "p_applied", "attempt", "state_bytes")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def validate_record_dict(data: Dict[str, object], line: int = 0) -> List[str]:
     """Schema errors of one parsed record dict (empty list = valid)."""
     where = f"line {line}: " if line else ""
     errors: List[str] = []
     schema = data.get("schema")
-    if schema not in SUPPORTED_TRACE_SCHEMAS:
+    if not _is_int(schema) or schema != TRACE_SCHEMA_VERSION:
         errors.append(
-            f"{where}schema must be one of {sorted(SUPPORTED_TRACE_SCHEMAS)} "
-            f"(got {schema!r})"
+            f"{where}schema must be {TRACE_SCHEMA_VERSION} (got {schema!r})"
         )
+    missing = [k for k in TRACE_FIELDS if k not in data]
+    if missing:
+        errors.append(f"{where}missing fields {missing}")
     unknown = [k for k in data if k not in TRACE_FIELDS]
     if unknown:
         errors.append(f"{where}unknown fields {unknown}")
-    if not isinstance(data.get("time"), (int, float)):
-        errors.append(f"{where}time must be a number")
+    if not _is_finite(data.get("time")):
+        errors.append(f"{where}time must be a finite number")
+    if not _is_int(data.get("round")) or data["round"] < 0:
+        errors.append(f"{where}round must be an integer >= 0")
+    for field in ("job", "detail"):
+        if not isinstance(data.get(field), str):
+            errors.append(f"{where}{field} must be a string")
     if not isinstance(data.get("constraint"), str) or not data.get("constraint"):
         errors.append(f"{where}constraint must be a non-empty string")
     branch = data.get("branch")
-    if branch not in BRANCHES:
-        errors.append(f"{where}branch {branch!r} not in {sorted(BRANCHES)}")
-    elif schema == 1 and branch in V2_BRANCHES:
-        errors.append(f"{where}branch {branch!r} requires schema >= 2")
-    elif schema in (1, 2) and branch in V3_BRANCHES:
-        errors.append(f"{where}branch {branch!r} requires schema >= 3")
-    elif schema in (1, 2, 3) and branch in V4_BRANCHES:
-        errors.append(f"{where}branch {branch!r} requires schema >= 4")
-    if schema == 1 and data.get("attempt") is not None:
-        errors.append(f"{where}attempt field requires schema >= 2")
-    if schema in (1, 2) and data.get("state_bytes") is not None:
-        errors.append(f"{where}state_bytes field requires schema >= 3")
     vertex = data.get("vertex")
+    if not isinstance(branch, str) or branch not in BRANCHES:
+        errors.append(f"{where}branch {branch!r} not in {sorted(BRANCHES)}")
+    elif branch in VERTEX_BRANCHES and vertex is None:
+        errors.append(f"{where}{branch} records must name a vertex")
     if vertex is not None and not isinstance(vertex, str):
         errors.append(f"{where}vertex must be a string or null")
     for field in _NUMERIC_OPTIONAL:
         value = data.get(field)
-        if value is not None and not isinstance(value, (int, float)):
-            errors.append(f"{where}{field} must be a number or null")
+        if value is not None and not _is_finite(value):
+            errors.append(f"{where}{field} must be a finite number or null")
     for field in _INT_OPTIONAL:
         value = data.get(field)
-        if value is not None and not isinstance(value, int):
+        if value is not None and not _is_int(value):
             errors.append(f"{where}{field} must be an integer or null")
-    if branch in (BRANCH_REBALANCE, BRANCH_BOTTLENECK) and vertex is None:
-        errors.append(f"{where}{branch} records must name a vertex")
-    if branch in V2_BRANCHES and vertex is None:
-        errors.append(f"{where}{branch} records must name a vertex")
-    if branch in V3_BRANCHES and vertex is None:
-        errors.append(f"{where}{branch} records must name a vertex")
-    if branch in V4_BRANCHES and vertex is None:
-        errors.append(f"{where}{branch} records must name a vertex")
     return errors
 
 

@@ -102,7 +102,7 @@ def shared_cluster_pipelines(spec):
     return [alpha, beta]
 
 
-def _job_result(job, account) -> Dict[str, object]:
+def _job_result(job, account: Dict[str, object]) -> Dict[str, object]:
     trackers = job.trackers
     fulfillment = None
     violations = 0
@@ -125,7 +125,7 @@ def _job_result(job, account) -> Dict[str, object]:
             rv.preemptions for rv in job.runtime.vertices.values()
         ),
         "trace_denials": denial_records,
-        "account": account.summary(),
+        "account": account,
     }
 
 
@@ -136,11 +136,10 @@ def collect_shared_cluster_result(engine, jobs) -> Dict[str, object]:
     zero, which would wipe the ``final_parallelism`` snapshot.
     """
     resources = engine.resources
-    # advance the usage integrals to `now` so per-account task_seconds
-    # include the tail since the last allocation/release event
-    resources.job_summaries()
+    accounts = resources.job_summaries()
     per_job = [
-        _job_result(job, resources.account(job.job_id)) for job in jobs
+        _job_result(job, accounts[resources.account(job.job_id).name])
+        for job in jobs
     ]
     fulfillments = [j["fulfillment"] for j in per_job]
     return {

@@ -418,7 +418,6 @@ def summarize(spec: ScenarioSpec, engine, jobs, recorder) -> Dict[str, object]:
     counters ride along under ``jobs``/``fairness``/``cluster``.
     """
     multi = len(jobs) > 1
-    # collected first: it advances the per-account usage integrals to now
     shared = collect_shared_cluster_result(engine, jobs) if multi else {}
     scaled = [job for job in jobs if job.scaler is not None]
     scaling: Optional[Dict[str, object]] = None

@@ -291,21 +291,20 @@ class TestSharedRunner:
 
 class TestObserverEffect:
     def test_a_recorder_changes_nothing_but_the_last_digit_of_task_seconds(self):
-        """Why runs whose artefact prints task-seconds in full take no recorder.
+        """A recorder reads task-seconds every interval and moves nothing.
 
-        ``ResourceManager.task_seconds()`` commits its accumulator on every
-        read, so a recorder's per-interval reads re-associate the float sum:
-        the final value may move in the last ulp (``results/policies.csv``
-        would show it). Everything the simulation decides is untouched, so
-        those are asserted equal and task-seconds only to 1e-9 relative —
-        bit-equality is the one thing a recorder does not promise.
+        ``ResourceManager.task_seconds()`` is a pure read (the committed
+        integral plus the tail since the last slot change), so the
+        recorder's per-interval reads cannot re-associate the float sum:
+        everything the simulation decides and the final task-seconds are
+        bit-equal with and without a recorder. The peak rate makes the
+        scaler act, so slots change hands between the recorder's reads.
         """
-        workload = micro_primetester()
+        workload = micro_primetester(peak_rate=400.0)
         bare = _outcome(*run_primetester(workload, _elastic(), 0.020))
         seen = _outcome(*run_primetester(workload, _elastic(), 0.020, recording_interval=2.0))
-        for key in ("fulfillment", "scaling", "parallelism"):
+        for key in ("fulfillment", "scaling", "parallelism", "task_seconds"):
             assert seen[key] == bare[key], key
-        assert seen["task_seconds"] == pytest.approx(bare["task_seconds"], rel=1e-9)
         assert seen["fired"] > bare["fired"]  # the recorder's own ticks
 
 

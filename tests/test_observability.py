@@ -167,40 +167,30 @@ class TestMetricsPrimitives:
 # trace records and schema stability
 # ----------------------------------------------------------------------
 
-#: a golden record in the legacy v1 JSONL wire format — v1 files must
-#: stay readable after the v2 bump (the ``attempt`` field defaults null)
-GOLDEN_RECORD_V1 = (
-    '{"schema": 1, "time": 35.000001, "job": "obs-test", "round": 7, '
-    '"constraint": "e2e", "vertex": "worker", "branch": "rebalance", '
-    '"budget": 0.0052, "measured_wait": 0.0009, "predicted_wait": 0.0017, '
-    '"e": 0.96, "utilization": 0.41, "utilization_at_target": 0.55, '
-    '"p_before": 4, "p_target": 3, "p_applied": -1, "detail": ""}'
-)
-
-#: a golden record in the current (v2) wire format — if this test
-#: breaks, the schema changed and TRACE_SCHEMA_VERSION must be bumped
+#: a golden record in the current wire format — if this test breaks,
+#: the schema changed and TRACE_SCHEMA_VERSION must be bumped
 GOLDEN_RECORD = (
-    '{"schema": 2, "time": 35.000001, "job": "obs-test", "round": 7, '
+    '{"schema": 5, "time": 35.000001, "job": "obs-test", "round": 7, '
     '"constraint": "e2e", "vertex": "worker", "branch": "rebalance", '
     '"budget": 0.0052, "measured_wait": 0.0009, "predicted_wait": 0.0017, '
     '"e": 0.96, "utilization": 0.41, "utilization_at_target": 0.55, '
     '"p_before": 4, "p_target": 3, "p_applied": -1, "detail": "", '
-    '"attempt": null}'
+    '"attempt": null, "state_bytes": null}'
 )
 
-#: a v2-only record: an actuation retry with the new attempt field
+#: an actuation retry: the attempt field is set
 GOLDEN_ACTUATION_RECORD = (
-    '{"schema": 2, "time": 41.5, "job": "obs-test", "round": 0, '
+    '{"schema": 5, "time": 41.5, "job": "obs-test", "round": 0, '
     '"constraint": "*", "vertex": "worker", "branch": "retry-backoff", '
     '"budget": null, "measured_wait": null, "predicted_wait": null, '
     '"e": null, "utilization": null, "utilization_at_target": null, '
     '"p_before": 4, "p_target": 8, "p_applied": null, '
-    '"detail": "retry in 2.000s", "attempt": 2}'
+    '"detail": "retry in 2.000s", "attempt": 2, "state_bytes": null}'
 )
 
-#: a v3-only record: a state migration with the moved-bytes field
+#: a state migration: the moved-bytes field is set
 GOLDEN_MIGRATION_RECORD = (
-    '{"schema": 3, "time": 52.25, "job": "obs-test", "round": 0, '
+    '{"schema": 5, "time": 52.25, "job": "obs-test", "round": 0, '
     '"constraint": "*", "vertex": "worker", "branch": "migration-pending", '
     '"budget": null, "measured_wait": null, "predicted_wait": null, '
     '"e": null, "utilization": null, "utilization_at_target": null, '
@@ -233,54 +223,12 @@ class TestTraceSchema:
         assert record.to_dict() == data
         assert validate_record_dict(data) == []
 
-    def test_v1_record_still_parses(self):
-        # migration: v1 files remain readable; re-serialization upgrades
-        # to the current schema with attempt defaulting to null
-        data = json.loads(GOLDEN_RECORD_V1)
-        record = TraceRecord.from_dict(data)
-        assert record.attempt is None
-        out = record.to_dict()
-        assert out["schema"] == 2
-        assert out["attempt"] is None
-        assert {k: v for k, v in out.items() if k not in ("schema", "attempt")} == {
-            k: v for k, v in data.items() if k != "schema"
-        }
-        assert validate_record_dict(data) == []
-
-    def test_v1_record_cannot_use_v2_branches_or_attempt(self):
-        data = json.loads(GOLDEN_RECORD_V1)
-        data["branch"] = "actuation-pending"
-        assert any("requires schema >= 2" in e for e in validate_record_dict(data))
-        data = json.loads(GOLDEN_RECORD_V1)
-        data["attempt"] = 1
-        assert any("requires schema >= 2" in e for e in validate_record_dict(data))
-
     def test_golden_migration_round_trip(self):
         data = json.loads(GOLDEN_MIGRATION_RECORD)
         record = TraceRecord.from_dict(data)
         assert record.state_bytes == 98304
-        assert record.schema_version() == 3
         assert record.to_dict() == data
         assert validate_record_dict(data) == []
-
-    def test_v3_fields_only_emitted_when_used(self):
-        # A record without migration content serializes as v2 with no
-        # state_bytes key — pre-existing exports stay byte-identical.
-        record = TraceRecord(
-            1.0, "e2e", BRANCH_REBALANCE, vertex="worker", p_before=2, p_target=3
-        )
-        out = record.to_dict()
-        assert out["schema"] == 2
-        assert "state_bytes" not in out
-
-    def test_pre_v3_records_cannot_use_v3_branches_or_state_bytes(self):
-        for base in (GOLDEN_RECORD_V1, GOLDEN_RECORD):
-            data = json.loads(base)
-            data["branch"] = "migration-pending"
-            assert any("requires schema >= 3" in e for e in validate_record_dict(data))
-            data = json.loads(base)
-            data["state_bytes"] = 1024
-            assert any("requires schema >= 3" in e for e in validate_record_dict(data))
 
     def test_v3_branch_must_name_vertex(self):
         data = json.loads(GOLDEN_MIGRATION_RECORD)
@@ -292,11 +240,34 @@ class TestTraceSchema:
             TraceRecord(1.0, "e2e", "nonsense")
 
     def test_schema_version_checked(self):
+        for schema in (1, 2, 3, 4, 99):
+            data = json.loads(GOLDEN_RECORD)
+            data["schema"] = schema
+            with pytest.raises(ValueError, match="expected 5"):
+                TraceRecord.from_dict(data)
+            assert validate_record_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("time", True),
+        ("time", float("nan")),
+        ("p_before", True),
+        ("budget", False),
+        ("round", "x"),
+        ("round", -1),
+        ("job", 3),
+        ("detail", 5),
+        ("branch", ["rebalance"]),
+    ])
+    def test_validate_rejects_malformed_values(self, field, value):
         data = json.loads(GOLDEN_RECORD)
-        data["schema"] = 99
-        with pytest.raises(ValueError):
-            TraceRecord.from_dict(data)
-        assert validate_record_dict(data)
+        data[field] = value
+        assert any(field in e for e in validate_record_dict(data))
+
+    def test_validate_requires_every_field(self):
+        for field in TRACE_FIELDS:
+            data = json.loads(GOLDEN_RECORD)
+            del data[field]
+            assert validate_record_dict(data), field
 
     def test_finite_or_none(self):
         assert finite_or_none(None) is None
@@ -549,17 +520,18 @@ class TestEndToEnd:
         assert rows
         times = [row["time"] for row in rows]
         assert times == sorted(times)
-        assert "sim.events_fired" in rows[-1]["metrics"]
+        assert "cluster.task_seconds" in rows[-1]["metrics"]
+        assert not any(key.startswith("sim.") for key in rows[-1]["metrics"])
 
     def test_metrics_registry_populated(self, tmp_path):
         engine, job = self._run_with_obs(tmp_path)
         snap = engine.metrics.snapshot()
-        assert snap["sim.events_fired"] > 0
+        assert snap["cluster.task_seconds"] > 0
+        assert snap["cluster.active_tasks"] >= 1
         assert snap["scheduler.tasks_started"] >= 6
         assert snap["scheduler.deploys"] == 1
         assert snap["qos.collects"] > 0
         assert snap["service_time.worker"]["count"] > 0
-        assert snap["sim.heap_high_water"] >= snap["sim.heap_size"]
 
     def test_disabled_run_is_behaviorally_identical(self):
         baseline_engine, baseline = run_elastic(duration=90.0)
@@ -588,13 +560,13 @@ class TestEndToEnd:
         assert graph_hash(a.graph) != graph_hash(d.graph)  # p_max differs
 
     def test_schema_version_in_every_exported_line(self, tmp_path):
-        # Writers emit the lowest schema each record needs: a stateless
-        # run never uses v3 branches/fields, so every line stays v2 —
-        # pre-v3 consumers keep parsing these exports unchanged.
+        # One schema: every line carries the current version and every
+        # field, a stateless run's state_bytes written as null.
         engine, job = self._run_with_obs(tmp_path, duration=60.0)
         paths = engine.export_run()
         with open(paths["trace"]) as f:
             for line in f:
-                schema = json.loads(line)["schema"]
-                assert schema == 2
-                assert schema <= TRACE_SCHEMA_VERSION
+                data = json.loads(line)
+                assert data["schema"] == TRACE_SCHEMA_VERSION
+                assert tuple(data) == TRACE_FIELDS
+                assert data["state_bytes"] is None

@@ -280,6 +280,21 @@ class TestRunCommand:
         assert report[0] == "trace check FAILED (1 errors):"
         assert "unsupported manifest schema None" in report[1] and len(report) == 2
 
+    def test_trace_show_refuses_another_schema_in_one_line(self, tmp_path, capsys):
+        out = str(tmp_path / "obs")
+        assert cli.main(["run", "--duration", "15", "--obs-dir", out]) == 0
+        assert cli.main(["trace", "show", out]) == 0
+        capsys.readouterr()
+        path = os.path.join(out, TRACE_FILE)
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
+        with open(path, "w") as handle:
+            for record in records:
+                handle.write(json.dumps(dict(record, schema=9)) + "\n")
+        assert cli.main(["trace", "show", out]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.endswith("unsupported trace schema 9 (expected 5)")
+
     @pytest.mark.parametrize("command", ["run", "chaos"])
     @pytest.mark.parametrize("field, value", BAD_NUMBERS)
     def test_bad_numbers_are_a_usage_error_that_exports_nothing(

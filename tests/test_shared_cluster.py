@@ -5,7 +5,7 @@ scenario produces admission denials, preemptions and a fairness score
 deterministically; ``set_parallelism`` never reports a scale-up applied
 without holding the slots (the motivating bug); duplicate vertex names
 across jobs get job-qualified metric keys; and denial/preemption land
-as schema-v4 branches in the decision trace.
+as their own branches in the decision trace.
 """
 
 import pytest
@@ -14,7 +14,11 @@ from repro.builder import PipelineBuilder
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.engine.scheduler import ScalingResult
 from repro.obs.config import ObservabilityConfig
-from repro.obs.trace import BRANCH_ADMISSION_DENIED, BRANCH_PREEMPTED
+from repro.obs.trace import (
+    BRANCH_ADMISSION_DENIED,
+    BRANCH_PREEMPTED,
+    TRACE_SCHEMA_VERSION,
+)
 from repro.simulation.randomness import Gamma
 from repro.workloads.multi_job import (
     collect_shared_cluster_result,
@@ -188,7 +192,7 @@ class TestQualifiedMetricKeys:
 
 
 class TestTraceBranches:
-    """Denials and preemptions land as schema-v4 decision-trace records."""
+    """Denials and preemptions land as decision-trace records."""
 
     @pytest.fixture(scope="class")
     def traced_jobs(self):
@@ -221,9 +225,9 @@ class TestTraceBranches:
         for job in traced_jobs:
             for record in job.trace:
                 if record.branch in (BRANCH_ADMISSION_DENIED, BRANCH_PREEMPTED):
-                    seen.add(record.schema_version())
-                    assert record.vertex  # v4 branches must name a vertex
-        assert seen == {4}
+                    seen.add(record.to_dict()["schema"])
+                    assert record.vertex  # admission branches must name a vertex
+        assert seen == {TRACE_SCHEMA_VERSION}
 
     def test_preempted_record_names_the_beneficiary(self, traced_jobs):
         _alpha, beta = traced_jobs

@@ -22,6 +22,7 @@ from repro.engine.state import (
     StatefulVertexSpec,
     stable_key_hash,
 )
+from repro.obs.trace import TRACE_SCHEMA_VERSION
 from repro.simulation.faults import (
     MigrationFailure,
     ServiceSpike,
@@ -329,7 +330,7 @@ class TestMigrationGate:
         deferred = [r for r in branches if r["branch"] == "migration-deferred"]
         assert deferred, "no migration-deferred record in the decision trace"
         for record in deferred:
-            assert record["schema"] == 3
+            assert record["schema"] == TRACE_SCHEMA_VERSION
             assert record["vertex"] == "worker"
             assert record["state_bytes"] > 0
 

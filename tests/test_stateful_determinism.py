@@ -20,6 +20,8 @@ import os
 
 import pytest
 
+from repro.obs.trace import TRACE_SCHEMA_VERSION
+
 from golden_stateful_scenario import GOLDEN_DIR, GOLDEN_FILES, run_scenario
 
 
@@ -69,7 +71,7 @@ class TestStatefulGoldenByteIdentity:
         )
 
     def test_trace_covers_the_migration_lifecycle(self):
-        """The pinned trace exercises every v3 migration branch."""
+        """The pinned trace exercises every migration branch."""
         branches = set()
         with open(os.path.join(GOLDEN_DIR, "trace.jsonl")) as handle:
             records = [json.loads(line) for line in handle if line.strip()]
@@ -81,10 +83,9 @@ class TestStatefulGoldenByteIdentity:
             "migration-rolled-back",
             "migration-deferred",
         } <= branches, f"golden trace misses migration branches (have {sorted(branches)})"
-        # migration records are schema 3 and carry moved-bytes accounting
+        # every record is the current schema; migrations carry moved bytes
         for record in records:
-            if record["branch"].startswith("migration-"):
-                assert record["schema"] == 3
+            assert record["schema"] == TRACE_SCHEMA_VERSION
         assert any(
             record.get("state_bytes") for record in records
         ), "no migration record carries state_bytes"
