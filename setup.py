@@ -1,6 +1,6 @@
 """Setuptools shim for legacy editable installs (pip install -e .).
 
-All metadata lives in pyproject.toml; this file exists so environments
+All metadata lives in setup.cfg; this file exists so environments
 without the ``wheel`` package (offline clusters) can still do editable
 installs through the legacy setup.py code path.
 """

@@ -41,10 +41,6 @@ Commands
     the given runs, ``--write-baseline`` pins a new baseline file, and
     ``--scoreboard`` renders the per-policy tournament scoreboard
     (violation rate / task hours / reaction time) baseline-free.
-``runs``
-    Index exported run artifacts (sweeps, shards, plain observability
-    exports) under a root into stable ids that ``compare --index`` can
-    address instead of raw paths.
 ``info``
     Show version and the experiment inventory.
 """
@@ -53,11 +49,10 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 from typing import List, Optional
 
 import repro
-from repro.experiments.report import FIGURES, QUICK_HELP, run_figure
+from repro.experiments.report import FIGURES, run_figure
 from repro.workloads.traces import generate_diurnal_trace, load_trace, save_trace
 
 
@@ -105,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a paper experiment")
     exp.add_argument("name", choices=tuple(FIGURES) + ("all",))
-    exp.add_argument("--quick", action="store_true", help=QUICK_HELP)
+    exp.add_argument("--quick", action="store_true",
+                     help="reduced-scale variant (fig5 and validation have one "
+                          "scale: the full run)")
     exp.add_argument("--csv", metavar="DIR",
                      help="write each figure's CSV artefact into DIR under its "
                           "results/ name (fig3_series.csv, fig5_surface.csv, "
@@ -262,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="evaluate runs against a committed baseline"
     )
     comp.add_argument("runs", nargs="+", metavar="RUN",
-                      help="sweep output dir, aggregate.json, baseline-format "
-                           "file, or (with --index) a run-history id")
+                      help="sweep output dir, aggregate.json or baseline-format "
+                           "file")
     comp.add_argument("--baseline", metavar="FILE", default=None,
                       help="baseline file to gate against "
                            "(default: baselines/twitter.json, unless "
@@ -277,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--suggest", action="store_true",
                       help="derive the empirical tolerance spec that would "
                            "admit every given run (from N same-config runs)")
-    comp.add_argument("--index", metavar="ROOT", default=None,
-                      help="resolve RUN tokens as run-history ids under ROOT "
-                           "(see 'repro runs')")
     comp.add_argument("--json", metavar="PATH", default=None,
                       help="write the machine-readable comparison JSON")
     comp.add_argument("--html", metavar="PATH", default=None,
@@ -287,14 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--write-baseline", metavar="PATH", default=None,
                       help="pin the first RUN as a new baseline file "
                            "(bootstraps when --baseline does not exist yet)")
-
-    runs = sub.add_parser(
-        "runs", help="index exported run artifacts under a directory"
-    )
-    runs.add_argument("--root", metavar="DIR", default=".",
-                      help="directory to scan for run artifacts (default: .)")
-    runs.add_argument("--json", metavar="PATH", default=None,
-                      help="also write the index JSON to PATH")
 
     sub.add_parser("info", help="version and experiment inventory")
     return parser
@@ -683,7 +669,6 @@ def _run_compare(args: argparse.Namespace) -> int:
 
     from repro.evaluate import (
         Baseline,
-        RunIndex,
         ToleranceSpec,
         build_scoreboard,
         compare_runs,
@@ -718,18 +703,12 @@ def _run_compare(args: argparse.Namespace) -> int:
             print(f"cannot load baseline {baseline_path!r}: {exc}")
             return 2
 
-    index = None
-    if args.index is not None:
-        index = RunIndex.scan(args.index)
     loaded = []
-    for token in args.runs:
+    for path in args.runs:
         try:
-            path = token
-            if not os.path.exists(path) and index is not None:
-                path = index.resolve(token)
             loaded.append(_load_run(path))
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load run {token!r}: {exc}")
+        except (OSError, ValueError) as exc:
+            print(f"cannot load run {path!r}: {exc}")
             return 2
     candidates = [_run_candidate(name, data) for name, data in loaded]
 
@@ -791,16 +770,6 @@ def _run_compare(args: argparse.Namespace) -> int:
         path = _pin_baseline(args.write_baseline, name, data, pin_tolerance)
         print(f"baseline pinned: {path}")
     return 1 if failed else 0
-
-
-def _run_runs(args: argparse.Namespace) -> int:
-    from repro.evaluate import RunIndex
-
-    index = RunIndex.scan(args.root)
-    print(index.render())
-    if args.json is not None:
-        print(f"index: {index.write(args.json)}")
-    return 0
 
 
 def _run_chaos(args: argparse.Namespace, spec) -> None:
@@ -914,8 +883,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_sweep(args)
     if args.command == "compare":
         return _run_compare(args)
-    if args.command == "runs":
-        return _run_runs(args)
     if args.command == "trace":
         if args.check:
             return _trace_check(args.obs_dir)
@@ -942,7 +909,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.parse_args(["trace", "--help"])
         return 2
     return 2  # pragma: no cover
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -21,13 +21,10 @@ platform in the spirit of performance-test baseline/tolerance harnesses:
 * :mod:`repro.evaluate.scoreboard` condenses a policy-tournament
   aggregate (a sweep with a ``policies`` axis) into the per-policy
   violation-rate / task-hours / reaction-time scoreboard behind
-  ``repro compare --scoreboard``;
-* :mod:`repro.evaluate.history` indexes exported run artifacts
-  (manifests, shard checkpoints, aggregates) under stable ids so
-  comparisons can address prior runs by id instead of raw paths.
+  ``repro compare --scoreboard``.
 
 CLI: ``python -m repro compare RUN [RUN ...] [--baseline B]
-[--tolerance T] [--suggest]`` and ``python -m repro runs --root DIR``.
+[--tolerance T] [--suggest]``.
 """
 
 from repro import _lazy_exports
@@ -38,8 +35,6 @@ _EXPORTS = {
     "Comparison": "repro.evaluate.compare",
     "DEFAULT_TOLERANCE": "repro.evaluate.baseline",
     "MetricSeries": "repro.evaluate.metrics",
-    "RunEntry": "repro.evaluate.history",
-    "RunIndex": "repro.evaluate.history",
     "StatCheck": "repro.evaluate.compare",
     "ToleranceSpec": "repro.evaluate.tolerance",
     "build_scoreboard": "repro.evaluate.scoreboard",

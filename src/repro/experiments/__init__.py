@@ -22,8 +22,7 @@ with the same rows/series the paper reports (``report()`` /
 ``series_csv(path)``). A figure is a list of runs and a report: every
 engine comes from :func:`repro.experiments.recording.deploy`, and
 :data:`FIGURES` names each module, its params class and its CSV artefact
-for the one command line (:func:`repro.experiments.report.main`) behind
-``python -m repro.experiments.<module>`` and ``repro experiment``.
+for the one command line, ``repro experiment``.
 """
 
 from repro import _lazy_exports

@@ -17,18 +17,17 @@ Every contender is a registry spec (:mod:`repro.core.policy`) submitted
 with the pipeline — no policy is special-cased in engine or scaler code
 paths.
 
-Run:  python -m repro.experiments.compare_policies [--quick]
+Run:  python -m repro experiment policies [--quick]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Dict, Optional
 
 from repro.core.policy import PolicySpec
 from repro.engine.engine import EngineConfig
-from repro.experiments.report import format_table, main as figure_main, write_csv
+from repro.experiments.report import format_table, write_csv
 from repro.workloads.primetester import (
     SCALED_CLUSTER,
     STEP_LOAD,
@@ -156,10 +155,3 @@ def run(params: Optional[CompareParams] = None) -> CompareResult:
     for policy in POLICIES:
         result.outcomes[policy] = run_policy(params, policy)
     return result
-
-
-#: CLI: ``python -m repro.experiments.compare_policies [--quick] [--csv PATH]``
-main = partial(figure_main, "policies")
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

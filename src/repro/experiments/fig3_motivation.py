@@ -20,12 +20,11 @@ Reported per configuration (the paper's Fig. 3 shape):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Dict, Optional
 
 from repro.engine.engine import EngineConfig
 from repro.experiments.recording import SeriesRecorder
-from repro.experiments.report import format_table, main as figure_main, ms, write_csv
+from repro.experiments.report import format_table, ms, write_csv
 from repro.workloads.primetester import (
     SCALED_CLUSTER,
     STEP_LOAD,
@@ -209,10 +208,3 @@ def run(params: Optional[Fig3Params] = None, configs=CONFIG_NAMES) -> Fig3Result
     for name in configs:
         result.configs[name] = run_config(name, params)
     return result
-
-
-#: CLI: ``python -m repro.experiments.fig3_motivation [--quick] [--csv PATH]``
-main = partial(figure_main, "fig3")
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -16,12 +16,10 @@ brute-force minimum of the surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.core.latency_model import INFINITY, SequenceLatencyModel, VertexModel
 from repro.core.rebalance import brute_force_minimum, rebalance
-from repro.experiments.report import main as figure_main
 from repro.experiments.report import write_csv
 
 
@@ -136,10 +134,3 @@ def run(params: Optional[Fig5Params] = None) -> Fig5Result:
         result.parallelism["jv3"],
     )
     return Fig5Result(params, surface, optima, point, result.total_parallelism, best_total)
-
-
-#: CLI: ``python -m repro.experiments.fig5_surface [--csv PATH]``
-main = partial(figure_main, "fig5")
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

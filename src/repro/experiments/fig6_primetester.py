@@ -25,13 +25,12 @@ Reported (the paper's Fig. 6 shape):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.engine.engine import DeployedJob, EngineConfig
 from repro.experiments.ascii import series_panel
 from repro.experiments.recording import SeriesRecorder
-from repro.experiments.report import format_table, main as figure_main, ms, write_csv
+from repro.experiments.report import format_table, ms, write_csv
 from repro.workloads.primetester import (
     SCALED_CLUSTER,
     STEP_LOAD,
@@ -267,10 +266,3 @@ def run(params: Optional[Fig6Params] = None, sweep: bool = True) -> Fig6Result:
                 sweep_run.pt_task_seconds,
             )
     return result
-
-
-#: CLI: ``python -m repro.experiments.fig6_primetester [--quick] [--no-sweep] [--csv PATH]``
-main = partial(figure_main, "fig6")
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

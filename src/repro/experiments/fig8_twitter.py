@@ -18,14 +18,13 @@ burst, the slight over-provisioning (mean task CPU utilization, paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.builder import BuiltPipeline
 from repro.engine.engine import DeployedJob, EngineConfig
 from repro.experiments.ascii import series_panel
 from repro.experiments.recording import Recording, SeriesRecorder, deploy
-from repro.experiments.report import format_table, main as figure_main, ms, write_csv
+from repro.experiments.report import format_table, ms, write_csv
 from repro.workloads.twitter_job import (
     MergedTopics,
     TwitterSentimentParams,
@@ -197,10 +196,3 @@ def run(params: Optional[Fig8Params] = None) -> Fig8Result:
     engine.run(params.duration)
     engine.stop()
     return Fig8Result(params, recorder, job)
-
-
-#: CLI: ``python -m repro.experiments.fig8_twitter [--quick] [--csv PATH]``
-main = partial(figure_main, "fig8")
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -7,10 +7,9 @@ canonical JSON writer shared with the sweep orchestrator — sorted keys,
 two-space indent, trailing newline, written atomically — so repeated
 runs of deterministic data diff byte-for-byte.
 
-:data:`FIGURES` is the one table of paper artefacts and :func:`main` the
-one command line: ``python -m repro.experiments.<module>`` and ``repro
-experiment`` are both :func:`run_figure` — run, print the report, write
-the CSV.
+:data:`FIGURES` is the one table of paper artefacts and
+:func:`run_figure` runs one of them for ``repro experiment``: run, print
+the report, write the CSV.
 """
 
 from __future__ import annotations
@@ -128,10 +127,8 @@ FIGURES = {
     "policies": Figure("repro.experiments.compare_policies", "CompareParams", "policies.csv", "outcomes"),
 }
 
-QUICK_HELP = "reduced-scale variant (fig5 and validation have one scale: the full run)"
 
-
-def run_figure(name: str, quick: bool = False, csv_path: Optional[str] = None, **run_options) -> None:
+def run_figure(name: str, quick: bool = False, csv_path: Optional[str] = None) -> None:
     """Run one figure, print its report and, with ``csv_path``, write its CSV."""
     figure = FIGURES[name]
     module = importlib.import_module(figure.module)
@@ -140,27 +137,7 @@ def run_figure(name: str, quick: bool = False, csv_path: Optional[str] = None, *
         params = getattr(module, figure.params)()
         if quick:
             params = params.quick()
-    result = module.run(params, **run_options)
+    result = module.run(params)
     print(result.report())
     if csv_path is not None:
         print(f"{figure.holds} written to {result.series_csv(csv_path)}")
-
-
-def main(name: str, argv: Optional[Sequence[str]] = None) -> int:
-    """CLI of one harness module: ``[--quick] [--csv PATH]`` (fig6: ``[--no-sweep]``).
-
-    Arguments are parsed before anything runs: a forgotten ``--csv``
-    value or a misspelt flag exits 2 instead of costing a full run.
-    """
-    import argparse  # here, not at the top: every sweep shard imports this module
-
-    parser = argparse.ArgumentParser(prog=f"python -m {FIGURES[name].module}")
-    parser.add_argument("--quick", action="store_true", help=QUICK_HELP)
-    parser.add_argument("--csv", metavar="PATH", help=f"write the {FIGURES[name].holds} CSV to PATH")
-    if name == "fig6":
-        parser.add_argument("--no-sweep", action="store_true",
-                            help="skip the task-hour sweep over higher bounds")
-    args = parser.parse_args(argv)
-    options = {"sweep": False} if getattr(args, "no_sweep", False) else {}
-    run_figure(name, args.quick, args.csv, **options)
-    return 0

@@ -7,17 +7,16 @@ one on the step-load PrimeTester and reports constraint fulfillment,
 resource consumption and scaling churn — quantifying how robust the
 strategy is to its own knobs.
 
-Run:  python -m repro.experiments.sensitivity [--quick]
+Run:  python -m repro experiment sensitivity [--quick]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.engine import EngineConfig
-from repro.experiments.report import format_table, main as figure_main, write_csv
+from repro.experiments.report import format_table, write_csv
 from repro.workloads.primetester import (
     SCALED_CLUSTER,
     STEP_LOAD,
@@ -133,10 +132,3 @@ def run(params: Optional[SensitivityParams] = None) -> SensitivityResult:
         for value in values:
             result.points.append(run_point(params, **{parameter: value}))
     return result
-
-
-#: CLI: ``python -m repro.experiments.sensitivity [--quick] [--csv PATH]``
-main = partial(figure_main, "sensitivity")
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

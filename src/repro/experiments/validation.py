@@ -7,13 +7,12 @@ Agreement within sampling tolerance is the evidence that the substrate
 reproduces the queueing phenomenology the paper's strategy relies on —
 the quantitative version of the claim in DESIGN.md.
 
-Run:  python -m repro.experiments.validation
+Run:  python -m repro experiment validation
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.analysis.pipeline import PipelineStage, predict_pipeline_latency
@@ -22,7 +21,6 @@ from repro.engine.engine import EngineConfig
 from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
 from repro.experiments.recording import deploy
 from repro.experiments.report import format_table, ms, write_csv
-from repro.experiments.report import main as figure_main
 from repro.graphs.job_graph import JobGraph
 from repro.simulation.randomness import Gamma
 from repro.workloads.rates import ConstantRate
@@ -149,10 +147,3 @@ def run(params: Optional[ValidationParams] = None) -> ValidationResult:
         assert predicted is not None
         result.points.append(ValidationPoint(rate, utilization, measured, predicted))
     return result
-
-
-#: CLI: ``python -m repro.experiments.validation [--csv PATH]``
-main = partial(figure_main, "validation")
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -40,7 +40,6 @@ _EXPORTS = {
     "RunManifest": "repro.obs.manifest",
     "build_manifest": "repro.obs.manifest",
     "export_run": "repro.obs.manifest",
-    "git_provenance": "repro.obs.manifest",
     "graph_hash": "repro.obs.manifest",
 }
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -54,40 +54,6 @@ def graph_hash(graph) -> str:
     return digest[:16]
 
 
-def git_provenance(cwd: Optional[str] = None) -> Optional[Dict[str, object]]:
-    """Best-effort git provenance of the working tree: commit/branch/dirty.
-
-    Returns ``None`` when git is unavailable or ``cwd`` is not inside a
-    repository — callers (the sweep's shard export, the run-history
-    index) treat provenance as optional. Deliberately *not* part of
-    :func:`build_manifest`'s defaults: plain manifests stay byte-stable
-    across commits (the golden runs pin them); provenance is merged via
-    the ``extra`` mechanism where wanted.
-    """
-    import subprocess
-
-    def _git(*args: str) -> Optional[str]:
-        try:
-            out = subprocess.run(
-                ("git",) + args, cwd=cwd, capture_output=True, text=True, timeout=10,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if out.returncode != 0:
-            return None
-        return out.stdout.strip()
-
-    commit = _git("rev-parse", "HEAD")
-    if not commit:
-        return None
-    status = _git("status", "--porcelain")
-    return {
-        "commit": commit,
-        "branch": _git("rev-parse", "--abbrev-ref", "HEAD"),
-        "dirty": bool(status),
-    }
-
-
 def _fault_plan_dict(plan) -> Optional[Dict[str, object]]:
     if plan is None or not plan:
         return None
@@ -122,9 +88,8 @@ class RunManifest:
         """Write the manifest atomically; returns the path.
 
         Routes through the canonical atomic text writer, so a crash
-        mid-export can never leave a half-written manifest behind (the
-        run-history index and sweep resume treat manifest presence as
-        truth). The byte layout is unchanged from the non-atomic writer.
+        mid-export can never leave a half-written manifest behind. The
+        byte layout is unchanged from the non-atomic writer.
         """
         from repro.experiments.report import write_text
 

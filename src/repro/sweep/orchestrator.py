@@ -136,7 +136,6 @@ def run_sweep(
         raise SweepError(f"max_retries must be a non-negative int, got {max_retries!r}")
     say = progress if progress is not None else (lambda message: None)
     from repro.experiments.report import write_json
-    from repro.obs.manifest import git_provenance
 
     specs = grid.expand()
     shards_root = os.path.join(out, SHARDS_DIR)
@@ -166,10 +165,6 @@ def run_sweep(
     outcomes: List[ShardOutcome] = []
     results: List[Dict[str, object]] = []
 
-    # Read here, once, not by every shard: ~10 ms of git subprocesses each,
-    # and all manifests of one sweep then carry the same block.
-    git = git_provenance() or {}
-
     # resume: collect finished shards, queue the rest in key order
     spec_by_key: Dict[str, ScenarioSpec] = {}
     jobs: List[PoolJob] = []
@@ -184,7 +179,7 @@ def run_sweep(
             say(f"skip {spec.key} (checkpoint)")
         else:
             spec_by_key[spec.key] = spec
-            jobs.append(PoolJob(spec.key, shard_process_entry, (spec.to_dict(), shard_dir, git)))
+            jobs.append(PoolJob(spec.key, shard_process_entry, (spec.to_dict(), shard_dir)))
 
     def _verify(job: PoolJob) -> bool:
         spec = spec_by_key[job.key]

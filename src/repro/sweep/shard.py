@@ -23,7 +23,7 @@ from typing import Dict, Optional
 # imported here, not in the functions below: a forked shard imports nothing
 # (see the note at the top of repro.workloads.scenario)
 from repro.experiments.report import write_json
-from repro.obs.manifest import export_run, git_provenance
+from repro.obs.manifest import export_run
 from repro.workloads.scenario import (
     SHARD_SCHEMA_VERSION,
     ScenarioSpec,
@@ -38,11 +38,7 @@ RESULT_FILE = "result.json"
 FAIL_ONCE_EXIT_CODE = 23
 
 
-def run_shard(
-    spec: ScenarioSpec,
-    export_dir: Optional[str] = None,
-    git: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
+def run_shard(spec: ScenarioSpec, export_dir: Optional[str] = None) -> Dict[str, object]:
     """Run one shard to completion; returns its deterministic result.
 
     When ``export_dir`` is given, the run's observability bundle
@@ -50,31 +46,17 @@ def run_shard(
     shard's provenance merged into the manifest. ``multi_job`` shards
     export no bundle — two jobs cannot share one bundle directory, and
     the sweep's checkpoint/merge path only ever reads ``result.json``.
-
-    ``git`` is the manifest's provenance block as the sweep's parent
-    process read it — once per sweep, so all shards agree; ``{}`` when
-    there is none. ``None`` asks git here.
     """
     engine, jobs, recorder = build(spec, export_dir=export_dir)
     engine.run(spec.duration)
     result = summarize(spec, engine, jobs, recorder)
     if engine.observability is not None:
-        extra: Dict[str, object] = {
-            "sweep": {"shard": spec.key, "params": spec.params()},
-        }
-        # Git provenance lands only in the exported manifest (where the
-        # run-history index reads it), never in result.json — checkpoints
-        # must stay byte-identical across commits for the resume diff.
-        provenance = git_provenance() if git is None else git
-        if provenance:
-            extra["git"] = provenance
+        extra = {"sweep": {"shard": spec.key, "params": spec.params()}}
         export_run(jobs[0], export_dir, extra=extra)
     return result
 
 
-def execute_shard(
-    spec: ScenarioSpec, shard_dir: str, git: Optional[Dict[str, object]] = None
-) -> Dict[str, object]:
+def execute_shard(spec: ScenarioSpec, shard_dir: str) -> Dict[str, object]:
     """Run the shard and persist its checkpoint into ``shard_dir``.
 
     ``result.json`` is written last and atomically (tmp + rename), so its
@@ -82,7 +64,7 @@ def execute_shard(
     leave a half-written checkpoint behind.
     """
     os.makedirs(shard_dir, exist_ok=True)
-    result = run_shard(spec, export_dir=shard_dir, git=git)
+    result = run_shard(spec, export_dir=shard_dir)
     write_json(os.path.join(shard_dir, RESULT_FILE), result)
     return result
 
@@ -112,9 +94,7 @@ def load_shard_result(
     return result
 
 
-def shard_process_entry(
-    spec_dict: Dict[str, object], shard_dir: str, git: Optional[Dict[str, object]] = None
-) -> None:
+def shard_process_entry(spec_dict: Dict[str, object], shard_dir: str) -> None:
     """Worker-process entry point (crash-isolated by the orchestrator)."""
     spec = ScenarioSpec.from_dict(spec_dict)
     if spec.fail_once_marker is not None and not os.path.exists(spec.fail_once_marker):
@@ -122,7 +102,7 @@ def shard_process_entry(
             handle.write(spec.key + "\n")
         os._exit(FAIL_ONCE_EXIT_CODE)
     try:
-        execute_shard(spec, shard_dir, git)
+        execute_shard(spec, shard_dir)
     except Exception:  # noqa: BLE001 - the exit code is the signal
         import traceback
 

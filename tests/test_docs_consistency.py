@@ -166,7 +166,6 @@ class TestPublicApi:
             "repro.evaluate.baseline",
             "repro.evaluate.compare",
             "repro.evaluate.render",
-            "repro.evaluate.history",
             "repro.evaluate.scoreboard",
             "repro.cli",
         ],
@@ -218,6 +217,44 @@ class TestApiDocMembers:
         assert sorted(n for n in names if not hasattr(instance, n)) == []
 
 
+#: the documents whose ``python -m repro ...`` lines must be real commands
+COMMAND_DOCS = ("README.md", "EXPERIMENTS.md", "CONTRIBUTING.md", "DESIGN.md") + tuple(
+    os.path.join("docs", name)
+    for name in sorted(os.listdir(os.path.join(ROOT, "docs")))
+    if name.endswith(".md")
+)
+
+
+def documented_commands(text):
+    """Every ``python -m repro...`` command in a markdown text, as written.
+
+    Fenced lines are joined across ``\\`` continuations and cut at a
+    backtick, comment, pipe, redirection or ``;``; inline code spans end
+    at their closing backtick, which may sit on the next line.
+    """
+    commands = []
+    for index, part in enumerate(re.split(r"^```.*$", text, flags=re.M)):
+        if index % 2:  # inside a fence
+            for line in part.replace("\\\n", " ").splitlines():
+                if "python -m repro" in line:
+                    command = line[line.index("python -m repro"):].split("`")[0]
+                    commands.append(re.split(r"\s(?:#|\||>|;|&&)", command)[0].strip())
+        else:
+            for span in re.findall(r"`([^`]*)`", part):
+                if "python -m repro" in span:
+                    command = span[span.index("python -m repro"):]
+                    commands.append(" ".join(command.split()))
+    return commands
+
+
+def is_placeholder(command):
+    """A usage synopsis (``NAME``, ``F``, ``[...]``, ``{...}``, ``(a | b)``, ``$var``)."""
+    return any(
+        token in ("NAME", "F", "…", "...") or re.search(r"[\[{($…]", token)
+        for token in command.split()
+    )
+
+
 class TestReadme:
     def test_referenced_files_exist(self):
         readme = read("README.md")
@@ -228,11 +265,6 @@ class TestReadme:
         readme = read("README.md")
         for script in re.findall(r"python (examples/[\w_]+\.py)", readme):
             assert os.path.exists(os.path.join(ROOT, script)), script
-
-    def test_referenced_experiment_modules_exist(self):
-        readme = read("README.md")
-        for module in re.findall(r"python -m (repro[.\w]+)", readme):
-            importlib.import_module(module)
 
 
 def _python_block_after(text, heading):
@@ -267,10 +299,27 @@ class TestDesignAndExperiments:
         for path in re.findall(r"(\w[\w/]*\.py)", design):
             assert os.path.basename(path) in existing, path
 
-    def test_experiments_md_commands_importable(self):
-        text = read("EXPERIMENTS.md")
-        for module in set(re.findall(r"python -m (repro[.\w]+)", text)):
-            importlib.import_module(module)
+    def test_documented_commands_parse(self):
+        """Each documented command is ``python -m repro`` with arguments it accepts.
+
+        A ``python -m repro.<module>`` line is refused outright: such a
+        module can import cleanly, run nothing and exit 0.
+        """
+        from repro import cli
+
+        concrete = []
+        for path in COMMAND_DOCS:
+            for command in documented_commands(read(path)):
+                assert not command.startswith("python -m repro."), f"{path}: {command}"
+                if not is_placeholder(command):
+                    concrete.append((path, command))
+        assert len(concrete) >= 40
+        for path, command in concrete:
+            argv = shlex.split(command)[len("python -m repro".split()):]
+            try:
+                cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{path}: {command!r} does not parse")
 
     def test_experiments_md_sweep_commands_parse(self, monkeypatch):
         """Every documented ``repro sweep`` line names flags and values that exist."""

@@ -1,13 +1,12 @@
-"""Evaluation platform: tolerances, baselines, comparisons, CLI, history.
+"""Evaluation platform: tolerances, baselines, comparisons, CLI.
 
 Covers the tolerance spec format (parsing, validation, inclusive
 checks), metric extraction from sweep aggregates, the baseline file
 round-trip, pass/fail edge cases (exactly-at-bound, missing metric,
-NaN), suggest-mode determinism across seeds, the run-history index, and
-the ``repro compare`` / ``repro runs`` CLI round-trip on a tiny sweep
-fixture. The golden-comparison regression test pins the committed
-Twitter baseline: compared against itself it must stay fully green with
-byte-identical comparison JSON.
+NaN), suggest-mode determinism across seeds, and the ``repro compare``
+CLI round-trip on a tiny sweep fixture. The golden-comparison
+regression test pins the committed Twitter baseline: compared against
+itself it must stay fully green with byte-identical comparison JSON.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro import cli
 from repro.evaluate import (
     Baseline,
     Candidate,
-    RunIndex,
     ToleranceSpec,
     compare_runs,
     extract_metrics,
@@ -38,7 +36,6 @@ from repro.evaluate import (
 from repro.evaluate.metrics import MetricSeries, metrics_from_stats
 from repro.experiments.ascii import spread_bar
 from repro.experiments.report import write_json
-from repro.obs.manifest import git_provenance
 from repro.sweep import SweepGrid, run_sweep
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -361,49 +358,6 @@ class TestRendering:
         assert read_bytes(path).decode("utf-8") == html_text
 
 
-class TestRunHistory:
-    def test_scan_resolve_and_stable_ids(self, tmp_path):
-        sweep_dir = tmp_path / "sweep"
-        sweep_dir.mkdir()
-        write_json(str(sweep_dir / "aggregate.json"), make_aggregate())
-        shard_dir = sweep_dir / "shards" / "tiny-s0001"
-        shard_dir.mkdir(parents=True)
-        write_json(str(shard_dir / "manifest.json"), {
-            "schema": 1, "job": "tiny", "seed": 1, "graph_hash": "abc123",
-            "sweep": {"shard": "tiny-s0001"},
-            "git": {"commit": "f" * 40, "branch": "main", "dirty": False},
-        })
-        index = RunIndex.scan(str(tmp_path))
-        assert len(index) == 2
-        kinds = {entry.kind for entry in index.entries}
-        assert kinds == {"sweep", "shard"}
-        again = RunIndex.scan(str(tmp_path))
-        assert [e.id for e in index.entries] == [e.id for e in again.entries]
-
-        shard = next(e for e in index.entries if e.kind == "shard")
-        assert index.resolve(shard.id).endswith("tiny-s0001")
-        assert index.resolve(shard.id[:6]) == index.resolve(shard.id)
-        assert index.resolve("tiny-s0001") == index.resolve(shard.id)
-        assert shard.git["dirty"] is False
-        with pytest.raises(KeyError):
-            index.resolve("no-such-run")
-        with pytest.raises(KeyError):
-            index.resolve("")  # prefix of every id -> ambiguous
-
-    def test_render_and_write(self, tmp_path):
-        write_json(str(tmp_path / "aggregate.json"), make_aggregate())
-        index = RunIndex.scan(str(tmp_path))
-        assert "tiny" in index.render()
-        path = index.write(str(tmp_path / "run_index.json"))
-        data = json.loads(read_bytes(path))
-        assert data["schema"] == 1 and len(data["entries"]) == 1
-
-    def test_git_provenance_in_and_out_of_a_repo(self, tmp_path):
-        here = git_provenance(cwd=REPO_ROOT)
-        assert here is not None and len(here["commit"]) == 40
-        assert git_provenance(cwd=str(tmp_path)) is None
-
-
 @pytest.fixture(scope="module")
 def tiny_sweep(tmp_path_factory):
     """One real 2-shard sweep the CLI tests share.
@@ -493,19 +447,6 @@ class TestCompareCli:
         assert cli.main(["compare", bad_path, "--baseline", baseline_path,
                          "--tolerance", wide]) == 0
 
-    def test_compare_by_index_id(self, tiny_sweep, tmp_path, capsys):
-        out, _ = tiny_sweep
-        root = os.path.dirname(out)
-        baseline_path = str(tmp_path / "b.json")
-        assert cli.main(["compare", out, "--baseline", baseline_path,
-                         "--write-baseline", baseline_path]) == 0
-        sweep_id = next(
-            e.id for e in RunIndex.scan(root).entries if e.kind == "sweep"
-        )
-        capsys.readouterr()
-        assert cli.main(["compare", sweep_id, "--index", root,
-                         "--baseline", baseline_path]) == 0
-
     def test_usage_errors_exit_2(self, tiny_sweep, tmp_path, capsys):
         out, _ = tiny_sweep
         assert cli.main(["compare", out,
@@ -538,19 +479,6 @@ class TestCompareCli:
         capsys.readouterr()
         assert cli.main(["compare", newer_path, "--baseline", baseline_path]) == 2
         assert "unsupported aggregate schema 99" in capsys.readouterr().out
-
-    def test_runs_command_lists_and_writes_the_index(
-        self, tiny_sweep, tmp_path, capsys
-    ):
-        out, _ = tiny_sweep
-        root = os.path.dirname(out)
-        index_path = str(tmp_path / "run_index.json")
-        assert cli.main(["runs", "--root", root, "--json", index_path]) == 0
-        output = capsys.readouterr().out
-        assert "tiny" in output and "sweep" in output
-        data = json.loads(read_bytes(index_path))
-        assert any(entry["kind"] == "shard" for entry in data["entries"])
-
 
 class TestGoldenTwitterBaseline:
     """The committed Twitter baseline must gate itself fully green."""

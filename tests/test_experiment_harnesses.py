@@ -327,7 +327,7 @@ class TestFigureTable:
     def test_every_row_names_a_harness_and_a_committed_artefact(self, name):
         figure = FIGURES[name]
         module = importlib.import_module(figure.module)
-        assert callable(module.run) and callable(module.main)
+        assert callable(module.run)
         if figure.params is not None:
             assert callable(getattr(module, figure.params)().quick)
         assert os.path.exists(os.path.join(ROOT, "results", figure.artefact))
@@ -342,17 +342,10 @@ class TestFigureTable:
         monkeypatch.setattr(StreamProcessingEngine, "__init__", no_engine)
         monkeypatch.setattr(module, "run", no_engine)
         with pytest.raises(SystemExit) as exit_info:
-            module.main(argv)
+            cli.main(["experiment", name] + argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "usage:" in captured.err
-
-    def test_only_fig6_takes_no_sweep(self, capsys):
-        from repro.experiments import fig3_motivation
-
-        with pytest.raises(SystemExit):
-            fig3_motivation.main(["--no-sweep"])
-        assert "--no-sweep" in capsys.readouterr().err
 
     def test_csv_dir_regenerates_the_committed_artefact(self, tmp_path, capsys):
         """``experiment --csv DIR`` used to write ``fig5_series.csv``, a stray."""

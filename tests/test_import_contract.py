@@ -229,7 +229,7 @@ def test_a_forked_shard_imports_nothing(tmp_path):
         "    for actuation in (False, True):\n"
         "        spec = ScenarioSpec(seed=3, rate=200.0, bound=0.03, workload=workload,\n"
         "                            actuation=actuation, duration=10.0)\n"
-        "        shard.execute_shard(spec, os.path.join(sys.argv[1], spec.key), git={})\n"
+        "        shard.execute_shard(spec, os.path.join(sys.argv[1], spec.key))\n"
         "        grown = sorted(m for m in set(sys.modules) - before if m.startswith('repro'))\n"
         "        assert not grown, f'{spec.key} imported {grown}'\n",
         str(tmp_path),

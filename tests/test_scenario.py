@@ -346,7 +346,8 @@ class TestSummarize:
 # ----------------------------------------------------------------------
 
 #: option strings (and positionals) per subcommand, as PR 12 found them
-#: minus the three partition flags ``run`` lost with ``sweep/partition.py``
+#: minus the three partition flags ``run`` lost with ``sweep/partition.py``,
+#: the ``runs`` command and ``compare --index`` (the run-history index)
 PARENT_OPTIONS = {
     "": ["--help", "-h"],
     "bench": ["--check", "--help", "--no-macro", "--out", "--profile", "--quick", "-h"],
@@ -357,7 +358,7 @@ PARENT_OPTIONS = {
               "--pin-wall-time", "--policy", "--rate", "--restart-delay", "--seed",
               "--spike-at", "--spike-duration", "--spike-factor", "--stateful",
               "--worker-loss-at", "-h"],
-    "compare": ["--baseline", "--help", "--html", "--index", "--json",
+    "compare": ["--baseline", "--help", "--html", "--json",
                 "--scoreboard", "--suggest", "--tolerance", "--write-baseline",
                 "-h", "runs"],
     "experiment": ["--csv", "--help", "--quick", "-h", "name"],
@@ -365,7 +366,6 @@ PARENT_OPTIONS = {
     "run": ["--admission", "--bound", "--duration", "--help", "--obs-dir",
             "--placement", "--policy", "--rate", "--scenario", "--seed",
             "--shared-cluster", "--slots-per-worker", "--workers", "-h"],
-    "runs": ["--help", "--json", "--root", "-h"],
     "sweep": ["--actuation", "--bounds", "--duration", "--grid", "--help", "--out",
               "--policy", "--quick", "--rates", "--resume", "--retries", "--seeds",
               "--shared-cluster", "--tournament", "--tournament-stateful",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
 from dataclasses import replace
 
 import pytest
@@ -265,25 +266,45 @@ class TestOrchestrator:
         merged_keys = [shard["key"] for shard in result.aggregate["shards"]]
         assert specs[0].key not in merged_keys
 
-    def test_git_provenance_is_read_once_by_the_parent(self, tmp_path, monkeypatch):
-        """Every shard manifest carries the block the parent process read."""
-        calls = []
+    def test_shard_files_do_not_depend_on_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """The same sweep run inside a git tree and outside one writes the same bytes.
 
-        def fake_provenance(cwd=None):
-            calls.append(os.getpid())
-            return {"commit": f"read-{len(calls)}", "branch": "b", "dirty": False,
-                    "pid": os.getpid()}
-
-        monkeypatch.setattr("repro.obs.manifest.git_provenance", fake_provenance)
-        out = str(tmp_path / "sweep")
-        result = run_sweep(tiny_grid(), out, workers=2)
-        assert calls == [os.getpid()]
-        blocks = [
-            RunManifest.read(os.path.join(out, "shards", shard["key"], MANIFEST_FILE))["git"]
-            for shard in result.aggregate["shards"]
-        ]
-        parent_read = {"commit": "read-1", "branch": "b", "dirty": False, "pid": os.getpid()}
-        assert blocks == [parent_read] * len(tiny_grid())
+        Shard files must not record the cwd's repository state: under an
+        untracked ``--out`` in a checkout they would report their own
+        output as a dirty tree.
+        """
+        # no repository above tmp_path may be discovered
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        inside = tmp_path / "checkout"
+        outside = tmp_path / "plain"
+        inside.mkdir()
+        outside.mkdir()
+        subprocess.run(["git", "init", "-q"], cwd=str(inside), check=True)
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+             "--allow-empty", "-m", "init"],
+            cwd=str(inside), check=True,
+        )
+        shard_files = []
+        for cwd in (inside, outside):
+            monkeypatch.chdir(str(cwd))
+            run_sweep(tiny_grid(), "sweep-out", workers=2)
+            root = os.path.join("sweep-out", "shards")
+            files = {}
+            for dirpath, _, filenames in os.walk(root):
+                for filename in filenames:
+                    path = os.path.join(dirpath, filename)
+                    with open(path, "rb") as handle:
+                        files[os.path.relpath(path, root)] = handle.read()
+            shard_files.append(files)
+        first, second = shard_files
+        assert sorted(first) == sorted(second)
+        assert {os.path.basename(name) for name in first} == {
+            "manifest.json", "metrics.jsonl", "trace.jsonl", "result.json"}
+        for name in first:
+            assert first[name] == second[name], name
 
     def test_invalid_workers_rejected(self, tmp_path):
         with pytest.raises(SweepError):
