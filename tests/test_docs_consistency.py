@@ -217,8 +217,9 @@ class TestApiDocMembers:
         assert sorted(n for n in names if not hasattr(instance, n)) == []
 
 
-#: the documents whose ``python -m repro ...`` lines must be real commands
-COMMAND_DOCS = ("README.md", "EXPERIMENTS.md", "CONTRIBUTING.md", "DESIGN.md") + tuple(
+#: the other documents whose ``python -m repro ...`` lines must be real
+#: commands (README.md and EXPERIMENTS.md have a test each)
+COMMAND_DOCS = ("CONTRIBUTING.md", "DESIGN.md") + tuple(
     os.path.join("docs", name)
     for name in sorted(os.listdir(os.path.join(ROOT, "docs")))
     if name.endswith(".md")
@@ -255,6 +256,30 @@ def is_placeholder(command):
     )
 
 
+def assert_commands_parse(*paths):
+    """Each command in ``paths`` is ``python -m repro`` with arguments it accepts.
+
+    A ``python -m repro.<module>`` line is refused outright: such a module
+    can import cleanly, run nothing and exit 0. Returns how many concrete
+    (non-synopsis) commands were parsed.
+    """
+    from repro import cli
+
+    concrete = []
+    for path in paths:
+        for command in documented_commands(read(path)):
+            assert not command.startswith("python -m repro."), f"{path}: {command}"
+            if not is_placeholder(command):
+                concrete.append((path, command))
+    for path, command in concrete:
+        argv = shlex.split(command)[len("python -m repro".split()):]
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{path}: {command!r} does not parse")
+    return len(concrete)
+
+
 class TestReadme:
     def test_referenced_files_exist(self):
         readme = read("README.md")
@@ -265,6 +290,10 @@ class TestReadme:
         readme = read("README.md")
         for script in re.findall(r"python (examples/[\w_]+\.py)", readme):
             assert os.path.exists(os.path.join(ROOT, script)), script
+
+    def test_referenced_experiment_modules_exist(self):
+        """README's ``python -m repro`` commands name the one CLI and parse."""
+        assert assert_commands_parse("README.md") >= 3
 
 
 def _python_block_after(text, heading):
@@ -299,27 +328,13 @@ class TestDesignAndExperiments:
         for path in re.findall(r"(\w[\w/]*\.py)", design):
             assert os.path.basename(path) in existing, path
 
+    def test_experiments_md_commands_importable(self):
+        """EXPERIMENTS.md's ``python -m repro`` commands name the one CLI and parse."""
+        assert assert_commands_parse("EXPERIMENTS.md") >= 40
+
     def test_documented_commands_parse(self):
-        """Each documented command is ``python -m repro`` with arguments it accepts.
-
-        A ``python -m repro.<module>`` line is refused outright: such a
-        module can import cleanly, run nothing and exit 0.
-        """
-        from repro import cli
-
-        concrete = []
-        for path in COMMAND_DOCS:
-            for command in documented_commands(read(path)):
-                assert not command.startswith("python -m repro."), f"{path}: {command}"
-                if not is_placeholder(command):
-                    concrete.append((path, command))
-        assert len(concrete) >= 40
-        for path, command in concrete:
-            argv = shlex.split(command)[len("python -m repro".split()):]
-            try:
-                cli.build_parser().parse_args(argv)
-            except SystemExit:
-                pytest.fail(f"{path}: {command!r} does not parse")
+        """The other documents' ``python -m repro`` commands name the one CLI and parse."""
+        assert assert_commands_parse(*COMMAND_DOCS) >= 5
 
     def test_experiments_md_sweep_commands_parse(self, monkeypatch):
         """Every documented ``repro sweep`` line names flags and values that exist."""
