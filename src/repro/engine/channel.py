@@ -78,7 +78,7 @@ class RuntimeChannel:
 
     __slots__ = (
         "channel_id", "sim", "producer", "consumer", "network", "edge_name",
-        "capacity", "reporter", "_outstanding", "_pending",
+        "capacity", "reporter", "_outstanding", "_pending", "_arrive_bound",
         "_pending_listener_armed", "_unblock_waiters", "closed",
         "items_emitted", "items_delivered", "batches_shipped",
     )
@@ -107,6 +107,8 @@ class RuntimeChannel:
 
         self._outstanding = 0  # accepted but not yet enqueued at the consumer
         self._pending: Deque[DataItem] = deque()
+        #: bound once: every shipped batch's heap entry carries it
+        self._arrive_bound = self._arrive
         self._pending_listener_armed = False
         self._unblock_waiters: List[Callable[[], None]] = []
         self.closed = False
@@ -154,7 +156,9 @@ class RuntimeChannel:
         if self.reporter is not None:
             for item in items:
                 self.reporter.record_output_batch_latency(now - item.emitted_at)
-        transfer = self.network.transfer_time(batch_bytes)
+        # self.network.transfer_time(batch_bytes), inlined
+        network = self.network
+        transfer = network.base_latency + batch_bytes / network.bandwidth
         self.batches_shipped += 1
         # sim.schedule_fire(transfer, self._arrive, items), inlined:
         # fire-and-forget (never cancelled; _arrive drops on closed channels).
@@ -162,7 +166,7 @@ class RuntimeChannel:
         seq = sim._seq
         sim._seq = seq + 1
         heap = sim._heap
-        heappush(heap, (now + transfer, seq, self._arrive, (items,)))
+        heappush(heap, (now + transfer, seq, self._arrive_bound, (items,)))
         if len(heap) > sim._max_heap:
             sim._max_heap = len(heap)
 

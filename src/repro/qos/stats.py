@@ -132,19 +132,28 @@ def snapshot_and_clear(samples: List[float]) -> StatsSnapshot:
     and variance equal ``add`` per sample then ``snapshot_and_reset`` bit
     for bit — without a call or an accumulator object per sample. The
     list is cleared in place (callers keep ``append`` bound to it).
+
+    Samples that are all zero (every instant-flush output-batch latency
+    is) skip the loop: over ±0.0 the recurrence keeps mean and ``m2`` at
+    +0.0. The loop counts with a float, which divides exactly like the
+    int for any list that fits in memory.
     """
     if not samples:
         return EMPTY_SNAPSHOT
-    count = 0
+    n = len(samples)
+    if not any(samples):
+        del samples[:]
+        return StatsSnapshot(n, 0.0, 0.0)
+    count = 0.0
     mean = 0.0
     m2 = 0.0
     for value in samples:
-        count += 1
+        count += 1.0
         delta = value - mean
         mean += delta / count
         m2 += delta * (value - mean)
     del samples[:]
-    return StatsSnapshot(count, mean, m2 / (count - 1) if count > 1 else 0.0)
+    return StatsSnapshot(n, mean, m2 / (count - 1.0) if n > 1 else 0.0)
 
 
 def mean_in_order(values: Iterable[float]) -> float:

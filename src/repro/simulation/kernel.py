@@ -35,6 +35,17 @@ Batched arrivals (:meth:`Simulator.schedule_batch`) walk a precomputed
 time sequence with one recycled pooled event instead of allocating one
 event per record; each step still fires at its own time with a fresh
 ``seq``, preserving the ``(time, seq)`` total order.
+
+Every entry point rejects a time before ``now`` *and* a NaN time (the
+guards are negated comparisons, which NaN fails): one NaN key would
+break the heap order for every later event.
+
+Not every completion is an event. A task with no output gates whose
+item takes exactly zero service finishes it inside the callback that
+started it, when nothing else is due at ``now`` (DESIGN.md, "Which
+completions are not events"). The order of everything observable is
+unchanged; only :attr:`Simulator.fired_events` counts one event fewer
+per such item.
 """
 
 from __future__ import annotations
@@ -108,13 +119,13 @@ class Simulator:
         Returns the :class:`Event` handle, which may be cancelled.
         ``delay`` must be non-negative.
         """
-        if delay < 0:
+        if not delay >= 0:  # negated, so NaN fails it too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire at absolute virtual ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # negated, so NaN fails it too
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
@@ -136,7 +147,7 @@ class Simulator:
         handle keeps the per-record path allocation-free apart from the
         heap tuple itself.
         """
-        if delay < 0:
+        if not delay >= 0:  # negated, so NaN fails it too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         seq = self._seq
@@ -153,7 +164,7 @@ class Simulator:
         must drop (or generation-check) its handle — the kernel reuses
         the object for later schedulings.
         """
-        if time < self.now:
+        if not time >= self.now:  # negated, so NaN fails it too
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )

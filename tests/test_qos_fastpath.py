@@ -105,6 +105,62 @@ class TestBatchSnapshot:
         assert _triple(snapshot_and_clear([0.25])) == (1, 0.25, 0.0)
 
 
+def _integer_count_welford(samples):
+    """The recurrence with an int counter and no zero shortcut, verbatim."""
+    if not samples:
+        return EMPTY_SNAPSHOT
+    count = 0
+    mean = 0.0
+    m2 = 0.0
+    for value in samples:
+        count += 1
+        delta = value - mean
+        mean += delta / count
+        m2 += delta * (value - mean)
+    del samples[:]
+    return StatsSnapshot(count, mean, m2 / (count - 1) if count > 1 else 0.0)
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+_wide = st.floats(allow_nan=False, allow_infinity=False)
+_mixed_sample = st.one_of(_signed_zero, _wide, st.floats(-1e-300, 1e-300, allow_nan=False))
+
+
+def _same_bits(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestSnapshotRecurrence:
+    """The zero shortcut and the float counter are the Welford loop, bit for bit."""
+
+    @given(samples=st.one_of(
+        st.lists(_signed_zero, min_size=1, max_size=40),
+        st.lists(_mixed_sample, min_size=1, max_size=1),
+        st.lists(_mixed_sample, max_size=40),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=40),
+    ))
+    @settings(max_examples=300)
+    def test_equals_the_integer_count_loop(self, samples):
+        expected = _integer_count_welford(list(samples))
+        buffer = list(samples)
+        got = snapshot_and_clear(buffer)
+        assert buffer == []
+        assert got.count == expected.count and type(got.count) is int
+        if math.isnan(expected.mean):  # inf - inf in a wide-magnitude list
+            assert math.isnan(got.mean)
+        else:
+            assert _same_bits(got.mean, expected.mean)
+        if math.isnan(expected.variance):
+            assert math.isnan(got.variance)
+        else:
+            assert _same_bits(got.variance, expected.variance)
+
+    def test_all_zero_interval_is_positive_zero(self):
+        snap = snapshot_and_clear([-0.0, 0.0, -0.0])
+        assert (snap.count, snap.mean, snap.variance) == (3, 0.0, 0.0)
+        assert math.copysign(1.0, snap.mean) == math.copysign(1.0, snap.variance) == 1.0
+
+
 # ----------------------------------------------------------------------
 # the window memo survives exactly the pushes that change nothing
 # ----------------------------------------------------------------------

@@ -290,3 +290,39 @@ class TestEdgeCases:
         sim.schedule(2.0, chain, 50)
         sim.run()
         assert depth == [2.0] * 51
+
+
+NAN = float("nan")
+
+
+class TestNaNTimesRejected:
+    """A NaN time compares false with everything, so ``delay < 0`` and
+    ``time < now`` let it through and it corrupts the heap order."""
+
+    def test_schedule_fire_rejects_nan_and_keeps_order(self, sim):
+        fired = []
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_fire(NAN, fired.append, "nan")
+        sim.schedule_fire(1.0, fired.append, "one")
+        sim.schedule_fire(0.5, fired.append, "half")
+        sim.run()
+        assert fired == ["half", "one"]
+
+    def test_schedule_rejects_nan(self, sim):
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule(NAN, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_at_rejects_nan_and_the_clock_stays_finite(self, sim):
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_at(NAN, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        sim.run()
+        assert sim.now == 2.0
+
+    def test_pooled_scheduling_rejects_nan(self, sim):
+        with pytest.raises(SimulationError, match="nan"):
+            sim.every(1.0, lambda: None, start_delay=NAN)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_batch([NAN], lambda: None)
+        assert sim.pending_events == 0
