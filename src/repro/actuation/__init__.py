@@ -7,8 +7,8 @@ retries. :class:`ActuationConfig` holds the knobs (delay distribution,
 failure model, exponential backoff, guardrails);
 :class:`ReconciliationController` converges actual parallelism to the
 scaler's desired parallelism and escalates through a constraint-violation
-watchdog when reconciliation lags. Attach a config with
-``PipelineBuilder.actuate(...)`` or ``EngineConfig(actuation=...)``;
+watchdog when reconciliation lags. Attach a config per job with
+``PipelineBuilder.actuate(...)`` (or ``submit(..., actuation=...)``);
 without one (the default), rescaling stays synchronous and byte-identical
 to unsupervised behavior.
 """

@@ -34,11 +34,11 @@ Request lifecycle invariants:
   reporting the distance, and the remainder is re-issued on the next
   adjustment tick.
 
-Every lifecycle step is appended to :attr:`ReconciliationController.log`
-(plain tuples, byte-comparable across same-seed runs) and, when tracing
-is on, emitted as :class:`~repro.obs.trace.TraceRecord` rows
+Every lifecycle step moves a lifetime counter (:meth:`summary`, and the
+metrics registry when one is set); when tracing is on, the decisive
+steps are also emitted as :class:`~repro.obs.trace.TraceRecord` rows
 (``actuation-pending`` / ``actuation-failed`` / ``retry-backoff`` /
-``watchdog-escalation``).
+``watchdog-escalation`` and the migration branches).
 """
 
 from __future__ import annotations
@@ -134,9 +134,6 @@ class ReconciliationController:
         self.desired: Dict[str, int] = {}
         #: in-flight request per vertex (at most one at a time)
         self.in_flight: Dict[str, ActuationRequest] = {}
-        #: chronological actuation lifecycle log:
-        #: (time, kind, vertex, attempt, detail) — byte-comparable
-        self.log: List[Tuple[float, str, str, int, str]] = []
         # lifetime counters (mirrored into the metrics registry when set)
         self.requests = 0
         self.retries = 0
@@ -182,9 +179,6 @@ class ReconciliationController:
     def _gauge(self, name: str, value: float) -> None:
         if self.metrics is not None:
             self.metrics.gauge(f"actuation.{name}").set(value)
-
-    def _record(self, kind: str, vertex: str, attempt: int, detail: str = "") -> None:
-        self.log.append((self.sim.now, kind, vertex, attempt, detail))
 
     def _emit(self, record: TraceRecord) -> None:
         if self.trace_sink is not None:
@@ -257,7 +251,6 @@ class ReconciliationController:
         if plan is not None and not plan.aborted:
             plan.aborted = True
             plan.abort_reason = reason
-            self._record("migration-aborted", vertex, 0, reason)
 
     def _delay_factor(self, vertex: str) -> float:
         now = self.sim.now
@@ -312,16 +305,11 @@ class ReconciliationController:
             previous.superseded = True
             self.superseded_requests += 1
             self._count("superseded")
-            self._record(
-                "superseded", vertex, previous.attempt,
-                f"replaced by {current}->{target}",
-            )
         self.desired[vertex] = target
         self.in_flight[vertex] = req
         self.requests += 1
         self._count("requests")
         self._gauge("in_flight", len(self.in_flight))
-        self._record("request", vertex, req.attempt, f"{current}->{target}")
         self._emit(self._trace(
             BRANCH_ACTUATION_PENDING, req,
             "escalated actuation issued" if escalated else "actuation issued",
@@ -380,7 +368,6 @@ class ReconciliationController:
         self.applied += 1
         self._count("applied")
         self._gauge("in_flight", len(self.in_flight))
-        self._record("applied", req.vertex, req.attempt, f"delta={result.applied:+d}")
         desired = self.desired.get(req.vertex)
         actual = self.runtime.vertex(req.vertex).target_parallelism
         if result.partial and desired is not None and actual != desired:
@@ -391,11 +378,6 @@ class ReconciliationController:
             self.partials += 1
             self._count("partials")
             self._partial_pending.add(req.vertex)
-            self._record(
-                "partial", req.vertex, req.attempt,
-                f"applied={result.applied:+d} of {result.requested:+d}, "
-                f"actual={actual}, desired={desired}",
-            )
             return
         self.desired.pop(req.vertex, None)
         self._partial_pending.discard(req.vertex)
@@ -403,7 +385,6 @@ class ReconciliationController:
     def _fail(self, req: ActuationRequest, reason: str) -> None:
         self.failures += 1
         self._count("failures")
-        self._record("failed", req.vertex, req.attempt, reason)
         self._emit(self._trace(BRANCH_ACTUATION_FAILED, req, reason))
         if req.attempt > self.config.max_retries:
             self.give_ups += 1
@@ -416,10 +397,6 @@ class ReconciliationController:
                 self.metrics.counter("reconciler.abandoned").inc()
             self.in_flight.pop(req.vertex, None)
             self._gauge("in_flight", len(self.in_flight))
-            self._record(
-                "give-up", req.vertex, req.attempt,
-                f"abandoned after {req.attempt} attempts",
-            )
             return
         backoff = min(
             self.config.backoff_max,
@@ -430,7 +407,6 @@ class ReconciliationController:
         req.attempt += 1
         self.retries += 1
         self._count("retries")
-        self._record("retry", req.vertex, req.attempt, f"backoff={backoff:.3f}")
         self._emit(self._trace(
             BRANCH_RETRY_BACKOFF, req, f"retry in {backoff:.3f}s",
         ))
@@ -461,11 +437,6 @@ class ReconciliationController:
         pause = t_quiesce + t_snapshot + t_transfer
         self.migrations_started += 1
         self._count("migrations_started")
-        self._record(
-            "migration-start", req.vertex, req.attempt,
-            f"{req.p_before}->{req.target}, {plan.moved_bytes}B moved, "
-            f"pause={pause:.3f}s",
-        )
         self._emit(self._trace(
             BRANCH_MIGRATION_PENDING, req,
             f"migrating {plan.moved_bytes} bytes "
@@ -482,10 +453,6 @@ class ReconciliationController:
         if req.superseded:
             # Nothing was applied yet — state layout is untouched, so
             # the newer request simply starts from the same baseline.
-            self._record(
-                "migration-dropped", req.vertex, req.attempt,
-                "request superseded mid-transfer",
-            )
             return
         if plan.aborted or self._migration_fault_active(req.vertex):
             reason = plan.abort_reason or "migration fault window active"
@@ -509,7 +476,6 @@ class ReconciliationController:
             self.state_manager.rollback_migration(plan)
             self.migrations_rolled_back += 1
             self._count("migrations_rolled_back")
-            self._record("migration-rolled-back", req.vertex, req.attempt, reason)
             self._emit(self._trace(
                 BRANCH_MIGRATION_ROLLED_BACK, req,
                 f"rolled back to p={req.p_before}: {reason}",
@@ -520,10 +486,6 @@ class ReconciliationController:
         self.state_manager.note_migration_pause(req.vertex, t_restore)
         self.migrations_applied += 1
         self._count("migrations_applied")
-        self._record(
-            "migration-applied", req.vertex, req.attempt,
-            f"{plan.moved_bytes}B restored in {t_restore:.3f}s",
-        )
         self._succeed(req, result)
 
     def _rollback_migration(
@@ -543,7 +505,6 @@ class ReconciliationController:
             BRANCH_MIGRATION_FAILED, req, reason,
             state_bytes=plan.moved_bytes,
         ))
-        self._record("migration-rolled-back", req.vertex, req.attempt, reason)
         self._emit(self._trace(
             BRANCH_MIGRATION_ROLLED_BACK, req,
             f"rolled back to p={req.p_before} without state loss",
@@ -577,7 +538,6 @@ class ReconciliationController:
                 self._partial_pending.discard(vertex)
                 continue
             self._partial_pending.discard(vertex)
-            self._record("re-issue", vertex, 0, f"partial remainder {current}->{desired}")
             self._issue(vertex, desired, current, round=0)
 
     def convergence_lag(self) -> int:
@@ -621,11 +581,6 @@ class ReconciliationController:
             target = rv.job_vertex.clamp(max(desired, 2 * max(current, 1)))
             self.escalations += 1
             self._count("escalations")
-            self._record(
-                "escalate", vertex, 0,
-                f"watchdog: lagged {self.config.watchdog_intervals} intervals, "
-                f"{current}->{target}",
-            )
             self._emit(TraceRecord(
                 self.sim.now, "*", BRANCH_WATCHDOG_ESCALATION,
                 vertex=vertex,
@@ -642,10 +597,6 @@ class ReconciliationController:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-
-    def trace(self) -> List[Tuple[float, str, str, int, str]]:
-        """The actuation log as plain tuples (determinism assertions)."""
-        return list(self.log)
 
     def summary(self) -> Dict[str, object]:
         """JSON-serializable lifetime summary for manifests/dashboards."""

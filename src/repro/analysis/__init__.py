@@ -19,7 +19,6 @@ _EXPORTS = {
     "allen_cunneen_waiting_time": "repro.analysis.queueing",
     "erlang_c": "repro.analysis.queueing",
     "mmc_waiting_time": "repro.analysis.queueing",
-    "required_servers": "repro.analysis.queueing",
     "PipelineStage": "repro.analysis.pipeline",
     "predict_pipeline_latency": "repro.analysis.pipeline",
     "saturation_rate": "repro.analysis.pipeline",

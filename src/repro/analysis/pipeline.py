@@ -68,10 +68,6 @@ class PipelineStage:
             per_task, self.service_mean, 1, self.arrival_cv, self.service_cv
         )
 
-    def utilization(self, total_rate: float) -> float:
-        """Per-task utilization at a total input rate."""
-        return total_rate * self.service_mean / self.parallelism
-
     def __repr__(self) -> str:
         return (
             f"PipelineStage({self.name!r}, S={self.service_mean}, "

@@ -8,8 +8,6 @@ seconds; saturated systems return ``inf``.
 
 from __future__ import annotations
 
-import math
-
 INFINITY = float("inf")
 
 
@@ -118,27 +116,3 @@ def mmc_waiting_time(arrival_rate: float, service_mean: float, servers: int) -> 
         return 0.0
     p_wait = erlang_c(servers, offered)
     return p_wait * service_mean / (servers - offered)
-
-
-def required_servers(
-    arrival_rate: float,
-    service_mean: float,
-    wait_budget: float,
-    arrival_cv: float = 1.0,
-    service_cv: float = 1.0,
-    max_servers: int = 100_000,
-) -> int:
-    """Smallest ``c`` whose Allen–Cunneen wait fits in ``wait_budget``.
-
-    The analytic counterpart of the paper's ``P_W``; useful for sanity
-    checks and initial provisioning before the reactive loop takes over.
-    """
-    if wait_budget <= 0:
-        raise ValueError("wait_budget must be positive")
-    offered = _check(arrival_rate, service_mean)
-    c = max(1, math.floor(offered) + 1)
-    while c <= max_servers:
-        if allen_cunneen_waiting_time(arrival_rate, service_mean, c, arrival_cv, service_cv) <= wait_budget:
-            return c
-        c += 1
-    raise ValueError(f"no server count <= {max_servers} meets the budget")

@@ -47,7 +47,7 @@ import os
 import platform
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.bench.legacy import LegacySimulator
 from repro.simulation.kernel import Simulator
@@ -369,15 +369,6 @@ def add_arguments(parser) -> None:
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="additionally run the macro workload under cProfile "
                              "and dump pstats data to PATH")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``python -m repro bench``-style invocation."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro bench")
-    add_arguments(parser)
-    return run_from_args(parser.parse_args(argv))
 
 
 def run_from_args(args) -> int:

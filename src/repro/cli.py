@@ -580,7 +580,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.dashboard import SweepDashboard
     from repro.sweep import SweepError, run_sweep
 
-    grid = _build_sweep_grid(args)
+    try:
+        grid = _build_sweep_grid(args)
+    except (OSError, ValueError) as exc:
+        print(f"cannot build the sweep grid: {exc}")
+        return 2
     print(f"sweep {grid.name!r}: {len(grid)} shards, "
           f"{args.workers} workers, out={args.out}"
           + (" (resume)" if args.resume else ""))
@@ -889,17 +893,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.trace_command == "show":
             return _trace_show(args.dir, args.last)
         if args.trace_command == "generate":
-            trace = generate_diurnal_trace(
-                days=args.days,
-                base_rate=args.base_rate,
-                daily_amplitude=args.amplitude,
-                seed=args.seed,
-            )
+            try:
+                trace = generate_diurnal_trace(
+                    days=args.days,
+                    base_rate=args.base_rate,
+                    daily_amplitude=args.amplitude,
+                    seed=args.seed,
+                )
+            except ValueError as exc:
+                print(f"cannot generate a trace: {exc}")
+                return 2
             path = save_trace(args.out, trace)
             print(f"wrote {len(trace)} samples ({args.days} days) to {path}")
             return 0
         if args.trace_command == "info":
-            trace = load_trace(args.path)
+            try:
+                trace = load_trace(args.path)
+            except (OSError, ValueError) as exc:
+                print(f"cannot read trace {args.path!r}: {exc}")
+                return 2
             rates = [rate for _, rate in trace]
             duration = trace[-1][0]
             print(f"{args.path}: {len(trace)} samples over {duration / 86400:.1f} days")

@@ -65,13 +65,6 @@ class LatencyConstraint:
                 total += vs.task_latency
         return total
 
-    def is_violated(self, summary: GlobalSummary) -> Optional[bool]:
-        """Whether the measured mean latency exceeds ℓ (None if unmeasured)."""
-        measured = self.measured_latency(summary)
-        if measured is None:
-            return None
-        return measured > self.bound
-
     def __repr__(self) -> str:
         return f"LatencyConstraint({self.sequence.name}, l={self.bound * 1000:.1f}ms)"
 

@@ -14,7 +14,7 @@ inactivity phase.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.policy import PolicyRoundContext, ScalingPolicy
 from repro.core.scale_reactively import ScalingDecision
@@ -36,18 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
 
 
 class ScalingEvent:
-    """One scaler activation, for experiment logs."""
+    """One scaler activation: when, and the per-vertex change it applied."""
 
-    __slots__ = ("time", "targets", "applied", "reason")
+    __slots__ = ("time", "applied")
 
-    def __init__(self, time: float, targets: Dict[str, int], applied: Dict[str, int], reason: str) -> None:
+    def __init__(self, time: float, applied: Dict[str, int]) -> None:
         self.time = time
-        self.targets = targets
         self.applied = applied
-        self.reason = reason
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ScalingEvent(t={self.time:.1f}, targets={self.targets}, {self.reason})"
+        return f"ScalingEvent(t={self.time:.1f}, applied={self.applied})"
 
 
 class ElasticScaler:
@@ -91,8 +89,8 @@ class ElasticScaler:
         self._no_scale_down_until = 0.0
         #: log of scaler activations
         self.events: List[ScalingEvent] = []
-        #: vertices reported as unresolvable bottlenecks (time, name)
-        self.unresolvable_log: List[Tuple[float, str]] = []
+        #: count of vertices reported as unresolvable bottlenecks
+        self.unresolvable = 0
         #: count of summaries skipped due to the inactivity phase
         self.skipped_inactive = 0
         #: count of constraints skipped because their measurements were stale
@@ -189,8 +187,7 @@ class ElasticScaler:
             record.job = self._job_name()
             record.round = self.rounds
         self.skipped_stale += len(decision.stale_constraints)
-        for name in decision.unresolvable:
-            self.unresolvable_log.append((self.sim.now, name))
+        self.unresolvable += len(decision.unresolvable)
         if not decision.has_actions:
             self._emit(decision.trace)
             self._observe(summary, decision, {})
@@ -234,7 +231,7 @@ class ElasticScaler:
                 try:
                     result = self.scheduler.set_parallelism(vertex_name, target)
                 except InsufficientResourcesError:
-                    self.unresolvable_log.append((self.sim.now, vertex_name))
+                    self.unresolvable += 1
                     extra_records.append(
                         self._vertex_record(
                             BRANCH_UNRESOLVABLE, vertex_name, current, target,
@@ -246,7 +243,7 @@ class ElasticScaler:
                     # Admission refused the scale-up (quota or cluster
                     # capacity) — like infeasibility, the guarantee cannot
                     # be met right now; record it instead of failing silently.
-                    self.unresolvable_log.append((self.sim.now, vertex_name))
+                    self.unresolvable += 1
                     extra_records.append(
                         self._vertex_record(
                             BRANCH_ADMISSION_DENIED, vertex_name, current, target,
@@ -271,8 +268,7 @@ class ElasticScaler:
             if record.vertex in applied:
                 record.p_applied = applied[record.vertex]
         self._emit(decision.trace + extra_records)
-        reason = "bottleneck" if decision.bottleneck_constraints else "rebalance"
-        self.events.append(ScalingEvent(self.sim.now, dict(decision.parallelism), applied, reason))
+        self.events.append(ScalingEvent(self.sim.now, applied))
         self._observe(summary, decision, applied)
         if scaled_up:
             # Inactivity counts from when the new tasks actually start.

@@ -169,11 +169,6 @@ class SequenceLatencyModel:
     def __init__(self, sequence_name: str, models: List[VertexModel]) -> None:
         self.sequence_name = sequence_name
         self.models = models
-        self._by_name = {m.name: m for m in models}
-
-    def model(self, name: str) -> VertexModel:
-        """Vertex model by job-vertex name."""
-        return self._by_name[name]
 
     def scalable_models(self) -> List[VertexModel]:
         """Models of elastically scalable vertices."""

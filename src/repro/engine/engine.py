@@ -117,9 +117,6 @@ class EngineConfig:
     staleness_threshold: Optional[float] = 10.0
     #: post-fault cooldown on scale-downs (seconds; fault injection)
     recovery_cooldown: float = 15.0
-    #: actuation supervision (None = synchronous, infallible rescaling;
-    #: see :class:`repro.actuation.ActuationConfig`)
-    actuation: Optional[ActuationConfig] = None
     #: periodic checkpoint interval for stateful vertices (seconds).
     #: Shorter intervals cost more snapshot pauses but shrink the replay
     #: window charged to latency after a task crash (cost/recovery
@@ -332,19 +329,17 @@ class DeployedJob:
                 recovery_cooldown=config.recovery_cooldown,
             )
             self.scaler.trace_sink = self.trace
-        #: actuation supervision (None = synchronous rescaling). The
-        #: per-job setting (from the pipeline builder) wins over the
-        #: engine-wide EngineConfig.actuation default.
+        #: actuation supervision (None = synchronous rescaling), set per
+        #: job by the pipeline builder
         self.reconciler: Optional[ReconciliationController] = None
-        effective_actuation = actuation if actuation is not None else config.actuation
-        if effective_actuation is not None:
+        if actuation is not None:
             from repro.actuation.reconciler import ReconciliationController
 
             self.reconciler = ReconciliationController(
                 engine.sim,
                 self.scheduler,
                 self.runtime,
-                effective_actuation,
+                actuation,
                 job_streams,
                 metrics=engine.metrics,
                 trace_sink=self.trace,

@@ -142,11 +142,6 @@ class ResourceManager:
         """Tasks currently holding a slot."""
         return self._active_tasks
 
-    @property
-    def reserved_slots(self) -> int:
-        """Slots reserved for granted-but-unmaterialized scale-ups."""
-        return self._reserved_total
-
     def free_slots_available(self) -> int:
         """Physically free slots (ignores reservations).
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.engine.channel import RuntimeChannel
-from repro.engine.task import DRAINING, RUNNING, RuntimeTask
+from repro.engine.task import RUNNING, RuntimeTask
 from repro.graphs.job_graph import JobGraph, JobVertex
 
 
@@ -39,10 +39,6 @@ class RuntimeVertex:
     def active_tasks(self) -> List[RuntimeTask]:
         """Tasks that count towards the degree of parallelism."""
         return [t for t in self.tasks if t.state == RUNNING or t.state == "created"]
-
-    def draining_tasks(self) -> List[RuntimeTask]:
-        """Tasks being gracefully stopped."""
-        return [t for t in self.tasks if t.state == DRAINING]
 
     @property
     def parallelism(self) -> int:
@@ -99,10 +95,6 @@ class RuntimeGraph:
     def channels_of_edge(self, edge_name: str) -> List[RuntimeChannel]:
         """Live channels instantiating a job edge."""
         return list(self.edge_channels.get(edge_name, ()))
-
-    def total_parallelism(self) -> int:
-        """Sum of effective parallelism across all vertices."""
-        return sum(v.parallelism for v in self.vertices.values())
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{v.name}:{v.parallelism}" for v in self.vertices.values())

@@ -51,11 +51,6 @@ class ScalingResult(NamedTuple):
     reason: str = ""
 
     @property
-    def clamped(self) -> bool:
-        """Whether the action fell short of the requested change."""
-        return self.applied != self.requested
-
-    @property
     def partial(self) -> bool:
         """Whether only part of the requested change was initiated.
 

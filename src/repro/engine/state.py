@@ -18,9 +18,8 @@ directly with the latency bound:
 
 State *sizes* are modeled, not materialized payloads: each processed
 event grows one key drawn from a :class:`~repro.workloads.keys
-.ZipfKeySampler` (the same skewed law behind the tweet topics), unless a
-stateful UDF attributes real keys itself via
-:meth:`StateManager.record`. Everything is deterministic: key draws come
+.ZipfKeySampler` (the same skewed law behind the tweet topics).
+Everything is deterministic: key draws come
 from a dedicated per-vertex ``state:{vertex}`` stream and migration
 phase jitter from the shared ``migration`` stream, so same-seed runs
 replay byte-identically.
@@ -127,9 +126,6 @@ class KeyedState:
     @property
     def key_count(self) -> int:
         return sum(len(p) for p in self._partitions)
-
-    def partition_bytes(self, index: int) -> int:
-        return sum(self._partitions[index].values())
 
     def items(self) -> Dict[object, int]:
         """Global ``{key: bytes}`` view (keys are unique across partitions)."""
@@ -359,10 +355,6 @@ class StateManager:
         else:
             key = f"k{vs.sampler.sample_index(vs.rng):04d}"
         vs.state.add(key, spec.bytes_per_event)
-
-    def record(self, vertex: str, key: object, nbytes: int) -> None:
-        """Direct attribution path for stateful UDFs (real keys/deltas)."""
-        self._vertices[vertex].state.add(key, nbytes)
 
     # ------------------------------------------------------------------
     # periodic checkpoints

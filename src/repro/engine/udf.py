@@ -95,11 +95,6 @@ class UDF:
         """Consume one payload and return output payloads (or :class:`Emit`)."""
         raise NotImplementedError
 
-    @property
-    def is_windowed(self) -> bool:
-        """Whether the hosting task must schedule periodic window flushes."""
-        return False
-
 
 class SourceUDF(UDF):
     """A source: generates payloads instead of consuming them.
@@ -215,10 +210,6 @@ class WindowedAggregateUDF(UDF):
         self._acc = create()
         self._count = 0
         self._consume_times: List[float] = []
-
-    @property
-    def is_windowed(self) -> bool:
-        return True
 
     def process(self, payload: object) -> Iterable[object]:
         """Fold the payload into the window; nothing is emitted here."""

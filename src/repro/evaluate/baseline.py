@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Mapping, Optional
 
-from repro.evaluate.metrics import MetricSeries, extract_metrics, metrics_from_stats
+from repro.evaluate.metrics import extract_metrics, metrics_from_stats
 from repro.evaluate.tolerance import ToleranceSpec
 
 #: bump when the baseline layout changes incompatibly
@@ -68,18 +68,6 @@ class Baseline:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_metrics(
-        cls,
-        name: str,
-        series: Mapping[str, MetricSeries],
-        tolerance: Optional[Mapping[str, object]] = None,
-        scenario: Optional[Mapping[str, object]] = None,
-    ) -> "Baseline":
-        """Pin a baseline from extracted metric series."""
-        stats = {metric: series[metric].describe() for metric in sorted(series)}
-        return cls(name, stats, tolerance=tolerance, scenario=scenario)
-
-    @classmethod
     def from_aggregate(
         cls,
         name: str,
@@ -88,9 +76,9 @@ class Baseline:
     ) -> "Baseline":
         """Pin a baseline from a sweep's merged ``aggregate.json`` dict."""
         scenario = {"grid": aggregate.get("grid")} if aggregate.get("grid") else None
-        return cls.from_metrics(
-            name, extract_metrics(aggregate), tolerance=tolerance, scenario=scenario
-        )
+        series = extract_metrics(aggregate)
+        stats = {metric: series[metric].describe() for metric in sorted(series)}
+        return cls(name, stats, tolerance=tolerance, scenario=scenario)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Baseline":
@@ -142,12 +130,6 @@ class Baseline:
         from repro.experiments.report import write_json
 
         return write_json(path, self.describe())
-
-    def with_tolerance(self, tolerance: Mapping[str, object]) -> "Baseline":
-        """A copy of this baseline with its tolerance spec replaced."""
-        return Baseline(
-            self.name, self.metrics, tolerance=tolerance, scenario=self.scenario
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Baseline({self.name!r}, {len(self.metrics)} metrics)"

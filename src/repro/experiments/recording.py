@@ -200,10 +200,6 @@ class SeriesRecorder:
         """Maximum effective source throughput over the run."""
         return max((r.effective_rate for r in self.rows), default=0.0)
 
-    def latency_series(self, feed: str) -> List[Tuple[float, Optional[float], Optional[float]]]:
-        """(time, mean, p95) triples for one feed."""
-        return [(r.time, r.latency_mean.get(feed), r.latency_p95.get(feed)) for r in self.rows]
-
     def parallelism_series(self, vertex: str) -> List[Tuple[float, int]]:
         """(time, parallelism) for one vertex."""
         return [(r.time, r.parallelism.get(vertex, 0)) for r in self.rows]

@@ -61,11 +61,6 @@ class ValidationResult:
         self.params = params
         self.points: List[ValidationPoint] = []
 
-    @property
-    def max_relative_error(self) -> float:
-        """Worst-case relative disagreement across the sweep."""
-        return max((p.relative_error for p in self.points), default=0.0)
-
     def report(self) -> str:
         """Measured-vs-predicted table."""
         rows = [

@@ -2,8 +2,8 @@
 
 A partitioner maps each emitted payload to one or more target channel
 indices. Partitioners are *live* objects owned by a producer task's output
-gate: when the downstream vertex is rescaled, the gate rebuilds or resizes
-the partitioner, which is the "ad-hoc remapping of stream partitions to
+gate: when the downstream vertex is rescaled, the gate rebuilds the
+partitioner, which is the "ad-hoc remapping of stream partitions to
 consumer tasks" the paper's elasticity assumption (Sec. IV-A c) requires.
 """
 
@@ -25,12 +25,6 @@ class Partitioner:
         """Return the indices (into the channel list) to send ``payload`` to."""
         raise NotImplementedError
 
-    def resize(self, fanout: int) -> None:
-        """Adapt to a new number of target channels (elastic rescale)."""
-        if fanout < 1:
-            raise ValueError(f"fanout must be >= 1 (got {fanout})")
-        self.fanout = fanout
-
 
 class RoundRobinPartitioner(Partitioner):
     """Cycles through targets; the paper's default load-balancing pattern.
@@ -48,10 +42,6 @@ class RoundRobinPartitioner(Partitioner):
         index = self._next
         self._next = (self._next + 1) % self.fanout
         return (index,)
-
-    def resize(self, fanout: int) -> None:
-        super().resize(fanout)
-        self._next %= fanout
 
 
 class KeyPartitioner(Partitioner):
@@ -84,10 +74,6 @@ class BroadcastPartitioner(Partitioner):
 
     def select(self, payload: object) -> Sequence[int]:
         return self._all
-
-    def resize(self, fanout: int) -> None:
-        super().resize(fanout)
-        self._all = list(range(fanout))
 
 
 def make_partitioner(

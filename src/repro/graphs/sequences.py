@@ -134,14 +134,6 @@ class JobSequence:
         """Names of the sequence's vertices, in flow order."""
         return [v.name for v in self.vertices]
 
-    def edge_names(self) -> List[str]:
-        """Names of the sequence's edges, in flow order."""
-        return [e.name for e in self.edges]
-
-    def elastic_vertices(self) -> List[JobVertex]:
-        """The subset of vertices that may be rescaled."""
-        return [v for v in self.vertices if v.elastic]
-
     def __contains__(self, element: SequenceElement) -> bool:
         return element in self.elements
 

@@ -15,7 +15,6 @@ _EXPORTS = {
     "Gauge": "repro.obs.metrics",
     "Histogram": "repro.obs.metrics",
     "MetricsRegistry": "repro.obs.metrics",
-    "global_registry": "repro.obs.metrics",
     "SAMPLE_EPSILON": "repro.obs.sampling",
     "MetricsSampler": "repro.obs.sampling",
     "SamplingClock": "repro.obs.sampling",

@@ -152,7 +152,7 @@ def build_manifest(
             "skipped_inactive": scaler.skipped_inactive,
             "skipped_stale": scaler.skipped_stale,
             "suppressed_scale_downs": scaler.suppressed_scale_downs,
-            "unresolvable": len(scaler.unresolvable_log),
+            "unresolvable": scaler.unresolvable,
         }
     reconciler = getattr(job, "reconciler", None)
     obs = engine.observability

@@ -8,9 +8,8 @@ engine's byte-identical-when-disabled guarantee rests on.
 
 Instruments are get-or-create: ``registry.counter("scheduler.tasks_started")``
 returns the same object on every call, so hot paths can cache the handle.
-A module-level default registry exists for ad-hoc instrumentation
-(:func:`global_registry`); the engine creates one private registry per
-run so concurrent engines and tests never share state.
+The engine creates one private registry per run so concurrent engines and
+tests never share state.
 """
 
 from __future__ import annotations
@@ -162,14 +161,6 @@ class MetricsRegistry:
         """The histogram named ``name`` (created on first access)."""
         return self._get_or_create(name, Histogram, lambda: Histogram(name, bounds))
 
-    def names(self) -> List[str]:
-        """Registered metric names in creation order."""
-        return list(self._instruments)
-
-    def get(self, name: str) -> Optional[Instrument]:
-        """The instrument named ``name``, or None."""
-        return self._instruments.get(name)
-
     def snapshot(self) -> Dict[str, object]:
         """Flat ``{name: value-or-histogram-dict}`` view of all instruments."""
         out: Dict[str, object] = {}
@@ -185,11 +176,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MetricsRegistry({len(self._instruments)} instruments)"
-
-
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide default registry (ad-hoc instrumentation)."""
-    return _GLOBAL_REGISTRY

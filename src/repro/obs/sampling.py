@@ -43,25 +43,11 @@ class SamplingClock:
         self.interval = interval
         self._subscribers: List[Callable[[float], None]] = []
         first = interval + SAMPLE_EPSILON if start_delay is None else start_delay
-        self._process = sim.every(interval, self._tick, start_delay=first)
+        sim.every(interval, self._tick, start_delay=first)
 
     def subscribe(self, callback: Callable[[float], None]) -> None:
         """Call ``callback(now)`` on every tick (in subscription order)."""
         self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[float], None]) -> None:
-        """Remove a subscriber (no-op if absent)."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
-
-    def stop(self) -> None:
-        """Halt the clock (all subscribers stop receiving ticks)."""
-        self._process.stop()
-
-    @property
-    def subscriber_count(self) -> int:
-        """Number of attached subscribers."""
-        return len(self._subscribers)
 
     def _tick(self) -> None:
         now = self.sim.now

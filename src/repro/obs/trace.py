@@ -218,14 +218,6 @@ class DecisionTrace:
         """The most recent ``n`` records."""
         return self.records[-n:]
 
-    def for_vertex(self, vertex: str) -> List[TraceRecord]:
-        """All records about one vertex."""
-        return [r for r in self.records if r.vertex == vertex]
-
-    def for_constraint(self, constraint: str) -> List[TraceRecord]:
-        """All records about one constraint."""
-        return [r for r in self.records if r.constraint == constraint]
-
     def branches(self) -> Dict[str, int]:
         """Record count per branch."""
         out: Dict[str, int] = {}

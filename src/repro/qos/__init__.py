@@ -16,7 +16,6 @@ _EXPORTS = {
     "WindowedStats": "repro.qos.stats",
     "percentile": "repro.qos.stats",
     "TaskMeasurement": "repro.qos.measurements",
-    "ChannelMeasurement": "repro.qos.measurements",
     "VertexSummary": "repro.qos.summary",
     "EdgeSummary": "repro.qos.summary",
     "GlobalSummary": "repro.qos.summary",

@@ -1,7 +1,7 @@
 """Per-interval measurement records (paper Table I).
 
-A reporter's ``flush(now)`` freezes one measurement interval into one of
-these records: the interval's snapshots plus who measured them and when.
+A task reporter's ``flush(now)`` freezes one measurement interval into
+this record: the interval's snapshots plus who measured them and when.
 (The QoS manager takes the bare snapshots from ``drain()`` instead.)
 Snapshots carry counts so that downstream aggregation can weight
 correctly.
@@ -50,35 +50,4 @@ class TaskMeasurement:
         return (
             f"TaskMeasurement({self.task_id}, t={self.timestamp:.1f}, "
             f"S̄={self.service_time.mean:.6f}, Ā={self.interarrival.mean:.6f})"
-        )
-
-
-class ChannelMeasurement:
-    """One channel's Table-I measurements for one measurement interval.
-
-    ``channel_latency`` is ``l_e`` (emit → consume) and
-    ``output_batch_latency`` is ``obl_e`` (emit → ship); by construction
-    ``obl_e <= l_e`` in the mean.
-    """
-
-    __slots__ = ("edge_name", "channel_id", "timestamp", "channel_latency", "output_batch_latency")
-
-    def __init__(
-        self,
-        edge_name: str,
-        channel_id: int,
-        timestamp: float,
-        channel_latency: StatsSnapshot,
-        output_batch_latency: StatsSnapshot,
-    ) -> None:
-        self.edge_name = edge_name
-        self.channel_id = channel_id
-        self.timestamp = timestamp
-        self.channel_latency = channel_latency
-        self.output_batch_latency = output_batch_latency
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ChannelMeasurement({self.edge_name}#{self.channel_id}, "
-            f"l̄={self.channel_latency.mean:.6f})"
         )

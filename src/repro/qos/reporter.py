@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.qos.measurements import ChannelMeasurement, TaskMeasurement
+from repro.qos.measurements import TaskMeasurement
 from repro.qos.stats import EMPTY_SNAPSHOT, StatsSnapshot, snapshot_and_clear
 
 _IDLE_TASK = (EMPTY_SNAPSHOT, EMPTY_SNAPSHOT, EMPTY_SNAPSHOT)
@@ -107,7 +107,3 @@ class ChannelReporter:
         if not (latency or obl):
             return _IDLE_CHANNEL
         return snapshot_and_clear(latency), snapshot_and_clear(obl)
-
-    def flush(self, now: float) -> ChannelMeasurement:
-        """:meth:`drain`, wrapped into a timestamped measurement record."""
-        return ChannelMeasurement(self.edge_name, self.channel_id, now, *self.drain())

@@ -56,13 +56,6 @@ class VertexSummary:
         """Task utilization ``ρ = λ · S̄`` (Table I, derived)."""
         return self.arrival_rate * self.service_mean
 
-    @property
-    def service_rate(self) -> float:
-        """Service rate ``μ = 1/S̄`` (items/second); inf for zero cost."""
-        if self.service_mean <= 0:
-            return float("inf")
-        return 1.0 / self.service_mean
-
     def __repr__(self) -> str:
         return (
             f"VertexSummary({self.vertex_name!r}, l={self.task_latency:.6f}, "

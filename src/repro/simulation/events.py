@@ -58,13 +58,6 @@ class Event:
         """
         self.cancelled = True
 
-    def sort_key(self) -> Tuple[float, int]:
-        """Return the total-order key ``(time, seq)`` used by the kernel."""
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         if self.pooled:

@@ -84,10 +84,6 @@ class Distribution:
         sample = self.sample
         return [sample(rng) for _ in range(n)]
 
-    def scaled(self, factor: float) -> "Distribution":
-        """Return a copy of this distribution with the mean scaled."""
-        raise NotImplementedError
-
 
 class Deterministic(Distribution):
     """A constant: every sample equals ``value`` (cv = 0)."""
@@ -104,9 +100,6 @@ class Deterministic(Distribution):
 
     def sample_block(self, rng: random.Random, n: int) -> List[float]:
         return [self.value] * n
-
-    def scaled(self, factor: float) -> "Deterministic":
-        return Deterministic(self.value * factor)
 
     def __repr__(self) -> str:
         return f"Deterministic({self.value!r})"
@@ -130,9 +123,6 @@ class Exponential(Distribution):
         log = math.log
         rand = rng.random
         return [-log(1.0 - rand()) / lambd for _ in range(n)]
-
-    def scaled(self, factor: float) -> "Exponential":
-        return Exponential(self.mean * factor)
 
     def __repr__(self) -> str:
         return f"Exponential(mean={self.mean!r})"
@@ -211,9 +201,6 @@ class Gamma(Distribution):
             append(x * beta)
         return out
 
-    def scaled(self, factor: float) -> "Gamma":
-        return Gamma(self.mean * factor, self.cv)
-
     def __repr__(self) -> str:
         return f"Gamma(mean={self.mean!r}, cv={self.cv!r})"
 
@@ -240,9 +227,6 @@ class Uniform(Distribution):
         span = self.high - low
         rand = rng.random
         return [low + span * rand() for _ in range(n)]
-
-    def scaled(self, factor: float) -> "Uniform":
-        return Uniform(self.low * factor, self.high * factor)
 
     def __repr__(self) -> str:
         return f"Uniform({self.low!r}, {self.high!r})"

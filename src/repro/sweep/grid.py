@@ -109,24 +109,6 @@ class SweepGrid:
         )
 
     @classmethod
-    def twitter(cls) -> "SweepGrid":
-        """The paper's Twitter scenario as an evaluation grid.
-
-        Four seeds of the scaled-down TwitterSentiment job — the grid
-        behind the committed ``baselines/twitter.json`` evaluation
-        baseline (see :mod:`repro.evaluate`).
-        """
-        return cls(
-            name="twitter",
-            seeds=(1, 2, 3, 4),
-            rates=(240.0,),
-            bounds=(0.030,),
-            workloads=("twitter",),
-            actuation=(False,),
-            duration=40.0,
-        )
-
-    @classmethod
     def shared_cluster(cls) -> "SweepGrid":
         """The CI shared-cluster smoke grid.
 

@@ -81,13 +81,6 @@ class PoolStats:
         #: would roughly have taken
         self.serial_estimate_s = 0.0
 
-    @property
-    def speedup(self) -> float:
-        """Wall-clock speedup vs. running the executed jobs serially."""
-        if self.wall_s <= 0.0:
-            return 1.0
-        return self.serial_estimate_s / self.wall_s
-
 
 def _mp_context():
     # fork (where available) inherits sys.path and is fast; spawn is the

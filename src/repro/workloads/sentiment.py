@@ -10,7 +10,7 @@ meaningful output: token-level lexicon scoring with negation handling.
 from __future__ import annotations
 
 import re
-from typing import Dict, Tuple
+from typing import Dict
 
 #: a compact polarity lexicon (score in [-2, 2])
 SENTIMENT_LEXICON: Dict[str, int] = {
@@ -82,12 +82,3 @@ class SentimentAnalyzer:
         if len(cache) < self._CACHE_MAX:
             cache[text] = label
         return label
-
-    def classify_with_score(self, text: str) -> Tuple[str, int]:
-        """``(label, score)`` in one pass-equivalent call."""
-        value = self.score(text)
-        if value >= self.threshold:
-            return POSITIVE, value
-        if value <= -self.threshold:
-            return NEGATIVE, value
-        return NEUTRAL, value

@@ -21,6 +21,7 @@ from repro.core.elastic_scaler import ElasticScaler
 from repro.core.scale_reactively import ScalingDecision
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.engine.scheduler import ScalingResult
+from repro.obs.config import ObservabilityConfig
 from repro.obs.trace import (
     BRANCH_ACTUATION_FAILED,
     BRANCH_ACTUATION_PENDING,
@@ -107,9 +108,11 @@ def build_actuation_chaos_pipeline(fault_seed=0, **actuate_kwargs):
     )
 
 
-def run_actuation_chaos(duration=120.0, engine_seed=7, **actuate_kwargs):
+def run_actuation_chaos(duration=120.0, engine_seed=7, observability=None, **actuate_kwargs):
     pipeline = build_actuation_chaos_pipeline(**actuate_kwargs)
-    engine = StreamProcessingEngine(EngineConfig(elastic=True, seed=engine_seed))
+    engine = StreamProcessingEngine(
+        EngineConfig(elastic=True, seed=engine_seed), observability=observability
+    )
     job = engine.submit(pipeline)
     engine.run(duration)
     return engine, job
@@ -204,7 +207,6 @@ class TestScalingResult:
         job.engine.run(1.0)
         result = job.scheduler.set_parallelism("Worker", 5)
         assert result == ScalingResult(3, 3)
-        assert not result.clamped
 
     def test_noop_is_zero_zero(self):
         job = deploy()
@@ -222,7 +224,6 @@ class TestScalingResult:
         result = job.scheduler.set_parallelism("Worker", 2)
         # live parallelism (2) is at min_parallelism: nothing is drainable
         assert result == ScalingResult(-3, 0)
-        assert result.clamped
         assert rv.tasks == tasks_before
         assert all(t.state == "running" for t in rv.tasks)
 
@@ -251,7 +252,7 @@ class TestScalingResult:
 class TestReconciler:
     def test_scale_up_applies_after_provisioning_delay(self):
         job = deploy()
-        rec, _ = make_reconciler(job)
+        rec, sink = make_reconciler(job, trace=True)
         delta = rec.request("Worker", 4)
         assert delta == 2
         assert rec.in_flight_vertices() == ["Worker"]
@@ -259,9 +260,8 @@ class TestReconciler:
         job.engine.run(0.6)  # Deterministic(0.5) provisioning
         assert job.runtime.vertex("Worker").target_parallelism == 4
         assert rec.in_flight == {}
-        assert rec.applied == 1
-        kinds = [kind for _, kind, _, _, _ in rec.trace()]
-        assert kinds == ["request", "applied"]
+        assert rec.requests == 1 and rec.applied == 1
+        assert [r.branch for r in sink.records] == [BRANCH_ACTUATION_PENDING]
 
     def test_noop_target_not_issued(self):
         job = deploy()
@@ -286,17 +286,16 @@ class TestReconciler:
 
     def test_backoff_grows_exponentially(self):
         job = deploy()
-        rec, _ = make_reconciler(
-            job, backoff_base=1.0, backoff_factor=2.0, max_retries=3
+        rec, sink = make_reconciler(
+            job, trace=True, backoff_base=1.0, backoff_factor=2.0, max_retries=3
         )
         rec.fail_actuations(None, until=1e9)  # "*": everything fails
         rec.request("Worker", 4)
         job.engine.run(30.0)
         backoffs = [
-            float(detail.split("=")[1])
-            for _, kind, _, _, detail in rec.trace() if kind == "retry"
+            r.detail for r in sink.records if r.branch == BRANCH_RETRY_BACKOFF
         ]
-        assert backoffs == [1.0, 2.0, 4.0]
+        assert backoffs == ["retry in 1.000s", "retry in 2.000s", "retry in 4.000s"]
 
     def test_give_up_after_max_retries(self):
         job = deploy()
@@ -306,7 +305,6 @@ class TestReconciler:
         job.engine.run(1.0)
         assert rec.give_ups == 1
         assert rec.in_flight == {}
-        assert any(kind == "give-up" for _, kind, _, _, _ in rec.trace())
         assert job.runtime.vertex("Worker").target_parallelism == 2
 
     def test_give_up_counts_as_abandoned(self):
@@ -323,13 +321,13 @@ class TestReconciler:
 
     def test_timeout_counts_as_failure(self):
         job = deploy()
-        rec, _ = make_reconciler(
-            job, provisioning_delay=Deterministic(5.0), timeout=1.0,
+        rec, sink = make_reconciler(
+            job, trace=True, provisioning_delay=Deterministic(5.0), timeout=1.0,
             max_retries=0,
         )
         rec.request("Worker", 4)
         job.engine.run(1.5)
-        failed = [d for _, kind, _, _, d in rec.trace() if kind == "failed"]
+        failed = [r.detail for r in sink.records if r.branch == BRANCH_ACTUATION_FAILED]
         assert failed and "timeout" in failed[0]
 
     def test_delay_window_stretches_provisioning(self):
@@ -345,15 +343,15 @@ class TestReconciler:
     def test_sampled_failures_are_seeded(self):
         def outage_trace(seed):
             job = deploy()
-            rec, _ = make_reconciler(
-                job, seed=seed, max_retries=5, provisioning_delay=Uniform(0.3, 1.2),
-                backoff_jitter=0.1,
+            rec, sink = make_reconciler(
+                job, trace=True, seed=seed, max_retries=5,
+                provisioning_delay=Uniform(0.3, 1.2), backoff_jitter=0.1,
             )
             rec.fail_actuations("Worker", until=20.0)
             rec.request("Worker", 4)
             job.engine.run(60.0)
             assert rec.failures >= 2 and rec.applied == 1
-            return rec.trace()
+            return [r.to_dict() for r in sink.records]
 
         # provisioning delays and retry jitter are seeded draws: same seed,
         # same lifecycle; another seed moves the jittered backoffs
@@ -449,8 +447,6 @@ class TestReconcilerConvergenceRegressions:
         assert rec.applied == 1    # exactly one application — no double-apply
         assert rec.superseded_requests == 1
         assert rec.in_flight == {} and rec.desired == {}
-        kinds = [kind for _, kind, _, _, _ in rec.trace()]
-        assert "superseded" in kinds
 
     def test_partial_application_keeps_desired_and_lag(self):
         """Partial application must not be declared convergence.
@@ -470,7 +466,6 @@ class TestReconcilerConvergenceRegressions:
         assert rec.partials == 1
         assert rec.desired == {"Worker": 2}
         assert rec.convergence_lag() == 3
-        assert any(kind == "partial" for _, kind, _, _, _ in rec.trace())
 
     def test_partial_application_eventually_converges(self):
         """The kept remainder is re-issued and converges once drainable."""
@@ -486,8 +481,7 @@ class TestReconcilerConvergenceRegressions:
         assert job.runtime.vertex("Worker").target_parallelism == 2
         assert rec.convergence_lag() == 0
         assert rec.desired == {} and rec.in_flight == {}
-        kinds = [kind for _, kind, _, _, _ in rec.trace()]
-        assert "re-issue" in kinds
+        assert rec.requests == 2  # the original and the re-issued remainder
 
     def test_full_application_still_clears_state(self):
         """The partial path must not leak state on ordinary successes."""
@@ -542,10 +536,10 @@ class TestScalerIntegration:
             .map("worker", lambda x: x, service=Deterministic(0.001))
             .sink()
             .constrain(bound=0.050)
+            .actuate()
             .build()
         )
-        config = EngineConfig(elastic=True, actuation=ActuationConfig())
-        engine = StreamProcessingEngine(config)
+        engine = StreamProcessingEngine(EngineConfig(elastic=True))
         job = engine.submit(pipeline)
         assert job.reconciler is not None
         assert job.scaler is not None
@@ -583,10 +577,9 @@ class TestScalerIntegration:
             in job.fault_injector.trace()
 
     def test_actuation_fault_reaches_reconciler(self):
-        config = EngineConfig(actuation=ActuationConfig())
-        engine = StreamProcessingEngine(config)
+        engine = StreamProcessingEngine(EngineConfig())
         plan = FaultPlan((ActuationFailure(at=0.5, duration=2.0, vertex="Worker"),))
-        job = engine.submit(make_linear_job(), fault_plan=plan)
+        job = engine.submit(make_linear_job(), fault_plan=plan, actuation=ActuationConfig())
         engine.run(1.0)
         assert job.reconciler._fault_active("Worker")
         kinds = [kind for _, kind, _, _ in job.fault_injector.trace()]
@@ -605,7 +598,7 @@ class TestScalerIntegration:
 class TestActuationChaosAcceptance:
     def _fingerprint(self, engine, job):
         return {
-            "actuation": job.reconciler.trace(),
+            "trace": [record.to_dict() for record in job.trace.records],
             "faults": job.fault_injector.trace(),
             "scaling_log": list(job.scheduler.scaling_log),
             "parallelism": {
@@ -631,8 +624,10 @@ class TestActuationChaosAcceptance:
         assert recent and not any(violated for _, _, violated in recent)
 
     def test_same_seed_is_byte_identical(self):
-        first = self._fingerprint(*run_actuation_chaos())
-        second = self._fingerprint(*run_actuation_chaos())
+        observability = ObservabilityConfig(metrics=True, trace=True)
+        first = self._fingerprint(*run_actuation_chaos(observability=observability))
+        second = self._fingerprint(*run_actuation_chaos(observability=observability))
+        assert any(r["branch"] == BRANCH_RETRY_BACKOFF for r in first["trace"])
         assert first == second
 
     def test_unsupervised_run_unchanged_by_actuation_faults(self):
@@ -656,7 +651,7 @@ class TestActuationChaosAcceptance:
             engine.run(80.0)
             return (
                 list(job.scheduler.scaling_log),
-                [repr(e) for e in job.scaler.events],
+                [(e.time, e.applied) for e in job.scaler.events],
             )
 
         assert run(with_fault=False) == run(with_fault=True)

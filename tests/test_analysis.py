@@ -21,7 +21,6 @@ from repro.analysis.queueing import (
     mm1_queue_length,
     mm1_waiting_time,
     mmc_waiting_time,
-    required_servers,
 )
 
 
@@ -132,25 +131,6 @@ class TestAllenCunneen:
     def test_invalid_servers(self):
         with pytest.raises(ValueError):
             allen_cunneen_waiting_time(50.0, 0.01, 0)
-
-
-class TestRequiredServers:
-    def test_minimal_and_sufficient(self):
-        c = required_servers(500.0, 0.01, wait_budget=0.002)
-        assert allen_cunneen_waiting_time(500.0, 0.01, c) <= 0.002
-        assert (
-            c == 6  # offered load 5: stability alone needs 6
-            or allen_cunneen_waiting_time(500.0, 0.01, c - 1) > 0.002
-        )
-
-    def test_tighter_budget_needs_more(self):
-        loose = required_servers(500.0, 0.01, 0.01)
-        tight = required_servers(500.0, 0.01, 0.0001)
-        assert tight >= loose
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            required_servers(10.0, 0.01, 0.0)
 
 
 class TestPipelinePrediction:

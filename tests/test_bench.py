@@ -14,6 +14,7 @@ import json
 import pytest
 
 import repro.bench.core as bench
+from repro import cli
 from repro.bench.legacy import LegacySimulator
 from repro.simulation.kernel import Simulator
 
@@ -214,16 +215,16 @@ class TestMain:
         monkeypatch.setattr(bench, "QUICK_EVENTS", 800)
         monkeypatch.setattr(bench, "QUICK_REPEATS", 1)
         out = str(tmp_path / "BENCH_core.json")
-        assert bench.main(["--quick", "--no-macro", "--out", out]) == 0
+        assert cli.main(["bench", "--quick", "--no-macro", "--out", out]) == 0
         assert bench.load_results(out)["quick"] is True
-        # --check against this run's own --out file: main writes before it
+        # --check against this run's own --out file: bench writes before it
         # checks, so the comparison is deterministic (identical payloads)
         # while still driving load_results + check_regression + reporting.
         # Comparing two independent toy-sized timed runs flakes on noisy
         # machines.
         out2 = str(tmp_path / "BENCH_core2.json")
         assert (
-            bench.main(["--quick", "--no-macro", "--out", out2, "--check", out2]) == 0
+            cli.main(["bench", "--quick", "--no-macro", "--out", out2, "--check", out2]) == 0
         )
         captured = capsys.readouterr()
         assert "regression check OK" in captured.out
@@ -235,7 +236,7 @@ class TestMain:
         path = str(tmp_path / "baseline.json")
         bench.write_results(baseline, path)
         out = str(tmp_path / "fresh.json")
-        assert bench.main(["--quick", "--no-macro", "--out", out, "--check", path]) == 1
+        assert cli.main(["bench", "--quick", "--no-macro", "--out", out, "--check", path]) == 1
         captured = capsys.readouterr()
         assert "REGRESSION CHECK FAILED" in captured.err
 

@@ -79,7 +79,7 @@ class TestBuilderStructure:
         (constraint,) = built.constraints
         assert constraint.bound == 0.030
         assert constraint.sequence.vertex_names() == ["double"]
-        assert constraint.sequence.edge_names() == ["source->double", "double->sink"]
+        assert [e.name for e in constraint.sequence.edges] == ["source->double", "double->sink"]
 
 
 class TestBuilderErrors:

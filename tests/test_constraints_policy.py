@@ -72,8 +72,11 @@ class TestLatencyConstraint:
     def test_violation_check(self):
         graph = make_graph()
         summary = make_summary()
-        assert LatencyConstraint(make_constraint(graph).sequence, 0.008).is_violated(summary)
-        assert not LatencyConstraint(make_constraint(graph).sequence, 0.020).is_violated(summary)
+        tight = ConstraintTracker(LatencyConstraint(make_constraint(graph).sequence, 0.008))
+        loose = ConstraintTracker(LatencyConstraint(make_constraint(graph).sequence, 0.020))
+        tight.observe(1.0, summary)
+        loose.observe(1.0, summary)
+        assert tight.history[-1][2] and not loose.history[-1][2]
 
     def test_task_latency_sum(self):
         graph = make_graph()

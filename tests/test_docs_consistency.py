@@ -49,10 +49,11 @@ class TestPublicApi:
         assert re.match(r"^\d+\.\d+\.\d+$", repro.__version__)
 
     def test_top_level_export_count(self):
-        # the 88 names of the eager __init__ plus MigrationFailure, minus LogNormal
-        assert len(repro.__all__) == 88
+        # the 88 names of the eager __init__ plus MigrationFailure, minus
+        # LogNormal and required_servers
+        assert len(repro.__all__) == 87
         assert repro.__all__[0] == "__version__"
-        assert len(set(repro.__all__)) == 88
+        assert len(set(repro.__all__)) == 87
 
     @pytest.mark.parametrize("package", PACKAGES)
     def test_every_export_is_its_defining_modules_object(self, package):
@@ -215,6 +216,56 @@ class TestApiDocMembers:
         instance = make()
         assert len(names) >= 5
         assert sorted(n for n in names if not hasattr(instance, n)) == []
+
+    def test_first_column_names_resolve(self):
+        """Every name a table row of docs/API.md leads with is defined."""
+        src = os.path.join(ROOT, "src")
+        defined, members = set(), {}
+        modules = {}
+        for dirpath, _, files in os.walk(os.path.join(src, "repro")):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                dotted = os.path.relpath(path, src)[:-3].replace(os.sep, ".")
+                module = modules[dotted.removesuffix(".__init__")] = set()
+                tree = ast.parse(read(path))
+                for node in ast.walk(tree):
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                        defined.add(node.name)
+                    if isinstance(node, ast.ClassDef):
+                        members[node.name] = {
+                            child.name for child in node.body
+                            if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                        }
+                for node in tree.body:
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                        module.add(node.name)
+                    targets = getattr(node, "targets", [getattr(node, "target", None)])
+                    module.update(t.id for t in targets if isinstance(t, ast.Name))
+                defined.update(module)
+
+        def resolves(name):
+            if name.startswith(("repro.", "experiments.")):
+                parts = name.removeprefix("repro.").split(".")
+                for cut in range(len(parts), 0, -1):
+                    dotted = "repro." + ".".join(parts[:cut])
+                    if dotted in modules:
+                        rest = parts[cut:]
+                        return not rest or (len(rest) == 1 and rest[0] in modules[dotted])
+                return False
+            head, _, member = name.partition(".")
+            return head in defined and (not member or member in members.get(head, ()))
+
+        names = []
+        for line in read("docs/API.md").splitlines():
+            if line.startswith("| ") and not line.startswith("|---"):
+                for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                    match = re.match(r"[A-Za-z_][\w.]*", token)
+                    if match:  # quoted literals and tuples name nothing
+                        names.append(match.group(0))
+        assert len(names) >= 150
+        assert [n for n in names if not resolves(n)] == []
 
 
 #: the other documents whose ``python -m repro ...`` lines must be real

@@ -7,6 +7,7 @@ from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
 from repro.graphs.job_graph import JobGraph
 from repro.graphs.sequences import JobSequence
+from repro.obs.trace import BRANCH_BOTTLENECK, DecisionTrace
 from repro.simulation.randomness import Gamma
 from repro.workloads.rates import ConstantRate, PiecewiseRate
 
@@ -57,12 +58,16 @@ class TestReactiveScaling:
         profile = PiecewiseRate([(0.0, 1500.0)])
         graph, js = elastic_job(profile, p_init=2)
         job = deploy_elastic(graph, LatencyConstraint(js, 0.050))
+        assert job.scaler is not None
+        job.scaler.trace_sink = DecisionTrace()
         job.engine.run(40.0)
         # p=2 gives capacity 500/s against 1500/s offered: deep bottleneck;
         # ResolveBottlenecks must have fired and scaled out repeatedly.
         assert job.parallelism("Worker") >= 6
-        assert job.scaler is not None
-        assert any(e.reason == "bottleneck" for e in job.scaler.events)
+        assert any(
+            r.branch == BRANCH_BOTTLENECK and r.p_applied
+            for r in job.scaler.trace_sink.records
+        )
 
     def test_constraint_mostly_fulfilled_steady_state(self):
         graph, js = elastic_job(ConstantRate(400.0), p_init=4)
@@ -85,7 +90,7 @@ class TestReactiveScaling:
         graph, js = elastic_job(profile, p_init=2, p_max=3)
         job = deploy_elastic(graph, LatencyConstraint(js, 0.030))
         job.engine.run(40.0)
-        assert job.scaler.unresolvable_log
+        assert job.scaler.unresolvable > 0
 
     def test_scaling_events_have_applied_deltas(self):
         profile = PiecewiseRate([(0.0, 50.0), (20.0, 900.0)])
@@ -130,7 +135,7 @@ class TestDeterminism:
         return {
             "decisions": decisions,
             "scaling_log": list(job.scheduler.scaling_log),
-            "events": [repr(e) for e in scaler.events],
+            "events": [(e.time, e.applied) for e in scaler.events],
             "parallelism": {
                 name: rv.parallelism
                 for name, rv in job.runtime.vertices.items()

@@ -110,18 +110,19 @@ class TestElasticScaler:
         decision.unresolvable.append("W")
         sim, scheduler, policy, scaler = make_scaler([decision])
         scaler.on_global_summary(None)
-        assert scaler.unresolvable_log == [(0.0, "W")]
+        assert scaler.unresolvable == 1
 
     def test_bottleneck_reason_recorded(self):
         sim, scheduler, policy, scaler = make_scaler(
             [decision_with({"W": 4}, bottleneck=True)], deltas={"W": 2}
         )
-        scaler.on_global_summary(None)
-        assert scaler.events[0].reason == "bottleneck"
+        decision = scaler.on_global_summary(None)
+        assert decision.bottleneck_constraints
+        assert scaler.events[0].applied == {"W": 2}
 
     def test_event_repr(self):
-        event = ScalingEvent(1.0, {"W": 4}, {"W": 2}, "rebalance")
-        assert "rebalance" in repr(event)
+        event = ScalingEvent(1.0, {"W": 2})
+        assert "'W': 2" in repr(event)
 
     def test_current_parallelism_passed_to_policy(self):
         class RecordingPolicy(FakePolicy):

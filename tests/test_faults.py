@@ -78,7 +78,7 @@ class TestChaosAcceptance:
         return {
             "faults": job.fault_injector.trace(),
             "scaling_log": list(job.scheduler.scaling_log),
-            "scaler_events": [repr(e) for e in job.scaler.events],
+            "scaler_events": [(e.time, e.applied) for e in job.scaler.events],
             "parallelism": {
                 name: rv.parallelism for name, rv in job.runtime.vertices.items()
             },

@@ -109,8 +109,8 @@ FEATURES = {
         ("repro.actuation.reconciler",),
         """
         from repro import ActuationConfig
-        engine = StreamProcessingEngine(EngineConfig(elastic=True, actuation=ActuationConfig()))
-        job = engine.submit(*job_graph())
+        engine = StreamProcessingEngine(EngineConfig(elastic=True))
+        job = engine.submit(*job_graph(), actuation=ActuationConfig())
         """,
     ),
     "stateful": (

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation.events import Event
 from repro.simulation.kernel import SimulationError, Simulator
 
 
@@ -216,12 +215,13 @@ class TestRunSemantics:
 
 
 class TestEventHandle:
-    def test_event_ordering_by_time_then_seq(self):
-        a = Event(1.0, 0, lambda: None, ())
-        b = Event(1.0, 1, lambda: None, ())
-        c = Event(2.0, 0, lambda: None, ())
-        assert a < b < c
-        assert a.sort_key() == (1.0, 0)
+    def test_event_ordering_by_time_then_seq(self, sim):
+        fired = []
+        sim.schedule(2.0, fired.append, "c")
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(1.0, fired.append, "b")  # same time: scheduling order
+        sim.run()
+        assert fired == ["a", "b", "c"]
 
     def test_cancel_is_idempotent(self, sim):
         handle = sim.schedule(1.0, lambda: None)

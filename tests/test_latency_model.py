@@ -228,11 +228,6 @@ class TestSequenceModel:
         model = SequenceLatencyModel("js", [m1, m2])
         assert [m.name for m in model.scalable_models()] == ["v"]
 
-    def test_lookup(self):
-        m1 = make_model()
-        model = SequenceLatencyModel("js", [m1])
-        assert model.model("v") is m1
-
 
 class TestFitCoefficient:
     def vertex_summary(self, lam=100.0, s=0.004, ca=1.0, cs=1.0):

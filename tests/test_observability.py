@@ -36,7 +36,6 @@ from repro.obs import (
     SamplingClock,
     TraceRecord,
     finite_or_none,
-    global_registry,
     graph_hash,
     utilization_samples,
     validate_record_dict,
@@ -140,7 +139,7 @@ class TestMetricsPrimitives:
         assert r.counter("a") is r.counter("a")
         assert r.gauge("b") is r.gauge("b")
         assert r.histogram("c") is r.histogram("c")
-        assert r.names() == ["a", "b", "c"]
+        assert list(r.snapshot()) == ["a", "b", "c"]
         assert len(r) == 3
 
     def test_registry_kind_mismatch(self):
@@ -158,9 +157,6 @@ class TestMetricsPrimitives:
         assert snap["a"] == 2
         assert snap["b"] == 1.5
         assert snap["c"]["count"] == 1
-
-    def test_global_registry_is_singleton(self):
-        assert global_registry() is global_registry()
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +309,8 @@ class TestTraceSchema:
         assert loaded.rounds == 2
         assert loaded.records[1].vertex == "worker"
         assert loaded.branches() == {BRANCH_STALE_SKIP: 1, BRANCH_REBALANCE: 1}
-        assert loaded.for_vertex("worker")[0].p_applied == -1
-        assert len(loaded.for_constraint("e2e")) == 2
+        assert [r.p_applied for r in loaded.records if r.vertex == "worker"] == [-1]
+        assert sum(r.constraint == "e2e" for r in loaded.records) == 2
 
     def test_validate_trace_file_reports_bad_lines(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -340,19 +336,6 @@ class TestSamplingClock:
         assert [tag for tag, _ in calls] == ["a", "b", "a", "b"]
         assert calls[0][1] == pytest.approx(5.0, abs=1e-5)
 
-    def test_unsubscribe_and_stop(self):
-        sim = Simulator()
-        clock = SamplingClock(sim, 1.0)
-        calls = []
-        cb = lambda now: calls.append(now)
-        clock.subscribe(cb)
-        assert clock.subscriber_count == 1
-        sim.run(until=1.5)
-        clock.unsubscribe(cb)
-        sim.run(until=3.5)
-        assert len(calls) == 1
-        clock.stop()
-
     def test_engine_clock_shared_per_interval(self):
         engine = StreamProcessingEngine(EngineConfig())
         assert engine.sampling_clock(5.0) is engine.sampling_clock(5.0)
@@ -364,7 +347,6 @@ class TestSamplingClock:
         engine = StreamProcessingEngine(EngineConfig())
         recorder = SeriesRecorder(engine, interval=5.0)
         clock = engine.sampling_clock(5.0)
-        assert clock.subscriber_count == 1
         assert recorder._clock is clock
 
     def test_utilization_samples_deltas_and_eviction(self):
@@ -538,10 +520,8 @@ class TestEndToEnd:
         obs = ObservabilityConfig()
         enabled_engine, enabled = run_elastic(duration=90.0, observability=obs)
         assert baseline.scheduler.scaling_log == enabled.scheduler.scaling_log
-        assert [
-            (e.time, e.targets, e.applied, e.reason) for e in baseline.scaler.events
-        ] == [
-            (e.time, e.targets, e.applied, e.reason) for e in enabled.scaler.events
+        assert [(e.time, e.applied) for e in baseline.scaler.events] == [
+            (e.time, e.applied) for e in enabled.scaler.events
         ]
 
     def test_graph_hash_stable_and_structure_sensitive(self):

@@ -23,14 +23,6 @@ class TestRoundRobin:
         p = RoundRobinPartitioner(3, start=2)
         assert [p.select(None)[0] for _ in range(3)] == [2, 0, 1]
 
-    def test_resize_keeps_cursor_valid(self):
-        p = RoundRobinPartitioner(5)
-        for _ in range(4):
-            p.select(None)
-        p.resize(2)
-        picks = [p.select(None)[0] for _ in range(4)]
-        assert all(0 <= i < 2 for i in picks)
-
     def test_balanced_distribution(self):
         p = RoundRobinPartitioner(4)
         counts = [0] * 4
@@ -79,11 +71,6 @@ class TestBroadcast:
     def test_selects_all(self):
         p = BroadcastPartitioner(4)
         assert list(p.select("x")) == [0, 1, 2, 3]
-
-    def test_resize(self):
-        p = BroadcastPartitioner(2)
-        p.resize(5)
-        assert list(p.select("x")) == [0, 1, 2, 3, 4]
 
 
 class TestFactory:

@@ -648,8 +648,8 @@ class TestReactionTime:
             (30.0, 0.05, True),   # onset at t=30
         ])]
         events = [
-            ScalingEvent(12.0, {"worker": 5}, {"worker": 1}, "scale-out"),
-            ScalingEvent(31.0, {"worker": 6}, {"worker": 1}, "scale-out"),
+            ScalingEvent(12.0, {"worker": 1}),
+            ScalingEvent(31.0, {"worker": 1}),
         ]
         assert reaction_time_s(trackers, events) == pytest.approx(1.5)
 

@@ -61,10 +61,10 @@ class TestChannelReporter:
         r = ChannelReporter("E", 7)
         r.record_channel_latency(0.01)
         r.record_output_batch_latency(0.004)
-        m = r.flush(1.0)
-        assert m.channel_latency.mean == pytest.approx(0.01)
-        assert m.output_batch_latency.mean == pytest.approx(0.004)
-        assert (m.edge_name, m.channel_id) == ("E", 7)
+        channel_latency, output_batch_latency = r.drain()
+        assert channel_latency.mean == pytest.approx(0.01)
+        assert output_batch_latency.mean == pytest.approx(0.004)
+        assert (r.edge_name, r.channel_id) == ("E", 7)
 
 
 class TestQoSManager:
@@ -185,16 +185,11 @@ class TestSummaryTypes:
         vs = VertexSummary("V", 0.001, 0.004, 0.5, 0.01, 1.0, n_tasks=2)
         assert vs.arrival_rate == pytest.approx(100.0)
         assert vs.utilization == pytest.approx(0.4)
-        assert vs.service_rate == pytest.approx(250.0)
 
     def test_zero_interarrival_means_no_arrivals(self):
         vs = VertexSummary("V", 0.0, 0.004, 0.5, 0.0, 0.0, n_tasks=1)
         assert vs.arrival_rate == 0.0
         assert vs.utilization == 0.0
-
-    def test_zero_service_rate_infinite(self):
-        vs = VertexSummary("V", 0.0, 0.0, 0.0, 0.01, 0.0, n_tasks=1)
-        assert vs.service_rate == float("inf")
 
     def test_edge_queueing_time_clamped(self):
         es = EdgeSummary("E", 0.001, 0.002, 1)  # obl > latency (noise)

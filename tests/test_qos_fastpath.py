@@ -318,10 +318,10 @@ class _ReferenceManager(QoSManager):
             if channel.closed:
                 del self._channels[cid]
                 continue
-            measurement = reporter.flush(now)
+            channel_latency, output_batch_latency = reporter.drain()
             if not suppressed:
-                windows.latency.push(measurement.channel_latency)
-                windows.obl.push(measurement.output_batch_latency)
+                windows.latency.push(channel_latency)
+                windows.obl.push(output_batch_latency)
 
 
 def _summary_fields(summary):
@@ -426,7 +426,7 @@ class TestCollectAgainstFlushAndPush:
         for _task, reporter in tasks:
             assert reporter.flush(1.5).service_time is EMPTY_SNAPSHOT
         for _channel, reporter in channels:
-            assert reporter.flush(1.5).channel_latency is EMPTY_SNAPSHOT
+            assert reporter.drain()[0] is EMPTY_SNAPSHOT
         manager.collect(3.0)
         summary = manager.partial_summary(3.0)
         assert not summary.vertices and not summary.edges

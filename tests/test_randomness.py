@@ -68,9 +68,6 @@ class TestDeterministic:
         assert d.mean == 3.0
         assert d.cv == 0.0
 
-    def test_scaled(self):
-        assert Deterministic(2.0).scaled(0.5).value == 1.0
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Deterministic(-1.0)
@@ -84,9 +81,6 @@ class TestExponential:
     def test_cv_is_one(self):
         _, cv = sample_stats(Exponential(0.5))
         assert cv == pytest.approx(1.0, rel=0.08)
-
-    def test_scaled(self):
-        assert Exponential(2.0).scaled(2.0).mean == 4.0
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -103,11 +97,6 @@ class TestGamma:
     def test_samples_positive(self, rng):
         g = Gamma(0.002, 0.7)
         assert all(g.sample(rng) > 0 for _ in range(100))
-
-    def test_scaled_preserves_cv(self):
-        g = Gamma(1.0, 0.5).scaled(3.0)
-        assert g.mean == 3.0
-        assert g.cv == 0.5
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -133,16 +122,8 @@ class TestUniform:
         with pytest.raises(ValueError):
             Uniform(-1.0, 1.0)
 
-    def test_scaled(self):
-        u = Uniform(1.0, 2.0).scaled(2.0)
-        assert (u.low, u.high) == (2.0, 4.0)
-
 
 class TestBaseClass:
     def test_sample_not_implemented(self, rng):
         with pytest.raises(NotImplementedError):
             Distribution().sample(rng)
-
-    def test_scaled_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            Distribution().scaled(2.0)

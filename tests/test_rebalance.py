@@ -50,9 +50,9 @@ class TestBasics:
     def test_bounds_respected(self):
         model = model_of((300.0, 0.01, 1.5), p_max=10)
         result = rebalance(model, 0.0005)
+        models = {m.name: m for m in model.models}
         for name, p in result.parallelism.items():
-            m = model.model(name)
-            assert m.p_min <= p <= m.p_max
+            assert models[name].p_min <= p <= models[name].p_max
 
     def test_no_scalable_vertices(self):
         m = VertexModel("fixed", 2, 2, 2, 100.0, 0.004, 1.0, scalable=False)

@@ -42,7 +42,7 @@ class TestReservationAccounting:
         rm.register_job("a", "alpha")
         grant = rm.request_slots("a", 3)
         assert grant.admitted
-        assert rm.reserved_slots == 3
+        assert rm.account("a").reserved == 3
         assert rm.free_slots_available() == 4  # reservations are not physical
         assert rm.allocatable_slots() == 1
         for _ in range(3):
@@ -50,14 +50,12 @@ class TestReservationAccounting:
         account = rm.account("a")
         assert account.reserved == 0
         assert account.held == 3
-        assert rm.reserved_slots == 0
 
     def test_cancel_returns_reserved_slots(self):
         rm = _rm()
         rm.register_job("a", "alpha")
         rm.request_slots("a", 2)
         rm.cancel_reservation("a", 2)
-        assert rm.reserved_slots == 0
         assert rm.account("a").reserved == 0
         assert rm.allocatable_slots() == 4
 
@@ -66,7 +64,8 @@ class TestReservationAccounting:
         rm.register_job("a", "alpha")
         rm.request_slots("a", 1)
         rm.cancel_reservation("a", 99)
-        assert rm.reserved_slots == 0
+        assert rm.account("a").reserved == 0
+        assert rm.allocatable_slots() == 4
 
     def test_reservations_block_other_requests(self):
         rm = _rm()  # 4 slots total
@@ -83,7 +82,7 @@ class TestReservationAccounting:
         rm = _rm()
         assert rm.request_slots("a", 0) == AdmissionDecision(True)
         assert rm.request_slots("a", -1) == AdmissionDecision(True)
-        assert rm.reserved_slots == 0
+        assert rm.allocatable_slots() == rm.free_slots_available()
 
     def test_quota_caps_footprint(self):
         rm = _rm(pool_size=4)

@@ -96,7 +96,7 @@ class TestRuntimeGraph:
     def test_parallelism_of_empty_vertex_is_zero(self):
         _, runtime = self.make()
         assert runtime.parallelism("Worker") == 0
-        assert runtime.total_parallelism() == 0
+        assert sum(v.parallelism for v in runtime.vertices.values()) == 0
 
     def test_subtask_indices_monotone(self):
         _, runtime = self.make()
@@ -106,7 +106,7 @@ class TestRuntimeGraph:
     def test_live_engine_registry_consistent(self):
         job = run_linear(duration=3.0, n_workers=3)
         runtime = job.runtime
-        assert runtime.total_parallelism() == 5
+        assert sum(v.parallelism for v in runtime.vertices.values()) == 5
         assert len(runtime.all_tasks()) == 5
         assert len(runtime.channels_of_edge("Source->Worker")) == 3
         for channel in runtime.channels_of_edge("Source->Worker"):

@@ -51,7 +51,6 @@ class TestRuntimeVertex:
         ]
         assert vertex.parallelism == 2
         assert len(vertex.active_tasks()) == 2
-        assert len(vertex.draining_tasks()) == 1
 
     def test_target_parallelism_includes_pending_additions(self, graph):
         vertex = RuntimeVertex(graph.vertices["Worker"])
@@ -71,7 +70,7 @@ class TestRuntimeGraph:
         runtime.vertex("Source").tasks = [FakeTask(RUNNING)]
         runtime.vertex("Worker").tasks = [FakeTask(RUNNING), FakeTask(DRAINING)]
         assert len(runtime.all_tasks()) == 3
-        assert runtime.total_parallelism() == 2  # draining excluded
+        assert sum(v.parallelism for v in runtime.vertices.values()) == 2  # draining excluded
 
     def test_channel_registry_register_unregister(self, runtime, graph):
         edge_name = graph.edges[0].name
@@ -138,21 +137,20 @@ class TestChannelReporter:
         reporter.record_channel_latency(0.006)
         reporter.record_output_batch_latency(0.001)
 
-        measurement = reporter.flush(now=10.0)
-        assert measurement.edge_name == "Source->Worker"
-        assert measurement.channel_id == 7
-        assert measurement.timestamp == 10.0
-        assert measurement.channel_latency.count == 2
-        assert measurement.channel_latency.mean == pytest.approx(0.005)
-        assert measurement.output_batch_latency.count == 1
+        channel_latency, output_batch_latency = reporter.drain()
+        assert reporter.edge_name == "Source->Worker"
+        assert reporter.channel_id == 7
+        assert channel_latency.count == 2
+        assert channel_latency.mean == pytest.approx(0.005)
+        assert output_batch_latency.count == 1
 
-        empty = reporter.flush(now=11.0)
-        assert empty.channel_latency.count == 0
-        assert empty.output_batch_latency.count == 0
+        channel_latency, output_batch_latency = reporter.drain()
+        assert channel_latency.count == 0
+        assert output_batch_latency.count == 0
 
     def test_variance_survives_flush(self):
         reporter = ChannelReporter("edge", 0)
         for value in (1.0, 2.0, 3.0):
             reporter.record_channel_latency(value)
-        measurement = reporter.flush(now=0.0)
-        assert measurement.channel_latency.variance == pytest.approx(1.0)
+        channel_latency, _ = reporter.drain()
+        assert channel_latency.variance == pytest.approx(1.0)

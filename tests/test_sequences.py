@@ -26,19 +26,19 @@ class TestConstruction:
     def test_vertex_only_sequence(self, chain):
         js = JobSequence([chain.vertex("b")])
         assert js.vertex_names() == ["b"]
-        assert js.edge_names() == []
+        assert [e.name for e in js.edges] == []
 
     def test_edge_only_sequence(self, chain):
         edge = chain.edge_between("a", "b")
         js = JobSequence([edge])
-        assert js.edge_names() == ["a->b"]
+        assert [e.name for e in js.edges] == ["a->b"]
 
     def test_alternating_sequence(self, chain):
         e1 = chain.edge_between("a", "b")
         e2 = chain.edge_between("b", "c")
         js = JobSequence([e1, chain.vertex("b"), e2])
         assert js.vertex_names() == ["b"]
-        assert js.edge_names() == ["a->b", "b->c"]
+        assert [e.name for e in js.edges] == ["a->b", "b->c"]
         assert len(js) == 3
 
     def test_empty_rejected(self):
@@ -66,20 +66,20 @@ class TestFromNames:
     def test_simple_path(self, chain):
         js = JobSequence.from_names(chain, ["a", "b", "c"])
         assert js.vertex_names() == ["a", "b", "c"]
-        assert js.edge_names() == ["a->b", "b->c"]
+        assert [e.name for e in js.edges] == ["a->b", "b->c"]
 
     def test_leading_edge(self, chain):
         js = JobSequence.from_names(chain, ["b"], leading_edge=True)
-        assert js.edge_names() == ["a->b"]
+        assert [e.name for e in js.edges] == ["a->b"]
         assert isinstance(js.elements[0], type(chain.edge_between("a", "b")))
 
     def test_trailing_edge(self, chain):
         js = JobSequence.from_names(chain, ["b"], trailing_edge=True)
-        assert js.edge_names() == ["b->c"]
+        assert [e.name for e in js.edges] == ["b->c"]
 
     def test_both_edges(self, chain):
         js = JobSequence.from_names(chain, ["b"], leading_edge=True, trailing_edge=True)
-        assert js.edge_names() == ["a->b", "b->c"]
+        assert [e.name for e in js.edges] == ["a->b", "b->c"]
         assert js.name == "(e:a->b, b, e:b->c)"
 
     def test_leading_edge_ambiguous_rejected(self):
@@ -113,4 +113,4 @@ class TestAccessors:
         b = graph.add_vertex("b", udf_factory, parallelism=2, min_parallelism=1, max_parallelism=4)
         graph.connect(a, b)
         js = JobSequence.from_names(graph, ["a", "b"])
-        assert [v.name for v in js.elastic_vertices()] == ["b"]
+        assert [v.name for v in js.vertices if v.elastic] == ["b"]

@@ -123,7 +123,7 @@ class TestAdmissionHonesty:
         assert job_a.runtime.vertices["worker"].parallelism == 3
         assert job_b.runtime.vertices["worker"].parallelism == 1
         assert resources.active_tasks <= resources.total_slots
-        assert resources.reserved_slots == 0
+        assert job_a.account.reserved == 0 and job_b.account.reserved == 0
 
     def test_denied_request_leaks_no_reservation(self):
         engine, job_a, _job_b = self._two_jobs(worker_pool=2, slots_per_worker=4)
@@ -170,7 +170,7 @@ class TestQualifiedMetricKeys:
     def test_metric_rows_never_mix(self):
         engine, job_a, job_b, params = self._observed_engine()
         engine.run(20.0)
-        names = set(engine.metrics.names())
+        names = set(engine.metrics.snapshot())
         assert "service_time.worker" in names
         assert f"service_time.worker#job{job_b.job_id}" in names
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.simulation.events import Event
 from repro.simulation.kernel import SimulationError, Simulator
 
 
@@ -186,11 +185,6 @@ class TestPeriodic:
 
 
 class TestEventObject:
-    def test_sort_key_orders_by_time_then_seq(self):
-        a = Event(1.0, 0, lambda: None, ())
-        b = Event(1.0, 1, lambda: None, ())
-        c = Event(0.5, 2, lambda: None, ())
-        assert sorted([a, b, c]) == [c, a, b]
 
     def test_pending_events_counts_heap(self, sim):
         sim.schedule(1.0, lambda: None)

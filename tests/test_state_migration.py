@@ -62,7 +62,7 @@ class TestKeyedState:
             state.add(f"k{i}", 8)
         assert state.total_bytes == 160
         assert state.key_count == 20
-        assert sum(state.partition_bytes(i) for i in range(3)) == 160
+        assert sum(state.items().values()) == 160
 
     def test_plan_counts_exactly_the_relocating_keys(self):
         state = KeyedState("v", 2)
@@ -120,10 +120,11 @@ class TestKeyedState:
         lost = state.restore_partition(0, checkpoint)
         p0_keys = [k for k in checkpoint if stable_key_hash(k) % 2 == 0]
         assert lost == 10 * len(p0_keys)  # the un-checkpointed deltas
-        assert state.partition_bytes(0) == 10 * len(p0_keys)
+        restored = state.items()
+        assert sum(restored[k] for k in p0_keys) == 10 * len(p0_keys)
         # partition 1 keeps its post-checkpoint growth
         p1_keys = [k for k in checkpoint if stable_key_hash(k) % 2 == 1]
-        assert state.partition_bytes(1) == 20 * len(p1_keys)
+        assert sum(restored[k] for k in p1_keys) == 20 * len(p1_keys)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="parallelism"):

@@ -29,7 +29,7 @@ from repro.sweep import (
     run_sweep,
     run_shard,
 )
-from repro.sweep.pool import POLL_INTERVAL, PoolError, PoolJob, PoolStats, run_pool
+from repro.sweep.pool import POLL_INTERVAL, PoolError, PoolJob, run_pool
 from repro.sweep.report import AGGREGATE_FILE
 from repro.sweep.shard import (
     RESULT_FILE,
@@ -394,10 +394,6 @@ class TestPool:
             assert stats.done == 20
             walls.append(stats.wall_s)
         assert min(walls) < 20 * POLL_INTERVAL
-
-    def test_speedup_defaults_to_one(self):
-        stats = PoolStats()
-        assert stats.speedup == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -178,3 +178,21 @@ class TestCli:
     def test_invalid_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--grid", "missing.json", "--out", "out"], "cannot build the sweep grid"),
+        (["sweep", "--seeds", "x", "--out", "out"], "cannot build the sweep grid"),
+        (["sweep", "--workloads", "nope", "--out", "out"], "cannot build the sweep grid"),
+        (["trace", "info", "empty.csv"], "cannot read trace"),
+        (["trace", "info", "missing.csv"], "cannot read trace"),
+        (["trace", "generate", "--days", "0", "--out", "out"], "cannot generate a trace"),
+    ], ids=["sweep-missing-grid", "sweep-bad-seeds", "sweep-unknown-workload",
+            "trace-info-empty", "trace-info-missing", "trace-generate-zero-days"])
+    def test_bad_input_is_a_one_line_usage_error(self, argv, message, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.csv").write_text("")
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(message) and out.count("\n") == 1
+        assert not (tmp_path / "out").exists()

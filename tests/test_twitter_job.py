@@ -48,7 +48,7 @@ class TestTopology:
         assert one.sequence.vertex_names() == ["HotTopics", "HotTopicsMerger", "Filter"]
         assert two.bound == pytest.approx(0.030)
         assert two.sequence.vertex_names() == ["Filter", "Sentiment"]
-        assert two.sequence.edge_names() == [
+        assert [e.name for e in two.sequence.edges] == [
             "TweetSource->Filter", "Filter->Sentiment", "Sentiment->Sink",
         ]
 

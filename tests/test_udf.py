@@ -36,9 +36,6 @@ class TestBaseUDF:
         with pytest.raises(NotImplementedError):
             UDF().process("x")
 
-    def test_not_windowed_by_default(self):
-        assert not MapUDF(lambda x: x).is_windowed
-
 
 class TestMapFilterFlatMap:
     def test_map(self):
@@ -100,9 +97,7 @@ class TestWindowedAggregate:
         )
 
     def test_is_windowed_and_rw(self):
-        udf = self.make()
-        assert udf.is_windowed
-        assert udf.latency_mode == "RW"
+        assert self.make().latency_mode == "RW"
 
     def test_process_emits_nothing(self):
         assert list(self.make().process(1)) == []

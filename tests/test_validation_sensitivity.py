@@ -20,7 +20,7 @@ def validation_result():
 class TestValidationHarness:
     def test_engine_agrees_with_theory(self, validation_result):
         """Measured latency within ~35 % of the Allen–Cunneen prediction."""
-        assert validation_result.max_relative_error < 0.35
+        assert max(p.relative_error for p in validation_result.points) < 0.35
 
     def test_latency_grows_with_utilization(self, validation_result):
         measured = [p.measured for p in validation_result.points]

@@ -181,7 +181,7 @@ class TestPrimeTesterJob:
         constraint = primetester_constraint(graph, 0.02)
         assert constraint.bound == 0.02
         assert constraint.sequence.vertex_names() == ["PrimeTester"]
-        assert constraint.sequence.edge_names() == [
+        assert [e.name for e in constraint.sequence.edges] == [
             "Source->PrimeTester",
             "PrimeTester->Sink",
         ]
@@ -279,9 +279,9 @@ class TestSentiment:
         assert analyzer.score("love love hate") == 2 + 2 - 2
 
     def test_classify_with_score(self):
-        label, score = SentimentAnalyzer().classify_with_score("i love it")
-        assert label == POSITIVE
-        assert score >= 1
+        analyzer = SentimentAnalyzer()
+        assert analyzer.classify("i love it") == POSITIVE
+        assert analyzer.score("i love it") >= 1
 
     def test_threshold(self):
         strict = SentimentAnalyzer(threshold=3)
