@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.policy import DEFAULT_POLICY, PolicySpec
 from repro.engine.engine import EngineConfig
 from repro.experiments.report import format_table
 from repro.workloads.primetester import SCALED_CLUSTER, STEP_LOAD, run_primetester
@@ -25,11 +26,14 @@ from conftest import save_report
 WORKLOAD = replace(STEP_LOAD, peak_rate=300.0, increment_steps=5, step_duration=8.0)
 
 
-def run_variant(**config_overrides):
+def run_variant(knobs=None, **config_overrides):
+    """One run: ``knobs`` tune the paper's policy, the rest the engine."""
     config = EngineConfig.nephele_adaptive(
         elastic=True, seed=11, **SCALED_CLUSTER, **config_overrides
     )
-    job, _ = run_primetester(WORKLOAD, config, bound=0.020)
+    job, _ = run_primetester(
+        WORKLOAD, config, bound=0.020, policy=PolicySpec(DEFAULT_POLICY, knobs)
+    )
     return {
         "fulfillment": job.trackers[0].fulfillment_ratio,
         "task_seconds": job.engine.resources.task_seconds(),
@@ -41,8 +45,8 @@ def run_variant(**config_overrides):
 def ablation_results():
     return {
         "paper defaults": run_variant(),
-        "no fitting (e=1)": run_variant(e_bounds=(1.0, 1.0)),
-        "w_fraction=0.5": run_variant(w_fraction=0.5),
+        "no fitting (e=1)": run_variant({"e_bounds": (1.0, 1.0)}),
+        "w_fraction=0.5": run_variant({"w_fraction": 0.5}),
         "no inactivity": run_variant(inactivity_intervals=0),
     }
 

@@ -162,7 +162,6 @@ _EXPORTS = {
     "erlang_c": "repro.analysis.queueing",
     "PipelineStage": "repro.analysis.pipeline",
     "predict_pipeline_latency": "repro.analysis.pipeline",
-    "saturation_rate": "repro.analysis.pipeline",
 }
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)
 __all__.insert(0, "__version__")

@@ -21,6 +21,5 @@ _EXPORTS = {
     "mmc_waiting_time": "repro.analysis.queueing",
     "PipelineStage": "repro.analysis.pipeline",
     "predict_pipeline_latency": "repro.analysis.pipeline",
-    "saturation_rate": "repro.analysis.pipeline",
 }
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

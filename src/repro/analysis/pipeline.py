@@ -100,15 +100,3 @@ def predict_pipeline_latency(
         rate *= stage.selectivity
     total += hops * (hop_latency + batching_delay)
     return total
-
-
-def saturation_rate(stages: Sequence[PipelineStage]) -> float:
-    """Largest input rate at which every stage still has steady state."""
-    limit = INFINITY
-    rate_factor = 1.0
-    for stage in stages:
-        capacity = stage.parallelism / stage.service_mean if stage.service_mean > 0 else INFINITY
-        if rate_factor > 0:
-            limit = min(limit, capacity / rate_factor)
-        rate_factor *= stage.selectivity
-    return limit

@@ -70,10 +70,10 @@ class BuiltPipeline:
         #: (None = leave the engine's own setting untouched)
         self.observability = observability
         #: actuation supervision for this job (None = synchronous
-        #: rescaling, unless the engine config sets its own default)
+        #: rescaling)
         self.actuation = actuation
-        #: scaling-policy spec from ``.scale(...)`` (None = the engine
-        #: config decides; a set spec implies elasticity for this job)
+        #: scaling-policy spec from ``.scale(...)`` (None = the paper's
+        #: policy if the engine is elastic; a set spec implies elasticity)
         self.policy = policy
         #: stateful vertex declarations from ``.stateful(...)``
         #: ({vertex name -> StatefulVertexSpec}; empty = stateless job)
@@ -386,15 +386,15 @@ class PipelineBuilder:
         >>> _ = PipelineBuilder("p").scale("drs", target_fraction=0.9)
         >>> _ = PipelineBuilder("p").scale("cpu-threshold:high=0.85")
 
-        Unknown policy names raise ``ValueError`` immediately; unknown
-        knobs fail at submit, when the policy is constructed.
+        An unknown policy name or a bad knob (unknown, wrong type, out of
+        range) raises ``ValueError`` here, before anything runs.
         """
         from repro.core.policy import PolicySpec, parse_policy_spec
 
         spec = parse_policy_spec(policy)
         merged = dict(spec.knobs)
         merged.update(knobs)
-        self._policy = PolicySpec(spec.name, merged)
+        self._policy = PolicySpec(spec.name, merged).validate()
         return self
 
     def share(

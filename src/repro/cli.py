@@ -61,13 +61,13 @@ def _policy_spec(text: str) -> str:
 
     The one policy-spec parser of the CLI: every command resolves the
     flag through :func:`repro.core.policy.parse_policy_spec`, so the
-    accepted syntax (and the unknown-name error) is identical across
-    ``run``, ``chaos`` and ``sweep``.
+    accepted syntax (and the unknown-name or bad-knob error, exit 2) is
+    identical across ``run``, ``chaos`` and ``sweep``.
     """
     from repro.core.policy import parse_policy_spec
 
     try:
-        return parse_policy_spec(text).canonical()
+        return parse_policy_spec(text).validate().canonical()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

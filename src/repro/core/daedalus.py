@@ -29,7 +29,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.policy import PolicyContext, PolicyRoundContext, register_policy
+from repro.core.policy import (
+    PolicyContext, PolicyRoundContext, check_knob, check_staleness, register_policy,
+)
 from repro.core.scale_reactively import ScalingDecision
 from repro.graphs.job_graph import JobVertex
 from repro.qos.summary import GlobalSummary
@@ -71,28 +73,16 @@ class DaedalusPolicy:
         stabilization_rounds: int = 2,
         staleness_threshold: Optional[float] = 10.0,
     ) -> None:
-        if not 0.0 < target_utilization <= 1.0:
-            raise ValueError(
-                f"target_utilization must be in (0, 1] (got {target_utilization!r})"
-            )
-        if not 0.0 <= tolerance < 1.0:
-            raise ValueError(f"tolerance must be in [0, 1) (got {tolerance!r})")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError(f"smoothing must be in (0, 1] (got {smoothing!r})")
-        if stabilization_rounds < 0:
-            raise ValueError(
-                f"stabilization_rounds must be >= 0 (got {stabilization_rounds!r})"
-            )
-        if staleness_threshold is not None and staleness_threshold <= 0:
-            raise ValueError(
-                f"staleness_threshold must be > 0 seconds or None (got {staleness_threshold})"
-            )
         self.vertices = list(vertices)
-        self.target_utilization = target_utilization
-        self.tolerance = tolerance
-        self.smoothing = smoothing
-        self.stabilization_rounds = int(stabilization_rounds)
-        self.staleness_threshold = staleness_threshold
+        self.target_utilization = check_knob("target_utilization", target_utilization, high=1.0)
+        self.tolerance = check_knob(
+            "tolerance", tolerance, high=1.0, low_closed=True, high_closed=False
+        )
+        self.smoothing = check_knob("smoothing", smoothing, high=1.0)
+        self.stabilization_rounds = int(
+            check_knob("stabilization_rounds", stabilization_rounds, low_closed=True)
+        )
+        self.staleness_threshold = check_staleness(staleness_threshold)
         #: EWMA of each vertex's busy mass Λ·S̄ (the observed profile)
         self._profile: Dict[str, float] = {}
         #: rounds left before a vertex may scale down again
@@ -165,9 +155,4 @@ class DaedalusPolicy:
 
 @register_policy(DaedalusPolicy.name)
 def _build_daedalus(context: PolicyContext, **knobs) -> DaedalusPolicy:
-    """Factory: staleness default follows the engine config."""
-    params: Dict[str, object] = {
-        "staleness_threshold": context.staleness_threshold,
-    }
-    params.update(knobs)
-    return DaedalusPolicy(context.vertices, **params)
+    return DaedalusPolicy(context.vertices, **knobs)

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.queueing import mmc_waiting_time
 from repro.core.constraints import LatencyConstraint
-from repro.core.policy import PolicyContext, register_policy
+from repro.core.policy import PolicyContext, check_knob, check_staleness, register_policy
 from repro.core.scale_reactively import ScalingDecision, apply_migration_gate
 from repro.qos.summary import GlobalSummary
 
@@ -97,17 +97,9 @@ class DrsPolicy:
         target_fraction: float = 0.8,
         staleness_threshold: Optional[float] = 10.0,
     ) -> None:
-        if not 0.0 < target_fraction <= 1.0:
-            raise ValueError(
-                f"target_fraction must be in (0, 1] (got {target_fraction!r})"
-            )
-        if staleness_threshold is not None and staleness_threshold <= 0:
-            raise ValueError(
-                f"staleness_threshold must be > 0 seconds or None (got {staleness_threshold})"
-            )
         self.constraints = list(constraints)
-        self.target_fraction = target_fraction
-        self.staleness_threshold = staleness_threshold
+        self.target_fraction = check_knob("target_fraction", target_fraction, high=1.0)
+        self.staleness_threshold = check_staleness(staleness_threshold)
 
     def knobs(self) -> Dict[str, object]:
         """Declared tuning parameters (JSON-serializable, for manifests)."""
@@ -217,9 +209,4 @@ class DrsPolicy:
 
 @register_policy(DrsPolicy.name)
 def _build_drs(context: PolicyContext, **knobs) -> DrsPolicy:
-    """Factory: staleness default follows the engine config."""
-    params: Dict[str, object] = {
-        "staleness_threshold": context.staleness_threshold,
-    }
-    params.update(knobs)
-    return DrsPolicy(context.constraints, **params)
+    return DrsPolicy(context.constraints, **knobs)

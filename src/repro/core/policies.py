@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Optional
 
-from repro.core.policy import PolicyContext, register_policy
+from repro.core.policy import PolicyContext, check_knob, check_staleness, register_policy
 from repro.core.scale_reactively import ScalingDecision
 from repro.graphs.job_graph import JobVertex
 from repro.qos.summary import GlobalSummary, VertexSummary
@@ -64,17 +64,15 @@ class CpuThresholdPolicy:
         target: float = 0.6,
         staleness_threshold: Optional[float] = None,
     ) -> None:
-        if not 0.0 < low < target < high <= 1.0:
+        for knob, value in (("high", high), ("low", low), ("target", target)):
+            check_knob(knob, value, high=1.0)
+        if not low < target < high:
             raise ValueError("need 0 < low < target < high <= 1")
-        if staleness_threshold is not None and staleness_threshold <= 0:
-            raise ValueError(
-                f"staleness_threshold must be > 0 seconds or None (got {staleness_threshold})"
-            )
         self.vertices = list(vertices)
         self.high = high
         self.low = low
         self.target = target
-        self.staleness_threshold = staleness_threshold
+        self.staleness_threshold = check_staleness(staleness_threshold)
 
     def knobs(self) -> Dict[str, object]:
         """Declared tuning parameters (JSON-serializable, for manifests)."""
@@ -124,15 +122,9 @@ class RateBasedPolicy:
         headroom: float = 0.3,
         staleness_threshold: Optional[float] = None,
     ) -> None:
-        if headroom < 0:
-            raise ValueError("headroom must be >= 0")
-        if staleness_threshold is not None and staleness_threshold <= 0:
-            raise ValueError(
-                f"staleness_threshold must be > 0 seconds or None (got {staleness_threshold})"
-            )
         self.vertices = list(vertices)
-        self.headroom = headroom
-        self.staleness_threshold = staleness_threshold
+        self.headroom = check_knob("headroom", headroom, low_closed=True)
+        self.staleness_threshold = check_staleness(staleness_threshold)
 
     def knobs(self) -> Dict[str, object]:
         """Declared tuning parameters (JSON-serializable, for manifests)."""

@@ -15,9 +15,10 @@ convention. This module makes the contract formal and the policies
   ``(context, **knobs) -> policy`` to a canonical name (plus aliases),
   :func:`create_policy` constructs by name, :func:`registered_policies`
   enumerates. Construction receives a :class:`PolicyContext` — the job's
-  constraints, its elastic vertices and the engine's modelling defaults —
-  so every policy is constructible from configuration alone, which is
-  what puts policies on a sweep axis.
+  constraints and its elastic vertices. A policy's parameters are its
+  knobs and nothing else: the constructor's defaults are the only
+  defaults, so a spec alone rebuilds the policy, which is what puts
+  policies on a sweep axis.
 * :class:`PolicySpec` / :func:`parse_policy_spec` — the one shared
   parser behind ``--policy NAME[:key=val,...]`` on the ``run`` / ``chaos``
   / ``sweep`` CLIs, ``PipelineBuilder.scale(...)`` and sweep grid files.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -137,62 +139,66 @@ def conformance_errors(policy: object) -> List[str]:
 class PolicyContext:
     """Everything a policy factory may need to build a policy for one job.
 
-    Carries the job's latency constraints, its *elastic* vertices (name
-    order, so construction is deterministic) and the engine's modelling
-    defaults. Factories pick what they need: latency-model policies use
-    the constraints, utilization/rate policies the vertices.
+    Carries the job's latency constraints and its *elastic* vertices
+    (name order, so construction is deterministic). Factories pick what
+    they need: latency-model policies use the constraints,
+    utilization/rate policies the vertices. An empty context builds
+    every registered policy, which is how a spec is checked before
+    anything runs (:meth:`PolicySpec.validate`).
     """
 
-    __slots__ = (
-        "constraints", "vertices",
-        "w_fraction", "rho_max", "e_bounds", "staleness_threshold",
-    )
+    __slots__ = ("constraints", "vertices")
 
     def __init__(
         self,
         constraints: Iterable[LatencyConstraint] = (),
         vertices: Iterable[JobVertex] = (),
-        w_fraction: float = 0.2,
-        rho_max: float = 0.9,
-        e_bounds: Tuple[float, float] = (0.05, 200.0),
-        staleness_threshold: Optional[float] = 10.0,
     ) -> None:
         self.constraints: List[LatencyConstraint] = list(constraints)
         self.vertices: List[JobVertex] = sorted(vertices, key=lambda v: v.name)
-        self.w_fraction = w_fraction
-        self.rho_max = rho_max
-        self.e_bounds = e_bounds
-        self.staleness_threshold = staleness_threshold
 
     @classmethod
     def for_job(
-        cls,
-        graph: JobGraph,
-        constraints: Iterable[LatencyConstraint],
-        config=None,
+        cls, graph: JobGraph, constraints: Iterable[LatencyConstraint]
     ) -> "PolicyContext":
-        """Build the context of one deployed job.
-
-        ``config`` is an :class:`~repro.engine.engine.EngineConfig` (or
-        anything carrying ``w_fraction`` / ``rho_max`` / ``e_bounds`` /
-        ``staleness_threshold``); ``None`` keeps the defaults.
-        """
-        elastic = [v for v in graph.vertices.values() if v.elastic]
-        kwargs: Dict[str, object] = {}
-        if config is not None:
-            kwargs = {
-                "w_fraction": config.w_fraction,
-                "rho_max": config.rho_max,
-                "e_bounds": config.e_bounds,
-                "staleness_threshold": config.staleness_threshold,
-            }
-        return cls(constraints, elastic, **kwargs)
+        """Build the context of one deployed job."""
+        return cls(constraints, [v for v in graph.vertices.values() if v.elastic])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"PolicyContext({len(self.constraints)} constraints, "
             f"{len(self.vertices)} elastic vertices)"
         )
+
+
+def check_knob(
+    name: str, value, low: float = 0.0, high: float = math.inf,
+    low_closed: bool = False, high_closed: bool = True,
+) -> float:
+    """``value`` if it is a finite number in the range, else a ``ValueError`` naming the knob.
+
+    The range runs from ``low`` to ``high``; each end is open unless its
+    ``*_closed`` flag is set (the default is ``(0, inf)``).
+    """
+    ok = (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (low <= value if low_closed else low < value)
+        and (value <= high if high_closed else value < high)
+    )
+    if not ok:
+        if math.isinf(high):
+            wanted = f"{'>=' if low_closed else '>'} {low:g}"
+        else:
+            left, right = "[" if low_closed else "(", "]" if high_closed else ")"
+            wanted = f"in {left}{low:g}, {high:g}{right}"
+        raise ValueError(f"{name} must be a finite number {wanted} (got {value!r})")
+    return value
+
+
+def check_staleness(value: Optional[float]) -> Optional[float]:
+    """The staleness gate's threshold: seconds > 0, or None (gate off)."""
+    return None if value is None else check_knob("staleness_threshold", value)
 
 
 #: a policy factory: ``(context, **knobs) -> ScalingPolicy``
@@ -313,6 +319,25 @@ class PolicySpec:
         """Construct the policy for ``context``."""
         return create_policy(self.name, context, **self.knobs)
 
+    def validate(self) -> "PolicySpec":
+        """This spec, once it builds against an empty context.
+
+        A bad knob (unknown name, wrong type, out of range) is then a
+        ``ValueError`` before anything runs, not a failure at submit.
+        """
+        try:
+            self.build(PolicyContext())
+        except TypeError as exc:
+            known = create_policy(self.name, PolicyContext()).knobs()
+            unknown = sorted(set(self.knobs) - set(known))
+            if not unknown:
+                raise ValueError(f"policy {self.name!r}: {exc}") from None
+            raise ValueError(
+                f"unknown knob {', '.join(map(repr, unknown))} for policy "
+                f"{self.name!r} (have: {', '.join(sorted(known))})"
+            ) from None
+        return self
+
     def canonical(self) -> str:
         """The canonical spec string (knobs sorted by key): parse round-trips."""
         if not self.knobs:
@@ -387,6 +412,8 @@ __all__ = [
     "PolicySpec",
     "ScalingPolicy",
     "canonical_policy_name",
+    "check_knob",
+    "check_staleness",
     "conformance_errors",
     "create_policy",
     "ensure_builtin_policies",

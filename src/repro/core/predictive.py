@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.constraints import LatencyConstraint
-from repro.core.policy import PolicyContext, register_policy
+from repro.core.policy import PolicyContext, check_knob, register_policy
 from repro.core.scale_reactively import ScaleReactivelyPolicy, ScalingDecision
 from repro.qos.summary import GlobalSummary, VertexSummary
 
@@ -81,11 +81,9 @@ class PredictiveScaleReactivelyPolicy(ScaleReactivelyPolicy):
         **kwargs,
     ) -> None:
         super().__init__(constraints, **kwargs)
-        if horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        self.horizon = horizon
-        self._alpha = alpha
-        self._beta = beta
+        self.horizon = check_knob("horizon", horizon, low_closed=True)
+        self._alpha = check_knob("alpha", alpha, high=1.0)
+        self._beta = check_knob("beta", beta, high=1.0, low_closed=True)
         self._forecasters: Dict[str, HoltForecaster] = {}
         #: (vertex, measured_total_rate, forecast_total_rate) per round
         self.forecast_log: List[Tuple[str, float, float]] = []
@@ -142,12 +140,4 @@ class PredictiveScaleReactivelyPolicy(ScaleReactivelyPolicy):
 
 @register_policy(PredictiveScaleReactivelyPolicy.name)
 def _build_predictive(context: PolicyContext, **knobs) -> PredictiveScaleReactivelyPolicy:
-    """Factory: reactive defaults from the engine config, forecast knobs on top."""
-    params: Dict[str, object] = {
-        "w_fraction": context.w_fraction,
-        "rho_max": context.rho_max,
-        "e_bounds": context.e_bounds,
-        "staleness_threshold": context.staleness_threshold,
-    }
-    params.update(knobs)
-    return PredictiveScaleReactivelyPolicy(context.constraints, **params)
+    return PredictiveScaleReactivelyPolicy(context.constraints, **knobs)

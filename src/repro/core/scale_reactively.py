@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.bottlenecks import find_bottlenecks, resolve_bottlenecks
 from repro.core.constraints import LatencyConstraint
 from repro.core.latency_model import build_sequence_model
-from repro.core.policy import PolicyContext, register_policy
+from repro.core.policy import PolicyContext, check_knob, check_staleness, register_policy
 from repro.core.rebalance import rebalance
 from repro.obs.trace import (
     BRANCH_BOTTLENECK,
@@ -169,22 +169,17 @@ class ScaleReactivelyPolicy:
         e_bounds: Tuple[float, float] = (0.05, 200.0),
         staleness_threshold: Optional[float] = 10.0,
     ) -> None:
-        if not isinstance(w_fraction, (int, float)) or not 0.0 < w_fraction <= 1.0:
-            raise ValueError(
-                f"w_fraction must be a number in (0, 1] — the queue-wait share of the "
-                f"constraint slack, paper default 0.2 (got {w_fraction!r})"
-            )
-        if staleness_threshold is not None and staleness_threshold <= 0:
-            raise ValueError(
-                f"staleness_threshold must be > 0 seconds or None (got {staleness_threshold})"
-            )
+        if not (isinstance(e_bounds, (tuple, list)) and len(e_bounds) == 2):
+            raise ValueError(f"e_bounds must be a (lo, hi) pair (got {e_bounds!r})")
+        lo = check_knob("e_bounds lo", e_bounds[0])
+        hi = check_knob("e_bounds hi", e_bounds[1], low=lo, low_closed=True)
         self.constraints = list(constraints)
-        self.w_fraction = w_fraction
-        self.rho_max = rho_max
-        self.e_bounds = e_bounds
+        self.w_fraction = check_knob("w_fraction", w_fraction, high=1.0)
+        self.rho_max = check_knob("rho_max", rho_max, high=1.0)
+        self.e_bounds = (lo, hi)
         #: refuse to act on measurements older than this many seconds
         #: (None disables the gate)
-        self.staleness_threshold = staleness_threshold
+        self.staleness_threshold = check_staleness(staleness_threshold)
 
     def knobs(self) -> Dict[str, object]:
         """Declared tuning parameters (JSON-serializable, for manifests)."""
@@ -333,12 +328,4 @@ class ScaleReactivelyPolicy:
 
 @register_policy(ScaleReactivelyPolicy.name)
 def _build_scale_reactively(context: PolicyContext, **knobs) -> ScaleReactivelyPolicy:
-    """Factory: paper defaults come from the job's engine config."""
-    params: Dict[str, object] = {
-        "w_fraction": context.w_fraction,
-        "rho_max": context.rho_max,
-        "e_bounds": context.e_bounds,
-        "staleness_threshold": context.staleness_threshold,
-    }
-    params.update(knobs)
-    return ScaleReactivelyPolicy(context.constraints, **params)
+    return ScaleReactivelyPolicy(context.constraints, **knobs)

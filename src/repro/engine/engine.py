@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.constraints import ConstraintTracker, LatencyConstraint
 from repro.engine.batching import (
@@ -67,7 +67,7 @@ _FIELD_BOUNDS = {
     ),
     (0, True): (
         "bandwidth", "measurement_interval", "adjustment_interval",
-        "checkpoint_interval", "staleness_threshold",
+        "checkpoint_interval",
     ),
     (1, False): (
         "queue_capacity", "channel_capacity", "item_size", "summary_window",
@@ -78,7 +78,11 @@ _FIELD_BOUNDS = {
 
 @dataclass
 class EngineConfig:
-    """All tunables of the simulated engine in one place."""
+    """All tunables of the simulated engine in one place.
+
+    A scaling policy's parameters are not among them: they are knobs of
+    the job's policy spec (:mod:`repro.core.policy`).
+    """
 
     #: output-batching strategy prototype, cloned per channel
     batching: BatchingStrategy = field(default_factory=InstantFlush)
@@ -103,18 +107,8 @@ class EngineConfig:
     qos_managers: int = 4
     #: whether the elastic scaler runs (the paper's strategy)
     elastic: bool = False
-    #: scaling policy spec — a registry name with optional knobs, e.g.
-    #: ``"scale-reactively"`` or ``"drs:target_fraction=0.9"`` (see
-    #: :mod:`repro.core.policy`); None = the paper's default policy
-    policy: Optional[str] = None
-    #: queue-wait share of the constraint slack (paper: 20 %)
-    w_fraction: float = 0.2
-    #: bottleneck utilization threshold (a value close to 1)
-    rho_max: float = 0.9
     #: adjustment intervals of post-scale-up inactivity (paper: 2)
     inactivity_intervals: int = 2
-    #: refuse scaling on measurements older than this (seconds; None = off)
-    staleness_threshold: Optional[float] = 10.0
     #: post-fault cooldown on scale-downs (seconds; fault injection)
     recovery_cooldown: float = 15.0
     #: periodic checkpoint interval for stateful vertices (seconds).
@@ -124,14 +118,6 @@ class EngineConfig:
     checkpoint_interval: float = 15.0
     #: task startup delay in seconds (paper: 1-2 s)
     startup_delay: float = 1.5
-    #: clamp for the fitting coefficient e_jv
-    e_bounds: Tuple[float, float] = (0.05, 200.0)
-    #: adaptive-batching share of the slack (paper: 80 %)
-    batch_fraction: float = 0.8
-    #: converts mean-obl budget into a flush deadline (at low per-gate
-    #: rates most batches are single items that wait the full deadline,
-    #: so the factor stays slightly below 1)
-    deadline_factor: float = 0.9
     #: cluster size (paper: 130 workers x 4 cores)
     worker_pool: int = 130
     slots_per_worker: int = 4
@@ -150,8 +136,6 @@ class EngineConfig:
         for (minimum, strict), names in _FIELD_BOUNDS.items():
             for name in names:
                 value = getattr(self, name)
-                if value is None and name == "staleness_threshold":
-                    continue
                 in_range = value > minimum if strict else value >= minimum
                 if not (math.isfinite(value) and in_range):
                     raise ValueError(
@@ -265,11 +249,7 @@ class DeployedJob:
         if self.constraints and isinstance(config.batching, AdaptiveDeadlineBatching):
             from repro.core.batching_policy import AdaptiveBatchingPolicy
 
-            self._batching_policy = AdaptiveBatchingPolicy(
-                self.constraints,
-                batch_fraction=config.batch_fraction,
-                deadline_factor=config.deadline_factor,
-            )
+            self._batching_policy = AdaptiveBatchingPolicy(self.constraints)
         # The first job uses the engine's root streams directly (keeps
         # single-job runs bit-identical to pre-multi-job behaviour);
         # later jobs fork independent streams.
@@ -299,26 +279,20 @@ class DeployedJob:
             from repro.obs.trace import DecisionTrace
 
             self.trace = DecisionTrace()
-        # Per-job policy (from the pipeline builder / submit) wins over
-        # the engine-wide EngineConfig.policy; both are registry specs.
-        # A job-level policy implies elasticity for this job even when
-        # the engine default is unelastic — `.scale(...)` means "scale".
-        effective_policy = policy if policy is not None else config.policy
+        # A job-level policy (from the pipeline builder / submit) implies
+        # elasticity for this job even when the engine default is
+        # unelastic — `.scale(...)` means "scale". An elastic engine
+        # gives a constrained job without one the paper's policy.
         #: the scaling-policy spec this job runs (None = unelastic job)
         self.policy_spec: Optional[PolicySpec] = None
         self.scaler: Optional[ElasticScaler] = None
-        wants_scaler = (config.elastic or policy is not None) and (
-            self.constraints or effective_policy is not None
-        )
-        if wants_scaler:
+        if policy is not None or (config.elastic and self.constraints):
             from repro.core.elastic_scaler import ElasticScaler
             from repro.core.policy import DEFAULT_POLICY, PolicyContext, parse_policy_spec
 
-            spec = parse_policy_spec(
-                effective_policy if effective_policy is not None else DEFAULT_POLICY
-            )
+            spec = parse_policy_spec(policy if policy is not None else DEFAULT_POLICY)
             self.policy_spec = spec
-            context = PolicyContext.for_job(job_graph, self.constraints, config)
+            context = PolicyContext.for_job(job_graph, self.constraints)
             self.scaler = ElasticScaler(
                 engine.sim,
                 self.scheduler,
@@ -712,8 +686,9 @@ class StreamProcessingEngine:
         ``policy`` selects the job's scaling policy — a registry spec
         string (``"drs:target_fraction=0.9"``) or a
         :class:`~repro.core.policy.PolicySpec`. Passing one implies
-        elasticity for this job; None keeps the engine config's policy
-        (the paper's ScaleReactively by default).
+        elasticity for this job; None runs the paper's ScaleReactively
+        on a constrained job when the engine config is ``elastic`` (and
+        no scaler otherwise).
 
         ``quota``/``priority``/``weight`` parameterize the job's slot
         account for shared-cluster admission (quota ceiling, strict

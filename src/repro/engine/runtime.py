@@ -92,10 +92,6 @@ class RuntimeGraph:
         if channels is not None and channel in channels:
             channels.remove(channel)
 
-    def channels_of_edge(self, edge_name: str) -> List[RuntimeChannel]:
-        """Live channels instantiating a job edge."""
-        return list(self.edge_channels.get(edge_name, ()))
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{v.name}:{v.parallelism}" for v in self.vertices.values())
         return f"RuntimeGraph({parts})"

@@ -12,9 +12,10 @@ Run:  python -m repro experiment sensitivity [--quick]
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.policy import DEFAULT_POLICY, PolicySpec
 from repro.engine.engine import EngineConfig
 from repro.experiments.report import format_table, write_csv
 from repro.workloads.primetester import (
@@ -108,13 +109,23 @@ class SensitivityResult:
         )
 
 
-def run_point(params: SensitivityParams, **config_overrides) -> SweepPoint:
-    """Run the scenario once with one overridden control parameter."""
+def run_point(params: SensitivityParams, **overrides) -> SweepPoint:
+    """Run the scenario once with one overridden control parameter.
+
+    An :class:`EngineConfig` field overrides the config; anything else
+    (``rho_max``, ``w_fraction``) is a knob of the paper's policy.
+    """
+    engine_fields = {f.name for f in fields(EngineConfig)}
     config = EngineConfig.nephele_adaptive(
-        elastic=True, seed=params.seed, **SCALED_CLUSTER, **config_overrides
+        elastic=True, seed=params.seed, **SCALED_CLUSTER,
+        **{k: v for k, v in overrides.items() if k in engine_fields},
     )
-    job, _ = run_primetester(params.workload, config, bound=params.constraint_bound)
-    (parameter, value), = config_overrides.items() if config_overrides else (("baseline", None),)
+    knobs = {k: v for k, v in overrides.items() if k not in engine_fields}
+    job, _ = run_primetester(
+        params.workload, config, bound=params.constraint_bound,
+        policy=PolicySpec(DEFAULT_POLICY, knobs),
+    )
+    (parameter, value), = overrides.items() if overrides else (("baseline", None),)
     return SweepPoint(
         parameter,
         value,

@@ -37,8 +37,3 @@ class ObservabilityConfig:
             raise ValueError(
                 f"sample_interval must be positive (got {self.sample_interval})"
             )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any observability feature is switched on."""
-        return self.metrics or self.trace

@@ -104,18 +104,6 @@ class StatsSnapshot:
         self.mean = mean
         self.variance = variance
 
-    @property
-    def stdev(self) -> float:
-        """Standard deviation of the snapshot."""
-        return math.sqrt(self.variance)
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation of the snapshot."""
-        if self.mean == 0.0:
-            return 0.0
-        return self.stdev / self.mean
-
     def __repr__(self) -> str:
         return f"StatsSnapshot(n={self.count}, mean={self.mean:.6g})"
 
@@ -303,11 +291,6 @@ class WindowedStats:
     def cv(self) -> float:
         """Pooled coefficient of variation across the window."""
         return self._aggregates().cv
-
-    def clear(self) -> None:
-        """Drop all snapshots."""
-        self._snaps.clear()
-        self._cache = None
 
 
 #: aggregates of a window holding no samples (shared, never mutated)

@@ -187,10 +187,6 @@ class FaultPlan:
                     f"restart_delay must be >= 0 (got {spec!r})"
                 )
 
-    def add(self, spec: FaultSpec) -> "FaultPlan":
-        """Return a new plan with ``spec`` appended."""
-        return FaultPlan(self.events + (spec,), seed=self.seed, name=self.name)
-
     def __bool__(self) -> bool:
         return bool(self.events)
 

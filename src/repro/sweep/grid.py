@@ -81,9 +81,9 @@ class SweepGrid:
         for policy in policies:
             if not isinstance(policy, str):
                 raise TypeError(f"policies axis entries must be strings, got {policy!r}")
-            # validates the name against the registry and canonicalizes
-            # the knob ordering, so equal specs collapse to one entry
-            spec = parse_policy_spec(policy).canonical()
+            # validates the name and knobs against the registry and
+            # canonicalizes the knob ordering, so equal specs collapse
+            spec = parse_policy_spec(policy).validate().canonical()
             if spec not in canonical_policies:
                 canonical_policies.append(spec)
         self.name = name

@@ -208,7 +208,8 @@ def run_primetester(
 
     ``bound`` submits the paper's constraint (None = unconstrained, as
     the hand-provisioned baselines run), ``policy`` a scaling-policy
-    spec in place of the config's, and ``recording_interval`` attaches a
+    spec (None = the paper's policy when ``config`` is elastic), and
+    ``recording_interval`` attaches a
     series recorder with the ``e2e`` sink feed (None = no recorder).
     """
     from repro.builder import BuiltPipeline

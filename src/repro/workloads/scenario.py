@@ -326,13 +326,15 @@ def build(
     """
     workload = WORKLOADS[spec.workload]
     config = EngineConfig(
-        elastic=True, seed=spec.seed, policy=spec.policy,
+        elastic=True, seed=spec.seed,
         **{k: v for k, v in spec.resolved().items() if k in _ENGINE_FIELDS},
     )
     pipelines = workload.pipelines(spec)
+    policy = parse_policy_spec(spec.policy)
     faults = workload.faults(spec) + spec.faults
     targets = {getattr(event, "vertex", None) for event in faults} - {None}
     for pipeline in pipelines:
+        pipeline.policy = policy
         if spec.actuation:
             pipeline.actuation = ActuationConfig()
         if faults:

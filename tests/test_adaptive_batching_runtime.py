@@ -9,11 +9,9 @@ from repro.graphs.sequences import JobSequence
 from conftest import make_linear_job
 
 
-def adaptive_job(bound, source_rate=100.0, qos_managers=4, seed=6,
-                    deadline_factor=0.9):
+def adaptive_job(bound, source_rate=100.0, qos_managers=4, seed=6):
     config = EngineConfig.nephele_adaptive(
         elastic=False, seed=seed, qos_managers=qos_managers,
-        deadline_factor=deadline_factor,
     )
     engine = StreamProcessingEngine(config)
     graph = make_linear_job(source_rate=source_rate, service_mean=0.002)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.pipeline import PipelineStage, predict_pipeline_latency, saturation_rate
+from repro.analysis.pipeline import PipelineStage, predict_pipeline_latency
 from repro.analysis.queueing import (
     INFINITY,
     allen_cunneen_waiting_time,
@@ -155,11 +155,6 @@ class TestPipelinePrediction:
         # stage b's 0.5 selectivity (c capacity = 1000/s).
         latency = predict_pipeline_latency(stages, input_rate=700.0)
         assert latency is not None
-
-    def test_saturation_rate(self):
-        stages = self.stages()
-        # capacities: a: 1000/s, b: 800/s, c: 1000/s at half rate -> 2000/s
-        assert saturation_rate(stages) == pytest.approx(800.0)
 
     def test_latency_grows_with_rate(self):
         low = predict_pipeline_latency(self.stages(), 100.0)

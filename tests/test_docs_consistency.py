@@ -50,10 +50,10 @@ class TestPublicApi:
 
     def test_top_level_export_count(self):
         # the 88 names of the eager __init__ plus MigrationFailure, minus
-        # LogNormal and required_servers
-        assert len(repro.__all__) == 87
+        # LogNormal, required_servers and saturation_rate
+        assert len(repro.__all__) == 86
         assert repro.__all__[0] == "__version__"
-        assert len(set(repro.__all__)) == 87
+        assert len(set(repro.__all__)) == 86
 
     @pytest.mark.parametrize("package", PACKAGES)
     def test_every_export_is_its_defining_modules_object(self, package):

@@ -268,8 +268,9 @@ class TestSharedRunner:
 
     def test_config_override_without_recorder(self):
         params = SensitivityParams(workload=micro_primetester())
-        reference = _outcome(*_by_hand(params.workload, _elastic(rho_max=0.8), 0.020))
-        job, recorder = run_primetester(params.workload, _elastic(rho_max=0.8), 0.020)
+        spec = PolicySpec("scale-reactively", {"rho_max": 0.8})
+        reference = _outcome(*_by_hand(params.workload, _elastic(), 0.020, policy=spec))
+        job, recorder = run_primetester(params.workload, _elastic(), 0.020, policy=spec)
         assert recorder is None
         assert _outcome(job, recorder) == reference
         point = run_point(params, rho_max=0.8)

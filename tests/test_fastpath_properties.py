@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.engine.items import DataItem
 from repro.engine.queues import BoundedQueue
-from repro.qos.stats import OnlineStats, StatsSnapshot, WindowedStats
+from repro.qos.stats import OnlineStats, WindowedStats
 from repro.simulation.kernel import Simulator
 
 # ----------------------------------------------------------------------
@@ -258,9 +258,6 @@ class TestStatsProperties:
                 assert math.isclose(
                     live.cv, naive_values[5], rel_tol=1e-9, abs_tol=1e-9
                 )
-        live.clear()
-        assert not live.has_data
-        assert live.count == 0
 
     @given(
         counts=st.lists(st.integers(0, 5), min_size=1, max_size=10),
@@ -279,17 +276,3 @@ class TestStatsProperties:
         if any(c > 0 for c in counts[-window:]):
             assert stats.has_data
 
-
-class TestSnapshotProperties:
-    @given(
-        count=st.integers(0, 100),
-        mean=st.floats(-1e3, 1e3, allow_nan=False),
-        variance=st.floats(0.0, 1e3, allow_nan=False),
-    )
-    def test_snapshot_derived_values(self, count, mean, variance):
-        snap = StatsSnapshot(count, mean, variance)
-        assert snap.stdev == math.sqrt(variance)
-        if mean == 0.0:
-            assert snap.cv == 0.0
-        else:
-            assert math.isclose(snap.cv, math.sqrt(variance) / mean, rel_tol=1e-12)

@@ -372,12 +372,6 @@ class TestPlanValidation:
         engine.run(4.0)
         assert len(job.fault_injector.trace()) == 1
 
-    def test_plan_add_returns_new_plan(self):
-        plan = FaultPlan()
-        extended = plan.add(TaskCrash(at=1.0, vertex="w"))
-        assert not plan and extended
-        assert len(extended.events) == 1
-
 
 # ----------------------------------------------------------------------
 # recorder integration

@@ -374,10 +374,6 @@ class TestObservabilityConfig:
         with pytest.raises(ValueError):
             ObservabilityConfig(sample_interval=0)
 
-    def test_enabled_property(self):
-        assert ObservabilityConfig().enabled
-        assert not ObservabilityConfig(metrics=False, trace=False).enabled
-
     def test_engine_adopts_pipeline_observability(self, tmp_path):
         pipeline = build_pipeline(observe_dir=str(tmp_path))
         engine = StreamProcessingEngine(EngineConfig(elastic=True))

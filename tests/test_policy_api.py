@@ -453,11 +453,6 @@ class TestEngineIntegration:
         with pytest.raises(ValueError, match="unknown scaling policy"):
             PipelineBuilder("p").scale("not-a-policy")
 
-    def test_engine_config_policy_is_the_job_default(self):
-        engine = self.engine(policy="static")
-        job = engine.submit(build_pipeline())
-        assert job.scaler.policy_name == "static"
-
     def test_default_path_still_runs_the_papers_policy(self):
         engine = self.engine()
         job = engine.submit(build_pipeline())
@@ -660,3 +655,125 @@ class TestReactionTime:
             history = [(0.0, 0.01, False)]
 
         assert reaction_time_s([FakeTracker()], []) is None
+
+
+# ----------------------------------------------------------------------
+# a bad knob is a usage error before anything runs
+# ----------------------------------------------------------------------
+
+#: specs that at one time started a run (or a sweep) and failed inside it
+BAD_SPECS = [
+    ("scale-reactively:bogus=1", "unknown knob 'bogus'"),
+    ("drs:target_fraction=abc", "target_fraction must be"),
+    ("scale-reactively:rho_max=nan", "rho_max must be"),
+    ("scale-reactively:rho_max=7", "rho_max must be"),
+    ("scale-reactively:staleness_threshold=nan", "staleness_threshold must be"),
+    ("drs:staleness_threshold=nan", "staleness_threshold must be"),
+]
+
+
+class TestBadKnobsFailBeforeAnythingRuns:
+    @pytest.mark.parametrize("spec, message", BAD_SPECS)
+    def test_cli_run_exits_2(self, spec, message, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--duration", "30", "--policy", spec])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", BAD_SPECS)
+    def test_builder_scale_raises_value_error(self, spec, message):
+        from repro.builder import PipelineBuilder
+
+        with pytest.raises(ValueError, match=message):
+            PipelineBuilder("p").scale(spec)
+
+    @pytest.mark.parametrize("spec, message", BAD_SPECS)
+    def test_grid_raises_value_error(self, spec, message):
+        from repro.sweep import SweepGrid
+
+        with pytest.raises(ValueError, match=message):
+            SweepGrid(policies=(spec,))
+
+    def test_sweep_exits_2_and_starts_no_shard(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        from repro.cli import main
+        from repro.sweep import SweepGrid
+
+        monkeypatch.chdir(tmp_path)
+        grid = SweepGrid.quick().describe()
+        grid["policies"] = ["scale-reactively:bogus=1"]
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        assert main(["sweep", "--grid", "grid.json", "--out", "out"]) == 2
+        assert capsys.readouterr().out.startswith("cannot build the sweep grid")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--quick", "--policy", "scale-reactively:bogus=1",
+                  "--out", "out"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"e_bounds": (0.0, 1.0)}, "e_bounds lo must be"),
+        ({"e_bounds": (2.0, 1.0)}, "e_bounds hi must be"),
+        ({"e_bounds": (0.05, float("inf"))}, "e_bounds hi must be"),
+        ({"e_bounds": "x"}, "e_bounds must be a"),
+        ({"w_fraction": True}, "w_fraction must be"),
+        ({"w_fraction": 0.0}, "w_fraction must be"),
+        ({"rho_max": 0.0}, "rho_max must be"),
+        ({"staleness_threshold": float("inf")}, "staleness_threshold must be"),
+    ])
+    def test_scale_reactively_constructor_names_the_knob(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            create_policy("scale-reactively", PolicyContext(), **knobs)
+
+    @pytest.mark.parametrize("name", ["cpu-threshold", "rate", "daedalus", "predictive"])
+    def test_every_staleness_gate_rejects_nan(self, name):
+        with pytest.raises(ValueError, match="staleness_threshold must be"):
+            create_policy(name, PolicyContext(), staleness_threshold=float("nan"))
+
+    def test_good_knobs_still_build(self):
+        from repro.builder import PipelineBuilder
+
+        PipelineBuilder("p").scale("scale-reactively:rho_max=0.8,w_fraction=0.3")
+        policy = create_policy(
+            "scale-reactively", PolicyContext(), e_bounds=[1.0, 1.0],
+            staleness_threshold=None,
+        )
+        assert policy.knobs()["e_bounds"] == [1.0, 1.0]
+
+
+# ----------------------------------------------------------------------
+# a policy's parameters live in its spec
+# ----------------------------------------------------------------------
+
+
+class TestPolicyParametersLiveInTheSpec:
+    def test_no_engine_field_is_a_policy_parameter(self):
+        import dataclasses
+        import inspect
+
+        from repro.core.batching_policy import AdaptiveBatchingPolicy
+        from repro.engine.engine import EngineConfig
+
+        parameters = set(inspect.signature(AdaptiveBatchingPolicy).parameters)
+        for name in registered_policies():
+            parameters |= set(create_policy(name, PolicyContext()).knobs())
+        fields = {f.name for f in dataclasses.fields(EngineConfig)}
+        assert fields & parameters == set()
+        assert PolicyContext.__slots__ == ("constraints", "vertices")
+
+    @pytest.mark.parametrize("manifest", [
+        "manifest.json", "macro/manifest.json", "stateful/manifest.json",
+    ])
+    def test_a_golden_spec_alone_rebuilds_its_knobs(self, manifest):
+        import json
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), "golden", manifest)
+        with open(path) as handle:
+            scaling = json.load(handle)["scaling"]
+        policy = parse_policy_spec(scaling["policy_spec"]).build(PolicyContext())
+        assert policy.knobs() == scaling["policy_knobs"]

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.core.batching_policy import AdaptiveBatchingPolicy
+from repro.core.scale_reactively import ScaleReactivelyPolicy
 from repro.engine.batching import (
     AdaptiveDeadlineBatching,
     FixedSizeBatching,
@@ -33,10 +35,10 @@ class TestEngineConfigPresets:
         assert config.batching.buffer_bytes == 8 * 1024
 
     def test_nephele_adaptive_elastic(self):
-        config = EngineConfig.nephele_adaptive(elastic=True, rho_max=0.95)
+        config = EngineConfig.nephele_adaptive(elastic=True, adjustment_interval=2.5)
         assert isinstance(config.batching, AdaptiveDeadlineBatching)
         assert config.elastic
-        assert config.rho_max == 0.95
+        assert config.adjustment_interval == 2.5
 
     def test_overrides_reach_engine(self):
         config = EngineConfig.nephele_adaptive(queue_capacity=42)
@@ -49,8 +51,9 @@ class TestEngineConfigPresets:
         config = EngineConfig()
         assert config.measurement_interval == 1.0
         assert config.adjustment_interval == 5.0
-        assert config.w_fraction == 0.2
-        assert config.batch_fraction == 0.8
+        # the 20/80 slack split lives with the policies that use it
+        assert ScaleReactivelyPolicy([]).w_fraction == 0.2
+        assert AdaptiveBatchingPolicy([]).batch_fraction == 0.8
         assert config.inactivity_intervals == 2
         assert config.worker_pool == 130
         assert config.slots_per_worker == 4
@@ -66,7 +69,6 @@ class TestEngineConfigValidation:
         ("base_latency", math.nan),
         ("per_item_overhead", math.nan),
         ("qos_managers", 0),
-        ("staleness_threshold", math.nan),
         ("checkpoint_interval", 0.0),
         ("startup_delay", -1.0),
     ])
@@ -75,8 +77,9 @@ class TestEngineConfigValidation:
             EngineConfig(**{name: value})
 
     def test_optional_staleness_and_zero_inactivity_stay_valid(self):
-        config = EngineConfig(staleness_threshold=None, inactivity_intervals=0)
-        assert config.staleness_threshold is None
+        assert EngineConfig(inactivity_intervals=0).inactivity_intervals == 0
+        policy = ScaleReactivelyPolicy([], staleness_threshold=None)
+        assert policy.staleness_threshold is None
 
 
 class TestRuntimeGraph:
@@ -108,7 +111,7 @@ class TestRuntimeGraph:
         runtime = job.runtime
         assert sum(v.parallelism for v in runtime.vertices.values()) == 5
         assert len(runtime.all_tasks()) == 5
-        assert len(runtime.channels_of_edge("Source->Worker")) == 3
-        for channel in runtime.channels_of_edge("Source->Worker"):
+        assert len(runtime.edge_channels["Source->Worker"]) == 3
+        for channel in runtime.edge_channels["Source->Worker"]:
             assert not channel.closed
 

@@ -76,22 +76,12 @@ class TestRuntimeGraph:
         edge_name = graph.edges[0].name
         channel = FakeChannel(edge_name)
         runtime.register_channel(channel)
-        assert runtime.channels_of_edge(edge_name) == [channel]
+        assert runtime.edge_channels[edge_name] == [channel]
         runtime.unregister_channel(channel)
-        assert runtime.channels_of_edge(edge_name) == []
+        assert runtime.edge_channels[edge_name] == []
         # Unregistering twice (or an unknown channel) is a no-op.
         runtime.unregister_channel(channel)
         runtime.unregister_channel(FakeChannel("nonexistent-edge"))
-
-    def test_channels_of_edge_returns_copy(self, runtime, graph):
-        edge_name = graph.edges[0].name
-        runtime.register_channel(FakeChannel(edge_name))
-        listing = runtime.channels_of_edge(edge_name)
-        listing.clear()
-        assert len(runtime.channels_of_edge(edge_name)) == 1
-
-    def test_unknown_edge_has_no_channels(self, runtime):
-        assert runtime.channels_of_edge("no-such-edge") == []
 
 
 class TestTaskReporter:

@@ -490,7 +490,7 @@ class TestJobIsTheHandle:
 
         fields = [f.name for f in dataclasses.fields(EngineConfig)]
         assert "vectorized_sampling" not in fields
-        assert len(fields) == 29
+        assert len(fields) == 22
         for cls in (Scheduler, RuntimeTask):
             assert "vectorized" not in inspect.signature(cls.__init__).parameters
             assert not hasattr(cls, "vectorized")

@@ -29,9 +29,9 @@ class TestDeployment:
 
     def test_full_mesh_channels(self):
         job = deploy(n_workers=3)
-        channels = job.runtime.channels_of_edge("Source->Worker")
+        channels = job.runtime.edge_channels["Source->Worker"]
         assert len(channels) == 3  # 1 source x 3 workers
-        channels = job.runtime.channels_of_edge("Worker->Sink")
+        channels = job.runtime.edge_channels["Worker->Sink"]
         assert len(channels) == 3  # 3 workers x 1 sink
 
     def test_gates_wired_per_out_edge(self):
@@ -44,7 +44,7 @@ class TestDeployment:
         job = deploy()
         for task in job.runtime.all_tasks():
             assert task.reporter is not None
-        for channel in job.runtime.channels_of_edge("Source->Worker"):
+        for channel in job.runtime.edge_channels["Source->Worker"]:
             assert channel.reporter is not None
 
     def test_tasks_occupy_slots(self):

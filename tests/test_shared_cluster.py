@@ -152,7 +152,7 @@ class TestQualifiedMetricKeys:
         knobs = params.resolved()
         engine = StreamProcessingEngine(
             EngineConfig(
-                elastic=True, seed=params.seed, policy=params.policy,
+                elastic=True, seed=params.seed,
                 worker_pool=knobs["worker_pool"],
                 slots_per_worker=knobs["slots_per_worker"],
                 admission=knobs["admission"],
@@ -200,7 +200,7 @@ class TestTraceBranches:
         knobs = params.resolved()
         engine = StreamProcessingEngine(
             EngineConfig(
-                elastic=True, seed=params.seed, policy=params.policy,
+                elastic=True, seed=params.seed,
                 worker_pool=knobs["worker_pool"],
                 slots_per_worker=knobs["slots_per_worker"],
                 admission=knobs["admission"],

@@ -85,16 +85,6 @@ class TestOnlineStats:
         )
 
 
-class TestStatsSnapshot:
-    def test_fields(self):
-        snap = StatsSnapshot(3, 2.0, 4.0)
-        assert snap.stdev == 2.0
-        assert snap.cv == 1.0
-
-    def test_zero_mean_cv(self):
-        assert StatsSnapshot(2, 0.0, 1.0).cv == 0.0
-
-
 class TestWindowedStats:
     def push_values(self, w, groups):
         for group in groups:
@@ -139,12 +129,6 @@ class TestWindowedStats:
         assert w.cv == pytest.approx(
             statistics.stdev(flat) / statistics.mean(flat), rel=1e-9
         )
-
-    def test_clear(self):
-        w = WindowedStats(2)
-        self.push_values(w, [[1.0]])
-        w.clear()
-        assert not w.has_data
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
