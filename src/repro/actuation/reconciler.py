@@ -34,8 +34,8 @@ Request lifecycle invariants:
   reporting the distance, and the remainder is re-issued on the next
   adjustment tick.
 
-Every lifecycle step moves a lifetime counter (:meth:`summary`, and the
-metrics registry when one is set); when tracing is on, the decisive
+Every lifecycle step moves a lifetime counter (:meth:`summary`; the
+metrics sampler reads them as ``actuation.*``); when tracing is on, the decisive
 steps are also emitted as :class:`~repro.obs.trace.TraceRecord` rows
 (``actuation-pending`` / ``actuation-failed`` / ``retry-backoff`` /
 ``watchdog-escalation`` and the migration branches).
@@ -111,7 +111,6 @@ class ReconciliationController:
         runtime: "RuntimeGraph",
         config: ActuationConfig,
         streams: RandomStreams,
-        metrics=None,
         trace_sink=None,
         job_name: str = "",
     ) -> None:
@@ -122,7 +121,6 @@ class ReconciliationController:
         #: deterministic actuation stream, independent of service-time
         #: streams (adding it does not perturb existing stream draws)
         self._rng = streams.get("actuation")
-        self.metrics = metrics
         #: optional DecisionTrace receiving the actuation records
         self.trace_sink = trace_sink
         self.job_name = job_name
@@ -134,7 +132,7 @@ class ReconciliationController:
         self.desired: Dict[str, int] = {}
         #: in-flight request per vertex (at most one at a time)
         self.in_flight: Dict[str, ActuationRequest] = {}
-        # lifetime counters (mirrored into the metrics registry when set)
+        # lifetime counters (sampled as ``actuation.*`` metrics)
         self.requests = 0
         self.retries = 0
         self.failures = 0
@@ -143,14 +141,8 @@ class ReconciliationController:
         self.escalations = 0
         self.superseded_requests = 0
         self.partials = 0
-        #: requests permanently abandoned after retry exhaustion
-        self.abandoned = 0
         #: scale-ups refused by the cluster's admission controller
         self.admission_denials = 0
-        # state-migration lifecycle counters
-        self.migrations_started = 0
-        self.migrations_applied = 0
-        self.migrations_rolled_back = 0
         #: vertices whose last success applied less than desired; the
         #: remainder is re-issued on the next adjustment tick
         self._partial_pending: set = set()
@@ -171,14 +163,6 @@ class ReconciliationController:
     # ------------------------------------------------------------------
     # bookkeeping helpers
     # ------------------------------------------------------------------
-
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(f"actuation.{name}").inc(amount)
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(f"actuation.{name}").set(value)
 
     def _emit(self, record: TraceRecord) -> None:
         if self.trace_sink is not None:
@@ -304,12 +288,9 @@ class ReconciliationController:
         if previous is not None and not previous.superseded:
             previous.superseded = True
             self.superseded_requests += 1
-            self._count("superseded")
         self.desired[vertex] = target
         self.in_flight[vertex] = req
         self.requests += 1
-        self._count("requests")
-        self._gauge("in_flight", len(self.in_flight))
         self._emit(self._trace(
             BRANCH_ACTUATION_PENDING, req,
             "escalated actuation issued" if escalated else "actuation issued",
@@ -355,7 +336,6 @@ class ReconciliationController:
                     # normal retry/backoff path and may succeed once other
                     # jobs release slots.
                     self.admission_denials += 1
-                    self._count("admission_denials")
                     self._emit(self._trace(BRANCH_ADMISSION_DENIED, req, result.reason))
                     self._fail(req, f"admission denied: {result.reason}")
                     return
@@ -366,8 +346,6 @@ class ReconciliationController:
     def _succeed(self, req: ActuationRequest, result) -> None:
         self.in_flight.pop(req.vertex, None)
         self.applied += 1
-        self._count("applied")
-        self._gauge("in_flight", len(self.in_flight))
         desired = self.desired.get(req.vertex)
         actual = self.runtime.vertex(req.vertex).target_parallelism
         if result.partial and desired is not None and actual != desired:
@@ -376,7 +354,6 @@ class ReconciliationController:
             # Keep the desired state so convergence_lag() stays honest
             # and re-issue for the remainder on the next adjustment tick.
             self.partials += 1
-            self._count("partials")
             self._partial_pending.add(req.vertex)
             return
         self.desired.pop(req.vertex, None)
@@ -384,19 +361,10 @@ class ReconciliationController:
 
     def _fail(self, req: ActuationRequest, reason: str) -> None:
         self.failures += 1
-        self._count("failures")
         self._emit(self._trace(BRANCH_ACTUATION_FAILED, req, reason))
         if req.attempt > self.config.max_retries:
             self.give_ups += 1
-            self._count("give_ups")
-            # Retry exhaustion is surfaced as its own first-class metric
-            # (un-prefixed: it is an outcome, not a lifecycle step) so
-            # dashboards can alert on silently-dropped rescale orders.
-            self.abandoned += 1
-            if self.metrics is not None:
-                self.metrics.counter("reconciler.abandoned").inc()
             self.in_flight.pop(req.vertex, None)
-            self._gauge("in_flight", len(self.in_flight))
             return
         backoff = min(
             self.config.backoff_max,
@@ -406,7 +374,6 @@ class ReconciliationController:
             backoff *= 1.0 + self.config.backoff_jitter * (2.0 * self._rng.random() - 1.0)
         req.attempt += 1
         self.retries += 1
-        self._count("retries")
         self._emit(self._trace(
             BRANCH_RETRY_BACKOFF, req, f"retry in {backoff:.3f}s",
         ))
@@ -435,8 +402,6 @@ class ReconciliationController:
             req.vertex, plan.moved_bytes
         )
         pause = t_quiesce + t_snapshot + t_transfer
-        self.migrations_started += 1
-        self._count("migrations_started")
         self._emit(self._trace(
             BRANCH_MIGRATION_PENDING, req,
             f"migrating {plan.moved_bytes} bytes "
@@ -470,12 +435,9 @@ class ReconciliationController:
             reason = f"admission denied: {result.reason}"
             result = None
             self.admission_denials += 1
-            self._count("admission_denials")
             self._emit(self._trace(BRANCH_ADMISSION_DENIED, req, reason))
         if result is None:
             self.state_manager.rollback_migration(plan)
-            self.migrations_rolled_back += 1
-            self._count("migrations_rolled_back")
             self._emit(self._trace(
                 BRANCH_MIGRATION_ROLLED_BACK, req,
                 f"rolled back to p={req.p_before}: {reason}",
@@ -483,9 +445,7 @@ class ReconciliationController:
             ))
             self._fail(req, reason)
             return
-        self.state_manager.note_migration_pause(req.vertex, t_restore)
-        self.migrations_applied += 1
-        self._count("migrations_applied")
+        self.state_manager.complete_migration(plan, t_restore)
         self._succeed(req, result)
 
     def _rollback_migration(
@@ -499,8 +459,6 @@ class ReconciliationController:
         """
         self.state_manager.note_migration_pause(req.vertex, t_restore)
         self.state_manager.rollback_migration(plan)
-        self.migrations_rolled_back += 1
-        self._count("migrations_rolled_back")
         self._emit(self._trace(
             BRANCH_MIGRATION_FAILED, req, reason,
             state_bytes=plan.moved_bytes,
@@ -559,7 +517,6 @@ class ReconciliationController:
         """
         self._reissue_partials()
         lag = self.convergence_lag()
-        self._gauge("convergence_lag", lag)
         if violated and lag > 0:
             self._lagging_intervals += 1
         else:
@@ -580,7 +537,6 @@ class ReconciliationController:
                 self.in_flight.pop(vertex, None)
             target = rv.job_vertex.clamp(max(desired, 2 * max(current, 1)))
             self.escalations += 1
-            self._count("escalations")
             self._emit(TraceRecord(
                 self.sim.now, "*", BRANCH_WATCHDOG_ESCALATION,
                 vertex=vertex,
@@ -605,7 +561,7 @@ class ReconciliationController:
             "retries": self.retries,
             "failures": self.failures,
             "give_ups": self.give_ups,
-            "abandoned": self.abandoned,
+            "abandoned": self.give_ups,
             "applied": self.applied,
             "escalations": self.escalations,
             "superseded": self.superseded_requests,
@@ -616,9 +572,9 @@ class ReconciliationController:
         }
         if self.state_manager is not None:
             summary["migrations"] = {
-                "started": self.migrations_started,
-                "applied": self.migrations_applied,
-                "rolled_back": self.migrations_rolled_back,
+                "started": self.state_manager.migrations_started,
+                "applied": self.state_manager.migrations_completed,
+                "rolled_back": self.state_manager.migrations_rolled_back,
             }
         summary["admission_denials"] = self.admission_denials
         return summary

@@ -463,11 +463,13 @@ def _check_manifest(manifest_path: str) -> list:
 def _trace_check(obs_dir: str) -> int:
     import os
 
-    from repro.obs.manifest import MANIFEST_FILE, TRACE_FILE
+    from repro.obs.manifest import MANIFEST_FILE, METRICS_FILE, TRACE_FILE
+    from repro.obs.sampling import validate_metrics_file
     from repro.obs.trace import validate_trace_file
 
     trace_path = os.path.join(obs_dir, TRACE_FILE)
     manifest_path = os.path.join(obs_dir, MANIFEST_FILE)
+    metrics_path = os.path.join(obs_dir, METRICS_FILE)
     errors = []
     if os.path.exists(trace_path):
         errors.extend(validate_trace_file(trace_path))
@@ -477,12 +479,16 @@ def _trace_check(obs_dir: str) -> int:
         errors.extend(_check_manifest(manifest_path))
     else:
         errors.append(f"missing {manifest_path}")
+    checked = [trace_path, manifest_path]
+    if os.path.exists(metrics_path):
+        errors.extend(f"{metrics_path}: {e}" for e in validate_metrics_file(metrics_path))
+        checked.append(metrics_path)
     if errors:
         print(f"trace check FAILED ({len(errors)} errors):")
         for error in errors:
             print(f"  {error}")
         return 1
-    print(f"trace check OK: {trace_path} and {manifest_path} are schema-valid")
+    print(f"trace check OK: {', '.join(checked)} are schema-valid")
     return 0
 
 
@@ -814,7 +820,7 @@ def _run_chaos(args: argparse.Namespace, spec) -> None:
               f"{reconciler.escalations} watchdog escalations")
         print(f"  in flight: {len(reconciler.in_flight)}, "
               f"convergence lag: {reconciler.convergence_lag()}, "
-              f"abandoned: {reconciler.abandoned}")
+              f"abandoned: {reconciler.give_ups}")
     state_manager = job.state_manager
     if state_manager is not None:
         s = state_manager.summary()

@@ -232,7 +232,7 @@ class DeployedJob:
         self.trackers: List[ConstraintTracker] = [ConstraintTracker(c) for c in self.constraints]
         self.runtime = RuntimeGraph(job_graph)
         self._managers: List[QoSManager] = [
-            QoSManager(i, config.summary_window, metrics=engine.metrics)
+            QoSManager(i, config.summary_window)
             for i in range(config.qos_managers)
         ]
         self._next_manager = 0
@@ -268,7 +268,6 @@ class DeployedJob:
             startup_delay=config.startup_delay,
             on_task_created=self._on_task_created,
             on_channel_created=self._on_channel_created,
-            metrics=engine.metrics,
             job_id=self.job_id,
         )
         self.scheduler.on_preempted = self._on_task_preempted
@@ -315,7 +314,6 @@ class DeployedJob:
                 self.runtime,
                 actuation,
                 job_streams,
-                metrics=engine.metrics,
                 trace_sink=self.trace,
                 job_name=job_graph.name,
             )
@@ -334,7 +332,6 @@ class DeployedJob:
                 stateful,
                 job_streams,
                 checkpoint_interval=config.checkpoint_interval,
-                metrics=engine.metrics,
             )
             self.state_manager = manager
             for name in manager.vertices:
@@ -605,19 +602,12 @@ class StreamProcessingEngine:
         return clock
 
     def _enable_metrics(self) -> None:
-        if self.metrics is not None:
-            return
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.sampling import MetricsSampler
 
         self.metrics = MetricsRegistry()
-        interval = (
-            self.observability.sample_interval
-            if self.observability is not None
-            else 5.0
-        )
         self._metrics_sampler = MetricsSampler(
-            self, self.metrics, self.sampling_clock(interval)
+            self, self.metrics, self.sampling_clock(self.observability.sample_interval)
         )
 
     @property

@@ -119,9 +119,6 @@ class ResourceManager:
         self._neighbor_maps: Dict[object, Dict[str, Set[str]]] = {}
         #: outstanding reserved slots across all accounts
         self._reserved_total = 0
-        # lifetime admission counters
-        self.admission_denials = 0
-        self.preempted_tasks = 0
 
     # ------------------------------------------------------------------
     # capacity arithmetic
@@ -141,6 +138,16 @@ class ResourceManager:
     def active_tasks(self) -> int:
         """Tasks currently holding a slot."""
         return self._active_tasks
+
+    @property
+    def admission_denials(self) -> int:
+        """Lifetime denied requests, summed over the job accounts."""
+        return sum(a.denials for a in self._accounts.values())
+
+    @property
+    def preempted_tasks(self) -> int:
+        """Lifetime preempted tasks, summed over the job accounts."""
+        return sum(a.preemptions_suffered for a in self._accounts.values())
 
     def free_slots_available(self) -> int:
         """Physically free slots (ignores reservations).
@@ -240,7 +247,6 @@ class ResourceManager:
         account = self._account_for(job_id)
         if account.quota is not None and account.footprint + count > account.quota:
             account.denials += 1
-            self.admission_denials += 1
             return AdmissionDecision(
                 False,
                 f"quota exceeded: {account.footprint}+{count} > {account.quota}",
@@ -252,7 +258,6 @@ class ResourceManager:
             shortfall -= freed
         if shortfall > 0:
             account.denials += 1
-            self.admission_denials += 1
             return AdmissionDecision(
                 False,
                 f"insufficient cluster capacity: need {count}, "
@@ -281,7 +286,6 @@ class ResourceManager:
             if freed > 0:
                 victim.preemptions_suffered += freed
                 requester.preemptions_inflicted += freed
-                self.preempted_tasks += freed
                 freed_total += freed
                 preempted.append((victim.name, freed))
         return freed_total

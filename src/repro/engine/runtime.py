@@ -26,8 +26,6 @@ class RuntimeVertex:
         self.pending_additions = 0
         #: lifetime count of crashed (fault-injected) tasks
         self.crashes = 0
-        #: lifetime count of tasks force-stopped by cluster arbitration
-        self.preemptions = 0
         self._next_subtask_index = 0
 
     def next_subtask_index(self) -> int:

@@ -78,7 +78,6 @@ class Scheduler:
         startup_delay: float = 1.5,
         on_task_created: Optional[Callable[[RuntimeTask], None]] = None,
         on_channel_created: Optional[Callable[[RuntimeChannel], None]] = None,
-        metrics=None,
         job_id: object = None,
     ) -> None:
         self.sim = sim
@@ -93,9 +92,6 @@ class Scheduler:
         self.startup_delay = startup_delay
         self.on_task_created = on_task_created
         self.on_channel_created = on_channel_created
-        #: optional MetricsRegistry; scaling/failure actions are counted
-        #: under ``scheduler.*`` when set
-        self.metrics = metrics
         #: slot-account identity used for admission requests; None means
         #: the resource manager's anonymous default account
         self.job_id = job_id
@@ -109,14 +105,17 @@ class Scheduler:
         #: optional hook called with the vertex name after any action that
         #: changed its target parallelism (state repartition sync)
         self.on_rescaled: Optional[Callable[[str], None]] = None
-        #: log of executed scaling actions: (time, vertex, old_p, new_p)
-        self.scaling_log: List[tuple] = []
-        #: log of crashed tasks: (time, task_id)
-        self.failure_log: List[tuple] = []
-
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
+        # lifetime counters (sampled as ``scheduler.*`` metrics)
+        self.deploys = 0
+        self.tasks_started = 0
+        self.admission_denials = 0
+        self.scale_up_aborts = 0
+        self.scale_ups = 0
+        self.scale_downs = 0
+        self.preemptions = 0
+        self.task_failures = 0
+        self.task_restarts = 0
+        self.restart_denials = 0
 
     # ------------------------------------------------------------------
     # deployment
@@ -134,7 +133,7 @@ class Scheduler:
         for job_vertex in graph.topological_order():
             for task in self.runtime.vertex(job_vertex.name).tasks:
                 task.start()
-        self._count("scheduler.deploys")
+        self.deploys += 1
 
     def _create_task(self, rv: RuntimeVertex) -> RuntimeTask:
         job_vertex = rv.job_vertex
@@ -171,7 +170,7 @@ class Scheduler:
             )
         if self.on_task_created is not None:
             self.on_task_created(task)
-        self._count("scheduler.tasks_started")
+        self.tasks_started += 1
         return task
 
     def _wire_edge_full_mesh(self, edge: JobEdge) -> None:
@@ -231,7 +230,7 @@ class Scheduler:
             count = target - current
             grant = self.resources.request_slots(self.job_id, count)
             if not grant.admitted:
-                self._count("scheduler.admission_denials")
+                self.admission_denials += 1
                 return ScalingResult(count, 0, denied=True, reason=grant.reason)
             self._announce_scale_up(rv, count)
             self._notify_rescaled(vertex_name)
@@ -264,10 +263,9 @@ class Scheduler:
         # created and gate-wired with pending_additions already settled.
         if self.resources.free_slots_available() < count:
             self.resources.cancel_reservation(self.job_id, count)
-            self._count("scheduler.scale_up_aborts")
+            self.scale_up_aborts += 1
             self._notify_rescaled(rv.name)
             return
-        old_p = rv.parallelism
         new_tasks = [self._create_task(rv) for _ in range(count)]
         job_vertex = rv.job_vertex
         # Wire inbound: every active producer of each inbound edge gains
@@ -287,8 +285,7 @@ class Scheduler:
                 )
         for task in new_tasks:
             task.start()
-        self.scaling_log.append((self.sim.now, rv.name, old_p, rv.parallelism))
-        self._count("scheduler.scale_ups")
+        self.scale_ups += 1
 
     def scale_down(self, vertex_name: str, count: int) -> None:
         """Gracefully remove ``count`` tasks (youngest first)."""
@@ -300,12 +297,10 @@ class Scheduler:
         if count <= 0:
             return
         victims = sorted(active, key=lambda t: t.subtask_index)[-count:]
-        old_p = rv.parallelism
         self._unwire_from_producers(rv, victims)
         for victim in victims:
             victim.begin_drain()
-        self.scaling_log.append((self.sim.now, rv.name, old_p, rv.parallelism))
-        self._count("scheduler.scale_downs")
+        self.scale_downs += 1
 
     def _unwire_from_producers(self, rv: RuntimeVertex, victims: List[RuntimeTask]) -> None:
         """Remove ``victims`` from all upstream partitioners so no new
@@ -343,13 +338,10 @@ class Scheduler:
             if choice is None:
                 break
             rv, victim = choice
-            old_p = rv.parallelism
             self._unwire_from_producers(rv, [victim])
             victim.fail()  # releases the slot synchronously via on_stopped
-            rv.preemptions += 1
             freed += 1
-            self.scaling_log.append((self.sim.now, rv.name, old_p, rv.parallelism))
-            self._count("scheduler.preemptions")
+            self.preemptions += 1
             if self.on_preempted is not None:
                 self.on_preempted(victim, requester)
             self._notify_rescaled(rv.name)
@@ -388,7 +380,6 @@ class Scheduler:
         if task.state == "stopped":
             return False
         rv = self.runtime.vertex(task.vertex_name)
-        old_p = rv.parallelism
         rv.crashes += 1
         # The state hook sees the task while it is still active (its rank
         # identifies the lost partition) and returns the replay delay of
@@ -397,9 +388,7 @@ class Scheduler:
         if self.on_task_failed is not None:
             recovery_delay = self.on_task_failed(task)
         task.fail()
-        self.failure_log.append((self.sim.now, task.task_id))
-        self.scaling_log.append((self.sim.now, rv.name, old_p, rv.parallelism))
-        self._count("scheduler.task_failures")
+        self.task_failures += 1
         if restart_delay is not None:
             if restart_delay < 0:
                 raise ValueError(f"restart_delay must be >= 0 (got {restart_delay})")
@@ -413,9 +402,9 @@ class Scheduler:
                 self.sim.schedule(
                     restart_delay + recovery_delay, self._materialize_scale_up, rv, 1
                 )
-                self._count("scheduler.task_restarts")
+                self.task_restarts += 1
             else:
-                self._count("scheduler.restart_denials")
+                self.restart_denials += 1
                 self._notify_rescaled(task.vertex_name)
         else:
             # No replacement: the vertex permanently lost a degree of

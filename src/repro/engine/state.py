@@ -291,7 +291,6 @@ class StateManager:
         specs: Dict[str, StatefulVertexSpec],
         streams,
         checkpoint_interval: float = 15.0,
-        metrics=None,
     ) -> None:
         if checkpoint_interval <= 0:
             raise ValueError(
@@ -300,7 +299,6 @@ class StateManager:
         self.sim = sim
         self.runtime = runtime
         self.checkpoint_interval = float(checkpoint_interval)
-        self.metrics = metrics
         self._migration_rng = streams.get("migration")
         self._vertices: Dict[str, _VertexState] = {}
         for name in sorted(specs):
@@ -312,10 +310,10 @@ class StateManager:
                 name, specs[name], parallelism,
                 streams.get(f"state:{name}"),
             )
-        # counters (all deterministic; surfaced via summary())
+        # counters (all deterministic; surfaced via summary() and
+        # sampled as ``state.*`` metrics)
         self.migrations_started = 0
         self.migrations_completed = 0
-        self.migrations_failed = 0
         self.migrations_rolled_back = 0
         self.migrations_deferred = 0
         self.state_migrated_bytes = 0
@@ -370,8 +368,6 @@ class StateManager:
         vs.checkpoint = vs.state.snapshot()
         vs.checkpoint_time = self.sim.now
         self.checkpoints += 1
-        if self.metrics is not None:
-            self.metrics.counter("state.checkpoints").inc()
         # The synchronous snapshot briefly pauses the vertex — the cost
         # side of the checkpoint-interval tradeoff.
         pause = vs.state.total_bytes / vs.spec.cost.snapshot_bytes_per_s
@@ -408,9 +404,6 @@ class StateManager:
         self.state_lost_bytes += max(0, lost)
         self.recovery_time_s += replay
         self.crash_recoveries += 1
-        if self.metrics is not None:
-            self.metrics.counter("state.crash_recoveries").inc()
-            self.metrics.counter("state.lost_bytes").inc(max(0, lost))
         return replay
 
     # ------------------------------------------------------------------
@@ -420,8 +413,6 @@ class StateManager:
     def plan_migration(self, vertex: str, target: int) -> MigrationPlan:
         plan = self._vertices[vertex].state.plan_migration(target)
         self.migrations_started += 1
-        if self.metrics is not None:
-            self.metrics.counter("state.migrations_started").inc()
         return plan
 
     def sample_phase_times(
@@ -445,19 +436,18 @@ class StateManager:
         return tuple(out)
 
     def apply_migration(self, plan: MigrationPlan) -> None:
+        """Adopt the layout; the cluster may still deny the rescale."""
         self._vertices[plan.vertex].state.apply(plan)
+
+    def complete_migration(self, plan: MigrationPlan, t_restore: float) -> None:
+        """The rescale was applied: count the migration and its bytes."""
         self.migrations_completed += 1
         self.state_migrated_bytes += plan.moved_bytes
-        if self.metrics is not None:
-            self.metrics.counter("state.migrations_completed").inc()
-            self.metrics.counter("state.migrated_bytes").inc(plan.moved_bytes)
+        self.note_migration_pause(plan.vertex, t_restore)
 
     def rollback_migration(self, plan: MigrationPlan) -> None:
         self._vertices[plan.vertex].state.rollback(plan)
-        self.migrations_failed += 1
         self.migrations_rolled_back += 1
-        if self.metrics is not None:
-            self.metrics.counter("state.migrations_rolled_back").inc()
 
     def sync_parallelism(self, vertex: str) -> int:
         """Repartition instantly to the vertex's current target.
@@ -472,10 +462,7 @@ class StateManager:
             return 0
         target = max(1, self.runtime.vertices[vertex].target_parallelism)
         moved = vs.state.repartition(target)
-        if moved:
-            self.state_migrated_bytes += moved
-            if self.metrics is not None:
-                self.metrics.counter("state.migrated_bytes").inc(moved)
+        self.state_migrated_bytes += moved
         return moved
 
     def note_migration_pause(self, vertex: str, pause: float) -> None:
@@ -509,7 +496,7 @@ class StateManager:
             "migrations": {
                 "started": self.migrations_started,
                 "completed": self.migrations_completed,
-                "failed": self.migrations_failed,
+                "failed": self.migrations_rolled_back,
                 "rolled_back": self.migrations_rolled_back,
                 "deferred": self.migrations_deferred,
             },
@@ -551,9 +538,6 @@ class MigrationAdvisor:
 
     def note_deferred(self, vertex: str) -> None:
         self._manager.migrations_deferred += 1
-        metrics = self._manager.metrics
-        if metrics is not None:
-            metrics.counter("state.migrations_deferred").inc()
 
 
 __all__ = [

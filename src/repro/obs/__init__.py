@@ -12,7 +12,6 @@ _EXPORTS = {
     "ObservabilityConfig": "repro.obs.config",
     "DEFAULT_BUCKETS": "repro.obs.metrics",
     "Counter": "repro.obs.metrics",
-    "Gauge": "repro.obs.metrics",
     "Histogram": "repro.obs.metrics",
     "MetricsRegistry": "repro.obs.metrics",
     "SAMPLE_EPSILON": "repro.obs.sampling",

@@ -1,4 +1,4 @@
-"""Process-wide metrics primitives: counters, gauges, histograms.
+"""Process-wide metrics primitives: counters and histograms.
 
 A :class:`MetricsRegistry` is a flat, insertion-ordered namespace of
 instruments. The registry is deliberately simulation-agnostic (it never
@@ -6,10 +6,12 @@ touches the event heap or any RNG), so instrumented code behaves
 identically whether metrics are collected or not — the property the
 engine's byte-identical-when-disabled guarantee rests on.
 
-Instruments are get-or-create: ``registry.counter("scheduler.tasks_started")``
+Instruments are get-or-create: ``registry.histogram("service_time.worker")``
 returns the same object on every call, so hot paths can cache the handle.
 The engine creates one private registry per run so concurrent engines and
-tests never share state.
+tests never share state. It holds only what must be pushed per item — the
+``service_time.<vertex>`` histograms; every scalar metric is a component's
+own counter, read by :class:`~repro.obs.sampling.MetricsSampler`.
 """
 
 from __future__ import annotations
@@ -43,23 +45,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name!r}, {self.value})"
-
-
-class Gauge:
-    """A point-in-time value that may go up or down."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Overwrite the gauge with ``value``."""
-        self.value = float(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Gauge({self.name!r}, {self.value})"
 
 
 class Histogram:
@@ -128,7 +113,7 @@ class Histogram:
         return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:.6f})"
 
 
-Instrument = Union[Counter, Gauge, Histogram]
+Instrument = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
@@ -152,10 +137,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         """The counter named ``name`` (created on first access)."""
         return self._get_or_create(name, Counter, lambda: Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge named ``name`` (created on first access)."""
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
 
     def histogram(self, name: str, bounds: Optional[Sequence[float]] = None) -> Histogram:
         """The histogram named ``name`` (created on first access)."""

@@ -45,11 +45,9 @@ class _ChannelWindows:
 class QoSManager:
     """Collects measurements for a subset of tasks/channels."""
 
-    def __init__(self, manager_id: int, window: int = 5, metrics=None) -> None:
+    def __init__(self, manager_id: int, window: int = 5) -> None:
         self.manager_id = manager_id
         self.window = window
-        #: optional MetricsRegistry; collects/summaries counted under ``qos.*``
-        self.metrics = metrics
         self._tasks: Dict[int, Tuple["RuntimeTask", TaskReporter, _TaskWindows]] = {}
         self._channels: Dict[int, Tuple["RuntimeChannel", ChannelReporter, _ChannelWindows]] = {}
         #: measurements are discarded while ``now < _suppressed_until``
@@ -57,7 +55,10 @@ class QoSManager:
         self._suppressed_until = 0.0
         #: time of the last collect that actually kept its samples
         self._last_fresh: Optional[float] = None
-        #: lifetime count of collects whose samples were dropped
+        # lifetime counters (sampled as ``qos.*`` metrics)
+        self.collects = 0
+        self.partial_summaries = 0
+        #: collects whose samples were dropped
         self.dropped_collects = 0
 
     # ------------------------------------------------------------------
@@ -110,14 +111,11 @@ class QoSManager:
         (their interval accumulators reset) but the samples are dropped.
         """
         suppressed = now < self._suppressed_until
+        self.collects += 1
         if suppressed:
             self.dropped_collects += 1
         else:
             self._last_fresh = now
-        if self.metrics is not None:
-            self.metrics.counter("qos.collects").inc()
-            if suppressed:
-                self.metrics.counter("qos.suppressed_collects").inc()
         dead_tasks = []
         for uid, (task, reporter, windows) in self._tasks.items():
             if task.state == "stopped":
@@ -152,8 +150,7 @@ class QoSManager:
         """Aggregate the sliding windows into a partial summary (Eq. 2)."""
         summary = PartialSummary(now)
         staleness = self.staleness(now)
-        if self.metrics is not None:
-            self.metrics.counter("qos.partial_summaries").inc()
+        self.partial_summaries += 1
         per_vertex: Dict[str, List[_TaskWindows]] = {}
         for task, _reporter, windows in self._tasks.values():
             if task.state == "stopped":

@@ -121,9 +121,7 @@ def _job_result(job, account: Dict[str, object]) -> Dict[str, object]:
         "final_parallelism": {
             name: rv.parallelism for name, rv in job.runtime.vertices.items()
         },
-        "preempted_tasks": sum(
-            rv.preemptions for rv in job.runtime.vertices.values()
-        ),
+        "preempted_tasks": account["preemptions_suffered"],
         "trace_denials": denial_records,
         "account": account,
     }

@@ -313,9 +313,9 @@ class TestReconciler:
         rec.fail_actuations("Worker", until=1e9)
         rec.request("Worker", 4)
         job.engine.run(1.0)
-        assert rec.abandoned == 1
+        assert rec.give_ups == 1
         summary = rec.summary()
-        assert summary["abandoned"] == 1
+        assert summary["abandoned"] == summary["give_ups"] == 1
         # the migrations section appears only on stateful jobs
         assert "migrations" not in summary
 
@@ -600,7 +600,9 @@ class TestActuationChaosAcceptance:
         return {
             "trace": [record.to_dict() for record in job.trace.records],
             "faults": job.fault_injector.trace(),
-            "scaling_log": list(job.scheduler.scaling_log),
+            "scaling": [(e.time, e.applied) for e in job.scaler.events],
+            "scale_ups": job.scheduler.scale_ups,
+            "scale_downs": job.scheduler.scale_downs,
             "parallelism": {
                 name: rv.target_parallelism
                 for name, rv in job.runtime.vertices.items()
@@ -650,7 +652,7 @@ class TestActuationChaosAcceptance:
             job = engine.submit(builder.build())
             engine.run(80.0)
             return (
-                list(job.scheduler.scaling_log),
+                (job.scheduler.scale_ups, job.scheduler.scale_downs),
                 [(e.time, e.applied) for e in job.scaler.events],
             )
 

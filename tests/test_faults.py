@@ -77,8 +77,13 @@ class TestChaosAcceptance:
     def _fingerprint(self, engine, job):
         return {
             "faults": job.fault_injector.trace(),
-            "scaling_log": list(job.scheduler.scaling_log),
             "scaler_events": [(e.time, e.applied) for e in job.scaler.events],
+            "scheduler": (
+                job.scheduler.scale_ups,
+                job.scheduler.scale_downs,
+                job.scheduler.task_failures,
+                job.scheduler.task_restarts,
+            ),
             "parallelism": {
                 name: rv.parallelism for name, rv in job.runtime.vertices.items()
             },
@@ -114,16 +119,13 @@ class TestChaosAcceptance:
         assert job.scaler.skipped_stale > 0
         # ...and no scale-down was issued while measurements were stale:
         # between the dropout start (t=30) and the moment fresh data
-        # returns (t=50), the scaling log may contain only crash bookkeeping
-        # and restarts/scale-ups — never a deliberate shrink.
-        crashes = {
-            (t, task_id.split("[")[0]) for t, task_id in job.scheduler.failure_log
-        }
-        for time, vertex, old_p, new_p in job.scheduler.scaling_log:
-            if 30.0 <= time < 50.0 and (time, vertex) not in crashes:
-                assert new_p >= old_p, (
-                    f"scale-down of {vertex} at t={time} during dropout"
-                )
+        # returns (t=50), the scaler may only scale up — never shrink.
+        for event in job.scaler.events:
+            for vertex, delta in event.applied.items():
+                if 30.0 <= event.time < 50.0:
+                    assert delta >= 0, (
+                        f"scale-down of {vertex} at t={event.time} during dropout"
+                    )
 
     def test_restart_restores_parallelism(self):
         _, job = run_chaos()
@@ -189,9 +191,10 @@ class TestTaskCrash:
     def test_crashed_task_counts_as_failure_not_drain(self):
         plan = FaultPlan((TaskCrash(at=2.0, vertex="Worker", restart_delay=None),))
         _, job = deploy_faulty_linear(plan, duration=4.0, n_workers=2)
-        assert len(job.scheduler.failure_log) == 1
-        time, task_id = job.scheduler.failure_log[0]
-        assert time == 2.0 and task_id.startswith("Worker")
+        assert job.scheduler.task_failures == 1
+        assert job.scheduler.scale_downs == 0
+        (time, kind, label, _detail), = job.fault_injector.trace()
+        assert time == 2.0 and kind == "task_crash" and label.startswith("Worker[")
 
     def test_crash_on_missing_vertex_raises(self):
         plan = FaultPlan((TaskCrash(at=2.0, vertex="Nope"),))

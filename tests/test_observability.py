@@ -28,7 +28,6 @@ from repro.obs import (
     TRACE_SCHEMA_VERSION,
     Counter,
     DecisionTrace,
-    Gauge,
     Histogram,
     MetricsRegistry,
     ObservabilityConfig,
@@ -84,12 +83,6 @@ class TestMetricsPrimitives:
         with pytest.raises(ValueError):
             Counter("x").inc(-1)
 
-    def test_gauge_overwrites(self):
-        g = Gauge("x")
-        g.set(5)
-        g.set(2.5)
-        assert g.value == 2.5
-
     def test_histogram_stats_and_buckets(self):
         h = Histogram("x", bounds=(0.1, 1.0))
         for v in (0.05, 0.5, 2.0):
@@ -137,25 +130,22 @@ class TestMetricsPrimitives:
     def test_registry_get_or_create_identity(self):
         r = MetricsRegistry()
         assert r.counter("a") is r.counter("a")
-        assert r.gauge("b") is r.gauge("b")
         assert r.histogram("c") is r.histogram("c")
-        assert list(r.snapshot()) == ["a", "b", "c"]
-        assert len(r) == 3
+        assert list(r.snapshot()) == ["a", "c"]
+        assert len(r) == 2
 
     def test_registry_kind_mismatch(self):
         r = MetricsRegistry()
         r.counter("a")
         with pytest.raises(TypeError):
-            r.gauge("a")
+            r.histogram("a")
 
     def test_registry_snapshot_flat(self):
         r = MetricsRegistry()
         r.counter("a").inc(2)
-        r.gauge("b").set(1.5)
         r.histogram("c").observe(0.01)
         snap = r.snapshot()
         assert snap["a"] == 2
-        assert snap["b"] == 1.5
         assert snap["c"]["count"] == 1
 
 
@@ -437,21 +427,17 @@ class TestEndToEnd:
     def test_every_scaling_action_has_a_trace_record(self, tmp_path):
         engine, job = self._run_with_obs(tmp_path)
         changes = [
-            (t, vertex, new_p - old_p)
-            for t, vertex, old_p, new_p in job.scheduler.scaling_log
-            if new_p != old_p
+            (event.time, vertex, delta)
+            for event in job.scaler.events
+            for vertex, delta in event.applied.items()
         ]
         assert changes, "run produced no scaling actions — not a useful check"
-        startup = engine.config.startup_delay
         action_branches = {BRANCH_REBALANCE, BRANCH_BOTTLENECK, BRANCH_INFEASIBLE}
         for t, vertex, delta in changes:
-            # scale-ups materialize startup_delay after the decision;
-            # scale-downs log at decision time
-            decision_time = t - startup if delta > 0 else t
             matches = [
                 r for r in job.trace
                 if r.vertex == vertex
-                and math.isclose(r.time, decision_time, abs_tol=1e-4)
+                and r.time == t
                 and r.branch in action_branches
                 and r.p_applied == delta
             ]
@@ -503,7 +489,7 @@ class TestEndToEnd:
 
     def test_metrics_registry_populated(self, tmp_path):
         engine, job = self._run_with_obs(tmp_path)
-        snap = engine.metrics.snapshot()
+        snap = engine._metrics_sampler.snapshots[-1]["metrics"]
         assert snap["cluster.task_seconds"] > 0
         assert snap["cluster.active_tasks"] >= 1
         assert snap["scheduler.tasks_started"] >= 6
@@ -515,9 +501,12 @@ class TestEndToEnd:
         baseline_engine, baseline = run_elastic(duration=90.0)
         obs = ObservabilityConfig()
         enabled_engine, enabled = run_elastic(duration=90.0, observability=obs)
-        assert baseline.scheduler.scaling_log == enabled.scheduler.scaling_log
         assert [(e.time, e.applied) for e in baseline.scaler.events] == [
             (e.time, e.applied) for e in enabled.scaler.events
+        ]
+        counts = ("tasks_started", "scale_ups", "scale_downs")
+        assert [getattr(baseline.scheduler, c) for c in counts] == [
+            getattr(enabled.scheduler, c) for c in counts
         ]
 
     def test_graph_hash_stable_and_structure_sensitive(self):

@@ -104,12 +104,13 @@ class TestScaleUp:
         job.engine.run(2.0)
         assert job.parallelism("Worker") == 4
 
-    def test_scaling_log_records(self):
+    def test_scale_up_is_counted(self):
         job = deploy()
         job.engine.run(1.0)
         job.scheduler.set_parallelism("Worker", 3)
         job.engine.run(2.0)
-        assert any(entry[1] == "Worker" for entry in job.scheduler.scaling_log)
+        assert job.scheduler.scale_ups == 1
+        assert job.scheduler.tasks_started == 5  # 4 deployed + 1 added
 
 
 class TestScaleDown:
