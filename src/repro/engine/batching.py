@@ -22,6 +22,8 @@ its emit path by the strategy's type once, at construction, and reads
 
 from __future__ import annotations
 
+import math
+
 
 class BatchingStrategy:
     """Decides when a channel's output buffer is shipped."""
@@ -88,6 +90,10 @@ class AdaptiveDeadlineBatching(BatchingStrategy):
         self._deadline = self._clamp(initial_deadline)
 
     def _clamp(self, value: float) -> float:
+        # Negated, so NaN fails it: min/max would silently turn NaN into
+        # max_deadline. ±inf still clamps.
+        if not -math.inf <= value <= math.inf:
+            raise ValueError("batching deadline must not be NaN")
         return max(self.min_deadline, min(self.max_deadline, value))
 
     @property
@@ -96,7 +102,7 @@ class AdaptiveDeadlineBatching(BatchingStrategy):
         return self._deadline
 
     def set_deadline(self, deadline: float) -> None:
-        """Re-tune the deadline (clamped into ``[min, max]``)."""
+        """Re-tune the deadline (clamped into ``[min, max]``; NaN raises)."""
         self._deadline = self._clamp(deadline)
 
     def clone(self) -> "AdaptiveDeadlineBatching":

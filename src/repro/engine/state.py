@@ -261,7 +261,7 @@ class StatefulVertexSpec:
 class _VertexState:
     """One vertex's live state model inside the manager."""
 
-    __slots__ = ("spec", "state", "sampler", "rng",
+    __slots__ = ("spec", "state", "sampler", "rank_keys", "rng",
                  "checkpoint", "checkpoint_time")
 
     def __init__(self, vertex: str, spec: StatefulVertexSpec,
@@ -269,6 +269,10 @@ class _VertexState:
         self.spec = spec
         self.state = KeyedState(vertex, parallelism)
         self.sampler = ZipfKeySampler(spec.n_keys, spec.zipf_s)
+        #: ``(key, stable_key_hash(key))`` of every Zipf rank, so a
+        #: sampled event formats and hashes nothing
+        keys = [f"k{rank:04d}" for rank in range(spec.n_keys)]
+        self.rank_keys = tuple((key, stable_key_hash(key)) for key in keys)
         self.rng = rng
         #: last checkpoint: global key map + its capture time (t=0 start
         #: counts as an implicit empty checkpoint)
@@ -346,13 +350,22 @@ class StateManager:
         """One processed event grows one key of ``vertex``'s state."""
         vs = self._vertices[vertex]
         spec = vs.spec
-        if spec.bytes_per_event == 0:
+        nbytes = spec.bytes_per_event
+        if nbytes == 0:
             return
         if spec.key_fn is not None:
-            key = spec.key_fn(payload)
+            vs.state.add(spec.key_fn(payload), nbytes)
+            return
+        # vs.state.add(f"k{rank:04d}", nbytes), inlined with the rank's
+        # key and placement hash looked up instead of computed
+        key, digest = vs.rank_keys[vs.sampler.sample_index(vs.rng)]
+        state = vs.state
+        partition = state._partitions[digest % state.parallelism]
+        value = partition.get(key, 0) + int(nbytes)
+        if value > 0:
+            partition[key] = value
         else:
-            key = f"k{vs.sampler.sample_index(vs.rng):04d}"
-        vs.state.add(key, spec.bytes_per_event)
+            partition.pop(key, None)
 
     # ------------------------------------------------------------------
     # periodic checkpoints

@@ -248,8 +248,8 @@ class RuntimeTask:
 
     __slots__ = (
         "uid", "sim", "vertex_name", "subtask_index", "task_id", "udf", "rng",
-        "item_size", "_service_fn", "_generate", "_complete_bound", "_serving_inline",
-        "_is_windowed",
+        "item_size", "_service_fn", "_generate", "_complete_bound", "_source_tick_bound",
+        "_serving_inline", "_is_windowed",
         "input_queue", "in_channels", "out_gates", "reporter", "state",
         "start_time", "stop_time", "on_stopped", "failed",
         "service_multiplier", "_busy", "_paused_until", "_pop_time",
@@ -321,6 +321,8 @@ class RuntimeTask:
         # source state
         self.rate_profile: Optional["RateProfile"] = None
         self._tick_owed = False
+        #: bound once: every source tick's heap entry carries it
+        self._source_tick_bound = self._source_tick
 
         #: optional probe called with (elapsed-since-creation, payload) for
         #: every item this task processes; the engine installs one on sink
@@ -648,13 +650,14 @@ class RuntimeTask:
             if not self._drain_backlog():
                 return  # blocked again; another waiter is registered
             if self._tick_owed:
+                # The owed tick runs now: the backlog is empty and a
+                # source is only ever RUNNING or STOPPED.
                 self._tick_owed = False
-                self._source_emit()
-                if not self._drain_backlog():
-                    return
-            # The emission loop stalled while blocked (no tick is pending);
-            # resume it from now.
-            self._schedule_source_tick()
+                self._source_tick()
+            else:
+                # The emission loop stalled while blocked (no tick is
+                # pending); resume it from now.
+                self._schedule_source_tick()
         else:
             self._complete_service()
 
@@ -699,16 +702,25 @@ class RuntimeTask:
     def _schedule_source_tick(self) -> None:
         if self.state != RUNNING:
             return
-        assert self.rate_profile is not None
-        interval = self.rate_profile.next_interval(self.sim.now, self.rng)
+        sim = self.sim
+        now = sim.now
+        interval = self.rate_profile.next_interval(now, self.rng)
         # Shipping overhead keeps the source thread busy; the next item is
         # emitted once the profile interval has elapsed AND the thread is
         # free again (overhead caps the max rate but does not delay
         # emissions below saturation).
         interval = max(interval, self._overhead_debt)
         self._overhead_debt = 0.0
-        # Fire-and-forget: never cancelled (the callback guards on state).
-        self.sim.schedule_fire(interval, self._source_tick)
+        # sim.schedule_fire(interval, self._source_tick), inlined:
+        # fire-and-forget (the callback guards on state).
+        if not interval >= 0:  # negated, so NaN fails it too
+            raise SimulationError(f"cannot schedule into the past (delay={interval})")
+        seq = sim._seq
+        sim._seq = seq + 1
+        heap = sim._heap
+        heappush(heap, (now + interval, seq, self._source_tick_bound, ()))
+        if len(heap) > sim._max_heap:
+            sim._max_heap = len(heap)
 
     def _source_tick(self) -> None:
         if self.state != RUNNING:
@@ -718,16 +730,16 @@ class RuntimeTask:
             # resume from the unblock (effective < attempted throughput).
             self._tick_owed = True
             return
-        self._source_emit()
-        if self._drain_backlog():
-            self._schedule_source_tick()
-        # else: resumed from _on_unblocked
-
-    def _source_emit(self) -> None:
         now = self.sim.now
         payload = self._generate(now, self.rng)
         self.items_processed += 1
-        self._route_outputs((payload,), created_at=now, direct=True)
+        self._route_outputs((payload,), now, direct=True)
+        if self._backlog:
+            if not self._drain_backlog():
+                return  # blocked; resumed by _on_unblocked
+        else:
+            self._blocked_on = None
+        self._schedule_source_tick()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RuntimeTask({self.task_id}, state={self.state})"

@@ -225,15 +225,17 @@ class Simulator:
                 entry[2](*entry[3])
                 continue
             event = entry[2]
-            if event.cancelled:
-                if event.pooled:
-                    self._recycle(pool, event)
-                continue
-            self.now = entry[0]
-            self._fired_events += 1
-            event.callback(*event.args)
+            if not event.cancelled:
+                self.now = entry[0]
+                self._fired_events += 1
+                event.callback(*event.args)
             if event.pooled:
-                self._recycle(pool, event)
+                # Recycle: drop the payload (and its reference cycles)
+                # before pooling. The generation is bumped at *reuse*, so
+                # a just-fired handle still reports the one its owner saw.
+                event.callback = None
+                event.args = ()
+                pool.append(event)
 
     def _run_until(self, until: float) -> None:
         # _run_unbounded plus the horizon check: an event strictly after
@@ -253,30 +255,21 @@ class Simulator:
                 entry[2](*entry[3])
             else:
                 event = entry[2]
-                if event.cancelled:
+                if not event.cancelled:
+                    if time > until:
+                        break
                     pop(heap)
-                    if event.pooled:
-                        self._recycle(pool, event)
-                    continue
-                if time > until:
-                    break
-                pop(heap)
-                self.now = time
-                self._fired_events += 1
-                event.callback(*event.args)
-                if event.pooled:
-                    self._recycle(pool, event)
+                    self.now = time
+                    self._fired_events += 1
+                    event.callback(*event.args)
+                else:
+                    pop(heap)
+                if event.pooled:  # recycled in place, as in _run_unbounded
+                    event.callback = None
+                    event.args = ()
+                    pool.append(event)
         if self.now < until:
             self.now = until
-
-    @staticmethod
-    def _recycle(pool: List[Event], event: Event) -> None:
-        # Break reference cycles / drop payloads before pooling; the
-        # generation is bumped at *reuse* so a just-fired handle still
-        # reports the generation its owner saw.
-        event.callback = None
-        event.args = ()
-        pool.append(event)
 
     # ------------------------------------------------------------------
     # recurrences

@@ -13,6 +13,19 @@ import random
 from typing import List, Sequence, Tuple
 
 
+def check_jitter(jitter: str) -> str:
+    """Return ``jitter`` if it names an interarrival law, else raise.
+
+    ``next_interval`` treats every name but "deterministic" as Poisson,
+    so a misspelt name would silently change the arrival process.
+    """
+    if jitter not in ("exponential", "deterministic"):
+        raise ValueError(
+            f"jitter must be 'exponential' or 'deterministic' (got {jitter!r})"
+        )
+    return jitter
+
+
 class RateProfile:
     """Base class: attempted rate as a function of time."""
 
@@ -41,7 +54,7 @@ class ConstantRate(RateProfile):
         if rate < 0:
             raise ValueError(f"rate must be >= 0 (got {rate})")
         self._rate = rate
-        self.jitter = jitter
+        self.jitter = check_jitter(jitter)
 
     def rate(self, now: float) -> float:
         return self._rate
@@ -68,7 +81,7 @@ class PiecewiseRate(RateProfile):
                 raise ValueError(f"rates must be >= 0 (got {rate})")
             previous = start
         self.segments = list(segments)
-        self.jitter = jitter
+        self.jitter = check_jitter(jitter)
 
     def rate(self, now: float) -> float:
         current = 0.0
@@ -158,7 +171,7 @@ class DiurnalRate(RateProfile):
         self.period = period
         self.phase = phase
         self.bursts = list(bursts)
-        self.jitter = jitter
+        self.jitter = check_jitter(jitter)
 
     def rate(self, now: float) -> float:
         rate = self.base_rate * (

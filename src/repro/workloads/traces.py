@@ -20,7 +20,7 @@ import os
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.workloads.rates import RateProfile
+from repro.workloads.rates import RateProfile, check_jitter
 
 #: one trace sample: (timestamp_seconds, rate_per_second)
 TracePoint = Tuple[float, float]
@@ -137,7 +137,7 @@ class TraceRateProfile(RateProfile):
         self.trace = list(trace)
         self.compression = compression
         self.rate_scale = rate_scale
-        self.jitter = jitter
+        self.jitter = check_jitter(jitter)
 
     @property
     def replay_duration(self) -> float:

@@ -184,6 +184,21 @@ class TestAdaptiveDeadlineBatching:
         with pytest.raises(ValueError):
             AdaptiveDeadlineBatching(0.01, buffer_bytes=0)
 
+    def test_nan_deadline_rejected_not_clamped_to_max(self):
+        # min/max would turn NaN into max_deadline (0.5 s) without a word
+        with pytest.raises(ValueError, match="NaN"):
+            AdaptiveDeadlineBatching(float("nan"))
+        s = AdaptiveDeadlineBatching(0.01)
+        with pytest.raises(ValueError, match="NaN"):
+            s.set_deadline(float("nan"))
+        assert s.deadline == 0.01
+
+    def test_infinite_deadlines_still_clamp(self):
+        s = AdaptiveDeadlineBatching(float("inf"), min_deadline=0.001, max_deadline=0.1)
+        assert s.deadline == 0.1
+        s.set_deadline(float("-inf"))
+        assert s.deadline == 0.001
+
 
 def test_output_gate_refuses_other_strategy_types():
     class EveryOtherItem(BatchingStrategy):

@@ -18,6 +18,7 @@ from repro.workloads.rates import (
     PiecewiseRate,
     step_phase_segments,
 )
+from repro.workloads.traces import TraceRateProfile
 from repro.workloads.sentiment import (
     NEGATIVE,
     NEUTRAL,
@@ -47,6 +48,20 @@ class TestConstantRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ConstantRate(-1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda jitter: ConstantRate(10.0, jitter=jitter),
+    lambda jitter: PiecewiseRate([(0.0, 10.0)], jitter=jitter),
+    lambda jitter: DiurnalRate(10.0, 0.0, 60.0, jitter=jitter),
+    lambda jitter: TraceRateProfile([(0.0, 10.0), (1.0, 20.0)], jitter=jitter),
+], ids=["constant", "piecewise", "diurnal", "trace"])
+def test_a_misspelt_jitter_is_rejected_not_poisson(make):
+    """Any name but the two laws used to mean exponential arrivals."""
+    with pytest.raises(ValueError, match="'exponential' or 'deterministic'.*'determinstic'"):
+        make("determinstic")
+    assert make("deterministic").next_interval(0.0, random.Random(1)) == 0.1
+    assert make("exponential").jitter == "exponential"
 
 
 class TestPiecewiseRate:
