@@ -2,7 +2,7 @@
 
 Commands
 --------
-``experiment {fig3,fig5,fig6,fig8,sensitivity,validation,policies,all}``
+``experiment {fig3,fig5,fig6,fig8,sensitivity,validation,policies,ablations,all}``
     Run a paper-reproduction experiment and print its report
     (``--quick`` for the reduced variant, ``--csv DIR`` to write each
     figure's committed CSV artefact into DIR).
@@ -100,9 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a paper experiment")
     exp.add_argument("name", choices=tuple(FIGURES) + ("all",))
+    one_scale = [name for name, figure in FIGURES.items() if figure.params is None]
     exp.add_argument("--quick", action="store_true",
-                     help="reduced-scale variant (fig5 and validation have one "
-                          "scale: the full run)")
+                     help=f"reduced-scale variant ({', '.join(one_scale[:-1])} and "
+                          f"{one_scale[-1]} have one scale: the full run)")
     exp.add_argument("--csv", metavar="DIR",
                      help="write each figure's CSV artefact into DIR under its "
                           "results/ name (fig3_series.csv, fig5_surface.csv, "

@@ -9,8 +9,8 @@ tracks each vertex's arrival rate with double exponential smoothing
 *forecast* at a configurable horizon, so scale-ups for steep ramps are
 issued one adjustment interval earlier.
 
-The ablation benchmark compares it against the reactive baseline on the
-PrimeTester step workload (where the paper's dominant violation is the
+``repro experiment policies`` compares it against the reactive baseline
+on the PrimeTester step workload (where the paper's dominant violation is the
 warm-up → increment rate jump).
 """
 

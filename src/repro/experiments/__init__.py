@@ -15,14 +15,17 @@ One module per paper artifact (see DESIGN.md's experiment index):
 * :mod:`repro.experiments.sensitivity` — the strategy's own control
   parameters swept on the same job;
 * :mod:`repro.experiments.validation` — the engine against queueing
-  theory on a two-stage tandem.
+  theory on a two-stage tandem;
+* :mod:`repro.experiments.ablations` — the fitting coefficient, the
+  queue-wait share and the inactivity phase each switched off or moved.
 
 Each module exposes a ``run(...)`` function returning a result object
 with the same rows/series the paper reports (``report()`` /
 ``series_csv(path)``). A figure is a list of runs and a report: every
 engine comes from :func:`repro.experiments.recording.deploy`, and
 :data:`FIGURES` names each module, its params class and its CSV artefact
-for the one command line, ``repro experiment``.
+for the one command line, ``repro experiment``, the only writer of
+``results/``.
 """
 
 from repro import _lazy_exports

@@ -61,7 +61,7 @@ class CompareParams:
     seed: int = 11
 
     def quick(self) -> "CompareParams":
-        """Reduced variant for benchmarks."""
+        """The reduced variant, ``--quick``."""
         workload = replace(self.workload, step_duration=8.0, increment_steps=5,
                            peak_rate=300.0)
         return replace(self, workload=workload)

@@ -55,7 +55,7 @@ class Fig6Params:
     seed: int = 11
 
     def quick(self) -> "Fig6Params":
-        """Reduced variant for benchmarks."""
+        """The reduced variant, ``--quick``."""
         workload = replace(
             self.workload, step_duration=8.0, increment_steps=5, peak_rate=300.0
         )
@@ -251,18 +251,17 @@ def run_baseline(params: Fig6Params) -> RunResult:
     return RunResult("baseline-16KiB", recorder, job)
 
 
-def run(params: Optional[Fig6Params] = None, sweep: bool = True) -> Fig6Result:
-    """Run the full Fig. 6 comparison (and the ℓ sweep when requested)."""
+def run(params: Optional[Fig6Params] = None) -> Fig6Result:
+    """Run the full Fig. 6 comparison and the ℓ sweep."""
     params = params or Fig6Params()
     result = Fig6Result(params)
     result.elastic = run_elastic(params)
     result.baseline = run_baseline(params)
-    if sweep:
-        for bound in params.sweep_bounds:
-            sweep_run = run_elastic(params, bound, name=f"elastic-{bound * 1000:.0f}ms")
-            result.sweep[bound] = (
-                sweep_run.task_seconds,
-                sweep_run.fulfillment if sweep_run.fulfillment is not None else 0.0,
-                sweep_run.pt_task_seconds,
-            )
+    for bound in params.sweep_bounds:
+        sweep_run = run_elastic(params, bound, name=f"elastic-{bound * 1000:.0f}ms")
+        result.sweep[bound] = (
+            sweep_run.task_seconds,
+            sweep_run.fulfillment if sweep_run.fulfillment is not None else 0.0,
+            sweep_run.pt_task_seconds,
+        )
     return result

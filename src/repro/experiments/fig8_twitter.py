@@ -45,7 +45,7 @@ class Fig8Params:
     seed: int = 23
 
     def quick(self) -> "Fig8Params":
-        """Reduced variant for benchmarks."""
+        """The reduced variant, ``--quick``."""
         workload = replace(
             self.workload,
             period=120.0,

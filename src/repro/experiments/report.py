@@ -125,6 +125,7 @@ FIGURES = {
     "sensitivity": Figure("repro.experiments.sensitivity", "SensitivityParams", "sensitivity.csv", "sweep"),
     "validation": Figure("repro.experiments.validation", None, "validation.csv", "sweep"),
     "policies": Figure("repro.experiments.compare_policies", "CompareParams", "policies.csv", "outcomes"),
+    "ablations": Figure("repro.experiments.ablations", None, "ablations.csv", "variants"),
 }
 
 

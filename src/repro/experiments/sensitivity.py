@@ -48,7 +48,7 @@ class SensitivityParams:
     seed: int = 11
 
     def quick(self) -> "SensitivityParams":
-        """Reduced grid for benchmarks."""
+        """The reduced grid, ``--quick``."""
         workload = replace(self.workload, step_duration=6.0, increment_steps=4)
         return replace(
             self,

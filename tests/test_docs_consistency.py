@@ -155,6 +155,7 @@ class TestPublicApi:
             "repro.experiments.sensitivity",
             "repro.experiments.validation",
             "repro.experiments.compare_policies",
+            "repro.experiments.ablations",
             "repro.experiments.ascii",
             "repro.sweep",
             "repro.sweep.grid",
@@ -405,6 +406,10 @@ class TestDesignAndExperiments:
             assert os.path.exists(os.path.join(ROOT, path)), path
         for path in set(re.findall(r"`(tests/[\w_]+\.py)`", text)):
             assert os.path.exists(os.path.join(ROOT, path)), path
+        for doc in ("EXPERIMENTS.md", "README.md", "DESIGN.md", "CONTRIBUTING.md",
+                    os.path.join(".claude", "skills", "verify", "SKILL.md")):
+            for path in set(re.findall(r"results/[\w.-]+\.(?:txt|csv)", read(doc))):
+                assert os.path.exists(os.path.join(ROOT, path)), (doc, path)
 
 
 class TestExamples:

@@ -3,12 +3,15 @@
 These run each harness at a tiny scale (seconds of virtual time) to
 exercise the full code path — engine construction, recording, derived
 statistics, report rendering and CSV export — without asserting the
-paper's shapes (the benchmark suite does that at a meaningful scale).
+paper's shapes (``tests/test_paper_shapes.py`` does that on the quick
+Fig. 6 and Fig. 8 runs, and CI diffs every quick report against
+``results/``).
 """
 
 import argparse
 import importlib
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -331,7 +334,12 @@ class TestFigureTable:
         assert callable(module.run)
         if figure.params is not None:
             assert callable(getattr(module, figure.params)().quick)
-        assert os.path.exists(os.path.join(ROOT, "results", figure.artefact))
+        results = os.path.join(ROOT, "results")
+        assert os.path.exists(os.path.join(results, figure.artefact))
+        assert os.path.exists(os.path.join(results, f"{name}_report.txt"))
+        assert os.path.exists(os.path.join(results, f"{name}_quick.txt")) == (
+            figure.params is not None
+        )
 
     @pytest.mark.parametrize("name", FIGURES)
     @pytest.mark.parametrize("argv", [["--csv"], ["--quik"], ["--quick", "stray"]])
@@ -363,7 +371,10 @@ class TestFigureTable:
         with pytest.raises(SystemExit):
             cli.main(["experiment", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "fig5 and validation have one scale" in help_text
+        listed = re.search(r"reduced-scale variant \((.*) have one scale", help_text).group(1)
+        assert set(re.split(r", | and ", listed)) == {
+            name for name, figure in FIGURES.items() if figure.params is None
+        }
 
 
 class TestResultsOracle:

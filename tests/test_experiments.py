@@ -150,14 +150,15 @@ class TestReport:
 
 class TestFig5:
     def test_surface_and_optimum(self):
-        result = run_fig5(Fig5Params(p_max=20))
-        assert result.surface
-        assert result.brute_total is not None
-        # Rebalance lands within one task of the surface optimum.
-        assert result.rebalance_total <= result.brute_total + 1
-        assert result.optima
-        for p1, p2, p3 in result.optima:
-            assert p1 + p2 + p3 == result.brute_total
+        for params in (Fig5Params(p_max=20), Fig5Params()):  # the second: the paper's scale
+            result = run_fig5(params)
+            assert result.surface
+            assert result.brute_total is not None
+            # Rebalance lands within one task of the surface optimum.
+            assert result.rebalance_total <= result.brute_total + 1
+            assert result.optima
+            for p1, p2, p3 in result.optima:
+                assert p1 + p2 + p3 == result.brute_total
 
     def test_surface_points_feasible(self):
         params = Fig5Params(p_max=15)

@@ -1,4 +1,4 @@
-"""Tests for the validation and sensitivity harnesses."""
+"""Tests for the validation, sensitivity and ablation harnesses."""
 
 import os
 from dataclasses import replace
@@ -77,6 +77,20 @@ class TestSensitivityHarness:
         text = result.report()
         assert "rho_max" in text
         assert "95.0%" in text
+
+    def test_ablations_are_one_run_point_per_variant(self, tmp_path):
+        from repro.experiments.ablations import VARIANTS, run
+
+        result = run(self.micro_params())
+        assert list(result.variants) == list(VARIANTS)
+        text = result.report()
+        for name in VARIANTS:
+            assert name in text
+        path = result.series_csv(os.path.join(tmp_path, "ablations.csv"))
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        assert lines[0] == "variant,fulfillment,task_seconds,scaling_events"
+        assert len(lines) == 1 + len(VARIANTS)
 
 
 class TestCliNewExperiments:
