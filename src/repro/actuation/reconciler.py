@@ -10,8 +10,8 @@ longer applies its decisions directly — it hands each one to the
   sampled (deterministically, from the job's ``actuation`` random
   stream) on the simulator heap;
 * lets the request fail (an active ``ActuationFailure`` fault window,
-  a provisioning sample above ``timeout``, or insufficient cluster
-  resources) and retries with exponential backoff + jitter until
+  a provisioning sample above ``timeout``, or an admission denial)
+  and retries with exponential backoff + jitter until
   ``max_retries`` is exhausted;
 * runs a constraint-violation watchdog that escalates to
   bottleneck-style doubling when reconciliation has lagged a violated
@@ -135,14 +135,11 @@ class ReconciliationController:
         # lifetime counters (sampled as ``actuation.*`` metrics)
         self.requests = 0
         self.retries = 0
-        self.failures = 0
         self.give_ups = 0
         self.applied = 0
         self.escalations = 0
         self.superseded_requests = 0
         self.partials = 0
-        #: scale-ups refused by the cluster's admission controller
-        self.admission_denials = 0
         #: vertices whose last success applied less than desired; the
         #: remainder is re-issued on the next adjustment tick
         self._partial_pending: set = set()
@@ -283,11 +280,20 @@ class ReconciliationController:
         # A replaced in-flight request must be marked superseded before
         # the overwrite: its _complete/_retry callbacks are still on the
         # heap and would otherwise apply an outdated target over this
-        # newer one later.
+        # newer one later. A transfer it had under way ends here as a
+        # rollback; nothing was applied, and the running pause stands.
         previous = self.in_flight.get(vertex)
         if previous is not None and not previous.superseded:
             previous.superseded = True
             self.superseded_requests += 1
+            plan = self._migrating.pop(vertex, None)
+            if plan is not None:
+                self.state_manager.abandon_migration(plan)
+                self._emit(self._trace(
+                    BRANCH_MIGRATION_ROLLED_BACK, previous,
+                    f"superseded mid-transfer; stays at p={previous.p_before}",
+                    state_bytes=plan.moved_bytes,
+                ))
         self.desired[vertex] = target
         self.in_flight[vertex] = req
         self.requests += 1
@@ -323,24 +329,17 @@ class ReconciliationController:
             ):
                 self._begin_migration(req)
                 return
-            from repro.engine.resources import InsufficientResourcesError
-
-            try:
-                result = self.scheduler.set_parallelism(req.vertex, req.target)
-            except InsufficientResourcesError:
-                failure = "insufficient cluster resources"
-            else:
-                if result.denied:
-                    # Admission denial is a first-class retryable outcome:
-                    # nothing was announced, so the request re-enters the
-                    # normal retry/backoff path and may succeed once other
-                    # jobs release slots.
-                    self.admission_denials += 1
-                    self._emit(self._trace(BRANCH_ADMISSION_DENIED, req, result.reason))
-                    self._fail(req, f"admission denied: {result.reason}")
-                    return
-                self._succeed(req, result)
+            result = self.scheduler.set_parallelism(req.vertex, req.target)
+            if result.denied:
+                # Admission denial is a first-class retryable outcome:
+                # nothing was announced, so the request re-enters the
+                # normal retry/backoff path and may succeed once other
+                # jobs release slots.
+                self._emit(self._trace(BRANCH_ADMISSION_DENIED, req, result.reason))
+                self._fail(req, f"admission denied: {result.reason}")
                 return
+            self._succeed(req, result)
+            return
         self._fail(req, failure)
 
     def _succeed(self, req: ActuationRequest, result) -> None:
@@ -360,7 +359,6 @@ class ReconciliationController:
         self._partial_pending.discard(req.vertex)
 
     def _fail(self, req: ActuationRequest, reason: str) -> None:
-        self.failures += 1
         self._emit(self._trace(BRANCH_ACTUATION_FAILED, req, reason))
         if req.attempt > self.config.max_retries:
             self.give_ups += 1
@@ -416,27 +414,18 @@ class ReconciliationController:
         if self._migrating.get(req.vertex) is plan:
             self._migrating.pop(req.vertex, None)
         if req.superseded:
-            # Nothing was applied yet — state layout is untouched, so
-            # the newer request simply starts from the same baseline.
+            # _issue already counted this transfer rolled back; the
+            # layout is untouched and the newer request starts from it.
             return
         if plan.aborted or self._migration_fault_active(req.vertex):
             reason = plan.abort_reason or "migration fault window active"
             self._rollback_migration(req, plan, t_restore, reason)
             return
         self.state_manager.apply_migration(plan)
-        from repro.engine.resources import InsufficientResourcesError
-
-        try:
-            result = self.scheduler.set_parallelism(req.vertex, req.target)
-        except InsufficientResourcesError:
-            result = None
-            reason = "insufficient cluster resources"
-        if result is not None and result.denied:
+        result = self.scheduler.set_parallelism(req.vertex, req.target)
+        if result.denied:
             reason = f"admission denied: {result.reason}"
-            result = None
-            self.admission_denials += 1
             self._emit(self._trace(BRANCH_ADMISSION_DENIED, req, reason))
-        if result is None:
             self.state_manager.rollback_migration(plan)
             self._emit(self._trace(
                 BRANCH_MIGRATION_ROLLED_BACK, req,
@@ -512,8 +501,8 @@ class ReconciliationController:
         whether any latency constraint is currently violated. When the
         constraint has been violated for ``watchdog_intervals``
         consecutive intervals while reconciliation lagged (desired ≠
-        actual), the watchdog supersedes the stuck requests and issues
-        bottleneck-style doubling orders.
+        actual), the watchdog issues bottleneck-style doubling orders;
+        each supersedes the stuck request through ``_issue``.
         """
         self._reissue_partials()
         lag = self.convergence_lag()
@@ -531,10 +520,6 @@ class ReconciliationController:
             desired = self.desired[vertex]
             if desired <= current:
                 continue  # escalation only accelerates scale-ups
-            pending = self.in_flight.get(vertex)
-            if pending is not None:
-                pending.superseded = True
-                self.in_flight.pop(vertex, None)
             target = rv.job_vertex.clamp(max(desired, 2 * max(current, 1)))
             self.escalations += 1
             self._emit(TraceRecord(
@@ -559,7 +544,7 @@ class ReconciliationController:
         summary: Dict[str, object] = {
             "requests": self.requests,
             "retries": self.retries,
-            "failures": self.failures,
+            "failures": self.retries + self.give_ups,
             "give_ups": self.give_ups,
             "abandoned": self.give_ups,
             "applied": self.applied,
@@ -576,7 +561,7 @@ class ReconciliationController:
                 "applied": self.state_manager.migrations_completed,
                 "rolled_back": self.state_manager.migrations_rolled_back,
             }
-        summary["admission_denials"] = self.admission_denials
+        summary["admission_denials"] = self.scheduler.admission_denials
         return summary
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

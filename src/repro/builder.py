@@ -351,7 +351,7 @@ class PipelineBuilder:
         A stateful vertex's rescales route through the multi-phase state
         migration protocol (quiesce → snapshot → transfer → restore),
         its task crashes trigger checkpoint-restore recovery, and the
-        scaling policies gain the migration-aware gate. See
+        elastic scaler gates its rescales on their migration pause. See
         :mod:`repro.engine.state`.
         """
         from repro.engine.state import StatefulVertexSpec

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.queueing import mmc_waiting_time
 from repro.core.constraints import LatencyConstraint
 from repro.core.policy import PolicyContext, check_knob, check_staleness, register_policy
-from repro.core.scale_reactively import ScalingDecision, apply_migration_gate
+from repro.core.scale_reactively import ScalingDecision
 from repro.qos.summary import GlobalSummary
 
 #: greedy allocation safety stop (far above any sensible p_max)
@@ -85,12 +85,6 @@ class DrsPolicy:
     #: registry name (see :mod:`repro.core.policy`)
     name = "drs"
 
-    #: optional :class:`~repro.engine.state.MigrationAdvisor`, attached
-    #: by the engine when the job has stateful vertices — enables the
-    #: migration-aware gate (see
-    #: :func:`~repro.core.scale_reactively.apply_migration_gate`)
-    migration_advisor = None
-
     def __init__(
         self,
         constraints: List[LatencyConstraint],
@@ -129,7 +123,6 @@ class DrsPolicy:
             if not feasible:
                 decision.infeasible_constraints.append(constraint.name)
             decision.merge_max({s.name: s.servers for s in stations})
-        apply_migration_gate(self, decision, summary, current_parallelism)
         return decision
 
     def _build_stations(

@@ -8,7 +8,9 @@ post-scale-up *inactivity phase*: after starting new tasks the scaler
 stays inactive for a configurable number of adjustment intervals, because
 fresh tasks need time to show up in the measurement data (and new
 channels initially worsen measured latency). Scale-downs require no
-inactivity phase.
+inactivity phase. On a stateful job the scaler also gates each decision
+on its migration pause (:meth:`ElasticScaler._gate_migrations`), so the
+policy's ``decide`` sees nothing but the summary and the parallelism.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from repro.obs.trace import (
     BRANCH_ADMISSION_DENIED,
     BRANCH_COOLDOWN,
     BRANCH_INACTIVE,
+    BRANCH_MIGRATION_DEFERRED,
     BRANCH_SCALE_DOWN_CLAMPED,
-    BRANCH_UNRESOLVABLE,
     TraceRecord,
 )
 from repro.qos.summary import GlobalSummary
@@ -33,6 +35,7 @@ from repro.simulation.kernel import Simulator
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.engine.runtime import RuntimeGraph
     from repro.engine.scheduler import Scheduler
+    from repro.engine.state import StateManager
 
 
 class ScalingEvent:
@@ -110,6 +113,9 @@ class ElasticScaler:
         #: count of decision targets suppressed because an actuation for
         #: the vertex was still in flight
         self.suppressed_in_flight = 0
+        #: the job's StateManager, set by the engine on a stateful job;
+        #: it prices each decided rescale for the migration gate
+        self.state_manager: Optional["StateManager"] = None
 
     def _emit(self, records) -> None:
         if self.trace_sink is not None:
@@ -165,6 +171,56 @@ class ElasticScaler:
         """
         self._no_scale_down_until = self.sim.now + self.recovery_cooldown
 
+    def _gate_migrations(
+        self, decision: ScalingDecision, summary: GlobalSummary, current: Dict[str, int]
+    ) -> None:
+        """Drop rescale targets whose modeled migration pause defeats the bound.
+
+        Rescaling a *stateful* vertex is not free: its keyed state must be
+        quiesced, snapshotted and transferred, pausing the vertex for a
+        time that scales with the moved bytes. When the constraint is
+        currently *met*, a migration whose expected pause exceeds the
+        remaining slack would itself cause the violation the rescale
+        tries to prevent, so the target is deferred (``migration-deferred``
+        trace branch) and the policy re-decides next round. When the bound
+        is already violated (slack <= 0) the rescale proceeds: the pause is
+        sunk cost on the way to a sustainable configuration.
+
+        The slack is that of the constraints the policy itself serves
+        (its ``constraints``); a latency-blind policy has none, so the
+        gate never binds for it.
+        """
+        constraints = getattr(self.policy, "constraints", None)
+        if not constraints:
+            return
+        for vertex in sorted(decision.parallelism):
+            target = decision.parallelism[vertex]
+            cost = self.state_manager.migration_cost(vertex, current.get(vertex), target)
+            if cost is None:
+                continue
+            binding = _binding_slack(constraints, vertex, summary)
+            if binding is None:
+                continue
+            expected_pause, moved_bytes = cost
+            constraint_name, slack = binding
+            if slack <= 0 or expected_pause <= slack:
+                continue
+            decision.parallelism.pop(vertex)
+            self.state_manager.migrations_deferred += 1
+            decision.trace.append(
+                TraceRecord(
+                    summary.timestamp, constraint_name, BRANCH_MIGRATION_DEFERRED,
+                    vertex=vertex,
+                    p_before=current.get(vertex),
+                    p_target=target,
+                    state_bytes=moved_bytes,
+                    detail=(
+                        f"modeled migration pause {expected_pause:.3f}s exceeds "
+                        f"remaining slack {slack:.3f}s"
+                    ),
+                )
+            )
+
     def on_global_summary(self, summary: GlobalSummary) -> Optional[ScalingDecision]:
         """React to a fresh global summary; returns the decision (or None)."""
         self.rounds += 1
@@ -183,6 +239,8 @@ class ElasticScaler:
             name: rv.target_parallelism for name, rv in self.runtime.vertices.items()
         }
         decision = self.policy.decide(summary, current)
+        if self.state_manager is not None:
+            self._gate_migrations(decision, summary, current)
         for record in decision.trace:
             record.job = self._job_name()
             record.round = self.rounds
@@ -192,9 +250,6 @@ class ElasticScaler:
             self._emit(decision.trace)
             self._observe(summary, decision, {})
             return decision
-        # lazy: repro.engine's package import pulls this module back in
-        from repro.engine.resources import InsufficientResourcesError
-
         extra_records = []
         applied: Dict[str, int] = {}
         scaled_up = False
@@ -228,17 +283,7 @@ class ElasticScaler:
                     vertex_name, target, round=self.rounds
                 )
             else:
-                try:
-                    result = self.scheduler.set_parallelism(vertex_name, target)
-                except InsufficientResourcesError:
-                    self.unresolvable += 1
-                    extra_records.append(
-                        self._vertex_record(
-                            BRANCH_UNRESOLVABLE, vertex_name, current, target,
-                            "insufficient cluster resources",
-                        )
-                    )
-                    continue
+                result = self.scheduler.set_parallelism(vertex_name, target)
                 if result.denied:
                     # Admission refused the scale-up (quota or cluster
                     # capacity) — like infeasibility, the guarantee cannot
@@ -278,3 +323,23 @@ class ElasticScaler:
                 + self.inactivity_intervals * self.adjustment_interval
             )
         return decision
+
+
+def _binding_slack(constraints, vertex: str, summary: GlobalSummary):
+    """(name, slack) of the tightest constraint containing ``vertex``.
+
+    Slack is the bound minus the *measured* sequence latency (Eq. 1's
+    constrained quantity); it is negative while the constraint is
+    violated, and the gate then lets the rescale through.
+    """
+    best = None
+    for constraint in constraints:
+        if vertex not in set(constraint.sequence.vertex_names()):
+            continue
+        measured = constraint.measured_latency(summary)
+        if measured is None:
+            measured = constraint.task_latency_sum(summary)
+        slack = constraint.bound - measured
+        if best is None or slack < best[1]:
+            best = (constraint.name, slack)
+    return best

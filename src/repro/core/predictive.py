@@ -16,7 +16,7 @@ warm-up → increment rate jump).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.constraints import LatencyConstraint
 from repro.core.policy import PolicyContext, check_knob, register_policy
@@ -85,8 +85,6 @@ class PredictiveScaleReactivelyPolicy(ScaleReactivelyPolicy):
         self._alpha = check_knob("alpha", alpha, high=1.0)
         self._beta = check_knob("beta", beta, high=1.0, low_closed=True)
         self._forecasters: Dict[str, HoltForecaster] = {}
-        #: (vertex, measured_total_rate, forecast_total_rate) per round
-        self.forecast_log: List[Tuple[str, float, float]] = []
 
     def knobs(self) -> Dict[str, object]:
         """Reactive knobs plus the forecasting parameters."""
@@ -121,7 +119,6 @@ class PredictiveScaleReactivelyPolicy(ScaleReactivelyPolicy):
             measured_total = vs.arrival_rate * p
             forecaster.observe(measured_total)
             forecast_total = max(measured_total, forecaster.forecast(self.horizon))
-            self.forecast_log.append((name, measured_total, forecast_total))
             if vs.arrival_rate <= 0 or forecast_total <= measured_total:
                 projected.vertices[name] = vs
                 continue

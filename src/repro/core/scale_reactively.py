@@ -25,7 +25,6 @@ from repro.core.rebalance import rebalance
 from repro.obs.trace import (
     BRANCH_BOTTLENECK,
     BRANCH_INFEASIBLE,
-    BRANCH_MIGRATION_DEFERRED,
     BRANCH_NO_MODEL_SKIP,
     BRANCH_REBALANCE,
     BRANCH_STALE_SKIP,
@@ -75,91 +74,11 @@ class ScalingDecision:
         )
 
 
-def apply_migration_gate(policy, decision: ScalingDecision, summary: GlobalSummary,
-                         current_parallelism: Dict[str, int]) -> None:
-    """Drop rescale targets whose modeled migration pause defeats the bound.
-
-    Rescaling a *stateful* vertex is not free: its keyed state must be
-    quiesced, snapshotted and transferred, pausing the vertex for a time
-    that scales with the moved bytes. When the constraint is currently
-    *met*, a migration whose expected pause exceeds the remaining slack
-    would itself cause the violation the rescale tries to prevent — so
-    the target is deferred (``migration-deferred`` trace branch) and the
-    policy re-decides next round. When the bound is already violated
-    (slack ≤ 0) the rescale proceeds: the pause is sunk cost on the way
-    to a sustainable configuration.
-
-    Shared by :class:`ScaleReactivelyPolicy` and
-    :class:`~repro.core.drs.DrsPolicy`; a no-op unless the engine
-    attached a :class:`~repro.engine.state.MigrationAdvisor` as
-    ``policy.migration_advisor``.
-    """
-    advisor = getattr(policy, "migration_advisor", None)
-    if advisor is None or not decision.parallelism:
-        return
-    time = summary.timestamp
-    for vertex in sorted(decision.parallelism):
-        target = decision.parallelism[vertex]
-        current = current_parallelism.get(vertex)
-        if current is None or target == current:
-            continue
-        assessment = advisor.assess(vertex, current, target)
-        if assessment is None:
-            continue
-        expected_pause, moved_bytes = assessment
-        binding = _binding_slack(policy.constraints, vertex, summary)
-        if binding is None:
-            continue
-        constraint_name, slack = binding
-        if slack <= 0 or expected_pause <= slack:
-            continue
-        decision.parallelism.pop(vertex)
-        advisor.note_deferred(vertex)
-        decision.trace.append(
-            TraceRecord(
-                time, constraint_name, BRANCH_MIGRATION_DEFERRED,
-                vertex=vertex,
-                p_before=current,
-                p_target=target,
-                state_bytes=moved_bytes,
-                detail=(
-                    f"modeled migration pause {expected_pause:.3f}s exceeds "
-                    f"remaining slack {slack:.3f}s"
-                ),
-            )
-        )
-
-
-def _binding_slack(constraints, vertex: str, summary: GlobalSummary):
-    """(name, slack) of the tightest constraint containing ``vertex``.
-
-    Slack is the bound minus the *measured* sequence latency (Eq. 1's
-    constrained quantity) — negative while the constraint is violated,
-    in which case the gate lets the rescale through.
-    """
-    best = None
-    for constraint in constraints:
-        if vertex not in set(constraint.sequence.vertex_names()):
-            continue
-        measured = constraint.measured_latency(summary)
-        if measured is None:
-            measured = constraint.task_latency_sum(summary)
-        slack = constraint.bound - measured
-        if best is None or slack < best[1]:
-            best = (constraint.name, slack)
-    return best
-
-
 class ScaleReactivelyPolicy:
     """Algorithm 2 over a fixed set of latency constraints."""
 
     #: registry name (see :mod:`repro.core.policy`)
     name = "scale-reactively"
-
-    #: optional :class:`~repro.engine.state.MigrationAdvisor`, attached
-    #: by the engine when the job has stateful vertices — enables the
-    #: migration-aware gate (see :func:`apply_migration_gate`)
-    migration_advisor = None
 
     def __init__(
         self,
@@ -312,7 +231,6 @@ class ScaleReactivelyPolicy:
                         detail="" if m.scalable else "fixed",
                     )
                 )
-        apply_migration_gate(self, decision, summary, current_parallelism)
         return decision
 
     def _is_stale(self, sequence, summary: GlobalSummary) -> bool:

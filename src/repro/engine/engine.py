@@ -324,7 +324,7 @@ class DeployedJob:
         #: scale-ups.
         self.state_manager: Optional[StateManager] = None
         if stateful:
-            from repro.engine.state import MigrationAdvisor, StateManager
+            from repro.engine.state import StateManager
 
             manager = StateManager(
                 engine.sim,
@@ -352,10 +352,8 @@ class DeployedJob:
             self.scheduler.on_task_failed = self._on_stateful_task_failed
             if self.reconciler is not None:
                 self.reconciler.state_manager = manager
-            if self.scaler is not None and hasattr(
-                type(self.scaler.policy), "migration_advisor"
-            ):
-                self.scaler.policy.migration_advisor = MigrationAdvisor(manager)
+            if self.scaler is not None:
+                self.scaler.state_manager = manager
         self.scheduler.deploy()
         if self.state_manager is not None:
             self.state_manager.start()

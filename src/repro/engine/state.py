@@ -423,6 +423,19 @@ class StateManager:
     # migrations
     # ------------------------------------------------------------------
 
+    def migration_cost(self, vertex: str, p_from: int, p_to: int) -> Optional[Tuple[float, int]]:
+        """``(expected_pause_s, moved_bytes)`` of a rescale, or None.
+
+        What the scaler's migration gate weighs against the remaining
+        slack: deterministic (no RNG) and mutating nothing. None means
+        the vertex is stateless or the rescale is a no-op.
+        """
+        if p_from == p_to or not self.is_stateful(vertex):
+            return None
+        vs = self._vertices[vertex]
+        plan = vs.state.plan_migration(p_to)
+        return expected_migration_pause(plan.moved_bytes, vs.spec.cost), plan.moved_bytes
+
     def plan_migration(self, vertex: str, target: int) -> MigrationPlan:
         plan = self._vertices[vertex].state.plan_migration(target)
         self.migrations_started += 1
@@ -460,6 +473,14 @@ class StateManager:
 
     def rollback_migration(self, plan: MigrationPlan) -> None:
         self._vertices[plan.vertex].state.rollback(plan)
+        self.abandon_migration(plan)
+
+    def abandon_migration(self, plan: MigrationPlan) -> None:
+        """Count a migration rolled back before its plan was applied.
+
+        A transfer superseded mid-flight ends here: the layout was never
+        touched, so there is nothing to restore.
+        """
         self.migrations_rolled_back += 1
 
     def sync_parallelism(self, vertex: str) -> int:
@@ -521,41 +542,8 @@ class StateManager:
         }
 
 
-class MigrationAdvisor:
-    """The policy-facing view of migration cost (read-only, no RNG).
-
-    Policies ask *what would this rescale pause cost right now* and
-    weigh it against the remaining latency headroom; deferrals are
-    counted back into the manager so the scoreboard can see them.
-    """
-
-    __slots__ = ("_manager",)
-
-    def __init__(self, manager: StateManager) -> None:
-        self._manager = manager
-
-    def assess(
-        self, vertex: str, p_from: int, p_to: int
-    ) -> Optional[Tuple[float, int]]:
-        """``(expected_pause_s, moved_bytes)`` of the rescale, or None.
-
-        None means the vertex is stateless or the rescale is a no-op —
-        nothing migrates, the gate must not interfere.
-        """
-        if p_from == p_to or not self._manager.is_stateful(vertex):
-            return None
-        vs = self._manager._vertices[vertex]
-        plan = vs.state.plan_migration(p_to)
-        pause = expected_migration_pause(plan.moved_bytes, vs.spec.cost)
-        return pause, plan.moved_bytes
-
-    def note_deferred(self, vertex: str) -> None:
-        self._manager.migrations_deferred += 1
-
-
 __all__ = [
     "KeyedState",
-    "MigrationAdvisor",
     "MigrationPlan",
     "StateManager",
     "StatefulVertexSpec",

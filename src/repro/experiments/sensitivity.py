@@ -113,8 +113,11 @@ def run_point(params: SensitivityParams, **overrides) -> SweepPoint:
     """Run the scenario once with one overridden control parameter.
 
     An :class:`EngineConfig` field overrides the config; anything else
-    (``rho_max``, ``w_fraction``) is a knob of the paper's policy.
+    (``rho_max``, ``w_fraction``) is a knob of the paper's policy. More
+    than one override is a ``ValueError``, raised before anything runs.
     """
+    if len(overrides) > 1:
+        raise ValueError(f"run_point takes at most one override (got {sorted(overrides)})")
     engine_fields = {f.name for f in fields(EngineConfig)}
     config = EngineConfig.nephele_adaptive(
         elastic=True, seed=params.seed, **SCALED_CLUSTER,

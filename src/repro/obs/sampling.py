@@ -117,10 +117,10 @@ METRICS = (
     ("actuation.superseded", "reconciler", "superseded_requests", COUNTER),
     ("actuation.applied", "reconciler", "applied", COUNTER),
     ("actuation.partials", "reconciler", "partials", COUNTER),
-    ("actuation.failures", "reconciler", "failures", COUNTER),
+    ("actuation.failures", "reconciler", lambda r: r.retries + r.give_ups, COUNTER),
     ("actuation.retries", "reconciler", "retries", COUNTER),
     ("actuation.give_ups", "reconciler", "give_ups", COUNTER),
-    ("actuation.admission_denials", "reconciler", "admission_denials", COUNTER),
+    ("actuation.admission_denials", "reconciler", lambda r: r.scheduler.admission_denials, COUNTER),
     ("actuation.escalations", "reconciler", "escalations", COUNTER),
     ("actuation.in_flight", "reconciler", lambda r: len(r.in_flight), GAUGE),
     ("actuation.convergence_lag", "reconciler", lambda r: r.convergence_lag(), GAUGE),

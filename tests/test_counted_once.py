@@ -8,14 +8,16 @@ module pins that design and the identities one number per fact buys:
 * a sampled ``metrics.jsonl`` row equals the owners' attributes at that
   instant;
 * ``state.migrations_started == completed + rolled_back`` plus the
-  migrations still in transfer;
+  migrations still in transfer, also where a watchdog escalation
+  supersedes a transfer mid-flight;
 * ``resources.admission_denials`` equals the job accounts' denials and
   the schedulers' admission + restart denials, and
   ``resources.preempted_tasks`` the schedulers' preemptions.
 
 It also holds the regression test of a stateful scale-up the cluster
 denies after the transfer: it must count as rolled back, not completed,
-and move no bytes.
+and move no bytes; and the check that ``actuation.superseded`` counts
+every request a newer one replaced, escalations included.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import pathlib
 import pytest
 
 from repro import cli
+from repro.actuation.reconciler import ReconciliationController
 from repro.builder import PipelineBuilder
+from repro.core.latency_model import MigrationCostModel
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.obs.config import ObservabilityConfig
 from repro.obs.sampling import METRICS, MetricsSampler
@@ -46,21 +50,21 @@ MIGRATION_CHAOS = [
 ]
 
 
-def denied_migration_engine(worker_pool: int = 1):
+def denied_migration_engine(worker_pool: int = 1, name: str = "denied-migration", **state):
     """A stateful job whose scale-ups a one-worker pool (4 slots) denies.
 
     The worker is overloaded at p=2 (900 items/s x 4 ms), so the scaler
     keeps asking for more; every transfer completes and only then does
     the cluster refuse the slots. With ``worker_pool=30`` the same
-    scale-up is granted.
+    scale-up is granted. ``state`` goes to ``.stateful("worker", ...)``.
     """
     pipeline = (
-        PipelineBuilder("denied-migration")
+        PipelineBuilder(name)
         .source(lambda now, rng: rng.random(), rate=ConstantRate(900.0))
         .map("worker", lambda x: x, service=Gamma(0.004, 0.7), parallelism=(2, 1, 16))
         .sink()
         .constrain(bound=0.030)
-        .stateful("worker")
+        .stateful("worker", **state)
         .actuate()
         .scale()
         .observe()
@@ -71,6 +75,19 @@ def denied_migration_engine(worker_pool: int = 1):
     )
     job = engine.submit(pipeline)
     return engine, job
+
+
+def slow_transfer_engine():
+    """The same job with room to grow and a transfer slower than the watchdog.
+
+    4 KiB per event at 200 kB/s makes every transfer outlast the
+    watchdog's three intervals, so each escalation supersedes a request
+    whose migration is still in transfer.
+    """
+    return denied_migration_engine(
+        30, "slow-transfer", bytes_per_event=4096,
+        cost=MigrationCostModel(transfer_bytes_per_s=2e5),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +108,7 @@ class TestDeniedMigration:
         )
         assert manager.migrations_completed == 0
         assert manager.state_migrated_bytes == 0
-        assert job.reconciler.admission_denials == manager.migrations_rolled_back
+        assert job.scheduler.admission_denials == manager.migrations_rolled_back
         assert manager.summary()["vertices"]["worker"]["parallelism"] == 2
         assert job.reconciler.summary()["migrations"] == {
             "started": manager.migrations_started,
@@ -239,6 +256,11 @@ def _denied_migration(tmp_path):
     engine.run(60.0)
 
 
+def _slow_transfer(tmp_path):
+    engine, _job = slow_transfer_engine()
+    engine.run(60.0)
+
+
 def _shared_cluster(tmp_path):
     """The canonical two-job contended scenario, sampled (60 s)."""
     spec = ScenarioSpec(seed=11, rate=1400.0, bound=0.06, workload="multi_job",
@@ -263,6 +285,7 @@ RUNS = {
     "golden-stateful": _golden("golden_stateful_scenario"),
     "denied-migration": _denied_migration,
     "shared-cluster": _shared_cluster,
+    "slow-transfer": _slow_transfer,
 }
 
 
@@ -285,6 +308,44 @@ class TestSampledRowsEqualOwners:
         assert all(list(row) == first for row in checked_ticks)
         scalars = [name for name in first if not name.startswith("service_time.")]
         assert scalars == [name for name, _o, _r, _k in METRICS]
+
+
+# ----------------------------------------------------------------------
+# one supersession path: a replaced request is counted, whoever replaces it
+# ----------------------------------------------------------------------
+
+
+class TestSupersessionIsCounted:
+    @pytest.mark.parametrize("run", ["golden-stateful", "denied-migration", "slow-transfer"])
+    def test_superseded_equals_escalations_that_replaced_a_request(
+        self, run, monkeypatch, tmp_path
+    ):
+        issued = []  # (reconciler, escalated, replaced an in-flight request)
+        original = ReconciliationController._issue
+
+        def _issue(self, vertex, target, current, round, escalated=False):
+            issued.append((self, escalated, vertex in self.in_flight))
+            return original(self, vertex, target, current, round, escalated)
+
+        monkeypatch.setattr(ReconciliationController, "_issue", _issue)
+        RUNS[run](tmp_path)
+        reconcilers = {id(rec): rec for rec, _e, _r in issued}.values()
+        replacing = [escalated for _rec, escalated, replaced in issued if replaced]
+        assert replacing and all(replacing)
+        assert sum(rec.superseded_requests for rec in reconcilers) == len(replacing)
+        assert sum(rec.escalations for rec in reconcilers) >= len(replacing)
+
+    def test_a_transfer_superseded_mid_flight_is_rolled_back(self):
+        engine, job = slow_transfer_engine()
+        engine.run(60.0)
+        manager, rec = job.state_manager, job.reconciler
+        assert rec.superseded_requests >= 1 and manager.migrations_rolled_back >= 1
+        assert manager.migrations_started == (
+            manager.migrations_completed + manager.migrations_rolled_back
+            + len(rec._migrating)
+        )
+        records = [r for r in job.trace.records if r.branch == "migration-rolled-back"]
+        assert any("superseded mid-transfer" in r.detail for r in records)
 
 
 # ----------------------------------------------------------------------

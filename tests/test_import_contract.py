@@ -11,11 +11,16 @@ the branch that constructs it. The rule these tests pin:
   once it has imported ``repro.sweep.shard``.
 
 Module loading is per process, so every case runs in a fresh interpreter.
+One rule needs no interpreter: ``repro.core`` (the policies and the
+elastic scaler) imports neither ``repro.engine`` nor ``repro.actuation``,
+so a policy's ``decide`` can be fed summaries with no engine behind it.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import pathlib
 import textwrap
 
 import pytest
@@ -234,3 +239,30 @@ def test_a_forked_shard_imports_nothing(tmp_path):
         "        assert not grown, f'{spec.key} imported {grown}'\n",
         str(tmp_path),
     )
+
+
+def _runtime_imports(node):
+    """Every import under ``node`` outside an ``if TYPE_CHECKING:`` body."""
+    if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+        children = node.orelse
+    else:
+        children = ast.iter_child_nodes(node)
+    for child in children:
+        if isinstance(child, ast.Import):
+            yield child.lineno, [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            yield child.lineno, [f"{child.module}.{alias.name}" for alias in child.names]
+        else:
+            yield from _runtime_imports(child)
+
+
+def test_core_imports_neither_engine_nor_actuation():
+    core = pathlib.Path(ROOT) / "src" / "repro" / "core"
+    offenders = [
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(core.glob("*.py"))
+        for lineno, names in _runtime_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for name in names
+        if name.split(".")[:2] in (["repro", "engine"], ["repro", "actuation"])
+    ]
+    assert offenders == []

@@ -162,9 +162,10 @@ class TestPredictivePolicy:
         _, policy = self.make_policy(graph)
         # Falling rates: forecast must not undercut the measurement.
         for interarrival in (0.01, 0.02, 0.04):
-            policy.decide(summary_with(interarrival=interarrival), {"Worker": 4})
-        for vertex, measured, forecast in policy.forecast_log:
-            assert forecast >= measured - 1e-9
+            summary = summary_with(interarrival=interarrival)
+            projected = policy._project_summary(summary, {"Worker": 4})
+            for name, vs in summary.vertices.items():
+                assert projected.vertex(name).arrival_rate >= vs.arrival_rate - 1e-9
 
     def test_zero_horizon_matches_reactive(self):
         graph = make_graph()
@@ -175,12 +176,19 @@ class TestPredictivePolicy:
         b = reactive.decide(summary, {"Worker": 4})
         assert a.parallelism == b.parallelism
 
-    def test_forecast_log_populated(self):
+    def test_projected_summary_covers_every_vertex(self):
         graph = make_graph()
         _, policy = self.make_policy(graph)
-        policy.decide(summary_with(), {"Worker": 4})
-        assert policy.forecast_log
-        assert policy.forecast_log[0][0] == "Worker"
+        summary = summary_with()
+        projected = policy._project_summary(summary, {"Worker": 4})
+        assert list(projected.vertices) == list(summary.vertices) == ["Worker"]
+        assert projected.timestamp == summary.timestamp
+        # a steady ramp (200, 400, ... 1000 items/s in total) is projected
+        # above the measurement once the trend is learned
+        for step in range(2, 6):
+            summary = summary_with(interarrival=0.02 / step)
+            projected = policy._project_summary(summary, {"Worker": 4})
+        assert projected.vertex("Worker").arrival_rate > summary.vertex("Worker").arrival_rate
 
     def test_invalid_horizon_rejected(self):
         graph = make_graph()

@@ -344,18 +344,18 @@ class TestMigrationGate:
         )
         assert job.state_manager.migrations_started >= 1
 
-    def test_advisor_is_silent_for_noop_and_stateless(self):
-        from repro.engine.state import MigrationAdvisor
-
+    def test_migration_cost_is_silent_for_noop_and_stateless(self):
         engine, job = run_stateful(duration=5.0)
-        advisor = MigrationAdvisor(job.state_manager)
-        assert advisor.assess("worker", 4, 4) is None
-        assert advisor.assess("sink", 1, 2) is None
-        assessment = advisor.assess("worker", 4, 8)
+        manager = job.state_manager
+        assert manager.migration_cost("worker", 4, 4) is None
+        assert manager.migration_cost("sink", 1, 2) is None
+        before = (manager.migrations_started, manager.summary())
+        assessment = manager.migration_cost("worker", 4, 8)
         assert assessment is not None
         pause, moved = assessment
-        spec = job.state_manager.spec("worker")
+        spec = manager.spec("worker")
         assert pause == pytest.approx(expected_migration_pause(moved, spec.cost))
+        assert (manager.migrations_started, manager.summary()) == before
 
 
 class TestCrashDuringMigration:

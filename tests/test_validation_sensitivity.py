@@ -62,6 +62,16 @@ class TestSensitivityHarness:
         assert point.value == 0.8
         assert 0.0 <= point.fulfillment <= 1.0
 
+    def test_two_overrides_fail_before_anything_runs(self, monkeypatch):
+        import repro.experiments.sensitivity as sensitivity
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the overrides")
+
+        monkeypatch.setattr(sensitivity, "run_primetester", no_run)
+        with pytest.raises(ValueError, match="at most one override"):
+            run_point(self.micro_params(), rho_max=0.8, w_fraction=0.3)
+
     def test_quick_grid_is_reduced(self):
         full = SensitivityParams()
         quick = full.quick()
