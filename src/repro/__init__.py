@@ -11,7 +11,7 @@ Quickstart
 ...                    build_primetester_job, PrimeTesterParams)
 >>> graph, profile = build_primetester_job(PrimeTesterParams())
 >>> engine = StreamProcessingEngine(EngineConfig.nephele_adaptive())
->>> engine.submit(graph)
+>>> job = engine.submit(graph)
 >>> engine.run(30.0)
 
 See ``examples/`` for complete scenarios (including the elastic

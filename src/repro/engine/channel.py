@@ -165,10 +165,7 @@ class RuntimeChannel:
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        heap = sim._heap
-        heappush(heap, (now + transfer, seq, self._arrive_bound, (items,)))
-        if len(heap) > sim._max_heap:
-            sim._max_heap = len(heap)
+        heappush(sim._heap, (now + transfer, seq, self._arrive_bound, (items,)))
 
     def add_unblock_waiter(self, callback: Callable[[], None]) -> None:
         """Register a one-shot callback fired when credits free up."""

@@ -39,7 +39,6 @@ from repro.engine.queues import BoundedQueue
 from repro.engine.udf import Emit, SourceUDF, UDF, WindowedAggregateUDF
 from repro.graphs.partitioning import Partitioner, make_partitioner
 from repro.qos.stats import mean_in_order
-from repro.simulation.events import Event
 from repro.simulation.kernel import PeriodicProcess, SimulationError, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,7 +69,7 @@ class OutputGate:
         "sim", "producer", "edge_name", "pattern", "key_fn", "strategy",
         "_mode", "network", "_instant_overhead",
         "channels", "partitioner", "_start", "_buffer", "_buffered_bytes",
-        "_flush_timer", "_timer_generation", "flushes",
+        "_timer_seq", "_on_flush_timer_bound", "flushes",
     )
 
     #: emit() dispatch modes resolved from the strategy type once at
@@ -117,8 +116,10 @@ class OutputGate:
         self._start = start
         self._buffer: List[Tuple[RuntimeChannel, DataItem]] = []
         self._buffered_bytes = 0
-        self._flush_timer: Optional[Event] = None
-        self._timer_generation = 0
+        #: seq of the armed flush-deadline entry, -1 when none is armed;
+        #: an entry whose seq no longer matches pops as a withdrawn no-op
+        self._timer_seq = -1
+        self._on_flush_timer_bound = self._on_flush_timer
         #: lifetime flush count (tests / recorders)
         self.flushes = 0
 
@@ -161,11 +162,14 @@ class OutputGate:
             self._buffered_bytes = buffered_bytes
             if deadline <= 0.0 or buffered_bytes >= strategy.buffer_bytes:
                 self._flush()
-            elif self._flush_timer is None:
+            elif self._timer_seq < 0:
+                # arm the deadline: a plain heap entry, pushed inline as
+                # RuntimeChannel.ship pushes its arrival
                 sim = self.sim
-                timer = sim._schedule_pooled_at(sim.now + deadline, self._on_flush_timer)
-                self._flush_timer = timer
-                self._timer_generation = timer.generation
+                seq = sim._seq
+                sim._seq = seq + 1
+                heappush(sim._heap, (sim.now + deadline, seq, self._on_flush_timer_bound, (seq,)))
+                self._timer_seq = seq
             return True
         if mode == 1:  # InstantFlush: ship without touching the buffer
             if self._buffer:
@@ -198,28 +202,21 @@ class OutputGate:
 
     def discard(self) -> None:
         """Drop the buffered items without shipping (task crash)."""
-        timer = self._flush_timer
-        if timer is not None:
-            # Pooled-event owner contract: only cancel while our handle's
-            # generation is current (the kernel recycles fired/cancelled
-            # pooled events under a bumped generation).
-            if timer.generation == self._timer_generation:
-                timer.cancel()
-            self._flush_timer = None
+        self._timer_seq = -1  # disarm the deadline
         self._buffer = []
         self._buffered_bytes = 0
 
-    def _on_flush_timer(self) -> None:
-        self._flush_timer = None
+    def _on_flush_timer(self, seq: int) -> None:
+        if seq != self._timer_seq:
+            # disarmed by an early flush or a discard: fires nothing
+            self.sim._withdrawn += 1
+            return
+        self._timer_seq = -1
         if self._buffer:
             self._flush()
 
     def _flush(self) -> None:
-        timer = self._flush_timer
-        if timer is not None:
-            if timer.generation == self._timer_generation:
-                timer.cancel()
-            self._flush_timer = None
+        self._timer_seq = -1  # an early flush disarms the deadline
         buffer = self._buffer
         self._buffer = []
         self._buffered_bytes = 0
@@ -526,8 +523,6 @@ class RuntimeTask:
                 seq = sim._seq
                 sim._seq = seq + 1
                 heappush(heap, (now + service, seq, self._complete_bound, (item,)))
-                if len(heap) > sim._max_heap:
-                    sim._max_heap = len(heap)
                 return
             # Zero service, no output gates, nothing else due now: the
             # completion event would fire next and push nothing, so finish
@@ -717,10 +712,7 @@ class RuntimeTask:
             raise SimulationError(f"cannot schedule into the past (delay={interval})")
         seq = sim._seq
         sim._seq = seq + 1
-        heap = sim._heap
-        heappush(heap, (now + interval, seq, self._source_tick_bound, ()))
-        if len(heap) > sim._max_heap:
-            sim._max_heap = len(heap)
+        heappush(sim._heap, (now + interval, seq, self._source_tick_bound, ()))
 
     def _source_tick(self) -> None:
         if self.state != RUNNING:

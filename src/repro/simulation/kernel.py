@@ -17,28 +17,36 @@ comparison. Two entry shapes share the heap (``seq`` is unique per
 simulator, so comparisons never reach the third element):
 
 ``(time, seq, callback, args)``
-    The *fire-and-forget* path (:meth:`Simulator.schedule_fire`): no
-    :class:`~repro.simulation.events.Event` handle is allocated and the
-    event cannot be cancelled. The engine's per-record hot path (service
-    completions, channel arrivals, source ticks) uses this shape — those
-    callbacks already guard against stopped/closed receivers, which is
-    what cancellation was for.
+    A *plain* entry, with no handle to cancel. The public
+    :meth:`Simulator.schedule_fire` pushes one, and so does everything
+    the engine schedules for itself: service completions, channel
+    arrivals, source ticks, output-gate flush deadlines,
+    :meth:`Simulator.every` recurrences and :meth:`Simulator
+    .schedule_batch` steps. Each owner guards its own callback: a task
+    or channel checks its state, a stopped recurrence and a disarmed
+    deadline return at once and count themselves as *withdrawn*.
 
 ``(time, seq, event)``
-    The cancellable path (:meth:`Simulator.schedule`). Events whose
-    ``pooled`` flag is set are recycled into a free list after firing
-    (with a ``generation`` bump so stale handles can detect the reuse);
-    the kernel only pools events whose handles it controls —
-    :class:`PeriodicProcess` firings and :class:`BatchSchedule` steps.
+    The cancellable path (:meth:`Simulator.schedule` and
+    :meth:`Simulator.schedule_at`): a cancelled
+    :class:`~repro.simulation.events.Event` is dropped when it reaches
+    the head of the heap, is never counted and never moves the clock.
 
-Batched arrivals (:meth:`Simulator.schedule_batch`) walk a precomputed
-time sequence with one recycled pooled event instead of allocating one
-event per record; each step still fires at its own time with a fresh
-``seq``, preserving the ``(time, seq)`` total order.
+A withdrawn entry stays on the heap until it is popped, so
+:attr:`~Simulator.pending_events` counts it until then. Every push takes
+a ``seq``, so :attr:`~Simulator.fired_events` is derived rather than
+counted per event: pushes, minus entries still pending, minus popped
+entries that fired nothing. :meth:`Simulator.run` takes the heap's
+high-water mark once per pop; only callbacks push during a run, so the
+heap is largest just before a pop.
 
 Every entry point rejects a time before ``now`` *and* a NaN time (the
 guards are negated comparisons, which NaN fails): one NaN key would
 break the heap order for every later event.
+
+An exception that escapes a callback leaves :meth:`Simulator.run`
+unchanged in type, arguments and traceback, with one note naming the
+callback, its owner, the virtual time and the entry's ``seq``.
 
 Not every completion is an event. A task with no output gates whose
 item takes exactly zero service finishes it inside the callback that
@@ -51,6 +59,7 @@ per such item.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.simulation.events import Event
@@ -58,6 +67,19 @@ from repro.simulation.events import Event
 
 class SimulationError(RuntimeError):
     """Raised on kernel misuse (e.g. scheduling into the past)."""
+
+
+def _label_failure(exc: BaseException, entry: tuple, now: float) -> None:
+    """Attach a note naming the callback of ``entry`` that raised ``exc``."""
+    callback = entry[2] if len(entry) == 4 else entry[2].callback
+    name = getattr(callback, "__qualname__", None) or repr(callback)
+    owner = getattr(callback, "__self__", None)
+    where = "" if owner is None else f" of {owner!r}"
+    note = f"raised by {name}{where} at t={now!r}, entry seq {entry[1]}"
+    notes = getattr(exc, "__notes__", None)
+    if notes is None:  # Python < 3.11 has no add_note(); the list is the same
+        exc.__notes__ = notes = []
+    notes.append(note)
 
 
 class Simulator:
@@ -77,37 +99,35 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        # entries: (time, seq, callback, args) fire-and-forget
+        # entries: (time, seq, callback, args) plain
         #       or (time, seq, Event)          cancellable
         self._heap: List[tuple] = []
+        #: entries pushed so far; owners that push inline take it too
         self._seq = 0
         #: current virtual time in seconds — a plain attribute (read from
         #: every hot callback) rather than a property; treat as read-only
         self.now = 0.0
         self._running = False
-        self._fired_events = 0
+        #: popped entries that fired nothing (a cancelled handle, a stopped
+        #: recurrence's step, a disarmed flush deadline); owners of plain
+        #: entries add theirs
+        self._withdrawn = 0
         self._max_heap = 0
-        self._pool: List[Event] = []
 
     @property
     def pending_events(self) -> int:
-        """Number of events in the heap (including cancelled ones)."""
+        """Number of entries in the heap (including withdrawn ones)."""
         return len(self._heap)
 
     @property
     def fired_events(self) -> int:
-        """Total number of events fired so far (excludes cancelled)."""
-        return self._fired_events
+        """Total number of events fired so far (excludes withdrawn ones)."""
+        return self._seq - len(self._heap) - self._withdrawn
 
     @property
     def max_heap_size(self) -> int:
         """High-water mark of the event heap over the run so far."""
-        return self._max_heap
-
-    @property
-    def pooled_events(self) -> int:
-        """Size of the event free list (introspection for tests/bench)."""
-        return len(self._pool)
+        return max(self._max_heap, len(self._heap))
 
     # ------------------------------------------------------------------
     # scheduling
@@ -132,10 +152,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, callback, args)
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, event))
-        if len(heap) > self._max_heap:
-            self._max_heap = len(heap)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_fire(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
@@ -149,43 +166,9 @@ class Simulator:
         """
         if not delay >= 0:  # negated, so NaN fails it too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, callback, args))
-        if len(heap) > self._max_heap:
-            self._max_heap = len(heap)
-
-    def _schedule_pooled_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Internal: cancellable scheduling with a pool-recycled event.
-
-        Owner contract: after the event fires or is cancelled, the caller
-        must drop (or generation-check) its handle — the kernel reuses
-        the object for later schedulings.
-        """
-        if not time >= self.now:  # negated, so NaN fails it too
-            raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self.now})"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.generation += 1
-        else:
-            event = Event(time, seq, callback, args, pooled=True)
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, event))
-        if len(heap) > self._max_heap:
-            self._max_heap = len(heap)
-        return event
+        heapq.heappush(self._heap, (self.now + delay, seq, callback, args))
 
     # ------------------------------------------------------------------
     # running
@@ -196,79 +179,50 @@ class Simulator:
 
         If ``until`` is given, stop once the next event would fire strictly
         after ``until`` and advance the clock to ``until``. If omitted, run
-        until the event heap is exhausted.
+        until the event heap is exhausted; the clock then rests at the
+        last popped plain entry, which may be a withdrawn one.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
-        if until != until:  # NaN compares false with every event time
+        if until is None:
+            horizon = math.inf
+        elif until != until:  # NaN compares false with every event time
             raise SimulationError("run(until=nan) would never stop")
+        else:
+            horizon = until
         self._running = True
+        heap = self._heap
+        pop = heapq.heappop
+        max_heap = self._max_heap
+        entry: tuple = ()
         try:
-            if until is None:
-                self._run_unbounded()
-            else:
-                self._run_until(until)
+            while heap:
+                size = len(heap)
+                if size > max_heap:
+                    max_heap = self._max_heap = size
+                entry = pop(heap)
+                if len(entry) == 4:
+                    if entry[0] > horizon:
+                        heapq.heappush(heap, entry)  # due after this run
+                        break
+                    self.now = entry[0]
+                    entry[2](*entry[3])
+                    continue
+                event = entry[2]
+                if event.cancelled:
+                    self._withdrawn += 1  # dropped wherever it is due
+                    continue
+                if entry[0] > horizon:
+                    heapq.heappush(heap, entry)
+                    break
+                self.now = entry[0]
+                event.callback(*event.args)
+        except Exception as exc:
+            _label_failure(exc, entry, self.now)
+            raise
         finally:
             self._running = False
-
-    def _run_unbounded(self) -> None:
-        # The hot loop: locals for everything touched per event, and the
-        # (time, seq, callback, args) shape handled without indirection.
-        heap = self._heap
-        pop = heapq.heappop
-        pool = self._pool
-        while heap:
-            entry = pop(heap)
-            if len(entry) == 4:
-                self.now = entry[0]
-                self._fired_events += 1
-                entry[2](*entry[3])
-                continue
-            event = entry[2]
-            if not event.cancelled:
-                self.now = entry[0]
-                self._fired_events += 1
-                event.callback(*event.args)
-            if event.pooled:
-                # Recycle: drop the payload (and its reference cycles)
-                # before pooling. The generation is bumped at *reuse*, so
-                # a just-fired handle still reports the one its owner saw.
-                event.callback = None
-                event.args = ()
-                pool.append(event)
-
-    def _run_until(self, until: float) -> None:
-        # _run_unbounded plus the horizon check: an event strictly after
-        # ``until`` stays on the heap for the next run() call.
-        heap = self._heap
-        pop = heapq.heappop
-        pool = self._pool
-        while heap:
-            entry = heap[0]
-            time = entry[0]
-            if len(entry) == 4:
-                if time > until:
-                    break
-                pop(heap)
-                self.now = time
-                self._fired_events += 1
-                entry[2](*entry[3])
-            else:
-                event = entry[2]
-                if not event.cancelled:
-                    if time > until:
-                        break
-                    pop(heap)
-                    self.now = time
-                    self._fired_events += 1
-                    event.callback(*event.args)
-                else:
-                    pop(heap)
-                if event.pooled:  # recycled in place, as in _run_unbounded
-                    event.callback = None
-                    event.args = ()
-                    pool.append(event)
-        if self.now < until:
+        if until is not None and self.now < until:
             self.now = until
 
     # ------------------------------------------------------------------
@@ -287,10 +241,19 @@ class Simulator:
         The first firing happens after ``start_delay`` (defaults to
         ``interval``). Returns a :class:`PeriodicProcess` handle whose
         :meth:`~PeriodicProcess.stop` method halts the recurrence.
+        ``interval`` must be finite and positive and ``start_delay``
+        finite and non-negative: an infinite one would fire forever at
+        ``now = inf``.
         """
-        if interval <= 0:
-            raise SimulationError(f"periodic interval must be positive (got {interval})")
+        if not 0 < interval < math.inf:  # negated, so NaN fails it too
+            raise SimulationError(
+                f"every(): interval must be finite and positive (got {interval})"
+            )
         first = interval if start_delay is None else start_delay
+        if not 0 <= first < math.inf:
+            raise SimulationError(
+                f"every(): start_delay must be finite and non-negative (got {first})"
+            )
         return PeriodicProcess(self, interval, callback, args, first)
 
     def schedule_batch(
@@ -304,7 +267,7 @@ class Simulator:
         The batched-arrival mode: where a distribution allows precomputing
         the next *k* firing times (deterministic rates, pre-drawn RNG
         intervals, trace replay), one :class:`BatchSchedule` walks the
-        sequence with a single recycled pool event instead of ``k``
+        sequence with one plain heap entry at a time instead of ``k``
         individually allocated events. Firing times and the
         ``(time, seq)`` order among simultaneous events are exactly what
         ``k`` successive ``schedule_at`` calls (each made when the
@@ -313,13 +276,17 @@ class Simulator:
         ``times`` must be non-decreasing and must not start in the past;
         a violation raises :class:`SimulationError` when the offending
         step is scheduled. Returns a handle whose :meth:`BatchSchedule
-        .stop` cancels the remaining firings.
+        .stop` withdraws the remaining firings.
         """
         return BatchSchedule(self, times, callback, args)
 
 
 class PeriodicProcess:
-    """Handle for a recurring callback created by :meth:`Simulator.every`."""
+    """Handle for a recurring callback created by :meth:`Simulator.every`.
+
+    Each firing is a plain heap entry for :meth:`_fire`; :meth:`stop`
+    only sets a flag, and the pending entry pops as a withdrawn no-op.
+    """
 
     def __init__(
         self,
@@ -334,38 +301,43 @@ class PeriodicProcess:
         self._callback = callback
         self._args = args
         self._stopped = False
-        event = sim._schedule_pooled_at(sim.now + first_delay, self._fire)
-        self._event: Optional[Event] = event
-        self._generation = event.generation
+        self._push(sim.now + first_delay)
+
+    def _push(self, time: float) -> None:
+        # every() validated the interval and start delay, so ``time`` is
+        # finite and not before ``now``
+        sim = self._sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        heapq.heappush(sim._heap, (time, seq, self._fire, ()))
 
     def _fire(self) -> None:
         if self._stopped:
+            self._sim._withdrawn += 1
             return
         self._callback(*self._args)
         if not self._stopped:
-            event = self._sim._schedule_pooled_at(self._sim.now + self.interval, self._fire)
-            self._event = event
-            self._generation = event.generation
+            self._push(self._sim.now + self.interval)
 
     def stop(self) -> None:
-        """Stop the recurrence; a pending firing is cancelled."""
+        """Stop the recurrence; the pending firing is withdrawn."""
         self._stopped = True
-        event = self._event
-        if event is not None and event.generation == self._generation:
-            event.cancel()
-        self._event = None
 
     @property
     def stopped(self) -> bool:
         """Whether :meth:`stop` has been called."""
         return self._stopped
 
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        name = getattr(self._callback, "__qualname__", repr(self._callback))
+        return f"PeriodicProcess({name}, every {self.interval}, stopped={self._stopped})"
+
 
 class BatchSchedule:
     """Handle for a precomputed firing sequence (batched-arrival mode)."""
 
     __slots__ = ("_sim", "_times", "_index", "_callback", "_args", "_stopped",
-                 "_event", "_generation")
+                 "_fire_bound")
 
     def __init__(
         self,
@@ -380,20 +352,25 @@ class BatchSchedule:
         self._callback = callback
         self._args = args
         self._stopped = False
-        self._event: Optional[Event] = None
-        self._generation = 0
+        self._fire_bound = self._fire
         if len(times) > 0:
             self._push(times[0])
         else:
             self._stopped = True
 
     def _push(self, time: float) -> None:
-        event = self._sim._schedule_pooled_at(time, self._fire)
-        self._event = event
-        self._generation = event.generation
+        sim = self._sim
+        if not time >= sim.now:  # negated, so NaN fails it too
+            raise SimulationError(
+                f"cannot schedule into the past (time={time}, now={sim.now})"
+            )
+        seq = sim._seq
+        sim._seq = seq + 1
+        heapq.heappush(sim._heap, (time, seq, self._fire_bound, ()))
 
     def _fire(self) -> None:
         if self._stopped:
+            self._sim._withdrawn += 1
             return
         self._callback(*self._args)
         self._index += 1
@@ -404,15 +381,10 @@ class BatchSchedule:
             self._push(times[self._index])
         else:
             self._stopped = True
-            self._event = None
 
     def stop(self) -> None:
-        """Cancel the remaining firings (the pending one included)."""
+        """Withdraw the remaining firings (the pending one included)."""
         self._stopped = True
-        event = self._event
-        if event is not None and event.generation == self._generation:
-            event.cancel()
-        self._event = None
 
     @property
     def stopped(self) -> bool:

@@ -148,10 +148,3 @@ class TestBuilderEndToEnd:
         engine.run(5.0)
         assert seen
         assert all(v == 42 for v in seen)
-
-    def test_doctest_example(self):
-        import doctest
-        import repro.builder as module
-
-        failures, _ = doctest.testmod(module)
-        assert failures == 0

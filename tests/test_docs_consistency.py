@@ -3,10 +3,12 @@
 Checks that the commands, modules and files the documentation references
 actually exist, that the public API advertised by ``repro.__all__``
 imports, that every example script at least parses, and that the
-README quickstart and the tutorial's first pipeline actually run.
+README quickstart, the tutorial's first pipeline and every ``>>>``
+example in ``src/repro`` actually run.
 """
 
 import ast
+import doctest
 import importlib
 import os
 import pkgutil
@@ -367,6 +369,26 @@ class TestDocSnippetsRun:
     def test_snippet_executes(self, path, heading, expected, capsys):
         exec(compile(_python_block_after(read(path), heading), path, "exec"), {})
         assert expected in capsys.readouterr().out
+
+
+def _modules_with_examples():
+    """Dotted names of the ``src/repro`` modules whose source has a ``>>>``."""
+    src = os.path.join(ROOT, "src")
+    names = []
+    for directory, _, files in os.walk(os.path.join(src, "repro")):
+        for name in files:
+            path = os.path.join(directory, name)
+            if name.endswith(".py") and ">>>" in read(path):
+                dotted = os.path.relpath(path, src)[:-3].replace(os.sep, ".")
+                names.append(dotted[: -len(".__init__")] if name == "__init__.py" else dotted)
+    return sorted(names)
+
+
+class TestModuleExamples:
+    @pytest.mark.parametrize("module", _modules_with_examples())
+    def test_examples_run(self, module):
+        failures, attempted = doctest.testmod(importlib.import_module(module))
+        assert attempted and not failures
 
 
 class TestDesignAndExperiments:

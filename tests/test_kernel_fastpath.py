@@ -1,14 +1,17 @@
 """Regression tests pinning the fast-path kernel's ordering semantics.
 
-The fast path keeps two heap-entry shapes (fire-and-forget tuples and
-cancellable events), recycles pooled events, and walks batched arrival
-sequences — all of which must preserve the kernel's core contract:
+The fast path keeps two heap-entry shapes (plain tuples and cancellable
+events), withdraws owner-guarded plain entries lazily, and walks batched
+arrival sequences — all of which must preserve the kernel's core contract:
 events fire in ``(time, seq)`` order, i.e. simultaneous events fire in
 the order they were *scheduled*, and cancellation or re-scheduling never
 perturbs the order of surviving events.
 """
 
 from __future__ import annotations
+
+import math
+import traceback
 
 import pytest
 
@@ -66,38 +69,8 @@ class TestSimultaneousOrdering:
 
 
 class TestEventPool:
-    def test_periodic_events_are_recycled(self, sim):
-        ticks = []
-        proc = sim.every(1.0, ticks.append, 1)
-        sim.run(until=5.5)
-        proc.stop()
-        assert ticks == [1, 1, 1, 1, 1]
-        # The recurrence reuses pool events instead of allocating per tick.
-        assert sim.pooled_events <= 2
-
-    def test_stale_handle_cannot_cancel_recycled_event(self, sim):
-        """A handle kept across recycling must not kill the new occupant.
-
-        The kernel's owner contract: after a pooled event fires, holders
-        cancel only if the stored generation still matches. After two
-        ticks the recurrence has recycled its first event object into the
-        pending third tick, so a stale owner's guard must refuse.
-        """
-        ticks = []
-        proc = sim.every(1.0, ticks.append, "a")
-        stale = proc._event
-        stale_generation = stale.generation
-        sim.run(until=2.5)
-        assert ticks == ["a", "a"]
-        # The first event object was recycled and is live again, bumped:
-        assert stale is proc._event
-        assert stale.generation != stale_generation
-        # A stale owner applying the generation guard cancels nothing:
-        if stale.generation == stale_generation:
-            stale.cancel()
-        sim.run(until=3.5)
-        assert ticks == ["a", "a", "a"]
-        proc.stop()
+    """The kernel keeps no event pool: a recurrence's firings are plain
+    heap entries, and ``stop()`` withdraws the pending one."""
 
     def test_stop_cancels_pending_pooled_event(self, sim):
         ticks = []
@@ -107,31 +80,9 @@ class TestEventPool:
         sim.run(until=10.0)
         assert ticks == [1]
         assert proc.stopped
-
-    def test_pool_reuse_bumps_generation(self, sim):
-        """The recurrence alternates two pool objects; reuse bumps generation.
-
-        A fired event is recycled only *after* its callback returns, so
-        scheduling the next tick from inside the callback allocates a
-        second object; from then on the two alternate through the pool.
-        """
-        proc = sim.every(1.0, lambda: None)
-        first = proc._event
-        g0 = first.generation
-        sim.run(until=1.5)
-        second = proc._event
-        assert second is not first  # first was not yet poolable mid-callback
-        assert first.generation == g0  # generation bumps at reuse, not recycle
-        sim.run(until=2.5)
-        assert proc._event is first
-        assert first.generation == g0 + 1
-        proc.stop()
-
-    def test_pooled_flag_not_set_on_public_handles(self, sim):
-        handle = sim.schedule(1.0, lambda: None)
-        assert handle.pooled is False
-        sim.run()
-        assert sim.pooled_events == 0
+        # the withdrawn firing neither fires nor counts
+        assert sim.fired_events == 1
+        assert sim.pending_events == 0
 
 
 class TestBatchScheduleSemantics:
@@ -212,6 +163,109 @@ class TestRunSemantics:
 
     def test_schedule_fire_returns_no_handle(self, sim):
         assert sim.schedule_fire(1.0, lambda: None) is None
+
+
+class TestWithdrawnEntries:
+    """A stopped recurrence's or batch's pending step stays on the heap,
+    fires nothing and is not counted; ``fired_events`` is exact at every
+    instant, mid-callback included."""
+
+    def test_withdrawn_step_is_pending_until_popped(self, sim):
+        batch = sim.schedule_batch([1.0, 2.0], lambda: None)
+        sim.run(until=1.5)
+        batch.stop()
+        assert sim.pending_events == 1
+        assert sim.fired_events == 1
+        sim.run(until=3.0)
+        assert sim.pending_events == 0
+        assert sim.fired_events == 1
+
+    def test_fired_events_counts_the_running_callback(self, sim):
+        seen = []
+        sim.schedule_fire(1.0, lambda: seen.append(sim.fired_events))
+        sim.schedule(2.0, lambda: seen.append(sim.fired_events))
+        sim.run()
+        assert seen == [1, 2]
+
+    def test_unbounded_run_clock_rests_at_the_last_popped_plain_entry(self, sim):
+        """The one clock difference of lazy withdrawal: an unbounded run
+        whose last popped entry is a stopped recurrence's step ends at that
+        step's time. A cancelled handle never moves the clock, and a
+        bounded run ends at ``until`` either way."""
+        proc = sim.every(1.0, lambda: None)
+        sim.schedule(2.5, proc.stop)
+        sim.run()
+        assert sim.now == 3.0
+        assert sim.fired_events == 3
+
+    def test_max_heap_covers_pushes_outside_a_run(self, sim):
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule_fire(delay, lambda: None)
+        assert sim.max_heap_size == 3
+        sim.run()
+        assert sim.max_heap_size == 3
+        assert sim.pending_events == 0
+
+
+class TestEveryRejectsNonFinite:
+    """An infinite interval or start delay would fire forever at
+    ``now = inf``; a NaN one would corrupt the heap order. Each is
+    rejected before anything is scheduled, naming the argument."""
+
+    @pytest.mark.parametrize("interval", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_interval(self, sim, interval):
+        with pytest.raises(SimulationError, match="interval"):
+            sim.every(interval, lambda: None)
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("start_delay", [math.inf, math.nan, -1.0])
+    def test_bad_start_delay(self, sim, start_delay):
+        with pytest.raises(SimulationError, match="start_delay"):
+            sim.every(1.0, lambda: None, start_delay=start_delay)
+        assert sim.pending_events == 0
+
+    def test_zero_start_delay_fires_at_now(self, sim):
+        times = []
+        proc = sim.every(1.0, lambda: times.append(sim.now), start_delay=0.0)
+        sim.run(until=2.5)
+        proc.stop()
+        assert times == [0.0, 1.0, 2.0]
+
+
+class TestLabelledFailures:
+    """An exception escaping a callback leaves ``run()`` as it was raised,
+    with one note naming the callback, its owner, the time and the seq."""
+
+    def test_every_callback_failure_names_the_callback(self, sim):
+        def explode():
+            raise KeyError("tick")
+
+        sim.every(2.0, explode)
+        with pytest.raises(KeyError) as info:
+            sim.run()
+        exc = info.value
+        assert exc.args == ("tick",)
+        assert exc.__notes__ == [
+            "raised by PeriodicProcess._fire of PeriodicProcess("
+            "TestLabelledFailures.test_every_callback_failure_names_the_callback"
+            ".<locals>.explode, every 2.0, stopped=False) at t=2.0, entry seq 0"
+        ]
+        # the traceback still ends in the callback that raised
+        assert traceback.extract_tb(exc.__traceback__)[-1].name == "explode"
+
+    def test_handle_failure_names_event_callback(self, sim):
+        def fail(x):
+            raise ValueError(x)
+
+        sim.schedule_fire(1.0, lambda: None)
+        sim.schedule(3.0, fail, "bad")
+        with pytest.raises(ValueError, match="bad") as info:
+            sim.run()
+        assert info.value.__notes__ == [
+            "raised by TestLabelledFailures.test_handle_failure_names_event_callback"
+            ".<locals>.fail at t=3.0, entry seq 1"
+        ]
+        assert not sim._running
 
 
 class TestEventHandle:

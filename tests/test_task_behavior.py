@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.builder import PipelineBuilder
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.engine.udf import SinkUDF, SourceUDF, WindowedAggregateUDF
 from repro.graphs.job_graph import JobGraph
-from repro.simulation.randomness import Deterministic
+from repro.simulation.randomness import Deterministic, Gamma
 from repro.workloads.rates import ConstantRate
 
 from conftest import make_linear_job, run_linear
@@ -162,3 +163,30 @@ class TestOverheadAccounting:
         job = run_linear(config, duration=10.0, source_rate=100.0, service_mean=0.002)
         worker = job.runtime.vertex("Worker").tasks[0]
         assert worker.busy_time == pytest.approx(worker.items_processed * 0.002, rel=0.1)
+
+
+class TestUdfFailure:
+    def test_failure_is_labelled_with_task_and_time(self):
+        """A UDF that raises inside engine.run surfaces as the same
+        exception, with a note naming the completion, the task and t."""
+
+        def fragile(x):
+            if x > 0.9:
+                raise ValueError("bad payload", x)
+            return x
+
+        built = (
+            PipelineBuilder("fragile")
+            .source(lambda now, rng: rng.random(), rate=ConstantRate(100.0))
+            .map("m", fragile, service=Gamma(0.002, 0.5))
+            .sink()
+            .build()
+        )
+        engine = StreamProcessingEngine(EngineConfig(seed=1))
+        engine.submit(built)
+        with pytest.raises(ValueError, match="bad payload") as info:
+            engine.run(5.0)
+        assert info.value.args[1] > 0.9
+        (note,) = info.value.__notes__
+        assert note.startswith("raised by RuntimeTask._complete_service of RuntimeTask(m[0]#")
+        assert f"at t={engine.now!r}, entry seq " in note
