@@ -164,7 +164,8 @@ class OutputGate:
                 self._flush()
             elif self._timer_seq < 0:
                 # arm the deadline: a plain heap entry, pushed inline as
-                # RuntimeChannel.ship pushes its arrival
+                # RuntimeChannel.ship pushes its arrival (the strategy
+                # clamps the deadline and rejects NaN, so it is >= 0)
                 sim = self.sim
                 seq = sim._seq
                 sim._seq = seq + 1

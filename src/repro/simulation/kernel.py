@@ -77,7 +77,7 @@ def _label_failure(exc: BaseException, entry: tuple, now: float) -> None:
     where = "" if owner is None else f" of {owner!r}"
     note = f"raised by {name}{where} at t={now!r}, entry seq {entry[1]}"
     notes = getattr(exc, "__notes__", None)
-    if notes is None:  # Python < 3.11 has no add_note(); the list is the same
+    if notes is None:  # the list add_note() appends to; Python < 3.11 lacks it
         exc.__notes__ = notes = []
     notes.append(note)
 
@@ -336,8 +336,7 @@ class PeriodicProcess:
 class BatchSchedule:
     """Handle for a precomputed firing sequence (batched-arrival mode)."""
 
-    __slots__ = ("_sim", "_times", "_index", "_callback", "_args", "_stopped",
-                 "_fire_bound")
+    __slots__ = ("_sim", "_times", "_index", "_callback", "_args", "_stopped")
 
     def __init__(
         self,
@@ -352,7 +351,6 @@ class BatchSchedule:
         self._callback = callback
         self._args = args
         self._stopped = False
-        self._fire_bound = self._fire
         if len(times) > 0:
             self._push(times[0])
         else:
@@ -366,7 +364,7 @@ class BatchSchedule:
             )
         seq = sim._seq
         sim._seq = seq + 1
-        heapq.heappush(sim._heap, (time, seq, self._fire_bound, ()))
+        heapq.heappush(sim._heap, (time, seq, self._fire, ()))
 
     def _fire(self) -> None:
         if self._stopped:
