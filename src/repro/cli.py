@@ -48,6 +48,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 from typing import List, Optional
 
@@ -450,40 +451,10 @@ def _run_shared(spec) -> int:
     return 0
 
 
-def _check_manifest(manifest_path: str) -> list:
-    """Schema errors of a run's manifest file (empty when valid)."""
-    from repro.obs.manifest import RunManifest
-
-    try:
-        RunManifest.read(manifest_path)
-    except (ValueError, OSError) as exc:
-        return [f"{manifest_path}: {exc}"]
-    return []
-
-
 def _trace_check(obs_dir: str) -> int:
-    import os
+    from repro.obs.manifest import check_export
 
-    from repro.obs.manifest import MANIFEST_FILE, METRICS_FILE, TRACE_FILE
-    from repro.obs.sampling import validate_metrics_file
-    from repro.obs.trace import validate_trace_file
-
-    trace_path = os.path.join(obs_dir, TRACE_FILE)
-    manifest_path = os.path.join(obs_dir, MANIFEST_FILE)
-    metrics_path = os.path.join(obs_dir, METRICS_FILE)
-    errors = []
-    if os.path.exists(trace_path):
-        errors.extend(validate_trace_file(trace_path))
-    else:
-        errors.append(f"missing {trace_path}")
-    if os.path.exists(manifest_path):
-        errors.extend(_check_manifest(manifest_path))
-    else:
-        errors.append(f"missing {manifest_path}")
-    checked = [trace_path, manifest_path]
-    if os.path.exists(metrics_path):
-        errors.extend(f"{metrics_path}: {e}" for e in validate_metrics_file(metrics_path))
-        checked.append(metrics_path)
+    checked, errors = check_export(obs_dir)
     if errors:
         print(f"trace check FAILED ({len(errors)} errors):")
         for error in errors:
@@ -494,22 +465,14 @@ def _trace_check(obs_dir: str) -> int:
 
 
 def _trace_show(directory: str, last: int) -> int:
-    import os
+    from repro.obs.manifest import export_paths, read_export
 
-    from repro.obs.manifest import MANIFEST_FILE, RunManifest, TRACE_FILE
-    from repro.obs.trace import DecisionTrace
-
-    trace_path = os.path.join(directory, TRACE_FILE)
-    trace = None
-    if os.path.exists(trace_path):
-        try:
-            trace = DecisionTrace.read_jsonl(trace_path)
-        except ValueError as exc:
-            print(f"cannot read {trace_path}: {exc}")
-            return 2
-    manifest_path = os.path.join(directory, MANIFEST_FILE)
-    if os.path.exists(manifest_path):
-        manifest = RunManifest.read(manifest_path)
+    try:
+        trace, manifest = read_export(directory)
+    except ValueError as exc:
+        print(exc)
+        return 2
+    if manifest is not None:
         scaling = manifest.get("scaling") or {}
         print(f"job {manifest['job']!r}: seed={manifest['seed']}, "
               f"graph={manifest['graph_hash']}, "
@@ -522,7 +485,7 @@ def _trace_show(directory: str, last: int) -> int:
                   f"{scaling.get('suppressed_scale_downs', 0)} cooldown suppressions")
         print()
     if trace is None:
-        print(f"no {trace_path}")
+        print(f"no {export_paths(directory)['trace']}")
         return 1
     branches = ", ".join(f"{k}={v}" for k, v in sorted(trace.branches().items()))
     print(f"{len(trace)} decision records over {trace.rounds} rounds ({branches})")
@@ -531,65 +494,33 @@ def _trace_show(directory: str, last: int) -> int:
     return 0
 
 
-def _csv_list(text: str, convert) -> list:
-    return [convert(part.strip()) for part in text.split(",") if part.strip()]
+def sweep_axes(args: argparse.Namespace) -> dict:
+    """The axes a ``repro sweep`` line overrides, for ``SweepGrid.select``."""
+    def listed(text, convert):
+        return None if text is None else [
+            convert(part.strip()) for part in text.split(",") if part.strip()]
+
+    return {
+        "seeds": listed(args.seeds, int),
+        "rates": listed(args.rates, float),
+        "bounds": listed(args.bounds, float),
+        "workloads": listed(args.workloads, str),
+        "actuation": {"off": [False], "on": [True], "both": [False, True]}.get(args.actuation),
+        "duration": args.duration,
+        "policies": args.policies,
+    }
 
 
-def _build_sweep_grid(args: argparse.Namespace):
-    from repro.sweep import SweepGrid
-
-    built_ins = [
-        flag
-        for flag in ("--grid", "--quick", "--tournament", "--tournament-stateful",
-                     "--shared-cluster")
-        if getattr(args, flag.lstrip("-").replace("-", "_"), None)
-    ]
-    if len(built_ins) > 1:
-        raise SystemExit(f"pass only one of {', '.join(built_ins)}")
-    if args.grid is not None:
-        grid = SweepGrid.from_file(args.grid)
-    elif args.quick:
-        grid = SweepGrid.quick()
-    elif args.tournament:
-        grid = SweepGrid.tournament()
-    elif args.tournament_stateful:
-        grid = SweepGrid.tournament_stateful()
-    elif args.shared_cluster:
-        grid = SweepGrid.shared_cluster()
-    else:
-        grid = SweepGrid()
-    overrides = {}
-    if args.seeds is not None:
-        overrides["seeds"] = _csv_list(args.seeds, int)
-    if args.rates is not None:
-        overrides["rates"] = _csv_list(args.rates, float)
-    if args.bounds is not None:
-        overrides["bounds"] = _csv_list(args.bounds, float)
-    if args.workloads is not None:
-        overrides["workloads"] = _csv_list(args.workloads, str)
-    if args.actuation is not None:
-        overrides["actuation"] = {
-            "off": [False], "on": [True], "both": [False, True],
-        }[args.actuation]
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.policies:
-        overrides["policies"] = list(args.policies)
-    if overrides:
-        base = grid.describe()
-        base.pop("shards", None)
-        base.update(overrides)
-        grid = SweepGrid.from_dict(base)
-    return grid
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
+def _run_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.experiments.dashboard import SweepDashboard
-    from repro.sweep import SweepError, run_sweep
+    from repro.sweep import SweepError, SweepGrid, run_sweep
+    from repro.sweep.grid import PresetConflict
 
     try:
-        grid = _build_sweep_grid(args)
-    except (OSError, ValueError) as exc:
+        grid = SweepGrid.select(vars(args), sweep_axes(args))
+    except PresetConflict as exc:
+        parser.error(str(exc))
+    except (OSError, TypeError, ValueError) as exc:
         print(f"cannot build the sweep grid: {exc}")
         return 2
     print(f"sweep {grid.name!r}: {len(grid)} shards, "
@@ -614,75 +545,17 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 1 if result.stats.failed else 0
 
 
-def _run_name(path: str) -> str:
-    """A readable candidate name from a run path."""
-    import os
-
-    path = os.path.normpath(path)
-    base = os.path.basename(path)
-    if base == "aggregate.json":
-        base = os.path.basename(os.path.dirname(path)) or base
-    if base.endswith(".json"):
-        base = base[: -len(".json")] or base
-    return base
-
-
-def _load_run(path: str):
-    """Load one run: ``(name, data)`` from a dir/aggregate/baseline file.
-
-    A sweep aggregate goes through the schema-checked reader, so an
-    aggregate of another schema version is refused, not compared.
-    """
-    import json
-    import os
-
-    from repro.sweep.report import read_aggregate
-
-    name = _run_name(path)
-    if os.path.isdir(path):
-        path = os.path.join(path, "aggregate.json")
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if isinstance(data, dict) and "shards" in data:
-        data = read_aggregate(path)
-    if not isinstance(data, dict) or not ("shards" in data or "metrics" in data):
-        raise ValueError(
-            f"{path} is neither a sweep aggregate nor a baseline-format file"
-        )
-    return name, data
-
-
-def _run_candidate(name: str, data: dict):
-    from repro.evaluate import Candidate
-
-    if "shards" in data:
-        return Candidate.from_aggregate(name, data)
-    return Candidate(data.get("name", name), data["metrics"])
-
-
-def _pin_baseline(path: str, name: str, data: dict, tolerance) -> str:
-    """Write ``data`` (aggregate or baseline-format) as a baseline file."""
-    from repro.evaluate import Baseline
-
-    if "shards" in data:
-        baseline = Baseline.from_aggregate(name, data, tolerance=tolerance)
-    else:
-        baseline = Baseline(
-            data.get("name", name), data["metrics"],
-            tolerance=tolerance, scenario=data.get("scenario"),
-        )
-    return baseline.write(path)
-
-
 def _run_compare(args: argparse.Namespace) -> int:
     import json
     import os
 
     from repro.evaluate import (
         Baseline,
+        Candidate,
         ToleranceSpec,
         build_scoreboard,
         compare_runs,
+        load_run,
         render_comparison,
         render_scoreboard,
         suggest_from_runs,
@@ -693,8 +566,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     tolerance = None
     if args.tolerance is not None:
         try:
-            with open(args.tolerance, "r", encoding="utf-8") as handle:
-                tolerance = ToleranceSpec.from_dict(json.load(handle))
+            tolerance = ToleranceSpec.read(args.tolerance)
         except (OSError, ValueError) as exc:
             print(f"cannot load tolerance spec {args.tolerance!r}: {exc}")
             return 2
@@ -714,27 +586,24 @@ def _run_compare(args: argparse.Namespace) -> int:
             print(f"cannot load baseline {baseline_path!r}: {exc}")
             return 2
 
-    loaded = []
+    runs = []
     for path in args.runs:
         try:
-            loaded.append(_load_run(path))
+            runs.append(load_run(path))
         except (OSError, ValueError) as exc:
             print(f"cannot load run {path!r}: {exc}")
             return 2
-    candidates = [_run_candidate(name, data) for name, data in loaded]
+    candidates = [Candidate(stats.name, stats.metrics) for _, stats, _ in runs]
+    name, first, aggregate = runs[0]
 
     scoreboard = None
     if args.scoreboard:
-        name, data = loaded[0]
         try:
-            scoreboard = build_scoreboard(data)
+            scoreboard = build_scoreboard(aggregate or {})
         except ValueError as exc:
             print(f"cannot build scoreboard from {name!r}: {exc}")
             return 2
-        print(f"policy tournament scoreboard ({name}, "
-              f"{scoreboard['shards']} shards):")
-        print()
-        print(render_scoreboard(scoreboard))
+        print(render_scoreboard(scoreboard, run=name))
         if baseline is not None:
             print()
 
@@ -766,20 +635,15 @@ def _run_compare(args: argparse.Namespace) -> int:
     elif scoreboard is not None and args.json is not None:
         print(f"scoreboard: {write_json(args.json, scoreboard)}")
     if args.write_baseline is not None:
-        name, data = loaded[0]
-        pin_tolerance = None
+        pin_tolerance = None if baseline is None else baseline.tolerance.describe()
         if tolerance is not None:
             pin_tolerance = tolerance.describe()
         elif args.suggest:
-            pinned = _run_candidate(name, data)
-            seed = Baseline(name, pinned.metrics) if "shards" not in data else (
-                Baseline.from_aggregate(name, data)
-            )
-            _, pin_tolerance = suggest_from_runs(seed, candidates)
-        elif baseline is not None:
-            pin_tolerance = baseline.tolerance.describe()
-        path = _pin_baseline(args.write_baseline, name, data, pin_tolerance)
-        print(f"baseline pinned: {path}")
+            # the suggestion widens the default spec, not a RUN file's own
+            _, pin_tolerance = suggest_from_runs(Baseline(first.name, first.metrics), candidates)
+        pinned = Baseline(first.name, first.metrics, tolerance=pin_tolerance,
+                          scenario=first.scenario)
+        print(f"baseline pinned: {pinned.write(args.write_baseline)}")
     return 1 if failed else 0
 
 
@@ -891,7 +755,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return run_bench(args)
     if args.command == "sweep":
-        return _run_sweep(args)
+        return _run_sweep(parser, args)
     if args.command == "compare":
         return _run_compare(args)
     if args.command == "trace":
@@ -925,6 +789,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"rate min/mean/max: {min(rates):.0f} / "
                   f"{sum(rates) / len(rates):.0f} / {max(rates):.0f} items/s")
             return 0
-        parser.parse_args(["trace", "--help"])
-        return 2
-    return 2  # pragma: no cover
+        # a bare ``repro trace`` prints its help and fails like a bare ``repro``
+        with contextlib.suppress(SystemExit):
+            parser.parse_args(["trace", "--help"])
+    return 2

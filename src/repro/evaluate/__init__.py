@@ -41,6 +41,7 @@ _EXPORTS = {
     "compare_runs": "repro.evaluate.compare",
     "extract_metrics": "repro.evaluate.metrics",
     "limit_value": "repro.evaluate.tolerance",
+    "load_run": "repro.evaluate.baseline",
     "metric_direction": "repro.evaluate.metrics",
     "render_comparison": "repro.evaluate.render",
     "render_comparison_html": "repro.evaluate.render",

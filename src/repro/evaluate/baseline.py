@@ -26,7 +26,8 @@ for the paper's TwitterSentiment scenario).
 from __future__ import annotations
 
 import json
-from typing import Dict, Mapping, Optional
+import os
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.evaluate.metrics import extract_metrics, metrics_from_stats
 from repro.evaluate.tolerance import ToleranceSpec
@@ -133,3 +134,33 @@ class Baseline:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Baseline({self.name!r}, {len(self.metrics)} metrics)"
+
+
+def load_run(path: str) -> Tuple[str, Baseline, Optional[Dict[str, object]]]:
+    """Load one ``repro compare`` RUN: ``(name, stats, aggregate)``.
+
+    A RUN is a sweep output directory, its ``aggregate.json`` (read by
+    :func:`~repro.sweep.report.read_aggregate`; ``aggregate`` is the raw
+    dict ``--scoreboard`` needs) or a baseline-format file (parsed by
+    :meth:`Baseline.from_dict` like any ``--baseline``; ``aggregate`` is
+    ``None``). ``name`` comes from the path, which a file's own ``name``
+    overrides in ``stats``.
+    """
+    from repro.sweep.report import AGGREGATE_FILE, read_aggregate
+
+    normalized = os.path.normpath(path)
+    name = os.path.basename(normalized)
+    if name == AGGREGATE_FILE:
+        name = os.path.basename(os.path.dirname(normalized)) or name
+    if name.endswith(".json"):
+        name = name[: -len(".json")] or name
+    if os.path.isdir(path):
+        path = os.path.join(path, AGGREGATE_FILE)
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    if isinstance(data, dict) and "shards" in data:
+        aggregate = read_aggregate(path)
+        return name, Baseline.from_aggregate(name, aggregate), aggregate
+    if not isinstance(data, dict) or "metrics" not in data:
+        raise ValueError(f"{path} is neither a sweep aggregate nor a baseline-format file")
+    return name, Baseline.from_dict({"name": name, **data}), None

@@ -21,7 +21,7 @@ import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.evaluate.baseline import Baseline
-from repro.evaluate.metrics import extract_metrics, metrics_from_stats
+from repro.evaluate.metrics import metrics_from_stats
 from repro.evaluate.tolerance import (
     BOUNDABLE_STATS,
     ToleranceSpec,
@@ -44,8 +44,7 @@ class Candidate:
     @classmethod
     def from_aggregate(cls, name: str, aggregate: Mapping[str, object]) -> "Candidate":
         """Build a candidate from a sweep's merged aggregate dict."""
-        series = extract_metrics(aggregate)
-        return cls(name, {m: series[m].describe() for m in sorted(series)})
+        return cls(name, Baseline.from_aggregate(name, aggregate).metrics)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Candidate({self.name!r}, {len(self.metrics)} metrics)"

@@ -161,12 +161,13 @@ def _format_cell(value: Optional[float]) -> str:
     return f"{value:.4f}"
 
 
-def render_scoreboard(scoreboard: Mapping[str, object]) -> str:
+def render_scoreboard(scoreboard: Mapping[str, object], run: Optional[str] = None) -> str:
     """The ASCII tournament table (winner-per-column marked with ``*``).
 
     Lower is better in every column except ``fulfill``; the best value
     per column carries a trailing ``*``. Deterministic: policies render
-    in name order, winners break ties toward the first row.
+    in name order, winners break ties toward the first row. With a
+    ``run`` name the table is headed by that run and its shard count.
     """
     policies: Mapping[str, Mapping[str, object]] = scoreboard["policies"]
     names = list(policies)
@@ -201,7 +202,10 @@ def render_scoreboard(scoreboard: Mapping[str, object]) -> str:
         max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
         for i in range(len(headers))
     ]
-    lines = [
+    lines = [] if run is None else [
+        f"policy tournament scoreboard ({run}, {scoreboard['shards']} shards):", "",
+    ]
+    lines += [
         "  ".join(headers[i].ljust(widths[i]) for i in range(len(headers))).rstrip(),
         "  ".join("-" * widths[i] for i in range(len(headers))),
     ]

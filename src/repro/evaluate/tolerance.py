@@ -30,6 +30,7 @@ by ``repro compare --suggest`` to derive a spec from same-config runs.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Dict, Mapping, Optional
 
@@ -120,6 +121,12 @@ class ToleranceSpec:
             metrics=data.get("metrics"),
             mode=data.get("mode", MODE_RELATIVE),
         )
+
+    @classmethod
+    def read(cls, path: str) -> "ToleranceSpec":
+        """Load a tolerance spec file (``repro compare --tolerance``)."""
+        with open(path, "r", encoding="utf-8") as handle:
+            return cls.from_dict(json.load(handle))
 
     def describe(self) -> Dict[str, object]:
         """Canonical JSON-serializable round-trip of the spec."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: bump when the manifest layout changes incompatibly
 MANIFEST_SCHEMA_VERSION = 1
@@ -22,6 +22,61 @@ MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_FILE = "manifest.json"
 METRICS_FILE = "metrics.jsonl"
 TRACE_FILE = "trace.jsonl"
+
+
+def export_paths(directory: str) -> Dict[str, str]:
+    """The path of each file an export directory may hold, by kind."""
+    files = {"trace": TRACE_FILE, "manifest": MANIFEST_FILE, "metrics": METRICS_FILE}
+    return {kind: os.path.join(directory, name) for kind, name in files.items()}
+
+
+def read_export(directory: str):
+    """``(trace, manifest)`` of an export directory; ``None`` if absent.
+
+    A present file that is unreadable, not JSON or not schema-valid (read
+    strictly) raises ``ValueError("cannot read PATH: reason")``.
+    """
+    from repro.obs.trace import DecisionTrace
+
+    paths = export_paths(directory)
+    loaded = []
+    for path, read in ((paths["trace"], DecisionTrace.read_jsonl),
+                       (paths["manifest"], RunManifest.read)):
+        try:
+            loaded.append(read(path) if os.path.exists(path) else None)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from None
+    return tuple(loaded)
+
+
+def check_export(directory: str) -> Tuple[List[str], List[str]]:
+    """Schema-check an export directory: ``(checked paths, errors)``.
+
+    The trace and the manifest must be there, ``metrics.jsonl`` may be.
+    """
+    from repro.obs.sampling import validate_metrics_file
+    from repro.obs.trace import validate_trace_file
+
+    def validate_manifest(path: str) -> List[str]:
+        try:
+            RunManifest.read(path)
+        except (OSError, ValueError) as exc:
+            return [str(exc)]
+        return []
+
+    paths = export_paths(directory)
+    checked: List[str] = []
+    errors: List[str] = []
+    for kind, validate in (("trace", validate_trace_file),
+                           ("manifest", validate_manifest),
+                           ("metrics", validate_metrics_file)):
+        path = paths[kind]
+        if os.path.exists(path):
+            checked.append(path)
+            errors.extend(f"{path}: {error}" for error in validate(path))
+        elif kind != "metrics":
+            errors.append(f"missing {path}")
+    return checked, errors
 
 
 def graph_hash(graph) -> str:
@@ -100,9 +155,10 @@ class RunManifest:
         """Load a manifest written by :meth:`write`."""
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-        if data.get("schema") != MANIFEST_SCHEMA_VERSION:
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != MANIFEST_SCHEMA_VERSION:
             raise ValueError(
-                f"unsupported manifest schema {data.get('schema')!r} "
+                f"unsupported manifest schema {schema!r} "
                 f"(expected {MANIFEST_SCHEMA_VERSION})"
             )
         return RunManifest(data)

@@ -201,22 +201,19 @@ def validate_metrics_file(path: str) -> List[str]:
     previous row's; every scalar is a finite number; every name of the
     first row is in every row; no :data:`METRICS` counter decreases.
     """
-    from repro.obs.trace import _is_finite
+    from repro.obs.trace import _is_finite, _jsonl_lines
 
     counters = {name for name, _owner, _reader, kind in METRICS if kind == COUNTER}
     errors: List[str] = []
     first: Optional[Dict[str, object]] = None
     last: Dict[str, object] = {"time": None, "metrics": {}}
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = list(f)
+        lines = list(_jsonl_lines(path))
     except OSError as exc:
         return [f"cannot read {path}: {exc}"]
-    for number, line in enumerate(lines, start=1):
-        try:
-            row = json.loads(line)
-        except ValueError as exc:
-            errors.append(f"line {number}: not valid JSON ({exc})")
+    for number, row, error in lines:
+        if error:
+            errors.append(error)
             continue
         if not isinstance(row, dict) or not isinstance(row.get("metrics"), dict):
             errors.append(f'line {number}: not a {{"time", "metrics"}} row')

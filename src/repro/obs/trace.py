@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: bump when the record schema changes; readers accept this one only
 TRACE_SCHEMA_VERSION = 5
@@ -173,17 +173,15 @@ class TraceRecord:
         return out
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TraceRecord":
-        """Parse a dict produced by :meth:`to_dict` (schema-checked)."""
-        schema = data.get("schema")
-        if schema != TRACE_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported trace schema {schema!r} "
-                f"(expected {TRACE_SCHEMA_VERSION})"
-            )
-        missing = [f for f in TRACE_FIELDS if f not in data]
-        if missing:
-            raise ValueError(f"trace record missing fields: {missing}")
+    def from_dict(cls, data: Dict[str, object], line: int = 0) -> "TraceRecord":
+        """Parse a dict produced by :meth:`to_dict`.
+
+        Raises ``ValueError`` with the first :func:`validate_record_dict`
+        error (prefixed ``line N: `` when ``line`` is given).
+        """
+        errors = validate_record_dict(data, line)
+        if errors:
+            raise ValueError(errors[0])
         return cls(**{field: data[field] for field in cls.__slots__})
 
     def to_json(self) -> str:
@@ -236,13 +234,16 @@ class DecisionTrace:
 
     @staticmethod
     def read_jsonl(path: str) -> "DecisionTrace":
-        """Load a trace written by :meth:`write_jsonl`."""
+        """Load a trace written by :meth:`write_jsonl`.
+
+        Strict: the first line that is not a schema-valid record raises
+        ``ValueError`` with its first error, prefixed ``line N: ``.
+        """
         trace = DecisionTrace()
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    trace.append(TraceRecord.from_dict(json.loads(line)))
+        for number, data, error in _jsonl_lines(path):
+            if error:
+                raise ValueError(error)
+            trace.append(TraceRecord.from_dict(data, line=number))
         if trace.records:
             trace.rounds = max(r.round for r in trace.records)
         return trace
@@ -282,11 +283,14 @@ def _is_finite(value: object) -> bool:
 def validate_record_dict(data: Dict[str, object], line: int = 0) -> List[str]:
     """Schema errors of one parsed record dict (empty list = valid)."""
     where = f"line {line}: " if line else ""
+    if not isinstance(data, dict):
+        return [f"{where}record must be a JSON object"]
     errors: List[str] = []
     schema = data.get("schema")
     if not _is_int(schema) or schema != TRACE_SCHEMA_VERSION:
         errors.append(
-            f"{where}schema must be {TRACE_SCHEMA_VERSION} (got {schema!r})"
+            f"{where}unsupported trace schema {schema!r} "
+            f"(expected {TRACE_SCHEMA_VERSION})"
         )
     missing = [k for k in TRACE_FIELDS if k not in data]
     if missing:
@@ -322,24 +326,26 @@ def validate_record_dict(data: Dict[str, object], line: int = 0) -> List[str]:
     return errors
 
 
+def _jsonl_lines(path: str) -> Iterator[Tuple[int, object, str]]:
+    """``(line number, parsed JSON, error)`` per non-blank line (error: not JSON)."""
+    with open(path, "r", encoding="utf-8") as f:
+        for number, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                yield number, None, f"line {number}: not valid JSON ({exc})"
+                continue
+            yield number, data, ""
+
+
 def validate_trace_file(path: str) -> List[str]:
     """Schema errors of a ``trace.jsonl`` file (empty list = valid)."""
     errors: List[str] = []
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            for number, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    errors.append(f"line {number}: not valid JSON ({exc})")
-                    continue
-                if not isinstance(data, dict):
-                    errors.append(f"line {number}: record must be a JSON object")
-                    continue
-                errors.extend(validate_record_dict(data, line=number))
+        for number, data, error in _jsonl_lines(path):
+            errors.extend([error] if error else validate_record_dict(data, line=number))
     except OSError as exc:
         errors.append(f"cannot read {path}: {exc}")
     return errors

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.workloads.scenario import WORKLOADS, ScenarioSpec
 
@@ -37,8 +37,15 @@ def _check_numbers(name: str, values: Sequence[float], minimum: float) -> List[f
     return out
 
 
+class PresetConflict(ValueError):
+    """More than one built-in grid was asked for (a usage error)."""
+
+
 class SweepGrid:
     """The declarative description of one sweep (axes × duration)."""
+
+    #: what :meth:`select` chooses from: a grid file, or a built-in
+    PRESETS = ("grid", "quick", "tournament", "tournament_stateful", "shared_cluster")
 
     def __init__(
         self,
@@ -178,6 +185,31 @@ class SweepGrid:
             ),
         )
 
+    @classmethod
+    def select(cls, presets: Mapping[str, object],
+               axes: Optional[Mapping[str, object]] = None) -> "SweepGrid":
+        """The grid ``repro sweep`` runs: one preset, then axis overrides.
+
+        ``presets`` maps :data:`PRESETS` names to their flag values (a
+        grid file path for ``grid``, else a bool); none asked for is the
+        default grid, more than one raises :class:`PresetConflict`.
+        ``axes`` replaces whole axes or ``duration``; ``None`` keeps one.
+        """
+        chosen = [name for name in cls.PRESETS if presets.get(name)]
+        if len(chosen) > 1:
+            raise PresetConflict("pass only one of " + ", ".join(
+                "--" + name.replace("_", "-") for name in chosen))
+        if not chosen:
+            grid = cls()
+        elif chosen[0] == "grid":
+            grid = cls.from_file(presets["grid"])
+        else:
+            grid = getattr(cls, chosen[0])()
+        overrides = {key: value for key, value in (axes or {}).items() if value is not None}
+        data = dict(grid.describe(), **overrides)
+        del data["shards"]
+        return cls.from_dict(data)
+
     # ------------------------------------------------------------------
     # (de)serialization
     # ------------------------------------------------------------------
@@ -262,4 +294,4 @@ class SweepGrid:
         return f"SweepGrid({self.name!r}, {len(self)} shards)"
 
 
-__all__ = ["SweepGrid", "WORKLOADS", "GRID_SCHEMA_VERSION"]
+__all__ = ["SweepGrid", "PresetConflict", "WORKLOADS", "GRID_SCHEMA_VERSION"]

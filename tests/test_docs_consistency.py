@@ -413,6 +413,7 @@ class TestDesignAndExperiments:
     def test_experiments_md_sweep_commands_parse(self, monkeypatch):
         """Every documented ``repro sweep`` line names flags and values that exist."""
         from repro import cli
+        from repro.sweep import SweepGrid
 
         monkeypatch.chdir(ROOT)  # --grid paths are relative to the repo root
         text = read("EXPERIMENTS.md").replace("\\\n", " ")
@@ -420,7 +421,7 @@ class TestDesignAndExperiments:
         assert any("--seeds 7,8,9,10" in command for command in commands)
         for command in commands:
             args = cli.build_parser().parse_args(shlex.split(command))
-            assert len(cli._build_sweep_grid(args)) >= 1, command
+            assert len(SweepGrid.select(vars(args), cli.sweep_axes(args))) >= 1, command
 
     def test_experiments_md_bench_files_exist(self):
         text = read("EXPERIMENTS.md")

@@ -472,6 +472,59 @@ class TestCompareCli:
         assert cli.main(["compare", newer_path, "--baseline", baseline_path]) == 2
         assert "unsupported aggregate schema 99" in capsys.readouterr().out
 
+class TestOneCompareInput:
+    """A RUN and a ``--baseline`` go through the same reader."""
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"schema": 99}, "unsupported baseline schema 99 (expected 1)"),
+        ({"extra": 1}, "unknown baseline keys: extra"),
+    ], ids=["other-schema", "unknown-key"])
+    def test_a_baseline_format_run_is_refused_like_a_baseline(
+        self, change, reason, tmp_path, capsys
+    ):
+        with open(TWITTER_BASELINE, encoding="utf-8") as handle:
+            bad = dict(json.load(handle), **change)
+        bad_path = str(tmp_path / "bad.json")
+        write_json(bad_path, bad)
+        assert cli.main(["compare", TWITTER_BASELINE, "--baseline", bad_path]) == 2
+        as_baseline = capsys.readouterr().out
+        assert as_baseline == f"cannot load baseline {bad_path!r}: {reason}\n"
+        assert cli.main(["compare", bad_path, "--baseline", TWITTER_BASELINE]) == 2
+        as_run = capsys.readouterr().out
+        assert as_run == f"cannot load run {bad_path!r}: {reason}\n"
+
+    def test_load_run_names_and_reads_each_format(self, tiny_sweep, tmp_path):
+        from repro.evaluate import load_run
+
+        out, aggregate = tiny_sweep
+        for path in (out, os.path.join(out, "aggregate.json")):
+            name, stats, raw = load_run(path)
+            assert name == stats.name == "tiny" and raw == aggregate
+            assert stats.metrics == Baseline.from_aggregate("tiny", aggregate).metrics
+        unnamed = Baseline.from_aggregate("x", aggregate).describe()
+        del unnamed["name"]
+        path = str(tmp_path / "pinned.json")
+        write_json(path, unnamed)
+        name, stats, raw = load_run(path)
+        assert (name, stats.name, raw) == ("pinned", "pinned", None)
+        name, stats, raw = load_run(TWITTER_BASELINE)
+        assert (name, stats.name, raw) == ("twitter", "twitter", None)
+        assert stats.describe() == Baseline.read(TWITTER_BASELINE).describe()
+
+    def test_pinned_run_round_trips(self, tiny_sweep, tmp_path, capsys):
+        out, _ = tiny_sweep
+        pinned = str(tmp_path / "pinned.json")
+        assert cli.main(["compare", out, "--baseline", TWITTER_BASELINE,
+                         "--write-baseline", pinned]) in (0, 1)
+        assert cli.main(["compare", pinned, "--baseline", pinned]) == 0
+        assert cli.main(["compare", out, "--baseline", pinned]) == 0
+        repinned = str(tmp_path / "repinned.json")
+        assert cli.main(["compare", pinned, "--baseline", pinned,
+                         "--write-baseline", repinned]) == 0
+        assert read_bytes(repinned) == read_bytes(pinned)
+        capsys.readouterr()
+
+
 class TestGoldenTwitterBaseline:
     """The committed Twitter baseline must gate itself fully green."""
 

@@ -266,3 +266,26 @@ def test_core_imports_neither_engine_nor_actuation():
         if name.split(".")[:2] in (["repro", "engine"], ["repro", "actuation"])
     ]
     assert offenders == []
+
+
+def test_cli_decides_no_file_format():
+    """``cli.py`` parses flags, builds specs and prints; the owners read files.
+
+    No ``"shards"`` literal (the aggregate-or-baseline question belongs to
+    ``repro.evaluate.load_run``) and no export-file name, validator or
+    manifest class (``repro.obs.manifest`` reads and checks a bundle).
+    """
+    tree = ast.parse((pathlib.Path(ROOT) / "src" / "repro" / "cli.py").read_text(encoding="utf-8"))
+    shards = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "shards"
+    ]
+    owned = {"MANIFEST_FILE", "METRICS_FILE", "TRACE_FILE", "validate_trace_file",
+             "validate_metrics_file", "RunManifest"}
+    imported = [
+        f"{lineno} {name}"
+        for lineno, names in _runtime_imports(tree)
+        for name in names
+        if name.rsplit(".", 1)[-1] in owned
+    ]
+    assert (shards, imported) == ([], [])

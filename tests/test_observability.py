@@ -311,6 +311,68 @@ class TestTraceSchema:
 
 
 # ----------------------------------------------------------------------
+# one trace reader: ``read_jsonl`` and ``trace show`` refuse what
+# ``trace --check`` reports
+# ----------------------------------------------------------------------
+
+
+def _export_dir(tmp_path, record=None, manifest=None):
+    """An export directory with a one-record trace and/or a manifest."""
+    from repro.obs.manifest import MANIFEST_FILE, TRACE_FILE
+
+    if record is not None:
+        (tmp_path / TRACE_FILE).write_text(json.dumps(record) + "\n")
+    if manifest is not None:
+        (tmp_path / MANIFEST_FILE).write_text(manifest)
+    return str(tmp_path)
+
+
+class TestOneTraceReader:
+    @pytest.mark.parametrize("change, error", [
+        ({"bogus": 1}, "unknown fields ['bogus']"),
+        ({"round": "7"}, "round must be an integer >= 0"),
+        ({"schema": 9}, "unsupported trace schema 9 (expected 5)"),
+    ], ids=["unknown-field", "string-round", "other-schema"])
+    def test_every_reader_refuses_what_check_reports(self, change, error, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.manifest import TRACE_FILE, check_export
+
+        directory = _export_dir(tmp_path, dict(json.loads(GOLDEN_RECORD), **change))
+        path = os.path.join(directory, TRACE_FILE)
+        assert f"line 1: {error}" in validate_trace_file(path)
+        assert f"{path}: line 1: {error}" in check_export(directory)[1]
+        with pytest.raises(ValueError, match=r"^line 1: "):
+            DecisionTrace.read_jsonl(path)
+        assert main(["trace", "show", directory]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line == f"cannot read {path}: line 1: {error}"
+
+    def test_from_dict_is_the_validator(self):
+        data = dict(json.loads(GOLDEN_RECORD), vertex=None)
+        with pytest.raises(ValueError, match="rebalance records must name a vertex"):
+            TraceRecord.from_dict(data)
+
+    @pytest.mark.parametrize("manifest, reason", [
+        ("{not json", "Expecting property name"),
+        ("[]", "unsupported manifest schema None (expected 1)"),
+        ('{"schema": 9}', "unsupported manifest schema 9 (expected 1)"),
+    ], ids=["not-json", "not-an-object", "other-schema"])
+    @pytest.mark.parametrize("with_trace", [True, False], ids=["trace", "no-trace"])
+    def test_trace_show_refuses_a_corrupt_manifest_in_one_line(
+        self, manifest, reason, with_trace, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.obs.manifest import MANIFEST_FILE
+
+        record = json.loads(GOLDEN_RECORD) if with_trace else None
+        directory = _export_dir(tmp_path, record, manifest)
+        assert main(["trace", "show", directory]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"cannot read {os.path.join(directory, MANIFEST_FILE)}: ")
+        assert reason in line
+
+
+# ----------------------------------------------------------------------
 # sampling clock
 # ----------------------------------------------------------------------
 

@@ -486,9 +486,35 @@ class TestSweepCli:
         assert "--resume" in capsys.readouterr().out
 
     def test_grid_and_quick_conflict(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             cli.main(["sweep", "--grid", "g.json", "--quick",
                       "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+
+    def test_two_built_in_grids_name_both_flags(self, tmp_path, capsys):
+        from repro.sweep.grid import PresetConflict
+
+        with pytest.raises(PresetConflict, match="^pass only one of --quick, --tournament$"):
+            SweepGrid.select({"quick": True, "tournament": True})
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--tournament-stateful", "--shared-cluster",
+                      "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.endswith("pass only one of --tournament-stateful, --shared-cluster")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_grid_file_axis_of_the_wrong_type_is_refused_in_one_line(self, tmp_path, capsys):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"seeds": ["a"]}))
+        assert cli.main(["sweep", "--grid", str(grid_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out == "cannot build the sweep grid: seeds must be ints, got 'a'\n"
+
+    def test_select_overrides_whole_axes_of_the_preset(self):
+        grid = SweepGrid.select({"quick": True}, {"seeds": [9], "rates": None})
+        assert grid.name == "quick" and grid.seeds == [9]
+        assert grid.rates == SweepGrid.quick().rates
+        assert SweepGrid.select({}).describe() == SweepGrid().describe()
 
     def test_grid_file_with_flag_overrides(self, tmp_path):
         grid_path = str(tmp_path / "grid.json")

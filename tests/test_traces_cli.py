@@ -162,6 +162,11 @@ class TestCli:
         assert main([]) == 2
         assert "experiment" in capsys.readouterr().out
 
+    def test_bare_trace_shows_its_help_and_fails_like_bare_repro(self, capsys):
+        assert main(["trace"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro trace") and "generate" in out
+
     def test_trace_generate_and_info(self, tmp_path, capsys):
         path = os.path.join(tmp_path, "trace.csv")
         assert main(["trace", "generate", "--days", "1", "--out", path]) == 0
