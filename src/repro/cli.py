@@ -778,6 +778,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"wrote {len(trace)} samples ({args.days} days) to {path}")
             return 0
         if args.trace_command == "info":
+            from repro.qos.stats import mean_in_order
+
             try:
                 trace = load_trace(args.path)
             except (OSError, ValueError) as exc:
@@ -787,7 +789,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             duration = trace[-1][0]
             print(f"{args.path}: {len(trace)} samples over {duration / 86400:.1f} days")
             print(f"rate min/mean/max: {min(rates):.0f} / "
-                  f"{sum(rates) / len(rates):.0f} / {max(rates):.0f} items/s")
+                  f"{mean_in_order(rates):.0f} / {max(rates):.0f} items/s")
             return 0
         # a bare ``repro trace`` prints its help and fails like a bare ``repro``
         with contextlib.suppress(SystemExit):

@@ -19,7 +19,8 @@ idea onto this repo's protocol: per latency constraint it
    most (ties broken by vertex name, so decisions are deterministic),
    until the total fits the constraint's sojourn budget
    ``target_fraction · ℓ`` or every station is at ``p_max``
-   (then the constraint is reported infeasible).
+   (then the constraint is reported infeasible). That greedy is
+   :func:`repro.core.rebalance.greedy_minimum`.
 
 Unlike the paper's ScaleReactively this needs no fitted Kingman
 coefficients — it is purely model-driven from the current rate/service
@@ -36,32 +37,28 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.queueing import mmc_waiting_time
 from repro.core.constraints import LatencyConstraint
 from repro.core.policy import PolicyContext, check_knob, check_staleness, register_policy
+from repro.core.rebalance import greedy_minimum
 from repro.core.scale_reactively import ScalingDecision
 from repro.qos.summary import GlobalSummary
-
-#: greedy allocation safety stop (far above any sensible p_max)
-_MAX_TOTAL_SERVERS = 100_000
 
 
 class _Station:
     """One vertex of the constrained sequence as an M/M/c station."""
 
-    __slots__ = ("name", "total_rate", "service_mean", "p_min", "p_max", "servers")
+    __slots__ = ("name", "total_rate", "service_mean", "p_max", "floor")
 
     def __init__(self, name: str, total_rate: float, service_mean: float, p_min: int, p_max: int) -> None:
         self.name = name
         self.total_rate = total_rate
         self.service_mean = service_mean
-        self.p_min = p_min
         self.p_max = p_max
         # stability floor: smallest c with Λ·S̄ < c, clamped into bounds
         floor = int(math.floor(total_rate * service_mean)) + 1
-        self.servers = max(p_min, min(p_max, max(1, floor)))
+        self.floor = max(p_min, min(p_max, max(1, floor)))
 
-    def sojourn(self, servers: Optional[int] = None) -> float:
+    def sojourn(self, servers: int) -> float:
         """Expected station sojourn ``W_q(c) + S̄`` at ``servers``."""
-        c = self.servers if servers is None else servers
-        return mmc_waiting_time(self.total_rate, self.service_mean, c) + self.service_mean
+        return mmc_waiting_time(self.total_rate, self.service_mean, servers) + self.service_mean
 
 
 class DrsPolicy:
@@ -118,11 +115,15 @@ class DrsPolicy:
             if stations is None:
                 decision.skipped_constraints.append(constraint.name)
                 continue
-            budget = self.target_fraction * constraint.bound
-            feasible = self._allocate(stations, budget)
+            servers, feasible = greedy_minimum(
+                [s.sojourn for s in stations],
+                [s.floor for s in stations],
+                [s.p_max for s in stations],
+                self.target_fraction * constraint.bound,
+            )
             if not feasible:
                 decision.infeasible_constraints.append(constraint.name)
-            decision.merge_max({s.name: s.servers for s in stations})
+            decision.merge_max({s.name: c for s, c in zip(stations, servers)})
         return decision
 
     def _build_stations(
@@ -163,41 +164,6 @@ class DrsPolicy:
             return None, "unmeasured"
         stations.sort(key=lambda s: s.name)
         return stations, "ok"
-
-    @staticmethod
-    def _allocate(stations: List["_Station"], budget: float) -> bool:
-        """Greedy marginal-benefit server allocation (DRS Algorithm 1).
-
-        Mutates the stations' ``servers`` in place; returns whether the
-        total sojourn time fits the budget.
-        """
-        spent = sum(s.servers for s in stations)
-        while spent < _MAX_TOTAL_SERVERS:
-            total = sum(s.sojourn() for s in stations)
-            if total <= budget:
-                return True
-            best = None
-            best_gain = 0.0
-            for station in stations:
-                if station.servers >= station.p_max:
-                    continue
-                current = station.sojourn()
-                # an unstable station (p_max-clamped below Λ·S̄) has an
-                # infinite wait; stabilizing it dominates any finite gain
-                gain = (
-                    math.inf if math.isinf(current)
-                    else current - station.sojourn(station.servers + 1)
-                )
-                # strict > keeps the first (lexicographically smallest)
-                # station on ties — deterministic allocation order
-                if best is None or gain > best_gain:
-                    best = station
-                    best_gain = gain
-            if best is None:
-                return False  # every station at p_max, budget unmet
-            best.servers += 1
-            spent += 1
-        return sum(s.sojourn() for s in stations) <= budget
 
 
 @register_policy(DrsPolicy.name)

@@ -29,6 +29,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.graphs.sequences import JobSequence
+from repro.qos.stats import sum_in_order
 from repro.qos.summary import EdgeSummary, GlobalSummary, VertexSummary
 
 INFINITY = float("inf")
@@ -352,4 +353,4 @@ def expected_migration_pause(moved_bytes: float, cost: MigrationCostModel) -> fl
     against the remaining latency headroom without perturbing the sim's
     sampled migration durations.
     """
-    return sum(cost.phase_means(moved_bytes))
+    return sum_in_order(cost.phase_means(moved_bytes))

@@ -12,13 +12,20 @@ per-vertex bounds, via gradient descent with a variable step size:
   intermediate single steps a naive descent would take;
 * when only one vertex can still grow, ``P_W`` closes the residual gap in
   one step.
+
+The variable step overshoots on purpose. :func:`greedy_minimum` is the
+exact minimum of the same problem for any per-vertex wait that is convex
+and non-increasing in the parallelism (greedy marginal allocation, as in
+DRS, arxiv 1501.03610): :class:`~repro.core.drs.DrsPolicy` allocates with
+it, and the tests check Algorithm 1 against it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.latency_model import INFINITY, SequenceLatencyModel, VertexModel
+from repro.qos.stats import sum_in_order
 
 
 class RebalanceResult:
@@ -28,15 +35,12 @@ class RebalanceResult:
         self,
         parallelism: Dict[str, int],
         feasible: bool,
-        iterations: int,
         predicted_wait: float,
     ) -> None:
         #: chosen degree of parallelism per job-vertex name
         self.parallelism = parallelism
         #: whether the budget is satisfiable within the parallelism bounds
         self.feasible = feasible
-        #: gradient-descent iterations performed
-        self.iterations = iterations
         #: ``W_js`` predicted at the returned parallelism
         self.predicted_wait = predicted_wait
 
@@ -48,7 +52,7 @@ class RebalanceResult:
     def __repr__(self) -> str:
         return (
             f"RebalanceResult({self.parallelism}, feasible={self.feasible}, "
-            f"W={self.predicted_wait:.6f}, iters={self.iterations})"
+            f"W={self.predicted_wait:.6f})"
         )
 
 
@@ -56,7 +60,6 @@ def rebalance(
     model: SequenceLatencyModel,
     wait_limit: float,
     min_parallelism: Optional[Dict[str, int]] = None,
-    max_iterations: int = 100_000,
 ) -> RebalanceResult:
     """Run Algorithm 1 on a fitted sequence model.
 
@@ -70,8 +73,6 @@ def rebalance(
     min_parallelism:
         The paper's ``P_min``: per-vertex lower bounds carried over from
         earlier Rebalance invocations on overlapping constraints.
-    max_iterations:
-        Safety valve; Algorithm 1 terminates long before this in practice.
 
     Returns
     -------
@@ -85,34 +86,22 @@ def rebalance(
     scalable: List[VertexModel] = model.scalable_models()
     if not scalable:
         wait = model.total_waiting_time({})
-        return RebalanceResult({}, wait <= wait_limit, 0, wait)
+        return RebalanceResult({}, wait <= wait_limit, wait)
 
     # Feasibility test at maximum scale-out (Algorithm 1, lines 1-2).
     p: Dict[str, int] = {m.name: m.p_max for m in scalable}
     max_wait = model.total_waiting_time(p)
     if max_wait > wait_limit:
-        return RebalanceResult(dict(p), False, 0, max_wait)
+        return RebalanceResult(dict(p), False, max_wait)
 
     # Start from the minimum scale-out, honouring P_min (line 3).
     for m in scalable:
         p[m.name] = _clamp(m, max(m.p_min, overrides.get(m.name, m.p_min)))
 
-    iterations = 0
-    while True:
-        wait = model.total_waiting_time(p)
-        if wait <= wait_limit:
-            break
-        iterations += 1
-        if iterations > max_iterations:
-            raise RuntimeError(
-                f"rebalance failed to converge after {max_iterations} iterations "
-                f"(sequence {model.sequence_name!r})"
-            )
+    # Every step raises one vertex below p_max, so the loop ends; and it
+    # never runs with all of them at p_max, whose wait passed the test.
+    while model.total_waiting_time(p) > wait_limit:
         candidates = [m for m in scalable if p[m.name] < m.p_max]
-        if not candidates:
-            # Cannot happen if the feasibility test passed, but guard
-            # against floating-point edge cases.
-            break
         deltas = [(m.marginal_gain(p[m.name]), i) for i, m in enumerate(candidates)]
         deltas.sort()
         best_delta, best_index = deltas[0]
@@ -141,7 +130,7 @@ def rebalance(
                 p[c1.name] = _clamp(c1, max(c1.p_for_wait(available), p[c1.name] + 1))
 
     final_wait = model.total_waiting_time(p)
-    return RebalanceResult(dict(p), final_wait <= wait_limit, iterations, final_wait)
+    return RebalanceResult(dict(p), final_wait <= wait_limit, final_wait)
 
 
 def _step_target(model: VertexModel, p_current: int, runner_delta: float) -> int:
@@ -160,6 +149,44 @@ def _clamp(model: VertexModel, p: int) -> int:
     return max(model.p_min, min(model.p_max, p))
 
 
+def greedy_minimum(
+    waits: Sequence[Callable[[int], float]],
+    low: Sequence[int],
+    high: Sequence[int],
+    wait_limit: float,
+) -> Tuple[List[int], bool]:
+    """The least total parallelism whose summed wait meets ``wait_limit``.
+
+    ``waits[i](p)`` is vertex *i*'s wait at parallelism ``p`` (``inf``
+    while unstable), searched over ``low[i] <= p <= high[i]``. From
+    ``low``, each step adds one unit where the total wait falls most: an
+    unstable vertex's gain is infinite, and a tie goes to the first
+    vertex. The total is summed left to right, and the search stops once
+    it is at most ``wait_limit`` or every vertex is at ``high``. When
+    each wait is convex and non-increasing above its stability floor,
+    the result is the exact minimum (greedy marginal allocation).
+
+    Returns ``(parallelism, feasible)``; an infeasible result is ``high``.
+    """
+    p = list(low)
+    current = [wait(c) for wait, c in zip(waits, p)]
+    while True:
+        if sum_in_order(current) <= wait_limit:
+            return p, True
+        best = -1
+        best_gain = 0.0
+        for i, c in enumerate(p):
+            if c >= high[i]:
+                continue
+            gain = INFINITY if current[i] == INFINITY else current[i] - waits[i](c + 1)
+            if best < 0 or gain > best_gain:
+                best, best_gain = i, gain
+        if best < 0:
+            return p, False
+        p[best] += 1
+        current[best] = waits[best](p[best])
+
+
 def brute_force_minimum(
     model: SequenceLatencyModel,
     wait_limit: float,
@@ -168,8 +195,8 @@ def brute_force_minimum(
     """Exhaustive reference solver (tests only; exponential in vertices).
 
     Returns ``(total, assignment)`` of a minimum-total feasible assignment
-    or ``None`` when infeasible. Used by the property-based tests to
-    check Rebalance's solutions for feasibility and near-optimality.
+    or ``None`` when infeasible. The tests cross-check
+    :func:`greedy_minimum` against it on small sequences.
     """
     overrides = min_parallelism or {}
     scalable = model.scalable_models()

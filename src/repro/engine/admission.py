@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
+from repro.qos.stats import sum_in_order
+
 #: arbitration policy names accepted by EngineConfig.admission
 ARBITRATION_FCFS = "fcfs"
 ARBITRATION_PRIORITY = "priority"
@@ -193,7 +195,7 @@ class WeightedFairShareArbitration(ArbitrationPolicy):
     name = ARBITRATION_FAIR_SHARE
 
     def victims(self, accounts, requester, shortfall, total_slots):
-        total_weight = sum(a.weight for a in accounts)
+        total_weight = sum_in_order(a.weight for a in accounts)
         if total_weight <= 0:  # pragma: no cover - weights validated > 0
             return []
 
@@ -237,10 +239,10 @@ def jain_fairness(values: List[float]) -> Optional[float]:
     xs = [float(v) for v in values if v is not None]
     if not xs:
         return None
-    square_sum = sum(x * x for x in xs)
+    square_sum = sum_in_order(x * x for x in xs)
     if square_sum == 0:
         return None
-    total = sum(xs)
+    total = sum_in_order(xs)
     return (total * total) / (len(xs) * square_sum)
 
 

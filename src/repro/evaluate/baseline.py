@@ -139,8 +139,8 @@ class Baseline:
 def load_run(path: str) -> Tuple[str, Baseline, Optional[Dict[str, object]]]:
     """Load one ``repro compare`` RUN: ``(name, stats, aggregate)``.
 
-    A RUN is a sweep output directory, its ``aggregate.json`` (read by
-    :func:`~repro.sweep.report.read_aggregate`; ``aggregate`` is the raw
+    A RUN is a sweep output directory, its ``aggregate.json`` (parsed once,
+    checked by :func:`~repro.sweep.report.read_aggregate`; ``aggregate`` is the raw
     dict ``--scoreboard`` needs) or a baseline-format file (parsed by
     :meth:`Baseline.from_dict` like any ``--baseline``; ``aggregate`` is
     ``None``). ``name`` comes from the path, which a file's own ``name``
@@ -159,7 +159,7 @@ def load_run(path: str) -> Tuple[str, Baseline, Optional[Dict[str, object]]]:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if isinstance(data, dict) and "shards" in data:
-        aggregate = read_aggregate(path)
+        aggregate = read_aggregate(data)
         return name, Baseline.from_aggregate(name, aggregate), aggregate
     if not isinstance(data, dict) or "metrics" not in data:
         raise ValueError(f"{path} is neither a sweep aggregate nor a baseline-format file")

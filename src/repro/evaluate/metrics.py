@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.qos.stats import percentile
+from repro.qos.stats import mean_in_order, percentile
 
 #: regression direction: larger candidate values are worse
 LOWER_IS_BETTER = "lower"
@@ -78,7 +78,7 @@ class MetricSeries:
         # Summation rounding can push the mean an ulp outside the data
         # range; clamp so `min <= avg <= max` holds exactly.
         return {
-            "avg": min(max(sum(self.values) / len(self.values), lo), hi),
+            "avg": min(max(mean_in_order(self.values), lo), hi),
             "min": lo,
             "max": hi,
             "p50": percentile(self.values, 50.0),

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.qos.stats import mean_in_order
+
 #: bump when the scoreboard layout changes incompatibly
 SCOREBOARD_SCHEMA_VERSION = 1
 
@@ -45,7 +47,7 @@ def _mean(values: Sequence[Optional[float]]) -> Optional[float]:
     finite = [float(v) for v in values if v is not None]
     if not finite:
         return None
-    return sum(finite) / len(finite)
+    return mean_in_order(finite)
 
 
 def _shard_policy(shard: Mapping[str, object]) -> str:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.qos.stats import mean_in_order
+
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
 
@@ -51,7 +53,7 @@ def _downsample(points: List[Optional[float]], width: int) -> List[Optional[floa
             v for v in points[int(i * size) : max(int(i * size) + 1, int((i + 1) * size))]
             if v is not None
         ]
-        buckets.append(sum(chunk) / len(chunk) if chunk else None)
+        buckets.append(mean_in_order(chunk) if chunk else None)
     return buckets
 
 

@@ -25,6 +25,7 @@ from typing import Dict, Optional
 from repro.engine.engine import EngineConfig
 from repro.experiments.recording import SeriesRecorder
 from repro.experiments.report import format_table, ms, write_csv
+from repro.qos.stats import mean_in_order
 from repro.workloads.primetester import (
     SCALED_CLUSTER,
     STEP_LOAD,
@@ -75,7 +76,7 @@ class ConfigResult:
             for r in self.rows
             if r.time <= workload.step_duration and r.latency_mean.get("e2e") is not None
         ]
-        self.warmup_latency = sum(warm) / len(warm) if warm else None
+        self.warmup_latency = mean_in_order(warm) if warm else None
         self.saturation_time = self._find_saturation()
         # Sustained throughput: mean effective rate over the plateau phase
         # (where the paper's curves flatten at each config's capacity).
@@ -84,7 +85,7 @@ class ConfigResult:
         plateau = [
             r.effective_rate for r in self.rows if plateau_start < r.time <= plateau_end
         ]
-        self.plateau_effective_rate = sum(plateau) / len(plateau) if plateau else 0.0
+        self.plateau_effective_rate = mean_in_order(plateau)
 
     def _find_saturation(self) -> Optional[float]:
         """First time queues lose steady state.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.latency_model import INFINITY, SequenceLatencyModel, VertexModel
-from repro.core.rebalance import brute_force_minimum, rebalance
+from repro.core.rebalance import rebalance
 from repro.experiments.report import write_csv
 
 

@@ -20,7 +20,7 @@ from repro.builder import BuiltPipeline
 from repro.engine.engine import DeployedJob, EngineConfig, StreamProcessingEngine
 from repro.engine.items import SampleView, SinkSamples
 from repro.obs.sampling import utilization_samples
-from repro.qos.stats import percentile
+from repro.qos.stats import mean_in_order, percentile
 from repro.workloads.rates import RateProfile
 
 
@@ -161,7 +161,7 @@ class SeriesRecorder:
         for name, drain in self._feeds.items():
             samples = drain().latencies()
             if samples:
-                row.latency_mean[name] = sum(samples) / len(samples)
+                row.latency_mean[name] = mean_in_order(samples)
                 row.latency_p95[name] = percentile(samples, 95.0)
             else:
                 row.latency_mean[name] = None
@@ -183,7 +183,7 @@ class SeriesRecorder:
         utilizations = utilization_samples(
             runtime.all_tasks(), self._last_busy, self.interval
         )
-        row.cpu_utilization = sum(utilizations) / len(utilizations) if utilizations else 0.0
+        row.cpu_utilization = mean_in_order(utilizations)
         self.rows.append(row)
 
     # ------------------------------------------------------------------
@@ -192,9 +192,7 @@ class SeriesRecorder:
 
     def mean_cpu_utilization(self) -> float:
         """Mean of the per-interval mean utilizations (paper: 55.7 %)."""
-        if not self.rows:
-            return 0.0
-        return sum(r.cpu_utilization for r in self.rows) / len(self.rows)
+        return mean_in_order(r.cpu_utilization for r in self.rows)
 
     def peak_effective_rate(self) -> float:
         """Maximum effective source throughput over the run."""
@@ -223,7 +221,7 @@ class SeriesRecorder:
             p95s = [r.latency_p95[feed] for r in self.rows
                     if r.latency_p95.get(feed) is not None]
             feeds[feed] = {
-                "mean_latency": sum(means) / len(means) if means else None,
+                "mean_latency": mean_in_order(means) if means else None,
                 "max_p95_latency": max(p95s) if p95s else None,
             }
         return {

@@ -22,6 +22,7 @@ from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
 from repro.experiments.recording import deploy
 from repro.experiments.report import format_table, ms, write_csv
 from repro.graphs.job_graph import JobGraph
+from repro.qos.stats import mean_in_order
 from repro.simulation.randomness import Gamma
 from repro.workloads.rates import ConstantRate
 
@@ -133,7 +134,7 @@ def run(params: Optional[ValidationParams] = None) -> ValidationResult:
         engine, (job,), _ = deploy(config, [BuiltPipeline(_build_job(params, rate), [])])
         engine.run(params.duration)
         samples = job.drain_sink_samples("Snk").latencies()
-        measured = sum(samples) / len(samples) if samples else float("inf")
+        measured = mean_in_order(samples) if samples else float("inf")
         stages = [
             PipelineStage("A", s1_mean, s1_cv, s1_p),
             PipelineStage("B", s2_mean, s2_cv, s2_p),

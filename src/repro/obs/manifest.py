@@ -18,6 +18,9 @@ from typing import Dict, List, Optional, Tuple
 #: bump when the manifest layout changes incompatibly
 MANIFEST_SCHEMA_VERSION = 1
 
+#: the keys every manifest carries (``repro trace show`` prints them)
+REQUIRED_KEYS = ("job", "seed", "graph_hash", "virtual_time_s", "final_parallelism")
+
 #: canonical export file names
 MANIFEST_FILE = "manifest.json"
 METRICS_FILE = "metrics.jsonl"
@@ -152,7 +155,12 @@ class RunManifest:
 
     @staticmethod
     def read(path: str) -> "RunManifest":
-        """Load a manifest written by :meth:`write`."""
+        """Load a manifest written by :meth:`write`.
+
+        Raises ``ValueError`` unless it is of this schema and carries every
+        :data:`REQUIRED_KEYS` entry, with a numeric ``virtual_time_s`` and
+        ``scaling`` an object or null: what ``trace show`` prints.
+        """
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
         schema = data.get("schema") if isinstance(data, dict) else None
@@ -161,6 +169,14 @@ class RunManifest:
                 f"unsupported manifest schema {schema!r} "
                 f"(expected {MANIFEST_SCHEMA_VERSION})"
             )
+        missing = [key for key in REQUIRED_KEYS if key not in data]
+        if missing:
+            raise ValueError(f"manifest lacks {', '.join(missing)}")
+        virtual = data["virtual_time_s"]
+        if isinstance(virtual, bool) or not isinstance(virtual, (int, float)):
+            raise ValueError(f"manifest virtual_time_s {virtual!r} is not a number")
+        if not isinstance(data.get("scaling") or {}, dict):
+            raise ValueError("manifest scaling is not an object")
         return RunManifest(data)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

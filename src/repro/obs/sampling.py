@@ -20,6 +20,7 @@ import json
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry
+from repro.qos.stats import mean_in_order, sum_in_order
 
 if TYPE_CHECKING:  # pragma: no cover - avoids package import cycles
     from repro.simulation.kernel import Simulator
@@ -165,15 +166,15 @@ class MetricsSampler:
         jobs = self.engine.jobs
         tasks = [t for job in jobs for t in job.runtime.all_tasks()]
         samples = utilization_samples(tasks, self._last_busy, self.clock.interval)
-        self.cpu_utilization = sum(samples) / len(samples) if samples else 0.0
+        self.cpu_utilization = mean_in_order(samples)
         managers = [m for job in jobs for m in job._managers]
         self.max_staleness = max((m.staleness(now) for m in managers), default=0.0)
         owners = {"sampler": [self], "resources": [self.engine.resources], "managers": managers}
         for owner in ("scheduler",) + _OPTIONAL_OWNERS:
             owners[owner] = [getattr(j, owner) for j in jobs if getattr(j, owner) is not None]
         row: Dict[str, object] = {
-            name: sum(getattr(c, reader) if isinstance(reader, str) else reader(c)
-                      for c in owners[owner])
+            name: sum_in_order(getattr(c, reader) if isinstance(reader, str) else reader(c)
+                               for c in owners[owner])
             for name, owner, reader, _kind in METRICS
             if owners[owner] or owner not in _OPTIONAL_OWNERS
         }

@@ -144,6 +144,17 @@ def snapshot_and_clear(samples: List[float]) -> StatsSnapshot:
     return StatsSnapshot(n, mean, m2 / (count - 1.0) if n > 1 else 0.0)
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """``sum(values)`` by plain left-to-right addition from ``0``.
+
+    What ``sum()`` computes before CPython 3.12, on every interpreter.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def mean_in_order(values: Iterable[float]) -> float:
     """Arithmetic mean by plain left-to-right addition (0.0 when empty)."""
     total = 0.0

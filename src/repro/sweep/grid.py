@@ -232,6 +232,8 @@ class SweepGrid:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SweepGrid":
         """Build a grid from a (parsed) grid file / description."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a grid is a JSON object, not {type(data).__name__}")
         schema = data.get("schema", GRID_SCHEMA_VERSION)
         if schema != GRID_SCHEMA_VERSION:
             raise ValueError(

@@ -150,7 +150,10 @@ def run_sweep(
         if os.path.exists(grid_path):
             from repro.sweep.grid import SweepGrid as _Grid
 
-            existing = _Grid.from_file(grid_path).describe()
+            try:
+                existing = _Grid.from_file(grid_path).describe()
+            except (OSError, TypeError, ValueError) as exc:
+                raise SweepError(f"cannot read {grid_path}: {exc}") from None
             if existing != description:
                 raise SweepError(
                     f"grid mismatch: {grid_path} describes a different sweep "

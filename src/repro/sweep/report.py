@@ -11,8 +11,9 @@ and, through :func:`read_aggregate`, by ``repro compare``.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
+
+from repro.qos.stats import mean_in_order
 
 #: bump when the aggregate layout changes incompatibly
 AGGREGATE_SCHEMA_VERSION = 1
@@ -27,7 +28,7 @@ def _mean(values: Sequence[float]) -> Optional[float]:
     values = [v for v in values if v is not None]
     if not values:
         return None
-    return sum(values) / len(values)
+    return mean_in_order(values)
 
 
 def _fulfillment(result: Dict[str, object]) -> Optional[float]:
@@ -85,13 +86,12 @@ def write_aggregate(path: str, aggregate: Dict[str, object]) -> str:
     return write_json(path, aggregate)
 
 
-def read_aggregate(path: str) -> Dict[str, object]:
-    """Load an aggregate written by :func:`write_aggregate`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        aggregate = json.load(handle)
-    if aggregate.get("schema") != AGGREGATE_SCHEMA_VERSION:
+def read_aggregate(data: object) -> Dict[str, object]:
+    """``data``, a parsed ``aggregate.json``, once its schema is checked."""
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != AGGREGATE_SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported aggregate schema {aggregate.get('schema')!r} "
+            f"unsupported aggregate schema {schema!r} "
             f"(expected {AGGREGATE_SCHEMA_VERSION})"
         )
-    return aggregate
+    return data

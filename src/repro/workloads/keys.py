@@ -16,6 +16,8 @@ import random
 from bisect import bisect_left
 from typing import List
 
+from repro.qos.stats import sum_in_order
+
 
 class ZipfKeySampler:
     """Inverse-CDF sampling from a Zipf(``s``) law over ``n_keys`` ranks.
@@ -33,7 +35,7 @@ class ZipfKeySampler:
         self.n_keys = n_keys
         self.s = float(s)
         weights = [1.0 / (rank ** self.s) for rank in range(1, n_keys + 1)]
-        total = sum(weights)
+        total = sum_in_order(weights)
         self._cdf: List[float] = []
         acc = 0.0
         for w in weights:

@@ -34,6 +34,7 @@ from typing import Dict, List, Tuple
 
 from repro.builder import PipelineBuilder
 from repro.engine.admission import jain_fairness
+from repro.qos.stats import mean_in_order
 from repro.simulation.randomness import Gamma
 from repro.workloads.rates import PiecewiseRate
 
@@ -109,7 +110,7 @@ def _job_result(job, account: Dict[str, object]) -> Dict[str, object]:
     if trackers:
         ratios = [t.fulfillment_ratio for t in trackers if t.fulfillment_ratio is not None]
         if ratios:
-            fulfillment = sum(ratios) / len(ratios)
+            fulfillment = mean_in_order(ratios)
         violations = sum(t.violations for t in trackers)
     denial_records = 0
     if job.trace is not None:

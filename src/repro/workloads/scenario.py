@@ -43,6 +43,7 @@ from repro.engine.engine import EngineConfig
 from repro.experiments.recording import Recording, deploy
 from repro.obs.config import ObservabilityConfig
 from repro.obs.manifest import graph_hash
+from repro.qos.stats import mean_in_order
 from repro.simulation.faults import (
     FaultPlan,
     FaultSpec,
@@ -389,7 +390,7 @@ def reaction_time_s(trackers, events) -> Optional[float]:
                 break
     if not reactions:
         return None
-    return sum(reactions) / len(reactions)
+    return mean_in_order(reactions)
 
 
 def _component_summaries(jobs, attribute: str):
@@ -433,7 +434,7 @@ def summarize(spec: ScenarioSpec, engine, jobs, recorder) -> Dict[str, object]:
             "activations": sum(len(s.events) for s in scalers),
             "skipped_stale": sum(s.skipped_stale for s in scalers),
             "suppressed_scale_downs": sum(s.suppressed_scale_downs for s in scalers),
-            "reaction_time_s": sum(reactions) / len(reactions) if reactions else None,
+            "reaction_time_s": mean_in_order(reactions) if reactions else None,
         }
     result: Dict[str, object] = {
         "shard_schema": SHARD_SCHEMA_VERSION,

@@ -356,20 +356,32 @@ class TestOneTraceReader:
         ("{not json", "Expecting property name"),
         ("[]", "unsupported manifest schema None (expected 1)"),
         ('{"schema": 9}', "unsupported manifest schema 9 (expected 1)"),
-    ], ids=["not-json", "not-an-object", "other-schema"])
+        ('{"schema": 1}', "manifest lacks job, seed, graph_hash, virtual_time_s, "
+                          "final_parallelism"),
+        ('{"schema": 1, "job": "j", "seed": 1, "graph_hash": "h", '
+         '"virtual_time_s": "60", "final_parallelism": {}}',
+         "manifest virtual_time_s '60' is not a number"),
+        ('{"schema": 1, "job": "j", "seed": 1, "graph_hash": "h", '
+         '"virtual_time_s": 60, "final_parallelism": {}, "scaling": [1]}',
+         "manifest scaling is not an object"),
+    ], ids=["not-json", "not-an-object", "other-schema", "no-keys", "text-time",
+            "list-scaling"])
     @pytest.mark.parametrize("with_trace", [True, False], ids=["trace", "no-trace"])
     def test_trace_show_refuses_a_corrupt_manifest_in_one_line(
         self, manifest, reason, with_trace, tmp_path, capsys
     ):
         from repro.cli import main
-        from repro.obs.manifest import MANIFEST_FILE
+        from repro.obs.manifest import MANIFEST_FILE, check_export
 
         record = json.loads(GOLDEN_RECORD) if with_trace else None
         directory = _export_dir(tmp_path, record, manifest)
         assert main(["trace", "show", directory]) == 2
         (line,) = capsys.readouterr().out.splitlines()
-        assert line.startswith(f"cannot read {os.path.join(directory, MANIFEST_FILE)}: ")
+        path = os.path.join(directory, MANIFEST_FILE)
+        assert line.startswith(f"cannot read {path}: ")
         assert reason in line
+        assert any(error.startswith(f"{path}: ") and reason in error
+                   for error in check_export(directory)[1])
 
 
 # ----------------------------------------------------------------------

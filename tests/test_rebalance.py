@@ -1,11 +1,16 @@
-"""Unit and property tests for the Rebalance technique (Algorithm 1)."""
+"""Unit and property tests for the Rebalance technique (Algorithm 1).
+
+Algorithm 1 is checked against :func:`greedy_minimum`, the exact minimum
+at any width; :func:`brute_force_minimum` cross-checks that oracle on
+sequences of up to four vertices.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.latency_model import INFINITY, SequenceLatencyModel, VertexModel
-from repro.core.rebalance import brute_force_minimum, rebalance
+from repro.core.rebalance import brute_force_minimum, greedy_minimum, rebalance
 
 
 def model_of(*specs, p_max=12):
@@ -16,6 +21,29 @@ def model_of(*specs, p_max=12):
             VertexModel(f"v{i}", 1, 1, p_max, lam, s, var, fitting_coefficient=1.0)
         )
     return SequenceLatencyModel("js", models)
+
+
+def exact_minimum(model, budget):
+    """``(parallelism by name, feasible)`` of ``greedy_minimum`` on ``model``.
+
+    A fixed vertex is one whose bounds are both its current parallelism.
+    """
+    models = model.models
+    parallelism, feasible = greedy_minimum(
+        [m.waiting_time for m in models],
+        [m.p_min if m.scalable else m.p_current for m in models],
+        [m.p_max if m.scalable else m.p_current for m in models],
+        budget,
+    )
+    chosen = {m.name: p for m, p in zip(models, parallelism) if m.scalable}
+    return chosen, feasible
+
+
+_vertex = st.tuples(
+    st.floats(min_value=5.0, max_value=300.0),
+    st.floats(min_value=0.0005, max_value=0.02),
+    st.floats(min_value=0.05, max_value=2.0),
+)
 
 
 class TestBasics:
@@ -102,11 +130,11 @@ class TestOptimality:
         model = model_of((120.0, 0.005, 1.0), (80.0, 0.006, 0.8), p_max=10)
         budget = 0.004
         result = rebalance(model, budget)
-        brute = brute_force_minimum(model, budget)
-        assert brute is not None
-        assert result.feasible
+        optimum, feasible = exact_minimum(model, budget)
+        assert feasible and result.feasible
+        assert sum(optimum.values()) == brute_force_minimum(model, budget)[0]
         # Gradient descent with variable step is near-optimal; allow +1.
-        assert result.total_parallelism <= brute[0] + 1
+        assert result.total_parallelism <= sum(optimum.values()) + 1
 
     def test_matches_bruteforce_three_vertices(self):
         model = model_of(
@@ -114,36 +142,32 @@ class TestOptimality:
         )
         budget = 0.005
         result = rebalance(model, budget)
-        brute = brute_force_minimum(model, budget)
-        assert brute is not None
-        assert result.total_parallelism <= brute[0] + 1
+        optimum, feasible = exact_minimum(model, budget)
+        assert feasible
+        assert sum(optimum.values()) == brute_force_minimum(model, budget)[0]
+        assert result.total_parallelism <= sum(optimum.values()) + 1
 
     @given(
-        specs=st.lists(
-            st.tuples(
-                st.floats(min_value=5.0, max_value=300.0),
-                st.floats(min_value=0.0005, max_value=0.02),
-                st.floats(min_value=0.05, max_value=2.0),
-            ),
-            min_size=1,
-            max_size=3,
+        specs=st.integers(1, 64).flatmap(
+            lambda n: st.lists(_vertex, min_size=n, max_size=n)
         ),
-        budget=st.floats(min_value=0.0002, max_value=0.05),
+        budget_per_vertex=st.floats(min_value=0.0002, max_value=0.05),
     )
     @settings(max_examples=120, deadline=None)
-    def test_property_feasible_and_near_optimal(self, specs, budget):
+    def test_property_feasible_and_near_optimal(self, specs, budget_per_vertex):
         model = model_of(*specs, p_max=9)
+        budget = budget_per_vertex * len(specs)
         result = rebalance(model, budget)
-        brute = brute_force_minimum(model, budget)
-        if brute is None:
-            assert not result.feasible
-        else:
-            assert result.feasible
-            assert model.total_waiting_time(result.parallelism) <= budget + 1e-12
+        optimum, feasible = exact_minimum(model, budget)
+        assert result.feasible == feasible
+        if feasible:
+            assert model.total_waiting_time(result.parallelism) <= budget
+            opt = sum(optimum.values())
+            assert opt <= result.total_parallelism
             # The variable step size deliberately overshoots (the paper:
             # "most scale-ups are slightly larger than necessary"), so
             # only a loose optimality bound holds in general.
-            assert result.total_parallelism <= 2 * brute[0] + len(specs) + 2
+            assert result.total_parallelism <= 2 * opt + len(specs) + 2
 
     @given(
         budget_small=st.floats(min_value=0.0005, max_value=0.002),
@@ -156,3 +180,47 @@ class TestOptimality:
         large = rebalance(model, budget_large)
         if small.feasible and large.feasible:
             assert small.total_parallelism >= large.total_parallelism
+
+
+class TestGreedyMinimum:
+    @given(
+        specs=st.lists(_vertex, min_size=1, max_size=4),
+        budget=st.floats(min_value=0.0002, max_value=0.05),
+        fixed=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force_on_small_sequences(self, specs, budget, fixed):
+        model = model_of(*specs, p_max=9)
+        if fixed:
+            # one more, non-scalable vertex adds a constant wait
+            model.models.insert(
+                0, VertexModel("fixed", 3, 3, 3, 100.0, 0.004, 1.0, scalable=False)
+            )
+        optimum, feasible = exact_minimum(model, budget)
+        brute = brute_force_minimum(model, budget)
+        assert feasible == (brute is not None)
+        if feasible:
+            assert sum(optimum.values()) == brute[0]
+            assert model.total_waiting_time(optimum) <= budget
+
+    def test_feasible_start_is_returned_unchanged(self):
+        waits = [lambda p: 1.0 / p, lambda p: 2.0 / p]
+        assert greedy_minimum(waits, [2, 3], [9, 9], 10.0) == ([2, 3], True)
+
+    def test_each_step_takes_the_largest_fall(self):
+        # v0 falls 1/2 - 1/3, v1 falls 3/2 - 1: v1 moves first
+        waits = [lambda p: 1.0 / p, lambda p: 3.0 / p]
+        assert greedy_minimum(waits, [2, 2], [9, 9], 1.5) == ([2, 3], True)
+
+    def test_a_tie_goes_to_the_first_vertex(self):
+        waits = [lambda p: 1.0 / p, lambda p: 1.0 / p]
+        assert greedy_minimum(waits, [1, 1], [9, 9], 1.5) == ([2, 1], True)
+
+    def test_an_unstable_vertex_is_stabilized_first(self):
+        unstable_below_3 = lambda p: INFINITY if p < 3 else 0.5
+        waits = [lambda p: 10.0 / p, unstable_below_3]
+        assert greedy_minimum(waits, [1, 1], [9, 9], 100.0) == ([1, 3], True)
+
+    def test_infeasible_ends_at_the_upper_bounds(self):
+        waits = [lambda p: 1.0 / p, lambda p: 1.0 / p]
+        assert greedy_minimum(waits, [1, 2], [4, 3], 0.1) == ([4, 3], False)

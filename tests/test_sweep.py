@@ -30,7 +30,7 @@ from repro.sweep import (
     run_shard,
 )
 from repro.sweep.pool import POLL_INTERVAL, PoolError, PoolJob, run_pool
-from repro.sweep.report import AGGREGATE_FILE
+from repro.sweep.report import AGGREGATE_FILE, GRID_FILE
 from repro.sweep.shard import (
     RESULT_FILE,
     execute_shard,
@@ -117,6 +117,10 @@ class TestSweepGrid:
     def test_unsupported_schema_rejected(self):
         with pytest.raises(ValueError):
             SweepGrid.from_dict({"schema": 99})
+
+    def test_a_grid_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="^a grid is a JSON object, not list$"):
+            SweepGrid.from_dict([1, 2])
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +239,14 @@ class TestOrchestrator:
         run_sweep(tiny_grid(), out, workers=1)
         with pytest.raises(SweepError, match="grid mismatch"):
             run_sweep(tiny_grid(duration=6.0), out, workers=1, resume=True)
+
+    def test_resume_over_an_unreadable_grid_file_rejected(self, tmp_path):
+        out = str(tmp_path / "sweep")
+        run_sweep(tiny_grid(), out, workers=1)
+        grid_path = os.path.join(out, GRID_FILE)
+        write_json(grid_path, [1, 2])
+        with pytest.raises(SweepError, match=f"^cannot read {grid_path}: a grid is a JSON object"):
+            run_sweep(tiny_grid(), out, workers=1, resume=True)
 
     def test_crashed_worker_is_retried_without_aborting(self, tmp_path):
         """A killed worker fails only its shard; the retry completes it."""
@@ -429,11 +441,11 @@ class TestMergeAndReport:
         assert group["seeds"] == [1, 2]
         assert 0.0 <= group["mean_fulfillment"] <= 1.0
 
-    def test_read_aggregate_schema_guard(self, tmp_path):
-        path = str(tmp_path / "aggregate.json")
-        write_json(path, {"schema": 99})
-        with pytest.raises(ValueError, match="schema"):
-            read_aggregate(path)
+    def test_read_aggregate_schema_guard(self):
+        with pytest.raises(ValueError, match="schema 99"):
+            read_aggregate({"schema": 99})
+        with pytest.raises(ValueError, match="schema None"):
+            read_aggregate([1, 2])
 
     def test_dashboard_renders_aggregate(self, tmp_path):
         result = run_sweep(tiny_grid(), str(tmp_path / "out"), workers=1)
@@ -510,6 +522,14 @@ class TestSweepCli:
         assert cli.main(["sweep", "--grid", str(grid_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().out == "cannot build the sweep grid: seeds must be ints, got 'a'\n"
 
+    def test_a_grid_file_that_is_not_an_object_is_refused_in_one_line(self, tmp_path, capsys):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text("[1, 2]")
+        assert cli.main(["sweep", "--grid", str(grid_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out == (
+            "cannot build the sweep grid: a grid is a JSON object, not list\n")
+        assert not (tmp_path / "out").exists()
+
     def test_select_overrides_whole_axes_of_the_preset(self):
         grid = SweepGrid.select({"quick": True}, {"seeds": [9], "rates": None})
         assert grid.name == "quick" and grid.seeds == [9]
@@ -525,5 +545,6 @@ class TestSweepCli:
             "--out", out,
         ])
         assert code == 0
-        aggregate = read_aggregate(os.path.join(out, AGGREGATE_FILE))
+        with open(os.path.join(out, AGGREGATE_FILE)) as handle:
+            aggregate = read_aggregate(json.load(handle))
         assert [s["params"]["seed"] for s in aggregate["shards"]] == [5]

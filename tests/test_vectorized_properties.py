@@ -43,6 +43,10 @@ DISTRIBUTIONS = [
 _seeds = st.integers(0, 2**32 - 1)
 _splits = st.lists(st.integers(1, 80), min_size=1, max_size=8)
 
+# A parametrized @given test is a staticmethod: as a method, each parameter
+# runs it on a new instance, which Hypothesis fails as differing executors
+# wherever its pytest plugin is not registered.
+
 
 # ----------------------------------------------------------------------
 # Distribution.sample_block / BlockSampler: same contract, higher level
@@ -50,10 +54,11 @@ _splits = st.lists(st.integers(1, 80), min_size=1, max_size=8)
 
 
 class TestSampleBlock:
+    @staticmethod
     @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=repr)
     @given(seed=_seeds, n=st.integers(0, 100))
     @settings(max_examples=30)
-    def test_block_matches_scalar_samples(self, dist, seed, n):
+    def test_block_matches_scalar_samples(dist, seed, n):
         scalar_rng = random.Random(seed)
         block_rng = random.Random(seed)
         expected = [dist.sample(scalar_rng) for _ in range(n)]
@@ -61,10 +66,11 @@ class TestSampleBlock:
         # both consumers leave the stream at the same point
         assert block_rng.getstate() == scalar_rng.getstate()
 
+    @staticmethod
     @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=repr)
     @given(seed=_seeds, splits=_splits)
     @settings(max_examples=30)
-    def test_any_split_matches_the_scalar_sequence(self, dist, seed, splits):
+    def test_any_split_matches_the_scalar_sequence(dist, seed, splits):
         """Blocks of any sizes concatenate to the scalar-only sequence."""
         scalar_rng = random.Random(seed)
         block_rng = random.Random(seed)
@@ -91,6 +97,7 @@ class TestSampleBlock:
         assert _LOG4 == random.LOG4
         assert _SG_MAGICCONST == random.SG_MAGICCONST
 
+    @staticmethod
     @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=repr)
     @given(
         seed=_seeds,
@@ -100,7 +107,7 @@ class TestSampleBlock:
         n=st.integers(1, 600),
     )
     @settings(max_examples=30)
-    def test_block_sampler_pops_the_scalar_sequence(self, dist, seed, block_size, n):
+    def test_block_sampler_pops_the_scalar_sequence(dist, seed, block_size, n):
         """Popping n variates == n scalar draws, for any block size."""
         scalar_rng = random.Random(seed)
         expected = [dist.sample(scalar_rng) for _ in range(n)]
@@ -172,10 +179,11 @@ class _PlainUDF(UDF):
 
 
 class TestServiceSamplerFastPath:
+    @staticmethod
     @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=repr)
     @given(seed=_seeds, n=st.integers(1, 120))
     @settings(max_examples=20)
-    def test_sampler_matches_service_time(self, dist, seed, n):
+    def test_sampler_matches_service_time(dist, seed, n):
         udf = _PlainUDF(service_dist=dist)
         scalar_rng = random.Random(seed)
         expected = [udf.service_time(None, scalar_rng) for _ in range(n)]
