@@ -8,12 +8,14 @@ the task thread serializes into shared output buffers and the shipping
 overhead (syscalls, headers, interrupts) is paid per wire transfer, not
 per logical channel. The channel itself is the unit of *flow control*:
 
-* the consumer grants ``capacity`` credits; :meth:`accept` refuses items
-  beyond the outstanding-credit limit, blocking the producer;
+* the consumer grants ``capacity`` credits; the credits in use are
+  ``items_emitted - items_delivered``, and the producer's
+  :meth:`OutputGate.emit <repro.engine.task.OutputGate.emit>` refuses an
+  item when all are in use, blocking the producer;
 * shipped batches spend :meth:`NetworkModel.transfer_time` in flight;
 * on arrival, items enter the consumer's bounded input queue; when the
   queue is full they park in the channel's pending buffer until space
-  frees (queue growth → parked batches → refused accepts → blocked
+  frees (queue growth → parked batches → refused emits → blocked
   producer = the paper's backpressure cascade, Sec. III-C).
 """
 
@@ -78,7 +80,7 @@ class RuntimeChannel:
 
     __slots__ = (
         "channel_id", "sim", "producer", "consumer", "network", "edge_name",
-        "capacity", "reporter", "_outstanding", "_pending", "_arrive_bound",
+        "capacity", "reporter", "_pending", "_arrive_bound",
         "_pending_listener_armed", "_unblock_waiters", "closed",
         "items_emitted", "items_delivered", "batches_shipped",
     )
@@ -105,7 +107,6 @@ class RuntimeChannel:
         self.capacity = capacity
         self.reporter: Optional["ChannelReporter"] = None
 
-        self._outstanding = 0  # accepted but not yet enqueued at the consumer
         self._pending: Deque[DataItem] = deque()
         #: bound once: every shipped batch's heap entry carries it
         self._arrive_bound = self._arrive
@@ -113,7 +114,8 @@ class RuntimeChannel:
         self._unblock_waiters: List[Callable[[], None]] = []
         self.closed = False
 
-        #: lifetime counters for tests and recorders
+        #: lifetime counters; while the channel is open, their difference
+        #: is the credits in use (accepted, not yet enqueued)
         self.items_emitted = 0
         self.items_delivered = 0
         self.batches_shipped = 0
@@ -124,25 +126,8 @@ class RuntimeChannel:
 
     @property
     def outstanding(self) -> int:
-        """Items accepted but not yet enqueued at the consumer."""
-        return self._outstanding
-
-    def accept(self, item: DataItem) -> bool:
-        """Reserve one credit for ``item`` (stamps ``emitted_at``).
-
-        Returns ``False`` when the channel is at its credit limit — the
-        producer must block and retry after :meth:`add_unblock_waiter`
-        fires. A closed channel accepts (and later drops) everything so
-        teardown cannot deadlock producers.
-        """
-        if self.closed:
-            return True
-        if self._outstanding >= self.capacity:
-            return False
-        item.emitted_at = self.sim.now
-        self._outstanding += 1
-        self.items_emitted += 1
-        return True
+        """Items accepted but not yet enqueued at the consumer (0 once closed)."""
+        return 0 if self.closed else self.items_emitted - self.items_delivered
 
     def ship(self, items: Sequence[DataItem], batch_bytes: int) -> None:
         """Put a flushed sub-batch on the wire towards the consumer.
@@ -203,12 +188,10 @@ class RuntimeChannel:
             item = pending.popleft()
             entries.append((item, self))
             queue.total_enqueued += 1
+            # One credit back per delivered item. At most ``capacity`` were
+            # in use, so a free one now exists: wake the blocked producers.
             self.items_delivered += 1
-            # one credit back per delivered item
-            outstanding = self._outstanding
-            if outstanding > 0:
-                self._outstanding = outstanding = outstanding - 1
-            if self._unblock_waiters and outstanding < self.capacity:
+            if self._unblock_waiters:
                 waiters, self._unblock_waiters = self._unblock_waiters, []
                 for waiter in waiters:
                     waiter()
@@ -239,7 +222,6 @@ class RuntimeChannel:
             return
         self.closed = True
         self._pending.clear()
-        self._outstanding = 0
         waiters, self._unblock_waiters = self._unblock_waiters, []
         for waiter in waiters:
             waiter()

@@ -19,11 +19,15 @@ from repro.engine.items import DataItem
 class BoundedQueue:
     """A FIFO of ``(item, source_channel)`` with bounded capacity.
 
-    ``source_channel`` is kept alongside each item so the consumer can
-    attribute channel latency to the right channel when it pops the item.
-    Space listeners registered via :meth:`add_space_listener` are notified
-    (once each, FIFO) when capacity frees up — channels use this to
-    deliver parked batches.
+    The engine's one enqueue is :meth:`RuntimeChannel._arrive
+    <repro.engine.channel.RuntimeChannel._arrive>` (what does not fit parks
+    in the channel) and its one dequeue is :meth:`RuntimeTask._start_next
+    <repro.engine.task.RuntimeTask._start_next>`; both work on ``_items``
+    in place. ``source_channel`` is kept alongside each item so the
+    consumer can attribute channel latency to the right channel when it
+    pops the item. Space listeners registered via
+    :meth:`add_space_listener` are notified (once each, FIFO) when
+    capacity frees up — channels use this to deliver parked batches.
     """
 
     __slots__ = ("capacity", "_items", "_space_listeners", "total_enqueued")
@@ -40,10 +44,8 @@ class BoundedQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        """Whether the queue is at capacity."""
-        return len(self._items) >= self.capacity
+    # try_put/get are the put/pop pair benchmarks/e2e/micro.py times as
+    # engine.queues.putget_ns; no engine code calls them.
 
     def try_put(self, item: DataItem, source: object) -> bool:
         """Enqueue if space allows; returns whether the item was accepted."""
@@ -55,11 +57,7 @@ class BoundedQueue:
         return True
 
     def get(self) -> Tuple[DataItem, object]:
-        """Pop the oldest ``(item, source_channel)`` pair.
-
-        Frees one slot and wakes queued space listeners while space
-        remains. Raises ``IndexError`` when empty.
-        """
+        """Pop the oldest ``(item, source_channel)`` pair; wake listeners."""
         entry = self._items.popleft()
         if self._space_listeners:
             self._notify_space()
@@ -72,7 +70,7 @@ class BoundedQueue:
     def _notify_space(self) -> None:
         # Wake listeners while there is space; each listener may consume
         # space again (delivering a parked batch), so re-check every time.
-        while self._space_listeners and not self.is_full:
+        while self._space_listeners and len(self._items) < self.capacity:
             listener = self._space_listeners.popleft()
             listener()
 

@@ -134,24 +134,26 @@ class OutputGate:
     # ------------------------------------------------------------------
 
     def emit(self, channel: RuntimeChannel, item: DataItem) -> bool:
-        """Buffer ``item`` for ``channel``; ``False`` when out of credits."""
-        # channel.accept(), inlined for the per-item fast path.
+        """Take one of ``channel``'s credits for ``item`` and buffer it.
+
+        Stamps ``emitted_at``. Returns ``False`` when every credit is in
+        use (``items_emitted - items_delivered == capacity``); the caller
+        blocks until :meth:`RuntimeChannel.add_unblock_waiter` fires. A
+        closed channel takes everything (and ``ship`` drops it), so
+        teardown cannot deadlock producers.
+        """
         if channel.closed:
-            pass  # closed channels accept (and later drop) everything
-        elif channel._outstanding < channel.capacity:
+            pass
+        elif channel.items_emitted - channel.items_delivered < channel.capacity:
             item.emitted_at = self.sim.now
-            channel._outstanding += 1
             channel.items_emitted += 1
         else:
-            # Write stall: ship what is buffered (credits may be held by
-            # our own buffered items), then retry once. Without this,
-            # size-only batching can deadlock against the credit limit.
+            # Write stall: ship what is buffered (our own buffered items
+            # may hold the credits; size-only batching would deadlock
+            # otherwise), then refuse: no credit returns before arrival.
             if self._buffer:
                 self._flush()
-                if not channel.accept(item):
-                    return False
-            else:
-                return False
+            return False
         mode = self._mode
         if mode == 2:  # AdaptiveDeadlineBatching (inlined)
             strategy = self.strategy
@@ -387,7 +389,7 @@ class RuntimeTask:
     def _check_drained(self) -> None:
         if self.state != DRAINING:
             return
-        inflight = any(c.outstanding > 0 for c in self.in_channels if not c.closed)
+        inflight = any(c.outstanding > 0 for c in self.in_channels)
         if (
             not self._busy
             and not self._backlog

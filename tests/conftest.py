@@ -9,7 +9,11 @@ import sys
 
 import pytest
 
+from repro.engine.batching import InstantFlush
+from repro.engine.channel import NetworkModel, RuntimeChannel
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
+from repro.engine.items import DataItem
+from repro.engine.task import OutputGate, RuntimeTask
 from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
 from repro.graphs.job_graph import JobGraph
 from repro.simulation.kernel import Simulator
@@ -92,3 +96,41 @@ def run_linear(
     job = engine.submit(make_linear_job(**job_kwargs))
     engine.run(duration)
     return job
+
+
+def fed_consumer(queue_capacity: int, channels: int = 1, channel_capacity: int = 64):
+    """A started sink serving one item per second, fed over ``channels`` hops.
+
+    Each hop is an instant-flush output gate and a channel with zero
+    transfer time, so items enter through ``RuntimeChannel._arrive`` and
+    leave through ``RuntimeTask._start_next`` exactly as in a run. Returns
+    ``(sim, consumer, done, feeds)``: ``done`` lists the payloads the sink
+    finished, in order, and ``feeds`` holds one ``(gate, channel)`` per hop.
+    """
+    sim = Simulator()
+    network = NetworkModel(base_latency=0.0, per_batch_overhead=0.0, per_item_overhead=0.0)
+    done = []
+    consumer = RuntimeTask(sim, "C", 0, SinkUDF(done.append, Deterministic(1.0)),
+                           random.Random(1), queue_capacity=queue_capacity)
+    consumer.start()
+    feeds = []
+    for index in range(channels):
+        producer = RuntimeTask(sim, "P", index, SinkUDF(), random.Random(2))
+        channel = RuntimeChannel(sim, consumer, network, "P->C", capacity=channel_capacity)
+        consumer.in_channels.append(channel)
+        gate = OutputGate(sim, producer, "P->C", "round_robin", InstantFlush(), network)
+        gate.set_channels([channel])
+        feeds.append((gate, channel))
+    return sim, consumer, done, feeds
+
+
+def put(sim: Simulator, feed, payload) -> None:
+    """Emit ``payload`` on ``feed`` and let it arrive (the hop takes no time)."""
+    gate, channel = feed
+    assert gate.emit(channel, DataItem(payload, sim.now, size=0))
+    sim.run(until=sim.now)
+
+
+def serve(sim: Simulator, seconds: float = 1.0) -> None:
+    """Let a :func:`fed_consumer` sink work: one item per second completes."""
+    sim.run(until=sim.now + seconds)

@@ -1,7 +1,8 @@
 """Property-based tests for the fast-path data structures.
 
-Hypothesis drives randomized operation sequences against the structures
-the fast-path PR rewrote — :class:`~repro.engine.queues.BoundedQueue`,
+Hypothesis drives randomized operation sequences against the engine's
+fast-path structures — a task's bounded input queue as
+``RuntimeChannel._arrive`` and ``RuntimeTask._start_next`` drive it,
 the kernel's mixed-shape heap and :class:`BatchSchedule`, and the cached
 :class:`~repro.qos.stats.WindowedStats` aggregates — checking each
 against a trivially correct reference model.
@@ -15,20 +16,20 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.items import DataItem
-from repro.engine.queues import BoundedQueue
 from repro.qos.stats import OnlineStats, WindowedStats
 from repro.simulation.kernel import Simulator
 
+from conftest import fed_consumer, put, serve
+
 # ----------------------------------------------------------------------
-# BoundedQueue: FIFO, capacity, space listeners
+# The input queue on the path a run takes: FIFO, capacity, parking
 # ----------------------------------------------------------------------
 
-# An op is ("put", payload) or ("get",); payloads are small ints.
+# An op is ("put", payload) or ("serve",); payloads are small ints.
 _queue_ops = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.integers(0, 999)),
-        st.tuples(st.just("get")),
+        st.tuples(st.just("serve")),
     ),
     max_size=60,
 )
@@ -37,66 +38,85 @@ _queue_ops = st.lists(
 class TestBoundedQueueProperties:
     @given(capacity=st.integers(1, 8), ops=_queue_ops)
     def test_fifo_and_capacity_vs_model(self, capacity, ops):
-        """The queue behaves exactly like a capacity-capped deque."""
-        queue = BoundedQueue(capacity)
-        model: deque = deque()
+        """One server, a capacity-capped deque and the channel's overflow.
+
+        An arrival enqueues or parks (``RuntimeChannel._arrive``); the
+        sink pops in FIFO order (``RuntimeTask._start_next``), and each
+        pop lets the oldest parked item in.
+        """
+        sim, consumer, done, [feed] = fed_consumer(capacity)
+        queue, channel = consumer.input_queue, feed[1]
+        serving, queued, parked, finished = deque(), deque(), deque(), []
         enqueued = 0
         for op in ops:
             if op[0] == "put":
-                item = DataItem(op[1], created_at=0.0)
-                accepted = queue.try_put(item, source=None)
-                assert accepted == (len(model) < capacity)
-                if accepted:
-                    model.append(op[1])
-                    enqueued += 1
+                put(sim, feed, op[1])
+                parked.append(op[1])
             else:
-                if model:
-                    item, _source = queue.get()
-                    assert item.payload == model.popleft()
+                serve(sim)
+                if serving:
+                    finished.append(serving.popleft())
+            while True:  # settle: an idle server starts, parked items fill free slots
+                if not serving and queued:
+                    serving.append(queued.popleft())
+                elif parked and len(queued) < capacity:
+                    queued.append(parked.popleft())
+                    enqueued += 1
                 else:
-                    try:
-                        queue.get()
-                        raise AssertionError("get() on empty queue must raise")
-                    except IndexError:
-                        pass
-            assert len(queue) == len(model)
-            assert queue.is_full == (len(model) >= capacity)
-        assert queue.total_enqueued == enqueued
+                    break
+            assert done == finished
+            assert consumer._busy == bool(serving)
+            assert [entry[0].payload for entry in queue._items] == list(queued)
+            assert [item.payload for item in channel._pending] == list(parked)
+            assert channel.outstanding == len(parked)
+            assert len(queue._space_listeners) == (1 if parked else 0)
+        assert queue.total_enqueued == enqueued == channel.items_delivered
 
-    @given(capacity=st.integers(1, 6), n_listeners=st.integers(0, 10))
-    def test_space_listeners_fire_once_each_in_fifo_order(self, capacity, n_listeners):
-        queue = BoundedQueue(capacity)
-        for i in range(capacity):
-            assert queue.try_put(DataItem(i, created_at=0.0), None)
-        fired = []
-        for i in range(n_listeners):
-            queue.add_space_listener(lambda i=i: fired.append(i))
-        queue.get()
-        # One slot freed: listeners run in FIFO order; each may not refill
-        # the queue here, so all of them drain on the first notification.
-        assert fired == list(range(n_listeners))
-        queue.get() if len(queue) else None
-        assert fired == list(range(n_listeners))  # one-shot, never refire
+    @given(closed=st.lists(st.booleans(), min_size=1, max_size=8), capacity=st.integers(1, 6))
+    def test_space_listeners_fire_once_each_in_fifo_order(self, closed, capacity):
+        """Parked channels are woken in the order they parked, each once.
+
+        A channel closed while parked does not refill the slot, so the
+        same pop goes on to wake the next listener.
+        """
+        sim, consumer, done, feeds = fed_consumer(capacity, channels=len(closed) + 1)
+        filler, parked = feeds[0], feeds[1:]
+        for i in range(capacity + 1):
+            put(sim, filler, -1 - i)  # one in service, the queue full
+        for index, feed in enumerate(parked):
+            put(sim, feed, index)  # parks and listens
+        for (_, channel), shut in zip(parked, closed):
+            if shut:
+                channel.close()
+        listeners = consumer.input_queue._space_listeners
+        assert len(listeners) == len(closed)
+        open_ones = [i for i, shut in enumerate(closed) if not shut]
+        for served, index in enumerate(open_ones, start=1):
+            serve(sim)
+            assert [c.items_delivered for _, c in parked] == [
+                int(i in open_ones[:served]) for i in range(len(closed))
+            ]
+            assert len(listeners) == len(closed) - index - 1
+        serve(sim, capacity + len(closed) + 1)
+        assert not listeners
+        assert done == [-1 - i for i in range(capacity + 1)] + open_ones
 
     @given(capacity=st.integers(1, 4))
     def test_listener_refilling_queue_stops_notification(self, capacity):
         """A listener that refills the queue parks the remaining listeners."""
-        queue = BoundedQueue(capacity)
-        for i in range(capacity):
-            queue.try_put(DataItem(i, created_at=0.0), None)
-        fired = []
-
-        def refill():
-            fired.append("refill")
-            queue.try_put(DataItem(99, created_at=0.0), None)
-
-        queue.add_space_listener(refill)
-        queue.add_space_listener(lambda: fired.append("second"))
-        queue.get()
-        # refill consumed the freed slot -> "second" must still be parked
-        assert fired == ["refill"]
-        queue.get()
-        assert fired == ["refill", "second"]
+        sim, consumer, _, (a, b) = fed_consumer(capacity, channels=2)
+        for i in range(capacity + 2):
+            put(sim, a, i)  # one in service, the queue full, one parked
+        put(sim, b, 99)
+        listeners = consumer.input_queue._space_listeners
+        assert len(listeners) == 2
+        serve(sim)
+        # a's parked item consumed the freed slot -> b must still be parked
+        assert (a[1].items_delivered, b[1].items_delivered) == (capacity + 2, 0)
+        assert len(listeners) == 1
+        serve(sim)
+        assert b[1].items_delivered == 1
+        assert not listeners
 
 
 # ----------------------------------------------------------------------

@@ -289,3 +289,25 @@ def test_cli_decides_no_file_format():
         if name.rsplit(".", 1)[-1] in owned
     ]
     assert (shards, imported) == ([], [])
+
+
+def test_flow_control_is_written_once():
+    """Only the data plane touches the queue and credit internals.
+
+    The enqueue-or-park rule lives in ``RuntimeChannel._arrive``, the
+    dequeue-and-wake rule in ``RuntimeTask._start_next`` and the queue's
+    ``_notify_space``; no other module under ``src/repro`` reads
+    ``_items``, ``_space_listeners``, ``_notify_space`` or ``_pending``,
+    so no second copy of a rule can grow elsewhere.
+    """
+    src = pathlib.Path(ROOT) / "src" / "repro"
+    owners = {src / "engine" / name for name in ("channel.py", "task.py", "queues.py")}
+    internals = {"_items", "_space_listeners", "_notify_space", "_pending"}
+    offenders = [
+        f"{path.relative_to(src)}:{node.lineno} .{node.attr}"
+        for path in sorted(src.rglob("*.py"))
+        if path not in owners
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in internals
+    ]
+    assert offenders == []

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.engine.batching import InstantFlush
+from repro.engine.batching import FixedSizeBatching, InstantFlush
 from repro.engine.channel import NetworkModel, RuntimeChannel
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.engine.items import DataItem
@@ -39,10 +39,15 @@ def wired_sink(queue_capacity=256, channel_capacity=256, udf=None):
 
 
 def ship(channel, payloads):
-    items = [DataItem(p, 0.0) for p in payloads]
-    for item in items:
-        assert channel.accept(item)
-    channel.ship(items, 256 * len(items))
+    """Emit ``payloads`` at ``now`` and ship them as one batch."""
+    sim = channel.sim
+    producer = RuntimeTask(sim, "P", 0, SinkUDF(), random.Random(2))
+    gate = OutputGate(sim, producer, "P->Snk", "round_robin",
+                      FixedSizeBatching(1 << 30), channel.network)
+    gate.set_channels([channel])
+    for payload in payloads:
+        assert gate.emit(channel, DataItem(payload, 0.0))
+    gate.flush_now()
 
 
 class TestInlineCompletion:

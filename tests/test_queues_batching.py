@@ -1,4 +1,4 @@
-"""Unit tests for bounded queues and batching strategies."""
+"""Unit tests for input queues and batching strategies."""
 
 import random
 
@@ -12,10 +12,12 @@ from repro.engine.batching import (
 )
 from repro.engine.channel import NetworkModel, RuntimeChannel
 from repro.engine.items import DataItem
-from repro.engine.queues import BoundedQueue
 from repro.engine.task import OutputGate, RuntimeTask
 from repro.engine.udf import SinkUDF
+from repro.qos.reporter import ChannelReporter
 from repro.simulation.kernel import Simulator
+
+from conftest import fed_consumer, put, serve
 
 
 def item(created=0.0, size=256):
@@ -35,75 +37,102 @@ def gate_over_one_channel(strategy):
 
 
 class TestBoundedQueue:
+    """A consumer's input queue, driven the way a run drives it.
+
+    Items enter through ``RuntimeChannel._arrive`` (what does not fit
+    parks in its channel) and leave through ``RuntimeTask._start_next``.
+    """
+
     def test_fifo_order(self):
-        q = BoundedQueue(4)
-        for i in range(3):
-            q.try_put(item(created=float(i)), None)
-        assert [q.get()[0].created_at for _ in range(3)] == [0.0, 1.0, 2.0]
+        sim, consumer, done, [feed] = fed_consumer(4)
+        for payload in "abc":
+            put(sim, feed, payload)
+        assert [entry[0].payload for entry in consumer.input_queue._items] == ["b", "c"]
+        serve(sim, 3.0)
+        assert done == ["a", "b", "c"]
 
     def test_capacity_enforced(self):
-        q = BoundedQueue(2)
-        assert q.try_put(item(), None)
-        assert q.try_put(item(), None)
-        assert not q.try_put(item(), None)
-        assert q.is_full
+        sim, consumer, _, [feed] = fed_consumer(2)
+        channel = feed[1]
+        for i in range(5):
+            put(sim, feed, i)
+        # one in service, two queued: the overflow parks, holding its credits
+        assert len(consumer.input_queue) == 2
+        assert [it.payload for it in channel._pending] == [3, 4]
+        assert channel.outstanding == 2
+        assert len(consumer.input_queue._space_listeners) == 1
 
     def test_source_channel_returned(self):
-        q = BoundedQueue(2)
-        q.try_put(item(), "chan-a")
-        _, source = q.get()
-        assert source == "chan-a"
+        """Each entry names its channel; the pop books channel latency there."""
+        sim, consumer, _, (a, b) = fed_consumer(4, channels=2)
+        for _, channel in (a, b):
+            channel.reporter = ChannelReporter("P->C", channel.channel_id)
+        put(sim, a, "x")  # starts at once
+        put(sim, b, "y")
+        put(sim, a, "z")
+        assert [entry[1] for entry in consumer.input_queue._items] == [b[1], a[1]]
+        serve(sim, 2.0)
+        assert a[1].reporter._latency == [0.0, 2.0]
+        assert b[1].reporter._latency == [1.0]
 
     def test_space_listener_fires_on_get(self):
-        q = BoundedQueue(1)
-        q.try_put(item(), None)
-        fired = []
-        q.add_space_listener(lambda: fired.append(True))
-        q.get()
-        assert fired == [True]
+        sim, consumer, _, [feed] = fed_consumer(1)
+        queue, channel = consumer.input_queue, feed[1]
+        for i in range(3):
+            put(sim, feed, i)
+        assert len(queue._space_listeners) == 1
+        serve(sim)  # 0 completes, 1 is popped: the freed slot takes the parked 2
+        assert [entry[0].payload for entry in queue._items] == [2]
+        assert not channel._pending and not queue._space_listeners
 
     def test_listener_fires_once(self):
-        q = BoundedQueue(2)
-        q.try_put(item(), None)
-        q.try_put(item(), None)
-        fired = []
-        q.add_space_listener(lambda: fired.append(True))
-        q.get()
-        q.get()
-        assert fired == [True]
+        """A channel listens while it has parked items, and only then."""
+        sim, consumer, done, [feed] = fed_consumer(2)
+        queue, channel = consumer.input_queue, feed[1]
+        for i in range(6):
+            put(sim, feed, i)
+        for _ in range(6):
+            assert len(queue._space_listeners) == (1 if channel._pending else 0)
+            serve(sim)
+        assert done == list(range(6))
+        assert not queue._space_listeners and not channel._pending_listener_armed
 
     def test_listener_refilling_queue_blocks_later_listeners(self):
-        q = BoundedQueue(1)
-        q.try_put(item(), None)
-        order = []
-
-        def greedy():
-            order.append("greedy")
-            q.try_put(item(), None)
-
-        q.add_space_listener(greedy)
-        q.add_space_listener(lambda: order.append("starved"))
-        q.get()
-        assert order == ["greedy"]  # queue full again; second listener waits
+        sim, consumer, done, (a, b) = fed_consumer(1, channels=2)
+        for payload in ("a0", "a1", "a2"):
+            put(sim, a, payload)
+        put(sim, b, "b0")  # parks behind a's listener
+        serve(sim)
+        # a's parked item took the freed slot; b's listener still waits
+        assert (a[1].items_delivered, b[1].items_delivered) == (3, 0)
+        assert len(consumer.input_queue._space_listeners) == 1
+        serve(sim, 3.0)
+        assert done == ["a0", "a1", "a2", "b0"]
 
     def test_drain(self):
-        q = BoundedQueue(4)
-        q.try_put(item(), None)
-        q.try_put(item(), None)
-        drained = q.drain()
-        assert len(drained) == 2
-        assert len(q) == 0
+        """A crash drains the queue; the closed channel's parked items stay dropped."""
+        sim, consumer, done, [feed] = fed_consumer(2)
+        queue, channel = consumer.input_queue, feed[1]
+        for i in range(5):
+            put(sim, feed, i)
+        consumer.fail()
+        assert len(queue) == 0
+        assert channel.closed and not channel._pending
+        serve(sim, 5.0)
+        assert done == []
+        assert queue.total_enqueued == 3
 
     def test_total_enqueued_counter(self):
-        q = BoundedQueue(4)
-        q.try_put(item(), None)
-        q.get()
-        q.try_put(item(), None)
-        assert q.total_enqueued == 2
+        sim, consumer, _, [feed] = fed_consumer(4)
+        for i in range(3):
+            put(sim, feed, i)
+        serve(sim)
+        put(sim, feed, 3)
+        assert consumer.input_queue.total_enqueued == 4 == feed[1].items_delivered
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
-            BoundedQueue(0)
+            RuntimeTask(Simulator(), "C", 0, SinkUDF(), random.Random(1), queue_capacity=0)
 
 
 class TestInstantFlush:
