@@ -108,10 +108,6 @@ class ConstraintTracker:
             return 0.0
         return 1.0 - self.violations / len(self.history)
 
-    def latency_series(self) -> List[Tuple[float, float]]:
-        """(timestamp, measured mean latency) series for plotting."""
-        return [(t, latency) for t, latency, _ in self.history]
-
     def __repr__(self) -> str:
         return (
             f"ConstraintTracker({self.constraint.name}, "

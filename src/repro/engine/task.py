@@ -255,7 +255,7 @@ class RuntimeTask:
         "service_multiplier", "_busy", "_paused_until", "_pop_time",
         "_backlog", "_blocked_on", "_overhead_debt", "_last_enqueue",
         "_window_process", "_window_created", "_drain_probe", "rate_profile",
-        "_tick_owed", "process_probe", "service_histogram",
+        "process_probe", "service_histogram",
         "items_processed", "items_emitted", "busy_time",
     )
 
@@ -320,7 +320,6 @@ class RuntimeTask:
 
         # source state
         self.rate_profile: Optional["RateProfile"] = None
-        self._tick_owed = False
         #: bound once: every source tick's heap entry carries it
         self._source_tick_bound = self._source_tick
 
@@ -647,15 +646,9 @@ class RuntimeTask:
         if self.is_source:
             if not self._drain_backlog():
                 return  # blocked again; another waiter is registered
-            if self._tick_owed:
-                # The owed tick runs now: the backlog is empty and a
-                # source is only ever RUNNING or STOPPED.
-                self._tick_owed = False
-                self._source_tick()
-            else:
-                # The emission loop stalled while blocked (no tick is
-                # pending); resume it from now.
-                self._schedule_source_tick()
+            # The emission loop stalled while blocked (no tick is
+            # pending); resume it from now.
+            self._schedule_source_tick()
         else:
             self._complete_service()
 
@@ -719,11 +712,6 @@ class RuntimeTask:
 
     def _source_tick(self) -> None:
         if self.state != RUNNING:
-            return
-        if self._backlog:
-            # Backpressure reached the source: owe exactly one tick and
-            # resume from the unblock (effective < attempted throughput).
-            self._tick_owed = True
             return
         now = self.sim.now
         payload = self._generate(now, self.rng)

@@ -19,6 +19,10 @@ One module per paper artifact (see DESIGN.md's experiment index):
 * :mod:`repro.experiments.ablations` — the fitting coefficient, the
   queue-wait share and the inactivity phase each switched off or moved.
 
+:func:`repro.experiments.step_load.run_point` is the one elastic
+step-load run that Fig. 6, the policy comparison, the sensitivity grid
+and the ablations share.
+
 Each module exposes a ``run(...)`` function returning a result object
 with the same rows/series the paper reports (``report()`` /
 ``series_csv(path)``). A figure is a list of runs and a report: every

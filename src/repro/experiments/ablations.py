@@ -11,20 +11,25 @@ fulfillment, resource consumption and scaling churn:
   80 % for batching);
 * **post-scale-up inactivity** (paper: 2 adjustment intervals).
 
-A variant is one :func:`repro.experiments.sensitivity.run_point` call,
-so an ablation and a sensitivity point run the same code.
+A variant is one :func:`repro.experiments.step_load.run_point` call,
+so an ablation, a sensitivity point, a policy and a Fig. 6 run share
+one run and one outcome.
 
 Run:  python -m repro experiment ablations
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.experiments.report import format_table, write_csv
-from repro.experiments.sensitivity import SensitivityParams, SweepPoint, run_point
-from repro.workloads.primetester import STEP_LOAD
+from repro.experiments.step_load import (
+    CSV_HEADERS,
+    HEADERS,
+    Point,
+    StepLoadParams,
+    run_point,
+)
 
 #: variant name -> the control parameter it overrides (none: the paper's defaults)
 VARIANTS = {
@@ -36,21 +41,17 @@ VARIANTS = {
 
 
 class AblationResult:
-    """One sweep point per variant, in :data:`VARIANTS` order."""
+    """One point per variant, in :data:`VARIANTS` order."""
 
-    def __init__(self, params: SensitivityParams) -> None:
+    def __init__(self, params: StepLoadParams) -> None:
         self.params = params
-        self.variants: Dict[str, SweepPoint] = {}
+        self.variants: Dict[str, Point] = {}
 
     def report(self) -> str:
         """The ablation table."""
-        rows = [
-            [name, f"{p.fulfillment * 100:.1f}%", round(p.task_seconds), p.scaling_events]
-            for name, p in self.variants.items()
-        ]
         return format_table(
-            ["variant", "fulfilled", "task-seconds", "scaling events"],
-            rows,
+            ["variant", *HEADERS],
+            [[name, *point.cells()] for name, point in self.variants.items()],
             title="Ablations on the elastic PrimeTester (quick scenario)",
         )
 
@@ -58,20 +59,15 @@ class AblationResult:
         """Export every variant's outcome."""
         return write_csv(
             path,
-            ["variant", "fulfillment", "task_seconds", "scaling_events"],
-            [
-                [name, p.fulfillment, p.task_seconds, p.scaling_events]
-                for name, p in self.variants.items()
-            ],
+            ["variant", *CSV_HEADERS],
+            [[name, *point.csv_cells()] for name, point in self.variants.items()],
         )
 
 
-def run(params: Optional[SensitivityParams] = None) -> AblationResult:
-    """Run every variant (default scenario: Fig. 6's quick step load)."""
-    params = params or SensitivityParams(
-        workload=replace(STEP_LOAD, peak_rate=300.0, increment_steps=5, step_duration=8.0)
-    )
+def run(params: Optional[StepLoadParams] = None) -> AblationResult:
+    """Run every variant (default scenario: the quick step load)."""
+    params = params or StepLoadParams().quick()
     result = AblationResult(params)
     for name, overrides in VARIANTS.items():
-        result.variants[name] = run_point(params, **overrides)
+        result.variants[name], _ = run_point(params, **overrides)
     return result

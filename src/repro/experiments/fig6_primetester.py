@@ -24,63 +24,47 @@ Reported (the paper's Fig. 6 shape):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from repro.engine.engine import DeployedJob, EngineConfig
+from repro.engine.engine import EngineConfig
 from repro.experiments.ascii import series_panel
 from repro.experiments.recording import SeriesRecorder
 from repro.experiments.report import format_table, ms, write_csv
-from repro.workloads.primetester import (
-    SCALED_CLUSTER,
-    STEP_LOAD,
-    PrimeTesterParams,
-    run_primetester,
-)
+from repro.experiments.step_load import StepLoadParams, run_point
+from repro.workloads.primetester import SCALED_CLUSTER, run_primetester
 
 
 @dataclass
-class Fig6Params:
+class Fig6Params(StepLoadParams):
     """Run-scale knobs for the Fig. 6 experiment."""
 
-    workload: PrimeTesterParams = field(default_factory=lambda: replace(STEP_LOAD))
-    #: the elastic configuration's latency constraint (paper: 20 ms)
-    constraint_bound: float = 0.020
     #: manually tuned fixed parallelism of the unelastic baseline
     #: (scaled counterpart of the paper's 175 tasks)
     baseline_testers: int = 10
     #: bounds for the task-hour sweep (paper: 30/40/50/100 ms)
     sweep_bounds: Tuple[float, ...] = (0.030, 0.040, 0.050, 0.100)
     recording_interval: float = 5.0
-    seed: int = 11
 
     def quick(self) -> "Fig6Params":
         """The reduced variant, ``--quick``."""
-        workload = replace(
-            self.workload, step_duration=8.0, increment_steps=5, peak_rate=300.0
-        )
-        return replace(
-            self, workload=workload, recording_interval=4.0, sweep_bounds=(0.040,)
-        )
+        return replace(super().quick(), recording_interval=4.0, sweep_bounds=(0.040,))
 
 
 class RunResult:
-    """One configuration's run outcome."""
+    """One configuration's run outcome (``fulfillment`` None: unconstrained)."""
 
     def __init__(
         self,
         name: str,
         recorder: SeriesRecorder,
-        job: DeployedJob,
+        task_seconds: float,
+        fulfillment: Optional[float] = None,
     ) -> None:
         self.name = name
         self.rows = recorder.rows
-        self.task_seconds = job.engine.resources.task_seconds()
-        tracker = job.trackers[0] if job.trackers else None
-        self.fulfillment = tracker.fulfillment_ratio if tracker else None
-        self.intervals = tracker.intervals_observed if tracker else 0
-        self.violation_series = tracker.latency_series() if tracker else []
-        self.scaling_events = len(job.scaler.events) if job.scaler else 0
+        self.task_seconds = task_seconds
+        self.fulfillment = fulfillment
         means = [r.latency_mean.get("e2e") for r in self.rows]
         means = [m for m in means if m is not None]
         p95s = [r.latency_p95.get("e2e") for r in self.rows]
@@ -170,7 +154,7 @@ class Fig6Result:
                         f"{self.params.constraint_bound * 1000:.0f} ms",
                         round(self.elastic.task_seconds),
                         round(self.elastic.pt_task_seconds),
-                        f"{(self.elastic.fulfillment or 0) * 100:.1f}%",
+                        f"{self.elastic.fulfillment * 100:.1f}%",
                     ]
                 )
             for bound, (task_seconds, fulfillment, pt_seconds) in sorted(self.sweep.items()):
@@ -226,13 +210,10 @@ def run_elastic(
     params: Fig6Params, bound: Optional[float] = None, name: str = "elastic-20ms"
 ) -> RunResult:
     """Run the elastic configuration with the given constraint bound."""
-    job, recorder = run_primetester(
-        params.workload,
-        EngineConfig.nephele_adaptive(elastic=True, seed=params.seed, **SCALED_CLUSTER),
-        bound=bound if bound is not None else params.constraint_bound,
-        recording_interval=params.recording_interval,
+    point, recorder = run_point(
+        params, bound=bound, recording_interval=params.recording_interval
     )
-    return RunResult(name, recorder, job)
+    return RunResult(name, recorder, point.task_seconds, point.fulfillment)
 
 
 def run_baseline(params: Fig6Params) -> RunResult:
@@ -248,7 +229,7 @@ def run_baseline(params: Fig6Params) -> RunResult:
         EngineConfig.nephele_fixed_buffer(seed=params.seed, **SCALED_CLUSTER),
         recording_interval=params.recording_interval,
     )
-    return RunResult("baseline-16KiB", recorder, job)
+    return RunResult("baseline-16KiB", recorder, job.engine.resources.task_seconds())
 
 
 def run(params: Optional[Fig6Params] = None) -> Fig6Result:
@@ -260,8 +241,6 @@ def run(params: Optional[Fig6Params] = None) -> Fig6Result:
     for bound in params.sweep_bounds:
         sweep_run = run_elastic(params, bound, name=f"elastic-{bound * 1000:.0f}ms")
         result.sweep[bound] = (
-            sweep_run.task_seconds,
-            sweep_run.fulfillment if sweep_run.fulfillment is not None else 0.0,
-            sweep_run.pt_task_seconds,
+            sweep_run.task_seconds, sweep_run.fulfillment, sweep_run.pt_task_seconds
         )
     return result

@@ -7,17 +7,21 @@ we run a real Miller–Rabin test for the payload, while the *simulated*
 service cost is drawn from a configurable distribution so experiments can
 be scaled); Sinks collect results.
 
-Fig. 3, Fig. 6, the task-hour table, the sensitivity grid and the policy
-comparison are this one job re-run under different engine
-configurations; :func:`run_primetester` is that run, and
+Fig. 3, Fig. 6, the task-hour table, the sensitivity grid, the policy
+comparison and the ablations are this one job re-run under different
+engine configurations; :func:`run_primetester` is that run, and
 :data:`STEP_LOAD` / :data:`SCALED_CLUSTER` are the workload and cluster
-they all start from.
+they all start from. :data:`QUICK_STEP_LOAD` is the reduced step load of
+Fig. 6's and the policy comparison's ``--quick`` runs and of the
+ablations. The elastic runs go through
+:func:`repro.experiments.step_load.run_point`; Fig. 3's static presets
+and Fig. 6's baseline call :func:`run_primetester` directly.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
@@ -109,6 +113,10 @@ STEP_LOAD = PrimeTesterParams(
     peak_rate=400.0,
     step_duration=20.0,
 )
+
+#: the reduced step load: Fig. 6's and the policy comparison's
+#: ``--quick`` run, and the ablations' one scale
+QUICK_STEP_LOAD = replace(STEP_LOAD, peak_rate=300.0, increment_steps=5, step_duration=8.0)
 
 #: the ``EngineConfig`` overrides of every PrimeTester figure: shipping
 #: overheads chosen so batching buys the paper's ~30-60 % effective-

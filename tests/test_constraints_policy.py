@@ -113,14 +113,6 @@ class TestConstraintTracker:
         tracker.observe(1.0, summary)
         assert tracker.intervals_observed == 0
 
-    def test_latency_series(self):
-        graph = make_graph()
-        tracker = ConstraintTracker(make_constraint(graph))
-        tracker.observe(1.0, make_summary())
-        series = tracker.latency_series()
-        assert len(series) == 1
-        assert series[0][0] == 1.0
-
 
 class TestBottlenecks:
     def test_detects_high_utilization(self):

@@ -13,13 +13,13 @@ import importlib
 import os
 import re
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 
 from repro import cli
 from repro.core.policy import PolicySpec
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
-from repro.experiments.compare_policies import CompareParams, run_policy
 from repro.experiments.fig3_motivation import (
     CONFIG_NAMES,
     Fig3Params,
@@ -31,7 +31,7 @@ from repro.experiments.fig8_twitter import Fig8Params
 from repro.experiments.fig8_twitter import run as run_fig8
 from repro.experiments.recording import SeriesRecorder
 from repro.experiments.report import FIGURES
-from repro.experiments.sensitivity import SensitivityParams, run_point
+from repro.experiments.step_load import StepLoadParams, run_point
 from repro.workloads.primetester import (
     SCALED_CLUSTER,
     PrimeTesterParams,
@@ -269,28 +269,29 @@ class TestSharedRunner:
         assert _outcome(*run_primetester(workload, config, recording_interval=2.0)) == reference
         assert run_baseline(fig6_micro_params).task_seconds == reference["task_seconds"]
 
-    def test_config_override_without_recorder(self):
-        params = SensitivityParams(workload=micro_primetester())
-        spec = PolicySpec("scale-reactively", {"rho_max": 0.8})
-        reference = _outcome(*_by_hand(params.workload, _elastic(), 0.020, policy=spec))
-        job, recorder = run_primetester(params.workload, _elastic(), 0.020, policy=spec)
+    @pytest.mark.parametrize("policy, overrides, spec, config", [
+        ("scale-reactively", {"rho_max": 0.8},
+         PolicySpec("scale-reactively", {"rho_max": 0.8}), {}),
+        ("cpu-threshold", {"high": 0.8, "low": 0.3, "target": 0.6},
+         PolicySpec("cpu-threshold", {"high": 0.8, "low": 0.3, "target": 0.6}), {}),
+        ("scale-reactively", {"adjustment_interval": 2.5, "w_fraction": 0.4},
+         PolicySpec("scale-reactively", {"w_fraction": 0.4}), {"adjustment_interval": 2.5}),
+    ], ids=["knob", "policy-with-knobs", "config-field-and-knob"])
+    def test_run_point(self, policy, overrides, spec, config):
+        """Config fields go into the config, every other override to the policy."""
+        params = StepLoadParams(workload=micro_primetester())
+        reference = _outcome(*_by_hand(
+            params.workload, _elastic(**config), 0.020, policy=spec))
+        point, recorder = run_point(params, policy, **overrides)
         assert recorder is None
-        assert _outcome(job, recorder) == reference
-        point = run_point(params, rho_max=0.8)
-        assert (point.fulfillment, point.task_seconds, point.scaling_events) == (
-            reference["fulfillment"], reference["task_seconds"], len(reference["scaling"])
+        peak = max(accumulate(
+            [params.workload.n_testers]
+            + [applied.get("PrimeTester", 0) for _, applied in reference["scaling"]]
+        ))
+        assert point == (
+            reference["fulfillment"], reference["task_seconds"],
+            len(reference["scaling"]), peak,
         )
-
-    def test_policy_spec(self):
-        params = CompareParams(workload=micro_primetester())
-        spec = PolicySpec("cpu-threshold", {"high": 0.8, "low": 0.3, "target": 0.6})
-        reference = _outcome(*_by_hand(params.workload, _elastic(), 0.020, policy=spec))
-        assert _outcome(*run_primetester(
-            params.workload, _elastic(), 0.020, policy=spec)) == reference
-        outcome = run_policy(params, "cpu-threshold")
-        assert outcome.task_seconds == reference["task_seconds"]
-        assert outcome.scaling_events == len(reference["scaling"])
-        assert outcome.max_parallelism >= reference["parallelism"]
 
 
 class TestObserverEffect:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.compare_policies import CompareParams, run_policy
+from repro.experiments.compare_policies import POLICY_KNOBS, CompareParams
+from repro.experiments.step_load import Point, run_point
 from repro.workloads.primetester import PrimeTesterParams
 
 
@@ -26,24 +27,21 @@ class TestComparePoliciesHarness:
         "policy", ["scale-reactively", "predictive", "cpu-threshold", "rate-based"]
     )
     def test_each_policy_runs(self, policy):
-        outcome = run_policy(self.micro_params(), policy)
-        assert outcome.policy == policy
-        assert 0.0 <= outcome.fulfillment <= 1.0
-        assert outcome.task_seconds > 0
-        assert outcome.max_parallelism >= 1
+        point, _ = run_point(self.micro_params(), policy, **POLICY_KNOBS[policy])
+        assert 0.0 <= point.fulfillment <= 1.0
+        assert point.task_seconds > 0
+        assert point.max_parallelism >= 1
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            run_policy(self.micro_params(), "bogus")
+        with pytest.raises(ValueError, match="unknown scaling policy"):
+            run_point(self.micro_params(), "bogus")
 
     def test_report_and_csv(self, tmp_path):
         import os
-        from repro.experiments.compare_policies import CompareResult, PolicyOutcome
+        from repro.experiments.compare_policies import CompareResult
 
         result = CompareResult(self.micro_params())
-        result.outcomes["scale-reactively"] = PolicyOutcome(
-            "scale-reactively", 0.9, 1000.0, 5, 8
-        )
+        result.outcomes["scale-reactively"] = Point(0.9, 1000.0, 5, 8)
         text = result.report()
         assert "scale-reactively" in text
         assert "90.0%" in text

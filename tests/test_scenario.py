@@ -458,6 +458,17 @@ class TestOneBuilder:
         assert _calling("StreamProcessingEngine") == deploy_home
         assert _calling("SeriesRecorder") == deploy_home
 
+    def test_only_the_point_runner_and_fig8_build_an_elastic_config(self):
+        """Fig. 6, the policy table, the sensitivity grid and the ablations run_point()."""
+        experiments = [
+            path for path in _calling("nephele_adaptive")
+            if path.startswith("experiments" + os.sep)
+        ]
+        assert experiments == [
+            os.path.join("experiments", "fig8_twitter.py"),
+            os.path.join("experiments", "step_load.py"),
+        ]
+
     def test_cli_and_sweep_assemble_no_pipelines(self):
         assert _containing(_sources("cli.py", "sweep/*.py"), "PipelineBuilder(") == []
 

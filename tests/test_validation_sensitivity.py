@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.sensitivity import SensitivityParams, run_point
+from repro.engine.engine import StreamProcessingEngine
+from repro.experiments.sensitivity import SensitivityParams
+from repro.experiments.step_load import Point, run_point
 from repro.experiments.validation import ValidationParams
 from repro.experiments.validation import run as run_validation
 from repro.workloads.primetester import PrimeTesterParams
@@ -57,20 +59,17 @@ class TestSensitivityHarness:
         return SensitivityParams(workload=workload)
 
     def test_run_point_overrides_config(self):
-        point = run_point(self.micro_params(), rho_max=0.8)
-        assert point.parameter == "rho_max"
-        assert point.value == 0.8
+        point, recorder = run_point(self.micro_params(), rho_max=0.8, adjustment_interval=2.5)
+        assert recorder is None
         assert 0.0 <= point.fulfillment <= 1.0
 
-    def test_two_overrides_fail_before_anything_runs(self, monkeypatch):
-        import repro.experiments.sensitivity as sensitivity
-
+    def test_unknown_override_fails_before_anything_runs(self, monkeypatch):
         def no_run(*args, **kwargs):
-            raise AssertionError("simulated before rejecting the overrides")
+            raise AssertionError("simulated before rejecting the override")
 
-        monkeypatch.setattr(sensitivity, "run_primetester", no_run)
-        with pytest.raises(ValueError, match="at most one override"):
-            run_point(self.micro_params(), rho_max=0.8, w_fraction=0.3)
+        monkeypatch.setattr(StreamProcessingEngine, "run", no_run)
+        with pytest.raises(ValueError, match="unknown knob 'bogus'"):
+            run_point(self.micro_params(), bogus=1)
 
     def test_quick_grid_is_reduced(self):
         full = SensitivityParams()
@@ -80,10 +79,10 @@ class TestSensitivityHarness:
         )
 
     def test_report_renders(self):
-        from repro.experiments.sensitivity import SensitivityResult, SweepPoint
+        from repro.experiments.sensitivity import SensitivityResult
 
         result = SensitivityResult(self.micro_params())
-        result.points.append(SweepPoint("rho_max", 0.9, 0.95, 100.0, 3))
+        result.points.append(("rho_max", 0.9, Point(0.95, 100.0, 3, 4)))
         text = result.report()
         assert "rho_max" in text
         assert "95.0%" in text
