@@ -45,8 +45,6 @@ POLICY_KNOBS = {
     "rate-based": {"headroom": 0.3},
 }
 
-POLICIES = tuple(POLICY_KNOBS)
-
 
 @dataclass
 class CompareParams(StepLoadParams):
