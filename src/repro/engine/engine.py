@@ -320,8 +320,8 @@ class DeployedJob:
             if self.scaler is not None:
                 self.scaler.reconciler = self.reconciler
         #: keyed-state manager (None = stateless job). Wired before
-        #: deploy so the state probes reach every task, including later
-        #: scale-ups.
+        #: deploy so it tracks every task, including later scale-ups, and
+        #: the state probes reach them.
         self.state_manager: Optional[StateManager] = None
         if stateful:
             from repro.engine.state import StateManager
@@ -335,6 +335,9 @@ class DeployedJob:
             )
             self.state_manager = manager
             for name in manager.vertices:
+                spec = manager.spec(name)
+                if spec.key_fn is None or not spec.bytes_per_event:
+                    continue  # Zipf keys are drawn when the state is read
                 previous = self._vertex_probes.get(name)
 
                 def _state_probe(latency, payload, _name=name, _prev=previous):
@@ -386,11 +389,13 @@ class DeployedJob:
         )
         task.reporter = reporter
         self._pick_manager().attach_task(task, reporter)
+        if self.state_manager is not None:
+            self.state_manager.track(task)
         if self.engine.metrics is not None:
             key = self._metric_keys.get(task.vertex_name, task.vertex_name)
             task.service_histogram = self.engine.metrics.histogram(
                 f"service_time.{key}"
-            )
+            ).observe
         samples = self._sink_samples.get(task.vertex_name)
         if samples is not None:
             task.process_probe = samples.record

@@ -23,15 +23,22 @@ Everything is deterministic: key draws come
 from a dedicated per-vertex ``state:{vertex}`` stream and migration
 phase jitter from the shared ``migration`` stream, so same-seed runs
 replay byte-identically.
+
+A processed event is only counted (the task's own ``items_processed``);
+its key is drawn when something reads or re-partitions the state (see
+:meth:`StateManager._apply_pending`), which builds exactly the state
+that growing one key per event builds.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.latency_model import MigrationCostModel, expected_migration_pause
+from repro.engine.task import STOPPED
 from repro.simulation.randomness import Gamma
 from repro.workloads.keys import ZipfKeySampler
 
@@ -258,11 +265,14 @@ class StatefulVertexSpec:
         }
 
 
+_items_processed = attrgetter("items_processed")
+
+
 class _VertexState:
     """One vertex's live state model inside the manager."""
 
     __slots__ = ("spec", "state", "sampler", "rank_keys", "rng",
-                 "checkpoint", "checkpoint_time")
+                 "checkpoint", "checkpoint_time", "tasks", "retired", "drawn")
 
     def __init__(self, vertex: str, spec: StatefulVertexSpec,
                  parallelism: int, rng: random.Random) -> None:
@@ -278,6 +288,14 @@ class _VertexState:
         #: counts as an implicit empty checkpoint)
         self.checkpoint: Dict[object, int] = {}
         self.checkpoint_time = 0.0
+        #: the vertex's unstopped tasks whose events draw Zipf keys (the
+        #: scheduler drops stopped tasks from the runtime vertex, so the
+        #: manager keeps its own list)
+        self.tasks: List[object] = []
+        #: items processed by tracked tasks that have since stopped
+        self.retired = 0
+        #: events whose keys are drawn and applied
+        self.drawn = 0
 
 
 class StateManager:
@@ -346,26 +364,60 @@ class StateManager:
     # state growth
     # ------------------------------------------------------------------
 
-    def on_event(self, vertex: str, payload: object = None) -> None:
-        """One processed event grows one key of ``vertex``'s state."""
+    def on_event(self, vertex: str, payload: object) -> None:
+        """One processed event grows its payload's key (``key_fn`` vertices)."""
         vs = self._vertices[vertex]
-        spec = vs.spec
-        nbytes = spec.bytes_per_event
-        if nbytes == 0:
-            return
-        if spec.key_fn is not None:
-            vs.state.add(spec.key_fn(payload), nbytes)
-            return
-        # vs.state.add(f"k{rank:04d}", nbytes), inlined with the rank's
-        # key and placement hash looked up instead of computed
-        key, digest = vs.rank_keys[vs.sampler.sample_index(vs.rng)]
-        state = vs.state
-        partition = state._partitions[digest % state.parallelism]
-        value = partition.get(key, 0) + int(nbytes)
-        if value > 0:
-            partition[key] = value
-        else:
-            partition.pop(key, None)
+        vs.state.add(vs.spec.key_fn(payload), vs.spec.bytes_per_event)
+
+    def track(self, task) -> None:
+        """Count ``task``'s processed items as events of a Zipf-keyed vertex.
+
+        Called for every task the job creates; a task of any other
+        vertex, or of one whose events grow nothing, is ignored.
+        """
+        vs = self._vertices.get(task.vertex_name)
+        if vs is not None and vs.spec.key_fn is None and vs.spec.bytes_per_event:
+            vs.tasks.append(task)
+
+    def _apply_pending(self, vs: _VertexState) -> None:
+        """Draw the keys of ``vs``'s pending events and grow their state.
+
+        The one rule that draws a Zipf-keyed vertex's keys, run first by
+        every method that reads or re-partitions the state. Pending
+        events are the tracked tasks' ``items_processed`` not yet drawn;
+        their keys come from the ``state:`` stream (which has no other
+        consumer) in event order. A key's partition depends only on the
+        key and the current parallelism, and every event adds the same
+        ``bytes_per_event >= 0``, so a key's first draw fixes its dict
+        position: adding each rank's count in first-draw order builds the
+        dicts that ``KeyedState.add`` per event builds.
+        """
+        tasks = vs.tasks
+        processed = vs.retired + sum(map(_items_processed, tasks))
+        pending = processed - vs.drawn
+        if pending:
+            vs.drawn = processed
+            nbytes = vs.spec.bytes_per_event
+            partitions = vs.state._partitions
+            parallelism = vs.state.parallelism
+            for rank, events in vs.sampler.count_ranks(vs.rng, pending).items():
+                key, digest = vs.rank_keys[rank]
+                partition = partitions[digest % parallelism]
+                partition[key] = partition.get(key, 0) + events * nbytes
+        stopped = [task for task in tasks if task.state == STOPPED]
+        if stopped:
+            vs.retired += sum(map(_items_processed, stopped))
+            vs.tasks = [task for task in tasks if task.state != STOPPED]
+
+    def _current(self, vertex: str) -> _VertexState:
+        """``vertex``'s state model with its pending events applied."""
+        vs = self._vertices[vertex]
+        self._apply_pending(vs)
+        return vs
+
+    def keyed_state(self, vertex: str) -> KeyedState:
+        """``vertex``'s keyed state, every processed event applied."""
+        return self._current(vertex).state
 
     # ------------------------------------------------------------------
     # periodic checkpoints
@@ -377,7 +429,7 @@ class StateManager:
             self.sim.every(self.checkpoint_interval, self._checkpoint, name)
 
     def _checkpoint(self, vertex: str) -> None:
-        vs = self._vertices[vertex]
+        vs = self._current(vertex)
         vs.checkpoint = vs.state.snapshot()
         vs.checkpoint_time = self.sim.now
         self.checkpoints += 1
@@ -400,9 +452,9 @@ class StateManager:
         recovery-time side of the checkpoint-interval tradeoff.
         """
         vertex = task.vertex_name
-        vs = self._vertices.get(vertex)
-        if vs is None:
+        if vertex not in self._vertices:
             return 0.0
+        vs = self._current(vertex)
         rv = self.runtime.vertices[vertex]
         ranked = sorted(rv.active_tasks(), key=lambda t: t.subtask_index)
         try:
@@ -432,12 +484,12 @@ class StateManager:
         """
         if p_from == p_to or not self.is_stateful(vertex):
             return None
-        vs = self._vertices[vertex]
+        vs = self._current(vertex)
         plan = vs.state.plan_migration(p_to)
         return expected_migration_pause(plan.moved_bytes, vs.spec.cost), plan.moved_bytes
 
     def plan_migration(self, vertex: str, target: int) -> MigrationPlan:
-        plan = self._vertices[vertex].state.plan_migration(target)
+        plan = self.keyed_state(vertex).plan_migration(target)
         self.migrations_started += 1
         return plan
 
@@ -463,16 +515,17 @@ class StateManager:
 
     def apply_migration(self, plan: MigrationPlan) -> None:
         """Adopt the layout; the cluster may still deny the rescale."""
-        self._vertices[plan.vertex].state.apply(plan)
+        self.keyed_state(plan.vertex).apply(plan)
 
     def complete_migration(self, plan: MigrationPlan, t_restore: float) -> None:
         """The rescale was applied: count the migration and its bytes."""
+        self._apply_pending(self._vertices[plan.vertex])
         self.migrations_completed += 1
         self.state_migrated_bytes += plan.moved_bytes
         self.note_migration_pause(plan.vertex, t_restore)
 
     def rollback_migration(self, plan: MigrationPlan) -> None:
-        self._vertices[plan.vertex].state.rollback(plan)
+        self.keyed_state(plan.vertex).rollback(plan)
         self.abandon_migration(plan)
 
     def abandon_migration(self, plan: MigrationPlan) -> None:
@@ -481,6 +534,7 @@ class StateManager:
         A transfer superseded mid-flight ends here: the layout was never
         touched, so there is nothing to restore.
         """
+        self._apply_pending(self._vertices[plan.vertex])
         self.migrations_rolled_back += 1
 
     def sync_parallelism(self, vertex: str) -> int:
@@ -491,9 +545,9 @@ class StateManager:
         its plan first, making this a no-op for that rescale. Returns the
         bytes moved.
         """
-        vs = self._vertices.get(vertex)
-        if vs is None:
+        if vertex not in self._vertices:
             return 0
+        vs = self._current(vertex)
         target = max(1, self.runtime.vertices[vertex].target_parallelism)
         moved = vs.state.repartition(target)
         self.state_migrated_bytes += moved
@@ -513,6 +567,8 @@ class StateManager:
 
     def summary(self) -> Dict[str, object]:
         """Deterministic digest for the run manifest / shard results."""
+        for vs in self._vertices.values():
+            self._apply_pending(vs)
         vertices = {
             name: {
                 "parallelism": vs.state.parallelism,

@@ -328,9 +328,9 @@ class RuntimeTask:
         #: tasks for end-to-end ground truth, experiments may add others
         self.process_probe: Optional[Callable[[float, object], None]] = None
 
-        #: optional obs histogram receiving every service time (set by the
-        #: engine when metrics collection is on)
-        self.service_histogram = None
+        #: optional ``Histogram.observe`` (a list append) receiving every
+        #: service time (set by the engine when metrics collection is on)
+        self.service_histogram: Optional[Callable[[float], None]] = None
 
         # accounting (ground truth for recorders)
         self.items_processed = 0
@@ -571,7 +571,7 @@ class RuntimeTask:
             if reporter is not None:
                 reporter.record_service_time(elapsed)
             if self.service_histogram is not None:
-                self.service_histogram.observe(elapsed)
+                self.service_histogram(elapsed)
         state = self.state
         if state == DRAINING or (state == RUNNING and self.input_queue._items):
             self._start_next()

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import Counter
+from itertools import repeat, starmap
 from typing import List
 
 from repro.qos.stats import sum_in_order
@@ -47,6 +49,17 @@ class ZipfKeySampler:
         cdf = self._cdf
         # hi = last rank: a draw above the rounded-down final knot maps to it
         return bisect_left(cdf, rng.random(), 0, len(cdf) - 1)
+
+    def count_ranks(self, rng: random.Random, n: int) -> Counter:
+        """Draw ``n`` ranks as :meth:`sample_index` would; count each.
+
+        The counter's keys are in first-draw order. The draws run in C
+        (no Python frame per draw) and consume the same ``n``
+        ``rng.random()`` values, in the same order.
+        """
+        cdf = self._cdf
+        draws = starmap(rng.random, repeat((), n))
+        return Counter(map(bisect_left, repeat(cdf), draws, repeat(0), repeat(len(cdf) - 1)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ZipfKeySampler(n_keys={self.n_keys}, s={self.s})"

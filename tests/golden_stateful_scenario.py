@@ -43,6 +43,12 @@ def run_scenario(export_dir: str):
     --migration-fail-at 14 --crash-at 30 --checkpoint-interval 10
     --duration 60 --seed 7 --pin-wall-time``.
     """
+    engine, _job = run_job(export_dir)
+    return engine.export_run()
+
+
+def run_job(export_dir=None):
+    """Run the scenario; ``(engine, job)``. Obs is off without ``export_dir``."""
     from repro.builder import PipelineBuilder
     from repro.engine.engine import EngineConfig, StreamProcessingEngine
     from repro.simulation.faults import MigrationFailure, ServiceSpike, TaskCrash
@@ -60,15 +66,15 @@ def run_scenario(export_dir: str):
         .inject(MigrationFailure(at=14.0, duration=15.0, vertex="worker"))
         .inject(TaskCrash(at=30.0, vertex="worker", restart_delay=2.0))
         .actuate()
-        .observe(export_dir=export_dir, pin_wall_time=True)
-        .build()
     )
+    if export_dir is not None:
+        pipeline.observe(export_dir=export_dir, pin_wall_time=True)
     engine = StreamProcessingEngine(
         EngineConfig(elastic=True, seed=SCENARIO_SEED, checkpoint_interval=10.0)
     )
-    engine.submit(pipeline)
+    job = engine.submit(pipeline.build())
     engine.run(SCENARIO_DURATION)
-    return engine.export_run()
+    return engine, job
 
 
 def main(argv) -> int:

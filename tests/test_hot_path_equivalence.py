@@ -1,8 +1,9 @@
 """The per-item hot paths: which events they fire, which floats they add.
 
-The source tick, the deadline gate's flush and the keyed-state probe
-run their helpers' bodies in place (DESIGN.md, "What an item costs on
-each path"). These tests pin what that must not change:
+The source tick and the deadline gate's flush run their helpers'
+bodies in place, and a Zipf-keyed event is only counted, its key drawn
+when the state is read (DESIGN.md, "What an item costs on each path").
+These tests pin what that must not change:
 
 * the event count, derived analytically per item for each output-gate
   mode and for a stateful job — a later change that elides an event
@@ -25,7 +26,7 @@ from repro.engine.channel import NetworkModel, RuntimeChannel
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.engine.items import DataItem
 from repro.engine.state import KeyedState, StatefulVertexSpec, StateManager, stable_key_hash
-from repro.engine.task import OutputGate, RuntimeTask
+from repro.engine.task import RUNNING, STOPPED, OutputGate, RuntimeTask
 from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
 from repro.graphs.job_graph import JobGraph
 from repro.simulation.kernel import Simulator
@@ -169,22 +170,109 @@ def test_each_rank_carries_its_key_and_placement_hash():
         assert entry == (f"k{r:04d}", stable_key_hash(f"k{r:04d}"))
 
 
+def _task(subtask_index=0):
+    """A task as the state manager sees one: a vertex, a count, a state."""
+    return SimpleNamespace(vertex_name="v", subtask_index=subtask_index,
+                           items_processed=0, state=RUNNING, pause=lambda duration: None)
+
+
+def _layout(state):
+    """Every partition's ``(key, bytes)`` pairs in dict order."""
+    return [list(partition.items()) for partition in state._partitions]
+
+
 @pytest.mark.parametrize("p_from,p_to", [(3, 5), (4, 1)])
 def test_probe_events_build_what_keyed_state_add_builds(p_from, p_to):
     spec = StatefulVertexSpec(n_keys=64, zipf_s=1.1, bytes_per_event=48)
     manager, vertex = _manager(spec, p_from)
+    task = _task()
+    manager.track(task)
     reference = KeyedState("v", p_from)
     sampler, rng = ZipfKeySampler(64, 1.1), random.Random(7)
     for _ in range(2000):
-        manager.on_event("v")
+        task.items_processed += 1
         reference.add(f"k{sampler.sample_index(rng):04d}", 48)
-    state = manager._vertices["v"].state
-    assert state._partitions == reference._partitions
+    assert _layout(manager.keyed_state("v")) == _layout(reference)
     vertex.target_parallelism = p_to
     moved = manager.sync_parallelism("v")
     assert moved == reference.repartition(p_to)
     for _ in range(500):
-        manager.on_event("v")
+        task.items_processed += 1
         reference.add(f"k{sampler.sample_index(rng):04d}", 48)
+    state = manager.keyed_state("v")
     assert state.parallelism == p_to
-    assert state._partitions == reference._partitions
+    assert _layout(state) == _layout(reference)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_counted_events_grow_what_eager_adds_grow_across_every_state_read(seed):
+    """Events counted between reads apply exactly like one eager add each.
+
+    Three tasks (one crashes and is replaced) process random chunks of
+    events; between chunks the manager is read and re-partitioned by a
+    checkpoint, a crash restore, an instant resync, an applied migration
+    and a rolled-back one. The reference grows a ``KeyedState`` one
+    ``add`` per event from its own copy of the key stream and mirrors
+    every step; layouts (dict order included), checkpoints, moved and
+    lost bytes and the summary must match at every read.
+    """
+    spec = StatefulVertexSpec(n_keys=40, zipf_s=1.2, bytes_per_event=24)
+    manager, vertex = _manager(spec, 2, seed=seed)
+    tasks = [_task(0), _task(1)]
+    vertex.active_tasks = lambda: [t for t in tasks if t.state == RUNNING]
+    for task in tasks:
+        manager.track(task)
+    reference = KeyedState("v", 2)
+    sampler, keys = ZipfKeySampler(40, 1.2), random.Random(seed)
+    chunks = random.Random(seed + 1)
+
+    def process():
+        for _ in range(chunks.randrange(0, 400)):
+            chunks.choice(vertex.active_tasks()).items_processed += 1
+            reference.add(f"k{sampler.sample_index(keys):04d}", 24)
+
+    def read():
+        assert _layout(manager.keyed_state("v")) == _layout(reference)
+        row = manager.summary()["vertices"]["v"]
+        assert (row["parallelism"], row["keys"], row["state_bytes"]) == (
+            reference.parallelism, reference.key_count, reference.total_bytes)
+
+    process()
+    read()
+    manager._checkpoint("v")
+    checkpoint = reference.snapshot()
+    assert list(manager._vertices["v"].checkpoint.items()) == list(checkpoint.items())
+    process()
+    crashed = tasks[1]  # rank 1: the scheduler calls the hook while it is active
+    manager.on_task_failed(crashed)
+    crashed.state = STOPPED
+    lost = reference.restore_partition(1 % reference.parallelism, checkpoint)
+    assert manager.state_lost_bytes == max(0, lost) > 0
+    tasks.append(_task(2))
+    manager.track(tasks[-1])
+    read()
+    process()
+    vertex.target_parallelism = 3
+    assert manager.sync_parallelism("v") == reference.repartition(3)
+    read()
+    process()
+    assert manager.migration_cost("v", 3, 5)[1] == reference.plan_migration(5).moved_bytes
+    plan = manager.plan_migration("v", 5)
+    expected = reference.plan_migration(5)
+    assert (plan.moved_keys, plan.moved_bytes) == (expected.moved_keys, expected.moved_bytes)
+    process()
+    manager.apply_migration(plan)
+    reference.apply(expected)
+    process()
+    manager.complete_migration(plan, 0.0)
+    read()
+    process()
+    plan = manager.plan_migration("v", 2)
+    expected = reference.plan_migration(2)
+    assert plan.moved_bytes == expected.moved_bytes
+    process()
+    manager.rollback_migration(plan)
+    reference.rollback(expected)
+    process()
+    read()
+    assert manager._vertices["v"].tasks == [tasks[0], tasks[2]]

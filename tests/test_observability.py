@@ -13,8 +13,12 @@ import json
 import math
 import os
 import random
+import struct
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.builder import PipelineBuilder
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
@@ -72,6 +76,43 @@ def run_elastic(duration=120.0, observability=None, pipeline=None, seed=7):
 # ----------------------------------------------------------------------
 
 
+class _PerSampleHistogram:
+    """The reference: what ``Histogram.observe`` computed per sample before
+    samples were appended and folded when read."""
+
+    def __init__(self, bounds):
+        self.bounds = bounds
+        self.bucket_counts = [0] * (len(bounds) + 1)
+        self.count = 0
+        self.sum = 0.0
+        self.min = None
+        self.max = None
+
+    def observe(self, value):
+        self.count += 1
+        self.sum += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        if value != value:
+            self.bucket_counts[-1] += 1
+        else:
+            self.bucket_counts[bisect_left(self.bounds, value)] += 1
+
+
+def _bits(value):
+    """A float's IEEE-754 bytes, so -0.0 differs from 0.0; None stays None.
+
+    Every NaN is one value: the sign and payload of a sum's NaN depend on
+    which operand the C compiler puts first, which IEEE addition leaves
+    open, so not even the per-sample recurrence fixes them.
+    """
+    if value is None or value != value:
+        return None if value is None else "nan"
+    return struct.pack("<d", value)
+
+
 class TestMetricsPrimitives:
     def test_counter_increments(self):
         c = Counter("x")
@@ -126,6 +167,54 @@ class TestMetricsPrimitives:
     def test_histogram_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):
             Histogram("x", bounds=(1.0, 0.1))
+
+    # Each of these bounds used to be accepted and then misreported: an
+    # infinite bound's ``le_inf`` key overwrote the overflow bucket's, a
+    # duplicate bound kept four counts under three keys, and a NaN bound
+    # put 0.5 under ``le_nan``.
+    @pytest.mark.parametrize("bounds", [
+        (1.0, float("inf")), (float("-inf"), 1.0), (0.1, 0.1, 1.0), (float("nan"),), (0.1, float("nan"), 1.0),
+    ], ids=["inf", "minus-inf", "duplicate", "nan", "nan-between"])
+    def test_histogram_rejects_bounds_it_cannot_report(self, bounds):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Histogram("x", bounds=bounds)
+
+    def test_histogram_reads_fold_what_observe_appended(self):
+        h = Histogram("x", bounds=(0.1, 1.0))
+        h.observe(0.5)
+        assert h._samples == [0.5]
+        assert h.count == 1 and h._samples == []
+        h.observe(2.0)
+        assert h.snapshot()["buckets"] == {"le_0.1": 0, "le_1": 1, "le_inf": 2}
+
+    @staticmethod
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_histogram_fold_equals_the_per_sample_recurrence(data):
+        """Reads fold pending samples exactly as observing them one by one.
+
+        Chunks of samples (NaN, signed zeros, infinities, values on a
+        bound and arbitrary floats) are observed into a ``Histogram`` and
+        a reference running the per-sample recurrence the histogram kept
+        before its fold; every read between chunks must match bit for bit.
+        """
+        bounds = tuple(sorted(set(data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6,
+        ).map(lambda xs: [x + 0.0 for x in xs])))))  # -0.0 == 0.0: one bound
+        special = st.sampled_from(
+            (float("nan"), 0.0, -0.0, float("inf"), float("-inf")) + bounds
+        )
+        value = st.one_of(st.floats(), special)
+        h, reference = Histogram("x", bounds=bounds), _PerSampleHistogram(bounds)
+        for chunk in data.draw(st.lists(st.lists(value, max_size=40), max_size=6)):
+            for v in chunk:
+                h.observe(v)
+                reference.observe(v)
+            assert h.count == reference.count
+            assert _bits(h.sum) == _bits(reference.sum)
+            assert _bits(h.min) == _bits(reference.min)
+            assert _bits(h.max) == _bits(reference.max)
+            assert h.bucket_counts == reference.bucket_counts
 
     def test_registry_get_or_create_identity(self):
         r = MetricsRegistry()

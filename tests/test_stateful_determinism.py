@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 
 import pytest
 
 from repro.obs.trace import TRACE_SCHEMA_VERSION
 
-from golden_stateful_scenario import GOLDEN_DIR, GOLDEN_FILES, run_scenario
+from golden_stateful_scenario import GOLDEN_DIR, GOLDEN_FILES, run_job, run_scenario
 
 
 def _read_bytes(path: str) -> bytes:
@@ -110,3 +111,36 @@ class TestStatefulDoubleRunIdentity:
             a = _read_bytes(os.path.join(fresh_export, name))
             b = _read_bytes(os.path.join(second, name))
             assert a == b, f"{name} differs between two same-seed runs"
+
+
+def _behavior(job):
+    """What a run did, obs aside: sink samples as bytes, the scaler's
+    events, the state summary and the migration counters."""
+    sinks = sorted(name for name, v in job.job_graph.vertices.items() if not v.outputs)
+    samples = {
+        name: array("d", [x for pair in job.drain_sink_samples(name) for x in pair]).tobytes()
+        for name in sinks
+    }
+    events = [(e.time, e.applied) for e in job.scaler.events]
+    manager = job.state_manager
+    counters = (manager.migrations_started, manager.migrations_completed,
+                manager.migrations_rolled_back, manager.migrations_deferred,
+                manager.state_migrated_bytes)
+    return samples, events, manager.summary(), counters
+
+
+def test_obs_off_runs_the_same_stateful_simulation(tmp_path):
+    """Obs on (histogram appends, trace, export) changes nothing simulated.
+
+    The stateful golden job with obs on and with obs off must deliver
+    the same sink samples bit for bit, scale at the same times to the
+    same parallelism and end with the same keyed state and migration
+    counts.
+    """
+    _engine, observed = run_job(str(tmp_path))
+    _engine, plain = run_job()
+    assert observed.trace is not None and plain.trace is None
+    ours, theirs = _behavior(observed), _behavior(plain)
+    assert ours[0] and all(ours[0].values())
+    assert ours[1] and ours[3][1] and ours[3][2]
+    assert ours == theirs
