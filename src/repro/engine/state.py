@@ -38,7 +38,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.latency_model import MigrationCostModel, expected_migration_pause
-from repro.engine.task import STOPPED
+from repro.engine.task import STOPPED, RuntimeTask
 from repro.simulation.randomness import Gamma
 from repro.workloads.keys import ZipfKeySampler
 
@@ -272,7 +272,7 @@ class _VertexState:
     """One vertex's live state model inside the manager."""
 
     __slots__ = ("spec", "state", "sampler", "rank_keys", "rng",
-                 "checkpoint", "checkpoint_time", "tasks", "retired", "drawn")
+                 "checkpoint", "checkpoint_time", "tasks", "drawn")
 
     def __init__(self, vertex: str, spec: StatefulVertexSpec,
                  parallelism: int, rng: random.Random) -> None:
@@ -288,13 +288,11 @@ class _VertexState:
         #: counts as an implicit empty checkpoint)
         self.checkpoint: Dict[object, int] = {}
         self.checkpoint_time = 0.0
-        #: the vertex's unstopped tasks whose events draw Zipf keys (the
-        #: scheduler drops stopped tasks from the runtime vertex, so the
-        #: manager keeps its own list)
-        self.tasks: List[object] = []
-        #: items processed by tracked tasks that have since stopped
-        self.retired = 0
-        #: events whose keys are drawn and applied
+        #: the vertex's tasks whose events draw Zipf keys, until a fold
+        #: finds them stopped (the scheduler drops stopped tasks from the
+        #: runtime vertex at once, so the manager keeps its own list)
+        self.tasks: List[RuntimeTask] = []
+        #: items processed by ``tasks`` whose keys are drawn and applied
         self.drawn = 0
 
 
@@ -369,7 +367,7 @@ class StateManager:
         vs = self._vertices[vertex]
         vs.state.add(vs.spec.key_fn(payload), vs.spec.bytes_per_event)
 
-    def track(self, task) -> None:
+    def track(self, task: RuntimeTask) -> None:
         """Count ``task``'s processed items as events of a Zipf-keyed vertex.
 
         Called for every task the job creates; a task of any other
@@ -393,10 +391,9 @@ class StateManager:
         dicts that ``KeyedState.add`` per event builds.
         """
         tasks = vs.tasks
-        processed = vs.retired + sum(map(_items_processed, tasks))
+        processed = sum(map(_items_processed, tasks))
         pending = processed - vs.drawn
         if pending:
-            vs.drawn = processed
             nbytes = vs.spec.bytes_per_event
             partitions = vs.state._partitions
             parallelism = vs.state.parallelism
@@ -405,9 +402,10 @@ class StateManager:
                 partition = partitions[digest % parallelism]
                 partition[key] = partition.get(key, 0) + events * nbytes
         stopped = [task for task in tasks if task.state == STOPPED]
-        if stopped:
-            vs.retired += sum(map(_items_processed, stopped))
+        if stopped:  # all drawn, and a stopped task processes nothing more
             vs.tasks = [task for task in tasks if task.state != STOPPED]
+            processed -= sum(map(_items_processed, stopped))
+        vs.drawn = processed
 
     def _current(self, vertex: str) -> _VertexState:
         """``vertex``'s state model with its pending events applied."""
@@ -519,7 +517,6 @@ class StateManager:
 
     def complete_migration(self, plan: MigrationPlan, t_restore: float) -> None:
         """The rescale was applied: count the migration and its bytes."""
-        self._apply_pending(self._vertices[plan.vertex])
         self.migrations_completed += 1
         self.state_migrated_bytes += plan.moved_bytes
         self.note_migration_pause(plan.vertex, t_restore)
@@ -534,7 +531,6 @@ class StateManager:
         A transfer superseded mid-flight ends here: the layout was never
         touched, so there is nothing to restore.
         """
-        self._apply_pending(self._vertices[plan.vertex])
         self.migrations_rolled_back += 1
 
     def sync_parallelism(self, vertex: str) -> int:

@@ -8,10 +8,11 @@ engine's byte-identical-when-disabled guarantee rests on.
 
 Instruments are get-or-create: ``registry.histogram("service_time.worker")``
 returns the same object on every call, so hot paths can cache its
-``observe``, a plain list append. The engine creates one private registry per run so concurrent engines and
-tests never share state. It holds only what must be pushed per item — the
-``service_time.<vertex>`` histograms; every scalar metric is a component's
-own counter, read by :class:`~repro.obs.sampling.MetricsSampler`.
+``observe``, a plain list append. The engine creates one private registry
+per run so concurrent engines and tests never share state. It holds only
+what must be pushed per item — the ``service_time.<vertex>`` histograms;
+every scalar metric is a component's own counter, read by
+:class:`~repro.obs.sampling.MetricsSampler`.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ These tests pin what that must not change:
   mode and for a stateful job — a later change that elides an event
   updates these numbers on purpose;
 * each inlined formula against the method it replaces, compared with
-  ``==``: the shipping overhead a flush charges, and the key and
-  placement a sampled state event lands on.
+  ``==``: the shipping overhead a flush charges;
+* counted state events against one ``KeyedState.add`` per event, read
+  through the manager's folding path between chunks of events.
 """
 
 from __future__ import annotations
@@ -209,36 +210,41 @@ def test_counted_events_grow_what_eager_adds_grow_across_every_state_read(seed):
     """Events counted between reads apply exactly like one eager add each.
 
     Three tasks (one crashes and is replaced) process random chunks of
-    events; between chunks the manager is read and re-partitioned by a
-    checkpoint, a crash restore, an instant resync, an applied migration
-    and a rolled-back one. The reference grows a ``KeyedState`` one
-    ``add`` per event from its own copy of the key stream and mirrors
-    every step; layouts (dict order included), checkpoints, moved and
-    lost bytes and the summary must match at every read.
+    events, and a chunk comes before every step that reads or
+    re-partitions the state: a checkpoint, a crash restore, an instant
+    resync, a migration planned, applied and completed, and one that the
+    cluster denies after it was applied, so it rolls back. The reference
+    grows a ``KeyedState`` one ``add`` per event from its own copy of
+    the key stream and mirrors every step; layouts (dict order
+    included), checkpoints, moved and lost bytes and the summary must
+    match.
     """
-    spec = StatefulVertexSpec(n_keys=40, zipf_s=1.2, bytes_per_event=24)
+    # A wide, flat key space, so keys first drawn during a migration
+    # still arrive late in the run: their dict position is what a read
+    # in the wrong place would move.
+    spec = StatefulVertexSpec(n_keys=3000, zipf_s=0.6, bytes_per_event=24)
     manager, vertex = _manager(spec, 2, seed=seed)
     tasks = [_task(0), _task(1)]
     vertex.active_tasks = lambda: [t for t in tasks if t.state == RUNNING]
     for task in tasks:
         manager.track(task)
     reference = KeyedState("v", 2)
-    sampler, keys = ZipfKeySampler(40, 1.2), random.Random(seed)
+    sampler, keys = ZipfKeySampler(3000, 0.6), random.Random(seed)
     chunks = random.Random(seed + 1)
 
     def process():
-        for _ in range(chunks.randrange(0, 400)):
+        for _ in range(chunks.randrange(100, 400)):
             chunks.choice(vertex.active_tasks()).items_processed += 1
             reference.add(f"k{sampler.sample_index(keys):04d}", 24)
 
     def read():
         assert _layout(manager.keyed_state("v")) == _layout(reference)
+        process()
         row = manager.summary()["vertices"]["v"]
         assert (row["parallelism"], row["keys"], row["state_bytes"]) == (
             reference.parallelism, reference.key_count, reference.total_bytes)
 
     process()
-    read()
     manager._checkpoint("v")
     checkpoint = reference.snapshot()
     assert list(manager._vertices["v"].checkpoint.items()) == list(checkpoint.items())
@@ -254,9 +260,9 @@ def test_counted_events_grow_what_eager_adds_grow_across_every_state_read(seed):
     process()
     vertex.target_parallelism = 3
     assert manager.sync_parallelism("v") == reference.repartition(3)
-    read()
     process()
     assert manager.migration_cost("v", 3, 5)[1] == reference.plan_migration(5).moved_bytes
+    process()
     plan = manager.plan_migration("v", 5)
     expected = reference.plan_migration(5)
     assert (plan.moved_keys, plan.moved_bytes) == (expected.moved_keys, expected.moved_bytes)
@@ -271,8 +277,10 @@ def test_counted_events_grow_what_eager_adds_grow_across_every_state_read(seed):
     expected = reference.plan_migration(2)
     assert plan.moved_bytes == expected.moved_bytes
     process()
+    manager.apply_migration(plan)
+    reference.apply(expected)
+    process()
     manager.rollback_migration(plan)
     reference.rollback(expected)
-    process()
     read()
     assert manager._vertices["v"].tasks == [tasks[0], tasks[2]]
