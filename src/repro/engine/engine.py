@@ -334,10 +334,7 @@ class DeployedJob:
                 checkpoint_interval=config.checkpoint_interval,
             )
             self.state_manager = manager
-            for name in manager.vertices:
-                spec = manager.spec(name)
-                if spec.key_fn is None or not spec.bytes_per_event:
-                    continue  # Zipf keys are drawn when the state is read
+            for name in manager.probed_vertices:
                 previous = self._vertex_probes.get(name)
 
                 def _state_probe(latency, payload, _name=name, _prev=previous):

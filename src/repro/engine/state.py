@@ -358,6 +358,16 @@ class StateManager:
     def spec(self, vertex: str) -> StatefulVertexSpec:
         return self._vertices[vertex].spec
 
+    @property
+    def probed_vertices(self) -> Tuple[str, ...]:
+        """Vertices whose events need a per-item probe (:meth:`on_event`).
+
+        Only a ``key_fn`` vertex that grows state does: every other
+        stateful vertex's events are counted by :meth:`track`.
+        """
+        return tuple(name for name, vs in self._vertices.items()
+                     if vs.spec.key_fn is not None and vs.spec.bytes_per_event)
+
     # ------------------------------------------------------------------
     # state growth
     # ------------------------------------------------------------------

@@ -268,6 +268,51 @@ class TestCheckpointRestore:
         assert job.reconciler.state_manager is None
 
 
+class TestStateGrowth:
+    """Each processed event grows one key by ``bytes_per_event``.
+
+    Zipf-drawn keys are counted and drawn when the state is read; payload
+    keys go through the per-item probe. Both must account for every event
+    the vertex processed, and a spec that grows nothing gets no probe.
+    """
+
+    @staticmethod
+    def _run(**spec):
+        pipeline = (
+            PipelineBuilder("growth")
+            .source(lambda now, rng: rng.random(), rate=ConstantRate(200.0))
+            .map("worker", lambda x: x, service=Gamma(0.002, 0.5), parallelism=2)
+            .stateful(**spec)
+            .sink()
+            .build()
+        )
+        engine = StreamProcessingEngine(EngineConfig(seed=3))
+        job = engine.submit(pipeline)
+        engine.run(10.0)
+        tasks = job.runtime.vertices["worker"].tasks
+        return job.state_manager, sum(t.items_processed for t in tasks)
+
+    def test_zipf_keys_count_every_event(self):
+        manager, processed = self._run(n_keys=32, bytes_per_event=8)
+        state = manager.keyed_state("worker")
+        assert processed > 1000 and state.total_bytes == 8 * processed
+        assert set(state.items()) <= {f"k{rank:04d}" for rank in range(32)}
+        assert manager.probed_vertices == ()
+
+    def test_payload_keys_go_through_the_probe(self):
+        manager, processed = self._run(key_fn=lambda x: int(x * 4), bytes_per_event=8)
+        state = manager.keyed_state("worker")
+        assert processed > 1000 and state.total_bytes == 8 * processed
+        assert set(state.items()) == {0, 1, 2, 3}
+        assert manager.probed_vertices == ("worker",)
+
+    @pytest.mark.parametrize("key_fn", [None, lambda x: int(x * 4)], ids=["zipf", "payload"])
+    def test_zero_bytes_per_event_grow_nothing(self, key_fn):
+        manager, processed = self._run(key_fn=key_fn, bytes_per_event=0)
+        assert processed > 1000 and manager.keyed_state("worker").key_count == 0
+        assert manager.probed_vertices == ()
+
+
 class TestMigrationLifecycle:
     def test_spike_forces_a_paid_migration(self):
         engine, job = run_stateful(
