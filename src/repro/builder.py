@@ -341,7 +341,8 @@ class PipelineBuilder:
         one). Pass a prebuilt
         :class:`~repro.engine.state.StatefulVertexSpec` or keyword
         arguments forwarded to its constructor (``n_keys``, ``zipf_s``,
-        ``bytes_per_event``, ``key_fn``, ``cost``, ``replay_factor``):
+        ``bytes_per_event``, ``cost``, ``replay_factor``). Each processed
+        event grows one of ``n_keys`` Zipf-drawn keys by ``bytes_per_event``:
 
         >>> _ = (PipelineBuilder("p")
         ...      .source(lambda now, rng: rng.random(), rate=None)

@@ -236,7 +236,7 @@ class DeployedJob:
             for i in range(config.qos_managers)
         ]
         self._next_manager = 0
-        self._vertex_probes = dict(vertex_probes)
+        self._vertex_probes = vertex_probes
         #: sink vertex name -> its e2e sample buffer (shared by its tasks)
         self._sink_samples: Dict[str, SinkSamples] = {
             name: SinkSamples(engine.sim)
@@ -320,8 +320,7 @@ class DeployedJob:
             if self.scaler is not None:
                 self.scaler.reconciler = self.reconciler
         #: keyed-state manager (None = stateless job). Wired before
-        #: deploy so it tracks every task, including later scale-ups, and
-        #: the state probes reach them.
+        #: deploy so it tracks every task, including later scale-ups.
         self.state_manager: Optional[StateManager] = None
         if stateful:
             from repro.engine.state import StateManager
@@ -334,15 +333,6 @@ class DeployedJob:
                 checkpoint_interval=config.checkpoint_interval,
             )
             self.state_manager = manager
-            for name in manager.probed_vertices:
-                previous = self._vertex_probes.get(name)
-
-                def _state_probe(latency, payload, _name=name, _prev=previous):
-                    if _prev is not None:
-                        _prev(latency, payload)
-                    manager.on_event(_name, payload)
-
-                self._vertex_probes[name] = _state_probe
             # Every rescale path (reconciler migrations, synchronous
             # scaler calls, crash-without-restart shrinks) converges the
             # key partitioning to the new parallelism; crash recovery

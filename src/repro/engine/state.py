@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 import zlib
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.latency_model import MigrationCostModel, expected_migration_pause
 from repro.engine.task import STOPPED, RuntimeTask
@@ -56,29 +56,20 @@ def stable_key_hash(key: object) -> int:
 class MigrationPlan:
     """One planned repartitioning of a vertex's keyed state.
 
-    ``moved_keys``/``moved_bytes`` are measured at plan time and drive
-    the migration's phase durations. Apply and rollback both rebuild the
-    partition layout from the *live* key contents (hash placement is
-    deterministic), so they are content-preserving even when a crash
-    mutates state mid-migration: a rolled-back migration loses nothing,
-    and never resurrects state a concurrent crash legitimately lost.
+    ``moved_bytes`` is measured at plan time and drives the migration's
+    phase durations. Apply and rollback only choose the parallelism a
+    rank's partition is computed with, so they move no byte: a
+    rolled-back migration loses nothing, and never resurrects state a
+    concurrent crash legitimately lost.
     """
 
-    __slots__ = ("vertex", "p_from", "p_to", "moved_keys", "moved_bytes",
+    __slots__ = ("vertex", "p_from", "p_to", "moved_bytes",
                  "aborted", "abort_reason")
 
-    def __init__(
-        self,
-        vertex: str,
-        p_from: int,
-        p_to: int,
-        moved_keys: Tuple[object, ...],
-        moved_bytes: int,
-    ) -> None:
+    def __init__(self, vertex: str, p_from: int, p_to: int, moved_bytes: int) -> None:
         self.vertex = vertex
         self.p_from = p_from
         self.p_to = p_to
-        self.moved_keys = moved_keys
         self.moved_bytes = moved_bytes
         #: set by the reconciler when a crash lands mid-migration, so the
         #: transfer deterministically rolls back instead of applying
@@ -87,59 +78,37 @@ class MigrationPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"MigrationPlan({self.vertex}, {self.p_from}->{self.p_to}, "
-                f"{len(self.moved_keys)} keys, {self.moved_bytes} B)")
+                f"{self.moved_bytes} B)")
 
 
 class KeyedState:
     """Per-key state bytes of one vertex, hash-partitioned over tasks.
 
-    Partition ``i`` holds every key with ``stable_key_hash(key) %
-    parallelism == i``; partition index corresponds to a task's rank
-    among the vertex's active tasks (rank order, not raw subtask index,
-    so restarts keep the mapping stable).
+    ``bytes[r]`` is the state of Zipf rank ``r``, whose key is present
+    exactly when its bytes are above 0. Rank ``r`` lives in partition
+    ``digests[r] % parallelism``; partition index corresponds to a
+    task's rank among the vertex's active tasks (rank order, not raw
+    subtask index, so restarts keep the mapping stable).
     """
 
-    __slots__ = ("vertex", "parallelism", "_partitions")
+    __slots__ = ("vertex", "parallelism", "digests", "bytes")
 
-    def __init__(self, vertex: str, parallelism: int) -> None:
+    def __init__(self, vertex: str, parallelism: int, digests: Sequence[int]) -> None:
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1 (got {parallelism})")
         self.vertex = vertex
         self.parallelism = int(parallelism)
-        self._partitions: List[Dict[object, int]] = [
-            {} for _ in range(self.parallelism)
-        ]
-
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-
-    def partition_of(self, key: object) -> int:
-        return stable_key_hash(key) % self.parallelism
-
-    def add(self, key: object, nbytes: int) -> None:
-        """Grow (or shrink, with negative ``nbytes``) one key's state."""
-        partition = self._partitions[self.partition_of(key)]
-        value = partition.get(key, 0) + int(nbytes)
-        if value > 0:
-            partition[key] = value
-        else:
-            partition.pop(key, None)
+        #: each rank's ``stable_key_hash``, fixed for the vertex's life
+        self.digests = tuple(digests)
+        self.bytes: List[int] = [0] * len(self.digests)
 
     @property
     def total_bytes(self) -> int:
-        return sum(sum(p.values()) for p in self._partitions)
+        return sum(self.bytes)
 
     @property
     def key_count(self) -> int:
-        return sum(len(p) for p in self._partitions)
-
-    def items(self) -> Dict[object, int]:
-        """Global ``{key: bytes}`` view (keys are unique across partitions)."""
-        out: Dict[object, int] = {}
-        for partition in self._partitions:
-            out.update(partition)
-        return out
+        return len(self.bytes) - self.bytes.count(0)
 
     # ------------------------------------------------------------------
     # migration (rescale repartitioning)
@@ -151,70 +120,53 @@ class KeyedState:
             raise ValueError(
                 f"new_parallelism must be >= 1 (got {new_parallelism})"
             )
-        moved_keys: List[object] = []
-        moved_bytes = 0
-        for index, partition in enumerate(self._partitions):
-            for key, nbytes in partition.items():
-                if stable_key_hash(key) % new_parallelism != index:
-                    moved_keys.append(key)
-                    moved_bytes += nbytes
-        return MigrationPlan(
-            self.vertex, self.parallelism, new_parallelism,
-            tuple(moved_keys), moved_bytes,
+        p = self.parallelism
+        moved_bytes = sum(
+            nbytes for nbytes, digest in zip(self.bytes, self.digests)
+            if digest % new_parallelism != digest % p
         )
-
-    def _rebuild(self, new_parallelism: int) -> None:
-        partitions: List[Dict[object, int]] = [
-            {} for _ in range(new_parallelism)
-        ]
-        for key, nbytes in self.items().items():
-            partitions[stable_key_hash(key) % new_parallelism][key] = nbytes
-        self._partitions = partitions
-        self.parallelism = new_parallelism
+        return MigrationPlan(self.vertex, p, new_parallelism, moved_bytes)
 
     def apply(self, plan: MigrationPlan) -> None:
         """Adopt the plan's target layout (transfer completed)."""
-        self._rebuild(plan.p_to)
+        self.parallelism = plan.p_to
 
     def rollback(self, plan: MigrationPlan) -> None:
         """Restore the pre-migration layout (transfer failed); lossless."""
-        self._rebuild(plan.p_from)
+        self.parallelism = plan.p_from
 
     def repartition(self, new_parallelism: int) -> int:
         """Instant plan+apply (non-migrating paths); returns moved bytes."""
-        if new_parallelism == self.parallelism:
-            return 0
         plan = self.plan_migration(new_parallelism)
-        self.apply(plan)
+        self.parallelism = new_parallelism
         return plan.moved_bytes
 
     # ------------------------------------------------------------------
     # checkpoint / crash restore
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> Dict[object, int]:
-        """A checkpointable copy of the global key map."""
-        return self.items()
+    def snapshot(self) -> List[int]:
+        """A checkpointable copy of every rank's bytes."""
+        return list(self.bytes)
 
-    def restore_partition(self, index: int, checkpoint: Dict[object, int]) -> int:
-        """Reset partition ``index`` to its checkpointed content.
+    def restore_partition(self, index: int, checkpoint: Sequence[int]) -> int:
+        """Reset partition ``index``'s ranks to their checkpointed bytes.
 
-        Keys grown (or born) since the checkpoint lose the delta; keys
-        the checkpoint holds but the partition lost keep the checkpoint
-        value. Returns the net bytes lost relative to pre-crash.
+        Returns the bytes lost: the partition's growth since the
+        checkpoint, which is never negative because state only grows
+        between restores.
         """
         if not 0 <= index < self.parallelism:
             raise ValueError(
                 f"partition index {index} out of range 0..{self.parallelism - 1}"
             )
-        partition = self._partitions[index]
-        before = sum(partition.values())
-        restored: Dict[object, int] = {}
-        for key, nbytes in checkpoint.items():
-            if stable_key_hash(key) % self.parallelism == index and nbytes > 0:
-                restored[key] = nbytes
-        self._partitions[index] = restored
-        return before - sum(restored.values())
+        p, current = self.parallelism, self.bytes
+        lost = 0
+        for rank, digest in enumerate(self.digests):
+            if digest % p == index:
+                lost += current[rank] - checkpoint[rank]
+                current[rank] = checkpoint[rank]
+        return lost
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"KeyedState({self.vertex}, p={self.parallelism}, "
@@ -224,15 +176,13 @@ class KeyedState:
 class StatefulVertexSpec:
     """Declarative state model of one vertex (see ``PipelineBuilder.stateful``)."""
 
-    __slots__ = ("n_keys", "zipf_s", "bytes_per_event", "key_fn",
-                 "cost", "replay_factor")
+    __slots__ = ("n_keys", "zipf_s", "bytes_per_event", "cost", "replay_factor")
 
     def __init__(
         self,
         n_keys: int = 64,
         zipf_s: float = 1.1,
         bytes_per_event: int = 64,
-        key_fn: Optional[Callable[[object], object]] = None,
         cost: Optional[MigrationCostModel] = None,
         replay_factor: float = 0.5,
     ) -> None:
@@ -247,9 +197,6 @@ class StatefulVertexSpec:
         self.n_keys = int(n_keys)
         self.zipf_s = float(zipf_s)
         self.bytes_per_event = int(bytes_per_event)
-        #: optional payload → key extractor; when None, keys are sampled
-        #: from the Zipf law on the vertex's dedicated state stream
-        self.key_fn = key_fn
         self.cost = cost or MigrationCostModel()
         #: replay seconds charged per second of checkpoint age on crash
         self.replay_factor = float(replay_factor)
@@ -259,7 +206,6 @@ class StatefulVertexSpec:
             "n_keys": self.n_keys,
             "zipf_s": self.zipf_s,
             "bytes_per_event": self.bytes_per_event,
-            "keyed_by_payload": self.key_fn is not None,
             "replay_factor": self.replay_factor,
             "cost": self.cost.describe(),
         }
@@ -271,22 +217,20 @@ _items_processed = attrgetter("items_processed")
 class _VertexState:
     """One vertex's live state model inside the manager."""
 
-    __slots__ = ("spec", "state", "sampler", "rank_keys", "rng",
+    __slots__ = ("spec", "state", "sampler", "rng",
                  "checkpoint", "checkpoint_time", "tasks", "drawn")
 
     def __init__(self, vertex: str, spec: StatefulVertexSpec,
                  parallelism: int, rng: random.Random) -> None:
         self.spec = spec
-        self.state = KeyedState(vertex, parallelism)
+        #: rank ``r``'s key is ``k{r:04d}``; the only place it is hashed
+        digests = [stable_key_hash(f"k{rank:04d}") for rank in range(spec.n_keys)]
+        self.state = KeyedState(vertex, parallelism, digests)
         self.sampler = ZipfKeySampler(spec.n_keys, spec.zipf_s)
-        #: ``(key, stable_key_hash(key))`` of every Zipf rank, so a
-        #: sampled event formats and hashes nothing
-        keys = [f"k{rank:04d}" for rank in range(spec.n_keys)]
-        self.rank_keys = tuple((key, stable_key_hash(key)) for key in keys)
         self.rng = rng
-        #: last checkpoint: global key map + its capture time (t=0 start
-        #: counts as an implicit empty checkpoint)
-        self.checkpoint: Dict[object, int] = {}
+        #: last checkpoint: every rank's bytes + its capture time (t=0
+        #: start counts as an implicit empty checkpoint)
+        self.checkpoint: List[int] = [0] * spec.n_keys
         self.checkpoint_time = 0.0
         #: the vertex's tasks whose events draw Zipf keys, until a fold
         #: finds them stopped (the scheduler drops stopped tasks from the
@@ -358,33 +302,18 @@ class StateManager:
     def spec(self, vertex: str) -> StatefulVertexSpec:
         return self._vertices[vertex].spec
 
-    @property
-    def probed_vertices(self) -> Tuple[str, ...]:
-        """Vertices whose events need a per-item probe (:meth:`on_event`).
-
-        Only a ``key_fn`` vertex that grows state does: every other
-        stateful vertex's events are counted by :meth:`track`.
-        """
-        return tuple(name for name, vs in self._vertices.items()
-                     if vs.spec.key_fn is not None and vs.spec.bytes_per_event)
-
     # ------------------------------------------------------------------
     # state growth
     # ------------------------------------------------------------------
 
-    def on_event(self, vertex: str, payload: object) -> None:
-        """One processed event grows its payload's key (``key_fn`` vertices)."""
-        vs = self._vertices[vertex]
-        vs.state.add(vs.spec.key_fn(payload), vs.spec.bytes_per_event)
-
     def track(self, task: RuntimeTask) -> None:
-        """Count ``task``'s processed items as events of a Zipf-keyed vertex.
+        """Count ``task``'s processed items as events of a stateful vertex.
 
         Called for every task the job creates; a task of any other
         vertex, or of one whose events grow nothing, is ignored.
         """
         vs = self._vertices.get(task.vertex_name)
-        if vs is not None and vs.spec.key_fn is None and vs.spec.bytes_per_event:
+        if vs is not None and vs.spec.bytes_per_event:
             vs.tasks.append(task)
 
     def _apply_pending(self, vs: _VertexState) -> None:
@@ -394,23 +323,17 @@ class StateManager:
         every method that reads or re-partitions the state. Pending
         events are the tracked tasks' ``items_processed`` not yet drawn;
         their keys come from the ``state:`` stream (which has no other
-        consumer) in event order. A key's partition depends only on the
-        key and the current parallelism, and every event adds the same
-        ``bytes_per_event >= 0``, so a key's first draw fixes its dict
-        position: adding each rank's count in first-draw order builds the
-        dicts that ``KeyedState.add`` per event builds.
+        consumer) in event order, and each adds ``bytes_per_event`` to its
+        rank's int, so the order the counts are added in does not matter.
         """
         tasks = vs.tasks
         processed = sum(map(_items_processed, tasks))
         pending = processed - vs.drawn
         if pending:
             nbytes = vs.spec.bytes_per_event
-            partitions = vs.state._partitions
-            parallelism = vs.state.parallelism
+            ranks = vs.state.bytes
             for rank, events in vs.sampler.count_ranks(vs.rng, pending).items():
-                key, digest = vs.rank_keys[rank]
-                partition = partitions[digest % parallelism]
-                partition[key] = partition.get(key, 0) + events * nbytes
+                ranks[rank] += events * nbytes
         stopped = [task for task in tasks if task.state == STOPPED]
         if stopped:  # all drawn, and a stopped task processes nothing more
             vs.tasks = [task for task in tasks if task.state != STOPPED]
@@ -474,7 +397,7 @@ class StateManager:
         replay = vs.spec.replay_factor * max(
             0.0, self.sim.now - vs.checkpoint_time
         )
-        self.state_lost_bytes += max(0, lost)
+        self.state_lost_bytes += lost
         self.recovery_time_s += replay
         self.crash_recoveries += 1
         return replay

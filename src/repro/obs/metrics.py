@@ -80,6 +80,12 @@ class Histogram:
                 f"histogram {name!r}: bounds must be non-empty, finite and "
                 f"strictly increasing (got {chosen})"
             )
+        for low, high in zip(chosen, chosen[1:]):  # ``:g`` rounding is monotone
+            if f"{low:g}" == f"{high:g}":
+                raise ValueError(
+                    f"histogram {name!r}: bounds {low!r} and {high!r} share "
+                    f"the bucket name le_{low:g}"
+                )
         self.bounds: Tuple[float, ...] = chosen
         self._samples: List[float] = []
         #: record one sample: the pending list's bound ``append``

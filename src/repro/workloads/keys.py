@@ -53,9 +53,8 @@ class ZipfKeySampler:
     def count_ranks(self, rng: random.Random, n: int) -> Counter:
         """Draw ``n`` ranks as :meth:`sample_index` would; count each.
 
-        The counter's keys are in first-draw order. The draws run in C
-        (no Python frame per draw) and consume the same ``n``
-        ``rng.random()`` values, in the same order.
+        The draws run in C (no Python frame per draw) and consume the
+        same ``n`` ``rng.random()`` values, in the same order.
         """
         cdf = self._cdf
         draws = starmap(rng.random, repeat((), n))

@@ -134,3 +134,86 @@ def put(sim: Simulator, feed, payload) -> None:
 def serve(sim: Simulator, seconds: float = 1.0) -> None:
     """Let a :func:`fed_consumer` sink work: one item per second completes."""
     sim.run(until=sim.now + seconds)
+
+
+class DictKeyedState:
+    """Reference keyed state: one ``{key: bytes}`` dict per partition.
+
+    The layout ``repro.engine.state.KeyedState`` had before it became one
+    byte count per Zipf rank, kept here to check the rank layout against:
+    every event is an :meth:`add`, every repartition rebuilds the dicts,
+    and a restore goes key by key. ``digest(key)`` places a key in
+    partition ``digest(key) % parallelism``.
+    """
+
+    def __init__(self, parallelism: int, digest) -> None:
+        self.parallelism = parallelism
+        self.digest = digest
+        self.partitions = [{} for _ in range(parallelism)]
+
+    def add(self, key, nbytes: int) -> None:
+        partition = self.partitions[self.digest(key) % self.parallelism]
+        value = partition.get(key, 0) + nbytes
+        if value > 0:
+            partition[key] = value
+        else:
+            partition.pop(key, None)
+
+    def items(self) -> dict:
+        out = {}
+        for partition in self.partitions:
+            out.update(partition)
+        return out
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(self.items().values())
+
+    @property
+    def key_count(self) -> int:
+        return len(self.items())
+
+    def partition_bytes(self) -> list:
+        return [sum(partition.values()) for partition in self.partitions]
+
+    def moved_bytes(self, new_parallelism: int) -> int:
+        return sum(nbytes for index, partition in enumerate(self.partitions)
+                   for key, nbytes in partition.items()
+                   if self.digest(key) % new_parallelism != index)
+
+    def repartition(self, new_parallelism: int) -> int:
+        moved = self.moved_bytes(new_parallelism)
+        content = self.items()
+        self.parallelism = new_parallelism
+        self.partitions = [{} for _ in range(new_parallelism)]
+        for key, nbytes in content.items():
+            self.add(key, nbytes)
+        return moved
+
+    def snapshot(self) -> dict:
+        return self.items()
+
+    def restore_partition(self, index: int, checkpoint: dict) -> int:
+        before = sum(self.partitions[index].values())
+        self.partitions[index] = {
+            key: nbytes for key, nbytes in checkpoint.items()
+            if self.digest(key) % self.parallelism == index and nbytes > 0
+        }
+        return before - sum(self.partitions[index].values())
+
+
+def rank_partition_bytes(state) -> list:
+    """Per-partition byte totals of a rank-indexed ``KeyedState``."""
+    totals = [0] * state.parallelism
+    for nbytes, digest in zip(state.bytes, state.digests):
+        totals[digest % state.parallelism] += nbytes
+    return totals
+
+
+def assert_state_matches(state, reference: DictKeyedState) -> None:
+    """``state`` (ranks as keys) holds what ``reference`` holds, placed alike."""
+    assert state.parallelism == reference.parallelism
+    assert {rank: b for rank, b in enumerate(state.bytes) if b} == reference.items()
+    assert state.key_count == reference.key_count
+    assert state.total_bytes == reference.total_bytes
+    assert rank_partition_bytes(state) == reference.partition_bytes()

@@ -10,8 +10,9 @@ These tests pin what that must not change:
   updates these numbers on purpose;
 * each inlined formula against the method it replaces, compared with
   ``==``: the shipping overhead a flush charges;
-* counted state events against one ``KeyedState.add`` per event, read
-  through the manager's folding path between chunks of events.
+* counted state events against a dict-per-partition reference grown one
+  ``add`` per event, read through the manager's folding path between
+  chunks of events.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import DictKeyedState, assert_state_matches
 from repro.builder import PipelineBuilder
 from repro.engine.batching import AdaptiveDeadlineBatching, FixedSizeBatching, InstantFlush
 from repro.engine.channel import NetworkModel, RuntimeChannel
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.engine.items import DataItem
-from repro.engine.state import KeyedState, StatefulVertexSpec, StateManager, stable_key_hash
+from repro.engine.state import StatefulVertexSpec, StateManager, stable_key_hash
 from repro.engine.task import RUNNING, STOPPED, OutputGate, RuntimeTask
 from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
 from repro.graphs.job_graph import JobGraph
@@ -165,10 +167,10 @@ def _manager(spec, parallelism, seed=7):
 def test_each_rank_carries_its_key_and_placement_hash():
     spec = StatefulVertexSpec(n_keys=300)
     manager, _ = _manager(spec, 3)
-    ranks = manager._vertices["v"].rank_keys
-    assert len(ranks) == 300
-    for r, entry in enumerate(ranks):
-        assert entry == (f"k{r:04d}", stable_key_hash(f"k{r:04d}"))
+    state = manager.keyed_state("v")
+    assert state.digests == tuple(stable_key_hash(f"k{r:04d}") for r in range(300))
+    assert state.bytes == [0] * 300
+    assert manager._vertices["v"].checkpoint == [0] * 300
 
 
 def _task(subtask_index=0):
@@ -177,9 +179,9 @@ def _task(subtask_index=0):
                            items_processed=0, state=RUNNING, pause=lambda duration: None)
 
 
-def _layout(state):
-    """Every partition's ``(key, bytes)`` pairs in dict order."""
-    return [list(partition.items()) for partition in state._partitions]
+def _reference(parallelism):
+    """The dict layout, keyed by rank, placed by the rank's own key's hash."""
+    return DictKeyedState(parallelism, lambda rank: stable_key_hash(f"k{rank:04d}"))
 
 
 @pytest.mark.parametrize("p_from,p_to", [(3, 5), (4, 1)])
@@ -188,21 +190,21 @@ def test_probe_events_build_what_keyed_state_add_builds(p_from, p_to):
     manager, vertex = _manager(spec, p_from)
     task = _task()
     manager.track(task)
-    reference = KeyedState("v", p_from)
+    reference = _reference(p_from)
     sampler, rng = ZipfKeySampler(64, 1.1), random.Random(7)
     for _ in range(2000):
         task.items_processed += 1
-        reference.add(f"k{sampler.sample_index(rng):04d}", 48)
-    assert _layout(manager.keyed_state("v")) == _layout(reference)
+        reference.add(sampler.sample_index(rng), 48)
+    assert_state_matches(manager.keyed_state("v"), reference)
     vertex.target_parallelism = p_to
     moved = manager.sync_parallelism("v")
     assert moved == reference.repartition(p_to)
     for _ in range(500):
         task.items_processed += 1
-        reference.add(f"k{sampler.sample_index(rng):04d}", 48)
+        reference.add(sampler.sample_index(rng), 48)
     state = manager.keyed_state("v")
     assert state.parallelism == p_to
-    assert _layout(state) == _layout(reference)
+    assert_state_matches(state, reference)
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -214,32 +216,30 @@ def test_counted_events_grow_what_eager_adds_grow_across_every_state_read(seed):
     re-partitions the state: a checkpoint, a crash restore, an instant
     resync, a migration planned, applied and completed, and one that the
     cluster denies after it was applied, so it rolls back. The reference
-    grows a ``KeyedState`` one ``add`` per event from its own copy of
-    the key stream and mirrors every step; layouts (dict order
-    included), checkpoints, moved and lost bytes and the summary must
-    match.
+    is the dict-per-partition layout, grown one ``add`` per event from its
+    own copy of the key stream and mirroring every step; after each step
+    the key count, total and per-partition bytes, the checkpoint, moved
+    and lost bytes and the summary must match.
     """
-    # A wide, flat key space, so keys first drawn during a migration
-    # still arrive late in the run: their dict position is what a read
-    # in the wrong place would move.
+    # A wide, flat key space, so keys are still first drawn late in the
+    # run, after the layout changed under them.
     spec = StatefulVertexSpec(n_keys=3000, zipf_s=0.6, bytes_per_event=24)
     manager, vertex = _manager(spec, 2, seed=seed)
     tasks = [_task(0), _task(1)]
     vertex.active_tasks = lambda: [t for t in tasks if t.state == RUNNING]
     for task in tasks:
         manager.track(task)
-    reference = KeyedState("v", 2)
+    reference = _reference(2)
     sampler, keys = ZipfKeySampler(3000, 0.6), random.Random(seed)
     chunks = random.Random(seed + 1)
 
     def process():
         for _ in range(chunks.randrange(100, 400)):
             chunks.choice(vertex.active_tasks()).items_processed += 1
-            reference.add(f"k{sampler.sample_index(keys):04d}", 24)
+            reference.add(sampler.sample_index(keys), 24)
 
-    def read():
-        assert _layout(manager.keyed_state("v")) == _layout(reference)
-        process()
+    def check():
+        assert_state_matches(manager.keyed_state("v"), reference)
         row = manager.summary()["vertices"]["v"]
         assert (row["parallelism"], row["keys"], row["state_bytes"]) == (
             reference.parallelism, reference.key_count, reference.total_bytes)
@@ -247,40 +247,48 @@ def test_counted_events_grow_what_eager_adds_grow_across_every_state_read(seed):
     process()
     manager._checkpoint("v")
     checkpoint = reference.snapshot()
-    assert list(manager._vertices["v"].checkpoint.items()) == list(checkpoint.items())
+    ranks = manager._vertices["v"].checkpoint
+    assert {rank: b for rank, b in enumerate(ranks) if b} == checkpoint
+    check()
     process()
     crashed = tasks[1]  # rank 1: the scheduler calls the hook while it is active
     manager.on_task_failed(crashed)
     crashed.state = STOPPED
     lost = reference.restore_partition(1 % reference.parallelism, checkpoint)
-    assert manager.state_lost_bytes == max(0, lost) > 0
+    assert manager.state_lost_bytes == lost > 0
+    check()
     tasks.append(_task(2))
     manager.track(tasks[-1])
-    read()
+    process()
+    check()
     process()
     vertex.target_parallelism = 3
     assert manager.sync_parallelism("v") == reference.repartition(3)
+    check()
     process()
-    assert manager.migration_cost("v", 3, 5)[1] == reference.plan_migration(5).moved_bytes
+    assert manager.migration_cost("v", 3, 5)[1] == reference.moved_bytes(5)
+    check()
     process()
     plan = manager.plan_migration("v", 5)
-    expected = reference.plan_migration(5)
-    assert (plan.moved_keys, plan.moved_bytes) == (expected.moved_keys, expected.moved_bytes)
+    assert plan.moved_bytes == reference.moved_bytes(5)
+    check()
     process()
     manager.apply_migration(plan)
-    reference.apply(expected)
+    reference.repartition(5)
+    check()
     process()
     manager.complete_migration(plan, 0.0)
-    read()
+    check()
     process()
     plan = manager.plan_migration("v", 2)
-    expected = reference.plan_migration(2)
-    assert plan.moved_bytes == expected.moved_bytes
+    assert plan.moved_bytes == reference.moved_bytes(2)
+    check()
     process()
     manager.apply_migration(plan)
-    reference.apply(expected)
+    reference.repartition(2)
+    check()
     process()
     manager.rollback_migration(plan)
-    reference.rollback(expected)
-    read()
+    reference.repartition(5)
+    check()
     assert manager._vertices["v"].tasks == [tasks[0], tasks[2]]

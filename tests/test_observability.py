@@ -179,6 +179,14 @@ class TestMetricsPrimitives:
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             Histogram("x", bounds=bounds)
 
+    def test_histogram_rejects_bounds_whose_bucket_names_collide(self):
+        # both would snapshot as ``le_0.1``, so one bucket would vanish
+        with pytest.raises(ValueError, match=r"0\.1 and 0\.1000001 share the bucket name le_0\.1"):
+            Histogram("x", bounds=(0.1, 0.1000001))
+        assert Histogram("x", bounds=(0.1, 0.100001)).snapshot()["buckets"] == {
+            "le_0.1": 0, "le_0.100001": 0, "le_inf": 0}
+        assert len(Histogram("x").snapshot()["buckets"]) == len(DEFAULT_BUCKETS) + 1
+
     def test_histogram_reads_fold_what_observe_appended(self):
         h = Histogram("x", bounds=(0.1, 1.0))
         h.observe(0.5)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import rank_partition_bytes
 from repro.builder import PipelineBuilder
 from repro.core.latency_model import MigrationCostModel, expected_migration_pause
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
@@ -38,102 +39,94 @@ from repro.workloads.rates import ConstantRate
 # ----------------------------------------------------------------------
 
 
+def _digest(rank):
+    return stable_key_hash(f"k{rank:04d}")
+
+
+def make_state(parallelism, n_keys, nbytes=0):
+    """A vertex's keyed state over ``n_keys`` Zipf ranks, each at ``nbytes``."""
+    state = KeyedState("v", parallelism, [_digest(rank) for rank in range(n_keys)])
+    state.bytes[:] = [nbytes] * n_keys
+    return state
+
+
 class TestKeyedState:
     def test_keys_land_on_their_hash_partition(self):
-        state = KeyedState("v", 4)
-        for key in ("a", "b", 17, ("t", 3)):
-            state.add(key, 10)
-            expected = stable_key_hash(key) % 4
-            assert state.partition_of(key) == expected
-            assert state._partitions[expected][key] == 10
-
-    def test_add_accumulates_and_negative_deltas_evict(self):
-        state = KeyedState("v", 2)
-        state.add("k", 30)
-        state.add("k", 20)
-        assert state.items() == {"k": 50}
-        state.add("k", -50)
-        assert state.items() == {}
+        state = make_state(4, 20, nbytes=10)
+        empty = [0] * 20
+        for index in range(4):
+            before = list(state.bytes)
+            lost = state.restore_partition(index, empty)
+            zeroed = [rank for rank in range(20) if before[rank] and not state.bytes[rank]]
+            assert zeroed == [rank for rank in range(20) if _digest(rank) % 4 == index]
+            assert lost == 10 * len(zeroed)
         assert state.key_count == 0
 
     def test_totals_sum_over_partitions(self):
-        state = KeyedState("v", 3)
-        for i in range(20):
-            state.add(f"k{i}", 8)
+        state = make_state(3, 20, nbytes=8)
         assert state.total_bytes == 160
         assert state.key_count == 20
-        assert sum(state.items().values()) == 160
+        assert sum(rank_partition_bytes(state)) == 160
+        state.bytes[5] = 0  # a rank without bytes holds no key
+        assert (state.key_count, state.total_bytes) == (19, 152)
 
     def test_plan_counts_exactly_the_relocating_keys(self):
-        state = KeyedState("v", 2)
-        for i in range(50):
-            state.add(f"k{i}", 4)
+        state = make_state(2, 50, nbytes=4)
         plan = state.plan_migration(5)
-        expected_moved = {
-            key
-            for key in state.items()
-            if stable_key_hash(key) % 5 != stable_key_hash(key) % 2
-        }
-        assert set(plan.moved_keys) == expected_moved
-        assert plan.moved_bytes == 4 * len(expected_moved)
+        moved = [rank for rank in range(50) if _digest(rank) % 5 != _digest(rank) % 2]
+        assert 0 < len(moved) < 50
+        assert plan.moved_bytes == 4 * len(moved)
         # planning never mutates
         assert state.parallelism == 2
+        assert state.bytes == [4] * 50
 
     def test_apply_then_rollback_is_lossless(self):
-        state = KeyedState("v", 3)
-        for i in range(40):
-            state.add(f"k{i}", i + 1)
-        before = state.items()
+        state = make_state(3, 40)
+        state.bytes[:] = [rank + 1 for rank in range(40)]
+        before = list(state.bytes)
         plan = state.plan_migration(7)
         state.apply(plan)
         assert state.parallelism == 7
-        assert state.items() == before
+        assert state.bytes == before
         state.rollback(plan)
         assert state.parallelism == 3
-        assert state.items() == before
+        assert state.bytes == before
 
     def test_rollback_never_resurrects_crash_lost_state(self):
         """A crash mutating state mid-migration survives the rollback."""
-        state = KeyedState("v", 2)
-        for i in range(10):
-            state.add(f"k{i}", 100)
+        state = make_state(2, 10, nbytes=100)
         plan = state.plan_migration(4)
         # crash loses one partition's content while the transfer is in
-        # flight; the rollback rebuilds the old layout from live content
-        state.restore_partition(0, {})
-        survivors = state.items()
+        # flight; the rollback only restores the old parallelism
+        assert state.restore_partition(0, [0] * 10) > 0
+        survivors = list(state.bytes)
         state.rollback(plan)
-        assert state.items() == survivors
+        assert state.bytes == survivors
 
     def test_repartition_to_same_parallelism_moves_nothing(self):
-        state = KeyedState("v", 4)
-        state.add("k", 10)
+        state = make_state(4, 8, nbytes=10)
         assert state.repartition(4) == 0
 
     def test_restore_partition_resets_only_that_partition(self):
-        state = KeyedState("v", 2)
-        for i in range(12):
-            state.add(f"k{i}", 10)
+        state = make_state(2, 12, nbytes=10)
         checkpoint = state.snapshot()
-        for i in range(12):
-            state.add(f"k{i}", 10)  # growth since the checkpoint
+        for rank in range(12):
+            state.bytes[rank] += 10  # growth since the checkpoint
         lost = state.restore_partition(0, checkpoint)
-        p0_keys = [k for k in checkpoint if stable_key_hash(k) % 2 == 0]
-        assert lost == 10 * len(p0_keys)  # the un-checkpointed deltas
-        restored = state.items()
-        assert sum(restored[k] for k in p0_keys) == 10 * len(p0_keys)
-        # partition 1 keeps its post-checkpoint growth
-        p1_keys = [k for k in checkpoint if stable_key_hash(k) % 2 == 1]
-        assert sum(restored[k] for k in p1_keys) == 20 * len(p1_keys)
+        p0 = [rank for rank in range(12) if _digest(rank) % 2 == 0]
+        assert lost == 10 * len(p0)  # the un-checkpointed deltas
+        # partition 0 is back at its checkpoint; partition 1 keeps its growth
+        assert state.bytes == [10 if rank in p0 else 20 for rank in range(12)]
+        assert checkpoint == [10] * 12
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="parallelism"):
-            KeyedState("v", 0)
-        state = KeyedState("v", 2)
+            make_state(0, 4)
+        state = make_state(2, 4)
         with pytest.raises(ValueError, match="new_parallelism"):
             state.plan_migration(0)
         with pytest.raises(ValueError, match="out of range"):
-            state.restore_partition(5, {})
+            state.restore_partition(5, [0] * 4)
 
 
 class TestStatefulVertexSpec:
@@ -150,7 +143,8 @@ class TestStatefulVertexSpec:
         described = spec.describe()
         assert described["n_keys"] == 32
         assert described["bytes_per_event"] == 48
-        assert described["keyed_by_payload"] is False
+        assert list(described) == [
+            "n_keys", "zipf_s", "bytes_per_event", "replay_factor", "cost"]
         assert "transfer_bytes_per_s" in described["cost"]
 
 
@@ -269,11 +263,11 @@ class TestCheckpointRestore:
 
 
 class TestStateGrowth:
-    """Each processed event grows one key by ``bytes_per_event``.
+    """Each processed event grows one Zipf-drawn key by ``bytes_per_event``.
 
-    Zipf-drawn keys are counted and drawn when the state is read; payload
-    keys go through the per-item probe. Both must account for every event
-    the vertex processed, and a spec that grows nothing gets no probe.
+    An event is only counted, its key drawn when the state is read, so the
+    state must account for every event the vertex processed while its
+    tasks run no per-item probe.
     """
 
     @staticmethod
@@ -290,27 +284,20 @@ class TestStateGrowth:
         job = engine.submit(pipeline)
         engine.run(10.0)
         tasks = job.runtime.vertices["worker"].tasks
+        assert tasks and all(t.process_probe is None for t in tasks)
         return job.state_manager, sum(t.items_processed for t in tasks)
 
     def test_zipf_keys_count_every_event(self):
         manager, processed = self._run(n_keys=32, bytes_per_event=8)
         state = manager.keyed_state("worker")
         assert processed > 1000 and state.total_bytes == 8 * processed
-        assert set(state.items()) <= {f"k{rank:04d}" for rank in range(32)}
-        assert manager.probed_vertices == ()
+        assert len(state.bytes) == 32 and 0 < state.key_count <= 32
 
-    def test_payload_keys_go_through_the_probe(self):
-        manager, processed = self._run(key_fn=lambda x: int(x * 4), bytes_per_event=8)
-        state = manager.keyed_state("worker")
-        assert processed > 1000 and state.total_bytes == 8 * processed
-        assert set(state.items()) == {0, 1, 2, 3}
-        assert manager.probed_vertices == ("worker",)
-
-    @pytest.mark.parametrize("key_fn", [None, lambda x: int(x * 4)], ids=["zipf", "payload"])
-    def test_zero_bytes_per_event_grow_nothing(self, key_fn):
-        manager, processed = self._run(key_fn=key_fn, bytes_per_event=0)
+    @pytest.mark.parametrize("n_keys", [32], ids=["zipf"])
+    def test_zero_bytes_per_event_grow_nothing(self, n_keys):
+        manager, processed = self._run(n_keys=n_keys, bytes_per_event=0)
         assert processed > 1000 and manager.keyed_state("worker").key_count == 0
-        assert manager.probed_vertices == ()
+        assert manager._vertices["worker"].tasks == []
 
 
 class TestMigrationLifecycle:
@@ -453,3 +440,18 @@ class TestCrashDuringMigration:
         _, b = run_stateful(**self._scenario())
         assert a.state_manager.summary() == b.state_manager.summary()
         assert a.reconciler.summary() == b.reconciler.summary()
+
+
+def test_placement_hash_runs_only_when_a_vertex_state_is_built(monkeypatch):
+    """Plans, migrations, checkpoints and restores hash no key."""
+    import golden_stateful_scenario
+    from repro.engine import state as state_module
+
+    hashed = []
+    real = state_module.stable_key_hash
+    monkeypatch.setattr(state_module, "stable_key_hash",
+                        lambda key: hashed.append(key) or real(key))
+    _engine, job = golden_stateful_scenario.run_job()
+    manager = job.state_manager
+    assert manager.migrations_started > 0 and manager.crash_recoveries > 0
+    assert hashed == [f"k{rank:04d}" for rank in range(manager.spec("worker").n_keys)]
