@@ -1,4 +1,4 @@
-"""Two elastic jobs sharing one pool — with admission arbitration.
+"""Two elastic jobs sharing one pool under weighted fair-share admission.
 
 The paper's closing argument: with latency-constraint-driven elasticity,
 "no permanent peak load provisioning is required" — so a cluster can
@@ -41,8 +41,7 @@ def main() -> None:
     knobs = spec.resolved()
     print(
         f"shared pool: {knobs['worker_pool']} workers x {knobs['slots_per_worker']} "
-        f"slots, admission={knobs['admission']} "
-        f"(weights alpha={ALPHA_WEIGHT:g}, beta={BETA_WEIGHT:g})"
+        f"slots, fair-share weights alpha={ALPHA_WEIGHT:g}, beta={BETA_WEIGHT:g}"
     )
     print(f"{'time':>5}  {'p(alpha)':>8}  {'p(beta)':>7}  "
           f"{'denials':>7}  {'preempted':>9}  {'slots free':>10}")

@@ -60,7 +60,7 @@ class BuiltPipeline:
         actuation: Optional[ActuationConfig] = None,
         policy: Optional[PolicySpec] = None,
         stateful: Optional[dict] = None,
-        share: Optional[Tuple[Optional[int], int, float]] = None,
+        share: Optional[float] = None,
     ) -> None:
         self.graph = graph
         self.constraints = constraints
@@ -78,8 +78,8 @@ class BuiltPipeline:
         #: stateful vertex declarations from ``.stateful(...)``
         #: ({vertex name -> StatefulVertexSpec}; empty = stateless job)
         self.stateful: dict = dict(stateful or {})
-        #: shared-cluster slot account ``(quota, priority, weight)`` from
-        #: ``.share(...)`` (None = unconstrained defaults)
+        #: shared-cluster fair-share weight from ``.share(...)`` (None =
+        #: the default weight 1)
         self.share = share
 
     def __repr__(self) -> str:
@@ -114,7 +114,7 @@ class PipelineBuilder:
         self._actuation: Optional[ActuationConfig] = None
         self._policy: Optional[PolicySpec] = None
         self._stateful: dict = {}
-        self._share: Optional[Tuple[Optional[int], int, float]] = None
+        self._share: Optional[float] = None
 
     # ------------------------------------------------------------------
     # stages
@@ -341,8 +341,8 @@ class PipelineBuilder:
         one). Pass a prebuilt
         :class:`~repro.engine.state.StatefulVertexSpec` or keyword
         arguments forwarded to its constructor (``n_keys``, ``zipf_s``,
-        ``bytes_per_event``, ``cost``, ``replay_factor``). Each processed
-        event grows one of ``n_keys`` Zipf-drawn keys by ``bytes_per_event``:
+        ``bytes_per_event``, ``cost``). Each processed event grows one of
+        ``n_keys`` Zipf-drawn keys by ``bytes_per_event``:
 
         >>> _ = (PipelineBuilder("p")
         ...      .source(lambda now, rng: rng.random(), rate=None)
@@ -398,27 +398,19 @@ class PipelineBuilder:
         self._policy = PolicySpec(spec.name, merged).validate()
         return self
 
-    def share(
-        self,
-        quota: Optional[int] = None,
-        priority: int = 0,
-        weight: float = 1.0,
-    ) -> "PipelineBuilder":
-        """Parameterize this job's slot account on a shared cluster.
+    def share(self, weight: float = 1.0) -> "PipelineBuilder":
+        """Set this job's weighted fair share of a shared cluster.
 
-        ``quota`` caps the job's held + reserved slots (None = uncapped),
-        ``priority`` orders strict-priority arbitration (higher wins) and
-        ``weight`` sizes its weighted fair share — all consulted by the
-        engine's admission controller (see :mod:`repro.engine.admission`;
-        the engine's ``EngineConfig.admission`` picks the policy).
+        The engine's admission controller (see
+        :mod:`repro.engine.admission`) gives each job a share of
+        ``total_slots * weight / sum(weights)`` slots; a scale-up of a
+        job under its share may preempt jobs over theirs.
 
-        >>> _ = PipelineBuilder("p").share(quota=8, weight=2.0)
+        >>> _ = PipelineBuilder("p").share(weight=2.0)
         """
-        if quota is not None and quota < 1:
-            raise ValueError(f"quota must be >= 1 (got {quota})")
         if weight <= 0:
             raise ValueError(f"weight must be > 0 (got {weight})")
-        self._share = (quota, int(priority), float(weight))
+        self._share = float(weight)
         return self
 
     def build(self) -> BuiltPipeline:

@@ -125,19 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shared-cluster", action="store_true",
                      help="run the canonical two-job shared-cluster scenario "
                           "instead: anti-phased load peaks on an "
-                          "under-provisioned pool, admission arbitration "
-                          "with denials and preemption, per-job fulfillment "
-                          "and Jain's fairness in the report")
+                          "under-provisioned pool, weighted fair-share "
+                          "admission with denials and preemption, per-job "
+                          "fulfillment and Jain's fairness in the report")
     run.add_argument("--workers", type=int, default=3, metavar="N",
                      help="with --shared-cluster: pool size in workers")
     run.add_argument("--slots-per-worker", type=int, default=4, metavar="S",
                      help="with --shared-cluster: slots per worker")
-    run.add_argument("--admission", default="fair-share",
-                     choices=("fcfs", "priority", "fair-share"),
-                     help="with --shared-cluster: slot arbitration policy")
-    run.add_argument("--placement", default="pack",
-                     choices=("pack", "spread", "network"),
-                     help="with --shared-cluster: task placement strategy")
     run.add_argument("--obs-dir", metavar="DIR", default="obs-run",
                      help="export directory for manifest/metrics/trace")
     run.add_argument("--scenario", choices=SINGLE_JOB_WORKLOADS, default="steady",
@@ -334,8 +328,6 @@ def run_spec(args: argparse.Namespace):
             knobs={
                 "worker_pool": args.workers,
                 "slots_per_worker": args.slots_per_worker,
-                "admission": args.admission,
-                "placement": args.placement,
             },
         )
     return ScenarioSpec(workload=args.scenario, policy=policy, name="obs-run", **axes)
@@ -415,12 +407,18 @@ def _run_plain(args: argparse.Namespace, spec) -> int:
     return 0
 
 
-def _run_shared(spec) -> int:
+def _run_shared(parser: argparse.ArgumentParser, spec) -> int:
     """Two jobs on one under-provisioned pool: the admission scenario."""
+    from repro.engine.resources import InsufficientResourcesError
     from repro.workloads.multi_job import collect_shared_cluster_result
     from repro.workloads.scenario import build
 
-    engine, jobs, _ = build(spec)
+    try:
+        engine, jobs, _ = build(spec)
+    except (ValueError, InsufficientResourcesError) as exc:
+        # an empty pool (EngineConfig refuses it) or one too small for
+        # the two jobs' initial tasks (deployment runs out of slots)
+        parser.error(f"cannot deploy the shared cluster: {exc}")
     engine.run(spec.duration)
     # collect before stop(): teardown scales every vertex to zero, which
     # would wipe the final_parallelism snapshot out of the result
@@ -429,8 +427,7 @@ def _run_shared(spec) -> int:
 
     knobs = spec.resolved()
     print(f"shared cluster: {knobs['worker_pool']} workers x "
-          f"{knobs['slots_per_worker']} slots, admission={knobs['admission']}, "
-          f"placement={knobs['placement']}, {engine.now:.0f}s virtual, "
+          f"{knobs['slots_per_worker']} slots, {engine.now:.0f}s virtual, "
           f"seed={spec.seed}")
     for job in result["jobs"]:
         account = job["account"]
@@ -748,7 +745,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _run_chaos(args, spec)
             return 0
         if args.shared_cluster:
-            return _run_shared(spec)
+            return _run_shared(parser, spec)
         return _run_plain(args, spec)
     if args.command == "bench":
         from repro.bench.core import run_from_args as run_bench

@@ -285,9 +285,10 @@ class ElasticScaler:
             else:
                 result = self.scheduler.set_parallelism(vertex_name, target)
                 if result.denied:
-                    # Admission refused the scale-up (quota or cluster
-                    # capacity) — like infeasibility, the guarantee cannot
-                    # be met right now; record it instead of failing silently.
+                    # Admission refused the scale-up (the cluster has no
+                    # capacity for it) — like infeasibility, the guarantee
+                    # cannot be met right now; record it instead of failing
+                    # silently.
                     self.unresolvable += 1
                     extra_records.append(
                         self._vertex_record(

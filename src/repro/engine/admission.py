@@ -1,29 +1,23 @@
-"""Cluster admission control: job accounts, quotas and arbitration.
+"""Cluster admission control: job accounts and weighted fair share.
 
 The paper scales one job; production clusters run many. This module is
 the slot-broker between them: every job submitted to an engine gets a
-:class:`JobAccount` (identity, quota ceiling, priority, fair-share
-weight, usage attribution), and every scale-up must *reserve* its slots
-through :meth:`~repro.engine.resources.ResourceManager.request_slots`
-before the scheduler may announce new tasks. Reserving at request time
-is what makes ``set_parallelism`` honest: it either holds the slots or
-reports denial synchronously — the deferred-allocation window in which
+:class:`JobAccount` (identity, fair-share weight, usage attribution),
+and every scale-up must *reserve* its slots through
+:meth:`~repro.engine.resources.ResourceManager.request_slots` before the
+scheduler may announce new tasks. Reserving at request time is what
+makes ``set_parallelism`` honest: it either holds the slots or reports
+denial synchronously — the deferred-allocation window in which
 ``InsufficientResourcesError`` used to escape inside a sim-heap callback
 no longer exists.
 
-When the pool cannot cover a request, the configured
-:class:`ArbitrationPolicy` decides whether other jobs are preempted:
-
-* :class:`FirstComeArbitration` (``"fcfs"``) — no preemption; whoever
-  holds the slots keeps them and the request is denied;
-* :class:`StrictPriorityArbitration` (``"priority"``) — jobs with
-  strictly lower priority lose reducible tasks to higher-priority
-  requesters (lowest priority bleeds first);
-* :class:`WeightedFairShareArbitration` (``"fair-share"``) — each job's
-  fair share is ``total_slots * weight / sum(weights)``; a requester at
-  or under its share may preempt jobs holding more than theirs (most
-  over-share bleeds first). A requester already over its own share
-  never preempts.
+When the pool cannot cover a request, :func:`fair_share_victims`
+decides whether other jobs are preempted. Each job's fair share is
+``total_slots * weight / sum(weights)``; a requester under its share
+may preempt jobs holding more than theirs (most over-share bleeds
+first). A requester at or over its own share never preempts, and
+neither does a job alone on the pool: its share is the whole pool, so
+its request is denied exactly when the free slots fall short.
 
 Preemption only ever takes *reducible* tasks: the victim job's
 scheduler picks vertices above ``min_parallelism`` and force-stops the
@@ -39,11 +33,6 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.qos.stats import sum_in_order
 
-#: arbitration policy names accepted by EngineConfig.admission
-ARBITRATION_FCFS = "fcfs"
-ARBITRATION_PRIORITY = "priority"
-ARBITRATION_FAIR_SHARE = "fair-share"
-
 
 class AdmissionDecision(NamedTuple):
     """Outcome of one slot request against the admission controller.
@@ -58,38 +47,25 @@ class AdmissionDecision(NamedTuple):
 
 
 class JobAccount:
-    """Per-job slot attribution and arbitration inputs.
+    """Per-job slot attribution and its fair-share weight.
 
-    ``quota`` caps held + reserved slots (None = uncapped); ``priority``
-    orders strict-priority arbitration (higher wins); ``weight`` sizes
-    the weighted fair share. ``task_seconds`` integrates held slots over
-    virtual time, so shared-cluster cost reports can attribute usage to
-    the job that consumed it.
+    ``weight`` sizes the weighted fair share. ``task_seconds`` integrates
+    held slots over virtual time, so shared-cluster cost reports can
+    attribute usage to the job that consumed it.
     """
 
     __slots__ = (
-        "job_id", "name", "quota", "priority", "weight",
+        "job_id", "name", "weight",
         "held", "reserved", "task_seconds",
         "denials", "preemptions_suffered", "preemptions_inflicted",
         "preempt_hook",
     )
 
-    def __init__(
-        self,
-        job_id: object,
-        name: str,
-        quota: Optional[int] = None,
-        priority: int = 0,
-        weight: float = 1.0,
-    ) -> None:
-        if quota is not None and quota < 1:
-            raise ValueError(f"job quota must be >= 1 (got {quota})")
+    def __init__(self, job_id: object, name: str, weight: float = 1.0) -> None:
         if weight <= 0:
             raise ValueError(f"fair-share weight must be > 0 (got {weight})")
         self.job_id = job_id
         self.name = name
-        self.quota = quota
-        self.priority = int(priority)
         self.weight = float(weight)
         #: slots currently held by live tasks
         self.held = 0
@@ -120,8 +96,6 @@ class JobAccount:
         """
         return {
             "name": self.name,
-            "quota": self.quota,
-            "priority": self.priority,
             "weight": self.weight,
             "held": self.held,
             "reserved": self.reserved,
@@ -134,100 +108,32 @@ class JobAccount:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"JobAccount({self.name!r}, held={self.held}, "
-            f"reserved={self.reserved}, quota={self.quota})"
+            f"reserved={self.reserved}, weight={self.weight:g})"
         )
 
 
-class ArbitrationPolicy:
-    """Decides which jobs bleed slots when a request exceeds free capacity.
-
-    ``victims`` returns the eligible victim accounts in bleed order for
-    a requester needing ``shortfall`` more slots; an empty list denies
-    the request. Policies are pure: the actual force-stop happens
-    through each victim's ``preempt_hook``.
-    """
-
-    name = "arbitration"
-
-    def victims(
-        self,
-        accounts: List[JobAccount],
-        requester: JobAccount,
-        shortfall: int,
-        total_slots: int,
-    ) -> List[JobAccount]:
-        raise NotImplementedError
-
-
-class FirstComeArbitration(ArbitrationPolicy):
-    """No preemption: first come, first served; latecomers are denied."""
-
-    name = ARBITRATION_FCFS
-
-    def victims(self, accounts, requester, shortfall, total_slots):
-        return []
-
-
-class StrictPriorityArbitration(ArbitrationPolicy):
-    """Strictly lower-priority jobs bleed first (lowest priority first)."""
-
-    name = ARBITRATION_PRIORITY
-
-    def victims(self, accounts, requester, shortfall, total_slots):
-        candidates = [
-            a for a in accounts
-            if a is not requester and a.priority < requester.priority and a.held > 0
-        ]
-        candidates.sort(key=lambda a: (a.priority, str(a.job_id)))
-        return candidates
-
-
-class WeightedFairShareArbitration(ArbitrationPolicy):
-    """Jobs holding more than their weighted fair share bleed first.
+def fair_share_victims(
+    accounts: List[JobAccount], requester: JobAccount, total_slots: int
+) -> List[JobAccount]:
+    """The accounts that bleed slots for ``requester``, in bleed order.
 
     ``share_i = total_slots * w_i / sum(w)`` over registered jobs. Only
-    a requester at or under its own share may preempt, and only jobs
-    strictly over theirs are eligible — most over-share first, so
-    repeated arbitration converges towards the share vector instead of
-    thrashing one victim.
+    a requester under its own share may preempt, and only jobs strictly
+    over theirs are eligible — most over-share first, so repeated
+    arbitration converges towards the share vector instead of thrashing
+    one victim. An empty list denies the request. The rule is pure: the
+    actual force-stop happens through each victim's ``preempt_hook``.
     """
+    total_weight = sum_in_order(a.weight for a in accounts)
 
-    name = ARBITRATION_FAIR_SHARE
+    def share(account: JobAccount) -> float:
+        return total_slots * account.weight / total_weight
 
-    def victims(self, accounts, requester, shortfall, total_slots):
-        total_weight = sum_in_order(a.weight for a in accounts)
-        if total_weight <= 0:  # pragma: no cover - weights validated > 0
-            return []
-
-        def share(account: JobAccount) -> float:
-            return total_slots * account.weight / total_weight
-
-        if requester.footprint >= share(requester):
-            return []  # already at/over its share: no right to preempt
-        candidates = [
-            a for a in accounts
-            if a is not requester and a.held > share(a)
-        ]
-        candidates.sort(key=lambda a: (-(a.held - share(a)), str(a.job_id)))
-        return candidates
-
-
-_ARBITRATIONS = {
-    ARBITRATION_FCFS: FirstComeArbitration,
-    ARBITRATION_PRIORITY: StrictPriorityArbitration,
-    ARBITRATION_FAIR_SHARE: WeightedFairShareArbitration,
-}
-
-
-def create_arbitration(name: str) -> ArbitrationPolicy:
-    """Instantiate an arbitration policy by registry name."""
-    try:
-        return _ARBITRATIONS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown arbitration policy {name!r} "
-            f"(have: {', '.join(sorted(_ARBITRATIONS))})"
-        ) from None
+    if requester.footprint >= share(requester):
+        return []  # already at/over its share: no right to preempt
+    candidates = [a for a in accounts if a is not requester and a.held > share(a)]
+    candidates.sort(key=lambda a: (-(a.held - share(a)), str(a.job_id)))
+    return candidates
 
 
 def jain_fairness(values: List[float]) -> Optional[float]:
@@ -247,15 +153,8 @@ def jain_fairness(values: List[float]) -> Optional[float]:
 
 
 __all__ = [
-    "ARBITRATION_FCFS",
-    "ARBITRATION_PRIORITY",
-    "ARBITRATION_FAIR_SHARE",
     "AdmissionDecision",
-    "ArbitrationPolicy",
-    "FirstComeArbitration",
-    "StrictPriorityArbitration",
-    "WeightedFairShareArbitration",
     "JobAccount",
-    "create_arbitration",
+    "fair_share_victims",
     "jain_fairness",
 ]

@@ -121,12 +121,6 @@ class EngineConfig:
     #: cluster size (paper: 130 workers x 4 cores)
     worker_pool: int = 130
     slots_per_worker: int = 4
-    #: task placement strategy: "pack", "spread" or "network"
-    #: (network-aware: co-locate connected vertices of the same job)
-    placement: str = "pack"
-    #: slot arbitration when jobs compete for a full pool: "fcfs" (no
-    #: preemption), "priority" or "fair-share" (see repro.engine.admission)
-    admission: str = "fcfs"
     #: root RNG seed for reproducibility
     seed: int = 7
 
@@ -171,15 +165,6 @@ class EngineConfig:
         return replace(config, **overrides)
 
 
-def _vertex_neighbors(job_graph: JobGraph) -> Dict[str, set]:
-    """Vertex adjacency of a job graph (for network-aware placement)."""
-    neighbors: Dict[str, set] = {name: set() for name in job_graph.vertices}
-    for edge in job_graph.edges:
-        neighbors[edge.source.name].add(edge.target.name)
-        neighbors[edge.target.name].add(edge.source.name)
-    return neighbors
-
-
 class DeployedJob:
     """One deployed job's full state: runtime graph, QoS plumbing, scaler.
 
@@ -200,8 +185,6 @@ class DeployedJob:
         actuation: Optional[ActuationConfig] = None,
         policy: Optional[object] = None,
         stateful: Optional[Dict[str, StatefulVertexSpec]] = None,
-        quota: Optional[int] = None,
-        priority: int = 0,
         weight: float = 1.0,
     ) -> None:
         DeployedJob._ids += 1
@@ -210,15 +193,12 @@ class DeployedJob:
         self.job_graph = job_graph
         config = engine.config
         # Open the job's slot account before any allocation so deployment
-        # and every later scale-up are attributed (and quota-checked).
+        # and every later scale-up are attributed.
         account_name = job_graph.name or f"job{self.job_id}"
         if any(a.name == account_name for a in engine.resources._accounts.values()):
             account_name = f"{account_name}#job{self.job_id}"
-        self.account = engine.resources.register_job(
-            self.job_id, account_name, quota=quota, priority=priority, weight=weight
-        )
+        self.account = engine.resources.register_job(self.job_id, account_name, weight)
         engine.resources.set_preemption_hook(self.job_id, self._preempt_slots)
-        engine.resources.set_neighbor_map(self.job_id, _vertex_neighbors(job_graph))
         # Metric keys: the first job to claim a vertex name keeps the bare
         # key; later jobs reusing the name get job-qualified keys so two
         # jobs never silently mix metric rows.
@@ -556,11 +536,7 @@ class StreamProcessingEngine:
             per_item_overhead=self.config.per_item_overhead,
         )
         self.resources = ResourceManager(
-            self.sim,
-            self.config.worker_pool,
-            self.config.slots_per_worker,
-            placement=self.config.placement,
-            admission=self.config.admission,
+            self.sim, self.config.worker_pool, self.config.slots_per_worker
         )
         #: all deployed jobs, in submission order
         self.jobs: List[DeployedJob] = []
@@ -646,8 +622,6 @@ class StreamProcessingEngine:
         actuation: Optional[ActuationConfig] = None,
         policy: Optional[object] = None,
         stateful: Optional[Dict[str, StatefulVertexSpec]] = None,
-        quota: Optional[int] = None,
-        priority: int = 0,
         weight: float = 1.0,
     ) -> DeployedJob:
         """Deploy a job and start its master control loop.
@@ -670,11 +644,9 @@ class StreamProcessingEngine:
         on a constrained job when the engine config is ``elastic`` (and
         no scaler otherwise).
 
-        ``quota``/``priority``/``weight`` parameterize the job's slot
-        account for shared-cluster admission (quota ceiling, strict
-        priority, weighted fair share — see
-        :mod:`repro.engine.admission`); the defaults leave the job
-        unconstrained under first-come arbitration.
+        ``weight`` sizes the job's weighted fair share of a shared
+        cluster (see :mod:`repro.engine.admission`); a job alone on the
+        pool is never constrained by it.
         """
         if not isinstance(job_graph, JobGraph):
             from repro.builder import BuiltPipeline, PipelineBuilder
@@ -707,9 +679,8 @@ class StreamProcessingEngine:
             actuation = pipeline.actuation
             policy = pipeline.policy
             stateful = pipeline.stateful or None
-            share = getattr(pipeline, "share", None)
-            if share is not None:
-                quota, priority, weight = share
+            if pipeline.share is not None:
+                weight = pipeline.share
         for job in self.jobs:
             if job.job_graph is job_graph:
                 raise RuntimeError("this job graph is already deployed")
@@ -718,7 +689,7 @@ class StreamProcessingEngine:
         job = DeployedJob(
             self, job_graph, constraints, probes,
             fault_plan=fault_plan, actuation=actuation, policy=policy,
-            stateful=stateful, quota=quota, priority=priority, weight=weight,
+            stateful=stateful, weight=weight,
         )
         self.jobs.append(job)
         return job

@@ -8,27 +8,22 @@ and *worker hours* (integral of leased workers over time).
 
 Beyond the paper's single job, the manager is the shared cluster's
 admission controller (see :mod:`repro.engine.admission`): jobs register
-a :class:`~repro.engine.admission.JobAccount` (quota, priority,
-fair-share weight), every scale-up *reserves* its slots synchronously
-through :meth:`request_slots` before any task is announced, and a
-request the pool cannot cover is either satisfied by preempting
-reducible tasks of other jobs (per the arbitration policy) or denied on
-the spot. Reservations make deferred scale-ups safe by construction:
-the slots a granted request will consume ``startup_delay`` later are
-already held, so materialization can never fail on a contended pool.
+a :class:`~repro.engine.admission.JobAccount` (fair-share weight), every
+scale-up *reserves* its slots synchronously through
+:meth:`request_slots` before any task is announced, and a request the
+pool cannot cover is either satisfied by preempting reducible tasks of
+jobs over their weighted fair share or denied on the spot. Reservations
+make deferred scale-ups safe by construction: the slots a granted
+request will consume ``startup_delay`` later are already held, so
+materialization can never fail on a contended pool.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.engine.admission import (
-    AdmissionDecision,
-    ArbitrationPolicy,
-    JobAccount,
-    create_arbitration,
-)
+from repro.engine.admission import AdmissionDecision, JobAccount, fair_share_victims
 from repro.engine.worker import WorkerNode
 from repro.simulation.kernel import Simulator
 
@@ -45,38 +40,18 @@ class InsufficientResourcesError(RuntimeError):
     """
 
 
-#: placement strategies for :class:`ResourceManager`
-PLACEMENT_PACK = "pack"
-PLACEMENT_SPREAD = "spread"
-PLACEMENT_NETWORK = "network"
-
-PLACEMENTS = (PLACEMENT_PACK, PLACEMENT_SPREAD, PLACEMENT_NETWORK)
-
-
 class ResourceManager:
     """Leases workers from a bounded pool and accounts usage over time.
 
-    ``placement`` selects where new tasks land:
+    A new task lands on the first leased worker with a free slot, so the
+    pool leases as few workers (and worker-hours) as it can. Operator
+    placement is orthogonal to the paper's strategy (Sec. VI), and a
+    channel costs the same within and across workers, so where a task
+    lands moves no latency.
 
-    * ``"pack"`` (default) — fill the first leased worker with a free
-      slot; minimizes the number of leased workers (and worker-hours);
-    * ``"spread"`` — place on the leased worker with the most free
-      slots, leasing a new worker once every leased one is at least
-      half full; trades worker-hours for less per-node co-location;
-    * ``"network"`` — co-locate connected vertices: prefer the leased
-      worker hosting the most tasks of the new task's graph neighbors
-      (its job's upstream/downstream vertices), falling back to pack.
-      Channels cost the same within and across workers, so placement
-      changes which workers are leased, not end-to-end latency.
-
-    Operator placement is orthogonal to the paper's strategy (Sec. VI);
-    workers are homogeneous, so every strategy satisfies its
-    homogeneity assumption.
-
-    ``admission`` names the arbitration policy consulted when a
-    reservation request exceeds free capacity (see
-    :mod:`repro.engine.admission`); the default first-come policy never
-    preempts, which preserves the historical shared-pool behavior.
+    A reservation request the free slots cannot cover preempts jobs over
+    their weighted fair share (see :mod:`repro.engine.admission`); a job
+    alone on the pool never preempts.
     """
 
     def __init__(
@@ -84,17 +59,12 @@ class ResourceManager:
         sim: Simulator,
         pool_size: int = 130,
         slots_per_worker: int = 4,
-        placement: str = PLACEMENT_PACK,
-        admission: str = "fcfs",
     ) -> None:
         if pool_size < 1 or slots_per_worker < 1:
             raise ValueError("pool_size and slots_per_worker must be >= 1")
-        if placement not in PLACEMENTS:
-            raise ValueError(f"unknown placement strategy {placement!r}")
         self.sim = sim
         self.pool_size = pool_size
         self.slots_per_worker = slots_per_worker
-        self.placement = placement
         self._workers: List[WorkerNode] = []
         self._task_worker: Dict[int, WorkerNode] = {}
         self._next_worker_id = 0
@@ -109,14 +79,10 @@ class ResourceManager:
         self._last_change = 0.0
         self._active_tasks = 0
         # --- admission control -------------------------------------------
-        self.arbitration: ArbitrationPolicy = create_arbitration(admission)
         #: job accounts by job id (None = the anonymous default account
         #: used by schedulers that never registered a job)
         self._accounts: Dict[object, JobAccount] = {}
         self._task_job: Dict[int, object] = {}
-        #: per-job neighbor lookup for network-aware placement:
-        #: ``vertex_name -> set of connected vertex names``
-        self._neighbor_maps: Dict[object, Dict[str, Set[str]]] = {}
         #: outstanding reserved slots across all accounts
         self._reserved_total = 0
 
@@ -180,18 +146,11 @@ class ResourceManager:
     # job accounts (shared-cluster multi-tenancy)
     # ------------------------------------------------------------------
 
-    def register_job(
-        self,
-        job_id: object,
-        name: str,
-        quota: Optional[int] = None,
-        priority: int = 0,
-        weight: float = 1.0,
-    ) -> JobAccount:
-        """Open a slot account for a job (quota/priority/weight)."""
+    def register_job(self, job_id: object, name: str, weight: float = 1.0) -> JobAccount:
+        """Open a slot account for a job with its fair-share weight."""
         if job_id in self._accounts:
             raise ValueError(f"job {job_id!r} is already registered")
-        account = JobAccount(job_id, name, quota=quota, priority=priority, weight=weight)
+        account = JobAccount(job_id, name, weight=weight)
         self._accounts[job_id] = account
         return account
 
@@ -203,7 +162,7 @@ class ResourceManager:
         account = self._accounts.get(job_id)
         if account is None:
             # Anonymous default account: direct ResourceManager users and
-            # pre-multi-tenancy call sites share one uncapped account.
+            # pre-multi-tenancy call sites share one default account.
             account = JobAccount(job_id, name=str(job_id) if job_id is not None else "default")
             self._accounts[job_id] = account
         return account
@@ -213,10 +172,6 @@ class ResourceManager:
     ) -> None:
         """Install the job's ``(slots, requester) -> freed`` force-stop hook."""
         self._account_for(job_id).preempt_hook = hook
-
-    def set_neighbor_map(self, job_id: object, neighbors: Dict[str, Set[str]]) -> None:
-        """Register the job's vertex adjacency for network-aware placement."""
-        self._neighbor_maps[job_id] = {k: set(v) for k, v in neighbors.items()}
 
     def job_summaries(self) -> Dict[str, dict]:
         """Deterministic per-job account snapshots (registered jobs only)."""
@@ -238,19 +193,12 @@ class ResourceManager:
         its slots until :meth:`allocate_slot` consumes them (or
         :meth:`cancel_reservation` returns them), so the deferred
         materialization can never fail. A request the free pool cannot
-        cover consults the arbitration policy, which may free slots by
-        preempting other jobs' reducible tasks; whatever still falls
-        short is denied.
+        cover may free slots by preempting the reducible tasks of jobs
+        over their fair share; whatever still falls short is denied.
         """
         if count <= 0:
             return AdmissionDecision(True)
         account = self._account_for(job_id)
-        if account.quota is not None and account.footprint + count > account.quota:
-            account.denials += 1
-            return AdmissionDecision(
-                False,
-                f"quota exceeded: {account.footprint}+{count} > {account.quota}",
-            )
         shortfall = count - self.allocatable_slots()
         preempted: List[tuple] = []
         if shortfall > 0:
@@ -273,9 +221,7 @@ class ResourceManager:
     ) -> int:
         """Free up to ``shortfall`` slots by preempting eligible victims."""
         accounts = [self._accounts[k] for k in sorted(self._accounts, key=str)]
-        victims = self.arbitration.victims(
-            accounts, requester, shortfall, self.total_slots
-        )
+        victims = fair_share_victims(accounts, requester, self.total_slots)
         freed_total = 0
         for victim in victims:
             if freed_total >= shortfall:
@@ -313,7 +259,7 @@ class ResourceManager:
         """
         self._advance_clock()
         account = self._account_for(job_id)
-        worker = self._find_free_worker(task, job_id)
+        worker = self._find_free_worker()
         if worker is None:
             if len(self._workers) >= self.pool_size:
                 raise InsufficientResourcesError(
@@ -349,40 +295,12 @@ class ResourceManager:
         """The worker hosting ``task`` (``None`` if it holds no slot)."""
         return self._task_worker.get(task.uid)
 
-    def _find_free_worker(
-        self, task: Optional["RuntimeTask"] = None, job_id: object = None
-    ) -> Optional[WorkerNode]:
-        candidates = [w for w in self._workers if w.free_slots > 0]
-        if not candidates:
-            return None
-        if self.placement == PLACEMENT_SPREAD:
-            best = max(candidates, key=lambda w: w.free_slots)
-            # Lease a fresh worker instead once everything is half full.
-            if (
-                best.free_slots < (self.slots_per_worker + 1) // 2
-                and len(self._workers) < self.pool_size
-            ):
-                return None
-            return best
-        if self.placement == PLACEMENT_NETWORK and task is not None:
-            neighbors = self._neighbor_maps.get(job_id, {}).get(
-                getattr(task, "vertex_name", None), ()
-            )
-            if neighbors:
-                best, best_count = None, 0
-                for worker in candidates:
-                    count = sum(
-                        1
-                        for hosted in worker.hosted_tasks()
-                        if hosted.vertex_name in neighbors
-                        and self._task_job.get(hosted.uid) == job_id
-                    )
-                    if count > best_count:
-                        best, best_count = worker, count
-                if best is not None:
-                    return best
-            # no co-location opportunity: fall through to pack
-        return candidates[0]
+    def _find_free_worker(self) -> Optional[WorkerNode]:
+        """The first leased worker with a free slot (None: lease one)."""
+        for worker in self._workers:
+            if worker.free_slots > 0:
+                return worker
+        return None
 
     def release_slot(self, task: "RuntimeTask") -> None:
         """Free the slot held by ``task``; empty workers are released."""

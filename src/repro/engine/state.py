@@ -173,10 +173,14 @@ class KeyedState:
                 f"{self.key_count} keys, {self.total_bytes} B)")
 
 
+#: replay seconds charged per second of checkpoint age on a task crash
+REPLAY_FACTOR = 0.5
+
+
 class StatefulVertexSpec:
     """Declarative state model of one vertex (see ``PipelineBuilder.stateful``)."""
 
-    __slots__ = ("n_keys", "zipf_s", "bytes_per_event", "cost", "replay_factor")
+    __slots__ = ("n_keys", "zipf_s", "bytes_per_event", "cost")
 
     def __init__(
         self,
@@ -184,7 +188,6 @@ class StatefulVertexSpec:
         zipf_s: float = 1.1,
         bytes_per_event: int = 64,
         cost: Optional[MigrationCostModel] = None,
-        replay_factor: float = 0.5,
     ) -> None:
         if n_keys < 1:
             raise ValueError(f"n_keys must be >= 1 (got {n_keys})")
@@ -192,21 +195,17 @@ class StatefulVertexSpec:
             raise ValueError(
                 f"bytes_per_event must be >= 0 (got {bytes_per_event})"
             )
-        if replay_factor < 0:
-            raise ValueError(f"replay_factor must be >= 0 (got {replay_factor})")
         self.n_keys = int(n_keys)
         self.zipf_s = float(zipf_s)
         self.bytes_per_event = int(bytes_per_event)
         self.cost = cost or MigrationCostModel()
-        #: replay seconds charged per second of checkpoint age on crash
-        self.replay_factor = float(replay_factor)
 
     def describe(self) -> Dict[str, object]:
         return {
             "n_keys": self.n_keys,
             "zipf_s": self.zipf_s,
             "bytes_per_event": self.bytes_per_event,
-            "replay_factor": self.replay_factor,
+            "replay_factor": REPLAY_FACTOR,
             "cost": self.cost.describe(),
         }
 
@@ -394,9 +393,7 @@ class StateManager:
             rank = 0
         partition = rank % vs.state.parallelism
         lost = vs.state.restore_partition(partition, vs.checkpoint)
-        replay = vs.spec.replay_factor * max(
-            0.0, self.sim.now - vs.checkpoint_time
-        )
+        replay = REPLAY_FACTOR * max(0.0, self.sim.now - vs.checkpoint_time)
         self.state_lost_bytes += lost
         self.recovery_time_s += replay
         self.crash_recoveries += 1
@@ -530,6 +527,7 @@ class StateManager:
 __all__ = [
     "KeyedState",
     "MigrationPlan",
+    "REPLAY_FACTOR",
     "StateManager",
     "StatefulVertexSpec",
     "stable_key_hash",

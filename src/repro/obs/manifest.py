@@ -271,7 +271,6 @@ def build_manifest(
         account = resources.account(job.job_id)
         data["shared_cluster"] = {
             "jobs": len(engine.jobs),
-            "admission": resources.arbitration.name,
             "account": resources.job_summaries()[account.name],
             "cluster": {
                 "total_slots": resources.total_slots,

@@ -24,8 +24,8 @@ admission/preemption counters — the shape the ``multi_job`` sweep
 workload and the ``repro run --shared-cluster`` CLI report. The scenario
 is registered as the ``multi_job`` workload of
 :mod:`repro.workloads.scenario`; its rate / bound / duration / seed /
-actuation / policy come from the :class:`ScenarioSpec`, the pool and its
-arbitration from the knobs below.
+actuation / policy come from the :class:`ScenarioSpec`, the pool from
+the knobs below.
 """
 
 from __future__ import annotations
@@ -38,18 +38,11 @@ from repro.qos.stats import mean_in_order
 from repro.simulation.randomness import Gamma
 from repro.workloads.rates import PiecewiseRate
 
-#: knobs of the ``multi_job`` workload and their canonical values — all
-#: four configure the engine (``spec.rate`` is the per-job *peak* source
-#: rate; off-peak is ``rate / 8``)
-SHARED_CLUSTER_KNOBS: Dict[str, object] = {
-    # pool size — deliberately too small for both peaks at once
-    "worker_pool": 3,
-    "slots_per_worker": 4,
-    # arbitration policy (fair-share is the canonical scenario)
-    "admission": "fair-share",
-    # task placement strategy
-    "placement": "pack",
-}
+#: knobs of the ``multi_job`` workload and their canonical values: the
+#: pool, deliberately too small for both peaks at once (both knobs
+#: configure the engine; ``spec.rate`` is the per-job *peak* source
+#: rate, off-peak is ``rate / 8``)
+SHARED_CLUSTER_KNOBS: Dict[str, object] = {"worker_pool": 3, "slots_per_worker": 4}
 
 #: fair-share weights (alpha gets the larger share; the 3:1 split puts
 #: beta over its 3-slot share whenever it exceeds its minimum footprint,

@@ -268,8 +268,7 @@ def _shared_cluster(tmp_path):
     knobs = spec.resolved()
     engine = StreamProcessingEngine(
         EngineConfig(elastic=True, seed=spec.seed, worker_pool=knobs["worker_pool"],
-                     slots_per_worker=knobs["slots_per_worker"],
-                     admission=knobs["admission"]),
+                     slots_per_worker=knobs["slots_per_worker"]),
         observability=ObservabilityConfig(),
     )
     for pipeline in shared_cluster_pipelines(spec):

@@ -1,8 +1,8 @@
-"""Admission control, arbitration and placement in the ResourceManager.
+"""Admission control, fair-share arbitration and placement in the ResourceManager.
 
 Covers the reservation-based admission path (request/allocate/cancel
-accounting, quota and capacity denials), the three arbitration policies,
-worker-placement strategies, the stable worker-id speed-factor fix and
+accounting, capacity denials), weighted fair-share preemption and its
+lone-job case, pack placement, the stable worker-id speed-factor fix and
 Jain's fairness helper.
 """
 
@@ -11,9 +11,7 @@ import pytest
 from repro.engine.admission import (
     AdmissionDecision,
     JobAccount,
-    StrictPriorityArbitration,
-    WeightedFairShareArbitration,
-    create_arbitration,
+    fair_share_victims,
     jain_fairness,
 )
 from repro.engine.resources import InsufficientResourcesError, ResourceManager
@@ -84,14 +82,6 @@ class TestReservationAccounting:
         assert rm.request_slots("a", -1) == AdmissionDecision(True)
         assert rm.allocatable_slots() == rm.free_slots_available()
 
-    def test_quota_caps_footprint(self):
-        rm = _rm(pool_size=4)
-        rm.register_job("a", "alpha", quota=2)
-        assert rm.request_slots("a", 2).admitted
-        denied = rm.request_slots("a", 1)
-        assert not denied.admitted
-        assert "quota exceeded" in denied.reason
-
     def test_duplicate_registration_rejected(self):
         rm = _rm()
         rm.register_job("a", "alpha")
@@ -136,43 +126,26 @@ class TestArbitrationPolicies:
 
         rm.set_preemption_hook(job_id, hook)
 
-    def test_fcfs_never_preempts(self):
-        rm = _rm(admission="fcfs")
-        rm.register_job("a", "alpha")
-        rm.register_job("b", "beta")
-        tasks = self._fill(rm, "a", 4)
-        self._install_hook(rm, "a", tasks)
-        denied = rm.request_slots("b", 1)
-        assert not denied.admitted
-        assert rm.preempted_tasks == 0
-        assert len(tasks) == 4  # hook never consulted
-
-    def test_priority_preempts_lower_priority_holder(self):
-        rm = _rm(admission="priority")
-        rm.register_job("low", "low", priority=0)
-        rm.register_job("high", "high", priority=5)
-        tasks = self._fill(rm, "low", 4)
-        self._install_hook(rm, "low", tasks)
-        grant = rm.request_slots("high", 2)
-        assert grant.admitted
-        assert grant.preempted == (("low", 2),)
-        assert rm.preempted_tasks == 2
-        assert rm.account("low").preemptions_suffered == 2
-        assert rm.account("high").preemptions_inflicted == 2
-
-    def test_priority_never_preempts_equal_priority(self):
-        rm = _rm(admission="priority")
-        rm.register_job("a", "alpha", priority=1)
-        rm.register_job("b", "beta", priority=1)
-        tasks = self._fill(rm, "a", 4)
-        self._install_hook(rm, "a", tasks)
-        assert not rm.request_slots("b", 1).admitted
-        assert rm.preempted_tasks == 0
+    def test_a_job_alone_is_denied_exactly_when_the_pool_falls_short(self):
+        # Its fair share is the whole pool, so it never preempts: every
+        # single-job run admits and denies as if there were no arbitration.
+        for held in range(5):
+            for count in range(1, 6):
+                rm = _rm()  # 4 slots
+                rm.register_job("a", "alpha")
+                tasks = self._fill(rm, "a", held)
+                self._install_hook(rm, "a", tasks)
+                allocatable = rm.allocatable_slots()
+                decision = rm.request_slots("a", count)
+                assert decision.admitted == (count <= allocatable), (held, count)
+                assert decision.preempted == ()
+                assert rm.preempted_tasks == 0
+                assert len(tasks) == held
 
     def test_fair_share_preempts_over_share_holder(self):
         # 4 slots, weights 3:1 -> shares 3 and 1. beta holds 3 (> 1),
         # alpha requests 2 while under its share of 3 -> beta bleeds.
-        rm = _rm(admission="fair-share")
+        rm = _rm()
         rm.register_job("a", "alpha", weight=3.0)
         rm.register_job("b", "beta", weight=1.0)
         tasks = self._fill(rm, "b", 3)
@@ -183,7 +156,7 @@ class TestArbitrationPolicies:
         assert rm.preempted_tasks == 1
 
     def test_fair_share_over_share_requester_cannot_preempt(self):
-        rm = _rm(admission="fair-share")
+        rm = _rm()
         rm.register_job("a", "alpha", weight=1.0)
         rm.register_job("b", "beta", weight=1.0)
         tasks = self._fill(rm, "b", 2)
@@ -193,72 +166,23 @@ class TestArbitrationPolicies:
         assert not denied.admitted
         assert rm.preempted_tasks == 0
 
-    def test_unknown_arbitration_rejected(self):
-        with pytest.raises(ValueError):
-            create_arbitration("bogus")
-        with pytest.raises(ValueError):
-            _rm(admission="bogus")
-
-    def test_priority_victims_bleed_lowest_first(self):
-        policy = StrictPriorityArbitration()
-        a = JobAccount("a", "a", priority=1)
-        b = JobAccount("b", "b", priority=0)
-        requester = JobAccount("r", "r", priority=9)
-        a.held = b.held = 2
-        victims = policy.victims([a, b, requester], requester, 1, 8)
-        assert [v.name for v in victims] == ["b", "a"]
-
     def test_fair_share_victims_most_over_share_first(self):
-        policy = WeightedFairShareArbitration()
         a = JobAccount("a", "a")
         b = JobAccount("b", "b")
         requester = JobAccount("r", "r")
         # shares are 4 each (12 slots / 3 equal weights)
         a.held = 6
         b.held = 5
-        victims = policy.victims([a, b, requester], requester, 2, 12)
+        victims = fair_share_victims([a, b, requester], requester, 12)
         assert [v.name for v in victims] == ["a", "b"]
 
 
 class TestPlacementStrategies:
     def test_pack_fills_first_worker(self):
-        rm = _rm(pool_size=4, slots_per_worker=4, placement="pack")
+        rm = _rm(pool_size=4, slots_per_worker=4)
         for _ in range(4):
             rm.allocate_slot(_FakeTask())
         assert rm.leased_workers == 1
-
-    def test_spread_leases_new_workers_early(self):
-        rm = _rm(pool_size=4, slots_per_worker=4, placement="spread")
-        for _ in range(4):
-            rm.allocate_slot(_FakeTask())
-        # half-full threshold: every worker keeps >= 2 free slots
-        assert rm.leased_workers == 2
-
-    def test_network_colocates_graph_neighbors(self):
-        rm = _rm(pool_size=4, slots_per_worker=4, placement="network")
-        rm.register_job("j", "job")
-        rm.set_neighbor_map("j", {"a": {"b"}, "b": {"a"}, "c": set()})
-        producer = _FakeTask("a")
-        rm.allocate_slot(producer, "j")
-        # pad the first worker so pack would NOT naturally pick worker 2
-        filler = [_FakeTask("c") for _ in range(3)]
-        for task in filler:
-            rm.allocate_slot(task, "j")
-        # first worker now full; consumer must land on a new worker, but
-        # once the producer's worker frees a slot, neighbors rejoin it
-        rm.release_slot(filler[0])
-        consumer = _FakeTask("b")
-        rm.allocate_slot(consumer, "j")
-        assert rm.worker_of(consumer) is rm.worker_of(producer)
-
-    def test_network_placement_falls_back_to_pack(self):
-        rm = _rm(pool_size=2, slots_per_worker=2, placement="network")
-        rm.register_job("j", "job")
-        rm.set_neighbor_map("j", {"a": set()})
-        t1, t2 = _FakeTask("a"), _FakeTask("a")
-        rm.allocate_slot(t1, "j")
-        rm.allocate_slot(t2, "j")
-        assert rm.worker_of(t1) is rm.worker_of(t2)
 
 
 class TestStableWorkerSpeeds:

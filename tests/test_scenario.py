@@ -322,7 +322,26 @@ class TestRunCommand:
         assert match, report
         assert int(match.group(1)) >= 1 and int(match.group(2)) >= 1
         assert "fairness (Jain, per-job fulfillment):" in report
-        assert "3 workers x 4 slots, admission=fair-share" in report
+        assert report.startswith("shared cluster: 3 workers x 4 slots, 240s virtual, seed=11\n")
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--workers", "0", "EngineConfig.worker_pool must be finite and >= 1 (got 0)"),
+        ("--slots-per-worker", "0",
+         "EngineConfig.slots_per_worker must be finite and >= 1 (got 0)"),
+        # the two jobs deploy 8 tasks; one worker has 4 slots
+        ("--workers", "1", "worker pool exhausted (1 workers, 4 slots)"),
+    ], ids=["workers-0", "slots-per-worker-0", "workers-1"])
+    def test_a_pool_the_jobs_cannot_deploy_on_is_a_usage_error(
+        self, flag, value, reason, capsys
+    ):
+        # at the parent commit each of these ended in a traceback (exit 1)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "--shared-cluster", flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = captured.err.strip().splitlines()[-1]
+        assert error.endswith(f"error: cannot deploy the shared cluster: {reason}")
 
 
 class TestSummarize:
@@ -345,9 +364,12 @@ class TestSummarize:
 # the CLI surface is unchanged
 # ----------------------------------------------------------------------
 
-#: option strings (and positionals) per subcommand, as PR 12 found them
-#: minus the three partition flags ``run`` lost with ``sweep/partition.py``,
-#: the ``runs`` command and ``compare --index`` (the run-history index)
+#: option strings (and positionals) per subcommand: the surface as it
+#: stood before the scenario refactor, minus the three partition flags
+#: ``run`` lost with ``sweep/partition.py``, the ``runs`` command,
+#: ``compare --index`` (the run-history index) and ``run --admission`` /
+#: ``--placement`` (the shared cluster has one arbitration and one
+#: placement rule)
 PARENT_OPTIONS = {
     "": ["--help", "-h"],
     "bench": ["--check", "--help", "--no-macro", "--out", "--profile", "--quick", "-h"],
@@ -363,9 +385,9 @@ PARENT_OPTIONS = {
                 "-h", "runs"],
     "experiment": ["--csv", "--help", "--quick", "-h", "name"],
     "info": ["--help", "-h"],
-    "run": ["--admission", "--bound", "--duration", "--help", "--obs-dir",
-            "--placement", "--policy", "--rate", "--scenario", "--seed",
-            "--shared-cluster", "--slots-per-worker", "--workers", "-h"],
+    "run": ["--bound", "--duration", "--help", "--obs-dir", "--policy", "--rate",
+            "--scenario", "--seed", "--shared-cluster", "--slots-per-worker",
+            "--workers", "-h"],
     "sweep": ["--actuation", "--bounds", "--duration", "--grid", "--help", "--out",
               "--policy", "--quick", "--rates", "--resume", "--retries", "--seeds",
               "--shared-cluster", "--tournament", "--tournament-stateful",
@@ -501,7 +523,7 @@ class TestJobIsTheHandle:
 
         fields = [f.name for f in dataclasses.fields(EngineConfig)]
         assert "vectorized_sampling" not in fields
-        assert len(fields) == 22
+        assert len(fields) == 20
         for cls in (Scheduler, RuntimeTask):
             assert "vectorized" not in inspect.signature(cls.__init__).parameters
             assert not hasattr(cls, "vectorized")

@@ -80,6 +80,34 @@ class TestCanonicalScenario:
         assert _run(_short_spec()) == canonical_result
 
 
+class TestCanonicalOutcome:
+    """The canonical 240-s run's outcome, pinned to the last digit.
+
+    ``repro run --shared-cluster`` prints these (0.617 / 0.404, 30
+    denials, 3 preempted, Jain 0.9584); a change to admission, arbitration
+    or placement that moves any of them shows here first.
+    """
+
+    def test_every_job_and_cluster_number_is_pinned(self):
+        result = _run(_short_spec(duration=240.0))
+        jobs = {
+            job["job"]: (
+                job["fulfillment"], job["violations"],
+                job["account"]["denials"], job["account"]["preemptions_suffered"],
+                job["account"]["preemptions_inflicted"],
+                job["account"]["task_seconds"],
+            )
+            for job in result["jobs"]
+        }
+        assert jobs == {
+            "alpha": (0.6170212765957447, 18, 15, 0, 3, 1107.5050503765706),
+            "beta": (0.4042553191489362, 28, 15, 3, 0, 1033.0068974435032),
+        }
+        assert result["fairness"] == 0.9584026622296176
+        assert result["cluster"]["admission_denials"] == 30
+        assert result["cluster"]["preempted_tasks"] == 3
+
+
 class TestAdmissionHonesty:
     """Satellite 1: no applied-without-slots, no partial wiring."""
 
@@ -155,7 +183,6 @@ class TestQualifiedMetricKeys:
                 elastic=True, seed=params.seed,
                 worker_pool=knobs["worker_pool"],
                 slots_per_worker=knobs["slots_per_worker"],
-                admission=knobs["admission"],
             ),
             observability=ObservabilityConfig(),
         )
@@ -203,7 +230,6 @@ class TestTraceBranches:
                 elastic=True, seed=params.seed,
                 worker_pool=knobs["worker_pool"],
                 slots_per_worker=knobs["slots_per_worker"],
-                admission=knobs["admission"],
             ),
             observability=ObservabilityConfig(metrics=False),
         )

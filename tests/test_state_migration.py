@@ -135,8 +135,6 @@ class TestStatefulVertexSpec:
             StatefulVertexSpec(n_keys=0)
         with pytest.raises(ValueError, match="bytes_per_event"):
             StatefulVertexSpec(bytes_per_event=-1)
-        with pytest.raises(ValueError, match="replay_factor"):
-            StatefulVertexSpec(replay_factor=-0.1)
 
     def test_describe_is_deterministic_and_complete(self):
         spec = StatefulVertexSpec(n_keys=32, bytes_per_event=48)
@@ -231,7 +229,7 @@ class TestCheckpointRestore:
         manager = job.state_manager
         assert manager.crash_recoveries == 1
         # last checkpoint before the crash fired at t=10; the replay
-        # charge is replay_factor (0.5) * the 5 s of lost progress
+        # charge is REPLAY_FACTOR (0.5) * the 5 s of lost progress
         assert manager.recovery_time_s == pytest.approx(2.5, abs=0.2)
         assert manager.checkpoints >= 2
         # crashed tasks recover parallelism afterwards

@@ -1,4 +1,4 @@
-"""Tests for trace tooling, the CLI, and placement strategies."""
+"""Tests for trace tooling, the CLI, and task placement."""
 
 import os
 import random
@@ -125,26 +125,16 @@ class TestPlacement:
             self.task_id = f"t{self.uid}"
 
     def test_pack_fills_first_worker(self):
-        rm = ResourceManager(Simulator(), pool_size=4, slots_per_worker=4, placement="pack")
+        rm = ResourceManager(Simulator(), pool_size=4, slots_per_worker=4)
         for _ in range(4):
             rm.allocate_slot(self.T())
         assert rm.leased_workers == 1
 
-    def test_spread_leases_more_workers(self):
-        rm = ResourceManager(Simulator(), pool_size=4, slots_per_worker=4, placement="spread")
-        for _ in range(4):
-            rm.allocate_slot(self.T())
-        assert rm.leased_workers >= 2
-
-    def test_spread_respects_pool_bound(self):
-        rm = ResourceManager(Simulator(), pool_size=2, slots_per_worker=2, placement="spread")
+    def test_pack_respects_pool_bound(self):
+        rm = ResourceManager(Simulator(), pool_size=2, slots_per_worker=2)
         for _ in range(4):
             rm.allocate_slot(self.T())
         assert rm.leased_workers == 2
-
-    def test_unknown_placement_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceManager(Simulator(), placement="bogus")
 
 
 class TestCli:
